@@ -13,7 +13,7 @@ contract that makes each speedup safe to take: the two runs are
 values, and — where caches are in play — cache entries under the same
 keys).
 
-Metrics (per kernel cell; the acceptance floor is 5x on each):
+Metrics (per kernel cell; the acceptance floor is 5x unless noted):
 
 * ``batch_speedup`` — heur-l on homogeneous rows, cold caches (the
   original headline cell);
@@ -24,6 +24,10 @@ Metrics (per kernel cell; the acceptance floor is 5x on each):
   (``dp-period``) vs the per-row converse binary search;
 * ``het_batch_speedup`` — heur-l on heterogeneous rows (lockstep
   Section 7.2 allocation) vs the per-row loop;
+* ``pareto_dp_speedup`` — the pareto-dp kernel (one frontier DP per
+  row and admitted-interval group) vs the per-row loop, on the derived
+  8-point period grid.  Its floor is 1.5x, not 5x: the kernel shares
+  the per-row path's Python DP and saves only the repeated runs;
 * ``batched_units_per_s`` / ``looped_units_per_s`` — informational
   absolute throughput of the headline cell.
 
@@ -42,6 +46,7 @@ import numpy as np
 from repro.algorithms import batch_heuristic_best, heuristic_best
 from repro.experiments import ResultCache, get_method, run_sweep
 from repro.scenarios import generate_ensemble
+from repro.solve import derive_bounds_grid
 from repro.util.logrel import from_reliability
 
 try:
@@ -61,6 +66,10 @@ FLOOR_N = 400
 DP_N = 300
 HET_N = 300
 PERIOD_BOUNDS = [(150.0, math.inf), (250.0, math.inf), (400.0, math.inf)]
+#: The pareto-dp cell: the hom-reliability workload's shape (30 rows,
+#: `--grid auto` period axis with 8 points).
+PARETO_N = 30
+PARETO_POINTS = 8
 
 #: Regression-gate metric names (see run_batch_solve_bench).
 BENCH_NAME = "bench_batch_solve"
@@ -147,6 +156,13 @@ def run_batch_solve_bench() -> dict:
         generate_ensemble("high-heterogeneity", n_instances=HET_N, seed=17),
         METHOD, BOUNDS, "reliability", HET_N,
     )
+    pareto_ensemble = generate_ensemble("section8-hom", n_instances=PARETO_N, seed=0)
+    pareto_bounds = derive_bounds_grid(
+        pareto_ensemble, n_points=PARETO_POINTS
+    ).sweep("period")
+    pareto_looped, pareto_batched = _sweep_pair_seconds(
+        pareto_ensemble, "pareto-dp", pareto_bounds, "reliability", PARETO_N,
+    )
 
     emit()
     emit(f"batched solving, {N_INSTANCES} instances x {METHOD} "
@@ -164,12 +180,16 @@ def run_batch_solve_bench() -> dict:
     emit(f"het heur-l ({HET_N} rows):           "
          f"{het_looped:7.3f} / {het_batched:7.3f} = "
          f"{het_looped / het_batched:.1f}x")
+    emit(f"pareto-dp ({PARETO_N} rows x {PARETO_POINTS} pts):   "
+         f"{pareto_looped:7.3f} / {pareto_batched:7.3f} = "
+         f"{pareto_looped / pareto_batched:.1f}x")
 
     return {
         "batch_speedup": looped_seconds / batched_seconds,
         "floor_speedup": floor_looped / floor_batched,
         "batch_dp_period_speedup": dp_looped / dp_batched,
         "het_batch_speedup": het_looped / het_batched,
+        "pareto_dp_speedup": pareto_looped / pareto_batched,
         "batched_units_per_s": n_units / batched_seconds,
         "looped_units_per_s": n_units / looped_seconds,
     }
@@ -177,12 +197,14 @@ def run_batch_solve_bench() -> dict:
 
 def test_batch_solve_throughput(benchmark):
     metrics = run_batch_solve_bench()
-    # The acceptance floor: each kernel cell must beat its per-row
-    # loop by at least 5x.
+    # The acceptance floor: each vectorized kernel cell must beat its
+    # per-row loop by at least 5x; pareto-dp, which runs the per-row
+    # DP code but fewer times, by 1.5x.
     assert metrics["batch_speedup"] > 5.0
     assert metrics["floor_speedup"] > 5.0
     assert metrics["batch_dp_period_speedup"] > 5.0
     assert metrics["het_batch_speedup"] > 5.0
+    assert metrics["pareto_dp_speedup"] > 1.5
 
     ensemble = generate_ensemble("section8-hom", n_instances=200, seed=17)
     methods = [get_method(METHOD)]

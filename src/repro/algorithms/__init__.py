@@ -23,8 +23,9 @@
   :mod:`repro.algorithms.batch_dp`, :mod:`repro.algorithms.batch_search`)
   — :func:`batch_heuristic_best` evaluates a Section 7 heuristic over
   every row of a columnar ensemble in one call;
-  :func:`batch_minimize_period` / :func:`batch_minimize_latency` do
-  the same for the converse objectives on homogeneous rows, and
+  :func:`batch_minimize_period` / :func:`batch_minimize_latency` /
+  :func:`batch_pareto_dp` do the same for the exact DPs on homogeneous
+  rows, and
   :func:`batch_bisection_search` for the heterogeneous searches.  All
   are bit-identical to the per-instance loop;
   :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
@@ -46,7 +47,11 @@ from repro.algorithms.batch import (
     batch_heuristic_best,
     heuristic_solve_batch,
 )
-from repro.algorithms.batch_dp import batch_minimize_latency, batch_minimize_period
+from repro.algorithms.batch_dp import (
+    batch_minimize_latency,
+    batch_minimize_period,
+    batch_pareto_dp,
+)
 from repro.algorithms.batch_search import batch_bisection_search, search_solve_batch
 from repro.algorithms.heuristics import (
     heur_l_intervals,
@@ -78,6 +83,7 @@ __all__ = [
     "batch_heuristic_best",
     "batch_minimize_latency",
     "batch_minimize_period",
+    "batch_pareto_dp",
     "batch_bisection_search",
     "heuristic_solve_batch",
     "search_solve_batch",

@@ -77,6 +77,7 @@ from repro.util import logrel
 __all__ = [
     "BatchUnsupported",
     "batch_heuristic_best",
+    "check_bounds",
     "floor_log_reliability",
     "heuristic_probe_tables",
     "heuristic_solve_batch",
@@ -153,6 +154,13 @@ def floor_log_reliability(min_reliability: float) -> float:
     if v == 0.0:
         return -math.inf
     return logrel.from_reliability(v)
+
+
+def check_bounds(bounds: Sequence[tuple[float, float]]) -> None:
+    """Reject a sweep point whose bound is not ``> 0`` (NaN included)."""
+    for P, L in bounds:
+        if not float(P) > 0 or not float(L) > 0:
+            raise ValueError("bounds must be > 0")
 
 
 def _heur_l_boundaries(output: np.ndarray, m: int) -> np.ndarray:

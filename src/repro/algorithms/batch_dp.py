@@ -1,8 +1,9 @@
-"""Batched converse-objective kernels: dp-period and dp-latency.
+"""Batched exact-DP kernels: dp-period, dp-latency and pareto-dp.
 
-The tentpole cells beyond the heuristics: one kernel call runs
+The exact homogeneous cells: one kernel call runs
 :func:`~repro.algorithms.minimize_period` /
-:func:`~repro.algorithms.minimize_latency` over every row of a
+:func:`~repro.algorithms.minimize_latency` /
+:func:`~repro.algorithms.pareto_dp_best` over every row of a
 homogeneous ensemble group at every sweep point, bit-identical to the
 per-row loop (same bit-identity contract as
 :mod:`repro.algorithms.batch` — see that module's docstring for the
@@ -23,22 +24,27 @@ rules the style below follows).
   witness, which is then scored by the real
   :func:`~repro.core.evaluation.evaluate_mapping`.
 
-* **dp-latency** (:func:`batch_minimize_latency`) — the scalar path
-  runs one Pareto DP per (row, point) with the *latency budget* as a
-  pruning bound.  Inserting points beyond a lane's budget never evicts
-  or dominates a within-budget frontier point (cost is the first
-  frontier coordinate), so the sub-frontier within a smaller budget of
-  a larger-budget run equals the smaller run's frontier.  The kernel
-  therefore runs one DP per (row, distinct period bound) with the
-  group's *largest* budget and answers every latency point from the
-  shared frontier, restricting the final scan to points with
-  ``cost <= budget_pt`` — the usual latency sweep (one period bound,
-  many latency points) costs one DP per row.
+* **pareto-dp** (:func:`batch_pareto_dp`) and **dp-latency**
+  (:func:`batch_minimize_latency`) — the scalar paths run one frontier
+  DP per (row, point) with the *latency budget* as a pruning bound.
+  The kernels build each row's bounds-independent tables once
+  (:class:`~repro.algorithms.pareto_dp._FrontierDP`) and group the
+  row's points by the set of intervals their period bound admits — a
+  run depends on the period only through that set.  Inserting points
+  beyond a point's budget never evicts or dominates a within-budget
+  frontier point (cost is the first frontier coordinate), so the
+  sub-frontier within a smaller budget of a larger-budget run equals
+  the smaller run's frontier.  Each group therefore runs one DP at its
+  *largest* live budget, and every point of the group is answered by
+  the scalar selection (most reliable within budget, or cheapest
+  meeting the floor) restricted to ``cost <= budget_pt`` — a latency
+  sweep costs one DP per row.
 
-Both kernels return the 4-tuple ``solve_batch`` form — the fourth
-element carries the per-row ``info`` dict (``probes`` counts and, for
-the searches, ``converged``) that the per-row path would have
-accumulated, so harness events and cache record bytes stay identical.
+dp-period returns the 4-tuple ``solve_batch`` form — the fourth element
+carries the per-row ``info`` dict (``probes`` counts) that the per-row
+path would have accumulated, so harness events and cache record bytes
+stay identical; the frontier kernels return the 3-tuple form (their
+scalar twins report no per-unit info).
 """
 
 from __future__ import annotations
@@ -48,14 +54,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import BatchUnsupported, floor_log_reliability
-from repro.algorithms.pareto_dp import _reconstruct, _run_dp
+from repro.algorithms.batch import BatchUnsupported, check_bounds, floor_log_reliability
+from repro.algorithms.pareto_dp import _cheapest_meeting, _FrontierDP, _most_reliable
 from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval
 from repro.core.mapping import Mapping
 from repro.util import logrel
 
-__all__ = ["batch_minimize_period", "batch_minimize_latency"]
+__all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
 
 
 def _resolve_rows(ensemble, rows) -> np.ndarray:
@@ -234,9 +240,7 @@ def batch_minimize_period(
             "max_latency take the per-row Pareto-DP probe instead",
             reason="latency-bound",
         )
-    for P, L in bounds:
-        if float(P) <= 0 or float(L) <= 0:
-            raise ValueError("bounds must be > 0")
+    check_bounds(bounds)
 
     floor = floor_log_reliability(min_reliability)
     dp = _LaneDP(ensemble, rows)
@@ -310,6 +314,81 @@ def batch_minimize_period(
     return solved, failure, values, infos
 
 
+def _frontier_kernel(ensemble, bounds, rows, kernel: str, fill: float, select, score):
+    """The shared body of the frontier-DP kernels.
+
+    Per row: build the DP tables once, run one DP per group of points
+    that admit the same intervals (at the group's loosest live budget),
+    and answer each point by ``select(front[n], budget)``, the scalar
+    path's selection restricted to the point's own budget (see the
+    module docstring).  Each answer is reconstructed and scored by the
+    real :func:`~repro.core.evaluation.evaluate_mapping`; ``score(ev)``
+    is its objective value, *fill* that of infeasible points.  Only the
+    current DP run is alive at any time.
+    """
+    rows = _resolve_rows(ensemble, rows)
+    r, n_pts = len(rows), len(bounds)
+    solved = np.zeros((r, n_pts), dtype=bool)
+    failure = np.ones((r, n_pts), dtype=float)
+    values = np.full((r, n_pts), fill, dtype=float)
+    if r == 0:
+        return solved, failure, values
+    _require_homogeneous_rows(ensemble, rows, kernel)
+    check_bounds(bounds)
+
+    for ri, row in enumerate(rows):
+        dp = _FrontierDP(ensemble.chain(int(row)), ensemble.platform(int(row)))
+        # A latency bound below the compute lower bound (negative
+        # budget) is infeasible before any DP runs, as in the scalar
+        # early return.
+        budgets = [float(L) - dp.total_compute for _, L in bounds]
+        groups: dict[tuple, list[int]] = {}
+        for pt, (P, _L) in enumerate(bounds):
+            if budgets[pt] >= 0:
+                groups.setdefault(dp.admitted(float(P)), []).append(pt)
+        for admitted, pts in groups.items():
+            front = dp.run(admitted, max(budgets[pt] for pt in pts))
+            for pt in pts:
+                best = select(front[dp.n], budgets[pt])
+                if best is None:
+                    continue
+                ev = evaluate_mapping(dp.reconstruct(front, *best))
+                solved[ri, pt] = True
+                failure[ri, pt] = ev.failure_probability
+                values[ri, pt] = score(ev)
+    return solved, failure, values
+
+
+def batch_pareto_dp(
+    ensemble,
+    bounds: Sequence[tuple[float, float]],
+    *,
+    rows: "Sequence[int] | None" = None,
+    objective: str = "reliability",
+    min_reliability: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched ``pareto_dp_best`` over homogeneous ensemble rows.
+
+    One frontier run per (row, admitted-interval group) serves every
+    sweep point of the group, answered by the most reliable point
+    within the point's budget.  The scalar path records no per-unit
+    info for pareto-dp, so this kernel returns the 3-tuple form.
+    *min_reliability* is accepted for the ``solve_batch`` signature;
+    the reliability objective carries no floor.
+    """
+    if objective != "reliability":
+        raise BatchUnsupported(
+            f"the batched pareto-dp kernel covers objective 'reliability' "
+            f"only, got {objective!r}",
+            reason="objective",
+        )
+    return _frontier_kernel(
+        ensemble, bounds, rows, "pareto-dp", 0.0,
+        select=_most_reliable,
+        score=lambda ev: ev.reliability,
+    )
+
+
 def batch_minimize_latency(
     ensemble,
     bounds: Sequence[tuple[float, float]],
@@ -320,11 +399,9 @@ def batch_minimize_latency(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched ``minimize_latency`` over homogeneous ensemble rows.
 
-    One Pareto-DP run per (row, distinct period bound) with the group's
-    largest latency budget serves every sweep point (see the module
-    docstring for why the shared frontier restricted to a point's
-    budget equals that point's own run).  The scalar path records no
-    per-unit info for dp-latency, so this kernel returns the 3-tuple
+    The same shared frontier runs as :func:`batch_pareto_dp`, answered
+    by the cheapest point meeting the floor.  The scalar path records
+    no per-unit info for dp-latency, so this kernel returns the 3-tuple
     form.
     """
     if objective != "latency":
@@ -333,62 +410,9 @@ def batch_minimize_latency(
             f"got {objective!r}",
             reason="objective",
         )
-    rows = _resolve_rows(ensemble, rows)
-    n_pts = len(bounds)
-    r = len(rows)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.full((r, n_pts), math.inf, dtype=float)
-    if r == 0:
-        return solved, failure, values
-    _require_homogeneous_rows(ensemble, rows, "dp-latency")
-    for P, L in bounds:
-        if float(P) <= 0 or float(L) <= 0:
-            raise ValueError("bounds must be > 0")
-
     floor = floor_log_reliability(min_reliability)
-    for ri in range(r):
-        row = int(rows[ri])
-        chain = ensemble.chain(row)
-        platform = ensemble.platform(row)
-        prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-        total_compute = float(prefix[-1]) / float(platform.speeds[0])
-        p = platform.p
-
-        # Points whose latency cap cannot even cover the compute lower
-        # bound are infeasible before any DP runs (scalar early return).
-        budgets = np.array([float(L) - total_compute for _, L in bounds])
-        live = budgets >= 0
-
-        # One shared DP per distinct period bound, run with the loosest
-        # live budget so every point's frontier is a sub-frontier.
-        by_period: dict[float, list[int]] = {}
-        for pt in np.flatnonzero(live):
-            by_period.setdefault(float(bounds[pt][0]), []).append(int(pt))
-        for period_bound, pts in by_period.items():
-            run = _run_dp(
-                chain, platform, period_bound, float(np.max(budgets[pts]))
-            )
-            front = run.front
-            for pt in pts:
-                budget = budgets[pt]
-                best: "tuple[float, float, int] | None" = None
-                for k in range(1, p + 1):
-                    fr = front[chain.n][k]
-                    if fr is None:
-                        continue
-                    for cost, value, _payload in fr:
-                        if cost > budget or value < floor:
-                            continue
-                        key = (cost, -value, k)
-                        if best is None or key < best:
-                            best = key
-                if best is None:
-                    continue
-                cost, neg_value, k = best
-                mapping = _reconstruct(chain, platform, run, -neg_value, k, cost)
-                ev = evaluate_mapping(mapping)
-                solved[ri, pt] = True
-                failure[ri, pt] = ev.failure_probability
-                values[ri, pt] = ev.worst_case_latency
-    return solved, failure, values
+    return _frontier_kernel(
+        ensemble, bounds, rows, "dp-latency", math.inf,
+        select=lambda final, budget: _cheapest_meeting(final, floor, budget),
+        score=lambda ev: ev.worst_case_latency,
+    )

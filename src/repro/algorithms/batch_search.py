@@ -32,6 +32,7 @@ from repro.algorithms.batch import (
     BatchUnsupported,
     _failure_map,
     _pyfloat,
+    check_bounds,
     floor_log_reliability,
     heuristic_probe_tables,
 )
@@ -73,9 +74,7 @@ def batch_bisection_search(
     infos: list = [None] * r
     if r == 0 or n_pts == 0:
         return solved, failure, values, infos
-    for P, L in bounds:
-        if float(P) <= 0 or float(L) <= 0:
-            raise ValueError("bounds must be > 0")
+    check_bounds(bounds)
 
     floor = floor_log_reliability(min_reliability)
     work = np.asarray(ensemble.work[rows], dtype=float)

@@ -189,24 +189,32 @@ def minimize_period(
     require_homogeneous(platform, "period minimization")
     if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
         raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if max_period <= 0 or max_latency <= 0:
+    if not max_period > 0 or not max_latency > 0:
         raise ValueError("bounds must be > 0")
 
-    def probe(period_bound: float):
-        """Best (feasible?, log-reliability, mapping) under the bounds."""
-        if math.isinf(max_latency):
+    if math.isinf(max_latency):
+        def meets(period_bound: float) -> "tuple[bool, object]":
             dp = hom_reliability_dp(chain, platform, max_period=period_bound)
-            return dp.mapping is not None, dp.log_reliability, dp.mapping
-        from repro.algorithms.pareto_dp import pareto_dp_best
+            ok = dp.mapping is not None and dp.log_reliability >= min_log_reliability
+            return ok, dp.mapping
+    else:
+        # The pareto_dp_best probe, with the row's DP tables built once
+        # for every bisection step.
+        from repro.algorithms.pareto_dp import _FrontierDP, _most_reliable
 
-        res = pareto_dp_best(
-            chain, platform, max_period=period_bound, max_latency=max_latency
-        )
-        return res.feasible, res.log_reliability, res.mapping
+        frontier = _FrontierDP(chain, platform)
+        comm_budget = max_latency - frontier.total_compute
 
-    def meets(period_bound: float) -> "tuple[bool, object]":
-        feasible, ell, mapping = probe(period_bound)
-        return feasible and ell >= min_log_reliability, mapping
+        def meets(period_bound: float) -> "tuple[bool, object]":
+            if comm_budget < 0:
+                return False, None
+            front = frontier.run(frontier.admitted(period_bound), comm_budget)
+            best = _most_reliable(front[frontier.n], comm_budget)
+            if best is None:
+                return False, None
+            mapping = frontier.reconstruct(front, *best)
+            ell = evaluate_mapping(mapping).log_reliability
+            return ell >= min_log_reliability, mapping
 
     candidates = candidate_periods(chain, platform)
     candidates = candidates[candidates <= max_period]

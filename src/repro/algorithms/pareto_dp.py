@@ -26,6 +26,21 @@ facade): the minimum-latency mapping whose reliability meets a floor is
 attained at a final Pareto point — any dominated mapping is beaten on
 both coordinates by a frontier one — so minimizing over the frontier's
 points with value above the floor is exact, at the cost of one DP run.
+
+Shared core.  :class:`_FrontierDP` holds everything about a row that
+does not depend on the bounds (prefix sums, per-boundary communication
+terms, and per candidate interval its compute time and replica-count
+stage table), so a caller that solves one row at many bound points —
+the batched kernels of :mod:`repro.algorithms.batch_dp`, the finite-L
+probes of :func:`~repro.algorithms.dp_period.minimize_period` — builds
+the tables once.  A bound point enters a run only through the set of
+intervals it admits and the communication budget, and two points with
+the same admitted set and budgets ``b <= B`` share a run: cost is the
+first frontier coordinate, so inserting points beyond ``b`` never
+evicts or dominates a point within ``b``, and the sub-frontier within
+``b`` of the run at ``B`` equals the run at ``b``.  The selection
+functions :func:`_most_reliable` and :func:`_cheapest_meeting` scan a
+final frontier restricted to a budget accordingly.
 """
 
 from __future__ import annotations
@@ -47,134 +62,202 @@ from repro.util.pareto import ParetoFrontier
 __all__ = ["pareto_dp_best", "minimize_latency"]
 
 
-class _DPRun:
-    """One Pareto-DP table plus the per-instance constants the
-    reconstruction walk needs (shared by both public entry points)."""
+class _FrontierDP:
+    """The bounds-independent tables of one row's frontier DP.
 
-    __slots__ = ("front", "prefix", "ell_comm", "s", "lam", "total_compute")
+    ``wtime[i][j]`` / ``stage[i][j]`` describe the candidate interval
+    ``[j, i)``: its compute time and the log-reliability of ``q``
+    replicas at ``stage[i][j][q - 1]`` (one ``parallel_k_many`` call per
+    interval, kept as Python floats for the insert loop).  A stage table
+    is filled the first time a run admits its interval, so a row pays
+    for each at most once and a single tight-period solve only for the
+    intervals it admits.
+    """
 
-    def __init__(self, front, prefix, ell_comm, s, lam, total_compute):
-        self.front = front
-        self.prefix = prefix
-        self.ell_comm = ell_comm
-        self.s = s
-        self.lam = lam
-        self.total_compute = total_compute
+    __slots__ = (
+        "chain", "platform", "n", "p", "kmax", "s", "lam", "prefix",
+        "total_compute", "ell_comm", "comm_time", "wtime", "stage",
+    )
 
+    def __init__(self, chain: TaskChain, platform: Platform) -> None:
+        n, p = chain.n, platform.p
+        kmax = min(platform.max_replication, p)
+        s = float(platform.speeds[0])
+        lam = float(platform.failure_rates[0])
+        b = platform.bandwidth
 
-def _run_dp(
-    chain: TaskChain,
-    platform: Platform,
-    max_period: float,
-    comm_budget: float,
-) -> _DPRun:
-    """Fill the frontier table ``front[i][k]`` for prefixes of *i* tasks
-    on exactly *k* processors (see the module docstring)."""
-    n, p = chain.n, platform.p
-    kmax = min(platform.max_replication, p)
-    s = float(platform.speeds[0])
-    lam = float(platform.failure_rates[0])
-    b = platform.bandwidth
+        prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
+        ell_comm = [comm_log_reliability(platform, chain.input_of(j)) for j in range(n)]
+        ell_comm.append(comm_log_reliability(platform, chain.output_of(n)))
+        comm_time = [chain.input_of(j) / b for j in range(n)]
+        comm_time.append(chain.output_of(n) / b)
 
-    prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-    total_compute = float(prefix[-1]) / s
+        self.chain, self.platform = chain, platform
+        self.n, self.p, self.kmax, self.s, self.lam = n, p, kmax, s, lam
+        self.prefix, self.total_compute = prefix, float(prefix[-1]) / s
+        self.ell_comm, self.comm_time = ell_comm, comm_time
+        self.wtime = [
+            [float(prefix[i] - prefix[j]) / s for j in range(i)] for i in range(n + 1)
+        ]
+        self.stage: list[list[list[float] | None]] = [[None] * i for i in range(n + 1)]
 
-    ell_comm = [comm_log_reliability(platform, chain.input_of(j)) for j in range(n)]
-    ell_comm.append(comm_log_reliability(platform, chain.output_of(n)))
-    comm_time = [chain.input_of(j) / b for j in range(n)]
-    comm_time.append(chain.output_of(n) / b)
+    def _ell_branch(self, j: int, i: int) -> float:
+        """Log-reliability of one replica of interval ``[j, i)``, its
+        incoming and outgoing communications included."""
+        work = float(self.prefix[i] - self.prefix[j])
+        return self.ell_comm[j] - self.lam * work / self.s + self.ell_comm[i]
 
-    # front[i][k]: Pareto frontier over (comm latency incl. the outgoing
-    # communication of the interval ending at i, log-reliability) for
-    # prefixes of i tasks on exactly k processors.  Payload = parent
-    # (j, k_prev, q, parent_cost) for reconstruction.
-    front: list[list[ParetoFrontier | None]] = [
-        [None] * (p + 1) for _ in range(n + 1)
-    ]
-    start = ParetoFrontier()
-    start.insert(0.0, 0.0, None)
-    front[0][0] = start
+    def admitted(self, max_period: float) -> tuple:
+        """The intervals ``(j, i)`` whose compute time and both
+        communications fit *max_period*, in DP order (the hashable key
+        under which bound points share a run)."""
+        comm_time, wtime = self.comm_time, self.wtime
+        return tuple(
+            (j, i)
+            for i in range(1, self.n + 1)
+            if not comm_time[i] > max_period
+            for j in range(i)
+            if not (wtime[i][j] > max_period or comm_time[j] > max_period)
+        )
 
-    for i in range(1, n + 1):
-        out_time = comm_time[i]
-        if out_time > max_period:
-            continue  # no interval may end at i
-        for j in range(0, i):
-            work = float(prefix[i] - prefix[j])
-            if work / s > max_period or comm_time[j] > max_period:
-                continue
-            ell_branch = ell_comm[j] - lam * work / s + ell_comm[i]
-            stage = logrel.parallel_k_many(ell_branch, np.arange(1, kmax + 1))
-            for k_prev in range(0, p):
-                src = front[j][k_prev]
+    def run(self, admitted: tuple, comm_budget: float) -> list:
+        """Fill the frontier table ``front[i][k]`` for prefixes of *i*
+        tasks on exactly *k* processors, extending only through the
+        *admitted* intervals and pruning communication costs above
+        *comm_budget* (see the module docstring).
+
+        Each frontier holds ``(comm latency incl. the outgoing
+        communication of the interval ending at i, log-reliability)``
+        points with payload ``(j, k_prev, q, parent_cost)`` for
+        reconstruction.
+        """
+        p, kmax = self.p, self.kmax
+        front: list[list[ParetoFrontier | None]] = [
+            [None] * (p + 1) for _ in range(self.n + 1)
+        ]
+        start = ParetoFrontier()
+        start.insert(0.0, 0.0, None)
+        front[0][0] = start
+
+        for j, i in admitted:
+            out_time = self.comm_time[i]
+            stage = self.stage[i][j]
+            if stage is None:
+                stage = self.stage[i][j] = logrel.parallel_k_many(
+                    self._ell_branch(j, i), np.arange(1, kmax + 1)
+                ).tolist()
+            src_row, dst_row = front[j], front[i]
+            for k_prev in range(p):
+                src = src_row[k_prev]
                 if src is None:
                     continue
+                # The source frontier (a row < i) is fixed while row i
+                # fills, so its within-budget extensions are listed once.
+                points = []
+                for cost, value, _payload in src:
+                    new_cost = cost + out_time
+                    if new_cost <= comm_budget:
+                        points.append((new_cost, value, cost))
+                if not points:
+                    continue
                 for q in range(1, min(kmax, p - k_prev) + 1):
-                    dst_k = k_prev + q
-                    for cost, value, _payload in list(src):
-                        new_cost = cost + out_time
-                        if new_cost > comm_budget:
-                            continue
-                        dst = front[i][dst_k]
-                        if dst is None:
-                            dst = ParetoFrontier()
-                            front[i][dst_k] = dst
-                        dst.insert(
-                            new_cost,
-                            value + float(stage[q - 1]),
-                            (j, k_prev, q, cost),
-                        )
+                    dst = dst_row[k_prev + q]
+                    if dst is None:
+                        dst = dst_row[k_prev + q] = ParetoFrontier()
+                    gain = stage[q - 1]
+                    for new_cost, value, cost in points:
+                        dst.insert(new_cost, value + gain, (j, k_prev, q, cost))
+        return front
 
-    return _DPRun(front, prefix, ell_comm, s, lam, total_compute)
+    def reconstruct(self, front: list, value: float, k: int, cost: float) -> Mapping:
+        """Walk the frontier payloads backwards from a final state."""
+        pieces: list[tuple[int, int, int]] = []
+        i = self.n
+        while i > 0:
+            fr = front[i][k]
+            assert fr is not None
+            payload = None
+            for c, v, pl in fr:
+                if c == cost and v == value:
+                    payload = pl
+                    break
+            assert payload is not None, "frontier point vanished during reconstruction"
+            j, k_prev, q, parent_cost = payload
+            pieces.append((j, i, q))
+            # Recompute the parent's value to continue the walk.
+            value = value - logrel.parallel_k(self._ell_branch(j, i), q)
+            # Guard against float drift: snap to the closest parent point.
+            parent_fr = front[j][k_prev]
+            assert parent_fr is not None
+            snapped = min(
+                (pt for pt in parent_fr if pt[0] == parent_cost),
+                key=lambda pt: abs(pt[1] - value),
+                default=None,
+            )
+            assert snapped is not None
+            value = snapped[1]
+            cost = parent_cost
+            i, k = j, k_prev
+        pieces.reverse()
+
+        assignment = []
+        nxt = 0
+        for a, z, q in pieces:
+            assignment.append((Interval(a, z), tuple(range(nxt, nxt + q))))
+            nxt += q
+        return Mapping(self.chain, self.platform, assignment)
 
 
-def _reconstruct(
-    chain: TaskChain,
-    platform: Platform,
-    run: _DPRun,
-    value: float,
-    k: int,
-    cost: float,
-) -> Mapping:
-    """Walk the frontier payloads backwards from a final state."""
-    front = run.front
-    pieces: list[tuple[int, int, int]] = []
-    i = chain.n
-    while i > 0:
-        fr = front[i][k]
-        assert fr is not None
-        payload = None
-        for c, v, pl in fr:
-            if c == cost and v == value:
-                payload = pl
-                break
-        assert payload is not None, "frontier point vanished during reconstruction"
-        j, k_prev, q, parent_cost = payload
-        pieces.append((j, i, q))
-        # Recompute the parent's value to continue the walk.
-        work = float(run.prefix[i] - run.prefix[j])
-        ell_branch = run.ell_comm[j] - run.lam * work / run.s + run.ell_comm[i]
-        value = value - logrel.parallel_k(ell_branch, q)
-        # Guard against float drift: snap to the closest parent point.
-        parent_fr = front[j][k_prev]
-        assert parent_fr is not None
-        snapped = min(
-            (pt for pt in parent_fr if pt[0] == parent_cost),
-            key=lambda pt: abs(pt[1] - value),
-            default=None,
-        )
-        assert snapped is not None
-        value = snapped[1]
-        cost = parent_cost
-        i, k = j, k_prev
-    pieces.reverse()
+def _most_reliable(
+    final: list, comm_budget: float
+) -> "tuple[float, int, float] | None":
+    """``(log-reliability, k, cost)`` of the most reliable final point
+    within *comm_budget* (the lowest ``k`` on ties), or ``None``.
 
-    assignment = []
-    nxt = 0
-    for a, z, q in pieces:
-        assignment.append((Interval(a, z), tuple(range(nxt, nxt + q))))
-        nxt += q
-    return Mapping(chain, platform, assignment)
+    *final* is the DP's last row ``front[n]``.
+    """
+    best: tuple[float, int, float] | None = None
+    for k in range(1, len(final)):
+        fr = final[k]
+        if fr is None:
+            continue
+        hit = fr.best_value_within(comm_budget)
+        if hit is None:
+            continue
+        value, _ = hit
+        if best is None or value > best[0]:
+            # Locate the exact point for reconstruction.
+            for cost, val, _pl in fr:
+                if val == value:
+                    best = (value, k, cost)
+                    break
+    return best
+
+
+def _cheapest_meeting(
+    final: list, min_log_reliability: float, comm_budget: float
+) -> "tuple[float, int, float] | None":
+    """``(log-reliability, k, cost)`` of the cheapest final point within
+    *comm_budget* whose value meets the floor, or ``None``.
+
+    Ties are broken by value, then by ``k``, so equal-latency mappings
+    resolve to the most reliable one.
+    """
+    best: tuple[float, float, int] | None = None  # (cost, -logrel, k)
+    for k in range(1, len(final)):
+        fr = final[k]
+        if fr is None:
+            continue
+        for cost, value, _payload in fr:
+            if cost > comm_budget or value < min_log_reliability:
+                continue
+            key = (cost, -value, k)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    cost, neg_value, k = best
+    return -neg_value, k, cost
 
 
 def pareto_dp_best(
@@ -199,49 +282,29 @@ def pareto_dp_best(
     2
     """
     require_homogeneous(platform, "the exact Pareto DP")
-    if max_period <= 0 or max_latency <= 0:
+    if not max_period > 0 or not max_latency > 0:
         raise ValueError("bounds must be > 0")
-    n, p = chain.n, platform.p
 
-    prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-    total_compute = float(prefix[-1]) / float(platform.speeds[0])
-    comm_budget = max_latency - total_compute
+    dp = _FrontierDP(chain, platform)
+    comm_budget = max_latency - dp.total_compute
     if comm_budget < 0:
         # Even a zero-communication partition exceeds the latency bound.
         return SolveResult.infeasible(
             "pareto-dp", reason="latency below compute lower bound"
         )
 
-    run = _run_dp(chain, platform, max_period, comm_budget)
-    front = run.front
-
-    # Pick the best final state within the communication budget.
-    best: tuple[float, int, float] | None = None  # (logrel, k, cost)
-    for k in range(1, p + 1):
-        fr = front[n][k]
-        if fr is None:
-            continue
-        hit = fr.best_value_within(comm_budget)
-        if hit is None:
-            continue
-        value, _ = hit
-        if best is None or value > best[0]:
-            # Locate the exact point for reconstruction below.
-            for cost, val, _pl in fr:
-                if val == value:
-                    best = (value, k, cost)
-                    break
+    front = dp.run(dp.admitted(max_period), comm_budget)
+    best = _most_reliable(front[dp.n], comm_budget)
     if best is None:
         return SolveResult.infeasible("pareto-dp")
 
-    value, k, cost = best
-    mapping = _reconstruct(chain, platform, run, value, k, cost)
+    mapping = dp.reconstruct(front, *best)
     return SolveResult(
         feasible=True,
         mapping=mapping,
         evaluation=evaluate_mapping(mapping),
         method="pareto-dp",
-        details={"frontier_final_size": sum(len(f) for f in front[n] if f)},
+        details={"frontier_final_size": sum(len(f) for f in front[dp.n] if f)},
     )
 
 
@@ -287,34 +350,18 @@ def minimize_latency(
     require_homogeneous(platform, "latency minimization")
     if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
         raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if max_period <= 0 or max_latency <= 0:
+    if not max_period > 0 or not max_latency > 0:
         raise ValueError("bounds must be > 0")
-    n, p = chain.n, platform.p
 
-    prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-    total_compute = float(prefix[-1]) / float(platform.speeds[0])
-    comm_budget = max_latency - total_compute
+    dp = _FrontierDP(chain, platform)
+    comm_budget = max_latency - dp.total_compute
     if comm_budget < 0:
         return SolveResult.infeasible(
             "dp-latency", reason="latency cap below compute lower bound"
         )
 
-    run = _run_dp(chain, platform, max_period, comm_budget)
-    front = run.front
-
-    # Cheapest final point meeting the floor; ties broken by value, so
-    # equal-latency mappings resolve to the most reliable one.
-    best: tuple[float, float, int] | None = None  # (cost, -logrel, k)
-    for k in range(1, p + 1):
-        fr = front[n][k]
-        if fr is None:
-            continue
-        for cost, value, _payload in fr:
-            if value < min_log_reliability:
-                continue
-            key = (cost, -value, k)
-            if best is None or key < best:
-                best = key
+    front = dp.run(dp.admitted(max_period), comm_budget)
+    best = _cheapest_meeting(front[dp.n], min_log_reliability, comm_budget)
     if best is None:
         return SolveResult.infeasible(
             "dp-latency",
@@ -323,15 +370,14 @@ def minimize_latency(
             max_latency=max_latency,
         )
 
-    cost, neg_value, k = best
-    mapping = _reconstruct(chain, platform, run, -neg_value, k, cost)
+    mapping = dp.reconstruct(front, *best)
     return SolveResult(
         feasible=True,
         mapping=mapping,
         evaluation=evaluate_mapping(mapping),
         method="dp-latency",
         details={
-            "optimal_latency": total_compute + cost,
-            "frontier_final_size": sum(len(f) for f in front[n] if f),
+            "optimal_latency": dp.total_compute + best[2],
+            "frontier_final_size": sum(len(f) for f in front[dp.n] if f),
         },
     )

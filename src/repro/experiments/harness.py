@@ -108,7 +108,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
 from repro.obs import telemetry as obs
-from repro.solve.problem import Problem
+from repro.solve.problem import Problem, check_bound
 from repro.util.rng import stable_seed
 
 __all__ = ["SweepResult", "run_sweep", "resolve_jobs"]
@@ -615,6 +615,12 @@ def run_sweep(
         raise ValueError("need at least one instance")
     if not bounds:
         raise ValueError("need at least one sweep point")
+    # Every path (kernel, per-row, cache key) sees the same validated
+    # floats; a NaN bound must not pass as a sweep of infeasible units.
+    bounds = [
+        (check_bound("max_period", P), check_bound("max_latency", L))
+        for P, L in bounds
+    ]
     # Mirror Problem's own validation up front: bases materialize
     # lazily now, so a bad floor must not first surface mid-sweep (or
     # silently land in cache keys).
@@ -656,7 +662,6 @@ def run_sweep(
 
     jobs = resolve_jobs(jobs)
     store = resolve_cache(cache)
-    bounds = [(float(P), float(L)) for P, L in bounds]
     t_sweep = time.perf_counter()
     timings: dict[str, float] = {}
     unit_events: list[dict] = []

@@ -98,7 +98,11 @@ from repro.algorithms import (
     ilp_best,
     pareto_dp_best,
 )
-from repro.algorithms.batch_dp import batch_minimize_latency, batch_minimize_period
+from repro.algorithms.batch_dp import (
+    batch_minimize_latency,
+    batch_minimize_period,
+    batch_pareto_dp,
+)
 from repro.algorithms.batch_search import search_solve_batch
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
@@ -531,7 +535,12 @@ def _ilp_bb(problem):
     )
 
 
-@register_method("pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0)
+# The batched kernel shares one frontier DP per row across every sweep
+# point that admits the same intervals.
+@register_method(
+    "pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0,
+    solve_batch=batch_pareto_dp,
+)
 def _pareto(problem):
     return pareto_dp_best(
         problem.chain, problem.platform,
@@ -628,8 +637,9 @@ def _dp_period(problem):
     )
 
 
-# One Pareto-DP run plus a final-frontier scan — same worst case as
-# pareto-dp, slightly cheaper in practice (no per-point bound sweep).
+# One Pareto-DP run plus a final-frontier scan — the same DP as
+# pareto-dp, so the same worst case.  Its kernel shares one run per row
+# across the latency points of a sweep.
 @register_method(
     "dp-latency", exact=True, homogeneous_only=True, cost_hint=5.0,
     objectives=("latency",), solve_batch=batch_minimize_latency,

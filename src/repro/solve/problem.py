@@ -35,7 +35,7 @@ from typing import Any
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
 
-__all__ = ["OBJECTIVES", "Problem", "encode_bound", "problem_hash"]
+__all__ = ["OBJECTIVES", "Problem", "check_bound", "encode_bound", "problem_hash"]
 
 #: Supported optimization objectives.  ``"reliability"`` is the paper's
 #: Section 3 problem (maximize reliability under period/latency bounds).
@@ -59,6 +59,16 @@ def encode_bound(value: float) -> "float | str":
     cache's key tokens, and the CLI manifests."""
     value = float(value)
     return value if math.isfinite(value) else repr(value)
+
+
+def check_bound(name: str, value: float) -> float:
+    """A period/latency bound as a float, rejected unless ``> 0``
+    (``inf`` = unbounded, NaN is an error) — the check every
+    :class:`Problem` runs, shared by the sweep harness."""
+    value = float(value)
+    if math.isnan(value) or value <= 0:
+        raise ValueError(f"{name} must be > 0 (inf = unbounded), got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,7 @@ class Problem:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
-            if math.isnan(value) or value <= 0:
-                raise ValueError(f"{name} must be > 0 (inf = unbounded), got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_bound(name, value))
         if self.objective not in OBJECTIVES:
             raise ValueError(
                 f"unknown objective {self.objective!r}; supported: {OBJECTIVES}"

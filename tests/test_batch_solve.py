@@ -13,6 +13,7 @@ from repro.algorithms import (
     batch_heuristic_best,
     batch_minimize_latency,
     batch_minimize_period,
+    batch_pareto_dp,
     heuristic_best,
     heuristic_solve_batch,
 )
@@ -26,6 +27,16 @@ BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
 #: Unbounded-latency sweep points: the shape the batched dp-period
 #: kernel covers (its probe is the Algorithm 2 DP).
 PERIOD_BOUNDS = [(math.inf, math.inf), (600.0, math.inf), (150.0, math.inf)]
+
+#: Frontier-DP grids on section8-hom's scale (compute bound ~850-900):
+#: a period axis under one finite latency bound (the loosest points
+#: admit every interval, so they share a DP run), and a latency axis
+#: under one period bound whose first point falls below the compute
+#: bound.
+PERIOD_AXIS = [(P, 1000.0) for P in
+               (100.0, 150.0, 200.0, 300.0, 450.0, 700.0, 1000.0, math.inf)]
+LATENCY_AXIS = [(250.0, L) for L in
+                (850.0, 880.0, 900.0, 920.0, 950.0, 1000.0, 1100.0, math.inf)]
 
 #: Every builtin scenario, shrunk to equivalence-test size (the full
 #: dimensions are benchmark territory; bit-identity does not care).
@@ -87,6 +98,10 @@ def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
 
 def cache_keys(cache):
     return {key for key, _ in cache.backend.scan()}
+
+
+def cache_entries(cache):
+    return dict(cache.backend.scan())
 
 
 def n_units(sweep):
@@ -248,6 +263,19 @@ class TestKernelBitIdentity:
                 "only, got 'period'",
             ),
             (
+                lambda: batch_pareto_dp(het, BOUNDS),
+                "heterogeneous",
+                "the batched pareto-dp kernel requires fully homogeneous "
+                "rows (the Section 5 DPs are only optimal there; Section 6 "
+                "proves the heterogeneous problem NP-complete)",
+            ),
+            (
+                lambda: batch_pareto_dp(hom, BOUNDS, objective="latency"),
+                "objective",
+                "the batched pareto-dp kernel covers objective "
+                "'reliability' only, got 'latency'",
+            ),
+            (
                 lambda: get_method("het-period-search").solve_batch(
                     het, BOUNDS, objective="latency"
                 ),
@@ -294,11 +322,11 @@ class TestMethodCapability:
     def test_builtin_methods_declare_solve_batch(self):
         for name in (
             "heur-l", "heur-p", "heuristic",
-            "dp-period", "dp-latency",
+            "dp-period", "dp-latency", "pareto-dp",
             "het-period-search", "het-latency-search",
         ):
             assert get_method(name).solve_batch is not None
-        for name in ("anneal", "heur-l-paper", "ilp", "pareto-dp",
+        for name in ("anneal", "heur-l-paper", "ilp",
                      "brute-force", "energy-greedy"):
             assert get_method(name).solve_batch is None
 
@@ -383,6 +411,83 @@ class TestConverseKernels:
             ensemble, PERIOD_BOUNDS, rows=[]
         )
         assert solved.shape == (0, len(PERIOD_BOUNDS)) and infos == []
+
+
+class TestParetoDPKernel:
+    """The pareto-dp kernel (one frontier DP per row and admitted-interval
+    group) against the per-row path, at kernel and at sweep level."""
+
+    @pytest.mark.parametrize("bounds", [PERIOD_AXIS, LATENCY_AXIS, BOUNDS],
+                             ids=["period-axis", "latency-axis", "mixed"])
+    def test_kernel_rows_match_unit_arrays(self, bounds):
+        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
+        method = get_method("pareto-dp")
+        solved, failure, values = method.solve_batch(ensemble, bounds)
+        for i in range(len(ensemble)):
+            u_solved, u_failure, u_values, u_info = _unit_arrays(
+                method, ensemble[i], bounds, None, "reliability", 0.0
+            )
+            assert np.array_equal(solved[i], u_solved)
+            assert np.array_equal(failure[i], u_failure)
+            assert np.array_equal(values[i], u_values)
+            assert u_info is None
+        # The grids exercise feasible and infeasible points alike.
+        assert solved.any() and not solved.all()
+
+    def test_rows_subset(self):
+        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
+        full = batch_pareto_dp(ensemble, LATENCY_AXIS)
+        part = batch_pareto_dp(ensemble, LATENCY_AXIS, rows=[2, 0])
+        for whole, sub in zip(full, part):
+            assert np.array_equal(sub[0], whole[2])
+            assert np.array_equal(sub[1], whole[0])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bounds", [PERIOD_AXIS, LATENCY_AXIS],
+                             ids=["period-axis", "latency-axis"])
+    def test_sweep_matches_per_row(self, tmp_path, jobs, bounds):
+        spec = shrunk_spec("section8-hom")
+        method = get_method("pareto-dp")
+        sweeps, caches = [], []
+        for batch in ("auto", False):
+            cache = ResultCache(tmp_path / f"cache-{batch}")
+            sweeps.append(run_sweep(spec, [method], bounds, cache=cache,
+                                    batch=batch, jobs=jobs))
+            caches.append(cache)
+        batched, looped = sweeps
+        assert np.array_equal(batched.solved, looped.solved)
+        assert np.array_equal(batched.failure, looped.failure)
+        assert np.array_equal(batched.objective_values, looped.objective_values)
+        # Same keys, same record bytes.
+        assert cache_entries(caches[0]) == cache_entries(caches[1]) != {}
+        assert batched.batch_units == n_units(batched)
+        assert looped.batch_units == 0
+
+
+class TestNaNBounds:
+    """A NaN bound fails at the sweep boundary with Problem's message,
+    whichever path would have solved it."""
+
+    @pytest.mark.parametrize("batch", ["auto", False])
+    @pytest.mark.parametrize("method_name,objective,bound", [
+        ("heur-l", "reliability", (math.nan, math.inf)),
+        ("dp-latency", "latency", (100.0, math.nan)),
+        ("pareto-dp", "reliability", (math.nan, 900.0)),
+    ])
+    def test_nan_bound_raises(self, batch, method_name, objective, bound):
+        name = "max_period" if math.isnan(bound[0]) else "max_latency"
+        with pytest.raises(ValueError,
+                           match=rf"{name} must be > 0 \(inf = unbounded\), got nan"):
+            run_sweep(shrunk_spec("section8-hom"), [get_method(method_name)],
+                      [bound], objective=objective, batch=batch)
+
+    @pytest.mark.parametrize("kernel", [
+        batch_minimize_latency, batch_pareto_dp, batch_bisection_search,
+    ])
+    def test_kernels_reject_nan(self, kernel):
+        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
+        with pytest.raises(ValueError, match="bounds must be > 0"):
+            kernel(ensemble, [(math.nan, math.inf)])
 
 
 class TestFloorSweeps:
