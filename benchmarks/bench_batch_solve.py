@@ -99,9 +99,10 @@ def _floor_cell_seconds() -> "tuple[float, float]":
     ensemble = generate_ensemble("section8-hom", n_instances=FLOOR_N, seed=17)
     floor = 0.5
     t0 = time.perf_counter()
-    solved, failure, values = batch_heuristic_best(
+    out = batch_heuristic_best(
         ensemble, BOUNDS, which=METHOD, min_reliability=floor
     )
+    solved, failure = out.solved, out.failure
     batched_seconds = time.perf_counter() - t0
     ell = from_reliability(floor)
     t0 = time.perf_counter()

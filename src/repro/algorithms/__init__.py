@@ -29,7 +29,8 @@
   :func:`batch_bisection_search` for the heterogeneous searches.  All
   are bit-identical to the per-instance loop;
   :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
-  them as the registry's ``solve_batch`` capability, and
+  them as the registry's ``solve_batch`` capability.  Every kernel
+  returns a :class:`UnitResults`, and
   :class:`BatchUnsupported` is the fallback signal (with a
   machine-readable ``reason``) for shapes the kernels do not cover.
 """
@@ -44,6 +45,7 @@ from repro.algorithms.dp_period import (
 from repro.algorithms.allocation import algo_alloc, algo_alloc_het
 from repro.algorithms.batch import (
     BatchUnsupported,
+    UnitResults,
     batch_heuristic_best,
     heuristic_solve_batch,
 )
@@ -80,6 +82,7 @@ __all__ = [
     "algo_alloc",
     "algo_alloc_het",
     "BatchUnsupported",
+    "UnitResults",
     "batch_heuristic_best",
     "batch_minimize_latency",
     "batch_minimize_period",

@@ -48,12 +48,19 @@ floor, for unseeded methods:
   select-then-check.
 
 Other objectives raise :class:`BatchUnsupported` (with a
-machine-readable ``reason``), and callers — the harness, the worker
-shards — fall back to the per-row path.  Fallback is a contract, not
-an error.  The converse-objective kernels live in
+machine-readable ``reason``), and the harness falls back to the
+per-row path.  Fallback is a contract, not an error.  The converse-objective kernels live in
 :mod:`repro.algorithms.batch_dp` (dp-period / dp-latency) and
 :mod:`repro.algorithms.batch_search` (the bisection searches, built on
 this module's probe tables).
+
+Result contract
+---------------
+Every kernel returns a :class:`UnitResults` — ``(rows, points)``
+arrays of solved flags, failure probabilities and achieved objective
+values, plus one info dict (or ``None``) per row — and so does the
+harness's per-row loop.  :meth:`UnitResults.empty` owns the fill of
+infeasible cells.
 
 Entry points
 ------------
@@ -68,6 +75,7 @@ tables the search kernels bisect over.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +84,7 @@ from repro.util import logrel
 
 __all__ = [
     "BatchUnsupported",
+    "UnitResults",
     "batch_heuristic_best",
     "check_bounds",
     "floor_log_reliability",
@@ -98,6 +107,39 @@ class BatchUnsupported(Exception):
     def __init__(self, message: str, *, reason: str = "unsupported") -> None:
         super().__init__(message)
         self.reason = reason
+
+
+@dataclass
+class UnitResults:
+    """Per-(row, sweep point) results: the one solve-result contract.
+
+    Kernels, the harness's per-row loop and worker shards all return
+    this.  ``solved``, ``failure`` and ``values`` have shape ``(rows,
+    points)``; ``values`` holds each point's achieved objective value
+    (:meth:`~repro.algorithms.result.SolveResult.objective_value`).
+    ``infos`` has one entry per row: the solve details a search method
+    aggregates over the row's points (``probes`` totals, a
+    ``converged`` flag), or ``None`` for methods that report none.
+    """
+
+    solved: np.ndarray
+    failure: np.ndarray
+    values: np.ndarray
+    infos: list
+
+    @classmethod
+    def empty(cls, n_rows: int, n_points: int, objective: str) -> "UnitResults":
+        """All-infeasible results: failure 1.0, and value 0.0 for
+        ``"reliability"`` or ``inf`` for the minimized objectives (the
+        :meth:`~repro.algorithms.result.SolveResult.objective_value`
+        convention for an infeasible solve)."""
+        shape = (n_rows, n_points)
+        return cls(
+            solved=np.zeros(shape, dtype=bool),
+            failure=np.ones(shape, dtype=float),
+            values=np.full(shape, 0.0 if objective == "reliability" else math.inf),
+            infos=[None] * n_rows,
+        )
 
 
 # Element-wise maps over the exact scalar functions the per-instance
@@ -154,6 +196,13 @@ def floor_log_reliability(min_reliability: float) -> float:
     if v == 0.0:
         return -math.inf
     return logrel.from_reliability(v)
+
+
+def _resolve_rows(ensemble, rows) -> np.ndarray:
+    """A kernel's ``rows`` argument as an index array (default: all)."""
+    if rows is None:
+        rows = range(ensemble.n_instances)
+    return np.asarray(list(rows), dtype=np.int64)
 
 
 def check_bounds(bounds: Sequence[tuple[float, float]]) -> None:
@@ -646,7 +695,7 @@ def batch_heuristic_best(
     which: str = "both",
     objective: str = "reliability",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> UnitResults:
     """Run a Section 7 heuristic on every ensemble row at every bound.
 
     The batched twin of solving ``heuristic_best(chain, platform,
@@ -676,22 +725,15 @@ def batch_heuristic_best(
 
     Returns
     -------
-    (solved, failure, objective_values):
-        Arrays of shape ``(len(rows), len(bounds))``: feasibility
-        flags, failure probabilities (1.0 where unsolved), and
-        achieved reliabilities (0.0 where unsolved).
+    UnitResults
+        Of shape ``(len(rows), len(bounds))``; the values are achieved
+        reliabilities, and no row carries info.
     """
     _check_supported(ensemble, which, objective)
-    if rows is None:
-        rows = range(ensemble.n_instances)
-    rows = np.asarray(list(rows), dtype=np.int64)
-    n_pts = len(bounds)
-    r = len(rows)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.zeros((r, n_pts), dtype=float)
-    if r == 0:
-        return solved, failure, values
+    rows = _resolve_rows(ensemble, rows)
+    out = UnitResults.empty(len(rows), len(bounds), objective)
+    if len(rows) == 0:
+        return out
 
     floor = floor_log_reliability(min_reliability)
     for idx, table in heuristic_probe_tables(ensemble, rows, which):
@@ -700,14 +742,11 @@ def batch_heuristic_best(
             P_vec = np.full(k, float(P))
             L_vec = np.full(k, float(L))
             feasible, ell, _, _ = table.probe(P_vec, L_vec, floor)
-            solved[idx, pt] = feasible
-            failure[idx, pt] = np.where(
-                feasible, _pyfloat(_failure_map(ell)), 1.0
-            )
-            values[idx, pt] = np.where(
-                feasible, _pyfloat(_reliability_map(ell)), 0.0
-            )
-    return solved, failure, values
+            hit, ell = idx[feasible], ell[feasible]
+            out.solved[hit, pt] = True
+            out.failure[hit, pt] = _pyfloat(_failure_map(ell))
+            out.values[hit, pt] = _pyfloat(_reliability_map(ell))
+    return out
 
 
 def heuristic_solve_batch(which: str):

@@ -40,11 +40,11 @@ rules the style below follows).
   meeting the floor) restricted to ``cost <= budget_pt`` — a latency
   sweep costs one DP per row.
 
-dp-period returns the 4-tuple ``solve_batch`` form — the fourth element
-carries the per-row ``info`` dict (``probes`` counts) that the per-row
-path would have accumulated, so harness events and cache record bytes
-stay identical; the frontier kernels return the 3-tuple form (their
-scalar twins report no per-unit info).
+Every kernel returns a :class:`~repro.algorithms.batch.UnitResults`.
+dp-period fills its per-row ``infos`` with the ``probes`` counts the
+per-row path would have accumulated, so harness events and cache
+record bytes stay identical; the frontier kernels leave them ``None``
+(their scalar twins report no per-unit info).
 """
 
 from __future__ import annotations
@@ -54,7 +54,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import BatchUnsupported, check_bounds, floor_log_reliability
+from repro.algorithms.batch import (
+    BatchUnsupported,
+    UnitResults,
+    _resolve_rows,
+    check_bounds,
+    floor_log_reliability,
+)
 from repro.algorithms.pareto_dp import _cheapest_meeting, _FrontierDP, _most_reliable
 from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval
@@ -62,12 +68,6 @@ from repro.core.mapping import Mapping
 from repro.util import logrel
 
 __all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
-
-
-def _resolve_rows(ensemble, rows) -> np.ndarray:
-    if rows is None:
-        rows = range(ensemble.n_instances)
-    return np.asarray(list(rows), dtype=np.int64)
 
 
 def _require_homogeneous_rows(ensemble, rows: np.ndarray, kernel: str) -> None:
@@ -202,7 +202,7 @@ def batch_minimize_period(
     rows: "Sequence[int] | None" = None,
     objective: str = "period",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+) -> UnitResults:
     """Batched ``minimize_period`` over homogeneous ensemble rows.
 
     The kernel twin of calling ``minimize_period(chain, platform,
@@ -212,7 +212,6 @@ def batch_minimize_period(
     switches the scalar probe to the per-row Pareto DP, which is not
     batched — those points fall back).
 
-    Returns ``(solved, failure, objective_values, infos)`` where
     ``infos[row]`` is ``{"probes": total}`` over the row's feasible
     points (``None`` when every point is infeasible — the scalar
     infeasible result records no probe count).
@@ -226,12 +225,9 @@ def batch_minimize_period(
     rows = _resolve_rows(ensemble, rows)
     n_pts = len(bounds)
     r = len(rows)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.full((r, n_pts), math.inf, dtype=float)
-    infos: list = [None] * r
+    out = UnitResults.empty(r, n_pts, objective)
     if r == 0:
-        return solved, failure, values, infos
+        return out
     _require_homogeneous_rows(ensemble, rows, "dp-period")
     if any(not math.isinf(float(L)) for _, L in bounds):
         raise BatchUnsupported(
@@ -269,7 +265,7 @@ def batch_minimize_period(
     # with no candidate within max_period are infeasible with no probe.
     alive = np.flatnonzero(counts.ravel() > 0)
     if alive.size == 0:
-        return solved, failure, values, infos
+        return out
     hi = counts.ravel()[alive].astype(np.int64) - 1
     lr = lane_row[alive]
     Pa = np.array([float(cands[lr[a]][h]) for a, h in enumerate(hi)])
@@ -304,17 +300,17 @@ def batch_minimize_period(
             ri, pt = int(lane_id) // n_pts, int(lane_id) % n_pts
             mapping = dp.reconstruct(F, pj, pq, a, ensemble, int(rows[ri]))
             ev = evaluate_mapping(mapping)
-            solved[ri, pt] = True
-            failure[ri, pt] = ev.failure_probability
-            values[ri, pt] = ev.worst_case_period
+            out.solved[ri, pt] = True
+            out.failure[ri, pt] = ev.failure_probability
+            out.values[ri, pt] = ev.worst_case_period
 
     for ri in range(r):
         total = int(probes[ri].sum())
-        infos[ri] = {"probes": total} if total > 0 else None
-    return solved, failure, values, infos
+        out.infos[ri] = {"probes": total} if total > 0 else None
+    return out
 
 
-def _frontier_kernel(ensemble, bounds, rows, kernel: str, fill: float, select, score):
+def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select, score):
     """The shared body of the frontier-DP kernels.
 
     Per row: build the DP tables once, run one DP per group of points
@@ -323,16 +319,13 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, fill: float, select, s
     path's selection restricted to the point's own budget (see the
     module docstring).  Each answer is reconstructed and scored by the
     real :func:`~repro.core.evaluation.evaluate_mapping`; ``score(ev)``
-    is its objective value, *fill* that of infeasible points.  Only the
-    current DP run is alive at any time.
+    is its *objective* value.  Only the current DP run is alive at any
+    time.
     """
     rows = _resolve_rows(ensemble, rows)
-    r, n_pts = len(rows), len(bounds)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.full((r, n_pts), fill, dtype=float)
-    if r == 0:
-        return solved, failure, values
+    out = UnitResults.empty(len(rows), len(bounds), objective)
+    if len(rows) == 0:
+        return out
     _require_homogeneous_rows(ensemble, rows, kernel)
     check_bounds(bounds)
 
@@ -353,10 +346,10 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, fill: float, select, s
                 if best is None:
                     continue
                 ev = evaluate_mapping(dp.reconstruct(front, *best))
-                solved[ri, pt] = True
-                failure[ri, pt] = ev.failure_probability
-                values[ri, pt] = score(ev)
-    return solved, failure, values
+                out.solved[ri, pt] = True
+                out.failure[ri, pt] = ev.failure_probability
+                out.values[ri, pt] = score(ev)
+    return out
 
 
 def batch_pareto_dp(
@@ -366,13 +359,12 @@ def batch_pareto_dp(
     rows: "Sequence[int] | None" = None,
     objective: str = "reliability",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> UnitResults:
     """Batched ``pareto_dp_best`` over homogeneous ensemble rows.
 
     One frontier run per (row, admitted-interval group) serves every
     sweep point of the group, answered by the most reliable point
-    within the point's budget.  The scalar path records no per-unit
-    info for pareto-dp, so this kernel returns the 3-tuple form.
+    within the point's budget.
     *min_reliability* is accepted for the ``solve_batch`` signature;
     the reliability objective carries no floor.
     """
@@ -383,7 +375,7 @@ def batch_pareto_dp(
             reason="objective",
         )
     return _frontier_kernel(
-        ensemble, bounds, rows, "pareto-dp", 0.0,
+        ensemble, bounds, rows, "pareto-dp", objective,
         select=_most_reliable,
         score=lambda ev: ev.reliability,
     )
@@ -396,13 +388,11 @@ def batch_minimize_latency(
     rows: "Sequence[int] | None" = None,
     objective: str = "latency",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> UnitResults:
     """Batched ``minimize_latency`` over homogeneous ensemble rows.
 
     The same shared frontier runs as :func:`batch_pareto_dp`, answered
-    by the cheapest point meeting the floor.  The scalar path records
-    no per-unit info for dp-latency, so this kernel returns the 3-tuple
-    form.
+    by the cheapest point meeting the floor.
     """
     if objective != "latency":
         raise BatchUnsupported(
@@ -412,7 +402,7 @@ def batch_minimize_latency(
         )
     floor = floor_log_reliability(min_reliability)
     return _frontier_kernel(
-        ensemble, bounds, rows, "dp-latency", math.inf,
+        ensemble, bounds, rows, "dp-latency", objective,
         select=lambda final, budget: _cheapest_meeting(final, floor, budget),
         score=lambda ev: ev.worst_case_latency,
     )

@@ -14,10 +14,10 @@ probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
 carries over unchanged.
 
-The kernels return the 4-tuple ``solve_batch`` form: the fourth
-element is the per-row info (``probes`` summed over the row's sweep
+The kernels return a :class:`~repro.algorithms.batch.UnitResults`
+whose per-row ``infos`` carry ``probes`` summed over the row's sweep
 points — infeasible points count their single refused probe, as the
-scalar details do — and ``converged`` ANDed over feasible points),
+scalar details do — and ``converged`` ANDed over feasible points,
 matching what the harness accumulates from per-row details.
 """
 
@@ -30,8 +30,10 @@ import numpy as np
 
 from repro.algorithms.batch import (
     BatchUnsupported,
+    UnitResults,
     _failure_map,
     _pyfloat,
+    _resolve_rows,
     check_bounds,
     floor_log_reliability,
     heuristic_probe_tables,
@@ -47,7 +49,7 @@ def batch_bisection_search(
     rows: "Sequence[int] | None" = None,
     criterion: str = "period",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+) -> UnitResults:
     """Run a bisection search on every ensemble row at every bound.
 
     The batched twin of calling ``minimize_period_search`` /
@@ -63,17 +65,12 @@ def batch_bisection_search(
 
     if criterion not in ("period", "latency"):
         raise ValueError(f"unknown search criterion {criterion!r}")
-    if rows is None:
-        rows = range(ensemble.n_instances)
-    rows = np.asarray(list(rows), dtype=np.int64)
+    rows = _resolve_rows(ensemble, rows)
     n_pts = len(bounds)
     r = len(rows)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.full((r, n_pts), math.inf, dtype=float)
-    infos: list = [None] * r
+    out = UnitResults.empty(r, n_pts, criterion)
     if r == 0 or n_pts == 0:
-        return solved, failure, values, infos
+        return out
     check_bounds(bounds)
 
     floor = floor_log_reliability(min_reliability)
@@ -150,21 +147,20 @@ def batch_bisection_search(
         val_lane[idx] = b_wit
 
     solved = ok_lane.reshape(r, n_pts)
+    out.solved[:] = solved
     # The probe table's ell replicates evaluate_mapping's
     # log-reliability bit for bit, so failure = -expm1(ell) matches the
     # scalar result's failure_probability.
-    failure = np.where(ok_lane, _pyfloat(_failure_map(ell_lane)), 1.0).reshape(
-        r, n_pts
-    )
-    values = np.where(ok_lane, val_lane, math.inf).reshape(r, n_pts)
+    out.failure[solved] = _pyfloat(_failure_map(ell_lane[ok_lane]))
+    out.values[solved] = val_lane[ok_lane]
     probes2 = probes_lane.reshape(r, n_pts)
     conv2 = conv_lane.reshape(r, n_pts)
     for ri in range(r):
         info = {"probes": int(probes2[ri].sum())}
         if solved[ri].any():
             info["converged"] = bool(conv2[ri][solved[ri]].all())
-        infos[ri] = info
-    return solved, failure, values, infos
+        out.infos[ri] = info
+    return out
 
 
 def search_solve_batch(criterion: str):

@@ -91,22 +91,9 @@ from repro.core import Platform, TaskChain, evaluate_mapping, random_chain, rand
 from repro.core.mapping import Mapping
 from repro.io import dumps, loads
 from repro.obs.ledger import write_atomic
-from repro.solve import Problem, solve
+from repro.solve import OBJECTIVES, Problem, solve
 
 __all__ = ["main", "build_parser"]
-
-#: Method choices for ``repro solve`` — all registry names now, with
-#: "auto" resolved by the facade (per platform *and* objective: exact
-#: on homogeneous platforms, heuristics otherwise; objective-native
-#: methods for the converse criteria).
-SOLVE_METHODS = (
-    "auto", "ilp", "pareto-dp", "heuristic", "brute-force",
-    "dp-period", "dp-latency", "energy-greedy",
-)
-
-#: Objective choices surfaced by the CLI (mirrors repro.solve.OBJECTIVES).
-OBJECTIVE_CHOICES = ("reliability", "period", "latency", "energy")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -123,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-latency", type=float, default=math.inf)
     solve.add_argument(
         "--method",
-        choices=sorted(SOLVE_METHODS),
         default="auto",
-        help="'auto' = exact on homogeneous platforms, heuristics otherwise "
+        help="a registered method name; an unknown name lists them all. "
+        "'auto' = exact on homogeneous platforms, heuristics otherwise "
         "(objective-native methods for --objective period/latency/energy)",
     )
     solve.add_argument(
         "--objective",
-        choices=OBJECTIVE_CHOICES,
+        choices=OBJECTIVES,
         default="reliability",
         help="what to optimize: maximize reliability (default) or minimize "
         "period/latency/energy under --min-reliability",
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which bound --grid auto sweeps (default period)")
     run.add_argument("--max-period", type=float, default=math.inf)
     run.add_argument("--max-latency", type=float, default=math.inf)
-    run.add_argument("--objective", choices=OBJECTIVE_CHOICES, default="reliability",
+    run.add_argument("--objective", choices=OBJECTIVES, default="reliability",
                      help="objective carried by every solve (default reliability); "
                      "the planner only selects methods that support it")
     run.add_argument("--min-reliability", type=float, default=0.0, metavar="R",
@@ -264,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pshow.add_argument("--methods", nargs="+", default=None, metavar="METHOD",
                        help="explicit candidates (default: the whole registry)")
-    pshow.add_argument("--objective", choices=OBJECTIVE_CHOICES,
+    pshow.add_argument("--objective", choices=OBJECTIVES,
                        default="reliability",
                        help="plan for this objective (methods that do not "
                        "support it are skipped with a reason)")

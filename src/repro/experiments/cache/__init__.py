@@ -87,7 +87,6 @@ from __future__ import annotations
 import math
 import os
 import pathlib
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -372,58 +371,6 @@ class ResultCache:
         self.puts += 1
         obs.counter("cache.backend.put", label=self.backend.kind)
 
-    # -- deprecated tuple-shaped shims -----------------------------------
-
-    def get(
-        self, key: str, n_points: int, method_name: "str | None" = None
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None, dict | None] | None":
-        """Deprecated: use :meth:`get_record` + :func:`unit_arrays`.
-
-        The old tuple-shaped lookup, kept one release as a shim over
-        the record API.
-        """
-        warnings.warn(
-            "ResultCache.get() is deprecated; use "
-            "get_record(key, n_points=...) and unit_arrays()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        record = self.get_record(key, method_name=method_name, n_points=n_points)
-        if record is None:
-            return None
-        return unit_arrays(record, n_points)
-
-    def put(
-        self,
-        key: str,
-        solved: np.ndarray,
-        failure: np.ndarray,
-        objective_values: "np.ndarray | None" = None,
-        method_name: str = "",
-        info: "dict | None" = None,
-    ) -> None:
-        """Deprecated: use :meth:`put_record` + :func:`unit_record`.
-
-        The old array-argument store, kept one release as a shim over
-        the record API.
-        """
-        warnings.warn(
-            "ResultCache.put() is deprecated; use "
-            "put_record(key, unit_record(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.put_record(
-            key,
-            unit_record(
-                solved,
-                failure,
-                objective_values,
-                method_name=method_name,
-                info=info,
-            ),
-        )
-
     # -- bookkeeping -----------------------------------------------------
 
     def stats(self) -> dict:
@@ -470,7 +417,7 @@ class ResultCache:
 def unit_record(
     solved: np.ndarray,
     failure: np.ndarray,
-    objective_values: "np.ndarray | None" = None,
+    objective_values: np.ndarray,
     method_name: str = "",
     info: "dict | None" = None,
 ) -> dict:
@@ -487,9 +434,7 @@ def unit_record(
         "n_points": int(len(solved)),
         "solved": [bool(s) for s in solved],
         "failure": [float(f) for f in failure],
-        "objective_values": None
-        if objective_values is None
-        else [_encode_value(v) for v in objective_values],
+        "objective_values": [_encode_value(v) for v in objective_values],
     }
     if info is not None:
         record["info"] = info
@@ -498,12 +443,12 @@ def unit_record(
 
 def unit_arrays(
     record: dict, n_points: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None, dict | None]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict | None]":
     """Decode a sweep-unit record into ``(solved, failure,
     objective_values, info)`` arrays.
 
-    ``objective_values`` is None for entries stored without them;
-    ``info`` is the per-unit solve detail record when present.  Raises
+    ``info`` is the per-unit solve detail record when present.  A
+    record without objective values is malformed.  Raises
     (``ValueError`` / ``KeyError`` / ``TypeError``) on anything
     malformed — :meth:`ResultCache.get_record` uses this as the unit
     validity check, mapping failures to its ``corrupt`` counter.
@@ -514,14 +459,14 @@ def unit_arrays(
     failure = np.asarray(record["failure"], dtype=float)
     if solved.shape != (n_points,) or failure.shape != (n_points,):
         raise ValueError("cache entry shape mismatch")
-    objective_values = None
-    if record.get("objective_values") is not None:
-        # float() also decodes the "inf" tokens _encode_value writes.
-        objective_values = np.array(
-            [float(v) for v in record["objective_values"]], dtype=float
-        )
-        if objective_values.shape != (n_points,):
-            raise ValueError("cache entry shape mismatch")
+    if record.get("objective_values") is None:
+        raise ValueError("cache entry has no objective values")
+    # float() also decodes the "inf" tokens _encode_value writes.
+    objective_values = np.array(
+        [float(v) for v in record["objective_values"]], dtype=float
+    )
+    if objective_values.shape != (n_points,):
+        raise ValueError("cache entry shape mismatch")
     info = record.get("info")
     if info is not None and not isinstance(info, dict):
         raise ValueError("cache entry info mismatch")

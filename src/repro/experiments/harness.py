@@ -47,7 +47,8 @@ bounds list.  Units are
   machine-readable ``reason`` — under ``batch="auto"`` those units
   fall back to per-row solves (counted per reason in telemetry and
   attributed in the ledger), under forced ``batch=True`` the sweep
-  raises instead of silently degrading;
+  raises instead of silently degrading.  Kernel groups are served or
+  refused in the parent, before any worker fan-out;
 * **cached**: each unit's ``(solved, failure, objective_values)``
   arrays are stored under a content hash derived from the method name,
   the instance's raw-array *row digest*
@@ -61,10 +62,15 @@ bounds list.  Units are
   shards**: workers receive the method *name* plus one payload per
   shard carrying the raw rows of several instances (closures do not
   pickle; registry names and arrays do), rebuild a small ensemble, and
-  return per-unit arrays — results land back by unit index, so
-  parallel output is **bit-identical** to the serial path.  Expensive
+  run the same per-row solves as the parent — results land back by
+  unit index, so parallel output is **bit-identical** to the serial
+  path.  Expensive
   units (by :attr:`Method.cost_hint`) are submitted first so they do
   not straggle at the tail of the pool queue;
+* **recorded**: kernels, per-row solves, worker shards and cache hits
+  all yield :class:`~repro.algorithms.batch.UnitResults` rows, and one
+  ``finish`` step writes each into the sweep arrays, the cache and
+  the ledger's unit events;
 * **seeded**: stochastic methods (``Method.seeded``) get a
   deterministic per-unit seed via :func:`repro.util.rng.stable_seed`,
   derived from the unit's content — identical whether the unit runs
@@ -92,13 +98,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import BatchUnsupported
+from repro.algorithms.batch import BatchUnsupported, UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import (
     ResultCache,
@@ -276,76 +282,55 @@ def _unit_problems(
     return [base.with_bounds(max_period=P, max_latency=L) for P, L in bounds]
 
 
-def _unit_arrays(
+def _solve_rows(
     method: Method,
-    view: InstanceView,
+    views: Sequence[InstanceView],
     bounds: Sequence[tuple[float, float]],
-    seed: "int | None",
+    seeds: Sequence["int | None"],
     objective: str,
     min_reliability: float,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict | None]":
-    """Run one work unit: one method on one instance over all bounds.
+) -> "tuple[UnitResults, list[float]]":
+    """Per-row solves: one work unit per view, each over every bound.
 
-    The single computation shared verbatim by the serial path and the
+    The single computation shared verbatim by the parent and the
     worker processes — the reason ``jobs=1`` and ``jobs=N`` agree bit
-    for bit.  Materializes the view's chain/platform here (and only
+    for bit.  Materializes each view's chain/platform here (and only
     here): cached units never reach this function.
 
-    Returns ``(solved, failure, objective_values, info)`` where *info*
-    aggregates the solve details search methods report — total
-    ``probes`` across the unit's points and a ``converged`` flag
-    (False when any point's search exhausted its budget) — or ``None``
-    for methods that report neither.
+    Returns the units' :class:`~repro.algorithms.batch.UnitResults`
+    and each unit's wall-clock seconds.  A row's info aggregates the
+    solve details search methods report — total ``probes`` across the
+    unit's points and a ``converged`` flag (False when any point's
+    search exhausted its budget) — and stays ``None`` for methods that
+    report neither.
     """
-    base = view.problem(objective=objective, min_reliability=min_reliability)
-    solved = np.zeros(len(bounds), dtype=bool)
-    failure = np.ones(len(bounds), dtype=float)
-    objective_values = np.empty(len(bounds), dtype=float)
-    probes = 0
-    converged: "bool | None" = None
-    for pi, problem in enumerate(_unit_problems(base, bounds)):
-        res = method.solve_problem(
-            problem, seed=stable_seed(seed, pi) if method.seeded else None
-        )
-        solved[pi] = res.feasible
-        if res.feasible:
-            failure[pi] = res.evaluation.failure_probability
-        objective_values[pi] = res.objective_value(objective)
-        details = res.details
-        if details:
-            probes += int(details.get("probes", 0) or 0)
-            if "converged" in details:
-                converged = bool(details["converged"]) and (converged is not False)
-    if probes == 0 and converged is None:
-        return solved, failure, objective_values, None
-    info: dict = {"probes": probes}
-    if converged is not None:
-        info["converged"] = converged
-    return solved, failure, objective_values, info
-
-
-def _unpack_batch(out, n_rows: int):
-    """Normalize a ``solve_batch`` return to ``(solved, failure, values, infos)``.
-
-    Kernels return three per-row arrays, or four items where the
-    fourth is a per-row list of info dicts (the ``probes`` /
-    ``converged`` aggregates the per-row path derives from solve
-    details) — see :attr:`~repro.experiments.methods.Method
-    .solve_batch`.  The three-tuple form means "no info", exactly like
-    a per-row unit whose solves report no details.
-    """
-    if len(out) == 4:
-        solved, failure, values, infos = out
-        infos = list(infos)
-        if len(infos) != n_rows:
-            raise ValueError(
-                f"solve_batch returned {len(infos)} info entries for "
-                f"{n_rows} rows"
-            )
-    else:
-        solved, failure, values = out
-        infos = [None] * n_rows
-    return solved, failure, values, infos
+    out = UnitResults.empty(len(views), len(bounds), objective)
+    seconds = []
+    for r, (view, seed) in enumerate(zip(views, seeds)):
+        t0 = time.perf_counter()
+        with obs.span("sweep.unit", label=method.name):
+            base = view.problem(objective=objective, min_reliability=min_reliability)
+            probes = 0
+            converged: "bool | None" = None
+            for pi, problem in enumerate(_unit_problems(base, bounds)):
+                res = method.solve_problem(
+                    problem, seed=stable_seed(seed, pi) if method.seeded else None
+                )
+                out.solved[r, pi] = res.feasible
+                if res.feasible:
+                    out.failure[r, pi] = res.evaluation.failure_probability
+                out.values[r, pi] = res.objective_value(objective)
+                details = res.details
+                if details:
+                    probes += int(details.get("probes", 0) or 0)
+                    if "converged" in details:
+                        converged = bool(details["converged"]) and (converged is not False)
+            if probes or converged is not None:
+                out.infos[r] = {"probes": probes}
+                if converged is not None:
+                    out.infos[r]["converged"] = converged
+        seconds.append(time.perf_counter() - t0)
+    return out, seconds
 
 
 def _solve_shard_payload(
@@ -356,10 +341,9 @@ def _solve_shard_payload(
     seeds: Sequence["int | None"],
     objective: str,
     min_reliability: float,
-    try_batch: bool = True,
     collect_telemetry: bool = False,
-) -> "tuple[list[tuple], dict | None]":
-    """Worker-side entry point: rebuild a columnar shard and run its units.
+) -> "tuple[tuple[UnitResults, list[float]], dict | None]":
+    """Worker-side entry point: rebuild a columnar shard and solve its rows.
 
     Module-level (picklable) and name-addressed: the worker resolves
     the method from its own registry and reassembles a small
@@ -370,11 +354,10 @@ def _solve_shard_payload(
     different code than the parent's (a missing or differently
     re-registered method), raise UnknownMethodError so the parent
     recomputes the shard itself instead of silently using the wrong
-    solver.
+    solver.  Workers only run per-row solves: the parent has already
+    served or refused every kernel-eligible unit.
 
-    Returns ``(unit_results, telemetry_snapshot)``.  Each unit result
-    is ``(solved, failure, objective_values, info, source, seconds)``
-    — plain lists/floats, so the payload pickles anywhere.  When
+    Returns ``(_solve_rows(...), telemetry_snapshot)``.  When
     *collect_telemetry* is set (the parent has a collector installed),
     the worker aggregates its own spans/counters into a snapshot the
     parent merges; otherwise the snapshot is ``None`` and nothing is
@@ -386,72 +369,11 @@ def _solve_shard_payload(
             f"method {method_name!r} resolves to different code in this "
             f"worker than in the parent process"
         )
-    ensemble = Ensemble(
-        work=shard["work"],
-        output=shard["output"],
-        speeds=shard["speeds"],
-        failure_rates=shard["failure_rates"],
-        bandwidth=shard["bandwidth"],
-        link_failure_rate=shard["link_failure_rate"],
-        max_replication=shard["max_replication"],
-    )
-
-    def run_units() -> "list[tuple]":
-        if try_batch and method.solve_batch is not None and all(s is None for s in seeds):
-            # The batched path covers the whole shard or none of it; a
-            # kernel that rejects the shape drops to the per-unit loop.
-            t0 = time.perf_counter()
-            try:
-                with obs.span("sweep.batch", label=method_name):
-                    solved, failure, objective_values, infos = _unpack_batch(
-                        method.solve_batch(
-                            ensemble,
-                            bounds,
-                            rows=list(range(len(seeds))),
-                            objective=objective,
-                            min_reliability=min_reliability,
-                        ),
-                        len(seeds),
-                    )
-            except BatchUnsupported as exc:
-                obs.counter("sweep.batch_unsupported", len(seeds), label=method_name)
-                obs.counter("sweep.units.fallback", len(seeds), label=exc.reason)
-            else:
-                share = (time.perf_counter() - t0) / max(len(seeds), 1)
-                return [
-                    (
-                        [bool(s) for s in solved[j]],
-                        [float(f) for f in failure[j]],
-                        [float(v) for v in objective_values[j]],
-                        infos[j],
-                        "batch",
-                        share,
-                    )
-                    for j in range(len(seeds))
-                ]
-        out = []
-        for j, seed in enumerate(seeds):
-            t0 = time.perf_counter()
-            with obs.span("sweep.unit", label=method_name):
-                solved, failure, objective_values, info = _unit_arrays(
-                    method, ensemble[j], bounds, seed, objective, min_reliability
-                )
-            out.append(
-                (
-                    [bool(s) for s in solved],
-                    [float(f) for f in failure],
-                    [float(v) for v in objective_values],
-                    info,
-                    "worker",
-                    time.perf_counter() - t0,
-                )
-            )
-        return out
-
+    views = list(Ensemble(**shard))
     if not collect_telemetry:
-        return run_units(), None
+        return _solve_rows(method, views, bounds, seeds, objective, min_reliability), None
     with obs.collect() as telemetry:
-        results = run_units()
+        results = _solve_rows(method, views, bounds, seeds, objective, min_reliability)
     return results, telemetry.snapshot()
 
 
@@ -610,22 +532,57 @@ def run_sweep(
         kernels served.
     """
     ensembles, scenario_key = _resolve_instances(instances, seed, n_instances, scenario_key)
-    views: list[InstanceView] = [v for e in ensembles for v in e]
-    if not views:
+    bounds, min_reliability = _validate(ensembles, methods, bounds, objective, min_reliability)
+    xs_arr = _sweep_xs(bounds, xs)
+    if batch not in (True, False, "auto"):
+        raise ValueError(f"batch must be True, False, or 'auto', got {batch!r}")
+    jobs = resolve_jobs(jobs)
+
+    store = resolve_cache(cache)
+    t_sweep = time.perf_counter()
+    run = _SweepRun(ensembles, methods, bounds, objective, min_reliability,
+                    store, scenario_key)
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
+    pending = run.lookup()
+    timings["cache_lookup"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if batch in (True, "auto"):
+        pending = run.run_kernels(pending, forced=batch is True)
+    timings["batch"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    run.run_rows(pending, jobs)
+    timings["solve"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t_sweep
+    return run.result(xs_arr, timings)
+
+
+def _validate(
+    ensembles: "list[Ensemble]",
+    methods: Sequence[Method],
+    bounds: Sequence[tuple[float, float]],
+    objective: str,
+    min_reliability: float,
+) -> "tuple[list[tuple[float, float]], float]":
+    """Check a sweep's arguments up front; return the validated bounds
+    and floor.
+
+    Every path (kernel, per-row, cache key) sees the same validated
+    floats; a NaN bound must not pass as a sweep of infeasible units.
+    The objective and floor mirror Problem's own validation: bases
+    materialize lazily, so a bad floor must not first surface
+    mid-sweep (or silently land in cache keys).
+    """
+    from repro.solve.problem import OBJECTIVES
+
+    if not any(len(e) for e in ensembles):
         raise ValueError("need at least one instance")
     if not bounds:
         raise ValueError("need at least one sweep point")
-    # Every path (kernel, per-row, cache key) sees the same validated
-    # floats; a NaN bound must not pass as a sweep of infeasible units.
     bounds = [
         (check_bound("max_period", P), check_bound("max_latency", L))
         for P, L in bounds
     ]
-    # Mirror Problem's own validation up front: bases materialize
-    # lazily now, so a bad floor must not first surface mid-sweep (or
-    # silently land in cache keys).
-    from repro.solve.problem import OBJECTIVES
-
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; supported: {OBJECTIVES}")
     min_reliability = float(min_reliability)
@@ -644,195 +601,186 @@ def run_sweep(
     for method in methods:
         for ensemble in ensembles:
             method.check_ensemble(ensemble, objective=objective)
+    return bounds, min_reliability
 
-    if xs is None:
-        periods = {p for p, _ in bounds}
-        latencies = {l for _, l in bounds}
-        if len(periods) >= len(latencies):
-            xs_arr = np.array([p for p, _ in bounds], dtype=float)
-        else:
-            xs_arr = np.array([l for _, l in bounds], dtype=float)
-    else:
+
+def _sweep_xs(
+    bounds: Sequence[tuple[float, float]], xs: "Sequence[float] | None"
+) -> np.ndarray:
+    """Plot coordinates: *xs* as given, else the varying bound."""
+    if xs is not None:
         if len(xs) != len(bounds):
             raise ValueError("xs must align with bounds")
-        xs_arr = np.asarray(xs, dtype=float)
+        return np.asarray(xs, dtype=float)
+    periods = {p for p, _ in bounds}
+    latencies = {l for _, l in bounds}
+    axis = 0 if len(periods) >= len(latencies) else 1
+    return np.array([point[axis] for point in bounds], dtype=float)
 
-    if batch not in (True, False, "auto"):
-        raise ValueError(f"batch must be True, False, or 'auto', got {batch!r}")
 
-    jobs = resolve_jobs(jobs)
-    store = resolve_cache(cache)
-    t_sweep = time.perf_counter()
-    timings: dict[str, float] = {}
-    unit_events: list[dict] = []
+class _Unit(NamedTuple):
+    """One work unit: method *mi* on flat instance *ii*."""
 
+    mi: int
+    ii: int
+    seed: "int | None"
+    key: "str | None"
+
+
+class _SweepRun:
+    """One sweep's state across its stages.
+
+    :meth:`lookup` serves units from cache, :meth:`run_kernels` serves
+    whole ``(method, ensemble)`` groups through ``solve_batch``, and
+    :meth:`run_rows` solves the rest per row, locally or in a process
+    pool.  Every stage records through :meth:`finish`.
+    """
+
+    def __init__(self, ensembles, methods, bounds, objective, min_reliability,
+                 store, scenario_key) -> None:
+        self.ensembles = ensembles
+        self.methods = list(methods)
+        self.bounds = bounds
+        self.objective = objective
+        self.min_reliability = min_reliability
+        self.store = store
+        self.scenario_key = scenario_key
+        self.views: list[InstanceView] = [v for e in ensembles for v in e]
+        # Flat instance index -> (owning ensemble, row within it).
+        self.ensemble_of: list[int] = []
+        self.row_of: list[int] = []
+        for ei, ensemble in enumerate(ensembles):
+            self.ensemble_of.extend([ei] * len(ensemble))
+            self.row_of.extend(range(len(ensemble)))
+        self.fingerprints = {
+            m.name: m.fingerprint() for m in self.methods if self.registered(m)
+        }
+        # Row mi * n_instances + ii holds unit (mi, ii).
+        self.results = UnitResults.empty(
+            len(self.methods) * len(self.views), len(bounds), objective
+        )
+        self.unit_events: list[dict] = []
+        # The units whose kernel refused the shape: their per-row
+        # recomputation is a *fallback*, and the ledger says why (the
+        # BatchUnsupported reason class).
+        self.fallback: dict[tuple[int, int], str] = {}
+        self.batch_units = 0
+
+    @staticmethod
     def registered(method: Method) -> bool:
-        # Registry-resolved methods are the ones addressable by name:
-        # they may be cached (keyed by name + implementation
-        # fingerprint) and shipped to worker processes.  Ad-hoc Method
-        # objects run in the parent, uncached.
+        """Registry-resolved methods are the ones addressable by name:
+        they may be cached (keyed by name + implementation fingerprint)
+        and shipped to worker processes.  Ad-hoc Method objects run in
+        the parent, uncached."""
         return METHODS.get(method.name) is method
 
-    fingerprints = {m.name: m.fingerprint() for m in methods if registered(m)}
-
-    n_m, n_pts, n_inst = len(methods), len(bounds), len(views)
-    solved = np.zeros((n_m, n_pts, n_inst), dtype=bool)
-    failure = np.ones((n_m, n_pts, n_inst), dtype=float)
-    objective_values = np.full(
-        (n_m, n_pts, n_inst), 0.0 if objective == "reliability" else np.inf
-    )
-
-    # Resolve cached units first; everything else becomes pending work.
-    t0 = time.perf_counter()
-    pending: list[tuple[int, int, "int | None", "str | None"]] = []
-    with obs.span("sweep.cache_lookup"):
-        for mi, method in enumerate(methods):
-            for ii, view in enumerate(views):
-                unit_seed = _unit_seed(method, view, bounds, objective, min_reliability)
-                key = None
-                if store is not None and registered(method):
-                    key = store.unit_key_for(
-                        method.name,
-                        view.row_hash,
-                        bounds,
-                        seed=unit_seed,
-                        fingerprint=fingerprints[method.name],
-                        scenario=scenario_key,
-                        objective=objective,
-                        min_reliability=min_reliability,
-                    )
-                    hit = store.get_record(key, method_name=method.name, n_points=n_pts)
-                    if hit is not None:
-                        unit_solved, unit_failure, unit_values, unit_info = unit_arrays(
-                            hit, n_pts
-                        )
-                        solved[mi, :, ii] = unit_solved
-                        failure[mi, :, ii] = unit_failure
-                        if unit_values is not None:
-                            objective_values[mi, :, ii] = unit_values
-                            event = {
-                                "method": method.name,
-                                "instance": ii,
-                                "source": "cache",
-                                "solved": int(unit_solved.sum()),
-                                "seconds": None,
-                            }
-                            if unit_info:
-                                event.update(unit_info)
-                            unit_events.append(event)
-                            obs.counter("sweep.units.cached", label=method.name)
-                            continue
-                        # An entry without objective values (stored
-                        # through the bare put() API) cannot serve the
-                        # new aggregations; recompute it below.
-                pending.append((mi, ii, unit_seed, key))
-    timings["cache_lookup"] = time.perf_counter() - t0
-
-    # The units whose batch kernel refused the shape: their per-row
-    # recomputation is a *fallback*, and the ledger says why (the
-    # BatchUnsupported reason class).  Refused groups are remembered so
-    # worker shards skip the doomed kernel retry.
-    fallback_units: dict[tuple[int, int], str] = {}
-    refused: list[tuple[str, str, int]] = []
-    refused_groups: set[tuple[int, int]] = set()
-
-    def finish(mi: int, ii: int, key: "str | None",
-               unit_solved: np.ndarray, unit_failure: np.ndarray,
-               unit_values: np.ndarray, info: "dict | None" = None,
-               source: str = "parent", seconds: "float | None" = None,
+    def finish(self, unit: _Unit, results: UnitResults, r: int, source: str,
+               seconds: "float | None" = None,
                batch_group: "int | None" = None) -> None:
-        solved[mi, :, ii] = unit_solved
-        failure[mi, :, ii] = unit_failure
-        objective_values[mi, :, ii] = unit_values
-        if store is not None and key is not None:
-            store.put_record(key, unit_record(unit_solved, unit_failure, unit_values,
-                                              method_name=methods[mi].name, info=info))
+        """Record row *r* of *results* as *unit*'s outcome: the sweep
+        arrays, a cache entry (unless it came from cache), the ledger
+        event and the ``sweep.units.*`` counter."""
+        method = self.methods[unit.mi]
+        row = unit.mi * len(self.views) + unit.ii
+        solved, failure, values = results.solved[r], results.failure[r], results.values[r]
+        info = results.infos[r]
+        self.results.solved[row] = solved
+        self.results.failure[row] = failure
+        self.results.values[row] = values
+        if source != "cache" and self.store is not None and unit.key is not None:
+            self.store.put_record(unit.key, unit_record(
+                solved, failure, values, method_name=method.name, info=info
+            ))
         event = {
-            "method": methods[mi].name,
-            "instance": ii,
+            "method": method.name,
+            "instance": unit.ii,
             "source": source,
-            "solved": int(np.asarray(unit_solved).sum()),
+            "solved": int(solved.sum()),
             "seconds": seconds,
         }
         if batch_group is not None:
             event["batch_group"] = batch_group
-        reason = fallback_units.get((mi, ii))
+        reason = self.fallback.get((unit.mi, unit.ii))
         if reason is not None:
             event["batch_fallback"] = reason
         if info:
             event.update(info)
-        unit_events.append(event)
-        obs.counter(f"sweep.units.{source}", label=methods[mi].name)
+        self.unit_events.append(event)
+        counter = "cached" if source == "cache" else source
+        obs.counter(f"sweep.units.{counter}", label=method.name)
 
-    def run_local(unit: tuple) -> None:
-        mi, ii, unit_seed, key = unit
-        t0 = time.perf_counter()
-        with obs.span("sweep.unit", label=methods[mi].name):
-            arrays = _unit_arrays(
-                methods[mi], views[ii], bounds, unit_seed, objective, min_reliability
-            )
-        finish(mi, ii, key, *arrays, seconds=time.perf_counter() - t0)
+    def lookup(self) -> "list[_Unit]":
+        """Serve cached units; return the rest as pending work."""
+        n_pts = len(self.bounds)
+        pending: list[_Unit] = []
+        with obs.span("sweep.cache_lookup"):
+            for mi, method in enumerate(self.methods):
+                for ii, view in enumerate(self.views):
+                    unit = _Unit(mi, ii, _unit_seed(
+                        method, view, self.bounds, self.objective, self.min_reliability
+                    ), None)
+                    if self.store is not None and self.registered(method):
+                        unit = unit._replace(key=self.store.unit_key_for(
+                            method.name,
+                            view.row_hash,
+                            self.bounds,
+                            seed=unit.seed,
+                            fingerprint=self.fingerprints[method.name],
+                            scenario=self.scenario_key,
+                            objective=self.objective,
+                            min_reliability=self.min_reliability,
+                        ))
+                        hit = self.store.get_record(
+                            unit.key, method_name=method.name, n_points=n_pts
+                        )
+                        if hit is not None:
+                            solved, failure, values, info = unit_arrays(hit, n_pts)
+                            self.finish(unit, UnitResults(
+                                solved[None], failure[None], values[None], [info]
+                            ), 0, "cache")
+                            continue
+                    pending.append(unit)
+        return pending
 
-    # Flat unit index -> (owning ensemble, row within it).
-    ensemble_of: list[int] = []
-    row_of: list[int] = []
-    for ei, ensemble in enumerate(ensembles):
-        ensemble_of.extend([ei] * len(ensemble))
-        row_of.extend(range(len(ensemble)))
+    def run_kernels(self, pending: "list[_Unit]", forced: bool) -> "list[_Unit]":
+        """Serve whole ``(method, ensemble)`` groups in one kernel call.
 
-    # Batched path: solve whole (method, ensemble) groups in one
-    # kernel call.  Only unseeded units qualify (per-unit seeds are a
-    # per-row concept), and a kernel that rejects the shape leaves its
-    # group pending for the per-row machinery below.
-    batch_units = 0
-    t0 = time.perf_counter()
-    if batch in (True, "auto"):
-        groups: dict[tuple[int, int], list[tuple]] = {}
+        Only unseeded units qualify (per-unit seeds are a per-row
+        concept).  A kernel that rejects the shape leaves its group
+        pending for the per-row stage, attributed; when *forced*, any
+        refusal raises instead.  Returns the units still pending.
+        """
+        groups: dict[tuple[int, int], list[_Unit]] = {}
         for unit in pending:
-            mi, ii, unit_seed, _key = unit
-            if unit_seed is None and methods[mi].solve_batch is not None:
-                groups.setdefault((mi, ensemble_of[ii]), []).append(unit)
-        served: set[tuple] = set()
+            if unit.seed is None and self.methods[unit.mi].solve_batch is not None:
+                groups.setdefault((unit.mi, self.ensemble_of[unit.ii]), []).append(unit)
+        served: set[_Unit] = set()
+        refused: list[tuple[str, str, int]] = []
         for (mi, ei), units in groups.items():
-            t_group = time.perf_counter()
+            method = self.methods[mi]
+            t0 = time.perf_counter()
             try:
-                with obs.span("sweep.batch", label=methods[mi].name):
-                    (group_solved, group_failure, group_values,
-                     group_infos) = _unpack_batch(
-                        methods[mi].solve_batch(
-                            ensembles[ei],
-                            bounds,
-                            rows=[row_of[u[1]] for u in units],
-                            objective=objective,
-                            min_reliability=min_reliability,
-                        ),
-                        len(units),
+                with obs.span("sweep.batch", label=method.name):
+                    results = method.solve_batch(
+                        self.ensembles[ei],
+                        self.bounds,
+                        rows=[self.row_of[u.ii] for u in units],
+                        objective=self.objective,
+                        min_reliability=self.min_reliability,
                     )
             except BatchUnsupported as exc:
-                # Attribution: these units now fall back to the
-                # per-row machinery below, and the ledger records why.
                 for u in units:
-                    fallback_units[(u[0], u[1])] = exc.reason
-                refused.append((methods[mi].name, exc.reason, len(units)))
-                refused_groups.add((mi, ei))
-                obs.counter("sweep.batch_unsupported", len(units),
-                            label=methods[mi].name)
-                obs.counter("sweep.units.fallback", len(units),
-                            label=exc.reason)
+                    self.fallback[(u.mi, u.ii)] = exc.reason
+                refused.append((method.name, exc.reason, len(units)))
+                obs.counter("sweep.batch_unsupported", len(units), label=method.name)
+                obs.counter("sweep.units.fallback", len(units), label=exc.reason)
                 continue
-            share = (time.perf_counter() - t_group) / max(len(units), 1)
+            share = (time.perf_counter() - t0) / len(units)
             for r, unit in enumerate(units):
-                finish(
-                    unit[0], unit[1], unit[3],
-                    np.asarray(group_solved[r], dtype=bool),
-                    np.asarray(group_failure[r], dtype=float),
-                    np.asarray(group_values[r], dtype=float),
-                    info=group_infos[r],
-                    source="batch", seconds=share, batch_group=len(units),
-                )
-                served.add(unit)
-            batch_units += len(units)
-        if refused and batch is True:
+                self.finish(unit, results, r, "batch", share, batch_group=len(units))
+            served.update(units)
+            self.batch_units += len(units)
+        if refused and forced:
             cells = "; ".join(
                 f"{name} ({n} units): {reason}" for name, reason, n in refused
             )
@@ -841,118 +789,108 @@ def run_sweep(
                 f"shapes — {cells}. Use batch='auto' to let uncovered "
                 "units fall back to per-row solves."
             )
-        if served:
-            pending = [u for u in pending if u not in served]
-    timings["batch"] = time.perf_counter() - t0
+        return [u for u in pending if u not in served]
 
-    # Expensive methods first: with a shared pool, a 10x-cost ILP unit
-    # submitted last would serialize the tail of the run.
-    pending.sort(key=lambda u: (-methods[u[0]].cost_hint, u[0], u[1]))
+    def run_local(self, unit: _Unit) -> None:
+        results, seconds = _solve_rows(
+            self.methods[unit.mi], [self.views[unit.ii]], self.bounds, [unit.seed],
+            self.objective, self.min_reliability,
+        )
+        self.finish(unit, results, 0, "parent", seconds[0])
 
-    # Only registry-resolvable methods can be addressed by name in a
-    # worker; ad-hoc Method objects fall back to the parent process.
-    if jobs > 1 and len(pending) > 1:
-        remote = [u for u in pending if registered(methods[u[0]])]
-    else:
+    def run_rows(self, pending: "list[_Unit]", jobs: int) -> None:
+        """Solve the pending units per row: in the parent, or fanned out
+        over a process pool in columnar shards."""
+        # Expensive methods first: with a shared pool, a 10x-cost ILP unit
+        # submitted last would serialize the tail of the run.
+        pending = sorted(pending, key=lambda u: (-self.methods[u.mi].cost_hint, u.mi, u.ii))
+        # Only registry-resolvable methods can be addressed by name in a
+        # worker; ad-hoc Method objects stay in the parent process.
         remote = []
-    remote_set = set(remote)
-    local = [u for u in pending if u not in remote_set]
-
-    t0 = time.perf_counter()
-    if not remote:
-        for unit in local:
-            run_local(unit)
-    else:
-        # Group the remote units into columnar shards: one payload
-        # ships several instances' raw rows for one (method, ensemble)
-        # pair.
-        shard_size = max(1, min(_SHARD_MAX, -(-len(remote) // (jobs * _SHARD_WAVES))))
-        shards: list[list[tuple]] = []
-        open_shards: dict[tuple[int, int], list[tuple]] = {}
-        for unit in remote:
-            mi, ii = unit[0], unit[1]
-            group = (mi, ensemble_of[ii])
-            shard = open_shards.get(group)
-            if shard is None or len(shard) >= shard_size:
-                shard = []
-                shards.append(shard)
-                open_shards[group] = shard
-            shard.append(unit)
-
+        if jobs > 1 and len(pending) > 1:
+            remote = [u for u in pending if self.registered(self.methods[u.mi])]
+        remote_set = set(remote)
+        local = [u for u in pending if u not in remote_set]
+        if not remote:
+            for unit in local:
+                self.run_local(unit)
+            return
+        shards = self._shards(remote, jobs)
         collect_telemetry = obs.active() is not None
         with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
             futures = {}
             for shard in shards:
-                mi = shard[0][0]
-                ei = ensemble_of[shard[0][1]]
-                ensemble = ensembles[ei]
+                name = self.methods[shard[0].mi].name
+                ensemble = self.ensembles[self.ensemble_of[shard[0].ii]]
                 fut = pool.submit(
                     _solve_shard_payload,
-                    methods[mi].name,
-                    fingerprints[methods[mi].name],
-                    _shard_payload(ensemble, [row_of[u[1]] for u in shard]),
-                    bounds,
-                    [u[2] for u in shard],
-                    objective,
-                    min_reliability,
-                    # A group the parent's kernel already refused would
-                    # refuse again in the worker — skip the retry (and
-                    # the double-counted fallback telemetry).
-                    batch in (True, "auto") and (mi, ei) not in refused_groups,
+                    name,
+                    self.fingerprints[name],
+                    _shard_payload(ensemble, [self.row_of[u.ii] for u in shard]),
+                    self.bounds,
+                    [u.seed for u in shard],
+                    self.objective,
+                    self.min_reliability,
                     collect_telemetry,
                 )
                 futures[fut] = shard
             # The parent works through its own (unpicklable) units while
             # the pool churns, then drains the futures.
             for unit in local:
-                run_local(unit)
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    shard = futures[fut]
-                    try:
-                        results, worker_telemetry = fut.result()
-                    except UnknownMethodError:
-                        # Spawn-start workers re-import the registry
-                        # and may miss (or re-bind) methods registered
-                        # at runtime; redo the shard here rather than
-                        # fail the sweep or run the wrong code.
-                        for unit in shard:
-                            run_local(unit)
-                        continue
-                    active = obs.active()
-                    if active is not None:
-                        active.merge(worker_telemetry)
-                    for (mi, ii, _unit_seed_, key), unit_result in zip(shard, results):
-                        (unit_solved, unit_failure, unit_values,
-                         unit_info, source, unit_seconds) = unit_result
-                        if source == "batch":
-                            batch_units += 1
-                        finish(mi, ii, key,
-                               np.asarray(unit_solved, dtype=bool),
-                               np.asarray(unit_failure, dtype=float),
-                               np.asarray(unit_values, dtype=float),
-                               info=unit_info,
-                               source="batch" if source == "batch" else "worker",
-                               seconds=unit_seconds,
-                               batch_group=len(shard) if source == "batch" else None)
-    timings["solve"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_sweep
+                self.run_local(unit)
+            for fut in as_completed(futures):
+                shard = futures[fut]
+                try:
+                    (results, seconds), worker_telemetry = fut.result()
+                except UnknownMethodError:
+                    # Spawn-start workers re-import the registry and may
+                    # miss (or re-bind) methods registered at runtime;
+                    # redo the shard here rather than fail the sweep or
+                    # run the wrong code.
+                    for unit in shard:
+                        self.run_local(unit)
+                    continue
+                active = obs.active()
+                if active is not None:
+                    active.merge(worker_telemetry)
+                for r, unit in enumerate(shard):
+                    self.finish(unit, results, r, "worker", seconds[r])
 
-    # Worker completion order is nondeterministic; the ledger's
-    # per-unit record is not.
-    method_order = {m.name: mi for mi, m in enumerate(methods)}
-    unit_events.sort(key=lambda e: (method_order[e["method"]], e["instance"]))
+    def _shards(self, remote: "list[_Unit]", jobs: int) -> "list[list[_Unit]]":
+        """Group remote units into columnar shards: one payload ships
+        several instances' raw rows for one (method, ensemble) pair."""
+        shard_size = max(1, min(_SHARD_MAX, -(-len(remote) // (jobs * _SHARD_WAVES))))
+        shards: list[list[_Unit]] = []
+        open_shards: dict[tuple[int, int], list[_Unit]] = {}
+        for unit in remote:
+            group = (unit.mi, self.ensemble_of[unit.ii])
+            shard = open_shards.get(group)
+            if shard is None or len(shard) >= shard_size:
+                shard = []
+                shards.append(shard)
+                open_shards[group] = shard
+            shard.append(unit)
+        return shards
 
-    return SweepResult(
-        xs=xs_arr,
-        method_names=[m.name for m in methods],
-        solved=solved,
-        failure=failure,
-        objective_values=objective_values,
-        objective=objective,
-        batch_units=batch_units,
-        timings={k: float(v) for k, v in timings.items()},
-        unit_events=unit_events,
-    )
+    def result(self, xs: np.ndarray, timings: dict) -> SweepResult:
+        """The sweep's arrays in ``(method, point, instance)`` layout."""
+        n_m, n_inst, n_pts = len(self.methods), len(self.views), len(self.bounds)
+
+        def layout(a: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(a.reshape(n_m, n_inst, n_pts).transpose(0, 2, 1))
+
+        # Worker completion order is nondeterministic; the ledger's
+        # per-unit record is not.
+        method_order = {m.name: mi for mi, m in enumerate(self.methods)}
+        self.unit_events.sort(key=lambda e: (method_order[e["method"]], e["instance"]))
+        return SweepResult(
+            xs=xs,
+            method_names=[m.name for m in self.methods],
+            solved=layout(self.results.solved),
+            failure=layout(self.results.failure),
+            objective_values=layout(self.results.values),
+            objective=self.objective,
+            batch_units=self.batch_units,
+            timings={k: float(v) for k, v in timings.items()},
+            unit_events=self.unit_events,
+        )

@@ -65,27 +65,12 @@ scenario-aware :class:`repro.solve.Planner` reads ``homogeneous_only``,
 ``exact``, ``cost_hint``, ``max_tasks``, and ``tags`` to select and
 order the methods applicable to a workload, recording a skip reason for
 every method it drops.
-
-Migration note
---------------
-Before the :mod:`repro.solve` redesign, solve callables took the bare
-positional tuple ``(chain, platform, max_period, max_latency)``.  Thin
-deprecation shims keep that style working — registering a
-positional-signature callable, or calling a method positionally, emits
-a :class:`DeprecationWarning` (once per call site) and adapts to the
-Problem API.  See the README's migration table; internal code is fully
-migrated and the test suite runs with ``-W error::DeprecationWarning``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
-import math
-import sys
 import types
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,39 +101,6 @@ __all__ = [
     "register_method",
 ]
 
-_POSITIONAL_CALL_MSG = (
-    "calling a Method with the positional (chain, platform, max_period, "
-    "max_latency) signature is deprecated; build a repro.solve.Problem and "
-    "use Method.solve_problem(problem) or repro.solve.solve(problem, method=...)"
-)
-
-_POSITIONAL_REGISTER_MSG = (
-    "solve callable {name} uses the deprecated positional (chain, platform, "
-    "max_period, max_latency) signature; define it as fn(problem) taking a "
-    "repro.solve.Problem instead"
-)
-
-
-def _warn_deprecated(message: str) -> None:
-    """Emit a DeprecationWarning attributed to the caller *outside*
-    this module.
-
-    The shims are reached through varying internal depths (``
-    method.solve(...)`` directly, ``method(...)`` via ``__call__``,
-    registration via the decorator and the dataclass ``__init__``), so
-    a fixed ``stacklevel`` would pin every warning to one line of this
-    file — deduplicating *all* un-migrated call sites into a single
-    report and pointing users at library code.  Walking to the first
-    external frame keeps the documented once-per-call-site contract
-    honest.
-    """
-    level = 2
-    frame = sys._getframe(1)
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame = frame.f_back
-        level += 1
-    warnings.warn(message, DeprecationWarning, stacklevel=level)
-
 
 class UnknownMethodError(KeyError, ValueError):
     """Raised when a method name is not in the registry (or a sweep).
@@ -162,79 +114,6 @@ class UnknownMethodError(KeyError, ValueError):
         return self.args[0] if self.args else ""
 
 
-def _takes_problem(fn: Callable) -> bool:
-    """Heuristically classify a solve callable's signature.
-
-    Problem-style callables take a single *required* positional
-    parameter (conventionally named ``problem``; trailing defaulted
-    parameters like ``seed=None`` don't count); legacy callables take
-    the four positional ``(chain, platform, max_period, max_latency)``.
-    Objects without an inspectable signature are assumed problem-style
-    (the canonical form).
-    """
-    try:
-        params = list(inspect.signature(fn).parameters.values())
-    except (TypeError, ValueError):  # builtins, C callables
-        return True
-    positional = [
-        p
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if positional and positional[0].name in ("problem", "prob"):
-        return True
-    required = [p for p in positional if p.default is p.empty]
-    return len(required) < 2
-
-
-def _as_canonical(fn: Callable) -> Callable:
-    """Normalize a solve callable to the canonical dual-entry form.
-
-    The returned callable's primary signature is ``(problem, **kw)``;
-    it also still accepts the legacy positional ``(chain, platform,
-    max_period, max_latency)`` form, emitting a
-    :class:`DeprecationWarning` at the caller's line (so with default
-    warning filters each un-migrated call site warns exactly once).
-
-    Legacy-signature *callables* are adapted too: registering one warns
-    once at the registration site, after which every Problem routed to
-    it is unpacked into the old four arguments.  Idempotent — an
-    already-canonical callable (e.g. one lifted off another
-    :class:`Method`) passes through unchanged, keeping fingerprints and
-    ``replace=True`` re-registration stable.
-    """
-    if getattr(fn, "__repro_canonical__", False):
-        return fn
-    if _takes_problem(fn):
-        inner, legacy = fn, None
-    else:
-        inner, legacy = None, fn
-        _warn_deprecated(
-            _POSITIONAL_REGISTER_MSG.format(name=getattr(fn, "__qualname__", repr(fn)))
-        )
-
-    @functools.wraps(fn)
-    def canonical(*args, **kwargs):
-        if args and isinstance(args[0], Problem):
-            problem = args[0]
-            if inner is not None:
-                return inner(problem, *args[1:], **kwargs)
-            return legacy(
-                problem.chain, problem.platform,
-                problem.max_period, problem.max_latency, **kwargs,
-            )
-        _warn_deprecated(_POSITIONAL_CALL_MSG)
-        chain, platform, *rest = args
-        P = float(rest[0]) if len(rest) > 0 else kwargs.pop("max_period", math.inf)
-        L = float(rest[1]) if len(rest) > 1 else kwargs.pop("max_latency", math.inf)
-        if inner is not None:
-            return inner(Problem(chain, platform, P, L), **kwargs)
-        return legacy(chain, platform, P, L, **kwargs)
-
-    canonical.__repro_canonical__ = True
-    return canonical
-
-
 @dataclass(frozen=True)
 class Method:
     """A named mapping-search method usable in solves, plans, and sweeps.
@@ -244,11 +123,8 @@ class Method:
     name:
         Registry key and curve label.
     solve:
-        The canonical solve callable: ``(problem) -> SolveResult``
+        The registered solve callable: ``(problem) -> SolveResult``
         (stochastic methods additionally accept a ``seed`` keyword).
-        Legacy positional-signature callables are adapted on
-        construction with a :class:`DeprecationWarning`; positional
-        *calls* keep working through a warning shim.
     exact:
         True for provably optimal solvers, False for heuristics.
     homogeneous_only:
@@ -280,14 +156,13 @@ class Method:
         objective-mismatched plans with a recorded reason.
     solve_batch:
         Optional batched entry point — ``(ensemble, bounds, *, rows,
-        objective, min_reliability) -> (solved, failure,
-        objective_values)`` arrays of shape ``(len(rows),
-        len(bounds))``, bit-identical to looping :attr:`solve` over
-        the rows.  Kernels whose scalar twin records per-unit details
-        (probe counts, convergence flags) return a 4-tuple instead —
-        ``(..., infos)`` with one per-row info dict (or ``None``) in
-        ``rows`` order, byte-identical to what the harness would have
-        accumulated from the per-row results.  The sweep harness calls
+        objective, min_reliability) ->``
+        :class:`~repro.algorithms.batch.UnitResults` of shape
+        ``(len(rows), len(bounds))``, bit-identical to looping
+        :attr:`solve` over the rows.  Its per-row ``infos`` carry the
+        solve details (probe counts, convergence flags) exactly as the
+        harness would have accumulated them from the per-row results,
+        or ``None`` for methods that report none.  The sweep harness calls
         it per ``(method, ensemble)`` group; a kernel that does not
         cover the shape raises
         :class:`repro.algorithms.batch.BatchUnsupported` (whose
@@ -308,7 +183,6 @@ class Method:
     solve_batch: "Callable | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "solve", _as_canonical(self.solve))
         object.__setattr__(self, "tags", tuple(self.tags))
         from repro.solve.problem import OBJECTIVES
 
@@ -432,8 +306,7 @@ class Method:
         return digest.hexdigest()
 
     def __call__(self, *args, **kwargs) -> SolveResult:
-        """Alias of :attr:`solve`: ``method(problem)`` is the canonical
-        call; the positional legacy form warns and adapts."""
+        """Alias of :attr:`solve`: ``method(problem)``."""
         return self.solve(*args, **kwargs)
 
 
@@ -457,15 +330,14 @@ def register_method(
 ) -> Callable[[Callable], Method]:
     """Decorator registering a solve callable as a named :class:`Method`.
 
-    The callable takes a :class:`repro.solve.Problem` (legacy
-    positional signatures are adapted with a DeprecationWarning).
+    The callable takes a :class:`repro.solve.Problem`.
     ``solve_batch`` optionally attaches a batched kernel (see
     :attr:`Method.solve_batch`) that must reproduce ``fn`` row by row,
     bit for bit.  Duplicate names are rejected (``ValueError``) unless
     ``replace=True`` — re-registering silently would let one experiment
     corrupt another's curves and cache keys.  Returns the
     :class:`Method` record, so the decorated name is the method object
-    itself (its ``solve`` attribute holds the canonical callable).
+    itself (its ``solve`` attribute holds the decorated callable).
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"method name must be a non-empty string, got {name!r}")

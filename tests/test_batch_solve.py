@@ -1,6 +1,7 @@
 """The batched solving layer: kernel-level bit-identity with the
 per-instance heuristics, the harness's batch serving and fallback, the
-registry's solve_batch capability, and the worker-shard batch path."""
+registry's solve_batch capability, and the UnitResults contract every
+kernel and worker shard returns."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.algorithms import (
     BatchUnsupported,
+    UnitResults,
     batch_bisection_search,
     batch_heuristic_best,
     batch_minimize_latency,
@@ -17,9 +19,10 @@ from repro.algorithms import (
     heuristic_best,
     heuristic_solve_batch,
 )
-from repro.experiments import Method, get_method, run_sweep
+from repro.experiments import METHODS, Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
-from repro.experiments.harness import _unit_arrays
+from repro.experiments.harness import _solve_rows
+from repro.obs import telemetry as obs
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
 
 BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
@@ -109,6 +112,19 @@ def n_units(sweep):
     return n_methods * n_instances
 
 
+def arrays(results):
+    """A UnitResults' three per-(row, point) arrays."""
+    return results.solved, results.failure, results.values
+
+
+def per_row(method, ensemble, bounds, objective, floor):
+    """The harness's per-row solves over every ensemble row."""
+    results, _seconds = _solve_rows(
+        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+    )
+    return results
+
+
 class TestSweepEquivalenceMatrix:
     """run_sweep(batch="auto") is bit-identical to the per-row path for
     every builtin scenario x objective, cache entries included."""
@@ -155,12 +171,30 @@ class TestSweepEquivalenceMatrix:
         assert warm_cache.hits == n_units(cold) and warm_cache.puts == 0
         assert np.array_equal(cold.failure, warm.failure)
 
-    def test_parallel_workers_use_batch_shards(self, tmp_path):
+    def test_parallel_kernel_sweep_matches_serial_rows(self, tmp_path):
         spec = shrunk_spec("unreliable-links")
         serial = run_sweep(spec, [get_method("heur-l")], BOUNDS, batch=False)
         forked = run_sweep(spec, [get_method("heur-l")], BOUNDS, jobs=2)
         assert np.array_equal(serial.failure, forked.failure)
         assert np.array_equal(serial.objective_values, forked.objective_values)
+
+    def test_parallel_refused_cell_runs_in_workers(self):
+        """A kernel refusal happens once, in the parent: the refused
+        units run per row in workers and are counted exactly once."""
+        with obs.collect() as telemetry:
+            sweep = run_sweep(
+                shrunk_spec("section8-hom"), [get_method("dp-period")],
+                BOUNDS, objective="period", jobs=2,
+            )
+        units = n_units(sweep)
+        assert sweep.batch_units == 0
+        assert len(sweep.unit_events) == units
+        for event in sweep.unit_events:
+            assert event["source"] == "worker"
+            assert event["batch_fallback"] == "latency-bound"
+        counters = telemetry.counters
+        assert counters["sweep.batch_unsupported[dp-period]"] == units
+        assert counters["sweep.units.fallback[latency-bound]"] == units
 
     def test_batch_flag_validated(self):
         with pytest.raises(ValueError, match="batch"):
@@ -180,9 +214,9 @@ class TestKernelBitIdentity:
     )
     def test_matches_per_row_loop(self, scenario, which):
         ensemble = generate_ensemble(shrunk_spec(scenario), seed=11)
-        solved, failure, values = batch_heuristic_best(
+        solved, failure, values = arrays(batch_heuristic_best(
             ensemble, BOUNDS, which=which
-        )
+        ))
         for i, (chain, platform) in enumerate(ensemble):
             for pt, (P, L) in enumerate(BOUNDS):
                 res = heuristic_best(
@@ -197,23 +231,16 @@ class TestKernelBitIdentity:
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
         full = batch_heuristic_best(ensemble, BOUNDS)
         part = batch_heuristic_best(ensemble, BOUNDS, rows=[2, 0])
-        for whole, sub in zip(full, part):
+        for whole, sub in zip(arrays(full), arrays(part)):
             assert np.array_equal(sub[0], whole[2])
             assert np.array_equal(sub[1], whole[0])
-
-    def test_empty_rows(self):
-        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
-        solved, failure, values = batch_heuristic_best(ensemble, BOUNDS, rows=[])
-        assert solved.shape == failure.shape == values.shape == (0, len(BOUNDS))
 
     def test_unsupported_shapes_raise(self):
         het = generate_ensemble(shrunk_spec("high-heterogeneity"), seed=5)
         hom = generate_ensemble(shrunk_spec("section8-hom"), seed=5)
         # Heterogeneous rows and reliability floors are covered cells
         # now; only a mismatched objective remains unsupported here.
-        solved, _failure, _values = batch_heuristic_best(
-            het, BOUNDS, min_reliability=0.5
-        )
+        solved = batch_heuristic_best(het, BOUNDS, min_reliability=0.5).solved
         assert solved.shape == (len(het), len(BOUNDS))
         with pytest.raises(BatchUnsupported, match="objective"):
             batch_heuristic_best(hom, BOUNDS, objective="period")
@@ -303,9 +330,9 @@ class TestKernelBitIdentity:
         # kernel must hold on each variant independently.
         spec = get_scenario("scaling-stress").spec.with_(n_instances=2)
         for ensemble in generate_ensembles(spec, seed=7):
-            solved, failure, values = batch_heuristic_best(
+            solved, failure, values = arrays(batch_heuristic_best(
                 ensemble, BOUNDS[:2], which="heur-p"
-            )
+            ))
             for i, (chain, platform) in enumerate(ensemble):
                 for pt, (P, L) in enumerate(BOUNDS[:2]):
                     res = heuristic_best(
@@ -342,8 +369,61 @@ class TestMethodCapability:
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=2)
         via_method = get_method("heur-p").solve_batch(ensemble, BOUNDS)
         direct = batch_heuristic_best(ensemble, BOUNDS, which="heur-p")
-        for a, b in zip(via_method, direct):
+        for a, b in zip(arrays(via_method), arrays(direct)):
             assert np.array_equal(a, b)
+        assert via_method.infos == direct.infos
+
+
+#: Every registered method with a kernel.
+BATCHED_METHODS = sorted(
+    name for name, method in METHODS.items() if method.solve_batch is not None
+)
+
+#: Sweep points no mapping meets (latency unbounded, which every
+#: kernel covers).
+INFEASIBLE_BOUNDS = [(1e-9, math.inf), (1e-6, math.inf)]
+
+
+class TestUnitResultsContract:
+    """Every kernel returns a UnitResults of the requested shape, filled
+    by UnitResults.empty wherever a cell is infeasible."""
+
+    @pytest.mark.parametrize("method_name", BATCHED_METHODS)
+    @pytest.mark.parametrize("rows,bounds", [
+        ([], PERIOD_BOUNDS),
+        ([2, 0], PERIOD_BOUNDS),
+        ([0, 1, 2], INFEASIBLE_BOUNDS),
+    ], ids=["empty-rows", "row-subset", "all-infeasible"])
+    def test_shapes_and_infeasible_fill(self, method_name, rows, bounds):
+        method = get_method(method_name)
+        objective = method.objectives[0]
+        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
+        out = method.solve_batch(ensemble, bounds, rows=rows, objective=objective)
+        assert isinstance(out, UnitResults)
+        shape = (len(rows), len(bounds))
+        assert out.solved.shape == out.failure.shape == out.values.shape == shape
+        assert out.solved.dtype == bool
+        assert len(out.infos) == len(rows)
+        fill = UnitResults.empty(len(rows), len(bounds), objective)
+        infeasible = ~out.solved
+        assert np.array_equal(out.failure[infeasible], fill.failure[infeasible])
+        assert np.array_equal(out.values[infeasible], fill.values[infeasible])
+        if bounds is INFEASIBLE_BOUNDS:
+            assert not out.solved.any()
+        elif rows:
+            full = method.solve_batch(ensemble, bounds, objective=objective)
+            for whole, sub in zip(arrays(full), arrays(out)):
+                assert np.array_equal(sub, whole[rows])
+            assert out.infos == [full.infos[r] for r in rows]
+
+    def test_empty_fill_rule(self):
+        for objective, value in [("reliability", 0.0), ("period", math.inf),
+                                 ("latency", math.inf), ("energy", math.inf)]:
+            empty = UnitResults.empty(2, 3, objective)
+            assert not empty.solved.any() and empty.solved.shape == (2, 3)
+            assert (empty.failure == 1.0).all()
+            assert (empty.values == value).all()
+            assert empty.infos == [None, None]
 
 
 #: (method, objective, bounds, scenario) per converse-objective kernel
@@ -374,14 +454,11 @@ class TestConverseKernels:
         out = method.solve_batch(
             ensemble, bounds, objective=objective, min_reliability=floor
         )
-        if len(out) == 4:
-            solved, failure, values, infos = out
-        else:
-            solved, failure, values = out
-            infos = [None] * len(ensemble)
+        solved, failure, values, infos = *arrays(out), out.infos
+        rows = per_row(method, ensemble, bounds, objective, floor)
         for i in range(len(ensemble)):
-            u_solved, u_failure, u_values, u_info = _unit_arrays(
-                method, ensemble[i], bounds, None, objective, floor
+            u_solved, u_failure, u_values, u_info = (
+                *(a[i] for a in arrays(rows)), rows.infos[i]
             )
             assert np.array_equal(np.asarray(solved[i], dtype=bool), u_solved)
             assert np.array_equal(np.asarray(failure[i], dtype=float), u_failure)
@@ -390,9 +467,7 @@ class TestConverseKernels:
 
     def test_search_infos_count_probes(self):
         ensemble = generate_ensemble(shrunk_spec("section8-het"), seed=13)
-        _solved, _failure, _values, infos = batch_bisection_search(
-            ensemble, BOUNDS, criterion="period"
-        )
+        infos = batch_bisection_search(ensemble, BOUNDS, criterion="period").infos
         assert all(info is not None and info["probes"] >= len(BOUNDS)
                    for info in infos)
 
@@ -400,17 +475,10 @@ class TestConverseKernels:
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
         full = batch_minimize_period(ensemble, PERIOD_BOUNDS)
         part = batch_minimize_period(ensemble, PERIOD_BOUNDS, rows=[2, 0])
-        for whole, sub in zip(full[:3], part[:3]):
+        for whole, sub in zip(arrays(full), arrays(part)):
             assert np.array_equal(sub[0], whole[2])
             assert np.array_equal(sub[1], whole[0])
-        assert part[3] == [full[3][2], full[3][0]]
-
-    def test_empty_rows(self):
-        ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
-        solved, failure, values, infos = batch_minimize_period(
-            ensemble, PERIOD_BOUNDS, rows=[]
-        )
-        assert solved.shape == (0, len(PERIOD_BOUNDS)) and infos == []
+        assert part.infos == [full.infos[2], full.infos[0]]
 
 
 class TestParetoDPKernel:
@@ -422,10 +490,11 @@ class TestParetoDPKernel:
     def test_kernel_rows_match_unit_arrays(self, bounds):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
         method = get_method("pareto-dp")
-        solved, failure, values = method.solve_batch(ensemble, bounds)
+        solved, failure, values = arrays(method.solve_batch(ensemble, bounds))
+        rows = per_row(method, ensemble, bounds, "reliability", 0.0)
         for i in range(len(ensemble)):
-            u_solved, u_failure, u_values, u_info = _unit_arrays(
-                method, ensemble[i], bounds, None, "reliability", 0.0
+            u_solved, u_failure, u_values, u_info = (
+                *(a[i] for a in arrays(rows)), rows.infos[i]
             )
             assert np.array_equal(solved[i], u_solved)
             assert np.array_equal(failure[i], u_failure)
@@ -438,7 +507,7 @@ class TestParetoDPKernel:
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
         full = batch_pareto_dp(ensemble, LATENCY_AXIS)
         part = batch_pareto_dp(ensemble, LATENCY_AXIS, rows=[2, 0])
-        for whole, sub in zip(full, part):
+        for whole, sub in zip(arrays(full), arrays(part)):
             assert np.array_equal(sub[0], whole[2])
             assert np.array_equal(sub[1], whole[0])
 
@@ -529,9 +598,9 @@ class TestFloorSweeps:
 
         ensemble = generate_ensemble(shrunk_spec("unreliable-links"), seed=13)
         for floor in (0.5, 1.0 - 1e-12):
-            solved, failure, values = batch_heuristic_best(
+            solved, failure, values = arrays(batch_heuristic_best(
                 ensemble, BOUNDS, min_reliability=floor
-            )
+            ))
             for i, (chain, platform) in enumerate(ensemble):
                 for pt, (P, L) in enumerate(BOUNDS):
                     res = heuristic_best(

@@ -20,7 +20,7 @@ from repro.algorithms import minimize_period, pareto_dp_best
 from repro.algorithms.dp_period import candidate_periods
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
-from repro.experiments.harness import _unit_arrays
+from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
 FLOORS = st.sampled_from([0.0, 0.9])
@@ -64,12 +64,16 @@ def hom_cases(draw):
 
 def assert_kernel_matches_per_point(method_name, ensemble, bounds, objective, floor):
     method = get_method(method_name)
-    solved, failure, values = method.solve_batch(
+    out = method.solve_batch(
         ensemble, bounds, objective=objective, min_reliability=floor
     )
+    solved, failure, values = out.solved, out.failure, out.values
+    rows, _seconds = _solve_rows(
+        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+    )
     for i in range(len(ensemble)):
-        u_solved, u_failure, u_values, u_info = _unit_arrays(
-            method, ensemble[i], bounds, None, objective, floor
+        u_solved, u_failure, u_values, u_info = (
+            rows.solved[i], rows.failure[i], rows.values[i], rows.infos[i]
         )
         assert np.array_equal(solved[i], u_solved)
         assert np.array_equal(failure[i], u_failure)

@@ -144,6 +144,29 @@ class TestCLI:
         assert code == 0
         assert "heuristic" in capsys.readouterr().out
 
+    def test_solve_any_registered_method(self, tmp_path, chain, platform, capsys):
+        """--method takes every registry name, not a hand-kept subset."""
+        cpath = tmp_path / "chain.json"
+        ppath = tmp_path / "plat.json"
+        cpath.write_text(dumps(chain))
+        ppath.write_text(dumps(platform))
+        assert main(["solve", str(cpath), str(ppath), "--method", "heur-l"]) == 0
+        assert "heur-l" in capsys.readouterr().out
+
+    def test_solve_unknown_method_lists_names(self, tmp_path, chain, platform):
+        from repro.experiments import METHODS
+
+        cpath = tmp_path / "chain.json"
+        ppath = tmp_path / "plat.json"
+        cpath.write_text(dumps(chain))
+        ppath.write_text(dumps(platform))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(cpath), str(ppath), "--method", "no-such-method"])
+        message = str(exc.value.code)
+        assert "unknown method 'no-such-method'" in message
+        for name in METHODS:
+            assert repr(name) in message
+
     def test_wrong_file_type_rejected(self, tmp_path, chain):
         cpath = tmp_path / "chain.json"
         cpath.write_text(dumps(chain))

@@ -1,7 +1,6 @@
 """The on-disk result cache: round-trips, stable keys, invalidation,
 corruption recovery, and the zero-solve warm-run guarantee — exercised
-against both storage backends, plus the deprecated ``get``/``put``
-shims."""
+against both storage backends."""
 
 import json
 import os
@@ -44,7 +43,10 @@ def instance():
 
 
 def put_unit(cache, key, solved, failure, objective_values=None, info=None):
-    """Store a unit through the canonical record API."""
+    """Store a unit through the canonical record API (objective values
+    default to the reliabilities ``1 - failure``)."""
+    if objective_values is None:
+        objective_values = 1.0 - np.asarray(failure)
     cache.put_record(
         key, unit_record(solved, failure, objective_values, info=info)
     )
@@ -78,14 +80,17 @@ class TestRoundTrip:
     def test_put_get(self, cache):
         solved = np.array([True, False])
         failure = np.array([1.25e-4, 1.0])
+        values = np.array([0.875, float("inf")])
         cache.put_record(
-            "ab" * 32, unit_record(solved, failure, method_name="heur-l")
+            "ab" * 32, unit_record(solved, failure, values, method_name="heur-l")
         )
         got = get_unit(cache, "ab" * 32, 2)
         assert got is not None
         assert np.array_equal(got[0], solved)
-        # Floats survive JSON exactly (shortest-round-trip repr).
+        # Floats survive JSON exactly (shortest-round-trip repr), and
+        # infinite objective values round-trip through their token.
         assert np.array_equal(got[1], failure)
+        assert np.array_equal(got[2], values)
         assert cache.stats() == {
             "hits": 1, "misses": 0, "puts": 1, "corrupt": 0, "hit_rate": 1.0,
         }
@@ -136,41 +141,6 @@ class TestRoundTrip:
         fresh = ResultCache(cache.root)
         assert fresh.backend.kind == cache.backend.kind
         assert fresh.storage_stats()["entries"] == 2
-
-
-class TestDeprecatedShims:
-    """``get``/``put`` survive one release as warnings-wrapped shims
-    over the record API (tier-1 runs under -W error::DeprecationWarning,
-    so any internal caller left behind fails loudly)."""
-
-    def test_put_shim_round_trips(self, cache):
-        solved = np.array([True, False])
-        failure = np.array([0.25, 1.0])
-        with pytest.deprecated_call(match="put_record"):
-            cache.put("ab" * 32, solved, failure, method_name="heur-l",
-                      info={"probes": 3})
-        record = cache.get_record("ab" * 32, n_points=2)
-        assert record["method"] == "heur-l" and record["info"] == {"probes": 3}
-
-    def test_get_shim_round_trips(self, cache):
-        put_unit(cache, "ab" * 32, np.array([True]), np.array([0.5]),
-                 objective_values=np.array([float("inf")]))
-        with pytest.deprecated_call(match="get_record"):
-            got = cache.get("ab" * 32, 1)
-        assert got[0][0] and got[2][0] == float("inf")
-        with pytest.deprecated_call(match="get_record"):
-            assert cache.get("cd" * 32, 1) is None
-
-    def test_shims_write_identical_bytes(self, cache):
-        """A shim put and a record put produce the same entry text."""
-        solved, failure = np.array([True]), np.array([0.125])
-        with pytest.deprecated_call():
-            cache.put("ab" * 32, solved, failure, method_name="m")
-        cache.put_record(
-            "cd" * 32, unit_record(solved, failure, method_name="m")
-        )
-        texts = {key: text for key, text in cache.backend.scan()}
-        assert texts["ab" * 32] == texts["cd" * 32]
 
 
 class TestKeyStability:
@@ -284,6 +254,19 @@ class TestCorruptionRecovery:
         assert cache.stats() == {
             "hits": 0, "misses": 2, "puts": 1, "corrupt": 1, "hit_rate": 0.0,
         }
+
+    def test_entry_without_objective_values_is_corrupt(self, cache, instance):
+        """Every writer supplies objective values, so a null field marks
+        a malformed entry: counted corrupt, recomputed and rewritten."""
+        methods = [get_method("heur-l")]
+        first = run_sweep([instance], methods, BOUNDS, cache=cache)
+        (key,) = entry_keys(cache)
+        record = json.loads(entry_text(cache, key))
+        plant_entry(cache, key, json.dumps({**record, "objective_values": None}))
+        again = run_sweep([instance], methods, BOUNDS, cache=cache)
+        assert np.array_equal(first.objective_values, again.objective_values)
+        assert cache.stats()["corrupt"] == 1
+        assert json.loads(entry_text(cache, key)) == record
 
     def test_corrupt_record_lookup_counts_too(self, cache):
         cache.put_record("12" * 32, {"kind": "grid-probe", "period": 4.0})

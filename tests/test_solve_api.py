@@ -1,9 +1,7 @@
 """The unified Problem/solve() API: Problem semantics, the facade's
-error parity with the registry, and the deprecation shims for the old
-positional (chain, platform, max_period, max_latency) convention."""
+error parity with the registry, and registry re-registration."""
 
 import math
-import warnings
 
 import pytest
 
@@ -188,61 +186,15 @@ def scratch_registry():
     METHODS.update(before)
 
 
-class TestDeprecationShims:
-    """The old positional convention keeps working — loudly."""
-
-    def test_positional_call_warns_and_matches(self, chain, hom, problem):
-        method = get_method("heur-l")
-        canonical = method.solve_problem(problem)
-        with pytest.warns(DeprecationWarning, match=r"positional \(chain, platform"):
-            legacy = method.solve(chain, hom, 50.0, 100.0)
-        assert legacy.log_reliability == canonical.log_reliability
-        with pytest.warns(DeprecationWarning, match="positional"):
-            called = method(chain, hom, 50.0, 100.0)
-        assert called.log_reliability == canonical.log_reliability
-
-    def test_problem_call_does_not_warn(self, problem):
-        method = get_method("heur-l")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            method.solve(problem)
-            method(problem)
-            method.solve_problem(problem)
-
-    def test_legacy_registration_warns_then_solves(self, scratch_registry, problem):
-        with pytest.warns(DeprecationWarning, match="deprecated positional"):
-
-            @register_method("legacy-style")
-            def old(chain, platform, P, L):
-                from repro.algorithms import heuristic_best
-
-                return heuristic_best(chain, platform, max_period=P, max_latency=L)
-
-        # Once adapted, Problem-routed solves are warning-free.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert old.solve_problem(problem).feasible
-
-    def test_positional_call_warns_once_per_call_site(self, chain, hom):
-        """Default warning filters dedupe by call site: a loop hitting
-        the shim from one line warns exactly once."""
-        method = get_method("heur-l")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default", DeprecationWarning)
-            for _ in range(3):
-                method.solve(chain, hom, 50.0, 100.0)  # one call site
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_adaptation_is_idempotent(self, scratch_registry):
-        """Re-registering a Method's canonical callable (replace=True)
-        neither re-wraps nor re-warns, and keeps the fingerprint."""
+class TestRegistry:
+    def test_reregistration_fingerprint(self, scratch_registry):
+        """Re-registering a Method's own callable (replace=True) keeps
+        the fingerprint; dropping solve_batch changes it."""
         original = get_method("heur-l")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            replaced = register_method(
-                "heur-l", replace=True, solve_batch=original.solve_batch
-            )(original.solve)
+        replaced = register_method(
+            "heur-l", replace=True, solve_batch=original.solve_batch
+        )(original.solve)
+        assert replaced.solve is original.solve
         assert replaced.fingerprint() == original.fingerprint()
         # Dropping the batched capability is an identity change, so the
         # fingerprint (a cache-key ingredient) must move with it.
