@@ -57,10 +57,10 @@ this module's probe tables).
 Result contract
 ---------------
 Every kernel returns a :class:`UnitResults` — ``(rows, points)``
-arrays of solved flags, failure probabilities and achieved objective
-values, plus one info dict (or ``None``) per row — and so does the
-harness's per-row loop.  :meth:`UnitResults.empty` owns the fill of
-infeasible cells.
+arrays of solved flags, failure probabilities, achieved objective
+values and the witness's worst-case period and latency, plus one info
+dict (or ``None``) per row — and so does the harness's per-row loop.
+:meth:`UnitResults.empty` owns the fill of infeasible cells.
 
 Entry points
 ------------
@@ -114,23 +114,31 @@ class UnitResults:
     """Per-(row, sweep point) results: the one solve-result contract.
 
     Kernels, the harness's per-row loop and worker shards all return
-    this.  ``solved``, ``failure`` and ``values`` have shape ``(rows,
-    points)``; ``values`` holds each point's achieved objective value
-    (:meth:`~repro.algorithms.result.SolveResult.objective_value`).
-    ``infos`` has one entry per row: the solve details a search method
-    aggregates over the row's points (``probes`` totals, a
-    ``converged`` flag), or ``None`` for methods that report none.
+    this.  ``solved``, ``failure``, ``values``, ``period`` and
+    ``latency`` have shape ``(rows, points)``; ``values`` holds each
+    point's achieved objective value
+    (:meth:`~repro.algorithms.result.SolveResult.objective_value`), and
+    ``period`` / ``latency`` the witness mapping's worst-case period
+    and latency.  ``infos`` has one entry per row: the solve details a
+    search method aggregates over the row's points (``probes`` totals,
+    a ``converged`` flag), or ``None`` for methods that report none.
     """
+
+    #: The per-(row, point) arrays, in record order.
+    ARRAYS = ("solved", "failure", "values", "period", "latency")
 
     solved: np.ndarray
     failure: np.ndarray
     values: np.ndarray
+    period: np.ndarray
+    latency: np.ndarray
     infos: list
 
     @classmethod
     def empty(cls, n_rows: int, n_points: int, objective: str) -> "UnitResults":
-        """All-infeasible results: failure 1.0, and value 0.0 for
-        ``"reliability"`` or ``inf`` for the minimized objectives (the
+        """All-infeasible results: failure 1.0, period and latency
+        ``inf``, and value 0.0 for ``"reliability"`` or ``inf`` for the
+        minimized objectives (the
         :meth:`~repro.algorithms.result.SolveResult.objective_value`
         convention for an infeasible solve)."""
         shape = (n_rows, n_points)
@@ -138,8 +146,16 @@ class UnitResults:
             solved=np.zeros(shape, dtype=bool),
             failure=np.ones(shape, dtype=float),
             values=np.full(shape, 0.0 if objective == "reliability" else math.inf),
+            period=np.full(shape, math.inf),
+            latency=np.full(shape, math.inf),
             infos=[None] * n_rows,
         )
+
+    def set_row(self, row: int, other: "UnitResults", r: int) -> None:
+        """Copy row *r* of *other* (arrays and info) into row *row*."""
+        for name in self.ARRAYS:
+            getattr(self, name)[row] = getattr(other, name)[r]
+        self.infos[row] = other.infos[r]
 
 
 # Element-wise maps over the exact scalar functions the per-instance
@@ -741,11 +757,13 @@ def batch_heuristic_best(
         for pt, (P, L) in enumerate(bounds):
             P_vec = np.full(k, float(P))
             L_vec = np.full(k, float(L))
-            feasible, ell, _, _ = table.probe(P_vec, L_vec, floor)
+            feasible, ell, wp, wl = table.probe(P_vec, L_vec, floor)
             hit, ell = idx[feasible], ell[feasible]
             out.solved[hit, pt] = True
             out.failure[hit, pt] = _pyfloat(_failure_map(ell))
             out.values[hit, pt] = _pyfloat(_reliability_map(ell))
+            out.period[hit, pt] = wp[feasible]
+            out.latency[hit, pt] = wl[feasible]
     return out
 
 

@@ -303,6 +303,8 @@ def batch_minimize_period(
             out.solved[ri, pt] = True
             out.failure[ri, pt] = ev.failure_probability
             out.values[ri, pt] = ev.worst_case_period
+            out.period[ri, pt] = ev.worst_case_period
+            out.latency[ri, pt] = ev.worst_case_latency
 
     for ri in range(r):
         total = int(probes[ri].sum())
@@ -349,6 +351,8 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
                 out.solved[ri, pt] = True
                 out.failure[ri, pt] = ev.failure_probability
                 out.values[ri, pt] = score(ev)
+                out.period[ri, pt] = ev.worst_case_period
+                out.latency[ri, pt] = ev.worst_case_latency
     return out
 
 

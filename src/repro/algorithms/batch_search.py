@@ -97,7 +97,8 @@ def batch_bisection_search(
     ok_lane = np.zeros(r * n_pts, dtype=bool)
     conv_lane = np.zeros(r * n_pts, dtype=bool)
     ell_lane = np.full(r * n_pts, -math.inf)
-    val_lane = np.full(r * n_pts, math.inf)
+    wp_lane = np.full(r * n_pts, math.inf)
+    wl_lane = np.full(r * n_pts, math.inf)
 
     for idx, table in heuristic_probe_tables(ensemble, np.repeat(rows, n_pts), "heur-l"):
         P_p, L_p = P_lane[idx], L_lane[idx]
@@ -106,12 +107,13 @@ def batch_bisection_search(
         # scalar probe runs without the floor and checks it after —
         # same thing as masking here, since the probe maximizes ell.
         feas, ell, wp, wl = table.probe(P_p, L_p, -math.inf)
-        wit = wp if criterion == "period" else wl
         ok = feas & (ell >= floor)
+        # The best witness so far: its log-reliability, period, latency.
         b_ell = np.where(ok, ell, -math.inf)
-        b_wit = np.where(ok, wit, math.inf)
+        b_wp = np.where(ok, wp, math.inf)
+        b_wl = np.where(ok, wl, math.inf)
         lo = lo_lane[idx].copy()
-        hi = np.where(ok, wit, 0.0)
+        hi = np.where(ok, wp if criterion == "period" else wl, 0.0)
 
         active = ok & (probes < DEFAULT_MAX_PROBES) & (
             hi - lo > DEFAULT_REL_TOL * np.maximum(hi, 1.0)
@@ -123,16 +125,16 @@ def batch_bisection_search(
                 feas_m, ell_m, wp_m, wl_m = table.probe(
                     np.where(active, mid, P_p), L_p, -math.inf
                 )
-                wit_m = wp_m
             else:
                 feas_m, ell_m, wp_m, wl_m = table.probe(
                     P_p, np.where(active, mid, L_p), -math.inf
                 )
-                wit_m = wl_m
             ok_m = feas_m & (ell_m >= floor)
             acc = active & ok_m
             b_ell = np.where(acc, ell_m, b_ell)
-            b_wit = np.where(acc, wit_m, b_wit)
+            b_wp = np.where(acc, wp_m, b_wp)
+            b_wl = np.where(acc, wl_m, b_wl)
+            wit_m = wp_m if criterion == "period" else wl_m
             hi = np.where(acc, np.minimum(mid, wit_m), hi)
             lo = np.where(active & ~ok_m, mid, lo)
             active = ok & (probes < DEFAULT_MAX_PROBES) & (
@@ -144,7 +146,8 @@ def batch_bisection_search(
         ok_lane[idx] = ok
         conv_lane[idx] = conv
         ell_lane[idx] = b_ell
-        val_lane[idx] = b_wit
+        wp_lane[idx] = b_wp
+        wl_lane[idx] = b_wl
 
     solved = ok_lane.reshape(r, n_pts)
     out.solved[:] = solved
@@ -152,7 +155,10 @@ def batch_bisection_search(
     # log-reliability bit for bit, so failure = -expm1(ell) matches the
     # scalar result's failure_probability.
     out.failure[solved] = _pyfloat(_failure_map(ell_lane[ok_lane]))
-    out.values[solved] = val_lane[ok_lane]
+    out.period[solved] = wp_lane[ok_lane]
+    out.latency[solved] = wl_lane[ok_lane]
+    # The searched criterion is the objective (both fill with inf).
+    out.values[:] = out.period if criterion == "period" else out.latency
     probes2 = probes_lane.reshape(r, n_pts)
     conv2 = conv_lane.reshape(r, n_pts)
     for ri in range(r):

@@ -18,6 +18,7 @@ the exact optimum.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -97,7 +98,10 @@ def optimize_period_reliability(
 
     Binary search over :func:`candidate_periods`, re-running Algorithm 2
     at each probe; the smallest candidate whose optimal reliability meets
-    ``min_log_reliability`` is the exact optimum.
+    ``min_log_reliability`` is the exact optimum.  This is
+    :func:`minimize_period` without a latency bound, labelled
+    ``"period-binary-search"``; an infeasible result reports the
+    ``best_achievable`` log-reliability.
 
     Parameters
     ----------
@@ -107,43 +111,14 @@ def optimize_period_reliability(
         reliability).
     """
     require_homogeneous(platform, "period minimization under a reliability bound")
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    candidates = candidate_periods(chain, platform)
-
-    # Feasibility check at the loosest bound (equivalent to Algorithm 1).
-    best_unbounded = hom_reliability_dp(chain, platform)
-    if best_unbounded.log_reliability < min_log_reliability:
+    result = minimize_period(chain, platform, min_log_reliability)
+    if not result.feasible:
         return SolveResult.infeasible(
             "period-binary-search",
             min_log_reliability=min_log_reliability,
-            best_achievable=best_unbounded.log_reliability,
+            best_achievable=hom_reliability_dp(chain, platform).log_reliability,
         )
-
-    lo, hi = 0, len(candidates) - 1  # invariant: candidates[hi] feasible
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        dp = hom_reliability_dp(chain, platform, max_period=float(candidates[mid]))
-        if dp.log_reliability >= min_log_reliability:
-            hi = mid
-        else:
-            lo = mid + 1
-    best_period = float(candidates[hi])
-    dp = hom_reliability_dp(chain, platform, max_period=best_period)
-    assert dp.mapping is not None
-    return SolveResult(
-        feasible=True,
-        mapping=dp.mapping,
-        evaluation=evaluate_mapping(dp.mapping),
-        method="period-binary-search",
-        details={
-            "optimal_period": best_period,
-            "probes": probes,
-            "candidates": len(candidates),
-        },
-    )
+    return replace(result, method="period-binary-search")
 
 
 def minimize_period(

@@ -21,8 +21,8 @@ checker cross-references them statically:
     from ``unit_key_for`` (say the ``"objective"`` field) makes every
     read of the now-uncovered field light up.
 ``KEY002``
-    A fingerprint ingredient went missing: ``unit_key_for`` /
-    ``probe_key_for`` no longer hash the method ``fingerprint``, or
+    A fingerprint ingredient went missing: ``unit_key_for`` no longer
+    hashes the method ``fingerprint``, or
     :meth:`Method.fingerprint` no longer visits ``solve_batch`` (the
     batched kernel is part of the implementation a key vouches for —
     PR 6's contract).
@@ -242,23 +242,22 @@ def _problem_reads(src: SourceFile) -> Iterable[tuple[ast.Attribute, str]]:
 
 
 def _check_fingerprint_ingredient(cache: SourceFile) -> Iterable[Finding]:
-    for key_fn in ("unit_key_for", "probe_key_for"):
-        fn = _find_method(cache.tree, "ResultCache", key_fn)
-        if fn is None:
-            continue
-        mentions = {
-            key.value
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Dict)
-            for key in node.keys
-            if isinstance(key, ast.Constant)
-        }
-        if "fingerprint" not in mentions:
-            yield cache.finding(
-                fn.lineno, "KEY002",
-                f"{key_fn} does not include the method fingerprint "
-                f"ingredient; edited solver code would replay stale entries",
-            )
+    fn = _find_method(cache.tree, "ResultCache", "unit_key_for")
+    if fn is None:
+        return
+    mentions = {
+        key.value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant)
+    }
+    if "fingerprint" not in mentions:
+        yield cache.finding(
+            fn.lineno, "KEY002",
+            "unit_key_for does not include the method fingerprint "
+            "ingredient; edited solver code would replay stale entries",
+        )
 
 
 def _check_method_fingerprint(files: "list[SourceFile]") -> Iterable[Finding]:

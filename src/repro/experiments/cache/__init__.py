@@ -45,18 +45,17 @@ holds::
 
     {"repro_cache": CACHE_FORMAT, "method": ..., "n_points": ...,
      "solved": [...bools...], "failure": [...floats...],
-     "objective_values": [...floats...]}
+     "objective_values": [...floats...],
+     "period": [...floats...], "latency": [...floats...],
+     "info": {...}}                      # only when the method reports one
 
 ``objective_values`` records each point's achieved objective value
 (:meth:`repro.algorithms.result.SolveResult.objective_value`) so the
 sweep aggregations can report quantiles of the optimum, not just
-solved counts.
-
-Next to sweep units the cache also stores **grid-probe records**
-(:meth:`ResultCache.put_record` under :meth:`ResultCache.probe_key`):
-the per-instance unbounded-solve scalars
-:func:`repro.solve.derive_bounds_grid` needs, so ``--grid auto`` is
-free on a warm cache.
+solved counts; ``period`` and ``latency`` record the witness mapping's
+worst-case period and latency (``"inf"`` where unsolved) — what
+:func:`repro.solve.derive_bounds_grid` reads off its unbounded probe
+units, which are ordinary sweep units.
 
 Corrupted or truncated entries (interrupted writes, disk faults) are
 treated as misses and discarded, so recovery is automatic: the unit is
@@ -91,6 +90,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.algorithms.batch import UnitResults
 from repro.core.ensemble import instance_digest
 from repro.experiments.cache.backend import (
     CacheBackend,
@@ -119,15 +119,18 @@ __all__ = [
 
 #: Bumped to 2 with the :mod:`repro.solve` redesign (keys derived from
 #: per-point Problem content hashes), to 3 with the tri-criteria facade
-#: (objective/floor fields in every Problem payload, grid-probe
+#: (objective/floor fields in every Problem payload, grid probe
 #: records), and to 4 with the columnar ensemble core: keys are now
 #: derived from raw-array *instance digests* instead of JSON Problem
 #: payload hashes, and entries carry per-point achieved objective
 #: values.  The one-release format-3 legacy-read path was removed in
-#: 1.4.0; pre-columnar entries simply miss and recompute.  Storage
-#: layout is versioned separately per backend (the SQLite backend's
+#: 1.4.0; pre-columnar entries simply miss and recompute.  Bumped to 5
+#: in 2.1.0: entries carry the witness's per-point worst-case
+#: ``period`` and ``latency``, and grid probes are plain sweep units
+#: (the separate probe records are gone).  Storage layout is
+#: versioned separately per backend (the SQLite backend's
 #: ``schema_version`` table).
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 class ResultCache:
@@ -257,57 +260,19 @@ class ResultCache:
         if not problems:
             raise ValueError("a work unit needs at least one Problem")
         base = problems[0]
+        chain, platform = base.chain, base.platform
         return self.unit_key_for(
             method_name,
-            _pair_digest(base.chain, base.platform),
+            instance_digest(
+                chain.work, chain.output, platform.speeds, platform.failure_rates,
+                platform.bandwidth, platform.link_failure_rate, platform.max_replication,
+            ),
             [(p.max_period, p.max_latency) for p in problems],
             seed=seed,
             fingerprint=fingerprint,
             scenario=scenario,
             objective=base.objective,
             min_reliability=base.min_reliability,
-        )
-
-    def probe_key_for(
-        self,
-        method_name: str,
-        base_digest: str,
-        fingerprint: "str | None" = None,
-    ) -> str:
-        """Content hash identifying one grid-probe solve's record.
-
-        :func:`repro.solve.derive_bounds_grid` solves every ensemble
-        instance once, unbounded, and keeps the solution's worst-case
-        period and latency — scalars a sweep unit does not store.  The
-        probe key addresses that record: same ingredients as
-        :meth:`unit_key_for` (method identity, package version, the
-        instance digest) under a distinct ``kind`` tag, so probe
-        records and sweep units can never collide.
-        """
-        from repro import __version__
-
-        return content_hash(
-            {
-                "repro_cache": CACHE_FORMAT,
-                "repro_version": __version__,
-                "kind": "grid-probe",
-                "method": method_name,
-                "fingerprint": fingerprint,
-            },
-            base_digest,
-        )
-
-    def probe_key(
-        self,
-        method_name: str,
-        problem: Problem,
-        fingerprint: "str | None" = None,
-    ) -> str:
-        """:meth:`probe_key_for` spelled over a materialized Problem."""
-        return self.probe_key_for(
-            method_name,
-            _pair_digest(problem.chain, problem.platform),
-            fingerprint=fingerprint,
         )
 
     # -- lookup / store --------------------------------------------------
@@ -320,7 +285,6 @@ class ResultCache:
     ) -> "dict | None":
         """Return the record stored under *key*, or None on a miss.
 
-        The one lookup path for sweep units and grid probes alike.
         With *n_points* the record must additionally decode as a sweep
         unit of that many points (:func:`unit_arrays`) before it counts
         as a hit.  A malformed entry — undecodable bytes, wrong format
@@ -414,82 +378,57 @@ class ResultCache:
         )
 
 
-def unit_record(
-    solved: np.ndarray,
-    failure: np.ndarray,
-    objective_values: np.ndarray,
-    method_name: str = "",
-    info: "dict | None" = None,
-) -> dict:
-    """Build the canonical sweep-unit record from result arrays.
+def unit_record(results: UnitResults, r: int, method_name: str = "") -> dict:
+    """Build the canonical sweep-unit record from row *r* of *results*.
 
-    *info* carries the unit's solve-detail record (search probe totals,
-    a convergence flag) when the method reported one, so a warm run's
-    ledger still attributes convergence per unit.  Entries without one
-    omit the field entirely — the batched and per-row paths keep
-    writing byte-identical payloads for methods that report no details.
+    The row's info carries the unit's solve-detail record (search probe
+    totals, a convergence flag) when the method reported one, so a warm
+    run's ledger still attributes convergence per unit.  Entries
+    without one omit the field entirely — the batched and per-row paths
+    keep writing byte-identical payloads for methods that report no
+    details.
     """
     record = {
         "method": method_name,
-        "n_points": int(len(solved)),
-        "solved": [bool(s) for s in solved],
-        "failure": [float(f) for f in failure],
-        "objective_values": [_encode_value(v) for v in objective_values],
+        "n_points": int(results.solved.shape[1]),
+        "solved": [bool(s) for s in results.solved[r]],
+        "failure": [float(f) for f in results.failure[r]],
+        "objective_values": [_encode_value(v) for v in results.values[r]],
+        "period": [_encode_value(v) for v in results.period[r]],
+        "latency": [_encode_value(v) for v in results.latency[r]],
     }
-    if info is not None:
-        record["info"] = info
+    if results.infos[r] is not None:
+        record["info"] = results.infos[r]
     return record
 
 
-def unit_arrays(
-    record: dict, n_points: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict | None]":
-    """Decode a sweep-unit record into ``(solved, failure,
-    objective_values, info)`` arrays.
+def unit_arrays(record: dict, n_points: int) -> UnitResults:
+    """Decode a sweep-unit record into a one-row :class:`UnitResults`.
 
-    ``info`` is the per-unit solve detail record when present.  A
-    record without objective values is malformed.  Raises
-    (``ValueError`` / ``KeyError`` / ``TypeError``) on anything
-    malformed — :meth:`ResultCache.get_record` uses this as the unit
-    validity check, mapping failures to its ``corrupt`` counter.
+    A record missing any array (or whose arrays do not hold *n_points*
+    entries) is malformed.  Raises (``ValueError`` / ``KeyError`` /
+    ``TypeError``) on anything malformed — :meth:`ResultCache.get_record`
+    uses this as the unit validity check, mapping failures to its
+    ``corrupt`` counter.
     """
     if record["repro_cache"] != CACHE_FORMAT:
         raise ValueError("cache format mismatch")
     solved = np.asarray(record["solved"], dtype=bool)
-    failure = np.asarray(record["failure"], dtype=float)
-    if solved.shape != (n_points,) or failure.shape != (n_points,):
-        raise ValueError("cache entry shape mismatch")
-    if record.get("objective_values") is None:
-        raise ValueError("cache entry has no objective values")
     # float() also decodes the "inf" tokens _encode_value writes.
-    objective_values = np.array(
-        [float(v) for v in record["objective_values"]], dtype=float
-    )
-    if objective_values.shape != (n_points,):
+    floats = [
+        np.array([float(v) for v in record[name]], dtype=float)
+        for name in ("failure", "objective_values", "period", "latency")
+    ]
+    if any(a.shape != (n_points,) for a in (solved, *floats)):
         raise ValueError("cache entry shape mismatch")
     info = record.get("info")
     if info is not None and not isinstance(info, dict):
         raise ValueError("cache entry info mismatch")
-    return solved, failure, objective_values, info
-
-
-def _pair_digest(chain, platform) -> str:
-    """A materialized pair's :func:`instance_digest` — the one digest
-    spelling shared by unit keys and probe keys, so the two can never
-    drift apart ingredient-wise."""
-    return instance_digest(
-        chain.work,
-        chain.output,
-        platform.speeds,
-        platform.failure_rates,
-        platform.bandwidth,
-        platform.link_failure_rate,
-        platform.max_replication,
-    )
+    return UnitResults(solved[None], *(a[None] for a in floats), [info])
 
 
 def _encode_value(value: float) -> "float | str":
-    """JSON-safe float encoding for objective values (inf -> "inf")."""
+    """JSON-safe float encoding for record values (inf -> "inf")."""
     value = float(value)
     return value if math.isfinite(value) else repr(value)
 

@@ -49,9 +49,9 @@ bounds list.  Units are
   attributed in the ledger), under forced ``batch=True`` the sweep
   raises instead of silently degrading.  Kernel groups are served or
   refused in the parent, before any worker fan-out;
-* **cached**: each unit's ``(solved, failure, objective_values)``
-  arrays are stored under a content hash derived from the method name,
-  the instance's raw-array *row digest*
+* **cached**: each unit's ``(solved, failure, objective_values,
+  period, latency)`` arrays are stored under a content hash derived
+  from the method name, the instance's raw-array *row digest*
   (:meth:`~repro.core.ensemble.Ensemble.row_hash`), the objective
   fields, the per-unit seed, and — for sweeps materialized from a
   declarative scenario (:mod:`repro.scenarios`) — the scenario spec's
@@ -170,6 +170,9 @@ class SweepResult:
         ``converged`` flag.
         This is the ledger's ``per_unit.jsonl``, derived from data
         rather than log scraping.
+    period, latency:
+        The witness mapping's worst-case period and latency, same
+        layout as :attr:`solved` (``inf`` where unsolved).
     """
 
     xs: np.ndarray
@@ -181,6 +184,8 @@ class SweepResult:
     batch_units: int = 0
     timings: dict = field(default_factory=dict)
     unit_events: list = field(default_factory=list)
+    period: "np.ndarray | None" = None
+    latency: "np.ndarray | None" = None
 
     def method_seconds(self) -> dict[str, float]:
         """Measured per-method solve wall-clock, summed over units.
@@ -318,7 +323,10 @@ def _solve_rows(
                 )
                 out.solved[r, pi] = res.feasible
                 if res.feasible:
-                    out.failure[r, pi] = res.evaluation.failure_probability
+                    ev = res.evaluation
+                    out.failure[r, pi] = ev.failure_probability
+                    out.period[r, pi] = ev.worst_case_period
+                    out.latency[r, pi] = ev.worst_case_latency
                 out.values[r, pi] = res.objective_value(objective)
                 details = res.details
                 if details:
@@ -681,21 +689,15 @@ class _SweepRun:
         arrays, a cache entry (unless it came from cache), the ledger
         event and the ``sweep.units.*`` counter."""
         method = self.methods[unit.mi]
-        row = unit.mi * len(self.views) + unit.ii
-        solved, failure, values = results.solved[r], results.failure[r], results.values[r]
-        info = results.infos[r]
-        self.results.solved[row] = solved
-        self.results.failure[row] = failure
-        self.results.values[row] = values
+        self.results.set_row(unit.mi * len(self.views) + unit.ii, results, r)
         if source != "cache" and self.store is not None and unit.key is not None:
-            self.store.put_record(unit.key, unit_record(
-                solved, failure, values, method_name=method.name, info=info
-            ))
+            self.store.put_record(unit.key, unit_record(results, r, method.name))
+        info = results.infos[r]
         event = {
             "method": method.name,
             "instance": unit.ii,
             "source": source,
-            "solved": int(solved.sum()),
+            "solved": int(results.solved[r].sum()),
             "seconds": seconds,
         }
         if batch_group is not None:
@@ -734,10 +736,7 @@ class _SweepRun:
                             unit.key, method_name=method.name, n_points=n_pts
                         )
                         if hit is not None:
-                            solved, failure, values, info = unit_arrays(hit, n_pts)
-                            self.finish(unit, UnitResults(
-                                solved[None], failure[None], values[None], [info]
-                            ), 0, "cache")
+                            self.finish(unit, unit_arrays(hit, n_pts), 0, "cache")
                             continue
                     pending.append(unit)
         return pending
@@ -893,4 +892,6 @@ class _SweepRun:
             batch_units=self.batch_units,
             timings={k: float(v) for k, v in timings.items()},
             unit_events=self.unit_events,
+            period=layout(self.results.period),
+            latency=layout(self.results.latency),
         )

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.algorithms import heuristic_best
 from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
-from repro.extensions.period_search import DEFAULT_MAX_PROBES, DEFAULT_REL_TOL
+from repro.extensions.period_search import DEFAULT_MAX_PROBES, DEFAULT_REL_TOL, _bisect
 
 __all__ = ["minimize_latency_search"]
 
@@ -75,66 +72,7 @@ def minimize_latency_search(
     >>> result.feasible
     True
     """
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if max_period <= 0 or max_latency <= 0:
-        raise ValueError("bounds must be > 0")
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
-
-    probes = 0
-
-    def probe(latency_bound: float) -> "tuple[bool, SolveResult]":
-        nonlocal probes
-        probes += 1
-        res = heuristic_best(
-            chain, platform,
-            max_period=max_period, max_latency=latency_bound,
-            which="heur-l", selection="feasible-best",
-        )
-        return res.feasible and res.log_reliability >= min_log_reliability, res
-
-    # Loosest admissible bound first: if even max_latency fails, the
-    # heuristic sees no admissible mapping at all.
-    ok, best = probe(max_latency)
-    if not ok:
-        return SolveResult.infeasible(
-            "het-latency-search",
-            probes=probes,
-            min_log_reliability=min_log_reliability,
-            max_period=max_period,
-            max_latency=max_latency,
-        )
-
-    # Every task computes somewhere, and no replica beats the fastest
-    # processor — the latency's compute term is at least this.
-    lo = float(np.sum(chain.work)) / float(np.max(platform.speeds))
-    assert best.evaluation is not None
-    hi = float(best.evaluation.worst_case_latency)
-
-    while probes < max_probes and hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        ok, res = probe(mid)
-        if ok:
-            best = res
-            assert res.evaluation is not None
-            # The witness's achieved latency can undershoot the probed
-            # bound substantially — tighten to it, not to mid.
-            hi = min(mid, float(res.evaluation.worst_case_latency))
-        else:
-            lo = mid
-
-    assert best.mapping is not None and best.evaluation is not None
-    converged = hi - lo <= rel_tol * max(hi, 1.0)
-    return SolveResult(
-        feasible=True,
-        mapping=best.mapping,
-        evaluation=best.evaluation,
-        method="het-latency-search",
-        details={
-            "optimal_latency": float(best.evaluation.worst_case_latency),
-            "probes": probes,
-            "bracket": (lo, hi),
-            "converged": converged,
-        },
+    return _bisect(
+        "latency", chain, platform, min_log_reliability, max_period, max_latency,
+        rel_tol, max_probes,
     )

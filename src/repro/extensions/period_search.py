@@ -82,6 +82,29 @@ def minimize_period_search(
     >>> result.feasible
     True
     """
+    return _bisect(
+        "period", chain, platform, min_log_reliability, max_period, max_latency,
+        rel_tol, max_probes,
+    )
+
+
+def _bisect(
+    axis: str,
+    chain: TaskChain,
+    platform: Platform,
+    min_log_reliability: float,
+    max_period: float,
+    max_latency: float,
+    rel_tol: float,
+    max_probes: int,
+) -> SolveResult:
+    """The heuristic bisection shared by the period and latency searches.
+
+    *axis* (``"period"`` or ``"latency"``) is the bisected criterion;
+    the other bound is honored by every probe.  The method label is
+    ``het-<axis>-search`` and the optimum is reported as
+    ``details["optimal_<axis>"]``.
+    """
     if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
         raise ValueError("min_log_reliability must be a log-probability (<= 0)")
     if max_period <= 0 or max_latency <= 0:
@@ -89,44 +112,51 @@ def minimize_period_search(
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
 
+    method = f"het-{axis}-search"
     probes = 0
 
-    def probe(period_bound: float) -> "tuple[bool, SolveResult]":
+    def probe(bound: float) -> "tuple[bool, SolveResult]":
         nonlocal probes
         probes += 1
+        P, L = (bound, max_latency) if axis == "period" else (max_period, bound)
         res = heuristic_best(
-            chain, platform,
-            max_period=period_bound, max_latency=max_latency,
+            chain, platform, max_period=P, max_latency=L,
             which="heur-l", selection="feasible-best",
         )
         return res.feasible and res.log_reliability >= min_log_reliability, res
 
-    # Loosest admissible bound first: if even max_period fails, the
+    def achieved(res: SolveResult) -> float:
+        assert res.evaluation is not None
+        ev = res.evaluation
+        return float(ev.worst_case_period if axis == "period" else ev.worst_case_latency)
+
+    # Loosest admissible bound first: if even the cap fails, the
     # heuristic sees no admissible mapping at all.
-    ok, best = probe(max_period)
+    ok, best = probe(max_period if axis == "period" else max_latency)
     if not ok:
         return SolveResult.infeasible(
-            "het-period-search",
+            method,
             probes=probes,
             min_log_reliability=min_log_reliability,
             max_period=max_period,
             max_latency=max_latency,
         )
 
-    # No mapping beats the heaviest task on the fastest processor.
-    lo = float(np.max(chain.work)) / float(np.max(platform.speeds))
-    assert best.evaluation is not None
-    hi = float(best.evaluation.worst_case_period)
+    # No mapping beats the fastest processor: not on the heaviest task
+    # (period), and not on the whole chain, since every task computes
+    # somewhere (latency).
+    heaviest = np.max(chain.work) if axis == "period" else np.sum(chain.work)
+    lo = float(heaviest) / float(np.max(platform.speeds))
+    hi = achieved(best)
 
     while probes < max_probes and hi - lo > rel_tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         ok, res = probe(mid)
         if ok:
             best = res
-            assert res.evaluation is not None
-            # The witness's achieved period can undershoot the probed
+            # The witness's achieved value can undershoot the probed
             # bound substantially — tighten to it, not to mid.
-            hi = min(mid, float(res.evaluation.worst_case_period))
+            hi = min(mid, achieved(res))
         else:
             lo = mid
 
@@ -139,9 +169,9 @@ def minimize_period_search(
         feasible=True,
         mapping=best.mapping,
         evaluation=best.evaluation,
-        method="het-period-search",
+        method=method,
         details={
-            "optimal_period": float(best.evaluation.worst_case_period),
+            f"optimal_{axis}": achieved(best),
             "probes": probes,
             "bracket": (lo, hi),
             "converged": converged,

@@ -29,14 +29,13 @@ hand-tuned workloads the paper shipped with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.ensemble import Ensemble, ensembles_from_instances
 from repro.obs import telemetry as obs
-from repro.solve.facade import solve
 
 __all__ = ["BoundsGrid", "derive_bounds_grid"]
 
@@ -149,10 +148,10 @@ def derive_bounds_grid(
     cache:
         A :class:`~repro.experiments.cache.ResultCache`, a cache
         directory path, or ``None`` to read ``$REPRO_CACHE_DIR`` (unset
-        = no caching).  The unbounded probe solves are ordinary cache
-        citizens (keyed by :meth:`~repro.experiments.cache.ResultCache
-        .probe_key`), so re-deriving a grid over the same ensemble —
-        every warm ``--grid auto`` run — costs zero solves.
+        = no caching).  The unbounded probe solves are ordinary sweep
+        units (:func:`~repro.experiments.harness.run_sweep` at the one
+        point ``(inf, inf)``), so re-deriving a grid over the same
+        ensemble — every warm ``--grid auto`` run — costs zero solves.
     """
     if quantiles is None:
         if n_points < 2:
@@ -166,105 +165,44 @@ def derive_bounds_grid(
     if not margin >= 1.0:
         raise ValueError(f"margin must be >= 1 (headroom), got {margin}")
 
-    if isinstance(instances, (list, tuple)) or isinstance(instances, Ensemble):
-        ensembles = ensembles_from_instances(instances)
-    else:
-        from repro.scenarios import generate_ensembles, resolve_scenario
+    from repro.experiments.harness import _resolve_instances, run_sweep
+    from repro.experiments.methods import get_method
 
-        spec, _ = resolve_scenario(instances)
-        if n_instances is not None:
-            spec = spec.with_(n_instances=n_instances)
-        # Paired ensembles contribute their heterogeneous side — that
-        # is what the views expose, matching run_sweep.
-        ensembles = generate_ensembles(spec, seed=seed)
+    ensembles, _ = _resolve_instances(instances, seed, n_instances, None)
     n_total = sum(len(e) for e in ensembles)
     if not n_total:
         raise ValueError("need at least one instance to derive a grid from")
 
-    # Probe solves go through the shared result cache when one is
-    # configured (ROADMAP "grid caching"): the per-instance scalars are
-    # stored under probe keys derived from ensemble row digests, so a
-    # warm --grid auto run re-derives the grid without a single solve —
-    # or a single materialized object.
-    from repro.experiments.cache import resolve_cache
-    from repro.experiments.methods import METHODS
-
-    store = resolve_cache(cache)
-    registered = METHODS.get(method)
-    fingerprint = registered.fingerprint() if registered is not None else None
-
-    def probe(view) -> "tuple[bool, float, float]":
-        key = None
-        if store is not None and registered is not None:
-            key = store.probe_key_for(method, view.row_hash, fingerprint)
-            record = store.get_record(key, method_name=method)
-            if record is not None:
-                try:
-                    feasible, period, latency = (
-                        bool(record["feasible"]),
-                        float(record["period"]),
-                        float(record["latency"]),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    # Malformed probe record (same recovery contract as
-                    # ResultCache.get): recompute and overwrite below.
-                    pass
-                else:
-                    obs.counter("grid.probe.cached", label=method)
-                    return feasible, period, latency
-        obs.counter("grid.probe.solved", label=method)
-        result = solve(view.problem(), method=method)
-        if result.feasible:
-            ev = result.evaluation
-            feasible, period, latency = (
-                True,
-                float(ev.worst_case_period),
-                float(ev.worst_case_latency),
-            )
-        else:  # pragma: no cover - unbounded heuristics map
-            feasible, period, latency = False, 0.0, 0.0
-        if key is not None:
-            store.put_record(
-                key,
-                {
-                    "kind": "grid-probe",
-                    "method": method,
-                    "feasible": feasible,
-                    "period": period,
-                    "latency": latency,
-                },
-            )
-        return feasible, period, latency
-
-    hi_periods, hi_latencies = [], []
-    lo_periods, lo_latencies = [], []
     with obs.span("grid.derive", label=method):
-        for ensemble in ensembles:
-            # Analytic lower bounds, vectorized over the ensemble
-            # columns: some interval holds the heaviest task (period),
-            # and every task executes somewhere along the chain
-            # (latency) — no mapping beats the fastest processor on
-            # either.  No objects.
-            s_max = ensemble.speeds.max(axis=1)
-            ens_lo_periods = ensemble.work.max(axis=1) / s_max
-            ens_lo_latencies = ensemble.work.sum(axis=1) / s_max
-            for view, lo_p, lo_l in zip(ensemble, ens_lo_periods, ens_lo_latencies):
-                feasible, period, latency = probe(view)
-                if not feasible:  # pragma: no cover - unbounded heuristics map
-                    continue
-                hi_periods.append(period)
-                hi_latencies.append(latency)
-                lo_periods.append(float(lo_p))
-                lo_latencies.append(float(lo_l))
-    if not hi_periods:  # pragma: no cover - defensive
+        # The probes are ordinary sweep units: one unbounded point per
+        # instance, served by the method's kernel and the result cache
+        # like any other unit.
+        probes = run_sweep(
+            ensembles, [get_method(method)], [(math.inf, math.inf)], jobs=1, cache=cache
+        )
+        for event in probes.unit_events:
+            counter = "cached" if event["source"] == "cache" else "solved"
+            obs.counter(f"grid.probe.{counter}", label=method)
+    # Analytic lower bounds, vectorized over the ensemble columns: some
+    # interval holds the heaviest task (period), and every task executes
+    # somewhere along the chain (latency) — no mapping beats the fastest
+    # processor on either.  No objects.
+    s_max = np.concatenate([e.speeds.max(axis=1) for e in ensembles])
+    lo_periods = np.concatenate([e.work.max(axis=1) for e in ensembles]) / s_max
+    lo_latencies = np.concatenate([e.work.sum(axis=1) for e in ensembles]) / s_max
+    feasible = probes.solved[0, 0]
+    hi_periods = probes.period[0, 0][feasible]
+    hi_latencies = probes.latency[0, 0][feasible]
+    lo_periods, lo_latencies = lo_periods[feasible], lo_latencies[feasible]
+    if not hi_periods.size:  # pragma: no cover - unbounded heuristics map
         raise ValueError(
             f"method {method!r} solved no instance even unbounded; "
             f"cannot derive a grid"
         )
 
-    def blend(lower: list[float], upper: list[float]) -> tuple[float, ...]:
-        lo_q = np.quantile(np.asarray(lower), quantiles)
-        hi_q = np.quantile(np.asarray(upper), quantiles)
+    def blend(lower: np.ndarray, upper: np.ndarray) -> tuple[float, ...]:
+        lo_q = np.quantile(lower, quantiles)
+        hi_q = np.quantile(upper, quantiles)
         qs = np.asarray(quantiles)
         return tuple(float(v) for v in (1.0 - qs) * lo_q + qs * hi_q)
 
@@ -272,8 +210,8 @@ def derive_bounds_grid(
         periods=blend(lo_periods, hi_periods),
         latencies=blend(lo_latencies, hi_latencies),
         quantiles=quantiles,
-        max_period=float(max(hi_periods)) * margin,
-        max_latency=float(max(hi_latencies)) * margin,
+        max_period=float(hi_periods.max()) * margin,
+        max_latency=float(hi_latencies.max()) * margin,
         n_instances=n_total,
         method=method,
     )

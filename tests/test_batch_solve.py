@@ -84,7 +84,7 @@ def shrunk_spec(name):
 
 
 def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
-               min_reliability=0.0):
+               min_reliability=0.0, jobs=1):
     """The same sweep through the batched and the per-row path, each
     into its own cold cache."""
     sweeps, caches = [], []
@@ -93,14 +93,16 @@ def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
         sweeps.append(run_sweep(
             spec, [method], bounds,
             cache=cache, objective=objective, batch=batch,
-            min_reliability=min_reliability,
+            min_reliability=min_reliability, jobs=jobs,
         ))
         caches.append(cache)
     return sweeps, caches
 
 
-def cache_keys(cache):
-    return {key for key, _ in cache.backend.scan()}
+def assert_same_sweeps(batched, looped):
+    """Every result array of two sweeps is bit-identical."""
+    for name in ("solved", "failure", "objective_values", "period", "latency"):
+        assert np.array_equal(getattr(batched, name), getattr(looped, name)), name
 
 
 def cache_entries(cache):
@@ -113,8 +115,16 @@ def n_units(sweep):
 
 
 def arrays(results):
-    """A UnitResults' three per-(row, point) arrays."""
-    return results.solved, results.failure, results.values
+    """A UnitResults' per-(row, point) arrays, in record order."""
+    return tuple(getattr(results, name) for name in UnitResults.ARRAYS)
+
+
+def witness(res):
+    """A per-row solve's witness period and latency (``inf`` when
+    infeasible) — what the kernels' period/latency arrays hold."""
+    if not res.feasible:
+        return math.inf, math.inf
+    return res.evaluation.worst_case_period, res.evaluation.worst_case_latency
 
 
 def per_row(method, ensemble, bounds, objective, floor):
@@ -129,25 +139,24 @@ class TestSweepEquivalenceMatrix:
     """run_sweep(batch="auto") is bit-identical to the per-row path for
     every builtin scenario x objective, cache entries included."""
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("scenario", sorted(SHRINK))
     @pytest.mark.parametrize(
         "objective", ["reliability", "period", "latency", "energy"]
     )
-    def test_batched_sweep_matches_per_row(self, tmp_path, scenario, objective):
+    def test_batched_sweep_matches_per_row(self, tmp_path, scenario, objective, jobs):
         entry = get_scenario(scenario)
         method_name = OBJECTIVE_METHOD[objective, entry.homogeneous]
         if method_name is None:
             pytest.skip(f"no {objective!r} method for heterogeneous platforms")
         method = get_method(method_name)
         (batched, looped), (bcache, lcache) = sweep_pair(
-            tmp_path, shrunk_spec(scenario), method, objective
+            tmp_path, shrunk_spec(scenario), method, objective, jobs=jobs
         )
-        assert np.array_equal(batched.solved, looped.solved)
-        assert np.array_equal(batched.failure, looped.failure)
-        assert np.array_equal(batched.objective_values, looped.objective_values)
+        assert_same_sweeps(batched, looped)
         # Both paths write entries under identical keys with identical
         # payloads — a sweep warmed by one path serves the other.
-        assert cache_keys(bcache) == cache_keys(lcache) != set()
+        assert cache_entries(bcache) == cache_entries(lcache) != {}
         assert looped.batch_units == 0
         if (objective, entry.homogeneous) in FULLY_BATCHED:
             assert batched.batch_units == n_units(batched)
@@ -214,7 +223,7 @@ class TestKernelBitIdentity:
     )
     def test_matches_per_row_loop(self, scenario, which):
         ensemble = generate_ensemble(shrunk_spec(scenario), seed=11)
-        solved, failure, values = arrays(batch_heuristic_best(
+        solved, failure, values, period, latency = arrays(batch_heuristic_best(
             ensemble, BOUNDS, which=which
         ))
         for i, (chain, platform) in enumerate(ensemble):
@@ -226,6 +235,7 @@ class TestKernelBitIdentity:
                 assert bool(solved[i, pt]) == res.feasible
                 assert float(failure[i, pt]) == res.failure_probability
                 assert float(values[i, pt]) == res.objective_value("reliability")
+                assert (period[i, pt], latency[i, pt]) == witness(res)
 
     def test_rows_subset(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
@@ -330,7 +340,7 @@ class TestKernelBitIdentity:
         # kernel must hold on each variant independently.
         spec = get_scenario("scaling-stress").spec.with_(n_instances=2)
         for ensemble in generate_ensembles(spec, seed=7):
-            solved, failure, values = arrays(batch_heuristic_best(
+            _, failure, values, period, latency = arrays(batch_heuristic_best(
                 ensemble, BOUNDS[:2], which="heur-p"
             ))
             for i, (chain, platform) in enumerate(ensemble):
@@ -343,6 +353,7 @@ class TestKernelBitIdentity:
                     assert float(values[i, pt]) == res.objective_value(
                         "reliability"
                     )
+                    assert (period[i, pt], latency[i, pt]) == witness(res)
 
 
 class TestMethodCapability:
@@ -401,13 +412,13 @@ class TestUnitResultsContract:
         out = method.solve_batch(ensemble, bounds, rows=rows, objective=objective)
         assert isinstance(out, UnitResults)
         shape = (len(rows), len(bounds))
-        assert out.solved.shape == out.failure.shape == out.values.shape == shape
+        assert all(a.shape == shape for a in arrays(out))
         assert out.solved.dtype == bool
         assert len(out.infos) == len(rows)
         fill = UnitResults.empty(len(rows), len(bounds), objective)
         infeasible = ~out.solved
-        assert np.array_equal(out.failure[infeasible], fill.failure[infeasible])
-        assert np.array_equal(out.values[infeasible], fill.values[infeasible])
+        for got, want in zip(arrays(out)[1:], arrays(fill)[1:]):
+            assert np.array_equal(got[infeasible], want[infeasible])
         if bounds is INFEASIBLE_BOUNDS:
             assert not out.solved.any()
         elif rows:
@@ -423,6 +434,8 @@ class TestUnitResultsContract:
             assert not empty.solved.any() and empty.solved.shape == (2, 3)
             assert (empty.failure == 1.0).all()
             assert (empty.values == value).all()
+            assert (empty.period == math.inf).all()
+            assert (empty.latency == math.inf).all()
             assert empty.infos == [None, None]
 
 
@@ -454,16 +467,11 @@ class TestConverseKernels:
         out = method.solve_batch(
             ensemble, bounds, objective=objective, min_reliability=floor
         )
-        solved, failure, values, infos = *arrays(out), out.infos
         rows = per_row(method, ensemble, bounds, objective, floor)
-        for i in range(len(ensemble)):
-            u_solved, u_failure, u_values, u_info = (
-                *(a[i] for a in arrays(rows)), rows.infos[i]
-            )
-            assert np.array_equal(np.asarray(solved[i], dtype=bool), u_solved)
-            assert np.array_equal(np.asarray(failure[i], dtype=float), u_failure)
-            assert np.array_equal(np.asarray(values[i], dtype=float), u_values)
-            assert infos[i] == u_info
+        for kernel, looped in zip(arrays(out), arrays(rows)):
+            assert kernel.dtype == looped.dtype
+            assert np.array_equal(kernel, looped)
+        assert out.infos == rows.infos
 
     def test_search_infos_count_probes(self):
         ensemble = generate_ensemble(shrunk_spec("section8-het"), seed=13)
@@ -490,18 +498,13 @@ class TestParetoDPKernel:
     def test_kernel_rows_match_unit_arrays(self, bounds):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
         method = get_method("pareto-dp")
-        solved, failure, values = arrays(method.solve_batch(ensemble, bounds))
+        out = method.solve_batch(ensemble, bounds)
         rows = per_row(method, ensemble, bounds, "reliability", 0.0)
-        for i in range(len(ensemble)):
-            u_solved, u_failure, u_values, u_info = (
-                *(a[i] for a in arrays(rows)), rows.infos[i]
-            )
-            assert np.array_equal(solved[i], u_solved)
-            assert np.array_equal(failure[i], u_failure)
-            assert np.array_equal(values[i], u_values)
-            assert u_info is None
+        for kernel, looped in zip(arrays(out), arrays(rows)):
+            assert np.array_equal(kernel, looped)
+        assert out.infos == rows.infos == [None] * len(ensemble)
         # The grids exercise feasible and infeasible points alike.
-        assert solved.any() and not solved.all()
+        assert out.solved.any() and not out.solved.all()
 
     def test_rows_subset(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
@@ -524,9 +527,7 @@ class TestParetoDPKernel:
                                     batch=batch, jobs=jobs))
             caches.append(cache)
         batched, looped = sweeps
-        assert np.array_equal(batched.solved, looped.solved)
-        assert np.array_equal(batched.failure, looped.failure)
-        assert np.array_equal(batched.objective_values, looped.objective_values)
+        assert_same_sweeps(batched, looped)
         # Same keys, same record bytes.
         assert cache_entries(caches[0]) == cache_entries(caches[1]) != {}
         assert batched.batch_units == n_units(batched)
@@ -578,10 +579,8 @@ class TestFloorSweeps:
             tmp_path, shrunk_spec(scenario), method, objective,
             bounds=bounds, min_reliability=floor,
         )
-        assert np.array_equal(batched.solved, looped.solved)
-        assert np.array_equal(batched.failure, looped.failure)
-        assert np.array_equal(batched.objective_values, looped.objective_values)
-        assert cache_keys(bcache) == cache_keys(lcache) != set()
+        assert_same_sweeps(batched, looped)
+        assert cache_entries(bcache) == cache_entries(lcache) != {}
         assert batched.batch_units == n_units(batched)
         assert looped.batch_units == 0
         if floor == self.FLOORS[-1] and method_name.startswith("dp-"):
@@ -598,7 +597,7 @@ class TestFloorSweeps:
 
         ensemble = generate_ensemble(shrunk_spec("unreliable-links"), seed=13)
         for floor in (0.5, 1.0 - 1e-12):
-            solved, failure, values = arrays(batch_heuristic_best(
+            solved, failure, values, period, latency = arrays(batch_heuristic_best(
                 ensemble, BOUNDS, min_reliability=floor
             ))
             for i, (chain, platform) in enumerate(ensemble):
@@ -613,6 +612,7 @@ class TestFloorSweeps:
                     assert float(values[i, pt]) == res.objective_value(
                         "reliability"
                     )
+                    assert (period[i, pt], latency[i, pt]) == witness(res)
 
 
 class TestForcedAndFallback:

@@ -140,7 +140,7 @@ class TestMigration:
     def test_round_trip_is_byte_identical(self, tmp_path):
         root = tmp_path / "cache"
         _, cache = sweep(root, "files")
-        cache.put_record("ab" * 32, {"kind": "grid-probe", "period": 4.0})
+        cache.put_record("ab" * 32, {"kind": "note", "period": 4.0})
         original = scan_dict(cache.backend)
 
         report = migrate_cache(root, to="sqlite")

@@ -3,6 +3,7 @@ objective-native methods and their agreement with the objective-aware
 brute force, planner/facade gating, harness/cache round-trips, and the
 cached grid probes."""
 
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from repro.extensions.period_search import (
     minimize_period_search,
 )
 from repro.io import dumps, loads
+from repro.obs import telemetry as obs
+from repro.scenarios import generate_ensembles, get_scenario
 from repro.solve import (
     OBJECTIVES,
     Planner,
@@ -39,6 +42,7 @@ from repro.solve import (
     plan_methods,
     solve,
 )
+from repro.solve.grid import DEFAULT_MARGIN
 from repro.util.logrel import from_reliability
 
 
@@ -359,55 +363,64 @@ class TestHarnessObjectives:
 
 
 class TestGridProbeCache:
+    """Grid probes are ordinary sweep units: one unbounded ``heuristic``
+    unit per instance, cached and healed exactly like any other."""
+
     def test_warm_grid_derivation_is_solve_free(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cold = derive_bounds_grid(
             "section8-hom", n_points=4, n_instances=4, cache=cache
         )
-        assert cache.puts == 4  # one probe record per instance
+        assert cache.puts == 4  # one probe unit per instance
         assert cache.hits == 0
-        warm = derive_bounds_grid(
-            "section8-hom", n_points=4, n_instances=4, cache=cache
-        )
+        with obs.collect() as telemetry:
+            warm = derive_bounds_grid(
+                "section8-hom", n_points=4, n_instances=4, cache=cache
+            )
         assert cache.hits == 4
         assert cache.puts == 4  # nothing recomputed
+        assert telemetry.counters["grid.probe.cached[heuristic]"] == 4
+        assert "grid.probe.solved[heuristic]" not in telemetry.counters
         assert warm == cold
 
-    def test_probe_records_keyed_by_method_identity(self, tmp_path, chain, hom):
+    def test_probe_is_the_unbounded_heuristic_unit(self, tmp_path):
+        ensembles = generate_ensembles(
+            get_scenario("section8-het").spec.with_(n_instances=3), seed=0
+        )
         cache = ResultCache(tmp_path / "cache")
-        problem = Problem(chain, hom)
-        heur = get_method("heuristic")
-        key_a = cache.probe_key("heuristic", problem, heur.fingerprint())
-        key_b = cache.probe_key("heur-l", problem, get_method("heur-l").fingerprint())
-        assert key_a != key_b
-        unit_key = cache.unit_key("heuristic", [problem], fingerprint=heur.fingerprint())
-        assert key_a != unit_key  # probe records never collide with units
-
-    def test_corrupted_probe_record_recovers(self, tmp_path, chain, hom):
-        cache = ResultCache(tmp_path / "cache")
-        key = cache.probe_key("heuristic", Problem(chain, hom))
-        cache.put_record(key, {"feasible": True, "period": 1.0, "latency": 2.0})
-        cache.backend.store_text(key, "{not json")
-        assert cache.get_record(key) is None
-        assert cache.backend.load(key) is None  # dropped for recomputation
+        grid = derive_bounds_grid(ensembles, cache=cache)
+        entries = dict(cache.backend.scan())
+        assert len(entries) == 3
+        cache.reset()
+        sweep = run_sweep(
+            ensembles, [get_method("heuristic")], [(math.inf, math.inf)], cache=cache
+        )
+        # The explicit sweep is served entirely by the probe entries.
+        assert cache.hits == 3 and cache.misses == 0 and cache.puts == 0
+        assert dict(cache.backend.scan()) == entries
+        assert grid.max_period == float(sweep.period.max()) * DEFAULT_MARGIN
+        assert grid.max_latency == float(sweep.latency.max()) * DEFAULT_MARGIN
 
     def test_field_stripped_probe_record_recovers(self, tmp_path):
-        """A well-formed record missing the probe fields must be treated
-        as a miss by derive_bounds_grid (recomputed and overwritten),
-        not crash the derivation."""
+        """A probe record missing the fields the grid reads is a corrupt
+        entry, not a hit: it is recomputed and rewritten."""
         cache = ResultCache(tmp_path / "cache")
         cold = derive_bounds_grid(
             "section8-hom", n_points=4, n_instances=2, cache=cache
         )
-        for key, payload in list(cache.backend.scan()):
-            if "grid-probe" in payload:
-                cache.backend.store_text(
-                    key, payload.replace('"feasible"', '"stripped"')
-                )
+        entries = dict(cache.backend.scan())
+        for key, payload in entries.items():
+            record = json.loads(payload)
+            del record["period"], record["latency"]
+            cache.backend.store_text(key, json.dumps(record))
+        cache.reset()
         again = derive_bounds_grid(
             "section8-hom", n_points=4, n_instances=2, cache=cache
         )
         assert again == cold
+        assert cache.stats()["corrupt"] == 2
+        assert cache.hits == 0 and cache.puts == 2
+        assert dict(cache.backend.scan()) == entries
 
 
 class TestObjectiveValue:

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.algorithms import UnitResults
 from repro.core import Platform, TaskChain
 from repro.experiments import Method, ResultCache, get_method, homogeneous_suite, run_sweep
 from repro.experiments.cache import (
@@ -42,20 +43,32 @@ def instance():
     return homogeneous_suite(n_instances=1, seed=8)[0]
 
 
+def one_row(solved, failure, values, period=None, latency=None, info=None):
+    """A one-row UnitResults (period and latency default to ``inf``)."""
+    inf = np.full(len(solved), np.inf)
+    arrays = [solved, failure, values,
+              inf if period is None else period, inf if latency is None else latency]
+    return UnitResults(*(np.asarray(a)[None] for a in arrays), [info])
+
+
 def put_unit(cache, key, solved, failure, objective_values=None, info=None):
     """Store a unit through the canonical record API (objective values
     default to the reliabilities ``1 - failure``)."""
     if objective_values is None:
         objective_values = 1.0 - np.asarray(failure)
     cache.put_record(
-        key, unit_record(solved, failure, objective_values, info=info)
+        key, unit_record(one_row(solved, failure, objective_values, info=info), 0)
     )
 
 
 def get_unit(cache, key, n_points):
-    """Look a unit up through the canonical record API."""
+    """Look a unit up through the canonical record API: its
+    ``(solved, failure, objective_values, info)``."""
     record = cache.get_record(key, n_points=n_points)
-    return None if record is None else unit_arrays(record, n_points)
+    if record is None:
+        return None
+    row = unit_arrays(record, n_points)
+    return row.solved[0], row.failure[0], row.values[0], row.infos[0]
 
 
 def entry_keys(cache):
@@ -81,16 +94,16 @@ class TestRoundTrip:
         solved = np.array([True, False])
         failure = np.array([1.25e-4, 1.0])
         values = np.array([0.875, float("inf")])
-        cache.put_record(
-            "ab" * 32, unit_record(solved, failure, values, method_name="heur-l")
-        )
-        got = get_unit(cache, "ab" * 32, 2)
-        assert got is not None
-        assert np.array_equal(got[0], solved)
+        period = np.array([12.5, float("inf")])
+        latency = np.array([40.125, float("inf")])
+        written = one_row(solved, failure, values, period, latency)
+        cache.put_record("ab" * 32, unit_record(written, 0, method_name="heur-l"))
+        got = unit_arrays(cache.get_record("ab" * 32, n_points=2), 2)
         # Floats survive JSON exactly (shortest-round-trip repr), and
-        # infinite objective values round-trip through their token.
-        assert np.array_equal(got[1], failure)
-        assert np.array_equal(got[2], values)
+        # infinite values round-trip through their token.
+        for name in UnitResults.ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(written, name)), name
+        assert got.infos == [None]
         assert cache.stats() == {
             "hits": 1, "misses": 0, "puts": 1, "corrupt": 0, "hit_rate": 1.0,
         }
@@ -269,7 +282,7 @@ class TestCorruptionRecovery:
         assert json.loads(entry_text(cache, key)) == record
 
     def test_corrupt_record_lookup_counts_too(self, cache):
-        cache.put_record("12" * 32, {"kind": "grid-probe", "period": 4.0})
+        cache.put_record("12" * 32, {"kind": "note", "period": 4.0})
         plant_entry(cache, "12" * 32, "{oops")
         assert cache.get_record("12" * 32) is None
         assert cache.corrupt == 1 and cache.misses == 1
