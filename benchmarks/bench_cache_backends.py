@@ -1,30 +1,21 @@
-"""Cost of the cache storage backends — cold stores and warm replays.
+"""Cost of the result-cache store — cold stores and warm replays.
 
-The result cache now speaks two storage dialects behind one API: the
-file tree (one JSON file per key, mkstemp + rename) and SQLite (one
-``cache.db`` in WAL mode, ``BEGIN IMMEDIATE`` writers).  Both must
-serve the same sweeps with the same bytes; this bench pins the *price*
-of that choice so a storage regression in either backend (or an
-accidental divergence between them) fails the gate.
+The result cache keeps one JSON file per key (mkstemp + rename
+writes).  This bench pins the price of that store so a storage
+regression fails the gate.
 
 A 1000-unit section8-hom sweep runs cold into a fresh store and then
-warm, per backend.  The cold leg prices entry writes (the batched
-kernels make solve time small, so store cost is visible); the warm leg
-prices pure lookups — the regime a shared fleet cache lives in.
+warm.  The cold leg prices entry writes (the batched kernels make solve
+time small, so store cost is visible); the warm leg prices pure
+lookups — the regime a shared cache lives in.
 
-Metrics:
+Metric:
 
-* ``files_warm_us_per_unit`` / ``sqlite_warm_us_per_unit`` — absolute
-  warm lookup cost per work unit (loosely gated: wall time varies
-  across CI hardware);
-* ``sqlite_vs_files_warm_ratio`` — the headline: SQLite lookups must
-  stay within the same small multiple of the file tree's (ratios are
-  machine-portable where absolute times are not);
-* ``sqlite_vs_files_cold_ratio`` — same contract for the write path.
+* ``files_warm_us_per_unit`` — absolute warm lookup cost per work unit
+  (loosely gated: wall time varies across CI hardware).
 
-The bench also asserts the cross-backend bit-identity contract: both
-stores end the cold leg holding identical keys and identical entry
-bytes, and both warm sweeps replay identical arrays.
+The bench also asserts that the warm sweep replays the cold sweep's
+arrays and that the store holds one entry per unit.
 
 Dual entry points: a pytest-benchmark test and a ``--json`` script mode
 for the benchmark-regression gate::
@@ -53,19 +44,18 @@ BOUNDS = [(250.0, 750.0)]
 BENCH_NAME = "bench_cache_backends"
 
 
-def _legs(backend: str, ensemble, methods) -> dict:
-    """One backend's cold and warm sweep; returns timings + store scan."""
+def _legs(ensemble, methods) -> dict:
+    """The cold and warm sweep over one fresh store; returns timings."""
     n_units = len(methods) * N_INSTANCES
     with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(tmp, backend=backend)
+        cache = ResultCache(tmp)
         t0 = time.perf_counter()
         cold = run_sweep(ensemble, methods, BOUNDS, cache=cache)
         cold_seconds = time.perf_counter() - t0
         assert cache.stats() == {"hits": 0, "misses": n_units, "puts": n_units,
                                  "corrupt": 0, "hit_rate": 0.0}
 
-        warm_cache = ResultCache(tmp)  # auto-detected from the store
-        assert warm_cache.backend.kind == backend
+        warm_cache = ResultCache(tmp)
         t0 = time.perf_counter()
         warm = run_sweep(ensemble, methods, BOUNDS, cache=warm_cache)
         warm_seconds = time.perf_counter() - t0
@@ -73,70 +63,41 @@ def _legs(backend: str, ensemble, methods) -> dict:
                                       "corrupt": 0, "hit_rate": 1.0}
         assert np.array_equal(cold.solved, warm.solved)
         assert np.array_equal(cold.failure, warm.failure)
-
-        entries = dict(cache.backend.scan())
-        assert len(entries) == N_INSTANCES
-        cache.backend.close()
-        warm_cache.backend.close()
-    return {
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "result": cold,
-        "entries": entries,
-    }
+        assert cache.storage_stats()["entries"] == N_INSTANCES
+    return {"cold_seconds": cold_seconds, "warm_seconds": warm_seconds}
 
 
 def run_cache_backends_bench() -> dict:
-    """Cold/warm 1000-unit sweep per backend; return the gate metrics."""
+    """Cold/warm 1000-unit sweep; return the gate metrics."""
     ensemble = generate_ensemble("section8-hom", n_instances=N_INSTANCES, seed=17)
     methods = [get_method("heur-l")]
     n_units = len(methods) * N_INSTANCES
 
-    files = _legs("files", ensemble, methods)
-    sqlite = _legs("sqlite", ensemble, methods)
-
-    # The acceptance contract: identical series, identical cache keys,
-    # identical record payload bytes across backends.
-    assert np.array_equal(files["result"].solved, sqlite["result"].solved)
-    assert np.array_equal(files["result"].failure, sqlite["result"].failure)
-    assert files["entries"] == sqlite["entries"]
+    legs = _legs(ensemble, methods)
 
     emit()
-    emit(f"cache backends, {N_INSTANCES} instances x {len(methods)} method "
+    emit(f"result cache, {N_INSTANCES} instances x {len(methods)} method "
          f"x {len(BOUNDS)} point (section8-hom)")
-    for name, legs in (("files", files), ("sqlite", sqlite)):
-        emit(f"{name:6s} cold: {legs['cold_seconds']:7.3f}s   "
-             f"warm: {legs['warm_seconds']:7.3f}s  "
-             f"({legs['warm_seconds'] / n_units * 1e6:7.1f} us/unit)")
-    emit(f"sqlite/files warm ratio: "
-         f"{sqlite['warm_seconds'] / files['warm_seconds']:.2f}x")
+    emit(f"files  cold: {legs['cold_seconds']:7.3f}s   "
+         f"warm: {legs['warm_seconds']:7.3f}s  "
+         f"({legs['warm_seconds'] / n_units * 1e6:7.1f} us/unit)")
 
-    return {
-        "files_warm_us_per_unit": files["warm_seconds"] / n_units * 1e6,
-        "sqlite_warm_us_per_unit": sqlite["warm_seconds"] / n_units * 1e6,
-        "sqlite_vs_files_warm_ratio": sqlite["warm_seconds"] / files["warm_seconds"],
-        "sqlite_vs_files_cold_ratio": sqlite["cold_seconds"] / files["cold_seconds"],
-    }
+    return {"files_warm_us_per_unit": legs["warm_seconds"] / n_units * 1e6}
 
 
 def test_cache_backends_throughput(benchmark):
-    metrics = run_cache_backends_bench()
-    # Both backends must serve warm sweeps in the same ballpark: a
-    # 4x envelope is loose enough for CI filesystems, tight enough to
-    # catch an accidental per-lookup transaction or connection churn.
-    assert metrics["sqlite_vs_files_warm_ratio"] < 4.0
-    assert metrics["sqlite_vs_files_cold_ratio"] < 4.0
+    run_cache_backends_bench()
 
     ensemble = generate_ensemble("section8-hom", n_instances=20, seed=17)
     methods = [get_method("heur-l")]
 
-    def warm_sqlite_sweep():
+    def warm_sweep():
         with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp, backend="sqlite")
+            cache = ResultCache(tmp)
             run_sweep(ensemble, methods, BOUNDS, cache=cache)
             return run_sweep(ensemble, methods, BOUNDS, cache=cache)
 
-    benchmark(warm_sqlite_sweep)
+    benchmark(warm_sweep)
 
 
 if __name__ == "__main__":

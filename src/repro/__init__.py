@@ -52,7 +52,7 @@ from repro.algorithms import (
 # (exporting the function here would shadow the submodule attribute).
 from repro.solve import Problem
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "TaskChain",

@@ -20,8 +20,8 @@ Checkers and their rules
   fingerprint, batched kernel included, must stay an ingredient);
 * :mod:`~repro.analysis.atomicwrite` — ``IO001``-``IO002``: artifact
   layers write only through the sanctioned atomic idioms — mkstemp +
-  ``os.replace`` for files, ``BEGIN IMMEDIATE`` transactions for the
-  SQLite cache backend;
+  ``os.replace`` for files, ``BEGIN IMMEDIATE`` transactions for any
+  SQL writer;
 * :mod:`~repro.analysis.registry` — ``REG001``-``REG003``:
   ``register_method`` call sites declare valid objectives, consistent
   seeding, and no silent name collisions;

@@ -5,11 +5,10 @@ observe either a complete artifact or none — interrupted writes leave
 no half-runs.  The cache makes the same promise for entries shared by
 concurrent sweeps.  That only holds if *every* write in the artifact
 layers goes through a sanctioned atomic idiom.  Two are recognized:
-the filesystem one (mkstemp + ``os.replace``) and, since the cache
-grew a SQLite backend, the transactional one (``BEGIN IMMEDIATE`` +
-commit) — a mutation inside an immediate transaction is the database
-equivalent of a rename, so readers observe entries fully or not at
-all.
+the filesystem one (mkstemp + ``os.replace``) and, for any SQL
+writer, the transactional one (``BEGIN IMMEDIATE`` + commit) — a
+mutation inside an immediate transaction is the database equivalent
+of a rename, so readers observe entries fully or not at all.
 
 ``IO001``
     A raw file write (``open(..., "w")``, ``Path.write_text`` /

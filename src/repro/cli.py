@@ -53,14 +53,12 @@ Commands
     two runs.  Run ids accept unique prefixes.  The ledger directory
     defaults to ``$REPRO_RUNS_DIR``, then ``./runs``.
 ``cache``
-    The result cache's storage layer
-    (:mod:`repro.experiments.cache`): ``cache stats`` prints a store's
-    persistent on-disk totals (backend kind, entry count, bytes),
-    ``cache migrate --to sqlite|files`` switches the backend in place
-    with a row-digest verification pass, and ``cache vacuum`` reclaims
-    dead space.  The directory defaults to ``$REPRO_CACHE_DIR``; fresh
-    stores honor ``$REPRO_CACHE_BACKEND`` (``files`` default,
-    ``sqlite`` for concurrent fleets).
+    The result cache's file-tree store
+    (:mod:`repro.experiments.cache`): ``cache stats`` prints its
+    persistent on-disk totals (entry count, bytes), and ``cache
+    vacuum`` sweeps the orphaned temp files and empty fan-out
+    directories an interrupted writer leaves behind.  The directory
+    defaults to ``$REPRO_CACHE_DIR``.
 ``lint``
     The repo's own invariant checkers (:mod:`repro.analysis`): an
     AST-level pass enforcing the determinism, cache-key-completeness,
@@ -287,24 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print machine-readable JSON instead of text")
 
     cache = sub.add_parser(
-        "cache", help="inspect and manage the result cache (stats/migrate/vacuum)"
+        "cache", help="inspect and manage the result cache (stats/vacuum)"
     )
     csub = cache.add_subparsers(dest="cache_cmd", required=True)
     cstats = csub.add_parser(
         "stats", help="persistent on-disk totals of the cache store"
     )
-    cmigrate = csub.add_parser(
-        "migrate", help="switch the store's backend in place, with verification"
-    )
-    cmigrate.add_argument("--to", required=True, choices=("files", "sqlite"),
-                          help="destination backend")
-    cmigrate.add_argument("--keep-source", action="store_true",
-                          help="leave the source store on disk as a backup "
-                          "(auto-detection then prefers the SQLite store)")
     cvacuum = csub.add_parser(
-        "vacuum", help="reclaim dead space (stale temp files / free db pages)"
+        "vacuum", help="remove stale temp files and empty fan-out directories"
     )
-    for sp in (cstats, cmigrate, cvacuum):
+    for sp in (cstats, cvacuum):
         sp.add_argument("--cache-dir", type=pathlib.Path, default=None,
                         help="cache directory (default $REPRO_CACHE_DIR)")
         sp.add_argument("--json", action="store_true",
@@ -974,42 +964,16 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.experiments.cache import detect_backend_kind, migrate_cache, resolve_backend
+    from repro.experiments.cache import FileTreeBackend
 
     root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     if not root:
         raise SystemExit(
             "no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR"
         )
-    root = pathlib.Path(root)
-
-    if args.cache_cmd == "migrate":
-        try:
-            report = migrate_cache(root, to=args.to, keep_source=args.keep_source)
-        except (ValueError, RuntimeError) as exc:
-            raise SystemExit(str(exc))
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            source = "kept" if args.keep_source else "removed"
-            print(
-                f"migrated {report['entries']} entries "
-                f"{report['from']} -> {report['to']} "
-                f"(verified {report['verified']} row digests); source {source}"
-            )
-        return 0
-
-    backend = resolve_backend(root)
-    try:
-        if args.cache_cmd == "stats":
-            report = dict(backend.storage_stats())
-            report["root"] = str(root)
-            report["detected"] = detect_backend_kind(root)
-        else:  # vacuum
-            report = dict(backend.vacuum())
-            report["root"] = str(root)
-    finally:
-        backend.close()
+    store = FileTreeBackend(root)
+    report = store.storage_stats() if args.cache_cmd == "stats" else store.vacuum()
+    report["root"] = str(store.root)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -1,4 +1,4 @@
-"""On-disk result cache for bound sweeps — pluggable storage backends.
+"""On-disk result cache for bound sweeps.
 
 The paper's evaluation recomputes the same ``method x instance x
 bounds`` solves for every figure, bench, and cross-check run.  This
@@ -9,23 +9,11 @@ Architecture
 ------------
 :class:`ResultCache` owns the *meaning* of the cache — key derivation,
 record validation, corrupt-entry recovery, hit/miss counters — and
-delegates bytes-at-rest to a :class:`~repro.experiments.cache.backend.CacheBackend`:
-
-* :class:`~repro.experiments.cache.filetree.FileTreeBackend`
-  (``kind="files"``, the default) — one JSON file per key under
-  ``<root>/<key[:2]>/<key>.json``, atomic via mkstemp + ``os.replace``;
-* :class:`~repro.experiments.cache.sqlite.SQLiteBackend`
-  (``kind="sqlite"``) — a single ``<root>/cache.db`` in WAL mode with
-  ``BEGIN IMMEDIATE`` writers and a ``schema_version`` table, built
-  for fleets of concurrent sweep processes.
-
-Both persist identical bytes (sorted-keys CACHE_FORMAT JSON), so keys
-*and* record payloads are bit-identical across backends and
-:func:`migrate_cache` / ``repro cache migrate`` can verify a switch by
-row digest.  Backend choice: ``ResultCache(root, backend=...)``
-explicitly, else whatever store already lives under ``root``, else
-``$REPRO_CACHE_BACKEND``, else the file tree (see
-:func:`resolve_backend`).
+stores bytes through
+:class:`~repro.experiments.cache.filetree.FileTreeBackend`, which owns
+the on-disk layout: one sorted-keys JSON file per key under
+``<root>/<key[:2]>/<key>.json``, written atomically via mkstemp +
+``os.replace``.
 
 Keys
 ----
@@ -70,14 +58,10 @@ Environment
 ``REPRO_CACHE_DIR``
     Default cache directory for the harness/figures/benches when no
     explicit ``cache`` argument is given.  Unset means "no cache".
-``REPRO_CACHE_BACKEND``
-    Backend for *fresh* cache directories: ``files`` (default) or
-    ``sqlite``.  A directory already holding a store keeps its backend
-    regardless — switching is an explicit ``repro cache migrate``.
 
 Statistics (:attr:`ResultCache.hits` / ``misses`` / ``puts`` /
 ``corrupt``) feed the run manifest written by ``python -m repro
-experiment``; persistent on-disk totals come from the backend via
+experiment``; persistent on-disk totals come from
 :meth:`ResultCache.storage_stats` (``repro cache stats``).
 """
 
@@ -85,33 +69,20 @@ from __future__ import annotations
 
 import math
 import os
-import pathlib
 from typing import Sequence
 
 import numpy as np
 
 from repro.algorithms.batch import UnitResults
-from repro.core.ensemble import instance_digest
-from repro.experiments.cache.backend import (
-    CacheBackend,
-    detect_backend_kind,
-    make_backend,
-)
 from repro.experiments.cache.filetree import FileTreeBackend
-from repro.experiments.cache.migrate import migrate_cache
-from repro.experiments.cache.sqlite import SQLiteBackend
 from repro.io import content_hash
 from repro.obs import telemetry as obs
-from repro.solve.problem import Problem, encode_bound
+from repro.solve.problem import encode_bound
 
 __all__ = [
     "CACHE_FORMAT",
-    "CacheBackend",
     "FileTreeBackend",
     "ResultCache",
-    "SQLiteBackend",
-    "migrate_cache",
-    "resolve_backend",
     "resolve_cache",
     "unit_arrays",
     "unit_record",
@@ -127,9 +98,7 @@ __all__ = [
 #: 1.4.0; pre-columnar entries simply miss and recompute.  Bumped to 5
 #: in 2.1.0: entries carry the witness's per-point worst-case
 #: ``period`` and ``latency``, and grid probes are plain sweep units
-#: (the separate probe records are gone).  Storage layout is
-#: versioned separately per backend (the SQLite backend's
-#: ``schema_version`` table).
+#: (the separate probe records are gone).
 CACHE_FORMAT = 5
 
 
@@ -139,12 +108,7 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created on first write).  Optional when an
-        instantiated *backend* is given.
-    backend:
-        Storage backend: a :class:`CacheBackend` instance, a kind
-        token (``"files"`` / ``"sqlite"``) to open at *root*, or None
-        to auto-select via :func:`resolve_backend`.
+        Cache directory (created on first write).
 
     Attributes
     ----------
@@ -159,23 +123,9 @@ class ResultCache:
         merely absent.
     """
 
-    def __init__(
-        self,
-        root: "str | os.PathLike[str] | None" = None,
-        backend: "CacheBackend | str | None" = None,
-    ) -> None:
-        if backend is None:
-            if root is None:
-                raise TypeError("ResultCache() needs a root directory or a backend")
-            backend = resolve_backend(root)
-        elif isinstance(backend, str):
-            if root is None:
-                raise TypeError(
-                    f"ResultCache(backend={backend!r}) needs a root directory"
-                )
-            backend = make_backend(backend, root)
-        self.backend = backend
-        self.root = pathlib.Path(backend.root)
+    def __init__(self, root: "str | os.PathLike[str]") -> None:
+        self.backend = FileTreeBackend(root)
+        self.root = self.backend.root
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -218,9 +168,6 @@ class ResultCache:
         instance still keep separate entries, and editing a spec's
         generative fields can never replay arrays computed for the old
         workload.
-
-        Keys are backend-independent: the same unit resolves to the
-        same key in a file tree and in a ``cache.db``.
         """
         from repro import __version__
 
@@ -241,40 +188,6 @@ class ResultCache:
             [[encode_bound(float(P)), encode_bound(float(L))] for P, L in bounds],
         )
 
-    def unit_key(
-        self,
-        method_name: str,
-        problems: Sequence[Problem],
-        seed: "int | None" = None,
-        fingerprint: "str | None" = None,
-        scenario: "str | None" = None,
-    ) -> str:
-        """:meth:`unit_key_for` spelled over a materialized Problem family.
-
-        The family shares one instance (chain + platform + objective);
-        each member contributes its (P, L) bounds.  Produces exactly
-        the key an :class:`~repro.core.ensemble.Ensemble`-driven sweep
-        derives for the same instance — the bit-identity contract
-        between the columnar and materialized paths.
-        """
-        if not problems:
-            raise ValueError("a work unit needs at least one Problem")
-        base = problems[0]
-        chain, platform = base.chain, base.platform
-        return self.unit_key_for(
-            method_name,
-            instance_digest(
-                chain.work, chain.output, platform.speeds, platform.failure_rates,
-                platform.bandwidth, platform.link_failure_rate, platform.max_replication,
-            ),
-            [(p.max_period, p.max_latency) for p in problems],
-            seed=seed,
-            fingerprint=fingerprint,
-            scenario=scenario,
-            objective=base.objective,
-            min_reliability=base.min_reliability,
-        )
-
     # -- lookup / store --------------------------------------------------
 
     def get_record(
@@ -293,9 +206,7 @@ class ResultCache:
 
         *method_name* labels the telemetry counters
         (``cache.hit[heur-l]``, ...) when a collector is installed —
-        the per-method cache breakdown run manifests report.  The
-        backend-kind twin counters (``cache.backend.hit[sqlite]``, ...)
-        are emitted alongside.
+        the per-method cache breakdown run manifests report.
         """
         try:
             payload = self.backend.load(key)
@@ -309,17 +220,14 @@ class ResultCache:
             self.misses += 1
             self.corrupt += 1
             obs.counter("cache.corrupt", label=method_name)
-            obs.counter("cache.backend.corrupt", label=self.backend.kind)
             self.backend.discard(key)
             return None
         if payload is None:
             self.misses += 1
             obs.counter("cache.miss", label=method_name)
-            obs.counter("cache.backend.miss", label=self.backend.kind)
             return None
         self.hits += 1
         obs.counter("cache.hit", label=method_name)
-        obs.counter("cache.backend.hit", label=self.backend.kind)
         return payload
 
     def put_record(self, key: str, record: dict) -> None:
@@ -327,13 +235,11 @@ class ResultCache:
 
         The format stamp is added here; everything else is the
         caller's payload (for sweep units, built by :func:`unit_record`).
-        Atomicity is the backend's: temp file + rename for the file
-        tree, an immediate transaction for SQLite — either way a
-        concurrent reader never observes a torn entry.
+        The write is a temp file + rename, so a concurrent reader never
+        observes a torn entry.
         """
         self.backend.store(key, {"repro_cache": CACHE_FORMAT, **record})
         self.puts += 1
-        obs.counter("cache.backend.put", label=self.backend.kind)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -354,9 +260,8 @@ class ResultCache:
         }
 
     def storage_stats(self) -> dict:
-        """Persistent on-disk totals from the backend (entry count,
-        bytes, and for SQLite the schema version) — meaningful without
-        a live sweep, unlike the process-local :meth:`stats`."""
+        """Persistent on-disk totals (entry count, bytes) — meaningful
+        without a live sweep, unlike the process-local :meth:`stats`."""
         return self.backend.storage_stats()
 
     def reset(self) -> None:
@@ -372,10 +277,7 @@ class ResultCache:
         self.corrupt = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResultCache({str(self.root)!r}, backend={self.backend.kind!r}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        return f"ResultCache({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
 
 
 def unit_record(results: UnitResults, r: int, method_name: str = "") -> dict:
@@ -433,34 +335,14 @@ def _encode_value(value: float) -> "float | str":
     return value if math.isfinite(value) else repr(value)
 
 
-def resolve_backend(
-    root: "str | os.PathLike[str]", kind: "str | None" = None
-) -> CacheBackend:
-    """Pick the storage backend for the store at *root*.
-
-    Precedence: explicit *kind* > whatever store already lives on disk
-    (a ``cache.db`` means sqlite, fan-out entries mean files) >
-    ``$REPRO_CACHE_BACKEND`` > the file tree.  On-disk state outranks
-    the environment so flipping ``$REPRO_CACHE_BACKEND`` never silently
-    cold-starts an existing store — switching backends is an explicit
-    ``repro cache migrate``.
-    """
-    if kind is None:
-        kind = detect_backend_kind(root)
-    if kind is None:
-        kind = os.environ.get("REPRO_CACHE_BACKEND") or "files"
-    return make_backend(kind, root)
-
-
 def resolve_cache(
     cache: "ResultCache | str | os.PathLike[str] | None",
 ) -> "ResultCache | None":
     """Normalize a harness ``cache`` argument.
 
     ``None`` falls back to ``$REPRO_CACHE_DIR`` (no cache when unset); a
-    path becomes a :class:`ResultCache` (backend via
-    :func:`resolve_backend`); an existing cache passes through (so
-    callers can share one counter across sweeps).
+    path becomes a :class:`ResultCache`; an existing cache passes
+    through (so callers can share one counter across sweeps).
     """
     if isinstance(cache, ResultCache):
         return cache

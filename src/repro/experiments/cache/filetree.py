@@ -1,35 +1,55 @@
-"""File-per-key backend — the original cache layout.
+"""The result cache's on-disk store: one JSON file per key.
 
-One JSON file per entry::
+Layout::
 
     <root>/<key[:2]>/<key>.json
 
-Writes are atomic (``tempfile.mkstemp`` in the destination directory +
-``os.replace``), so concurrent runs sharing a cache directory never
-observe a partial entry.  Zero shared state beyond the filesystem: no
-handles, nothing to pickle, works on any shared POSIX mount.  Its
-weakness — one inode per entry and rename-level write concurrency —
-is what the :mod:`~repro.experiments.cache.sqlite` backend exists to
-fix for fleet-scale sweeps.
+Each entry is the canonical text ``json.dumps(payload, sort_keys=True)``
+(:func:`encode_payload`).  Writes are atomic (``tempfile.mkstemp`` in
+the destination directory + ``os.replace``), so concurrent runs sharing
+a cache directory never observe a partial entry.  Zero shared state
+beyond the filesystem: no handles, nothing to pickle, works on any
+shared POSIX mount.
+
+Error contract
+--------------
+:meth:`FileTreeBackend.load` returns ``None`` for an absent key and
+raises ``ValueError`` (or ``OSError``) for an entry that exists but
+cannot be decoded — :class:`~repro.experiments.cache.ResultCache` maps
+the former to a plain miss and the latter to its ``corrupt`` counter
+before discarding the entry.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import tempfile
 from typing import Iterator
 
-from repro.experiments.cache.backend import decode_payload, encode_payload
+__all__ = ["FileTreeBackend", "decode_payload", "encode_payload"]
 
-__all__ = ["FileTreeBackend"]
+
+def encode_payload(payload: dict) -> str:
+    """The canonical entry text: sorted-keys JSON."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def decode_payload(text: str) -> dict:
+    """Decode canonical entry text, raising ``ValueError`` when the
+    stored bytes are not a JSON object (torn write, disk damage)."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"undecodable cache entry: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("cache entry is not a JSON object")
+    return payload
 
 
 class FileTreeBackend:
-    """See the module docstring; protocol in
-    :class:`~repro.experiments.cache.backend.CacheBackend`."""
-
-    kind = "files"
+    """Keyed entry store under *root*; see the module docstring."""
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = pathlib.Path(root)
@@ -39,6 +59,8 @@ class FileTreeBackend:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> "dict | None":
+        """Record stored under *key*, ``None`` if absent; raises
+        ``ValueError``/``OSError`` on an undecodable entry."""
         try:
             text = self.path(key).read_text()
         except FileNotFoundError:
@@ -46,6 +68,7 @@ class FileTreeBackend:
         return decode_payload(text)
 
     def store(self, key: str, payload: dict) -> None:
+        """Persist *payload* under *key* in the canonical encoding."""
         self.store_text(key, encode_payload(payload))
 
     def store_text(self, key: str, text: str) -> None:
@@ -65,12 +88,14 @@ class FileTreeBackend:
             raise
 
     def discard(self, key: str) -> None:
+        """Drop *key* if present (corrupt-entry recovery); absent is fine."""
         try:
             self.path(key).unlink()
         except OSError:
             pass
 
     def scan(self) -> "Iterator[tuple[str, str]]":
+        """Yield every ``(key, entry_text)`` in sorted key order."""
         if not self.root.is_dir():
             return
         for prefix in sorted(p for p in self.root.iterdir() if p.is_dir()):
@@ -78,13 +103,15 @@ class FileTreeBackend:
                 yield entry.stem, entry.read_text()
 
     def storage_stats(self) -> dict:
+        """Persistent on-disk totals (entry count, bytes) — what
+        ``repro cache stats`` reports without a live sweep."""
         entries = 0
         size = 0
         if self.root.is_dir():
             for entry in self.root.rglob("*.json"):
                 entries += 1
                 size += entry.stat().st_size
-        return {"backend": self.kind, "entries": entries, "bytes": size}
+        return {"entries": entries, "bytes": size}
 
     def vacuum(self) -> dict:
         """Sweep leftovers an interrupted writer can leave behind:
@@ -106,21 +133,4 @@ class FileTreeBackend:
                         removed_dirs += 1
                     except OSError:  # not empty — still holds entries
                         pass
-        return {
-            "backend": self.kind,
-            "removed_tmp": removed_tmp,
-            "removed_dirs": removed_dirs,
-        }
-
-    def clear(self) -> None:
-        if not self.root.is_dir():
-            return
-        for entry in list(self.root.rglob("*.json")):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-        self.vacuum()
-
-    def close(self) -> None:
-        pass
+        return {"removed_tmp": removed_tmp, "removed_dirs": removed_dirs}

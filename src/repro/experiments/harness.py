@@ -66,7 +66,10 @@ bounds list.  Units are
   unit index, so parallel output is **bit-identical** to the serial
   path.  Expensive
   units (by :attr:`Method.cost_hint`) are submitted first so they do
-  not straggle at the tail of the pool queue;
+  not straggle at the tail of the pool queue.  A worker that dies
+  (killed, out of memory) breaks the pool; the parent then recomputes
+  every shard left without a result and records those units as
+  ``"recovered"``;
 * **recorded**: kernels, per-row solves, worker shards and cache hits
   all yield :class:`~repro.algorithms.batch.UnitResults` rows, and one
   ``finish`` step writes each into the sweep arrays, the cache and
@@ -83,14 +86,8 @@ Environment
     serial).
 ``REPRO_CACHE_DIR``
     Default cache directory when ``cache`` is ``None`` (unset = no
-    caching).
-``REPRO_CACHE_BACKEND``
-    Storage backend for fresh cache directories (``files`` default,
-    ``sqlite`` for fleet-shared stores).  Cache lookups and stores
-    happen only in the parent process — worker shards receive columnar
-    payloads, never a cache handle — and the SQLite backend drops its
-    connection on pickling regardless, so handles never cross a
-    process boundary either way.
+    caching).  Cache lookups and stores happen only in the parent
+    process; worker shards receive columnar payloads, never a cache.
 """
 
 from __future__ import annotations
@@ -99,6 +96,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -160,9 +158,10 @@ class SweepResult:
         One record per work unit, in deterministic ``(method,
         instance)`` order: ``method``, ``instance`` (flat index),
         ``source`` (``"cache"`` / ``"batch"`` / ``"parent"`` /
-        ``"worker"``), ``solved`` count, ``seconds`` where measured
-        (batch-served units carry the kernel group's amortized share
-        and ``batch_group``; cache hits carry ``None``), a
+        ``"worker"`` / ``"recovered"``), ``solved`` count, ``seconds``
+        where measured (batch-served units carry the kernel group's
+        amortized share and ``batch_group``; cache hits carry
+        ``None``), a
         ``batch_fallback`` reason string
         (:attr:`~repro.algorithms.batch.BatchUnsupported.reason`) for
         units whose kernel refused the shape, and — for search methods
@@ -691,7 +690,8 @@ class _SweepRun:
         method = self.methods[unit.mi]
         self.results.set_row(unit.mi * len(self.views) + unit.ii, results, r)
         if source != "cache" and self.store is not None and unit.key is not None:
-            self.store.put_record(unit.key, unit_record(results, r, method.name))
+            with obs.span("sweep.cache_write", label=method.name):
+                self.store.put_record(unit.key, unit_record(results, r, method.name))
         info = results.infos[r]
         event = {
             "method": method.name,
@@ -790,12 +790,12 @@ class _SweepRun:
             )
         return [u for u in pending if u not in served]
 
-    def run_local(self, unit: _Unit) -> None:
+    def run_local(self, unit: _Unit, source: str = "parent") -> None:
         results, seconds = _solve_rows(
             self.methods[unit.mi], [self.views[unit.ii]], self.bounds, [unit.seed],
             self.objective, self.min_reliability,
         )
-        self.finish(unit, results, 0, "parent", seconds[0])
+        self.finish(unit, results, 0, source, seconds[0])
 
     def run_rows(self, pending: "list[_Unit]", jobs: int) -> None:
         """Solve the pending units per row: in the parent, or fanned out
@@ -848,6 +848,12 @@ class _SweepRun:
                     # run the wrong code.
                     for unit in shard:
                         self.run_local(unit)
+                    continue
+                except BrokenProcessPool:
+                    # A worker died and the pool failed every shard
+                    # still without a result; recompute each here.
+                    for unit in shard:
+                        self.run_local(unit, "recovered")
                     continue
                 active = obs.active()
                 if active is not None:

@@ -4,15 +4,27 @@ Acceptance gate for the fan-out: on a seeded 10-instance suite,
 ``jobs=1`` and ``jobs=4`` reproduce the serial ``SweepResult.solved``
 and ``.failure`` arrays *exactly* (not approximately), including for
 stochastic (seeded) methods and for ad-hoc methods that cannot cross
-the process boundary.
+the process boundary.  A worker that dies mid-sweep costs time, not
+results: the parent recomputes what the broken pool lost.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.algorithms import heuristic_best
-from repro.experiments import Method, get_method, homogeneous_suite, run_sweep
+from repro.experiments import (
+    METHODS,
+    Method,
+    get_method,
+    homogeneous_suite,
+    register_method,
+    run_sweep,
+)
 from repro.experiments.harness import resolve_jobs
+from repro.obs import collect
 
 BOUNDS = [(100.0, 750.0), (250.0, 750.0), (400.0, 750.0)]
 
@@ -82,6 +94,33 @@ class TestAdHocMethods:
         mixed = run_sweep(suite, [local, get_method("heur-p")], BOUNDS, jobs=4)
         assert np.array_equal(mixed.solved[0], serial.solved[serial._idx("heur-l")])
         assert np.array_equal(mixed.failure[1], serial.failure[serial._idx("heur-p")])
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the runtime-registered method",
+    )
+    def test_broken_pool_shards_are_recomputed_in_parent(self, suite):
+        parent = os.getpid()
+
+        def dies_in_workers(problem):
+            if os.getpid() != parent:
+                os._exit(1)
+            return get_method("heur-l").solve_problem(problem)
+
+        method = register_method("dies-in-workers")(dies_in_workers)
+        try:
+            with collect() as telemetry:
+                parallel = run_sweep(suite, [method], BOUNDS, jobs=2)
+            serial = run_sweep(suite, [method], BOUNDS, jobs=1)
+        finally:
+            METHODS.pop("dies-in-workers", None)
+        for name in ("solved", "failure", "objective_values", "period", "latency"):
+            assert np.array_equal(getattr(parallel, name), getattr(serial, name)), name
+        assert {e["source"] for e in parallel.unit_events} == {"recovered"}
+        counters = telemetry.snapshot()["counters"]
+        assert counters["sweep.units.recovered[dies-in-workers]"] == len(suite)
 
 
 class TestJobsKnob:

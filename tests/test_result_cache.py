@@ -1,18 +1,21 @@
 """The on-disk result cache: round-trips, stable keys, invalidation,
-corruption recovery, and the zero-solve warm-run guarantee — exercised
-against both storage backends."""
+corruption recovery, the zero-solve warm-run guarantee, concurrent
+writers, and the ``repro cache`` CLI."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.algorithms import UnitResults
 from repro.core import Platform, TaskChain
+from repro.core.ensemble import instance_digest
 from repro.experiments import Method, ResultCache, get_method, homogeneous_suite, run_sweep
 from repro.experiments.cache import (
     CACHE_FORMAT,
@@ -20,22 +23,26 @@ from repro.experiments.cache import (
     unit_arrays,
     unit_record,
 )
+from repro.experiments.cache.filetree import encode_payload
 from repro.io import content_hash
-from repro.solve import Problem
+from repro.obs import collect
 
 BOUNDS = [(100.0, 750.0), (300.0, 750.0)]
 
-BACKENDS = ["files", "sqlite"]
+
+def key_for(cache, method_name, chain, platform, bounds=BOUNDS, **kwargs):
+    """The key run_sweep derives for *method_name* on one materialized
+    instance — the same digest an Ensemble row hashes to."""
+    digest = instance_digest(
+        chain.work, chain.output, platform.speeds, platform.failure_rates,
+        platform.bandwidth, platform.link_failure_rate, platform.max_replication,
+    )
+    return cache.unit_key_for(method_name, digest, bounds, **kwargs)
 
 
-def problems(chain, platform, bounds=BOUNDS):
-    """The unit's Problem family, as run_sweep derives it."""
-    return [Problem(chain, platform, P, L) for P, L in bounds]
-
-
-@pytest.fixture(params=BACKENDS)
-def cache(request, tmp_path):
-    return ResultCache(tmp_path / "cache", backend=request.param)
+@pytest.fixture
+def cache(tmp_path):
+    return ResultCache(tmp_path / "cache")
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +91,7 @@ def entry_text(cache, key):
 
 def plant_entry(cache, key, text):
     """Put raw entry text on disk (damage injection, stale formats) —
-    ``store_text`` is the one backend-agnostic way to write bytes the
-    record API would refuse."""
+    ``store_text`` writes bytes the record API would refuse."""
     cache.backend.store_text(key, text)
 
 
@@ -143,8 +149,7 @@ class TestRoundTrip:
 
     def test_storage_stats_report_persistent_totals(self, cache):
         empty = cache.storage_stats()
-        assert empty["backend"] == cache.backend.kind
-        assert empty["entries"] == 0
+        assert empty == {"entries": 0, "bytes": 0}
         put_unit(cache, "ab" * 32, np.array([True]), np.array([0.5]))
         put_unit(cache, "cd" * 32, np.array([False]), np.array([1.0]))
         totals = cache.storage_stats()
@@ -152,7 +157,6 @@ class TestRoundTrip:
         # Unlike stats(), the totals survive a fresh handle on the same
         # root — they describe the store, not this process's lookups.
         fresh = ResultCache(cache.root)
-        assert fresh.backend.kind == cache.backend.kind
         assert fresh.storage_stats()["entries"] == 2
 
 
@@ -160,15 +164,13 @@ class TestKeyStability:
     def test_stable_across_process_restarts(self, instance):
         """Content hashes must not depend on per-process hash salting."""
         chain, platform = instance
-        cache = ResultCache(".")
-        here = cache.unit_key("heur-l", problems(chain, platform))
+        here = key_for(ResultCache("."), "heur-l", chain, platform)
         script = (
             "from repro.experiments import homogeneous_suite\n"
             "from repro.experiments.cache import ResultCache\n"
-            "from repro.solve import Problem\n"
-            "chain, platform = homogeneous_suite(n_instances=1, seed=8)[0]\n"
-            f"units = [Problem(chain, platform, P, L) for P, L in {BOUNDS!r}]\n"
-            "print(ResultCache('.').unit_key('heur-l', units))\n"
+            "from repro.core.ensemble import ensembles_from_instances\n"
+            "(ensemble,) = ensembles_from_instances(homogeneous_suite(n_instances=1, seed=8))\n"
+            f"print(ResultCache('.').unit_key_for('heur-l', ensemble.row_hash(0), {BOUNDS!r}))\n"
         )
         import repro
 
@@ -181,20 +183,10 @@ class TestKeyStability:
         ).stdout.strip()
         assert here == there
 
-    def test_keys_are_backend_independent(self, instance, tmp_path):
-        chain, platform = instance
-        keys = {
-            ResultCache(tmp_path / kind, backend=kind).unit_key(
-                "heur-l", problems(chain, platform)
-            )
-            for kind in BACKENDS
-        }
-        assert len(keys) == 1
-
     def test_invalidation_on_ingredient_change(self, instance):
         chain, platform = instance
         cache = ResultCache(".")
-        base = cache.unit_key("heur-l", problems(chain, platform))
+        base = key_for(cache, "heur-l", chain, platform)
         other_chain = TaskChain(chain.work * 2.0, chain.output)
         other_platform = Platform(
             speeds=platform.speeds * 2.0,
@@ -204,19 +196,15 @@ class TestKeyStability:
             max_replication=platform.max_replication,
         )
         variants = {
-            "method": cache.unit_key("heur-p", problems(chain, platform)),
-            "chain": cache.unit_key("heur-l", problems(other_chain, platform)),
-            "platform": cache.unit_key("heur-l", problems(chain, other_platform)),
-            "bounds": cache.unit_key("heur-l", problems(chain, platform, BOUNDS[:1])),
-            "seed": cache.unit_key("heur-l", problems(chain, platform), seed=7),
+            "method": key_for(cache, "heur-p", chain, platform),
+            "chain": key_for(cache, "heur-l", other_chain, platform),
+            "platform": key_for(cache, "heur-l", chain, other_platform),
+            "bounds": key_for(cache, "heur-l", chain, platform, BOUNDS[:1]),
+            "seed": key_for(cache, "heur-l", chain, platform, seed=7),
         }
         for what, key in variants.items():
             assert key != base, f"changing the {what} must change the key"
         assert len(set(variants.values())) == len(variants)
-
-    def test_empty_unit_rejected(self, instance):
-        with pytest.raises(ValueError, match="at least one Problem"):
-            ResultCache(".").unit_key("heur-l", [])
 
     def test_content_hash_model_objects(self, instance):
         chain, platform = instance
@@ -227,7 +215,7 @@ class TestKeyStability:
 class TestCorruptionRecovery:
     def _one_entry(self, cache):
         chain, platform = homogeneous_suite(n_instances=1, seed=8)[0]
-        key = cache.unit_key("x", problems(chain, platform))
+        key = key_for(cache, "x", chain, platform)
         put_unit(cache, key, np.array([True, True]), np.array([0.5, 0.5]))
         return key
 
@@ -381,7 +369,7 @@ class TestLegacyPathRemoved:
 
     def test_format3_entry_misses_and_recomputes(self, cache, instance):
         chain, platform = instance
-        key = cache.unit_key("heur-l", problems(chain, platform))
+        key = key_for(cache, "heur-l", chain, platform)
         # Plant a format-3-shaped payload under the format-4 key: the
         # stale stamp must read as corrupt, not silently replay.
         plant_entry(cache, key, json.dumps({
@@ -392,3 +380,136 @@ class TestLegacyPathRemoved:
         assert cache.stats() == {
             "hits": 0, "misses": 1, "puts": 0, "corrupt": 1, "hit_rate": 0.0,
         }
+
+
+class TestStaleStores:
+    def test_old_cache_db_is_not_read(self, tmp_path, instance):
+        """A directory holding a database file from an older release is
+        just a directory: sweeps neither read nor trip over it."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        (root / "cache.db").write_bytes(b"not a database")
+        cache = ResultCache(root)
+        run_sweep([instance], [get_method("heur-l")], BOUNDS, cache=cache)
+        assert cache.stats()["puts"] == 1 and cache.stats()["corrupt"] == 0
+        assert (root / "cache.db").read_bytes() == b"not a database"
+
+
+class TestCacheWriteSpans:
+    def test_one_span_per_write_and_none_when_warm(self, cache):
+        suite = homogeneous_suite(n_instances=3, seed=21)
+        methods = [get_method("heur-l"), get_method("heur-p")]
+        with collect() as cold:
+            run_sweep(suite, methods, BOUNDS, cache=cache)
+        spans = cold.snapshot()["spans"]
+        writes = sum(
+            agg["count"] for key, agg in spans.items()
+            if key.startswith("sweep.cache_write[")
+        )
+        assert writes == cache.puts == 6
+        assert spans["sweep.cache_write[heur-l]"]["count"] == 3
+        cache.reset()
+        with collect() as warm:
+            run_sweep(suite, methods, BOUNDS, cache=cache)
+        assert cache.hits == 6 and cache.puts == 0
+        assert not any(
+            key.startswith("sweep.cache_write") for key in warm.snapshot()["spans"]
+        )
+
+
+def _stress_record(index):
+    """Deterministic per-key payload, so any torn write is detectable."""
+    return {"value": index, "blob": f"{index:03d}" * 40}
+
+
+def _stress_keys(n):
+    return [f"{i:02d}" * 32 for i in range(n)]
+
+
+def _stress_worker(root, worker_id, n_rounds, n_keys):
+    """Hammer the shared store: overlapping puts and reads, asserting
+    every record read back is complete and self-consistent."""
+    cache = ResultCache(root)
+    keys = _stress_keys(n_keys)
+    for round_no in range(n_rounds):
+        for i, key in enumerate(keys):
+            cache.put_record(key, _stress_record(i))
+            peek = (i * 7 + worker_id + round_no) % n_keys
+            record = cache.get_record(keys[peek])
+            if record is not None:
+                expected = {"repro_cache": CACHE_FORMAT, **_stress_record(peek)}
+                assert record == expected, f"torn record under {keys[peek]}"
+    return cache.stats()
+
+
+class TestConcurrentWriters:
+    def test_multiprocess_stress_no_lost_or_torn_records(self, tmp_path):
+        """N processes hammering one directory with overlapping
+        puts/gets lose nothing, tear nothing, and report counters that
+        reconcile."""
+        n_workers, n_rounds, n_keys = 4, 3, 20
+        root = tmp_path / "cache"
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [
+                pool.submit(_stress_worker, root, wid, n_rounds, n_keys)
+                for wid in range(n_workers)
+            ]
+            stats = [f.result(timeout=120) for f in futures]
+
+        per_worker_ops = n_rounds * n_keys
+        assert sum(s["puts"] for s in stats) == n_workers * per_worker_ops
+        assert sum(s["hits"] + s["misses"] for s in stats) == n_workers * per_worker_ops
+        assert sum(s["corrupt"] for s in stats) == 0
+
+        # No lost records: every key present, every payload canonical,
+        # no temp file left behind.
+        cache = ResultCache(root)
+        entries = dict(cache.backend.scan())
+        assert len(entries) == n_keys
+        for i, key in enumerate(_stress_keys(n_keys)):
+            expected = {"repro_cache": CACHE_FORMAT, **_stress_record(i)}
+            assert entries[key] == encode_payload(expected)
+        assert cache.storage_stats()["entries"] == n_keys
+        assert not list(root.rglob("*.tmp"))
+
+
+class TestCacheCLI:
+    def run_cli(self, capsys, *argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_stats_text_and_json(self, capsys, tmp_path):
+        root = tmp_path / "cache"
+        ResultCache(root).put_record("ab" * 32, {"v": 1})
+        code, out = self.run_cli(capsys, "cache", "stats", "--cache-dir", str(root))
+        assert code == 0
+        assert "entries" in out and "bytes" in out and str(root) in out
+        code, out = self.run_cli(
+            capsys, "cache", "stats", "--cache-dir", str(root), "--json"
+        )
+        report = json.loads(out)
+        assert report["entries"] == 1 and report["bytes"] > 0
+        assert report["root"] == str(root)
+
+    def test_vacuum_removes_leftovers_only(self, capsys, tmp_path, instance):
+        root = tmp_path / "cache"
+        run_sweep([instance], [get_method("heur-l")], BOUNDS, cache=ResultCache(root))
+        (key,) = [k for k, _ in ResultCache(root).backend.scan()]
+        (root / key[:2] / "orphan.tmp").write_text("{half")
+        (root / "zz").mkdir()
+        code, out = self.run_cli(
+            capsys, "cache", "vacuum", "--cache-dir", str(root), "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["removed_tmp"] == 1 and report["removed_dirs"] == 1
+        assert not (root / "zz").exists()
+        assert [k for k, _ in ResultCache(root).backend.scan()] == [key]
+
+    def test_env_fallback_and_missing_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with pytest.raises(SystemExit, match="no cache directory"):
+            cli.main(["cache", "stats"])
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code, out = self.run_cli(capsys, "cache", "stats", "--json")
+        assert code == 0 and json.loads(out)["entries"] == 0

@@ -365,16 +365,14 @@ class TestSweepIntegration:
         assert np.array_equal(first.failure, second.failure)
 
     def test_cache_key_includes_spec_hash(self, tmp_path):
-        from repro.solve import Problem
-
         spec = self.tiny_spec()
         cache = ResultCache(tmp_path)
-        chain, platform = materialize_instances(spec, seed=5)[0]
-        unit = [Problem(chain, platform, 150.0, 750.0)]
-        plain = cache.unit_key("heur-l", unit)
-        scoped = cache.unit_key("heur-l", unit, scenario=scenario_hash(spec))
-        other = cache.unit_key(
-            "heur-l", unit,
+        digest = generate_ensemble(spec, seed=5).row_hash(0)
+        bounds = [(150.0, 750.0)]
+        plain = cache.unit_key_for("heur-l", digest, bounds)
+        scoped = cache.unit_key_for("heur-l", digest, bounds, scenario=scenario_hash(spec))
+        other = cache.unit_key_for(
+            "heur-l", digest, bounds,
             scenario=scenario_hash(spec.with_(link_failure_rate=1e-4)),
         )
         assert len({plain, scoped, other}) == 3
