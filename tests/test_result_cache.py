@@ -16,9 +16,17 @@ from repro import cli
 from repro.algorithms import UnitResults
 from repro.core import Platform, TaskChain
 from repro.core.ensemble import instance_digest
-from repro.experiments import Method, ResultCache, get_method, homogeneous_suite, run_sweep
+from repro.experiments import (
+    METHODS,
+    Method,
+    ResultCache,
+    get_method,
+    homogeneous_suite,
+    run_sweep,
+)
 from repro.experiments.cache import (
     CACHE_FORMAT,
+    FileTreeBackend,
     resolve_cache,
     unit_arrays,
     unit_record,
@@ -28,6 +36,7 @@ from repro.io import content_hash
 from repro.obs import collect
 
 BOUNDS = [(100.0, 750.0), (300.0, 750.0)]
+SWEEP_ARRAYS = ("solved", "failure", "objective_values", "period", "latency")
 
 
 def key_for(cache, method_name, chain, platform, bounds=BOUNDS, **kwargs):
@@ -290,7 +299,7 @@ class TestWarmRunDoesNoWork:
     def test_second_cached_run_performs_zero_solves(self, cache):
         """The acceptance criterion: a warm cache means zero method
         solves — verified with a hit-counting registered method."""
-        from repro.experiments import METHODS, register_method
+        from repro.experiments import register_method
 
         solve_calls = {"n": 0}
 
@@ -417,6 +426,143 @@ class TestCacheWriteSpans:
         )
 
 
+class TestSingleStore:
+    """The file tree is the only store: no backend choice, no migration,
+    and nothing from the removed selection layer is left to reach."""
+
+    def test_store_is_the_file_tree(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        assert isinstance(cache.backend, FileTreeBackend)
+        assert cache.root == cache.backend.root == tmp_path
+
+    def test_root_is_the_only_parameter(self, tmp_path):
+        with pytest.raises(TypeError):
+            ResultCache()
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path, backend="files")
+
+    def test_backend_env_var_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
+        cache = ResultCache(tmp_path)
+        cache.put_record("ab" * 32, {"v": 1})
+        assert (tmp_path / "ab" / f"{'ab' * 32}.json").is_file()
+        assert not (tmp_path / "cache.db").exists()
+
+    def test_selection_and_migration_names_are_gone(self):
+        import repro.experiments.cache as cache_mod
+
+        for name in ("SQLiteBackend", "CacheBackend", "make_backend",
+                     "detect_backend_kind", "resolve_backend", "migrate_cache",
+                     "payload_digest"):
+            assert not hasattr(cache_mod, name), name
+        assert not hasattr(ResultCache, "unit_key")
+
+    def test_writes_count_no_per_backend_telemetry(self, cache):
+        with collect() as tele:
+            cache.put_record("ab" * 32, {"v": 1})
+            cache.get_record("ab" * 32, method_name="heur-l")
+            cache.get_record("cd" * 32, method_name="heur-l")
+        counters = tele.snapshot()["counters"]
+        assert counters["cache.hit[heur-l]"] == 1
+        assert counters["cache.miss[heur-l]"] == 1
+        assert not any(name.startswith("cache.backend.") for name in counters)
+
+
+def small_sweep(root, jobs=None):
+    """One small cached sweep; returns (SweepResult, ResultCache)."""
+    cache = ResultCache(root)
+    suite = homogeneous_suite(n_instances=3, seed=5)
+    result = run_sweep(suite, [get_method("heur-l")], BOUNDS, cache=cache, jobs=jobs)
+    return result, cache
+
+
+class TestStoreBitIdentity:
+    """Two runs of the same sweep write the same keys and the same
+    entry bytes, whichever process or store handle wrote them."""
+
+    def test_cold_sweeps_write_identical_stores(self, tmp_path):
+        first, cache_a = small_sweep(tmp_path / "a")
+        second, cache_b = small_sweep(tmp_path / "b")
+        for name in SWEEP_ARRAYS:
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+        entries_a = dict(cache_a.backend.scan())
+        assert entries_a == dict(cache_b.backend.scan())
+        assert len(entries_a) == 3
+
+    def test_reopened_store_serves_the_warm_sweep(self, tmp_path):
+        cold, cold_cache = small_sweep(tmp_path / "cache")
+        before = dict(cold_cache.backend.scan())
+        warm, warm_cache = small_sweep(tmp_path / "cache")
+        assert warm_cache.stats() == {
+            "hits": 3, "misses": 0, "puts": 0, "corrupt": 0, "hit_rate": 1.0,
+        }
+        assert np.array_equal(cold.failure, warm.failure)
+        assert np.array_equal(cold.solved, warm.solved)
+        assert dict(warm_cache.backend.scan()) == before
+
+    def test_parallel_sweep_writes_the_serial_store(self, tmp_path):
+        serial, serial_cache = small_sweep(tmp_path / "serial")
+        parallel, parallel_cache = small_sweep(tmp_path / "parallel", jobs=2)
+        assert np.array_equal(serial.failure, parallel.failure)
+        assert dict(serial_cache.backend.scan()) == dict(parallel_cache.backend.scan())
+        warm, warm_cache = small_sweep(tmp_path / "parallel", jobs=2)
+        assert warm_cache.stats()["hits"] == 3
+        assert np.array_equal(serial.failure, warm.failure)
+
+
+#: Small enough for brute force, loose and tight enough that every
+#: method solves some points and misses others.
+REPLAY_BOUNDS = [(float("inf"), float("inf")), (150.0, 400.0), (60.0, 250.0)]
+
+
+def method_sweep(root, name):
+    """A cached sweep of registered method *name* on its first
+    objective; returns (SweepResult, ResultCache)."""
+    method = get_method(name)
+    cache = ResultCache(root)
+    suite = homogeneous_suite(n_instances=2, n_tasks=6, p=4, seed=5)
+    result = run_sweep(suite, [method], REPLAY_BOUNDS, cache=cache,
+                       objective=method.objectives[0])
+    return result, cache
+
+
+#: The registry as collected: every builtin method.
+BUILTIN_METHODS = sorted(METHODS)
+
+
+class TestEveryMethodThroughTheStore:
+    """Every builtin method's records survive the file tree exactly:
+    a warm sweep replays the cold arrays, and a damaged entry is
+    recomputed into the same bytes."""
+
+    @pytest.mark.parametrize("name", BUILTIN_METHODS)
+    def test_warm_sweep_replays_cold_arrays(self, tmp_path, name):
+        cold, cold_cache = method_sweep(tmp_path, name)
+        assert cold_cache.stats()["puts"] == 2
+        entries = dict(cold_cache.backend.scan())
+        warm, warm_cache = method_sweep(tmp_path, name)
+        assert warm_cache.stats() == {
+            "hits": 2, "misses": 0, "puts": 0, "corrupt": 0, "hit_rate": 1.0,
+        }
+        for array in SWEEP_ARRAYS:
+            assert np.array_equal(getattr(cold, array), getattr(warm, array)), array
+        assert dict(warm_cache.backend.scan()) == entries
+
+    @pytest.mark.parametrize("name", BUILTIN_METHODS)
+    def test_damaged_entry_is_recomputed_into_the_same_bytes(self, tmp_path, name):
+        cold, cold_cache = method_sweep(tmp_path, name)
+        entries = dict(cold_cache.backend.scan())
+        damaged = sorted(entries)[0]
+        plant_entry(cold_cache, damaged, entries[damaged][:20])
+        again, cache = method_sweep(tmp_path, name)
+        assert cache.stats() == {
+            "hits": 1, "misses": 1, "puts": 1, "corrupt": 1, "hit_rate": 0.5,
+        }
+        for array in SWEEP_ARRAYS:
+            assert np.array_equal(getattr(cold, array), getattr(again, array)), array
+        assert dict(cache.backend.scan()) == entries
+
+
 def _stress_record(index):
     """Deterministic per-key payload, so any torn write is detectable."""
     return {"value": index, "blob": f"{index:03d}" * 40}
@@ -513,3 +659,28 @@ class TestCacheCLI:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code, out = self.run_cli(capsys, "cache", "stats", "--json")
         assert code == 0 and json.loads(out)["entries"] == 0
+
+    def test_stats_json_reports_only_store_totals(self, capsys, tmp_path):
+        root = tmp_path / "cache"
+        small_sweep(root)
+        code, out = self.run_cli(
+            capsys, "cache", "stats", "--cache-dir", str(root), "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"entries", "bytes", "root"}
+        assert report["entries"] == 3
+
+    def test_vacuum_text_output(self, capsys, tmp_path):
+        root = tmp_path / "cache"
+        (root / "zz").mkdir(parents=True)
+        code, out = self.run_cli(capsys, "cache", "vacuum", "--cache-dir", str(root))
+        assert code == 0
+        assert "removed_dirs : 1" in out and "removed_tmp  : 0" in out
+
+    def test_migrate_subcommand_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cache", "migrate", "--to", "files",
+                      "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
