@@ -34,18 +34,25 @@ Scope
 -----
 The heuristic kernels cover homogeneous *and* heterogeneous rows of
 the paper's ``"reliability"`` objective, with or without a reliability
-floor, for unseeded methods:
+floor, for unseeded methods, under both selection rules of
+:func:`~repro.algorithms.heuristic_best`:
 
-* **Homogeneous rows** — divisions and Algo-Alloc are both
-  bounds-independent, so one candidate table serves every sweep point
-  (:class:`_HomTable`).
-* **Heterogeneous rows** — divisions are still chain-only, but the
-  Section 7.2 allocation filters on the period bound, so every probe
-  re-runs a lockstep Algo-Alloc across all rows at once
-  (:class:`_HetTable` / :func:`_algo_alloc_het_lockstep`).
-* **Floors** — feasible-best maximizes log-reliability, so masking
-  sub-floor candidates before the argmax is exactly the scalar
-  select-then-check.
+* **Homogeneous rows** with ``allocation="auto"`` — divisions and
+  Algo-Alloc are both bounds-independent, so one candidate table
+  serves every sweep point (:class:`_HomTable`).
+* **Heterogeneous rows**, and every row with ``allocation="het"`` —
+  divisions are still chain-only, but the Section 7.2 allocation
+  filters on the period bound, so every probe re-runs a lockstep
+  allocation across all rows at once (:class:`_HetTable` /
+  :func:`_algo_alloc_het_lockstep`).  ``allocation="het"`` is the
+  paper's Section 8.2 experiment code (``heur-l-paper`` /
+  ``heur-p-paper``), which runs that allocation on the homogeneous
+  counterpart platform too.
+* **Selection** — ``"feasible-best"`` takes the most reliable
+  candidate meeting the bounds and the floor; ``"best-then-check"``
+  takes the most reliable allocated candidate and then checks it
+  (:func:`_select`).  The two disagree on homogeneous rows as well:
+  a candidate's period and latency depend on its division.
 
 Other objectives raise :class:`BatchUnsupported` (with a
 machine-readable ``reason``), and the harness falls back to the
@@ -67,7 +74,8 @@ Entry points
 :func:`batch_heuristic_best` is the kernel;
 :func:`heuristic_solve_batch` packages it as the ``solve_batch``
 capability the method registry attaches to ``heur-l`` / ``heur-p`` /
-``heuristic`` (see :mod:`repro.experiments.methods`);
+``heuristic`` and to the paper variants ``heur-l-paper`` /
+``heur-p-paper`` (see :mod:`repro.experiments.methods`);
 :func:`heuristic_probe_tables` exposes the per-platform-kind probe
 tables the search kernels bisect over.
 """
@@ -80,6 +88,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.algorithms.heuristics import ALLOCATIONS, SELECTIONS
 from repro.util import logrel
 
 __all__ = [
@@ -190,9 +199,21 @@ def _pyfloat(mapped: np.ndarray) -> np.ndarray:
     return mapped.astype(float)
 
 
-def _check_supported(ensemble, which: str, objective: str) -> None:
+def _check_heuristic(which: str, selection: str, allocation: str) -> None:
+    """Reject an unknown heuristic, selection rule or allocation mode."""
     if which not in ("heur-l", "heur-p", "both"):
         raise ValueError(f"unknown heuristic {which!r}")
+    if selection not in SELECTIONS:
+        raise ValueError(
+            f"unknown selection rule {selection!r}; expected one of {SELECTIONS}"
+        )
+    if allocation not in ALLOCATIONS:
+        raise ValueError(
+            f"unknown allocation mode {allocation!r}; expected one of {ALLOCATIONS}"
+        )
+
+
+def _check_supported(objective: str) -> None:
     if objective != "reliability":
         raise BatchUnsupported(
             f"batched heuristics cover objective 'reliability' only, "
@@ -390,6 +411,45 @@ def _candidate_metrics(
     return log_rel, wp, wl
 
 
+def _select(
+    valid,
+    ell: np.ndarray,
+    wp: np.ndarray,
+    wl: np.ndarray,
+    P: np.ndarray,
+    L: np.ndarray,
+    floor: float,
+    selection: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Select one candidate per row, as :func:`heuristic_best` does.
+
+    *ell*, *wp*, *wl* are ``(C, r)`` candidate tables in the scalar
+    loop order, *valid* marks the candidates whose allocation produced
+    a mapping (``True`` broadcasts), and *P*, *L* are ``(r,)`` bounds.
+    Either rule takes the first candidate attaining the largest
+    ``ell`` among those it considers — the scalar strict ``>``, an
+    all-``-inf`` row included:
+
+    * ``"feasible-best"`` considers the candidates meeting both bounds
+      and the floor.  Masking the floor before the argmax equals the
+      scalar select-then-check, because the rule maximizes ``ell``.
+    * ``"best-then-check"`` considers every valid candidate, then
+      checks the winner against the bounds and the floor.
+
+    Returns ``(feasible, ell, wp, wl)`` of the selected candidate per
+    row — garbage where infeasible, masked by the caller.
+    """
+    meets = (wp <= P) & (wl <= L) & (ell >= floor)
+    mask = np.broadcast_to(valid, ell.shape)
+    if selection == "feasible-best":
+        mask = mask & meets
+    key = np.where(mask, ell, -math.inf)
+    chosen = np.argmax(mask & (key == key.max(axis=0)), axis=0)
+    ridx = np.arange(ell.shape[1])
+    feasible = mask.any(axis=0) & meets[chosen, ridx]
+    return feasible, ell[chosen, ridx], wp[chosen, ridx], wl[chosen, ridx]
+
+
 class _HomTable:
     """Bounds-independent candidate metrics for homogeneous rows.
 
@@ -401,9 +461,10 @@ class _HomTable:
     name-major, interval count ascending.
     """
 
-    __slots__ = ("ell", "wp", "wl")
+    __slots__ = ("ell", "wp", "wl", "selection")
 
-    def __init__(self, ensemble, rows: np.ndarray, names) -> None:
+    def __init__(self, ensemble, rows: np.ndarray, names, selection: str) -> None:
+        self.selection = selection
         r = len(rows)
         n, p, K = ensemble.n_tasks, ensemble.p, ensemble.max_replication
         b, link = ensemble.bandwidth, ensemble.link_failure_rate
@@ -437,31 +498,14 @@ class _HomTable:
     def probe(
         self, P: np.ndarray, L: np.ndarray, floor: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feasible-best selection at per-row bounds.
+        """Select at per-row bounds (see :func:`_select`).
 
         *P*, *L* are ``(r,)`` vectors (a scalar sweep point broadcasts;
-        the search kernels pass per-lane bisection midpoints).  Returns
-        ``(feasible, ell, wp, wl)`` of the selected candidate per row
-        — garbage where infeasible, masked by the caller.
+        the search kernels pass per-lane bisection midpoints).  Algo-Alloc
+        always produces a mapping, so every candidate is valid.
         """
-        mask = (self.wp <= P) & (self.wl <= L)
-        if floor > -math.inf:
-            # Feasible-best maximizes log-reliability, so masking the
-            # floor before the argmax selects exactly the candidate the
-            # scalar path selects and then checks against the floor.
-            mask &= self.ell >= floor
-        feasible = mask.any(axis=0)
-        key = np.where(mask, self.ell, -math.inf)
-        best = key.max(axis=0)
-        # First feasible candidate attaining the maximum — the scalar
-        # selection's strict-improvement tie-break.
-        chosen = np.argmax(mask & (key == best), axis=0)
-        ridx = np.arange(self.ell.shape[1])
-        return (
-            feasible,
-            self.ell[chosen, ridx],
-            self.wp[chosen, ridx],
-            self.wl[chosen, ridx],
+        return _select(
+            True, self.ell, self.wp, self.wl, P, L, floor, self.selection
         )
 
 
@@ -561,10 +605,11 @@ class _HetTable:
     """
 
     __slots__ = (
-        "order", "speeds", "rates", "K", "p", "candidates",
+        "order", "speeds", "rates", "K", "p", "candidates", "selection",
     )
 
-    def __init__(self, ensemble, rows: np.ndarray, names) -> None:
+    def __init__(self, ensemble, rows: np.ndarray, names, selection: str) -> None:
+        self.selection = selection
         r = len(rows)
         n, p, K = ensemble.n_tasks, ensemble.p, ensemble.max_replication
         b, link = ensemble.bandwidth, ensemble.link_failure_rate
@@ -649,8 +694,9 @@ class _HetTable:
         """Allocate + evaluate + select at per-row bounds.
 
         Same contract as :meth:`_HomTable.probe`; every candidate's
-        allocation is re-run because Algo-Alloc's period filter
-        ``W_j / s_u <= P`` depends on the bound.
+        allocation is re-run because the Section 7.2 period filter
+        ``W_j / s_u <= P`` depends on the bound, and a candidate whose
+        allocation leaves an interval unseeded is not valid.
         """
         cand_valid, cand_ell, cand_wp, cand_wl = [], [], [], []
         for cand in self.candidates:
@@ -663,43 +709,41 @@ class _HetTable:
             cand_ell.append(ell)
             cand_wp.append(wp)
             cand_wl.append(wl)
-        valid = np.stack(cand_valid)                        # (C, r)
-        ell = np.stack(cand_ell)
-        wp = np.stack(cand_wp)
-        wl = np.stack(cand_wl)
-        mask = valid & (wp <= P) & (wl <= L)
-        if floor > -math.inf:
-            mask &= ell >= floor
-        feasible = mask.any(axis=0)
-        key = np.where(mask, ell, -math.inf)
-        best = key.max(axis=0)
-        chosen = np.argmax(mask & (key == best), axis=0)
-        ridx = np.arange(ell.shape[1])
-        return (
-            feasible,
-            ell[chosen, ridx],
-            wp[chosen, ridx],
-            wl[chosen, ridx],
+        return _select(
+            np.stack(cand_valid), np.stack(cand_ell), np.stack(cand_wp),
+            np.stack(cand_wl), P, L, floor, self.selection,
         )
 
 
-def heuristic_probe_tables(ensemble, rows: np.ndarray, which: str):
-    """Split *rows* by platform kind and build each side's probe table.
+def heuristic_probe_tables(
+    ensemble,
+    rows: np.ndarray,
+    which: str,
+    selection: str = "feasible-best",
+    allocation: str = "auto",
+):
+    """Split *rows* by table kind and build each side's probe table.
 
-    Returns ``[(subset_positions, table), ...]`` where positions index
-    into *rows*; the shared machinery behind
-    :func:`batch_heuristic_best` and the bisection-search kernels
-    (:mod:`repro.algorithms.batch_search`).
+    With ``allocation="auto"`` homogeneous rows take :class:`_HomTable`
+    and heterogeneous rows :class:`_HetTable`; ``allocation="het"``
+    sends every row to :class:`_HetTable`.  Returns
+    ``[(subset_positions, table), ...]`` where positions index into
+    *rows*; the shared machinery behind :func:`batch_heuristic_best`
+    and the bisection-search kernels
+    (:mod:`repro.algorithms.batch_search`).  The public entry points
+    validate *which*, *selection* and *allocation*.
     """
     names = ("heur-p", "heur-l") if which == "both" else (which,)
     hom = ensemble.homogeneous_rows()[rows]
+    if allocation == "het":
+        hom = np.zeros_like(hom)
     parts = []
     for idx, table_cls in (
         (np.flatnonzero(hom), _HomTable),
         (np.flatnonzero(~hom), _HetTable),
     ):
         if idx.size:
-            parts.append((idx, table_cls(ensemble, rows[idx], names)))
+            parts.append((idx, table_cls(ensemble, rows[idx], names, selection)))
     return parts
 
 
@@ -709,22 +753,25 @@ def batch_heuristic_best(
     *,
     rows: "Sequence[int] | None" = None,
     which: str = "both",
+    selection: str = "feasible-best",
+    allocation: str = "auto",
     objective: str = "reliability",
     min_reliability: float = 0.0,
 ) -> UnitResults:
     """Run a Section 7 heuristic on every ensemble row at every bound.
 
     The batched twin of solving ``heuristic_best(chain, platform,
-    max_period=P, max_latency=L, which=which,
-    min_log_reliability=floor)`` per row per sweep point —
-    bit-identical to that loop, one kernel call instead.
+    max_period=P, max_latency=L, which=which, selection=selection,
+    allocation=allocation, min_log_reliability=floor)`` per row per
+    sweep point — bit-identical to that loop, one kernel call instead.
 
     Parameters
     ----------
     ensemble:
-        Any :class:`~repro.core.ensemble.Ensemble`: homogeneous rows
-        take the bounds-independent candidate table, heterogeneous
-        rows the per-point allocation path (mixed ensembles split).
+        Any :class:`~repro.core.ensemble.Ensemble`: under
+        ``allocation="auto"`` homogeneous rows take the
+        bounds-independent candidate table and heterogeneous rows the
+        per-point allocation path (mixed ensembles split).
     bounds:
         ``(max_period, max_latency)`` per sweep point.
     rows:
@@ -732,12 +779,19 @@ def batch_heuristic_best(
     which:
         ``"heur-l"``, ``"heur-p"``, or ``"both"`` (candidate order
         matches :func:`~repro.algorithms.heuristic_best`).
+    selection:
+        ``"feasible-best"`` or ``"best-then-check"`` (see
+        :func:`_select`).
+    allocation:
+        ``"auto"`` (Algo-Alloc on homogeneous rows, the Section 7.2
+        allocation on heterogeneous ones) or ``"het"`` (the Section 7.2
+        allocation on every row).
     objective:
         Must be ``"reliability"`` — anything else raises
         :class:`BatchUnsupported`.
     min_reliability:
-        Reliability floor in ``[0, 1)``; candidates below it are
-        masked before selection (``0.0`` = no floor).
+        Reliability floor in ``[0, 1)``; the selected candidate must
+        attain it (``0.0`` = no floor).
 
     Returns
     -------
@@ -745,14 +799,16 @@ def batch_heuristic_best(
         Of shape ``(len(rows), len(bounds))``; the values are achieved
         reliabilities, and no row carries info.
     """
-    _check_supported(ensemble, which, objective)
+    _check_heuristic(which, selection, allocation)
+    _check_supported(objective)
     rows = _resolve_rows(ensemble, rows)
     out = UnitResults.empty(len(rows), len(bounds), objective)
     if len(rows) == 0:
         return out
 
     floor = floor_log_reliability(min_reliability)
-    for idx, table in heuristic_probe_tables(ensemble, rows, which):
+    tables = heuristic_probe_tables(ensemble, rows, which, selection, allocation)
+    for idx, table in tables:
         k = idx.size
         for pt, (P, L) in enumerate(bounds):
             P_vec = np.full(k, float(P))
@@ -767,16 +823,17 @@ def batch_heuristic_best(
     return out
 
 
-def heuristic_solve_batch(which: str):
+def heuristic_solve_batch(
+    which: str, selection: str = "feasible-best", allocation: str = "auto"
+):
     """Package :func:`batch_heuristic_best` as a ``solve_batch`` entry.
 
     The returned callable has the registry's batched-solve signature —
     ``(ensemble, bounds, *, rows, objective, min_reliability)`` — and
     is what :func:`repro.experiments.methods.register_method` attaches
-    to the built-in heuristics.
+    to the built-in heuristics and their paper variants.
     """
-    if which not in ("heur-l", "heur-p", "both"):
-        raise ValueError(f"unknown heuristic {which!r}")
+    _check_heuristic(which, selection, allocation)
 
     def solve_batch(
         ensemble,
@@ -791,6 +848,8 @@ def heuristic_solve_batch(which: str):
             bounds,
             rows=rows,
             which=which,
+            selection=selection,
+            allocation=allocation,
             objective=objective,
             min_reliability=min_reliability,
         )

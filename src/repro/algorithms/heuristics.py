@@ -49,6 +49,12 @@ __all__ = [
 
 HeuristicName = Literal["heur-l", "heur-p"]
 
+#: The selection rules of :func:`heuristic_best` and the allocation
+#: modes of :func:`heuristic_candidates` (the batched kernels in
+#: :mod:`repro.algorithms.batch` mirror both).
+SELECTIONS = ("feasible-best", "best-then-check")
+ALLOCATIONS = ("auto", "het")
+
 
 def heur_l_intervals(chain: TaskChain, m: int) -> list[Interval]:
     """Algorithm 3: division into *m* intervals with minimal latency.
@@ -132,7 +138,7 @@ def heur_p_intervals(
     j, k = n, m
     while k > 1:
         jp = int(arg[k, j])
-        if jp <= 0 and k > 1 and jp < 0:
+        if jp < 0:
             raise AssertionError("broken parent chain in Heur-P DP")
         cuts.append(jp)
         j, k = jp, k - 1
@@ -185,7 +191,7 @@ def heuristic_candidates(
     """
     if which not in ("heur-l", "heur-p"):
         raise ValueError(f"unknown heuristic {which!r}")
-    if allocation not in ("auto", "het"):
+    if allocation not in ALLOCATIONS:
         raise ValueError(f"unknown allocation mode {allocation!r}")
     divide = (
         heur_l_intervals
@@ -229,19 +235,14 @@ def heuristic_best(
 
     Runs Heur-L, Heur-P, or both (default), and selects among the
     computed candidates per Section 7's opening paragraph.  Two readings
-    of that selection exist, and they differ only on heterogeneous
-    platforms (on homogeneous ones the allocation step cannot change
-    period or latency):
+    of that selection exist, and they can differ on any platform: a
+    candidate's period and latency depend on its division, so the most
+    reliable candidate need not meet the bounds even on a homogeneous
+    platform, where the allocation step cannot change them.
 
     * ``"feasible-best"`` (default): among the candidates meeting both
       bounds, return the most reliable — never misses a feasible
       candidate.
-    ``min_log_reliability`` adds the converse objectives' reliability
-    floor as a feasibility constraint: the selected candidate must also
-    attain the floor, and a run whose best candidate falls below it is
-    infeasible.  Because ``"feasible-best"`` maximizes log-reliability,
-    filtering after selection is equivalent to filtering candidates
-    before it — the same schedule wins either way.
 
     * ``"best-then-check"``: pick the most reliable allocated candidate
       first, then check the bounds.  This reproduces the behaviour the
@@ -255,6 +256,14 @@ def heuristic_best(
       worst-case latency overshoots even though a feasible candidate
       existed.
 
+    ``min_log_reliability`` adds the converse objectives' reliability
+    floor as a feasibility constraint: the selected candidate must also
+    attain the floor, and a run whose selected candidate falls below it
+    is infeasible.  Under ``"feasible-best"``, which maximizes
+    log-reliability, filtering after selection is equivalent to
+    filtering candidates before it; under ``"best-then-check"`` the
+    floor, like the bounds, is checked only on the selected candidate.
+
     Examples
     --------
     >>> from repro.core import TaskChain, Platform
@@ -264,7 +273,7 @@ def heuristic_best(
     >>> heuristic_best(chain, plat, max_period=30.0, max_latency=60.0).feasible
     True
     """
-    if selection not in ("feasible-best", "best-then-check"):
+    if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}")
     names: Sequence[HeuristicName]
     if which == "both":

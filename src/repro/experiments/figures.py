@@ -220,7 +220,7 @@ def run_experiment(
     else:
         # The "-paper" variants select best reliability before checking
         # bounds — the reading of Section 7 that reproduces Fig. 12's
-        # non-monotone heterogeneous curves (identical on hom platforms).
+        # non-monotone heterogeneous curves.
         candidates = ["heur-l-paper", "heur-p-paper"]
         scn = get_scenario("section8-het").spec.with_(n_instances=n_instances)
     plan = Planner().plan(scn, methods=candidates)

@@ -435,10 +435,10 @@ def _heur(which, selection, allocation="auto"):
     return solve
 
 
-# The standard heuristics carry the columnar kernel: on
-# homogeneous-rows ensembles (reliability objective, no floor) the
-# harness solves whole row groups in one call, bit-identical to the
-# per-row path; other shapes raise BatchUnsupported and fall back.
+# The Section 7 heuristics carry the columnar kernel: on the
+# reliability objective the harness solves whole row groups in one
+# call, bit-identical to the per-row path; other objectives raise
+# BatchUnsupported and fall back.
 register_method("heur-l", solve_batch=heuristic_solve_batch("heur-l"))(
     _heur("heur-l", "feasible-best")
 )
@@ -459,12 +459,20 @@ register_method(
 # The paper's heterogeneous experiment code: the Section 7.2 allocation
 # (period-filtered) on *both* platforms of each pair, and
 # best-reliability-then-check-bounds selection (see the heuristic_best
-# docstring) — the source of Fig. 12's non-monotone curves.  The
-# planner auto-selects these only for paired (Section 8.2) scenarios.
-register_method("heur-l-paper", tags=("paired",))(
+# docstring) — the source of Fig. 12's non-monotone curves.  Their
+# kernel runs the lockstep Section 7.2 allocation on every row, the
+# homogeneous counterpart's included.  The planner auto-selects these
+# only for paired (Section 8.2) scenarios.
+register_method(
+    "heur-l-paper", tags=("paired",),
+    solve_batch=heuristic_solve_batch("heur-l", "best-then-check", "het"),
+)(
     _heur("heur-l", "best-then-check", allocation="het")
 )
-register_method("heur-p-paper", tags=("paired",))(
+register_method(
+    "heur-p-paper", tags=("paired",),
+    solve_batch=heuristic_solve_batch("heur-p", "best-then-check", "het"),
+)(
     _heur("heur-p", "best-then-check", allocation="het")
 )
 

@@ -19,11 +19,12 @@ from repro.algorithms import (
     heuristic_best,
     heuristic_solve_batch,
 )
-from repro.experiments import METHODS, Method, get_method, run_sweep
+from repro.experiments import METHODS, Method, get_method, harness, run_sweep
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import _solve_rows
 from repro.obs import telemetry as obs
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
+from repro.solve import Planner
 
 BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
 
@@ -79,14 +80,28 @@ FULLY_BATCHED = {
 }
 
 
+#: The paired (Section 8.2) builtin scenarios, whose sweeps run on the
+#: heterogeneous views and on hom_counterpart().
+PAIRED = sorted(name for name in SHRINK if get_scenario(name).paired)
+
+#: Sweep points on both sides' scales for the shrunk paired scenarios
+#: (heterogeneous times ~1-14, counterpart times ~30-200): feasible,
+#: infeasible and partly feasible points, and points where
+#: best-then-check and feasible-best disagree.
+PAIRED_BOUNDS = [
+    (math.inf, math.inf), (8.0, 9.0), (8.0, math.inf), (math.inf, 10.0),
+    (20.0, 200.0), (60.0, 184.0), (100.0, 150.0),
+]
+
+
 def shrunk_spec(name):
     return get_scenario(name).spec.with_(**SHRINK[name])
 
 
 def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
                min_reliability=0.0, jobs=1):
-    """The same sweep through the batched and the per-row path, each
-    into its own cold cache."""
+    """The same sweep (of a spec or an ensemble) through the batched
+    and the per-row path, each into its own cold cache."""
     sweeps, caches = [], []
     for batch in ("auto", False):
         cache = ResultCache(tmp_path / f"cache-{batch}")
@@ -237,6 +252,29 @@ class TestKernelBitIdentity:
                 assert float(values[i, pt]) == res.objective_value("reliability")
                 assert (period[i, pt], latency[i, pt]) == witness(res)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("side", ["het", "hom"])
+    @pytest.mark.parametrize("scenario", PAIRED)
+    @pytest.mark.parametrize("method_name", ["heur-l-paper", "heur-p-paper"])
+    def test_paper_methods_match_per_row_sweep(
+        self, tmp_path, method_name, scenario, side, jobs
+    ):
+        """The paper variants on both sides of a paired scenario: the
+        kernel serves every unit, and its arrays and cache record bytes
+        equal the per-row path's (run in a pool at jobs=2)."""
+        ensemble = generate_ensemble(shrunk_spec(scenario), seed=11)
+        if side == "hom":
+            ensemble = ensemble.hom_counterpart()
+        (batched, looped), (bcache, lcache) = sweep_pair(
+            tmp_path, ensemble, get_method(method_name), "reliability",
+            bounds=PAIRED_BOUNDS, jobs=jobs,
+        )
+        assert_same_sweeps(batched, looped)
+        assert cache_entries(bcache) == cache_entries(lcache) != {}
+        assert batched.batch_units == n_units(batched)
+        assert looped.batch_units == 0
+        assert batched.solved.any() and not batched.solved.all()
+
     def test_rows_subset(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
         full = batch_heuristic_best(ensemble, BOUNDS)
@@ -258,6 +296,10 @@ class TestKernelBitIdentity:
             batch_heuristic_best(hom, BOUNDS, which="heur-x")
         with pytest.raises(ValueError, match="unknown heuristic"):
             heuristic_solve_batch("heur-x")
+        with pytest.raises(ValueError, match="unknown selection rule 'best'"):
+            batch_heuristic_best(hom, BOUNDS, selection="best")
+        with pytest.raises(ValueError, match="unknown allocation mode 'hom'"):
+            heuristic_solve_batch("heur-l", allocation="hom")
 
     def test_unsupported_reasons_and_messages(self):
         """Snapshot of each kernel's refusal: the machine-readable
@@ -359,13 +401,12 @@ class TestKernelBitIdentity:
 class TestMethodCapability:
     def test_builtin_methods_declare_solve_batch(self):
         for name in (
-            "heur-l", "heur-p", "heuristic",
+            "heur-l", "heur-p", "heuristic", "heur-l-paper", "heur-p-paper",
             "dp-period", "dp-latency", "pareto-dp",
             "het-period-search", "het-latency-search",
         ):
             assert get_method(name).solve_batch is not None
-        for name in ("anneal", "heur-l-paper", "ilp",
-                     "brute-force", "energy-greedy"):
+        for name in ("anneal", "ilp", "brute-force", "energy-greedy"):
             assert get_method(name).solve_batch is None
 
     def test_fingerprint_covers_solve_batch(self):
@@ -637,8 +678,8 @@ class TestForcedAndFallback:
 
     def test_forced_batch_leaves_kernel_free_methods_alone(self):
         sweep = run_sweep(
-            shrunk_spec("section8-hom"), [get_method("heur-l-paper")],
-            BOUNDS, batch=True,
+            shrunk_spec("section8-hom"), [get_method("energy-greedy")],
+            BOUNDS, objective="energy", batch=True,
         )
         assert sweep.batch_units == 0
         assert all("batch_fallback" not in e for e in sweep.unit_events)
@@ -652,3 +693,25 @@ class TestForcedAndFallback:
         for event in sweep.unit_events:
             assert event["batch_fallback"] == "latency-bound"
             assert event["source"] == "parent"
+
+
+class TestBuiltinPlansStayInProcess:
+    """Kernels cover every builtin scenario's default reliability plan,
+    so a parallel sweep of it never starts a process pool."""
+
+    @pytest.mark.parametrize("scenario", sorted(SHRINK))
+    def test_default_plan_needs_no_pool(self, scenario, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        spec = shrunk_spec(scenario)
+        methods = Planner().plan(spec).methods()
+        ensembles = generate_ensembles(spec, seed=0)
+        sides = [ensembles]
+        if spec.paired:
+            sides.append([e.hom_counterpart() for e in ensembles])
+        for side in sides:
+            sweep = run_sweep(side, methods, BOUNDS, jobs=2)
+            assert sweep.batch_units == n_units(sweep) > 0
+            assert {e["source"] for e in sweep.unit_events} == {"batch"}

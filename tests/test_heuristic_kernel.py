@@ -1,0 +1,104 @@
+"""Differential tests of the heuristic kernel on adversarial inputs.
+
+batch_heuristic_best must reproduce per-row heuristic_best bit for bit
+under every selection rule and allocation mode.  The ensembles here are
+small and built to hit the edge cases: integer work and outputs (exact
+log-reliability ties across candidates), bounds so tight that no
+candidate's allocation seeds every interval, K = 1, fewer processors
+than tasks and a single processor, near-zero and huge failure rates
+(log-reliabilities at 0 and at -inf), infinite bounds, mixed
+homogeneous/heterogeneous rows, and reliability floors.  A floor
+reaches this kernel only through a direct call: run_sweep rejects one
+under the reliability objective, so this is what pins the
+select-then-check floor rule of best-then-check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms import batch_heuristic_best, heuristic_best
+from repro.core.ensemble import Ensemble
+from repro.util.logrel import from_reliability
+
+RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 1e3]
+PERIODS = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, math.inf]
+LATENCIES = [1.0, 3.0, 5.0, 8.0, 12.0, 15.0, 20.0, 30.0, math.inf]
+
+
+@st.composite
+def cases(draw):
+    """A small ensemble, a sweep over its edge bounds, and a solver
+    configuration."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, n + 2))
+
+    def int_rows(lo, hi, width):
+        row = st.lists(st.integers(lo, hi), min_size=width, max_size=width)
+        return np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=float)
+
+    work, output = int_rows(1, 6, n), int_rows(0, 4, n)
+    speeds, rates = int_rows(1, 3, p), int_rows(0, len(RATES) - 1, p)
+    rates = np.array(RATES)[rates.astype(int)]
+    for i in range(m):
+        # Homogeneous rows beside heterogeneous ones: allocation="auto"
+        # splits the ensemble between the two probe tables.
+        if draw(st.booleans()):
+            speeds[i], rates[i] = speeds[i, 0], rates[i, 0]
+    ensemble = Ensemble(
+        work=work,
+        output=output,
+        speeds=speeds,
+        failure_rates=rates,
+        bandwidth=draw(st.sampled_from([1.0, 2.0])),
+        link_failure_rate=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        max_replication=draw(st.integers(1, 3)),
+    )
+    bounds = draw(st.lists(
+        st.tuples(st.sampled_from(PERIODS), st.sampled_from(LATENCIES)),
+        min_size=1, max_size=5,
+    ))
+    config = {
+        "which": draw(st.sampled_from(["heur-l", "heur-p", "both"])),
+        "selection": draw(st.sampled_from(["feasible-best", "best-then-check"])),
+        "allocation": draw(st.sampled_from(["auto", "het"])),
+    }
+    floor = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1e-9]))
+    return ensemble, bounds, config, floor
+
+
+# A certainly-failing stage scores -inf - -inf in both allocations; the
+# scalar strict '>' and the kernel's NaN mask skip it alike.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_kernel_matches_per_row_heuristic_best(case):
+    ensemble, bounds, config, floor = case
+    out = batch_heuristic_best(ensemble, bounds, min_reliability=floor, **config)
+    floor_log = from_reliability(floor) if floor else -math.inf
+    for i, (chain, platform) in enumerate(ensemble):
+        for pt, (P, L) in enumerate(bounds):
+            res = heuristic_best(
+                chain, platform, max_period=P, max_latency=L,
+                min_log_reliability=floor_log, **config,
+            )
+            if res.feasible:
+                ev = res.evaluation
+                witness = (ev.worst_case_period, ev.worst_case_latency)
+            else:
+                witness = (math.inf, math.inf)
+            got = (
+                bool(out.solved[i, pt]), float(out.failure[i, pt]),
+                float(out.values[i, pt]),
+                float(out.period[i, pt]), float(out.latency[i, pt]),
+            )
+            want = (
+                res.feasible, res.failure_probability,
+                res.objective_value("reliability"), *witness,
+            )
+            assert got == want, (i, (P, L))
+    assert out.infos == [None] * len(ensemble)
