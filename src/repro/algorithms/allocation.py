@@ -100,7 +100,9 @@ def algo_alloc(
     def score(j: int, k: int) -> float:
         """log R_{k+1,j} — improvement from replica k to k+1 (>= 0)."""
         lo = logrel.log1mexp(np.array([k * log_fail[j], (k + 1) * log_fail[j]]))
-        return float(lo[1] - lo[0])
+        # Python-float subtraction: a certainly-failing branch scores
+        # -inf - -inf = NaN without NumPy's invalid-value warning.
+        return float(lo[1]) - float(lo[0])
 
     heap: list[tuple[float, int]] = []
     for j in range(m):
@@ -207,7 +209,7 @@ def algo_alloc_het(
                 continue
             lf_new = stage_log_fail[j] + logrel.log_failure(branch(u, j))
             pair = logrel.log1mexp(np.array([stage_log_fail[j], lf_new]))
-            gain = float(pair[1] - pair[0])
+            gain = float(pair[1]) - float(pair[0])  # NaN (no warning) when certain to fail
             if gain > best_gain:
                 best_j, best_gain = j, gain
         if best_j >= 0:

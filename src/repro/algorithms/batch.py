@@ -340,7 +340,10 @@ def _algo_alloc_counts(lf: np.ndarray, p: int, K: int) -> np.ndarray:
         # scalar path computes it (NumPy log1mexp on both members).
         lo_cur = logrel.log1mexp(counts * lf)
         lo_nxt = logrel.log1mexp((counts + 1) * lf)
-        score = lo_nxt - lo_cur
+        # A certainly-failing stage scores -inf - -inf = NaN, as in the
+        # scalar path; the NaN is expected, not a warning for users.
+        with np.errstate(invalid="ignore"):
+            score = lo_nxt - lo_cur
         score = np.where(counts < K, score, -math.inf)
         j = np.argmax(score, axis=1)  # first maximum = smallest index
         counts[ridx, j] += 1
@@ -580,9 +583,10 @@ def _algo_alloc_het_lockstep(
         # through the same NumPy log1mexp the scalar path pairs up.
         lo_cur = logrel.log1mexp(slf_rows)
         lo_new = logrel.log1mexp(slf_rows + lf_u)
-        gain = np.where(ok, lo_new - lo_cur, -math.inf)
         # The scalar strict '>' skips NaN scores (a certainly-failing
         # stage compares -inf - -inf); argmax would propagate them.
+        with np.errstate(invalid="ignore"):
+            gain = np.where(ok, lo_new - lo_cur, -math.inf)
         gain = np.where(np.isnan(gain), -math.inf, gain)
         j = np.argmax(gain, axis=1)
         kidx = np.arange(rows.size)

@@ -42,7 +42,7 @@ from repro.core.evaluation import comm_log_reliability, evaluate_mapping
 from repro.core.interval import Interval
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
-from repro.ilp import Model, solve_with_branch_bound, solve_with_scipy
+from repro.ilp import Model
 from repro.util import logrel
 
 __all__ = ["build_mapping_ilp", "ilp_best"]
@@ -170,6 +170,9 @@ def ilp_best(
     >>> ilp_best(chain, plat, max_period=7.0, max_latency=17.0).mapping.m
     2
     """
+    # The solvers import scipy, which only ILP solves need.
+    from repro.ilp import solve_with_branch_bound, solve_with_scipy
+
     model, variables = build_mapping_ilp(
         chain, platform, max_period, max_latency, latency_terms
     )

@@ -26,7 +26,10 @@ Checkers and their rules
   ``register_method`` call sites declare valid objectives, consistent
   seeding, and no silent name collisions;
 * :mod:`~repro.analysis.telemetry` — ``TEL001``-``TEL002``: no
-  telemetry in kernel inner loops, no I/O in kernels at all.
+  telemetry in kernel inner loops, no I/O in kernels at all;
+* :mod:`~repro.analysis.imports` — ``IMP001``: no module-level import
+  that loads scipy or networkx outside the modules that need them, so
+  a run imports only what it uses.
 
 Waivers
 -------
@@ -57,6 +60,7 @@ from repro.analysis import (  # noqa: F401  (imported for registration)
     atomicwrite,
     cachekeys,
     determinism,
+    imports,
     registry,
     telemetry,
 )

@@ -3,9 +3,9 @@
 The checkers in this package are *project linters*: AST passes that
 encode repo-specific contracts (determinism of solver modules,
 completeness of cache-key ingredients, atomic-write discipline, the
-method-registry contract, telemetry discipline in kernels) that generic
-tools like ruff cannot know about.  This module holds everything they
-share:
+method-registry contract, telemetry discipline in kernels, lazy heavy
+imports) that generic tools like ruff cannot know about.  This module
+holds everything they share:
 
 * :class:`SourceFile` — a parsed file plus the *module identity* the
   scoping rules key on (``repro.algorithms.batch`` is a kernel module,
@@ -47,6 +47,7 @@ __all__ = [
     "RULES",
     "SourceFile",
     "dotted_name",
+    "import_base",
     "iter_python_files",
     "load_source_file",
     "render_json",
@@ -106,9 +107,6 @@ class ImportMap:
 
     def __init__(self, tree: ast.AST, module: str, is_package: bool = False) -> None:
         self.bindings: dict[str, str] = {}
-        pkg_parts = module.split(".") if module else []
-        if not is_package and pkg_parts:
-            pkg_parts = pkg_parts[:-1]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -118,11 +116,7 @@ class ImportMap:
                         head = alias.name.split(".")[0]
                         self.bindings[head] = head
             elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # Relative import: anchor on the enclosing package.
-                    keep = pkg_parts[: len(pkg_parts) - (node.level - 1)]
-                    base = ".".join([*keep, base] if base else keep)
+                base = import_base(node, module, is_package)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -142,6 +136,19 @@ class ImportMap:
         """Resolved dotted name of a call's callee, or None (lambda,
         subscript, nested call, ...)."""
         return self.resolve(dotted_name(node.func))
+
+
+def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
+    """Absolute module a ``from ... import`` statement imports from."""
+    base = node.module or ""
+    if not node.level:
+        return base
+    # Relative import: anchor on the enclosing package.
+    pkg_parts = module.split(".") if module else []
+    if not is_package and pkg_parts:
+        pkg_parts = pkg_parts[:-1]
+    keep = pkg_parts[: len(pkg_parts) - (node.level - 1)]
+    return ".".join([*keep, base] if base else keep)
 
 
 def dotted_name(node: ast.AST) -> "str | None":
@@ -288,12 +295,19 @@ def iter_python_files(paths: Sequence["str | pathlib.Path"]) -> list[pathlib.Pat
 
 
 def checkers() -> "list[Callable[[list[SourceFile]], Iterable[Finding]]]":
-    """The five invariant checkers, in catalog order.
+    """The six invariant checkers, in catalog order.
 
     Imported lazily so the checker modules can call
     :func:`register_rules` against this module without a cycle.
     """
-    from repro.analysis import atomicwrite, cachekeys, determinism, registry, telemetry
+    from repro.analysis import (
+        atomicwrite,
+        cachekeys,
+        determinism,
+        imports,
+        registry,
+        telemetry,
+    )
 
     return [
         determinism.check,
@@ -301,6 +315,7 @@ def checkers() -> "list[Callable[[list[SourceFile]], Iterable[Finding]]]":
         atomicwrite.check,
         registry.check,
         telemetry.check,
+        imports.check,
     ]
 
 

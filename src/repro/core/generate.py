@@ -11,12 +11,6 @@ these functions are the reusable building blocks, and
 scenario layer (:mod:`repro.scenarios`) calls the same primitive with
 the same argument order, which is what makes its re-expression of the
 Section 8 suites bit-identical to the functions here.
-
-:func:`random_chain_batch` and :func:`random_platform_batch` are the
-vectorized counterparts: one numpy call draws a whole ensemble matrix
-(``n_instances x n_tasks``), which the scenario layer's ``"batched"``
-RNG mode uses to build thousand-instance ensembles without a Python
-loop per draw.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ __all__ = [
     "draw_uniform",
     "random_chain",
     "random_platform",
-    "random_chain_batch",
-    "random_platform_batch",
 ]
 
 
@@ -120,63 +112,3 @@ def random_platform(
         max_replication=max_replication,
     )
 
-
-def random_chain_batch(
-    n_instances: int,
-    n_tasks: int,
-    rng: "int | None | np.random.Generator" = None,
-    work_range: tuple[float, float] = (1.0, 100.0),
-    output_range: tuple[float, float] = (1.0, 10.0),
-    integral: bool = True,
-    last_output_zero: bool = True,
-) -> list[TaskChain]:
-    """Draw a whole ensemble of chains with two batched numpy calls.
-
-    Semantically a faster ``[random_chain(n_tasks, ...) for _ in
-    range(n_instances)]`` — but the draws come from *one* stream filling
-    ``(n_instances, n_tasks)`` matrices row-major, so the per-chain
-    values differ from the per-instance-stream construction.  Use the
-    scenario layer's ``rng_mode`` to pick which contract you need
-    (bit-compatibility with the Section 8 suites vs. throughput).
-    """
-    if n_instances < 0:
-        raise ValueError(f"cannot draw {n_instances!r} chains")
-    if n_tasks < 1:
-        raise ValueError(f"chain length must be >= 1, got {n_tasks!r}")
-    gen = ensure_rng(rng)
-    work = draw_uniform(gen, *work_range, size=(n_instances, n_tasks), integral=integral)
-    output = draw_uniform(gen, *output_range, size=(n_instances, n_tasks), integral=integral)
-    if last_output_zero and n_instances:
-        output[:, -1] = 0.0
-    return [TaskChain(work=w, output=o) for w, o in zip(work, output)]
-
-
-def random_platform_batch(
-    n_instances: int,
-    p: int,
-    rng: "int | None | np.random.Generator" = None,
-    speed_range: tuple[float, float] = (1.0, 100.0),
-    failure_rate: float = 1e-8,
-    bandwidth: float = 1.0,
-    link_failure_rate: float = 1e-5,
-    max_replication: int = 3,
-    integral_speeds: bool = True,
-) -> list[Platform]:
-    """Batched counterpart of :func:`random_platform` (one speeds draw)."""
-    if n_instances < 0:
-        raise ValueError(f"cannot draw {n_instances!r} platforms")
-    if p < 1:
-        raise ValueError(f"platform needs at least one processor, got {p!r}")
-    gen = ensure_rng(rng)
-    speeds = draw_uniform(gen, *speed_range, size=(n_instances, p), integral=integral_speeds)
-    rates = [failure_rate] * p
-    return [
-        Platform(
-            speeds=s,
-            failure_rates=rates,
-            bandwidth=bandwidth,
-            link_failure_rate=link_failure_rate,
-            max_replication=max_replication,
-        )
-        for s in speeds
-    ]

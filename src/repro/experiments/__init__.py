@@ -26,7 +26,12 @@ Workloads beyond the paper's two suites are declared, not coded: the
 harness, the cross-check, and the CLI all accept scenario names or
 specs from :mod:`repro.scenarios` (``run_sweep("long-chain", ...)``),
 with the spec's content hash folded into the result-cache keys.
+
+The cross-check pulls in the RBD layer (networkx) and the simulator,
+so its two names load on first access (PEP 562).
 """
+
+import importlib
 
 from repro.experiments.instances import (
     HOM_DEFAULTS,
@@ -42,7 +47,6 @@ from repro.experiments.methods import (
     register_method,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.crosscheck import CrosscheckReport, run_crosscheck
 from repro.experiments.harness import SweepResult, run_sweep
 from repro.experiments.figures import (
     EXPERIMENTS,
@@ -76,3 +80,9 @@ __all__ = [
     "render_series_table",
     "series_to_json",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("CrosscheckReport", "run_crosscheck"):
+        return getattr(importlib.import_module("repro.experiments.crosscheck"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,9 +22,13 @@
 * :mod:`repro.extensions.latency_search` — the latency twin
   (``het-latency-search``), completing ``method="auto"`` coverage over
   every (objective x platform-kind) cell.
+
+The no-routing study evaluates RBDs with networkx, so its two names
+load on first access (PEP 562).
 """
 
-from repro.extensions.norouting import RoutingComparison, compare_routing
+import importlib
+
 from repro.extensions.energy import (
     mapping_energy,
     energy_aware_alloc_het,
@@ -43,3 +47,9 @@ __all__ = [
     "minimize_latency_search",
     "minimize_period_search",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("RoutingComparison", "compare_routing"):
+        return getattr(importlib.import_module("repro.extensions.norouting"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

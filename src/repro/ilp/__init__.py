@@ -9,11 +9,19 @@ useful as a cross-check and where `scipy.optimize.milp` is unavailable.
 The modeling front-end (:mod:`repro.ilp.model`) is deliberately tiny —
 variables, linear expressions, constraints, one objective — just enough
 to express the paper's program readably.
+
+Both solvers import scipy, so they load on first access (PEP 562):
+``import repro.ilp`` costs only the numpy-backed model.
 """
 
+import importlib
+
 from repro.ilp.model import LinExpr, Model, Solution, Variable
-from repro.ilp.scipy_backend import solve_with_scipy
-from repro.ilp.branch_bound import solve_with_branch_bound
+
+_LAZY = {
+    "solve_with_scipy": "repro.ilp.scipy_backend",
+    "solve_with_branch_bound": "repro.ilp.branch_bound",
+}
 
 __all__ = [
     "LinExpr",
@@ -23,3 +31,9 @@ __all__ = [
     "solve_with_scipy",
     "solve_with_branch_bound",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -72,8 +72,9 @@ def cases(draw):
 
 
 # A certainly-failing stage scores -inf - -inf in both allocations; the
-# scalar strict '>' and the kernel's NaN mask skip it alike.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# scalar strict '>' and the kernel's NaN mask skip it alike, and neither
+# path may surface NumPy's invalid-value warning to users.
+@pytest.mark.filterwarnings("error:invalid value encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_kernel_matches_per_row_heuristic_best(case):
