@@ -26,7 +26,7 @@ from repro.algorithms import heuristic_best
 from repro.core import Platform
 from repro.experiments import get_method
 from repro.scenarios import generate_ensemble, get_scenario
-from repro.solve import Problem, plan_methods, solve
+from repro.solve import Planner, Problem, solve
 
 try:
     from benchmarks.conftest import emit
@@ -82,7 +82,7 @@ def run_facade_bench() -> dict:
     construct = _time_interleaved(
         {"c": lambda: Problem(chain, platform, max_period=P, max_latency=L)}
     )["c"]
-    plan = _time_interleaved({"p": lambda: plan_methods("section8-hom")})["p"]
+    plan = _time_interleaved({"p": lambda: Planner().plan("section8-hom")})["p"]
 
     # Platform/TaskChain hash caching: hashing an object repeatedly
     # (dict/set-heavy sweep code) must cost a dictionary probe, not a
@@ -110,7 +110,7 @@ def run_facade_bench() -> dict:
         ("Method.solve_problem", via_method),
         ("solve(problem, method=...)", via_facade),
         ("Problem construction", construct),
-        ("plan_methods (per sweep)", plan),
+        ("Planner().plan (per sweep)", plan),
         ("hash(platform) cached", hash_timed["cached"]),
         ("hash(platform) fresh object", hash_timed["fresh"]),
     ):

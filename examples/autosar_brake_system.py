@@ -20,10 +20,7 @@ bus is noisier, 1e-4/hour = 2.8e-11 per ms.
 Run:  python examples/autosar_brake_system.py
 """
 
-import math
-
 from repro import Platform, TaskChain, heuristic_best, pareto_dp_best
-from repro.util import logrel
 
 # Work in ms-on-a-reference-ECU; output sizes in bus-time ms.
 TASKS = [

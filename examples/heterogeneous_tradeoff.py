@@ -12,7 +12,7 @@ Run:  python examples/heterogeneous_tradeoff.py
 
 import numpy as np
 
-from repro import Platform, TaskChain, heuristic_best, random_chain
+from repro import Platform, heuristic_best, random_chain
 from repro.algorithms.heuristics import heur_p_intervals
 from repro.extensions import energy_aware_alloc_het, mapping_energy
 from repro.core.evaluation import evaluate_mapping

@@ -43,7 +43,6 @@ from repro.algorithms import (
     heuristic_best,
     optimize_reliability,
     optimize_reliability_period,
-    optimize_period_reliability,
     pareto_dp_best,
     ilp_best,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "random_platform",
     "optimize_reliability",
     "optimize_reliability_period",
-    "optimize_period_reliability",
     "algo_alloc",
     "algo_alloc_het",
     "heur_l_intervals",

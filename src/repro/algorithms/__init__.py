@@ -4,7 +4,7 @@
   optimal, polynomial).
 * Section 5.2, Algorithm 2 — :func:`optimize_reliability_period`
   (homogeneous, optimal under a period bound) and the converse
-  :func:`optimize_period_reliability` (binary search).
+  :func:`minimize_period` (binary search).
 * Section 5.4 — :func:`ilp_best` (exact integer program, homogeneous).
 * Section 5.5, Algo-Alloc — :func:`algo_alloc` (optimal greedy
   allocation, Theorem 4) and its Section 7.2 heterogeneous variant
@@ -39,7 +39,6 @@ from repro.algorithms.result import SolveResult
 from repro.algorithms.dp_reliability import optimize_reliability
 from repro.algorithms.dp_period import (
     optimize_reliability_period,
-    optimize_period_reliability,
     minimize_period,
 )
 from repro.algorithms.allocation import algo_alloc, algo_alloc_het
@@ -76,7 +75,6 @@ __all__ = [
     "SolveResult",
     "optimize_reliability",
     "optimize_reliability_period",
-    "optimize_period_reliability",
     "minimize_period",
     "minimize_latency",
     "algo_alloc",

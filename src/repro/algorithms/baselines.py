@@ -48,7 +48,7 @@ def _allocate(
     return algo_alloc_het(chain, platform, partition, max_period=max_period)
 
 
-def one_to_one_best(
+def one_to_one_best(  # repro-lint: disable=API001 §1 baseline
     chain: TaskChain,
     platform: Platform,
     max_period: float = math.inf,
@@ -74,7 +74,7 @@ def one_to_one_best(
     return SolveResult(feasible=True, mapping=mapping, evaluation=ev, method="one-to-one")
 
 
-def single_interval_best(
+def single_interval_best(  # repro-lint: disable=API001 §1 baseline
     chain: TaskChain,
     platform: Platform,
     max_period: float = math.inf,

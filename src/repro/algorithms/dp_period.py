@@ -18,7 +18,6 @@ the exact optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,12 +29,11 @@ from repro.core.platform import Platform
 
 __all__ = [
     "optimize_reliability_period",
-    "optimize_period_reliability",
     "minimize_period",
 ]
 
 
-def optimize_reliability_period(
+def optimize_reliability_period(  # repro-lint: disable=API001 Algorithm 2, §5.2
     chain: TaskChain, platform: Platform, max_period: float
 ) -> SolveResult:
     """Most reliable mapping with period ``<= max_period`` (Algorithm 2).
@@ -89,38 +87,6 @@ def candidate_periods(chain: TaskChain, platform: Platform) -> np.ndarray:
     return np.array(sorted(v for v in values if v > 0.0))
 
 
-def optimize_period_reliability(
-    chain: TaskChain,
-    platform: Platform,
-    min_log_reliability: float,
-) -> SolveResult:
-    """Minimize the period subject to a reliability bound (Section 5.2).
-
-    Binary search over :func:`candidate_periods`, re-running Algorithm 2
-    at each probe; the smallest candidate whose optimal reliability meets
-    ``min_log_reliability`` is the exact optimum.  This is
-    :func:`minimize_period` without a latency bound, labelled
-    ``"period-binary-search"``; an infeasible result reports the
-    ``best_achievable`` log-reliability.
-
-    Parameters
-    ----------
-    min_log_reliability:
-        Lower bound on ``log r`` (use
-        :func:`repro.util.logrel.from_reliability` to convert a plain
-        reliability).
-    """
-    require_homogeneous(platform, "period minimization under a reliability bound")
-    result = minimize_period(chain, platform, min_log_reliability)
-    if not result.feasible:
-        return SolveResult.infeasible(
-            "period-binary-search",
-            min_log_reliability=min_log_reliability,
-            best_achievable=hom_reliability_dp(chain, platform).log_reliability,
-        )
-    return replace(result, method="period-binary-search")
-
-
 def minimize_period(
     chain: TaskChain,
     platform: Platform,
@@ -130,12 +96,10 @@ def minimize_period(
 ) -> SolveResult:
     """Minimize the period under a reliability floor *and* a latency bound.
 
-    The tri-criteria generalization of
-    :func:`optimize_period_reliability` (which it reduces to when
-    ``max_latency`` is infinite): binary search over
-    :func:`candidate_periods`, probing each candidate with the most
-    reliable mapping that satisfies both the candidate period and the
-    latency bound.  The probe is Algorithm 2
+    The Section 5.2 converse, generalized to three criteria: binary
+    search over :func:`candidate_periods`, probing each candidate with
+    the most reliable mapping that satisfies both the candidate period
+    and the latency bound.  The probe is Algorithm 2
     (:func:`~repro.algorithms._hom_dp.hom_reliability_dp`) when the
     latency is unbounded and the exact Pareto DP
     (:func:`~repro.algorithms.pareto_dp.pareto_dp_best`) otherwise —

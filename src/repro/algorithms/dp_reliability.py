@@ -16,7 +16,9 @@ from repro.core.platform import Platform
 __all__ = ["optimize_reliability"]
 
 
-def optimize_reliability(chain: TaskChain, platform: Platform) -> SolveResult:
+def optimize_reliability(  # repro-lint: disable=API001 Algorithm 1, §5.1
+    chain: TaskChain, platform: Platform
+) -> SolveResult:
     """Maximize mapping reliability on a homogeneous platform (Algorithm 1).
 
     Always feasible: mapping the whole chain as one interval on a single

@@ -18,10 +18,8 @@ Checkers and their rules
   Problem field the solve path reads must be covered by a cache-key
   ingredient in ``ResultCache.unit_key_for`` (and the method
   fingerprint, batched kernel included, must stay an ingredient);
-* :mod:`~repro.analysis.atomicwrite` — ``IO001``-``IO002``: artifact
-  layers write only through the sanctioned atomic idioms — mkstemp +
-  ``os.replace`` for files, ``BEGIN IMMEDIATE`` transactions for any
-  SQL writer;
+* :mod:`~repro.analysis.atomicwrite` — ``IO001``: artifact layers
+  write files only through the mkstemp + ``os.replace`` idiom;
 * :mod:`~repro.analysis.registry` — ``REG001``-``REG003``:
   ``register_method`` call sites declare valid objectives, consistent
   seeding, and no silent name collisions;
@@ -29,7 +27,10 @@ Checkers and their rules
   telemetry in kernel inner loops, no I/O in kernels at all;
 * :mod:`~repro.analysis.imports` — ``IMP001``: no module-level import
   that loads scipy or networkx outside the modules that need them, so
-  a run imports only what it uses.
+  a run imports only what it uses;
+* :mod:`~repro.analysis.surface` — ``API001``: every public
+  module-level def has a caller in the package, or a waiver naming the
+  paper section or caller it serves.
 
 Waivers
 -------
@@ -62,6 +63,7 @@ from repro.analysis import (  # noqa: F401  (imported for registration)
     determinism,
     imports,
     registry,
+    surface,
     telemetry,
 )
 

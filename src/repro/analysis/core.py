@@ -4,8 +4,8 @@ The checkers in this package are *project linters*: AST passes that
 encode repo-specific contracts (determinism of solver modules,
 completeness of cache-key ingredients, atomic-write discipline, the
 method-registry contract, telemetry discipline in kernels, lazy heavy
-imports) that generic tools like ruff cannot know about.  This module
-holds everything they share:
+imports, no unused public surface) that generic tools like ruff cannot
+know about.  This module holds everything they share:
 
 * :class:`SourceFile` — a parsed file plus the *module identity* the
   scoping rules key on (``repro.algorithms.batch`` is a kernel module,
@@ -67,12 +67,25 @@ _FIXTURE_RE = re.compile(r"^#\s*repro-lint-fixture:\s*module=([A-Za-z0-9_.]+)")
 _WAIVER_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,]+)\s*(.*)$")
 
 
-def register_rules(rules: dict[str, str]) -> None:
+#: Rules that need the whole package in one run (:func:`covers_package`).
+#: A run over part of the tree neither reports them nor audits their
+#: waivers as unused.
+PACKAGE_RULES: set[str] = set()
+
+
+def register_rules(rules: dict[str, str], package_only: bool = False) -> None:
     """Add a checker's rules to the catalog (duplicate ids rejected)."""
     for rule_id, description in rules.items():
         if rule_id in RULES:
             raise ValueError(f"duplicate lint rule id {rule_id!r}")
         RULES[rule_id] = description
+    if package_only:
+        PACKAGE_RULES.update(rules)
+
+
+def covers_package(files: "Sequence[SourceFile]") -> bool:
+    """True when *files* include the package root module ``repro``."""
+    return any(src.module == "repro" for src in files)
 
 
 @dataclass(frozen=True, order=True)
@@ -295,7 +308,7 @@ def iter_python_files(paths: Sequence["str | pathlib.Path"]) -> list[pathlib.Pat
 
 
 def checkers() -> "list[Callable[[list[SourceFile]], Iterable[Finding]]]":
-    """The six invariant checkers, in catalog order.
+    """The seven invariant checkers, in catalog order.
 
     Imported lazily so the checker modules can call
     :func:`register_rules` against this module without a cycle.
@@ -306,6 +319,7 @@ def checkers() -> "list[Callable[[list[SourceFile]], Iterable[Finding]]]":
         determinism,
         imports,
         registry,
+        surface,
         telemetry,
     )
 
@@ -316,6 +330,7 @@ def checkers() -> "list[Callable[[list[SourceFile]], Iterable[Finding]]]":
         registry.check,
         telemetry.check,
         imports.check,
+        surface.check,
     ]
 
 
@@ -358,10 +373,14 @@ def run_lint(
 
     full_run = rules is None
     if full_run:
+        unchecked = set() if covers_package(files) else PACKAGE_RULES
         for f in files:
             findings.extend(f.waiver_findings)
             for waiver in f.waivers:
-                if (f.display_path, waiver.line) not in used:
+                if (f.display_path, waiver.line) not in used and not (
+                    # Rules that did not run on this part of the tree.
+                    waiver.rules and set(waiver.rules) <= unchecked
+                ):
                     findings.append(
                         Finding(
                             f.display_path,

@@ -638,7 +638,7 @@ def _resolve_scenario_token(token: str):
 
 
 def _cmd_scenario(args) -> int:
-    from repro.experiments.harness import run_sweep
+    from repro.experiments.harness import resolve_jobs, run_sweep
     from repro.scenarios import SCENARIOS, generate_ensembles, scenario_hash
 
     if args.scenario_cmd == "list":
@@ -680,11 +680,12 @@ def _cmd_scenario(args) -> int:
     from repro.solve import Planner, derive_bounds_grid, encode_bound
 
     spec, entry = _resolve_scenario_token(args.scenario)
-    if args.n_instances is not None:
-        try:
+    try:
+        jobs = resolve_jobs(args.jobs)
+        if args.n_instances is not None:
             spec = spec.with_(n_instances=args.n_instances)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     spec_hash = scenario_hash(spec)
     timestamp = _run_timestamp(args)
     t_run = time.perf_counter()
@@ -767,7 +768,7 @@ def _cmd_scenario(args) -> int:
                 methods,
                 bounds,
                 xs=xs,
-                jobs=args.jobs,
+                jobs=jobs,
                 cache=cache,
                 scenario_key=spec_hash,
                 objective=args.objective,

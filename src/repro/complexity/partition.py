@@ -58,7 +58,7 @@ def two_partition_solve(values: Sequence[int]) -> list[int] | None:
     return sorted(subset)
 
 
-def random_yes_instance(
+def random_yes_instance(  # repro-lint: disable=API001 §6 reduction
     n: int, rng: "int | None | np.random.Generator" = None, high: int = 20
 ) -> list[int]:
     """Random 2-PARTITION instance guaranteed solvable.
@@ -86,7 +86,7 @@ def random_yes_instance(
             return vals
 
 
-def random_instance(
+def random_instance(  # repro-lint: disable=API001 §6 reduction
     n: int, rng: "int | None | np.random.Generator" = None, high: int = 20
 ) -> list[int]:
     """Uniform random instance (may or may not be solvable)."""

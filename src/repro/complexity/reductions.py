@@ -55,7 +55,9 @@ class Theorem3Instance:
     T: int
 
 
-def build_theorem3_instance(a: list[int]) -> Theorem3Instance:
+def build_theorem3_instance(  # repro-lint: disable=API001 §6 reduction
+    a: list[int],
+) -> Theorem3Instance:
     """Build instance ``I2`` of the Theorem 3 proof from 2-PARTITION
     instance ``I1 = {a_1 .. a_n}`` (positive integers, even total)."""
     if not a or any(v <= 0 or not isinstance(v, int) for v in a):
@@ -118,7 +120,9 @@ class Theorem5Instance:
     T: int
 
 
-def build_theorem5_instance(a: list[int]) -> Theorem5Instance:
+def build_theorem5_instance(  # repro-lint: disable=API001 §6 reduction
+    a: list[int],
+) -> Theorem5Instance:
     """Build instance ``I2`` of the Theorem 5 proof from the ``3n``
     numbers ``a`` (positive integers with ``sum = n * T``)."""
     if not a or len(a) % 3 or any(v <= 0 or not isinstance(v, int) for v in a):

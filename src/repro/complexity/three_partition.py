@@ -16,7 +16,7 @@ from typing import Sequence
 __all__ = ["n_way_partition_solve"]
 
 
-def n_way_partition_solve(
+def n_way_partition_solve(  # repro-lint: disable=API001 §6 reduction
     values: Sequence[int], n_groups: int
 ) -> list[list[int]] | None:
     """Partition index set into *n_groups* groups of equal value sums.

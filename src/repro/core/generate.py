@@ -47,10 +47,6 @@ def draw_uniform(
     return rng.uniform(low, high, size=size)
 
 
-#: Backward-compatible private alias (pre-scenario releases used ``_draw``).
-_draw = draw_uniform
-
-
 def random_chain(
     n: int,
     rng: "int | None | np.random.Generator" = None,
@@ -77,8 +73,8 @@ def random_chain(
     if n < 1:
         raise ValueError(f"chain length must be >= 1, got {n!r}")
     gen = ensure_rng(rng)
-    work = _draw(gen, *work_range, size=n, integral=integral)
-    output = _draw(gen, *output_range, size=n, integral=integral)
+    work = draw_uniform(gen, *work_range, size=n, integral=integral)
+    output = draw_uniform(gen, *output_range, size=n, integral=integral)
     if last_output_zero:
         output[-1] = 0.0
     return TaskChain(work=work, output=output)
@@ -103,7 +99,7 @@ def random_platform(
     if p < 1:
         raise ValueError(f"platform needs at least one processor, got {p!r}")
     gen = ensure_rng(rng)
-    speeds = _draw(gen, *speed_range, size=p, integral=integral_speeds)
+    speeds = draw_uniform(gen, *speed_range, size=p, integral=integral_speeds)
     return Platform(
         speeds=speeds,
         failure_rates=[failure_rate] * p,

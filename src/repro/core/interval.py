@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Interval",
     "partition_from_cuts",
-    "cuts_from_partition",
     "validate_partition",
     "compositions",
     "partitions_with_m_intervals",
@@ -83,11 +82,6 @@ def partition_from_cuts(n: int, cuts: Iterable[int]) -> list[Interval]:
             raise ValueError(f"cut position {c} out of range [1, {n - 1}]")
     bounds = [0, *cut_list, n]
     return [Interval(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def cuts_from_partition(partition: Sequence[Interval]) -> list[int]:
-    """Inverse of :func:`partition_from_cuts`: interior boundaries only."""
-    return [iv.stop for iv in partition[:-1]]
 
 
 def validate_partition(n: int, partition: Sequence[Interval]) -> None:

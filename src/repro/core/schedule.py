@@ -123,7 +123,9 @@ class StaticSchedule:
         return "\n".join(lines)
 
 
-def build_schedule(mapping: Mapping, period: float | None = None) -> StaticSchedule:
+def build_schedule(  # repro-lint: disable=API001 §1 deadline model
+    mapping: Mapping, period: float | None = None
+) -> StaticSchedule:
     """Build the canonical static schedule of *mapping*.
 
     Parameters

@@ -275,7 +275,7 @@ def _check_instance(
     return record
 
 
-def run_crosscheck(
+def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__getattr__
     n_instances: int = 10,
     seed: int = 0,
     n_tasks: int = 5,

@@ -273,7 +273,10 @@ class SweepResult:
 def resolve_jobs(jobs: "int | None") -> int:
     """Normalize a ``jobs`` argument: ``None`` -> ``$REPRO_JOBS`` -> 1."""
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+        raw = os.environ.get("REPRO_JOBS", "1") or "1"
+        if not (raw.strip().isdecimal() and int(raw) >= 1):
+            raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+        return int(raw)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs

@@ -71,7 +71,7 @@ HET_DEFAULTS = dict(
 )
 
 
-def homogeneous_suite(
+def homogeneous_suite(  # repro-lint: disable=API001 §8 reference suite, pins the scenarios
     n_instances: int = 100,
     n_tasks: int = 15,
     p: int = 10,
@@ -120,7 +120,7 @@ class HetInstancePair:
     hom_platform: Platform
 
 
-def heterogeneous_suite(
+def heterogeneous_suite(  # repro-lint: disable=API001 §8 reference suite, pins the scenarios
     n_instances: int = 100,
     n_tasks: int = 15,
     p: int = 10,

@@ -62,9 +62,9 @@ refuse heterogeneous platforms up front), scheduling (the parallel
 harness submits high-``cost_hint`` units first so expensive solves do
 not straggle at the end of the pool queue), and *planning*: the
 scenario-aware :class:`repro.solve.Planner` reads ``homogeneous_only``,
-``exact``, ``cost_hint``, ``max_tasks``, and ``tags`` to select and
-order the methods applicable to a workload, recording a skip reason for
-every method it drops.
+``exact``, ``cost_hint`` and ``tags`` to select and order the methods
+applicable to a workload, recording a skip reason for every method it
+drops.
 """
 
 from __future__ import annotations
@@ -139,10 +139,6 @@ class Method:
         True when ``solve`` is stochastic and takes a ``seed`` keyword;
         the harness derives a deterministic per-unit seed so parallel
         and serial runs stay bit-identical.
-    max_tasks:
-        Optional hard ceiling on chain length (e.g. brute force's
-        search-space budget); the planner skips the method for larger
-        workloads.  ``None`` = no intrinsic limit.
     tags:
         Free-form capability labels.  The planner understands
         ``"manual"`` (never auto-selected; must be requested
@@ -177,7 +173,6 @@ class Method:
     homogeneous_only: bool
     cost_hint: float = 1.0
     seeded: bool = False
-    max_tasks: "int | None" = None
     tags: tuple[str, ...] = ()
     objectives: tuple[str, ...] = ("reliability",)
     solve_batch: "Callable | None" = None
@@ -221,19 +216,17 @@ class Method:
         """Raise a descriptive error if *problem* is out of scope."""
         self._check_objective(problem.objective)
         self.check_platform(problem.platform)
-        self._check_size(problem.n_tasks)
 
     def check_ensemble(self, ensemble, objective: str = "reliability") -> None:
         """Raise a descriptive error if any ensemble row is out of scope.
 
-        The columnar twin of :meth:`check_problem`: objective and chain
-        length are checked once for the whole
+        The columnar twin of :meth:`check_problem`: the objective is
+        checked once for the whole
         :class:`~repro.core.ensemble.Ensemble`, and homogeneity is read
         off the columns — a heterogeneous row only materializes its
         :class:`Platform` to raise the usual descriptive error.
         """
         self._check_objective(objective)
-        self._check_size(ensemble.n_tasks)
         if self.homogeneous_only and not ensemble.all_homogeneous:
             offending = int(np.argmin(ensemble.homogeneous_rows()))
             self.check_platform(ensemble.platform(offending))
@@ -245,13 +238,6 @@ class Method:
                 f"{objective!r} (it supports: "
                 f"{', '.join(self.objectives)}); see repro.solve.OBJECTIVES "
                 f"for objective-native methods"
-            )
-
-    def _check_size(self, n_tasks: int) -> None:
-        if self.max_tasks is not None and n_tasks > self.max_tasks:
-            raise ValueError(
-                f"method {self.name!r} handles chains of at most "
-                f"{self.max_tasks} tasks; got {n_tasks}"
             )
 
     def fingerprint(self) -> str:
@@ -322,7 +308,6 @@ def register_method(
     homogeneous_only: bool = False,
     cost_hint: float = 1.0,
     seeded: bool = False,
-    max_tasks: "int | None" = None,
     tags: "tuple[str, ...] | list[str]" = (),
     objectives: "tuple[str, ...] | list[str]" = ("reliability",),
     solve_batch: "Callable | None" = None,
@@ -355,7 +340,6 @@ def register_method(
             homogeneous_only=homogeneous_only,
             cost_hint=cost_hint,
             seeded=seeded,
-            max_tasks=max_tasks,
             tags=tuple(tags),
             objectives=tuple(objectives),
             solve_batch=solve_batch,
@@ -477,9 +461,8 @@ register_method(
 )
 
 
-# No max_tasks cap: the real constraint is brute_force_best's own
-# search-space budget, which depends on p and K as well as the chain
-# length — a plain task count would reject instances the budget admits.
+# Its size limit is brute_force_best's own search-space budget, which
+# depends on p and K as well as the chain length.
 # Objective-aware: the oracle the converse objectives cross-check against.
 @register_method(
     "brute-force", exact=True, cost_hint=100.0, tags=("manual",),

@@ -61,7 +61,9 @@ def render_figure(result: FigureResult) -> str:
     return f"{title}\n{render_series_table(result)}"
 
 
-def ascii_chart(result: FigureResult, height: int = 12, width: int = 64) -> str:
+def ascii_chart(  # repro-lint: disable=API001 used by examples/
+    result: FigureResult, height: int = 12, width: int = 64
+) -> str:
     """Plot a figure's series as an ASCII chart (one glyph per curve).
 
     Count figures use a linear y-axis; failure figures a log10 axis
@@ -112,7 +114,9 @@ def ascii_chart(result: FigureResult, height: int = 12, width: int = 64) -> str:
     return "\n".join(lines)
 
 
-def series_to_json(result: FigureResult) -> str:
+def series_to_json(  # repro-lint: disable=API001 used by examples/
+    result: FigureResult,
+) -> str:
     """Serialize a figure result to JSON (NaN -> null)."""
     payload: dict[str, Any] = {
         "figure": result.figure,

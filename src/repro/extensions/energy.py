@@ -69,7 +69,7 @@ def mapping_energy(
     return total
 
 
-def energy_aware_alloc_het(
+def energy_aware_alloc_het(  # repro-lint: disable=API001 used by examples/
     chain: TaskChain,
     platform: Platform,
     partition: Sequence[Interval],

@@ -86,7 +86,9 @@ class RoutingComparison:
         return f_bound / f_exact
 
 
-def compare_routing(mapping: Mapping) -> RoutingComparison:
+def compare_routing(  # repro-lint: disable=API001 served by repro.extensions.__getattr__
+    mapping: Mapping,
+) -> RoutingComparison:
     """Evaluate *mapping* with routing (Eq. (9)) and without (Figure 4).
 
     Raises

@@ -74,7 +74,7 @@ class MonteCarloEstimate:
         return lo <= r <= hi
 
 
-def estimate_log_reliability(
+def estimate_log_reliability(  # repro-lint: disable=API001 Monte Carlo reliability oracle
     rbd: RBD,
     trials: int = 10_000,
     rng: "int | None | np.random.Generator" = None,

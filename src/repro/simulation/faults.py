@@ -54,7 +54,7 @@ class BernoulliFaults:
         return bool(self._rng.random() < math.exp(-rate * duration))
 
 
-class PoissonFaults:
+class PoissonFaults:  # repro-lint: disable=API001 §2.4 fault model
     """Explicit first-arrival sampling: fail iff ``Exp(rate) < duration``."""
 
     def __init__(self, rng: "int | None | np.random.Generator" = None) -> None:
@@ -69,7 +69,7 @@ class PoissonFaults:
         return bool(first_arrival >= duration)
 
 
-class NoFaults:
+class NoFaults:  # repro-lint: disable=API001 §2.4 fault model
     """Every operation succeeds — for pure timing studies."""
 
     def operation_succeeds(self, rate: float, duration: float) -> bool:  # noqa: ARG002

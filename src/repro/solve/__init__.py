@@ -30,22 +30,20 @@ True
 True
 """
 
-from repro.solve.problem import OBJECTIVES, Problem, encode_bound, problem_hash
+from repro.solve.problem import OBJECTIVES, Problem, encode_bound
 from repro.solve.facade import auto_method_name, solve
-from repro.solve.planner import MethodSkip, Plan, Planner, plan_methods
+from repro.solve.planner import MethodSkip, Plan, Planner
 from repro.solve.grid import BoundsGrid, derive_bounds_grid
 
 __all__ = [
     "OBJECTIVES",
     "Problem",
     "encode_bound",
-    "problem_hash",
     "auto_method_name",
     "solve",
     "MethodSkip",
     "Plan",
     "Planner",
-    "plan_methods",
     "BoundsGrid",
     "derive_bounds_grid",
 ]

@@ -6,9 +6,9 @@ declarative workload layer past the paper's dimensions (the ROADMAP's
 derived from data.  The :class:`Planner` crosses a workload's
 dimensions (a :class:`~repro.scenarios.spec.ScenarioSpec`, including
 sweep axes) with the method registry's capability metadata
-(``homogeneous_only``, ``exact``, ``cost_hint``, ``max_tasks``,
-``tags``) and produces a :class:`Plan`: the applicable methods in
-expensive-first order (matching the harness's pool scheduling) plus a
+(``homogeneous_only``, ``exact``, ``cost_hint``, ``tags``) and
+produces a :class:`Plan`: the applicable methods in expensive-first
+order (matching the harness's pool scheduling) plus a
 :class:`MethodSkip` record — *with a reason* — for every method it
 dropped.  Plans are what ``repro plan show`` prints and what the
 scenario-run manifest embeds, so a run is always explainable after the
@@ -25,8 +25,6 @@ list):
   plan;
 * ``homogeneous_only`` methods are dropped for scenarios that generate
   heterogeneous platforms;
-* methods with an intrinsic ``max_tasks`` ceiling (brute force) are
-  dropped when the workload's largest chain exceeds it;
 * ``exact`` methods are dropped past the planner's size thresholds
   (``max_exact_tasks`` × ``max_exact_procs``) — exact solvers on
   ``scaling-stress``-sized chains would dominate the run.
@@ -47,14 +45,14 @@ given):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.obs import telemetry as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.methods import Method
 
-__all__ = ["MethodSkip", "Plan", "Planner", "plan_methods"]
+__all__ = ["MethodSkip", "Plan", "Planner"]
 
 
 @dataclass(frozen=True)
@@ -295,11 +293,6 @@ class Planner:
                 "requires homogeneous platforms (Section 5 algorithm); "
                 "scenario generates heterogeneous ones"
             )
-        if method.max_tasks is not None and n_tasks > method.max_tasks:
-            return (
-                f"chain length {n_tasks} exceeds the method's declared "
-                f"limit of {method.max_tasks} tasks"
-            )
         if method.exact and (
             n_tasks > self.max_exact_tasks or n_procs > self.max_exact_procs
         ):
@@ -320,17 +313,3 @@ class Planner:
         if method.seeded and not self.include_stochastic:
             return "stochastic (seeded) method; pass include_stochastic=True"
         return None
-
-
-def plan_methods(
-    scenario,
-    methods: "Iterable[str | Method] | None" = None,
-    objective: str = "reliability",
-    **config,
-) -> Plan:
-    """One-shot convenience: ``Planner(**config).plan(scenario, methods)``."""
-    return Planner(**config).plan(
-        scenario,
-        methods=None if methods is None else list(methods),
-        objective=objective,
-    )

@@ -35,7 +35,7 @@ from typing import Any
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
 
-__all__ = ["OBJECTIVES", "Problem", "check_bound", "encode_bound", "problem_hash"]
+__all__ = ["OBJECTIVES", "Problem", "check_bound", "encode_bound"]
 
 #: Supported optimization objectives.  ``"reliability"`` is the paper's
 #: Section 3 problem (maximize reliability under period/latency bounds).
@@ -245,9 +245,3 @@ class Problem:
             f"Problem({self.chain.n} tasks on {self.platform.p} procs, "
             f"{bounds}, objective={self.objective!r}{floor})"
         )
-
-
-def problem_hash(problem: Problem) -> str:
-    """Module-level alias of :meth:`Problem.content_hash` (mirrors
-    :func:`repro.scenarios.scenario_hash`)."""
-    return problem.content_hash()

@@ -54,7 +54,6 @@ __all__ = [
     "parallel",
     "parallel_k",
     "parallel_k_many",
-    "serial_many",
     "log1mexp",
 ]
 
@@ -266,11 +265,3 @@ def parallel_k_many(ell: np.ndarray | float, k: np.ndarray | int) -> np.ndarray:
     # A certainly-failed replica (ell = -inf) gives lf = 0 -> out = -inf.
     out = np.where(log_prod_f == 0.0, -np.inf, out)
     return out
-
-
-def serial_many(ells: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Vectorized serial composition: sum along *axis*."""
-    ells = np.asarray(ells, dtype=float)
-    if np.any(ells > 0.0) or np.any(np.isnan(ells)):
-        raise ValueError("log-reliabilities must be <= 0 and not NaN")
-    return np.sum(ells, axis=axis)

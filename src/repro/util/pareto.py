@@ -20,7 +20,9 @@ from typing import Any, Iterator, Sequence
 __all__ = ["ParetoFrontier", "dominates"]
 
 
-def dominates(cost_a: float, value_a: float, cost_b: float, value_b: float) -> bool:
+def dominates(  # repro-lint: disable=API001 oracle of the Pareto property tests
+    cost_a: float, value_a: float, cost_b: float, value_b: float
+) -> bool:
     """Return True iff point A dominates point B (min cost, max value)."""
     return (
         cost_a <= cost_b
@@ -116,8 +118,3 @@ class ParetoFrontier:
         if j == 0:
             return None
         return self._values[j - 1], self._payloads[j - 1]
-
-    def prune_cost_above(self, max_cost: float) -> None:
-        """Drop all points with ``cost > max_cost`` (bound propagation)."""
-        j = bisect_right(self._costs, max_cost)
-        del self._costs[j:], self._values[j:], self._payloads[j:]

@@ -15,8 +15,6 @@ __all__ = [
     "as_float_array",
     "check_positive",
     "check_nonnegative",
-    "check_index",
-    "check_probability",
 ]
 
 
@@ -43,20 +41,4 @@ def check_nonnegative(value: float, name: str) -> float:
     """Require ``value >= 0``."""
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_index(value: int, size: int, name: str) -> int:
-    """Require ``0 <= value < size`` and an integral type."""
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if not 0 <= value < size:
-        raise ValueError(f"{name} must be in [0, {size}), got {value!r}")
-    return int(value)
-
-
-def check_probability(value: float, name: str) -> float:
-    """Require ``0 <= value <= 1``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value

@@ -7,6 +7,7 @@ must produce exactly its marked findings, every ``*_good`` twin must
 lint clean.  On top of the corpus: the shipped tree itself must lint
 clean, deleting a cache-key ingredient from the real cache module must
 light up the completeness checker (the acceptance drill for KEY001),
+an unused public def added to the real package must light up API001,
 waivers must round-trip, and the JSON report must be byte-identical
 across reruns.
 """
@@ -113,6 +114,30 @@ def test_deleting_cache_ingredient_is_caught(tmp_path):
     assert key001, "deleting the objective ingredient must trigger KEY001"
     assert all("objective" in f.message for f in key001)
     assert {f.rule for f in findings} == {"KEY001"}
+
+
+def test_unreferenced_public_def_is_caught(tmp_path):
+    """A public def that no module calls, added to a copy of the real
+    package, makes API001 fire on it and nowhere else."""
+    shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "repro")
+    module = tmp_path / "repro" / "util" / "validation.py"
+    lines = module.read_text().splitlines()
+    module.write_text("\n".join([*lines, "", "", "def orphan():", "    return 0", ""]))
+    findings = run_lint([tmp_path], root=tmp_path)
+    assert [(f.path, f.line, f.rule) for f in findings] == [
+        ("repro/util/validation.py", len(lines) + 3, "API001")
+    ]
+    assert "repro.util.validation.orphan" in findings[0].message
+
+
+def test_single_file_lint_skips_api001():
+    """API001 needs the whole package: linting one file reports neither
+    the rule nor its waivers as unused."""
+    waived = REPO_ROOT / "src" / "repro" / "algorithms" / "dp_reliability.py"
+    assert "disable=API001" in waived.read_text()
+    assert run_lint([waived], root=REPO_ROOT) == []
+    unused = FIXTURES / "api_surface_bad" / "repro" / "widgets.py"
+    assert run_lint([unused], root=FIXTURES) == []
 
 
 def test_waiver_round_trip(tmp_path):

@@ -15,10 +15,8 @@ from repro.core import Platform, TaskChain, random_chain
 from repro.util.rng import ensure_rng, spawn
 from repro.util.validation import (
     as_float_array,
-    check_index,
     check_nonnegative,
     check_positive,
-    check_probability,
 )
 
 
@@ -136,13 +134,3 @@ class TestValidationHelpers:
         assert check_nonnegative(0.0, "x") == 0.0
         with pytest.raises(ValueError):
             check_nonnegative(-1.0, "x")
-        assert check_probability(0.5, "x") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "x")
-
-    def test_check_index(self):
-        assert check_index(2, 5, "x") == 2
-        with pytest.raises(ValueError):
-            check_index(5, 5, "x")
-        with pytest.raises(TypeError):
-            check_index(1.0, 5, "x")  # type: ignore[arg-type]

@@ -6,7 +6,6 @@ import pytest
 from repro.core import Interval, Mapping, Platform, TaskChain
 from repro.core.interval import (
     compositions,
-    cuts_from_partition,
     partition_from_cuts,
     partitions_with_m_intervals,
     validate_partition,
@@ -153,10 +152,6 @@ class TestPartitions:
     def test_from_cuts(self):
         part = partition_from_cuts(5, [2, 3])
         assert [(iv.start, iv.stop) for iv in part] == [(0, 2), (2, 3), (3, 5)]
-
-    def test_cut_roundtrip(self):
-        part = partition_from_cuts(6, [1, 4])
-        assert cuts_from_partition(part) == [1, 4]
 
     def test_invalid_cut(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms import (
     brute_force_best,
-    optimize_period_reliability,
+    minimize_period,
     optimize_reliability,
     optimize_reliability_period,
 )
@@ -147,7 +147,7 @@ class TestPeriodMinimization:
         plat = hom_platform(4, 2)
         # Very weak requirement: any mapping qualifies; best period is 4
         # (split at cut with comm 3: stages 4 and 2, comm 3 -> period 4).
-        res = optimize_period_reliability(chain, plat, min_log_reliability=-1.0)
+        res = minimize_period(chain, plat, min_log_reliability=-1.0)
         assert res.feasible
         assert res.details["optimal_period"] == pytest.approx(4.0)
 
@@ -157,7 +157,7 @@ class TestPeriodMinimization:
         # With p=2, K=2: max reliability needs both replicas on a single
         # interval (avoiding the unreliable comm), so period = 6.
         best = optimize_reliability(chain, plat)
-        res = optimize_period_reliability(
+        res = minimize_period(
             chain, plat, min_log_reliability=best.log_reliability
         )
         assert res.feasible
@@ -166,15 +166,14 @@ class TestPeriodMinimization:
     def test_infeasible_reliability(self):
         chain = TaskChain([4.0], [0.0])
         plat = hom_platform(1, 1)
-        res = optimize_period_reliability(chain, plat, min_log_reliability=-1e-12)
+        res = minimize_period(chain, plat, min_log_reliability=-1e-12)
         assert not res.feasible
-        assert "best_achievable" in res.details
 
     def test_result_meets_bound(self):
         chain = random_chain(6, rng=5)
         plat = hom_platform(5, 3)
         target = optimize_reliability(chain, plat).log_reliability * 10
-        res = optimize_period_reliability(chain, plat, min_log_reliability=target)
+        res = minimize_period(chain, plat, min_log_reliability=target)
         assert res.feasible
         assert res.log_reliability >= target
         assert res.evaluation.worst_case_period == pytest.approx(
@@ -187,7 +186,7 @@ class TestPeriodMinimization:
         chain = random_chain(5, rng=9)
         plat = hom_platform(4, 2)
         target = optimize_reliability(chain, plat).log_reliability * 5
-        res = optimize_period_reliability(chain, plat, min_log_reliability=target)
+        res = minimize_period(chain, plat, min_log_reliability=target)
         assert res.feasible
         P_star = res.details["optimal_period"]
         for P in candidate_periods(chain, plat):
@@ -199,4 +198,4 @@ class TestPeriodMinimization:
     def test_rejects_bad_target(self):
         chain = TaskChain([1.0], [0.0])
         with pytest.raises(ValueError):
-            optimize_period_reliability(chain, hom_platform(1, 1), 0.5)
+            minimize_period(chain, hom_platform(1, 1), 0.5)

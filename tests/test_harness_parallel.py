@@ -10,6 +10,7 @@ results: the parent recomputes what the broken pool lost.
 
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,13 @@ class TestJobsKnob:
     def test_invalid_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(0)
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_invalid_env_jobs_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        message = f"REPRO_JOBS must be an integer >= 1, got {raw!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_jobs(None)
 
     def test_env_jobs_drives_sweep(self, monkeypatch, suite, serial):
         monkeypatch.setenv("REPRO_JOBS", "2")

@@ -302,6 +302,15 @@ class TestScenarioCLI:
         with pytest.raises(SystemExit, match="unknown scenario"):
             main(["scenario", "run", "no-such-workload"])
 
+    def test_scenario_run_bad_env_jobs_fails_before_generation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit, match="REPRO_JOBS must be an integer >= 1"):
+            main(["scenario", "run", "section8-hom", "--n-instances", "2",
+                  "--manifest", str(tmp_path / "m.json")])
+        assert "instances" not in capsys.readouterr().out
+
     def test_scenario_show_unknown(self):
         with pytest.raises(SystemExit, match="unknown scenario"):
             main(["scenario", "show", "no-such-workload"])

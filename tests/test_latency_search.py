@@ -11,7 +11,7 @@ from repro.core import Platform, TaskChain
 from repro.experiments import get_method, run_sweep
 from repro.extensions.latency_search import minimize_latency_search
 from repro.extensions.period_search import DEFAULT_MAX_PROBES, DEFAULT_REL_TOL
-from repro.solve import Problem, plan_methods, solve
+from repro.solve import Planner, Problem, solve
 from repro.util.logrel import from_reliability
 
 
@@ -117,7 +117,7 @@ class TestRegistrationAndPlanning:
         assert method.cost_hint > get_method("dp-latency").cost_hint
 
     def test_planner_selects_it_for_het_scenarios(self):
-        plan = plan_methods("high-heterogeneity", objective="latency")
+        plan = Planner().plan("high-heterogeneity", objective="latency")
         assert plan.selected == ("het-latency-search",)
         reasons = {s.method: s.reason for s in plan.skipped}
         assert "homogeneous" in reasons["dp-latency"]

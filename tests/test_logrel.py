@@ -171,15 +171,6 @@ class TestVectorized:
         with pytest.raises(ValueError):
             logrel.parallel_k_many(np.array([-0.1]), 0)
 
-    def test_serial_many_axis(self):
-        ells = np.array([[-0.1, -0.2], [-0.3, -0.4]])
-        out = logrel.serial_many(ells, axis=1)
-        assert out == pytest.approx([-0.3, -0.7])
-
-    def test_serial_many_rejects_positive(self):
-        with pytest.raises(ValueError):
-            logrel.serial_many(np.array([0.5]))
-
     def test_log1mexp_extremes(self):
         out = logrel.log1mexp(np.array([-1e-300, -700.0]))
         assert out[0] < -600  # log(1e-300) ~ -690

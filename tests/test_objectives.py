@@ -39,7 +39,6 @@ from repro.solve import (
     Problem,
     auto_method_name,
     derive_bounds_grid,
-    plan_methods,
     solve,
 )
 from repro.solve.grid import DEFAULT_MARGIN
@@ -286,7 +285,7 @@ class TestConverseAgainstBruteForce:
 
 class TestPlannerObjectiveGating:
     def test_objective_skip_reasons_recorded(self):
-        plan = plan_methods("section8-hom", objective="period")
+        plan = Planner().plan("section8-hom", objective="period")
         assert plan.objective == "period"
         # Expensive-first order: the heuristic search next to the
         # exact Section 5.2 converse, both period-native.
@@ -305,15 +304,15 @@ class TestPlannerObjectiveGating:
         )
 
     def test_energy_selected_on_heterogeneous_scenarios(self):
-        plan = plan_methods("high-heterogeneity", objective="energy")
+        plan = Planner().plan("high-heterogeneity", objective="energy")
         assert plan.selected == ("energy-greedy",)
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="unknown objective"):
-            plan_methods("section8-hom", objective="speedup")
+            Planner().plan("section8-hom", objective="speedup")
 
     def test_describe_carries_objective(self):
-        record = plan_methods("section8-hom", objective="energy").describe()
+        record = Planner().plan("section8-hom", objective="energy").describe()
         assert record["objective"] == "energy"
 
 
@@ -541,7 +540,7 @@ class TestHetPeriodSearch:
         assert not capped.feasible
 
     def test_planner_selects_it_for_het_scenarios(self):
-        plan = plan_methods("high-heterogeneity", objective="period")
+        plan = Planner().plan("high-heterogeneity", objective="period")
         assert plan.selected == ("het-period-search",)
         reasons = {s.method: s.reason for s in plan.skipped}
         assert "homogeneous" in reasons["dp-period"]

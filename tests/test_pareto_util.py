@@ -82,14 +82,6 @@ class TestParetoFrontier:
         assert f.best_value_within(100.0) == (40.0, "c")
         assert f.best_value_within(2.0) == (20.0, "b")  # inclusive
 
-    def test_prune_cost_above(self):
-        f = ParetoFrontier()
-        f.insert(1.0, 10.0)
-        f.insert(2.0, 20.0)
-        f.insert(3.0, 30.0)
-        f.prune_cost_above(2.0)
-        assert f.costs == (1.0, 2.0)
-
     def test_payload_carried(self):
         f = ParetoFrontier()
         f.insert(1.0, 10.0, {"k": 1})
