@@ -140,6 +140,58 @@ def test_single_file_lint_skips_api001():
     assert run_lint([unused], root=FIXTURES) == []
 
 
+def test_api001_waiver_on_a_used_def_is_unused(tmp_path):
+    """On a full-package run an API001 waiver on a def that has a caller
+    suppresses nothing, so the waiver audit reports it."""
+    shutil.copytree(FIXTURES / "api_surface_good", tmp_path / "pkg")
+    widgets = tmp_path / "pkg" / "repro" / "widgets.py"
+    text = widgets.read_text()
+    waived = text.replace(
+        "def listed():", "def listed():  # repro-lint: disable=API001 §5.1"
+    )
+    assert waived != text
+    widgets.write_text(waived)
+    findings = run_lint([tmp_path / "pkg"], root=tmp_path)
+    assert [(f.path, f.rule) for f in findings] == [
+        ("pkg/repro/widgets.py", "WAIVE002")
+    ]
+    assert run_lint([widgets], root=tmp_path) == []
+
+
+def test_api001_call_in_package_init_is_not_a_use(tmp_path):
+    """A call written in a package ``__init__`` body does not count as a
+    use, so the callee stays flagged."""
+    shutil.copytree(FIXTURES / "api_surface_bad", tmp_path / "pkg")
+    init = tmp_path / "pkg" / "repro" / "__init__.py"
+    init.write_text(init.read_text() + "\n\ndef _boot():\n    return lazy_only()\n")
+    flagged = {
+        f.message.split(" ")[0]
+        for f in run_lint([tmp_path / "pkg"], root=tmp_path)
+        if f.rule == "API001"
+    }
+    assert "repro.widgets.lazy_only" in flagged
+    assert len(flagged) == 5
+
+
+def test_api001_caller_outside_the_package_counts(tmp_path):
+    """A non-package module in the linted set is a caller like any other:
+    a script that calls one flagged def clears that def alone."""
+    shutil.copytree(FIXTURES / "api_surface_bad", tmp_path / "pkg")
+    script = tmp_path / "pkg" / "use_widgets.py"
+    script.write_text("from repro.widgets import lazy_only\n\nlazy_only()\n")
+    flagged = {
+        f.message.split(" ")[0]
+        for f in run_lint([tmp_path / "pkg"], root=tmp_path)
+        if f.rule == "API001"
+    }
+    assert flagged == {
+        "repro.widgets.shown_off",
+        "repro.widgets.listed",
+        "repro.widgets.documented_only",
+        "repro.widgets.Gadget",
+    }
+
+
 def test_waiver_round_trip(tmp_path):
     """A justified waiver suppresses its finding; stripping the reason
     turns it into WAIVE001 and un-suppresses the original finding."""
@@ -204,6 +256,17 @@ def test_cli_lint_bad_fixture_json(capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == {"DET001": 3}
+
+
+def test_cli_lint_api_surface_package(capsys):
+    """``repro lint`` on a directory holding a ``repro`` package root
+    runs API001 and exits non-zero on its findings."""
+    rc = cli.main(
+        ["lint", str(FIXTURES / "api_surface_bad"), "--format", "json"]
+    )
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["counts"] == {"API001": 5}
+    assert cli.main(["lint", str(FIXTURES / "api_surface_good")]) == 0
 
 
 def test_cli_lint_clean_fixture(capsys):

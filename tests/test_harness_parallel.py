@@ -143,6 +143,12 @@ class TestJobsKnob:
         with pytest.raises(ValueError, match=re.escape(message)):
             resolve_jobs(None)
 
+    def test_env_jobs_empty_or_padded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "")
+        assert resolve_jobs(None) == 1
+        monkeypatch.setenv("REPRO_JOBS", " 2 ")
+        assert resolve_jobs(None) == 2
+
     def test_env_jobs_drives_sweep(self, monkeypatch, suite, serial):
         monkeypatch.setenv("REPRO_JOBS", "2")
         methods = [get_method("pareto-dp"), get_method("heur-l"), get_method("heur-p")]
