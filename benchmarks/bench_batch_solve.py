@@ -13,7 +13,7 @@ contract that makes each speedup safe to take: the two runs are
 values, and — where caches are in play — cache entries under the same
 keys).
 
-Metrics (per kernel cell; the acceptance floor is 5x unless noted):
+Metrics (per kernel cell; the acceptance floor is 5x):
 
 * ``batch_speedup`` — heur-l on homogeneous rows, cold caches (the
   original headline cell);
@@ -24,10 +24,10 @@ Metrics (per kernel cell; the acceptance floor is 5x unless noted):
   (``dp-period``) vs the per-row converse binary search;
 * ``het_batch_speedup`` — heur-l on heterogeneous rows (lockstep
   Section 7.2 allocation) vs the per-row loop;
-* ``pareto_dp_speedup`` — the pareto-dp kernel (one frontier DP per
-  row and admitted-interval group) vs the per-row loop, on the derived
-  8-point period grid.  Its floor is 1.5x, not 5x: the kernel shares
-  the per-row path's Python DP and saves only the repeated runs;
+* ``pareto_dp_speedup`` — the pareto-dp kernel (one lane-vectorized
+  frontier DP over every row and sweep point, lanes in chunks) vs the
+  per-row loop of scalar frontier DPs, on the derived 8-point period
+  grid;
 * ``batched_units_per_s`` / ``looped_units_per_s`` — informational
   absolute throughput of the headline cell.
 
@@ -199,13 +199,12 @@ def run_batch_solve_bench() -> dict:
 def test_batch_solve_throughput(benchmark):
     metrics = run_batch_solve_bench()
     # The acceptance floor: each vectorized kernel cell must beat its
-    # per-row loop by at least 5x; pareto-dp, which runs the per-row
-    # DP code but fewer times, by 1.5x.
+    # per-row loop by at least 5x.
     assert metrics["batch_speedup"] > 5.0
     assert metrics["floor_speedup"] > 5.0
     assert metrics["batch_dp_period_speedup"] > 5.0
     assert metrics["het_batch_speedup"] > 5.0
-    assert metrics["pareto_dp_speedup"] > 1.5
+    assert metrics["pareto_dp_speedup"] > 5.0
 
     ensemble = generate_ensemble("section8-hom", n_instances=200, seed=17)
     methods = [get_method(METHOD)]

@@ -27,18 +27,21 @@ rules the style below follows).
 * **pareto-dp** (:func:`batch_pareto_dp`) and **dp-latency**
   (:func:`batch_minimize_latency`) — the scalar paths run one frontier
   DP per (row, point) with the *latency budget* as a pruning bound.
-  The kernels build each row's bounds-independent tables once
-  (:class:`~repro.algorithms.pareto_dp._FrontierDP`) and group the
-  row's points by the set of intervals their period bound admits — a
-  run depends on the period only through that set.  Inserting points
-  beyond a point's budget never evicts or dominates a within-budget
-  frontier point (cost is the first frontier coordinate), so the
-  sub-frontier within a smaller budget of a larger-budget run equals
-  the smaller run's frontier.  Each group therefore runs one DP at its
-  *largest* live budget, and every point of the group is answered by
-  the scalar selection (most reliable within budget, or cheapest
-  meeting the floor) restricted to ``cost <= budget_pt`` — a latency
-  sweep costs one DP per row.
+  The kernels run that DP lane-vectorized (:class:`_FrontierLanes`):
+  one lane per (row, sweep point), each with its own period admission
+  mask and its exact budget, so no point shares or widens another's
+  run.  Every row's bounds-independent tables are built once from the
+  scalar :class:`~repro.algorithms.pareto_dp._FrontierDP` quantities.
+  A DP row's frontier points of all lanes live in flat columns; each
+  row is filled by extending all earlier points through their lanes'
+  admitted intervals at once, and a stable sort reduces every
+  ``(lane, k)`` state to its Pareto set.  The tie rule is
+  :meth:`~repro.util.pareto.ParetoFrontier.insert`'s: of two points
+  equal in cost and value, the first inserted (scalar loop order:
+  source row, source ``k``, source cost) stays, so witnesses match the
+  scalar parent walk.  Each lane is answered by the scalar selection
+  (most reliable point, or cheapest meeting the floor) over its final
+  row.  Lanes run in chunks of :data:`_CHUNK` to bound memory.
 
 Every kernel returns a :class:`~repro.algorithms.batch.UnitResults`.
 dp-period fills its per-row ``infos`` with the ``probes`` counts the
@@ -61,7 +64,7 @@ from repro.algorithms.batch import (
     check_bounds,
     floor_log_reliability,
 )
-from repro.algorithms.pareto_dp import _cheapest_meeting, _FrontierDP, _most_reliable
+from repro.algorithms.pareto_dp import _FrontierDP, _mapping
 from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval
 from repro.core.mapping import Mapping
@@ -312,47 +315,235 @@ def batch_minimize_period(
     return out
 
 
-def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select, score):
+#: Lanes per frontier-DP chunk.  A row's candidate columns hold about
+#: ``kmax`` points per earlier frontier point of the chunk, so the chunk
+#: bounds the engine's memory; the per-row array ops amortize well
+#: before it.
+_CHUNK = 48
+
+
+class _FrontierLanes:
+    """Lane-vectorized frontier DP over homogeneous rows.
+
+    The tables are the scalar :class:`~repro.algorithms.pareto_dp._FrontierDP`
+    quantities of every row, stacked: ``comm_time[r, i]``, and per
+    interval ``[j, i)`` its compute time ``wtime[r, j, i]`` and
+    replica-count stage table ``stage[r, j, i, q - 1]`` (one broadcast
+    ``parallel_k_many`` over all intervals; ``j >= i`` entries are
+    never read).  A *lane* is one (row, sweep point) with its own
+    period bound and communication budget; :meth:`run` executes the DP
+    for many lanes at once.
+    """
+
+    __slots__ = ("n", "p", "kmax", "total_compute", "comm_time", "wtime", "stage")
+
+    def __init__(self, ensemble, rows: np.ndarray) -> None:
+        quantities = []
+        for r in rows:
+            dp = _FrontierDP(ensemble.chain(int(r)), ensemble.platform(int(r)))
+            quantities.append(
+                (dp.prefix, dp.s, dp.lam, dp.ell_comm, dp.comm_time, dp.total_compute)
+            )
+        n, p, kmax = dp.n, dp.p, dp.kmax
+        prefix, s, lam, ell_comm, comm_time, total_compute = map(np.array, zip(*quantities))
+        s, lam = s[:, None, None], lam[:, None, None]
+        # work[r, j, i] = W(j, i); the elementwise twins of the scalar
+        # wtime and _ell_branch expressions, operation for operation.
+        work = prefix[:, None, :] - prefix[:, :, None]
+        upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), k=1)
+        ell = np.where(
+            upper, ell_comm[:, :, None] - lam * work / s + ell_comm[:, None, :], 0.0
+        )
+        self.n, self.p, self.kmax = n, p, kmax
+        self.total_compute, self.comm_time, self.wtime = total_compute, comm_time, work / s
+        # Row by row, so the log1mexp temporaries stay one row's size.
+        qs = np.arange(1, kmax + 1)
+        self.stage = np.empty(ell.shape + (kmax,))
+        for stage_r, ell_r in zip(self.stage, ell):
+            stage_r[...] = logrel.parallel_k_many(ell_r[..., None], qs)
+
+    def run(self, lane_row: np.ndarray, P: np.ndarray, budget: np.ndarray):
+        """The DP of every lane at once; lane ``l`` solves table row
+        ``lane_row[l]`` under period bound ``P[l]`` and communication
+        budget ``budget[l]``.
+
+        Returns the points of all rows as columns ``(lane, t, k, q,
+        parent, cost, value)``: point ``x`` is on the frontier of state
+        ``(t[x] tasks, k[x] processors)`` of its lane and was reached
+        from point ``parent[x]`` by an interval on ``q[x]`` replicas.
+        Each row's block is sorted by ``(lane, k, cost)``; the last
+        block holds the final row when it is non-empty.
+
+        Row ``i``'s candidates are every earlier point extended by every
+        admitted ``[t, i)`` within budget and every replica count, laid
+        out source-major — for each ``(lane, k)`` state that is the
+        scalar insertion order (source row, then source ``k``, then
+        source cost).  A stable sort by (state, cost up, value down)
+        then keeps, per state, each point whose value beats every point
+        before it: the Pareto set, with exact ties won by the first
+        inserted point, as :meth:`ParetoFrontier.insert` keeps it.
+        """
+        n, p, kmax = self.n, self.p, self.kmax
+        n_lanes = lane_row.size
+        ct = self.comm_time[lane_row]
+        fits = ~(ct > P[:, None])
+        # adm[l, j, i]: interval [j, i) fits lane l's period bound.
+        adm = fits[:, :, None] & ~(self.wtime[lane_row] > P[:, None, None]) & fits[:, None, :]
+        qs = np.arange(1, kmax + 1, dtype=np.int32)
+
+        # A point's state packs (lane, k) as lane * (p + 1) + k.
+        state = np.arange(n_lanes, dtype=np.int32) * (p + 1)
+        zeros = np.zeros(n_lanes, dtype=np.int32)
+        cols = [state, zeros, zeros, np.full(n_lanes, -1, dtype=np.int32),
+                np.zeros(n_lanes), np.zeros(n_lanes)]
+        for i in range(1, n + 1):
+            state, t, _, _, cost, value = cols
+            lane, k = np.divmod(state, p + 1)
+            new_cost = cost + ct[lane, i]
+            src = np.flatnonzero(
+                adm[lane, t, i] & (new_cost <= budget[lane]) & (k < p)
+            ).astype(np.int32)
+            if src.size == 0:
+                continue
+            ok = k[src, None] + qs <= p
+            c_src = np.broadcast_to(src[:, None], ok.shape)[ok]
+            c_state = (state[src, None] + qs)[ok]
+            c_value = (value[src, None] + self.stage[lane_row[lane[src]], t[src], i])[ok]
+            cost_rank = np.broadcast_to(_dense_rank(new_cost[src])[:, None], ok.shape)[ok]
+            order = _pareto_order(c_state, cost_rank, c_value)
+            up, s_new = c_src[order], c_state[order]
+            block = [s_new, np.full(up.size, i, dtype=np.int32), s_new - state[up],
+                     up, new_cost[up], c_value[order]]
+            cols = [np.concatenate((a, b)) for a, b in zip(cols, block)]
+        lane, k = np.divmod(cols[0], p + 1)
+        return [lane, cols[1], k, *cols[2:]]
+
+    def witnesses(
+        self, lane_row: np.ndarray, P: np.ndarray, budget: np.ndarray, select, floor: float
+    ) -> list:
+        """:meth:`run`, then ``(lane, pieces)`` for every lane with an
+        answer: ``select`` picks the lane's final point (the scalar
+        selection over the final row) and its parent walk gives the
+        ``(j, i, q)`` pieces of the witness, in chain order."""
+        lane, t, k, q, parent, cost, value = self.run(lane_row, P, budget)
+        final = np.flatnonzero(t == self.n)
+        picks = final[select(lane[final], k[final], cost[final], value[final], floor)]
+        found = []
+        for x in picks.tolist():
+            pieces = []
+            lane_x = int(lane[x])
+            while t[x] > 0:
+                up = int(parent[x])
+                pieces.append((int(t[up]), int(t[x]), int(q[x])))
+                x = up
+            pieces.reverse()
+            found.append((lane_x, pieces))
+        return found
+
+
+def _dense_rank(x: np.ndarray) -> np.ndarray:
+    """Order-preserving ranks ``0, 1, ...`` of *x*; equal values share one."""
+    o = np.argsort(x)
+    xs = x[o]
+    rank = np.empty(x.size, dtype=np.int32)
+    rank[o] = np.cumsum(np.r_[False, xs[1:] != xs[:-1]], dtype=np.int32)
+    return rank
+
+
+def _pareto_order(seg: np.ndarray, cost_rank: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The Pareto points of every segment, as indices in (segment, cost)
+    order: minimal cost, maximal value, exact ties won by the lowest index.
+
+    A stable sort by (segment, cost up, value down) on one packed int64
+    key of dense ranks, then a segmented strict running max: a point
+    stays iff its value beats every value before it in its segment.
+    ``seg * n_values + value rank`` orders by (segment, value), so one
+    global running max of it restarts at every segment.  (The packed
+    key is below segments x cost ranks x value ranks, under 2**63 for
+    any candidate set that fits in memory: about 5e15 for a million
+    candidates of a chunk at p = 100.)
+    """
+    vr = _dense_rank(value)
+    nv, nc = int(vr.max()) + 1, int(cost_rank.max()) + 1
+    key = seg.astype(np.int64)
+    key *= nc
+    key += cost_rank
+    key *= nv
+    key += nv - 1
+    key -= vr
+    order = np.argsort(key, kind="stable")
+    key[:] = seg[order]
+    key *= nv
+    key += vr[order]
+    keep = np.empty(order.size, dtype=bool)
+    keep[:1] = True
+    np.greater(key[1:], np.maximum.accumulate(key)[:-1], out=keep[1:])
+    return order[keep]
+
+
+def _lane_firsts(lane: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first point of each lane in *order* (sorted by lane first)."""
+    lanes = lane[order]
+    first = np.ones(lanes.size, dtype=bool)
+    first[1:] = lanes[1:] != lanes[:-1]
+    return order[first]
+
+
+def _most_reliable_lanes(lane, k, cost, value, floor) -> np.ndarray:
+    """Per lane, :func:`~repro.algorithms.pareto_dp._most_reliable`: the
+    most reliable final point, the lowest ``k`` on ties."""
+    return _lane_firsts(lane, np.lexsort((k, -value, lane)))
+
+
+def _cheapest_meeting_lanes(lane, k, cost, value, floor) -> np.ndarray:
+    """Per lane, :func:`~repro.algorithms.pareto_dp._cheapest_meeting`:
+    the cheapest final point meeting the floor, ties broken by value,
+    then by ``k``."""
+    ok = np.flatnonzero(~(value < floor))
+    order = np.lexsort((k[ok], -value[ok], cost[ok], lane[ok]))
+    return _lane_firsts(lane, ok[order])
+
+
+def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select,
+                     score, floor: float = -math.inf):
     """The shared body of the frontier-DP kernels.
 
-    Per row: build the DP tables once, run one DP per group of points
-    that admit the same intervals (at the group's loosest live budget),
-    and answer each point by ``select(front[n], budget)``, the scalar
-    path's selection restricted to the point's own budget (see the
-    module docstring).  Each answer is reconstructed and scored by the
-    real :func:`~repro.core.evaluation.evaluate_mapping`; ``score(ev)``
-    is its *objective* value.  Only the current DP run is alive at any
-    time.
+    One lane per (row, sweep point) with a non-negative communication
+    budget — a latency bound below the compute lower bound is
+    infeasible before any DP runs, as in the scalar early return — and
+    one :meth:`_FrontierLanes.run` per chunk of lanes.  ``select`` picks
+    each lane's answer among its final points, the scalar selection
+    over the final row; the answer is reconstructed and scored by the
+    real :func:`~repro.core.evaluation.evaluate_mapping`, ``score(ev)``
+    being its *objective* value.
     """
     rows = _resolve_rows(ensemble, rows)
-    out = UnitResults.empty(len(rows), len(bounds), objective)
+    n_pts = len(bounds)
+    out = UnitResults.empty(len(rows), n_pts, objective)
     if len(rows) == 0:
         return out
     _require_homogeneous_rows(ensemble, rows, kernel)
     check_bounds(bounds)
 
-    for ri, row in enumerate(rows):
-        dp = _FrontierDP(ensemble.chain(int(row)), ensemble.platform(int(row)))
-        # A latency bound below the compute lower bound (negative
-        # budget) is infeasible before any DP runs, as in the scalar
-        # early return.
-        budgets = [float(L) - dp.total_compute for _, L in bounds]
-        groups: dict[tuple, list[int]] = {}
-        for pt, (P, _L) in enumerate(bounds):
-            if budgets[pt] >= 0:
-                groups.setdefault(dp.admitted(float(P)), []).append(pt)
-        for admitted, pts in groups.items():
-            front = dp.run(admitted, max(budgets[pt] for pt in pts))
-            for pt in pts:
-                best = select(front[dp.n], budgets[pt])
-                if best is None:
-                    continue
-                ev = evaluate_mapping(dp.reconstruct(front, *best))
-                out.solved[ri, pt] = True
-                out.failure[ri, pt] = ev.failure_probability
-                out.values[ri, pt] = score(ev)
-                out.period[ri, pt] = ev.worst_case_period
-                out.latency[ri, pt] = ev.worst_case_latency
+    dp = _FrontierLanes(ensemble, rows)
+    P_pts = np.array([float(P) for P, _ in bounds])
+    L_pts = np.array([float(L) for _, L in bounds])
+    budgets = (L_pts[None, :] - dp.total_compute[:, None]).ravel()
+    lanes = np.flatnonzero(budgets >= 0)  # lane id = ri * n_pts + pt
+    for start in range(0, lanes.size, _CHUNK):
+        ids = lanes[start:start + _CHUNK]
+        ris, pts = np.divmod(ids, n_pts)
+        for lane, pieces in dp.witnesses(ris, P_pts[pts], budgets[ids], select, floor):
+            ri, pt = int(ris[lane]), int(pts[lane])
+            row = int(rows[ri])
+            ev = evaluate_mapping(
+                _mapping(ensemble.chain(row), ensemble.platform(row), pieces)
+            )
+            out.solved[ri, pt] = True
+            out.failure[ri, pt] = ev.failure_probability
+            out.values[ri, pt] = score(ev)
+            out.period[ri, pt] = ev.worst_case_period
+            out.latency[ri, pt] = ev.worst_case_latency
     return out
 
 
@@ -366,9 +557,8 @@ def batch_pareto_dp(
 ) -> UnitResults:
     """Batched ``pareto_dp_best`` over homogeneous ensemble rows.
 
-    One frontier run per (row, admitted-interval group) serves every
-    sweep point of the group, answered by the most reliable point
-    within the point's budget.
+    One lane-vectorized frontier DP over every (row, sweep point),
+    each lane answered by its most reliable final point.
     *min_reliability* is accepted for the ``solve_batch`` signature;
     the reliability objective carries no floor.
     """
@@ -380,7 +570,7 @@ def batch_pareto_dp(
         )
     return _frontier_kernel(
         ensemble, bounds, rows, "pareto-dp", objective,
-        select=_most_reliable,
+        select=_most_reliable_lanes,
         score=lambda ev: ev.reliability,
     )
 
@@ -395,8 +585,8 @@ def batch_minimize_latency(
 ) -> UnitResults:
     """Batched ``minimize_latency`` over homogeneous ensemble rows.
 
-    The same shared frontier runs as :func:`batch_pareto_dp`, answered
-    by the cheapest point meeting the floor.
+    The same lane-vectorized frontier DP as :func:`batch_pareto_dp`,
+    each lane answered by its cheapest final point meeting the floor.
     """
     if objective != "latency":
         raise BatchUnsupported(
@@ -404,9 +594,9 @@ def batch_minimize_latency(
             f"got {objective!r}",
             reason="objective",
         )
-    floor = floor_log_reliability(min_reliability)
     return _frontier_kernel(
         ensemble, bounds, rows, "dp-latency", objective,
-        select=lambda final, budget: _cheapest_meeting(final, floor, budget),
+        select=_cheapest_meeting_lanes,
         score=lambda ev: ev.worst_case_latency,
+        floor=floor_log_reliability(min_reliability),
     )

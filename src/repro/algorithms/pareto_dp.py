@@ -31,16 +31,18 @@ Shared core.  :class:`_FrontierDP` holds everything about a row that
 does not depend on the bounds (prefix sums, per-boundary communication
 terms, and per candidate interval its compute time and replica-count
 stage table), so a caller that solves one row at many bound points —
-the batched kernels of :mod:`repro.algorithms.batch_dp`, the finite-L
-probes of :func:`~repro.algorithms.dp_period.minimize_period` — builds
-the tables once.  A bound point enters a run only through the set of
-intervals it admits and the communication budget, and two points with
-the same admitted set and budgets ``b <= B`` share a run: cost is the
-first frontier coordinate, so inserting points beyond ``b`` never
-evicts or dominates a point within ``b``, and the sub-frontier within
-``b`` of the run at ``B`` equals the run at ``b``.  The selection
-functions :func:`_most_reliable` and :func:`_cheapest_meeting` scan a
-final frontier restricted to a budget accordingly.
+the finite-L probes of :func:`~repro.algorithms.dp_period.minimize_period`
+— builds the tables once.  :meth:`_FrontierDP.run` is also the
+reference of the batched kernels of :mod:`repro.algorithms.batch_dp`,
+which stack these quantities over rows and run the same DP for every
+(row, bound point) at once: one lane per point with its own admitted
+intervals and exact budget (no two points share a run).  Their
+frontiers keep what :meth:`ParetoFrontier.insert` keeps, ties
+included: of two points equal in cost and value the first inserted
+wins, so the witnesses, and the results, are bit-identical.
+The selection functions :func:`_most_reliable` and
+:func:`_cheapest_meeting` scan a final frontier restricted to a
+budget.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ class _FrontierDP:
 
     def admitted(self, max_period: float) -> tuple:
         """The intervals ``(j, i)`` whose compute time and both
-        communications fit *max_period*, in DP order (the hashable key
-        under which bound points share a run)."""
+        communications fit *max_period*, in DP order."""
         comm_time, wtime = self.comm_time, self.wtime
         return tuple(
             (j, i)
@@ -199,13 +200,18 @@ class _FrontierDP:
             cost = parent_cost
             i, k = j, k_prev
         pieces.reverse()
+        return _mapping(self.chain, self.platform, pieces)
 
-        assignment = []
-        nxt = 0
-        for a, z, q in pieces:
-            assignment.append((Interval(a, z), tuple(range(nxt, nxt + q))))
-            nxt += q
-        return Mapping(self.chain, self.platform, assignment)
+
+def _mapping(chain: TaskChain, platform: Platform, pieces: list) -> Mapping:
+    """The mapping of ``(j, i, q)`` pieces in chain order: interval
+    ``[j, i)`` on the next ``q`` processors (0, 1, 2...)."""
+    assignment = []
+    nxt = 0
+    for a, z, q in pieces:
+        assignment.append((Interval(a, z), tuple(range(nxt, nxt + q))))
+        nxt += q
+    return Mapping(chain, platform, assignment)
 
 
 def _most_reliable(

@@ -638,7 +638,7 @@ def _resolve_scenario_token(token: str):
 
 
 def _cmd_scenario(args) -> int:
-    from repro.experiments.harness import resolve_jobs, run_sweep
+    from repro.experiments.harness import check_min_reliability, resolve_jobs, run_sweep
     from repro.scenarios import SCENARIOS, generate_ensembles, scenario_hash
 
     if args.scenario_cmd == "list":
@@ -678,10 +678,15 @@ def _cmd_scenario(args) -> int:
     from repro.obs import run_id_for, write_run
     from repro.obs import telemetry as obs
     from repro.solve import Planner, derive_bounds_grid, encode_bound
+    from repro.solve.grid import check_grid_points
 
     spec, entry = _resolve_scenario_token(args.scenario)
+    # Bad input fails here, before generation, grid probes or cache writes.
     try:
         jobs = resolve_jobs(args.jobs)
+        check_min_reliability(args.min_reliability, args.objective)
+        if args.grid == "auto":
+            check_grid_points(args.grid_points)
         if args.n_instances is not None:
             spec = spec.with_(n_instances=args.n_instances)
     except ValueError as exc:

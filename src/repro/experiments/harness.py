@@ -115,7 +115,7 @@ from repro.obs import telemetry as obs
 from repro.solve.problem import Problem, check_bound
 from repro.util.rng import stable_seed
 
-__all__ = ["SweepResult", "run_sweep", "resolve_jobs"]
+__all__ = ["SweepResult", "run_sweep", "resolve_jobs", "check_min_reliability"]
 
 #: Shard sizing: aim for this many shards per worker (load balancing
 #: headroom) without exceeding _SHARD_MAX units per payload.
@@ -280,6 +280,24 @@ def resolve_jobs(jobs: "int | None") -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
+
+
+def check_min_reliability(min_reliability: float, objective: str) -> float:
+    """Validate a sweep's reliability floor for *objective*; returns it
+    as a float.  A floor lies in ``[0, 1)`` (0 = none) and constrains
+    the converse objectives only."""
+    min_reliability = float(min_reliability)
+    if math.isnan(min_reliability) or not 0.0 <= min_reliability < 1.0:
+        raise ValueError(
+            f"min_reliability must lie in [0, 1) (0 = no floor), got {min_reliability!r}"
+        )
+    if objective == "reliability" and min_reliability != 0.0:
+        raise ValueError(
+            "min_reliability is a constraint for the converse objectives "
+            "('period', 'latency', 'energy'); with objective='reliability' "
+            "the criterion itself is maximized — leave the floor at 0.0"
+        )
+    return min_reliability
 
 
 def _unit_problems(
@@ -595,17 +613,7 @@ def _validate(
     ]
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; supported: {OBJECTIVES}")
-    min_reliability = float(min_reliability)
-    if math.isnan(min_reliability) or not 0.0 <= min_reliability < 1.0:
-        raise ValueError(
-            f"min_reliability must lie in [0, 1) (0 = no floor), got {min_reliability!r}"
-        )
-    if objective == "reliability" and min_reliability != 0.0:
-        raise ValueError(
-            "min_reliability is a constraint for the converse objectives "
-            "('period', 'latency', 'energy'); with objective='reliability' "
-            "the criterion itself is maximized — leave the floor at 0.0"
-        )
+    min_reliability = check_min_reliability(min_reliability, objective)
     # Capability checks run once per ensemble over the raw columns —
     # no instance materializes just to be validated.
     for method in methods:

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.obs import telemetry as obs
 
-__all__ = ["BoundsGrid", "derive_bounds_grid"]
+__all__ = ["BoundsGrid", "check_grid_points", "derive_bounds_grid"]
 
 #: Default number of grid points per axis.
 DEFAULT_POINTS = 8
@@ -111,6 +111,12 @@ class BoundsGrid:
         }
 
 
+def check_grid_points(n_points: int) -> None:
+    """Reject a grid of fewer than two evenly spaced points."""
+    if n_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {n_points}")
+
+
 def derive_bounds_grid(
     instances,
     quantiles: "Sequence[float] | None" = None,
@@ -154,8 +160,7 @@ def derive_bounds_grid(
         ensemble — every warm ``--grid auto`` run — costs zero solves.
     """
     if quantiles is None:
-        if n_points < 2:
-            raise ValueError(f"need at least 2 grid points, got {n_points}")
+        check_grid_points(n_points)
         quantiles = np.linspace(0.0, 1.0, n_points)
     quantiles = tuple(float(q) for q in quantiles)
     if not quantiles:

@@ -531,8 +531,9 @@ class TestConverseKernels:
 
 
 class TestParetoDPKernel:
-    """The pareto-dp kernel (one frontier DP per row and admitted-interval
-    group) against the per-row path, at kernel and at sweep level."""
+    """The pareto-dp kernel (one lane-vectorized frontier DP over every
+    row and sweep point) against the per-row path, at kernel and at
+    sweep level."""
 
     @pytest.mark.parametrize("bounds", [PERIOD_AXIS, LATENCY_AXIS, BOUNDS],
                              ids=["period-axis", "latency-axis", "mixed"])

@@ -1,29 +1,43 @@
 """Differential tests of the shared frontier-DP core on adversarial inputs.
 
-The pareto-dp and dp-latency kernels run one frontier DP per row and
-admitted-interval group, and dp-period's finite-latency probe reuses
-one row's tables across its bisection.  Here each is checked against
-the per-point path on small homogeneous ensembles built to hit the
-edge cases: integer work and outputs (exact frontier ties), K = 1,
-fewer processors than tasks, bounds exactly on an interval's time
-(admission is ``<=``), infinite bounds, and latency caps at or below
-the compute bound.
+The pareto-dp and dp-latency kernels run the frontier DP lane-vectorized,
+one lane per (row, sweep point) in chunks of lanes, and dp-period's
+finite-latency probe reuses one row's tables across its bisection.
+Here each is checked against the per-point path on small homogeneous
+ensembles built to hit the edge cases: integer work and outputs (exact
+frontier ties), K = 1, fewer processors than tasks, bounds exactly on
+an interval's time (admission is ``<=``), infinite bounds, latency caps
+at or below the compute bound, lanes spanning several chunks, finite
+and infinite budgets side by side in one chunk, and failure-free
+platforms where every value ties.  The lane DP's frontiers are also
+compared with the scalar DP's state by state, parents included, which
+pins the tie rule itself.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import minimize_period, pareto_dp_best
+from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes
 from repro.algorithms.dp_period import candidate_periods
+from repro.algorithms.pareto_dp import _FrontierDP
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
 FLOORS = st.sampled_from([0.0, 0.9])
+
+#: (method, objective, reliability floor) of each frontier kernel cell.
+FRONTIER_CELLS = [
+    ("pareto-dp", "reliability", 0.0),
+    ("dp-latency", "latency", 0.0),
+    ("dp-latency", "latency", 0.9),
+]
 
 
 @st.composite
@@ -133,3 +147,151 @@ def test_dp_period_finite_latency_probe_matches_per_point(case, floor):
             assert below.size == 0 or not probe_meets(
                 chain, platform, float(below[-1]), L, ell
             )[0]
+
+
+def int_ensemble(seed, m, n, p, max_replication, failure_rate=1e-3, link_rate=1e-4):
+    """A homogeneous ensemble of *m* rows with small integer work and
+    outputs (many exact frontier ties)."""
+    rng = np.random.default_rng(seed)
+    return Ensemble(
+        work=rng.integers(1, 7, (m, n)).astype(float),
+        output=rng.integers(0, 5, (m, n)).astype(float),
+        speeds=np.full((1, p), 1.0),
+        failure_rates=np.full((1, p), failure_rate),
+        bandwidth=1.0,
+        link_failure_rate=link_rate,
+        max_replication=max_replication,
+    )
+
+
+def assert_unit_results_match(method_name, ensemble, bounds, objective, floor):
+    """Every result array of the kernel (witness period and latency
+    included) equals the per-point path's; returns the kernel's."""
+    method = get_method(method_name)
+    out = method.solve_batch(
+        ensemble, bounds, objective=objective, min_reliability=floor
+    )
+    rows, _seconds = _solve_rows(
+        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+    )
+    for name in out.ARRAYS:
+        assert np.array_equal(getattr(out, name), getattr(rows, name)), name
+    return out
+
+
+@pytest.mark.parametrize("method_name,objective,floor", FRONTIER_CELLS)
+def test_frontier_kernel_lanes_span_chunks(method_name, objective, floor):
+    ensemble = int_ensemble(3, m=12, n=7, p=5, max_replication=2)
+    chain, platform = ensemble[0]
+    periods = [float(x) for x in candidate_periods(chain, platform)]
+    bounds = [(P, L) for P in (periods[2], periods[len(periods) // 2], math.inf)
+              for L in (43.0, 60.0, math.inf)]
+    # Every budget is >= 0 (compute bounds are <= 42), so every
+    # (row, point) is a lane, and the lanes need more than two chunks.
+    assert len(ensemble) * len(bounds) > 2 * _CHUNK
+    out = assert_unit_results_match(method_name, ensemble, bounds, objective, floor)
+    assert out.solved.any() and not out.solved.all()
+
+
+@pytest.mark.parametrize("method_name,objective,floor", FRONTIER_CELLS)
+def test_frontier_kernel_latencies_below_compute_bound(method_name, objective, floor):
+    """No lane survives: the kernel answers all-infeasible, no error."""
+    ensemble = int_ensemble(5, m=4, n=5, p=4, max_replication=3)
+    below = float(ensemble.work.sum(axis=1).min()) - 1.0
+    bounds = [(math.inf, below), (10.0, below / 2)]
+    out = assert_unit_results_match(method_name, ensemble, bounds, objective, floor)
+    assert not out.solved.any()
+
+
+@pytest.mark.parametrize("method_name,objective,floor", FRONTIER_CELLS)
+def test_frontier_kernel_mixed_budgets_in_one_chunk(method_name, objective, floor):
+    """Finite, infinite and negative budgets side by side in one chunk."""
+    ensemble = int_ensemble(7, m=3, n=6, p=6, max_replication=2)
+    # Compute bounds 30, 19 and 21: L = 25 and 22 leave row 0 a negative
+    # budget and rows 1 and 2 small finite ones.
+    assert ensemble.work.sum(axis=1).tolist() == [30.0, 19.0, 21.0]
+    bounds = [(math.inf, math.inf), (8.0, 25.0), (8.0, math.inf),
+              (math.inf, 32.0), (12.0, 22.0)]
+    assert len(ensemble) * len(bounds) <= _CHUNK
+    out = assert_unit_results_match(method_name, ensemble, bounds, objective, floor)
+    assert out.solved.any() and not out.solved.all()
+
+
+@pytest.mark.parametrize("method_name,objective,floor", FRONTIER_CELLS)
+def test_frontier_kernel_perfectly_reliable_ties(method_name, objective, floor):
+    """Failure-free processors and links: every mapping has reliability
+    1, so every frontier comparison of values ties and the tie rules
+    alone (first inserted point, lowest k) pick the witnesses, whose
+    period and latency must match the per-point path's."""
+    ensemble = int_ensemble(11, m=6, n=6, p=5, max_replication=3,
+                            failure_rate=0.0, link_rate=0.0)
+    chain, platform = ensemble[0]
+    periods = [float(x) for x in candidate_periods(chain, platform)]
+    bounds = [(periods[3], math.inf), (periods[len(periods) // 2], 40.0),
+              (math.inf, 30.0), (math.inf, math.inf)]
+    out = assert_unit_results_match(method_name, ensemble, bounds, objective, floor)
+    assert out.solved.any()
+
+
+def lane_frontiers_match_scalar(ensemble, bounds):
+    """Every lane's frontiers, parents included, against the scalar DP.
+
+    All (row, point) lanes run in one :meth:`_FrontierLanes.run`; each
+    lane's points, grouped by state ``(t, k)`` in row order, must equal
+    the scalar ``front[t][k]`` point for point, with the scalar payload
+    ``(j, k_prev, q, parent_cost)`` read off the lane's parent.  That
+    pins the tie rule itself (the first inserted of two equal points
+    stays), not only the results it leads to.
+    """
+    tables = _FrontierLanes(ensemble, np.arange(len(ensemble)))
+    n, p = tables.n, tables.p
+    lane_row, P, budget, fronts = [], [], [], []
+    for r, (chain, platform) in enumerate(ensemble):
+        dp = _FrontierDP(chain, platform)
+        for max_period, max_latency in bounds:
+            comm_budget = max_latency - dp.total_compute
+            if comm_budget >= 0:
+                lane_row.append(r)
+                P.append(max_period)
+                budget.append(comm_budget)
+                fronts.append(dp.run(dp.admitted(max_period), comm_budget))
+    if not fronts:
+        return
+    lane, t, k, q, parent, cost, value = tables.run(
+        np.array(lane_row), np.array(P), np.array(budget)
+    )
+    got = [{} for _ in fronts]
+    for x in np.flatnonzero(t > 0).tolist():
+        up = parent[x]
+        got[lane[x]].setdefault((t[x], k[x]), []).append(
+            (cost[x], value[x], t[up], k[up], q[x], cost[up])
+        )
+    for front, lane_got in zip(fronts, got):
+        want = {
+            (i, kk): [(c, v, *payload) for c, v, payload in front[i][kk]]
+            for i in range(1, n + 1)
+            for kk in range(p + 1)
+            if front[i][kk] is not None
+        }
+        assert lane_got == want
+
+
+@given(hom_cases())
+@settings(max_examples=60, deadline=None)
+def test_lane_frontiers_match_scalar_dp(case):
+    ensemble, bounds = case
+    lane_frontiers_match_scalar(ensemble, bounds)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_lane_frontiers_match_scalar_dp_all_ties(seed):
+    """Zero failure rates: every value is 0, so equal-cost points tie
+    exactly and only the insertion order decides which one stays."""
+    ensemble = int_ensemble(seed, m=3, n=6, p=6, max_replication=3,
+                            failure_rate=0.0, link_rate=0.0)
+    chain, platform = ensemble[0]
+    periods = [float(x) for x in candidate_periods(chain, platform)]
+    lane_frontiers_match_scalar(
+        ensemble,
+        [(math.inf, math.inf), (periods[len(periods) // 2], math.inf), (8.0, 35.0)],
+    )

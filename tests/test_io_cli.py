@@ -311,6 +311,27 @@ class TestScenarioCLI:
                   "--manifest", str(tmp_path / "m.json")])
         assert "instances" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--objective", "latency", "--min-reliability", "1.5"],
+         r"min_reliability must lie in \[0, 1\) \(0 = no floor\), got 1\.5"),
+        (["--objective", "latency", "--min-reliability", "-0.2"],
+         r"min_reliability must lie in \[0, 1\) \(0 = no floor\), got -0\.2"),
+        (["--grid-points", "1"], "need at least 2 grid points, got 1"),
+    ])
+    def test_scenario_run_bad_input_fails_before_any_work(
+        self, tmp_path, capsys, flags, message
+    ):
+        """Out-of-range input exits with the value named, before the run
+        generates instances or solves (and caches) a single grid probe."""
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit, match=message):
+            main(["scenario", "run", "section8-hom", "--grid", "auto",
+                  "--cache-dir", str(cache_dir),
+                  "--manifest", str(tmp_path / "m.json"), *flags])
+        assert "instances" not in capsys.readouterr().out
+        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
+        assert not (tmp_path / "m.json").exists()
+
     def test_scenario_show_unknown(self):
         with pytest.raises(SystemExit, match="unknown scenario"):
             main(["scenario", "show", "no-such-workload"])
