@@ -22,8 +22,13 @@ Metrics (per kernel cell; the acceptance floor is 5x):
   measured against the ``heuristic_best`` loop directly);
 * ``batch_dp_period_speedup`` — the lane-vectorized Algorithm 2 DP
   (``dp-period``) vs the per-row converse binary search;
-* ``het_batch_speedup`` — heur-l on heterogeneous rows (lockstep
-  Section 7.2 allocation) vs the per-row loop;
+* ``het_batch_speedup`` — heur-l on heterogeneous rows (Section 7.2
+  allocation lanes, one per candidate, row and sweep point) vs the
+  per-row loop;
+* ``het_paper_speedup`` — heur-l-paper (the Section 8.2 experiment
+  code: best-then-check selection, Section 7.2 allocation) on
+  section8-het, the het-paper workload's shape (30 rows, derived
+  8-point period grid), vs the per-row loop;
 * ``pareto_dp_speedup`` — the pareto-dp kernel (one lane-vectorized
   frontier DP over every row and sweep point, lanes in chunks) vs the
   per-row loop of scalar frontier DPs, on the derived 8-point period
@@ -70,6 +75,9 @@ PERIOD_BOUNDS = [(150.0, math.inf), (250.0, math.inf), (400.0, math.inf)]
 #: `--grid auto` period axis with 8 points).
 PARETO_N = 30
 PARETO_POINTS = 8
+#: The heur-l-paper cell: the het-paper workload's shape (30 section8-het
+#: rows, `--grid auto` period axis with 8 points).
+PAPER_N = 30
 
 #: Regression-gate metric names (see run_batch_solve_bench).
 BENCH_NAME = "bench_batch_solve"
@@ -164,6 +172,13 @@ def run_batch_solve_bench() -> dict:
     pareto_looped, pareto_batched = _sweep_pair_seconds(
         pareto_ensemble, "pareto-dp", pareto_bounds, "reliability", PARETO_N,
     )
+    paper_ensemble = generate_ensemble("section8-het", n_instances=PAPER_N, seed=0)
+    paper_bounds = derive_bounds_grid(
+        paper_ensemble, n_points=PARETO_POINTS
+    ).sweep("period")
+    paper_looped, paper_batched = _sweep_pair_seconds(
+        paper_ensemble, "heur-l-paper", paper_bounds, "reliability", PAPER_N,
+    )
 
     emit()
     emit(f"batched solving, {N_INSTANCES} instances x {METHOD} "
@@ -184,6 +199,9 @@ def run_batch_solve_bench() -> dict:
     emit(f"pareto-dp ({PARETO_N} rows x {PARETO_POINTS} pts):   "
          f"{pareto_looped:7.3f} / {pareto_batched:7.3f} = "
          f"{pareto_looped / pareto_batched:.1f}x")
+    emit(f"heur-l-paper ({PAPER_N} rows x {PARETO_POINTS} pts): "
+         f"{paper_looped:7.3f} / {paper_batched:7.3f} = "
+         f"{paper_looped / paper_batched:.1f}x")
 
     return {
         "batch_speedup": looped_seconds / batched_seconds,
@@ -191,6 +209,7 @@ def run_batch_solve_bench() -> dict:
         "batch_dp_period_speedup": dp_looped / dp_batched,
         "het_batch_speedup": het_looped / het_batched,
         "pareto_dp_speedup": pareto_looped / pareto_batched,
+        "het_paper_speedup": paper_looped / paper_batched,
         "batched_units_per_s": n_units / batched_seconds,
         "looped_units_per_s": n_units / looped_seconds,
     }
@@ -205,6 +224,7 @@ def test_batch_solve_throughput(benchmark):
     assert metrics["batch_dp_period_speedup"] > 5.0
     assert metrics["het_batch_speedup"] > 5.0
     assert metrics["pareto_dp_speedup"] > 5.0
+    assert metrics["het_paper_speedup"] > 5.0
 
     ensemble = generate_ensemble("section8-hom", n_instances=200, seed=17)
     methods = [get_method(METHOD)]

@@ -26,6 +26,9 @@ That contract dictates the implementation style:
 * Sequential accumulations (``sum()`` starting at ``0``) are
   replicated as sequential masked adds — ``k`` rounded additions are
   not ``k * x``.
+* A scalar map over many equal arguments calls its function once per
+  distinct bit pattern (:func:`_map_distinct`): same bits in, same
+  bits out.
 * Tie-breaks (the allocation heap's smallest-index pop, the DP's
   strict ``<``, the selection's strict ``>``) map onto
   first-occurrence ``argmax`` / ``argmin``.
@@ -41,10 +44,11 @@ floor, for unseeded methods, under both selection rules of
   Algo-Alloc are both bounds-independent, so one candidate table
   serves every sweep point (:class:`_HomTable`).
 * **Heterogeneous rows**, and every row with ``allocation="het"`` —
-  divisions are still chain-only, but the Section 7.2 allocation
-  filters on the period bound, so every probe re-runs a lockstep
-  allocation across all rows at once (:class:`_HetTable` /
-  :func:`_algo_alloc_het_lockstep`).  ``allocation="het"`` is the
+  divisions are still chain-only and tabulated once, padded to one
+  width, but the Section 7.2 allocation filters on the period bound,
+  so every probe re-runs it: one lockstep allocation and evaluation
+  over *lanes*, one per (candidate division, row, sweep point), in
+  fixed-size chunks (:class:`_HetTable`).  ``allocation="het"`` is the
   paper's Section 8.2 experiment code (``heur-l-paper`` /
   ``heur-p-paper``), which runs that allocation on the homogeneous
   counterpart platform too.
@@ -197,6 +201,26 @@ _parallel_tail_map = np.frompyfunc(_parallel_tail, 1, 1)
 def _pyfloat(mapped: np.ndarray) -> np.ndarray:
     """Cast a ``frompyfunc`` object-array result back to float64."""
     return mapped.astype(float)
+
+
+#: Lanes per Section 7.2 allocation chunk (and values per
+#: :func:`_map_distinct` chunk).  A lane's state is a few ``(M,)`` and
+#: ``(p,)`` rows, so the chunk bounds the per-probe temporaries while
+#: each lockstep step still spreads NumPy's per-call overhead over
+#: hundreds of lanes.
+_CHUNK = 512
+
+
+def _map_distinct(scalar_map, x: np.ndarray) -> np.ndarray:
+    """*scalar_map* over the 1-D float array *x*, one scalar call per
+    distinct bit pattern of each :data:`_CHUNK` values (exact: equal
+    bits, equal result).  The chunks bound the temporaries."""
+    out = np.empty_like(x)
+    for start in range(0, x.size, _CHUNK):
+        part = x[start:start + _CHUNK]
+        bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
+        out[start:start + _CHUNK] = _pyfloat(scalar_map(bits.view(float)))[inverse]
+    return out
 
 
 def _check_heuristic(which: str, selection: str, allocation: str) -> None:
@@ -424,14 +448,15 @@ def _select(
     floor: float,
     selection: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Select one candidate per row, as :func:`heuristic_best` does.
+    """Select one candidate per (row, point), as :func:`heuristic_best` does.
 
-    *ell*, *wp*, *wl* are ``(C, r)`` candidate tables in the scalar
-    loop order, *valid* marks the candidates whose allocation produced
-    a mapping (``True`` broadcasts), and *P*, *L* are ``(r,)`` bounds.
-    Either rule takes the first candidate attaining the largest
-    ``ell`` among those it considers — the scalar strict ``>``, an
-    all-``-inf`` row included:
+    *ell*, *wp*, *wl* are ``(C, r, points)`` candidate tables in the
+    scalar loop order (a size-1 point axis broadcasts), *valid* marks
+    the candidates whose allocation produced a mapping (``True``
+    broadcasts), and *P*, *L* are ``(r, points)`` bounds.  Either rule
+    takes the first candidate attaining the largest ``ell`` among those
+    it considers — the scalar strict ``>``, an all-``-inf`` row
+    included:
 
     * ``"feasible-best"`` considers the candidates meeting both bounds
       and the floor.  Masking the floor before the argmax equals the
@@ -440,17 +465,21 @@ def _select(
       checks the winner against the bounds and the floor.
 
     Returns ``(feasible, ell, wp, wl)`` of the selected candidate per
-    row — garbage where infeasible, masked by the caller.
+    (row, point) — garbage where infeasible, masked by the caller.
     """
     meets = (wp <= P) & (wl <= L) & (ell >= floor)
-    mask = np.broadcast_to(valid, ell.shape)
+    mask = np.broadcast_to(valid, meets.shape)
     if selection == "feasible-best":
         mask = mask & meets
     key = np.where(mask, ell, -math.inf)
-    chosen = np.argmax(mask & (key == key.max(axis=0)), axis=0)
-    ridx = np.arange(ell.shape[1])
-    feasible = mask.any(axis=0) & meets[chosen, ridx]
-    return feasible, ell[chosen, ridx], wp[chosen, ridx], wl[chosen, ridx]
+    chosen = np.argmax(mask & (key == key.max(axis=0)), axis=0)[None]
+
+    def pick(table: np.ndarray) -> np.ndarray:
+        full = np.broadcast_to(table, meets.shape)
+        return np.take_along_axis(full, chosen, axis=0)[0]
+
+    feasible = mask.any(axis=0) & pick(meets)
+    return feasible, pick(ell), pick(wp), pick(wl)
 
 
 class _HomTable:
@@ -479,32 +508,26 @@ class _HomTable:
         rates = np.ascontiguousarray(ensemble.failure_rates[rows, 0], dtype=float)
         prefix = np.concatenate([np.zeros((r, 1)), np.cumsum(work, axis=1)], axis=1)
 
-        M = min(n, p)
-        arg = _heur_p_tables(work, output, b, M) if "heur-p" in names else None
         cand_ell, cand_wp, cand_wl = [], [], []
-        for name in names:
-            for m in range(1, M + 1):
-                if name == "heur-l":
-                    bnd = _heur_l_boundaries(output, m)
-                else:
-                    bnd = _heur_p_boundaries(arg, n, m)
-                ell, wp, wl = _candidate_metrics(
-                    bnd, prefix, output, speeds, rates, b, link, p, K
-                )
-                cand_ell.append(ell)
-                cand_wp.append(wp)
-                cand_wl.append(wl)
-        self.ell = np.stack(cand_ell)                       # (C, r)
-        self.wp = np.stack(cand_wp)
-        self.wl = np.stack(cand_wl)
+        for bnd in _divisions(work, output, b, names, min(n, p)):
+            ell, wp, wl = _candidate_metrics(
+                bnd, prefix, output, speeds, rates, b, link, p, K
+            )
+            cand_ell.append(ell)
+            cand_wp.append(wp)
+            cand_wl.append(wl)
+        # (C, r, 1): the point axis broadcasts in _select.
+        self.ell = np.stack(cand_ell)[:, :, None]
+        self.wp = np.stack(cand_wp)[:, :, None]
+        self.wl = np.stack(cand_wl)[:, :, None]
 
     def probe(
         self, P: np.ndarray, L: np.ndarray, floor: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Select at per-row bounds (see :func:`_select`).
+        """Select at ``(rows, points)`` bounds (see :func:`_select`).
 
-        *P*, *L* are ``(r,)`` vectors (a scalar sweep point broadcasts;
-        the search kernels pass per-lane bisection midpoints).  Algo-Alloc
+        The sweep kernel passes its grid broadcast over the rows; the
+        search kernels pass per-lane bisection midpoints.  Algo-Alloc
         always produces a mapping, so every candidate is valid.
         """
         return _select(
@@ -512,104 +535,39 @@ class _HomTable:
         )
 
 
-def _algo_alloc_het_lockstep(
-    W: np.ndarray,
-    tcomp: np.ndarray,
-    lf_alloc: np.ndarray,
-    order: np.ndarray,
-    speeds: np.ndarray,
-    K: int,
-    P: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Section 7.2 allocation for every row at once, one candidate.
-
-    Runs :func:`~repro.algorithms.allocation.algo_alloc_het` in
-    lockstep over the processor-reliability ranks: at rank ``t`` every
-    row considers *its* ``t``-th most reliable processor.  A row whose
-    intervals are all seeded (or whose processor hosts nothing) marks
-    the rank as a leftover — exactly the scalar ``break`` /
-    ``continue`` bookkeeping, which is rank-order-preserving.
-
-    Parameters are per-candidate tables: *W* ``(r, m)`` interval works,
-    *tcomp* ``(r, p, m)`` compute times ``W_j / s_u``, *lf_alloc* the
-    branch log-failures under the allocation's operand order, *order*
-    the per-row reliability ranking, *P* the ``(r,)`` period bounds.
-
-    Returns ``(assign, min_speed, valid)``: per-processor interval
-    assignment (``-1`` = unused), per-interval slowest enrolled speed,
-    and the rows whose every interval got seeded (the scalar path
-    returns ``None`` — no mapping — for the others).
-    """
-    r, p, m = tcomp.shape
-    ridx = np.arange(r)
-    fits = tcomp <= P[:, None, None]
-    empty = np.ones((r, m), dtype=bool)
-    counts = np.zeros((r, m), dtype=np.int64)
-    slf = np.zeros((r, m))
-    assign = np.full((r, p), -1, dtype=np.int64)
-    min_speed = np.full((r, m), math.inf)
-    leftover = np.zeros((r, p), dtype=bool)
-
-    # Phase 1 — seed every interval, longest hostable interval first
-    # (ties to the smaller interval index: first-occurrence argmax).
-    for t in range(p):
-        u = order[:, t]
-        cand = empty & fits[ridx, u, :]
-        seed = cand.any(axis=1)
-        leftover[:, t] = ~seed
-        if not seed.any():
-            continue
-        j = np.argmax(np.where(cand, W, -math.inf), axis=1)
-        rs = np.flatnonzero(seed)
-        js, us = j[rs], u[rs]
-        empty[rs, js] = False
-        counts[rs, js] = 1
-        slf[rs, js] = slf[rs, js] + lf_alloc[rs, us, js]
-        assign[rs, us] = js
-        min_speed[rs, js] = speeds[rs, us]
-    valid = ~empty.any(axis=1)
-
-    # Phase 2 — leftovers (in rank order) go to the interval with the
-    # best reliability-improvement ratio among those they can host.
-    for t in range(p):
-        rows = np.flatnonzero(leftover[:, t] & valid)
-        if rows.size == 0:
-            continue
-        u = order[rows, t]
-        lf_u = lf_alloc[rows, u]                            # (k, m)
-        ok = (counts[rows] < K) & fits[rows, u]
-        slf_rows = slf[rows]
-        # score = log1mexp(slf + lf_u) - log1mexp(slf), both members
-        # through the same NumPy log1mexp the scalar path pairs up.
-        lo_cur = logrel.log1mexp(slf_rows)
-        lo_new = logrel.log1mexp(slf_rows + lf_u)
-        # The scalar strict '>' skips NaN scores (a certainly-failing
-        # stage compares -inf - -inf); argmax would propagate them.
-        with np.errstate(invalid="ignore"):
-            gain = np.where(ok, lo_new - lo_cur, -math.inf)
-        gain = np.where(np.isnan(gain), -math.inf, gain)
-        j = np.argmax(gain, axis=1)
-        kidx = np.arange(rows.size)
-        acc = gain[kidx, j] > 0.0
-        ra, ja, ua = rows[acc], j[acc], u[acc]
-        slf[ra, ja] = slf[ra, ja] + lf_alloc[ra, ua, ja]
-        counts[ra, ja] += 1
-        assign[ra, ua] = ja
-        min_speed[ra, ja] = np.minimum(min_speed[ra, ja], speeds[ra, ua])
-    return assign, min_speed, valid
+def _divisions(work, output, bandwidth, names, M):
+    """Every candidate division's ``(r, m + 1)`` boundaries, in the
+    scalar loop order: name-major, interval count ``1 .. M``."""
+    n = work.shape[1]
+    arg = _heur_p_tables(work, output, bandwidth, M) if "heur-p" in names else None
+    for name in names:
+        for m in range(1, M + 1):
+            if name == "heur-l":
+                yield _heur_l_boundaries(output, m)
+            else:
+                yield _heur_p_boundaries(arg, n, m)
 
 
 class _HetTable:
-    """Per-candidate tables for heterogeneous rows (divisions only).
+    """Padded candidate tables for the Section 7.2 allocation.
 
-    Divisions are chain-only and shared across sweep points; the
-    Section 7.2 allocation is *bounds-dependent*, so
-    :meth:`probe` re-allocates per ``(P, L)`` — the per-point
-    allocation batching of the het cell.
+    Divisions are chain-only, so the per-candidate quantities are built
+    once: table row ``c * r + i`` holds candidate ``c`` (the scalar
+    loop order) of row ``i``, its ``m`` intervals padded to
+    ``M = min(n, p)`` columns (padded columns repeat column 0; the
+    probe never seeds them, gives them no replica and masks them out
+    of the sums).  ``iv`` maps each column to one of the rows'
+    distinct intervals, whose compute time ``tcomp[iv, u]`` and branch
+    log-failures ``lf_alloc[iv, u]`` and ``lf_eval[iv, u]`` on
+    processor ``u`` follow the allocation's and the evaluation's
+    operand orders.  The allocation is
+    *bounds-dependent*, so :meth:`probe` re-runs it on lanes — one per
+    (candidate, row, sweep point) — in chunks of :data:`_CHUNK`.
     """
 
     __slots__ = (
-        "order", "speeds", "rates", "K", "p", "candidates", "selection",
+        "K", "order", "speeds", "n_iv", "iv", "W", "comm", "tcomp", "lf_alloc",
+        "lf_eval", "selection",
     )
 
     def __init__(self, ensemble, rows: np.ndarray, names, selection: str) -> None:
@@ -623,100 +581,200 @@ class _HetTable:
         rates = np.ascontiguousarray(ensemble.failure_rates[rows], dtype=float)
         prefix = np.concatenate([np.zeros((r, 1)), np.cumsum(work, axis=1)], axis=1)
 
-        self.speeds, self.rates, self.K, self.p = speeds, rates, K, p
+        self.K, self.speeds = K, speeds
         # Most reliable processors first — increasing lambda_u / s_u,
         # ties by index (stable argsort = the scalar sort key tuple).
         self.order = np.argsort(rates / speeds, axis=1, kind="stable")
 
+        # Key every candidate's intervals by (row, start, stop): the
+        # divisions share most of them.
         M = min(n, p)
-        arg = _heur_p_tables(work, output, b, M) if "heur-p" in names else None
-        ridx = np.arange(r)[:, None]
-        self.candidates = []
-        for name in names:
-            for m in range(1, M + 1):
-                if name == "heur-l":
-                    bnd = _heur_l_boundaries(output, m)
-                else:
-                    bnd = _heur_p_boundaries(arg, n, m)
-                starts, stops = bnd[:, :-1], bnd[:, 1:]
-                W = prefix[ridx, stops] - prefix[ridx, starts]
-                out_sizes = output[ridx, stops - 1]
-                in_sizes = np.where(
-                    starts == 0, 0.0, output[ridx, np.maximum(starts - 1, 0)]
-                )
-                ell_in = -link * (in_sizes / b)
-                ell_out = -link * (out_sizes / b)
-                # The allocation composes its branch differently from
-                # the evaluation: one comm add, then
-                # ell_comm - (lam * W) / s.  Both compositions are kept
-                # — same operand order, same rounding — because the
-                # greedy's decisions and the final metrics must each be
-                # bit-identical to their scalar twins.
-                ell_comm = ell_in + ell_out
-                tcomp = W[:, None, :] / speeds[:, :, None]          # (r, p, m)
-                branch_alloc = ell_comm[:, None, :] - (
-                    rates[:, :, None] * W[:, None, :]
-                ) / speeds[:, :, None]
-                lf_alloc = _pyfloat(_log_failure_map(branch_alloc))
-                self.candidates.append(
-                    (W, out_sizes / b, ell_in, ell_out, tcomp, lf_alloc)
-                )
+        span = n + 1
+        bnds = list(_divisions(work, output, b, names, M))
+        key = np.empty((len(bnds), r, M), dtype=np.int64)
+        for c, bnd in enumerate(bnds):
+            m = bnd.shape[1] - 1
+            key[c, :, :m] = bnd[:, :-1] * span + bnd[:, 1:]
+            key[c, :, m:] = key[c, :, :1]
+        key += np.arange(r)[:, None] * span * span
+        self.n_iv = np.repeat(np.array([bnd.shape[1] - 1 for bnd in bnds]), r)
+        distinct, iv = np.unique(key, return_inverse=True)
+        self.iv = iv.reshape(-1, M)
+        i, code = np.divmod(distinct, span * span)
+        start, stop = np.divmod(code, span)
+        W = prefix[i, stop] - prefix[i, start]
+        out_sizes = output[i, stop - 1]
+        in_sizes = np.where(start == 0, 0.0, output[i, np.maximum(start - 1, 0)])
+        self.W, self.comm = W[self.iv], (out_sizes / b)[self.iv]
 
-    def _evaluate(self, cand, assign, min_speed):
-        """``evaluate_mapping`` for one allocated candidate, every row.
-
-        Branch log-reliabilities recompose in the evaluation's operand
-        order — ``(ell_in + interval) + ell_out`` with the interval
-        term ``-lam * (W / s)`` — and accumulate per stage in ascending
-        processor order (the mapping stores replicas sorted).
-        """
-        W, comm, ell_in, ell_out, tcomp, _ = cand
-        r, m = W.shape
-        slf = np.zeros((r, m))
-        for u in range(self.p):
-            rows = np.flatnonzero(assign[:, u] >= 0)
-            if rows.size == 0:
-                continue
-            j = assign[rows, u]
-            branch = (
-                ell_in[rows, j] + (-self.rates[rows, u] * tcomp[rows, u, j])
-            ) + ell_out[rows, j]
-            slf[rows, j] = slf[rows, j] + _pyfloat(_log_failure_map(branch))
-        stage_ell = _pyfloat(_parallel_tail_map(slf))
-        wc = W / min_speed
-        log_rel = np.zeros(r)
-        wl = np.zeros(r)
-        for j in range(m):
-            log_rel = log_rel + stage_ell[:, j]
-            wl = wl + (wc[:, j] + comm[:, j])
-        wp = np.maximum(comm.max(axis=1), wc.max(axis=1))
-        return log_rel, wp, wl
+        ell_in = (-link * (in_sizes / b))[:, None]
+        ell_out = (-link * (out_sizes / b))[:, None]
+        s, lam, W = speeds[i], rates[i], W[:, None]
+        self.tcomp = W / s
+        # The allocation composes its branch differently from the
+        # evaluation: one comm add, then ell_comm - (lam * W) / s,
+        # against (ell_in + -lam * (W / s)) + ell_out.  Both are kept —
+        # same operand order, same rounding — because the greedy's
+        # decisions and the final metrics must each be bit-identical to
+        # their scalar twins.  Where they round alike, they share one
+        # log-failure (log_failure(-0.0) is log_failure(0.0)).
+        branch_alloc = (ell_in + ell_out) - (lam * W) / s
+        branch_eval = (ell_in + (-lam * (W / s))) + ell_out
+        self.lf_alloc = _map_distinct(
+            _log_failure_map, branch_alloc.ravel()
+        ).reshape(branch_alloc.shape)
+        self.lf_eval = self.lf_alloc.copy()
+        differ = branch_eval != branch_alloc
+        self.lf_eval[differ] = _map_distinct(_log_failure_map, branch_eval[differ])
 
     def probe(
         self, P: np.ndarray, L: np.ndarray, floor: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Allocate + evaluate + select at per-row bounds.
+        """Allocate + evaluate + select at ``(rows, points)`` bounds.
 
-        Same contract as :meth:`_HomTable.probe`; every candidate's
-        allocation is re-run because the Section 7.2 period filter
+        Same contract as :meth:`_HomTable.probe`.  Every lane's
+        allocation runs because the Section 7.2 period filter
         ``W_j / s_u <= P`` depends on the bound, and a candidate whose
         allocation leaves an interval unseeded is not valid.
         """
-        cand_valid, cand_ell, cand_wp, cand_wl = [], [], [], []
-        for cand in self.candidates:
-            W, _, _, _, tcomp, lf_alloc = cand
-            assign, min_speed, valid = _algo_alloc_het_lockstep(
-                W, tcomp, lf_alloc, self.order, self.speeds, self.K, P
+        r, n_pts = P.shape
+        C = self.n_iv.size // r
+        n_lanes = C * r * n_pts                 # lane = (c * r + i) * n_pts + pt
+        valid = np.empty(n_lanes, dtype=bool)
+        ell, wp, wl = np.empty((3, n_lanes))
+        for start in range(0, n_lanes, _CHUNK):
+            chunk = slice(start, min(start + _CHUNK, n_lanes))
+            cr, pt = np.divmod(np.arange(chunk.start, chunk.stop), n_pts)
+            row = cr % r
+            assign, min_speed, valid[chunk] = self._allocate(cr, row, P[row, pt])
+            ell[chunk], wp[chunk], wl[chunk] = self._evaluate(
+                cr, assign, min_speed, valid[chunk]
             )
-            ell, wp, wl = self._evaluate(cand, assign, min_speed)
-            cand_valid.append(valid)
-            cand_ell.append(ell)
-            cand_wp.append(wp)
-            cand_wl.append(wl)
+        shape = (C, r, n_pts)
         return _select(
-            np.stack(cand_valid), np.stack(cand_ell), np.stack(cand_wp),
-            np.stack(cand_wl), P, L, floor, self.selection,
+            valid.reshape(shape), ell.reshape(shape), wp.reshape(shape),
+            wl.reshape(shape), P, L, floor, self.selection,
         )
+
+    def _allocate(
+        self, cr: np.ndarray, row: np.ndarray, P: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~repro.algorithms.allocation.algo_alloc_het` on every
+        lane of a chunk at once.
+
+        Lane ``l`` allocates table row ``cr[l]`` under period bound
+        ``P[l]``, in lockstep over the processor-reliability ranks: at
+        rank ``t`` every lane considers *its* ``t``-th most reliable
+        processor.  A lane whose intervals are all seeded (or whose
+        processor hosts nothing) marks the rank as a leftover — exactly
+        the scalar ``break`` / ``continue`` bookkeeping, which is
+        rank-order-preserving.  Padded intervals start seeded and full
+        (``counts = K``), so neither phase touches them.
+
+        Returns ``(assign, min_speed, valid)``: per-processor interval
+        assignment (``-1`` = unused), per-interval slowest enrolled
+        speed, and the lanes whose every interval got seeded (the
+        scalar path returns ``None`` — no mapping — for the others).
+        """
+        K = self.K
+        W, iv = self.W[cr], self.iv[cr]
+        speeds, order = self.speeds[row], self.order[row]
+        k, M = W.shape
+        p = speeds.shape[1]
+        lanes = np.arange(k)
+        fits = np.empty((k, p, M), dtype=bool)                  # W_j / s_u <= P
+        empty = np.arange(M) < self.n_iv[cr, None]
+        counts = np.where(empty, 0, K)
+        slf = np.zeros((k, M))
+        assign = np.full((k, p), -1, dtype=np.int64)
+        min_speed = np.full((k, M), math.inf)
+        leftover = np.zeros((k, p), dtype=bool)
+
+        # Phase 1 — seed every interval, longest hostable interval first
+        # (ties to the smaller interval index: first-occurrence argmax).
+        for t in range(p):
+            u = order[:, t]
+            fits[:, t] = self.tcomp[iv, u[:, None]] <= P[:, None]
+            cand = empty & fits[:, t]
+            j = np.argmax(np.where(cand, W, -math.inf), axis=1)
+            seed = cand[lanes, j]           # the argmax is a candidate iff any
+            leftover[:, t] = ~seed
+            s = np.flatnonzero(seed)
+            if s.size == 0:
+                continue
+            j, us = j[s], u[s]
+            empty[s, j] = False
+            counts[s, j] = 1
+            slf[s, j] = slf[s, j] + self.lf_alloc[iv[s, j], us]
+            assign[s, us] = j
+            min_speed[s, j] = speeds[s, us]
+        valid = ~empty.any(axis=1)
+
+        # Phase 2 — leftovers (in rank order) go to the interval with the
+        # best reliability-improvement ratio among those they can host.
+        # score = log1mexp(slf + lf_u) - log1mexp(slf), both members
+        # through the same NumPy log1mexp the scalar path pairs up; lo
+        # carries log1mexp(slf) along, updated from the accepted lo_new.
+        lo = logrel.log1mexp(slf)
+        for t in range(p):
+            s = np.flatnonzero(leftover[:, t] & valid)
+            if s.size == 0:
+                continue
+            u = order[s, t]
+            lf_u = self.lf_alloc[iv[s], u[:, None]]             # (k', M)
+            ok = (counts[s] < K) & fits[s, t]
+            slf_new = slf[s] + lf_u
+            lo_new = logrel.log1mexp(slf_new)
+            # The scalar strict '>' skips NaN scores (a certainly-failing
+            # stage compares -inf - -inf); argmax would propagate them.
+            with np.errstate(invalid="ignore"):
+                gain = np.where(ok, lo_new - lo[s], -math.inf)
+            gain = np.where(np.isnan(gain), -math.inf, gain)
+            j = np.argmax(gain, axis=1)
+            acc = np.flatnonzero(gain[np.arange(s.size), j] > 0.0)
+            a, ja, ua = s[acc], j[acc], u[acc]
+            slf[a, ja] = slf_new[acc, ja]
+            lo[a, ja] = lo_new[acc, ja]
+            counts[a, ja] += 1
+            assign[a, ua] = ja
+            min_speed[a, ja] = np.minimum(min_speed[a, ja], speeds[a, ua])
+        return assign, min_speed, valid
+
+    def _evaluate(
+        self, cr: np.ndarray, assign: np.ndarray, min_speed: np.ndarray,
+        valid: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``evaluate_mapping`` for every allocated lane of a chunk.
+
+        Branch log-failures accumulate per stage in ascending processor
+        order (the mapping stores replicas sorted); the serial
+        composition and the latency sum add stage by stage, as the
+        scalar path does.  Returns ``(log_reliability, worst_period,
+        worst_latency)`` per lane — garbage where not *valid*.
+        """
+        W, comm, iv = self.W[cr], self.comm[cr], self.iv[cr]
+        k, M = W.shape
+        slf = np.zeros((k, M))
+        for u in range(assign.shape[1]):
+            s = np.flatnonzero(assign[:, u] >= 0)
+            j = assign[s, u]
+            slf[s, j] = slf[s, j] + self.lf_eval[iv[s, j], u]
+        live = np.arange(M) < self.n_iv[cr, None]
+        done = live & valid[:, None]
+        stage_ell = np.zeros((k, M))
+        stage_ell[done] = _map_distinct(_parallel_tail_map, slf[done])
+        wc = W / min_speed
+        log_rel = np.zeros(k)
+        wl = np.zeros(k)
+        for j in range(M):
+            on = live[:, j]
+            log_rel = np.where(on, log_rel + stage_ell[:, j], log_rel)
+            wl = np.where(on, wl + (wc[:, j] + comm[:, j]), wl)
+        wp = np.maximum(
+            np.where(live, comm, -math.inf).max(axis=1),
+            np.where(live, wc, -math.inf).max(axis=1),
+        )
+        return log_rel, wp, wl
 
 
 def heuristic_probe_tables(
@@ -734,8 +792,11 @@ def heuristic_probe_tables(
     ``[(subset_positions, table), ...]`` where positions index into
     *rows*; the shared machinery behind :func:`batch_heuristic_best`
     and the bisection-search kernels
-    (:mod:`repro.algorithms.batch_search`).  The public entry points
-    validate *which*, *selection* and *allocation*.
+    (:mod:`repro.algorithms.batch_search`).  Each table is built once
+    per row and probed with ``(rows, points)`` bound matrices:
+    ``table.probe(P, L, floor)`` returns ``(feasible, ell, wp, wl)``
+    of that shape.  The public entry points validate *which*,
+    *selection* and *allocation*.
     """
     names = ("heur-p", "heur-l") if which == "both" else (which,)
     hom = ensemble.homogeneous_rows()[rows]
@@ -775,7 +836,7 @@ def batch_heuristic_best(
         Any :class:`~repro.core.ensemble.Ensemble`: under
         ``allocation="auto"`` homogeneous rows take the
         bounds-independent candidate table and heterogeneous rows the
-        per-point allocation path (mixed ensembles split).
+        Section 7.2 allocation lanes (mixed ensembles split).
     bounds:
         ``(max_period, max_latency)`` per sweep point.
     rows:
@@ -807,23 +868,26 @@ def batch_heuristic_best(
     _check_supported(objective)
     rows = _resolve_rows(ensemble, rows)
     out = UnitResults.empty(len(rows), len(bounds), objective)
-    if len(rows) == 0:
+    if len(rows) == 0 or len(bounds) == 0:
         return out
 
     floor = floor_log_reliability(min_reliability)
+    P_pts = np.array([float(P) for P, _ in bounds])
+    L_pts = np.array([float(L) for _, L in bounds])
     tables = heuristic_probe_tables(ensemble, rows, which, selection, allocation)
     for idx, table in tables:
-        k = idx.size
-        for pt, (P, L) in enumerate(bounds):
-            P_vec = np.full(k, float(P))
-            L_vec = np.full(k, float(L))
-            feasible, ell, wp, wl = table.probe(P_vec, L_vec, floor)
-            hit, ell = idx[feasible], ell[feasible]
-            out.solved[hit, pt] = True
-            out.failure[hit, pt] = _pyfloat(_failure_map(ell))
-            out.values[hit, pt] = _pyfloat(_reliability_map(ell))
-            out.period[hit, pt] = wp[feasible]
-            out.latency[hit, pt] = wl[feasible]
+        shape = (idx.size, len(bounds))
+        feasible, ell, wp, wl = table.probe(
+            np.broadcast_to(P_pts, shape), np.broadcast_to(L_pts, shape), floor
+        )
+        hit_row, hit_pt = np.nonzero(feasible)
+        hit = (idx[hit_row], hit_pt)
+        ell = ell[feasible]
+        out.solved[hit] = True
+        out.failure[hit] = _pyfloat(_failure_map(ell))
+        out.values[hit] = _pyfloat(_reliability_map(ell))
+        out.period[hit] = wp[feasible]
+        out.latency[hit] = wl[feasible]
     return out
 
 

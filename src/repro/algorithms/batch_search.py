@@ -6,9 +6,10 @@ one Heur-L solve per probe.  Their batched twins run every probe round
 as a single vectorized Heur-L call over *all* not-yet-converged lanes
 — one lane per (row, sweep point), each with its own bracket — on the
 probe tables :func:`~repro.algorithms.batch.heuristic_probe_tables`
-exposes (homogeneous rows reuse the bounds-independent candidate
-table; heterogeneous rows re-run the lockstep Section 7.2 allocation
-per round).  Because a lane's ``(lo, hi)`` trajectory depends only on
+exposes, built once per row and probed with ``(rows, points)`` bound
+matrices (homogeneous rows reuse the bounds-independent candidate
+table; heterogeneous rows re-run the Section 7.2 allocation lanes per
+round).  Because a lane's ``(lo, hi)`` trajectory depends only on
 its own probe outcomes, lockstep rounds replicate each scalar search's
 probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
@@ -89,20 +90,17 @@ def batch_bisection_search(
             [float(np.sum(work[k])) / float(np.max(speeds[k])) for k in range(r)]
         )
 
-    # Lane layout: lane = ri * n_pts + pt.
-    P_lane = np.tile(np.array([float(P) for P, _ in bounds]), r)
-    L_lane = np.tile(np.array([float(L) for _, L in bounds]), r)
-    lo_lane = np.repeat(lo_row, n_pts)
-    probes_lane = np.zeros(r * n_pts, dtype=np.int64)
-    ok_lane = np.zeros(r * n_pts, dtype=bool)
-    conv_lane = np.zeros(r * n_pts, dtype=bool)
-    ell_lane = np.full(r * n_pts, -math.inf)
-    wp_lane = np.full(r * n_pts, math.inf)
-    wl_lane = np.full(r * n_pts, math.inf)
+    # Lanes: one per (row, sweep point), as (rows, points) matrices.
+    P_pts = np.array([float(P) for P, _ in bounds])
+    L_pts = np.array([float(L) for _, L in bounds])
+    probes_all = np.zeros((r, n_pts), dtype=np.int64)
+    conv_all = np.zeros((r, n_pts), dtype=bool)
+    ell_all = np.full((r, n_pts), -math.inf)
 
-    for idx, table in heuristic_probe_tables(ensemble, np.repeat(rows, n_pts), "heur-l"):
-        P_p, L_p = P_lane[idx], L_lane[idx]
-        probes = np.ones(idx.size, dtype=np.int64)
+    for idx, table in heuristic_probe_tables(ensemble, rows, "heur-l"):
+        sub = (idx.size, n_pts)
+        P_p, L_p = np.broadcast_to(P_pts, sub), np.broadcast_to(L_pts, sub)
+        probes = np.ones(sub, dtype=np.int64)
         # Loosest probe first, at the sweep point's own bounds.  The
         # scalar probe runs without the floor and checks it after —
         # same thing as masking here, since the probe maximizes ell.
@@ -112,9 +110,8 @@ def batch_bisection_search(
         b_ell = np.where(ok, ell, -math.inf)
         b_wp = np.where(ok, wp, math.inf)
         b_wl = np.where(ok, wl, math.inf)
-        lo = lo_lane[idx].copy()
+        lo = np.broadcast_to(lo_row[idx, None], sub)
         hi = np.where(ok, wp if criterion == "period" else wl, 0.0)
-
         active = ok & (probes < DEFAULT_MAX_PROBES) & (
             hi - lo > DEFAULT_REL_TOL * np.maximum(hi, 1.0)
         )
@@ -142,29 +139,24 @@ def batch_bisection_search(
             )
 
         conv = (hi - lo) <= DEFAULT_REL_TOL * np.maximum(hi, 1.0)
-        probes_lane[idx] = probes
-        ok_lane[idx] = ok
-        conv_lane[idx] = conv
-        ell_lane[idx] = b_ell
-        wp_lane[idx] = b_wp
-        wl_lane[idx] = b_wl
+        probes_all[idx] = probes
+        conv_all[idx] = conv
+        ell_all[idx] = b_ell
+        out.solved[idx] = ok
+        out.period[idx] = b_wp
+        out.latency[idx] = b_wl
 
-    solved = ok_lane.reshape(r, n_pts)
-    out.solved[:] = solved
+    solved = out.solved
     # The probe table's ell replicates evaluate_mapping's
     # log-reliability bit for bit, so failure = -expm1(ell) matches the
     # scalar result's failure_probability.
-    out.failure[solved] = _pyfloat(_failure_map(ell_lane[ok_lane]))
-    out.period[solved] = wp_lane[ok_lane]
-    out.latency[solved] = wl_lane[ok_lane]
+    out.failure[solved] = _pyfloat(_failure_map(ell_all[solved]))
     # The searched criterion is the objective (both fill with inf).
     out.values[:] = out.period if criterion == "period" else out.latency
-    probes2 = probes_lane.reshape(r, n_pts)
-    conv2 = conv_lane.reshape(r, n_pts)
     for ri in range(r):
-        info = {"probes": int(probes2[ri].sum())}
+        info = {"probes": int(probes_all[ri].sum())}
         if solved[ri].any():
-            info["converged"] = bool(conv2[ri][solved[ri]].all())
+            info["converged"] = bool(conv_all[ri][solved[ri]].all())
         out.infos[ri] = info
     return out
 

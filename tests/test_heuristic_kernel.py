@@ -11,6 +11,12 @@ homogeneous/heterogeneous rows, and reliability floors.  A floor
 reaches this kernel only through a direct call: run_sweep rejects one
 under the reliability objective, so this is what pins the
 select-then-check floor rule of best-then-check.
+
+A fixed ensemble spreads the heterogeneous kernel's lanes (candidate,
+row, sweep point) over several chunks and compares sign bits too; the
+bisection-search kernels (het-period-search / het-latency-search),
+built on the same probe tables, are fuzzed against the harness's
+per-row path on the same ensembles, probe counts included.
 """
 
 import math
@@ -20,8 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import batch_heuristic_best, heuristic_best
+from repro.algorithms import UnitResults, batch, batch_heuristic_best, heuristic_best
 from repro.core.ensemble import Ensemble
+from repro.experiments import get_method
+from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
 RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 1e3]
@@ -103,3 +111,80 @@ def test_kernel_matches_per_row_heuristic_best(case):
             )
             assert got == want, (i, (P, L))
     assert out.infos == [None] * len(ensemble)
+
+
+def _bits(a):
+    """An array's values and sign bits, for bit-level comparison."""
+    a = np.asarray(a)
+    return a.tolist(), np.signbit(a).tolist()
+
+
+def _tie_ensemble():
+    """24 rows that put the het kernel's lanes across several chunks.
+
+    Every fourth row is homogeneous; the rest mix speeds and rates.
+    Rows 1 and 5 have all-equal works and outputs (exact ties between
+    candidates), and row 2's processors all fail certainly (rate 1e4).
+    """
+    rng = np.random.default_rng(7)
+    r, n, p = 24, 6, 6
+    work = rng.integers(1, 5, (r, n)).astype(float)
+    output = rng.integers(0, 4, (r, n)).astype(float)
+    speeds = rng.integers(1, 4, (r, p)).astype(float)
+    rates = np.array(RATES)[rng.integers(0, len(RATES), (r, p))]
+    work[[1, 5]] = 2.0
+    output[[1, 5]] = 1.0
+    rates[2] = 1e4
+    for i in range(0, r, 4):
+        speeds[i], rates[i] = speeds[i, 0], rates[i, 0]
+    return Ensemble(
+        work=work, output=output, speeds=speeds, failure_rates=rates,
+        bandwidth=1.0, link_failure_rate=1e-2, max_replication=2,
+    )
+
+
+@pytest.mark.parametrize("allocation", ["auto", "het"])
+@pytest.mark.parametrize("selection", ["feasible-best", "best-then-check"])
+def test_kernel_matches_per_row_across_lane_chunks(selection, allocation):
+    ensemble = _tie_ensemble()
+    bounds = [(math.inf, math.inf), (2.0, math.inf), (math.inf, 8.0),
+              (1.0, 5.0), (3.0, 12.0), (4.0, math.inf), (0.5, 20.0), (6.0, 15.0)]
+    config = {"which": "both", "selection": selection, "allocation": allocation}
+    het_rows = len(ensemble) if allocation == "het" else int(
+        (~ensemble.homogeneous_rows()).sum()
+    )
+    candidates = 2 * min(ensemble.n_tasks, ensemble.p)
+    assert candidates * het_rows * len(bounds) > 2 * batch._CHUNK
+
+    out = batch_heuristic_best(ensemble, bounds, **config)
+    want = UnitResults.empty(len(ensemble), len(bounds), "reliability")
+    for i, (chain, platform) in enumerate(ensemble):
+        for pt, (P, L) in enumerate(bounds):
+            res = heuristic_best(chain, platform, max_period=P, max_latency=L, **config)
+            want.solved[i, pt] = res.feasible
+            want.failure[i, pt] = res.failure_probability
+            want.values[i, pt] = res.objective_value("reliability")
+            if res.feasible:
+                want.period[i, pt] = res.evaluation.worst_case_period
+                want.latency[i, pt] = res.evaluation.worst_case_latency
+    for name in UnitResults.ARRAYS:
+        assert _bits(getattr(out, name)) == _bits(getattr(want, name)), name
+    # The grid reaches both sides of feasibility.
+    assert out.solved.any() and not out.solved.all()
+
+
+@pytest.mark.filterwarnings("error:invalid value encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from(["period", "latency"]), st.sampled_from([0.0, 0.9]))
+def test_search_kernels_match_per_row(case, criterion, floor):
+    ensemble, bounds, _, _ = case
+    method = get_method(f"het-{criterion}-search")
+    out = method.solve_batch(
+        ensemble, bounds, objective=criterion, min_reliability=floor
+    )
+    rows, _ = _solve_rows(
+        method, list(ensemble), bounds, [None] * len(ensemble), criterion, floor
+    )
+    for name in UnitResults.ARRAYS:
+        assert _bits(getattr(out, name)) == _bits(getattr(rows, name)), name
+    assert out.infos == rows.infos
