@@ -24,54 +24,37 @@ Quickstart
 True
 """
 
-from repro.core import (
-    Interval,
-    Mapping,
-    MappingEvaluation,
-    Platform,
-    TaskChain,
-    evaluate_mapping,
-    random_chain,
-    random_platform,
-)
-from repro.algorithms import (
-    algo_alloc,
-    algo_alloc_het,
-    brute_force_best,
-    heur_l_intervals,
-    heur_p_intervals,
-    heuristic_best,
-    optimize_reliability,
-    optimize_reliability_period,
-    pareto_dp_best,
-    ilp_best,
-)
-# Problem is re-exported at top level; the solve() facade stays at
-# repro.solve.solve so the name `repro.solve` keeps meaning the package
-# (exporting the function here would shadow the submodule attribute).
-from repro.solve import Problem
+from repro._lazy import lazy_exports
 
 __version__ = "3.0.0"
 
-__all__ = [
-    "TaskChain",
-    "Platform",
-    "Interval",
-    "Mapping",
-    "MappingEvaluation",
-    "evaluate_mapping",
-    "random_chain",
-    "random_platform",
-    "optimize_reliability",
-    "optimize_reliability_period",
-    "algo_alloc",
-    "algo_alloc_het",
-    "heur_l_intervals",
-    "heur_p_intervals",
-    "heuristic_best",
-    "brute_force_best",
-    "pareto_dp_best",
-    "ilp_best",
-    "Problem",
-    "__version__",
-]
+# Each public name loads its defining module on first access (PEP 562),
+# so `import repro` costs no numpy.  Problem is re-exported at top
+# level; the solve() facade stays at repro.solve.solve so the name
+# `repro.solve` keeps meaning the package (exporting the function here
+# would shadow the submodule attribute).
+_LAZY = {
+    "TaskChain": "repro.core.chain",
+    "Platform": "repro.core.platform",
+    "Interval": "repro.core.interval",
+    "Mapping": "repro.core.mapping",
+    "MappingEvaluation": "repro.core.evaluation",
+    "evaluate_mapping": "repro.core.evaluation",
+    "random_chain": "repro.core.generate",
+    "random_platform": "repro.core.generate",
+    "optimize_reliability": "repro.algorithms.dp_reliability",
+    "optimize_reliability_period": "repro.algorithms.dp_period",
+    "algo_alloc": "repro.algorithms.allocation",
+    "algo_alloc_het": "repro.algorithms.allocation",
+    "heur_l_intervals": "repro.algorithms.heuristics",
+    "heur_p_intervals": "repro.algorithms.heuristics",
+    "heuristic_best": "repro.algorithms.heuristics",
+    "brute_force_best": "repro.algorithms.brute_force",
+    "pareto_dp_best": "repro.algorithms.pareto_dp",
+    "ilp_best": "repro.algorithms.ilp_mapping",
+    "Problem": "repro.solve.problem",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

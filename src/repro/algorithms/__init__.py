@@ -35,67 +35,39 @@
   machine-readable ``reason``) for shapes the kernels do not cover.
 """
 
-from repro.algorithms.result import SolveResult
-from repro.algorithms.dp_reliability import optimize_reliability
-from repro.algorithms.dp_period import (
-    optimize_reliability_period,
-    minimize_period,
-)
-from repro.algorithms.allocation import algo_alloc, algo_alloc_het
-from repro.algorithms.batch import (
-    BatchUnsupported,
-    UnitResults,
-    batch_heuristic_best,
-    heuristic_solve_batch,
-)
-from repro.algorithms.batch_dp import (
-    batch_minimize_latency,
-    batch_minimize_period,
-    batch_pareto_dp,
-)
-from repro.algorithms.batch_search import batch_bisection_search, search_solve_batch
-from repro.algorithms.heuristics import (
-    heur_l_intervals,
-    heur_p_intervals,
-    heuristic_best,
-    heuristic_candidates,
-)
-from repro.algorithms.pareto_dp import minimize_latency, pareto_dp_best
-from repro.algorithms.brute_force import (
-    brute_force_best,
-    enumerate_mappings_hom,
-    enumerate_mappings_het,
-)
-from repro.algorithms.ilp_mapping import ilp_best, build_mapping_ilp
-from repro.algorithms.baselines import one_to_one_best, single_interval_best
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "one_to_one_best",
-    "single_interval_best",
-    "SolveResult",
-    "optimize_reliability",
-    "optimize_reliability_period",
-    "minimize_period",
-    "minimize_latency",
-    "algo_alloc",
-    "algo_alloc_het",
-    "BatchUnsupported",
-    "UnitResults",
-    "batch_heuristic_best",
-    "batch_minimize_latency",
-    "batch_minimize_period",
-    "batch_pareto_dp",
-    "batch_bisection_search",
-    "heuristic_solve_batch",
-    "search_solve_batch",
-    "heur_l_intervals",
-    "heur_p_intervals",
-    "heuristic_best",
-    "heuristic_candidates",
-    "pareto_dp_best",
-    "brute_force_best",
-    "enumerate_mappings_hom",
-    "enumerate_mappings_het",
-    "ilp_best",
-    "build_mapping_ilp",
-]
+_LAZY = {
+    "one_to_one_best": "repro.algorithms.baselines",
+    "single_interval_best": "repro.algorithms.baselines",
+    "SolveResult": "repro.algorithms.result",
+    "optimize_reliability": "repro.algorithms.dp_reliability",
+    "optimize_reliability_period": "repro.algorithms.dp_period",
+    "minimize_period": "repro.algorithms.dp_period",
+    "minimize_latency": "repro.algorithms.pareto_dp",
+    "algo_alloc": "repro.algorithms.allocation",
+    "algo_alloc_het": "repro.algorithms.allocation",
+    "BatchUnsupported": "repro.algorithms.batch",
+    "UnitResults": "repro.algorithms.batch",
+    "batch_heuristic_best": "repro.algorithms.batch",
+    "batch_minimize_latency": "repro.algorithms.batch_dp",
+    "batch_minimize_period": "repro.algorithms.batch_dp",
+    "batch_pareto_dp": "repro.algorithms.batch_dp",
+    "batch_bisection_search": "repro.algorithms.batch_search",
+    "heuristic_solve_batch": "repro.algorithms.batch",
+    "search_solve_batch": "repro.algorithms.batch_search",
+    "heur_l_intervals": "repro.algorithms.heuristics",
+    "heur_p_intervals": "repro.algorithms.heuristics",
+    "heuristic_best": "repro.algorithms.heuristics",
+    "heuristic_candidates": "repro.algorithms.heuristics",
+    "pareto_dp_best": "repro.algorithms.pareto_dp",
+    "brute_force_best": "repro.algorithms.brute_force",
+    "enumerate_mappings_hom": "repro.algorithms.brute_force",
+    "enumerate_mappings_het": "repro.algorithms.brute_force",
+    "ilp_best": "repro.algorithms.ilp_mapping",
+    "build_mapping_ilp": "repro.algorithms.ilp_mapping",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

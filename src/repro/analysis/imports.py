@@ -12,7 +12,8 @@ function that needs it, or through a package's PEP 562 ``__getattr__``.
     A module-level import, outside the heavy modules themselves
     (:data:`HEAVY_MODULES`), that loads scipy or networkx: a direct
     ``scipy`` / ``networkx`` import, an import of a heavy repro module,
-    or an import of a lazily served name (:data:`LAZY_NAMES`) —
+    or an import of a name served lazily from a heavy module
+    (:data:`LAZY_NAMES`) —
     ``from repro.ilp import solve_with_scipy`` and a ``*`` import of
     such a package included.  Imports inside a function body or an
     ``if TYPE_CHECKING:`` block are fine.  ``repro.ilp`` and
@@ -48,8 +49,9 @@ HEAVY_MODULES = (
     "repro.extensions.norouting",
 )
 
-#: Package names served lazily through a PEP 562 ``__getattr__``
-#: because they live in a heavy module.
+#: The package names, among those each package serves lazily
+#: (:mod:`repro._lazy`), that live in a heavy module: importing one at
+#: module level loads scipy or networkx.
 LAZY_NAMES = {
     "repro.ilp": ("solve_with_scipy", "solve_with_branch_bound"),
     "repro.experiments": ("CrosscheckReport", "run_crosscheck"),

@@ -11,7 +11,7 @@ time:
 ``REG001``
     Declared ``objectives`` must be a non-empty subset of
     :data:`repro.solve.OBJECTIVES` (the tuple is read from
-    ``solve/problem.py`` in the linted file set, falling back to the
+    ``solve/objectives.py`` in the linted file set, falling back to the
     published default).
 ``REG002``
     The ``seeded`` capability and the callable's signature must agree:
@@ -42,9 +42,9 @@ RULES = {
 }
 register_rules(RULES)
 
-PROBLEM_MODULE = "repro.solve.problem"
+OBJECTIVES_MODULE = "repro.solve.objectives"
 
-#: Fallback when the linted file set does not include solve/problem.py.
+#: Fallback when the linted file set does not include solve/objectives.py.
 DEFAULT_OBJECTIVES = ("reliability", "period", "latency", "energy")
 
 
@@ -82,7 +82,7 @@ def _is_register(node: ast.Call, src: SourceFile) -> bool:
 
 def _extract_objectives(files: "list[SourceFile]") -> tuple[str, ...]:
     for src in files:
-        if src.module != PROBLEM_MODULE:
+        if src.module != OBJECTIVES_MODULE:
             continue
         for node in src.tree.body:
             if (

@@ -85,15 +85,12 @@ import pathlib
 import sys
 
 from repro import __version__
-from repro.core import Platform, TaskChain, evaluate_mapping, random_chain, random_platform
-from repro.core.mapping import Mapping
-from repro.io import dumps, loads
-from repro.obs.ledger import write_atomic
-from repro.solve import OBJECTIVES, Problem, solve
 
 __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.solve.objectives import OBJECTIVES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reliability/performance optimization of pipelined real-time systems",
@@ -328,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: pathlib.Path, expected: type) -> object:
+    from repro.io import loads
+
     obj = loads(path.read_text())
     if not isinstance(obj, expected):
         raise SystemExit(f"{path} holds a {type(obj).__name__}, expected {expected.__name__}")
@@ -350,6 +349,11 @@ def _print_solution(result, objective: str = "reliability") -> None:
 
 
 def _cmd_solve(args) -> int:
+    from repro.core import Platform, TaskChain
+    from repro.io import dumps
+    from repro.obs.ledger import write_atomic
+    from repro.solve import Problem, solve
+
     chain = _load(args.chain, TaskChain)
     platform = _load(args.platform, Platform)
     try:
@@ -369,6 +373,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from repro.core import Mapping, evaluate_mapping
+
     mapping = _load(args.mapping, Mapping)
     ev = evaluate_mapping(mapping)
     print(json.dumps(
@@ -386,6 +392,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.core import Mapping
     from repro.simulation import validate_against_analytical
 
     mapping = _load(args.mapping, Mapping)
@@ -469,6 +476,7 @@ def _cmd_experiment(args) -> int:
     from repro.experiments.report import render_figure
     from repro.obs import run_id_for, write_run
     from repro.obs import telemetry as obs
+    from repro.obs.ledger import write_atomic
 
     wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     for exp_id in wanted:
@@ -657,6 +665,8 @@ def _cmd_scenario(args) -> int:
         return 0
 
     if args.scenario_cmd == "show":
+        from repro.io import dumps
+
         spec, entry = _resolve_scenario_token(args.name)
         print(dumps(spec, indent=2))
         if entry is not None:
@@ -677,6 +687,7 @@ def _cmd_scenario(args) -> int:
     from repro.experiments.cache import resolve_cache
     from repro.obs import run_id_for, write_run
     from repro.obs import telemetry as obs
+    from repro.obs.ledger import write_atomic
     from repro.solve import Planner, derive_bounds_grid, encode_bound
     from repro.solve.grid import check_grid_points
 
@@ -1017,12 +1028,17 @@ def _cmd_lint(args) -> int:
     report = render_json(findings) if args.fmt == "json" else render_text(findings)
     print(report, end="")
     if args.output:
+        from repro.obs.ledger import write_atomic
+
         write_atomic(args.output, report)
     return 1 if findings else 0
 
 
 def _cmd_demo(args) -> int:
     import numpy as np
+
+    from repro.core import Platform, random_chain, random_platform
+    from repro.solve import Problem, solve
 
     rng = np.random.default_rng(args.seed)
     chain = random_chain(args.tasks, rng)

@@ -3,45 +3,30 @@ and the evaluation of a mapping's reliability / latency / period
 (Section 2 "Framework" and Section 4 "Evaluation of a given mapping").
 """
 
-from repro.core.chain import TaskChain
-from repro.core.platform import Platform
-from repro.core.ensemble import (
-    Ensemble,
-    InstanceView,
-    ensembles_from_instances,
-    instance_digest,
-)
-from repro.core.interval import Interval, compositions, partition_from_cuts
-from repro.core.mapping import Mapping
-from repro.core.evaluation import (
-    MappingEvaluation,
-    evaluate_mapping,
-    expected_cost,
-    worst_case_cost,
-    interval_log_reliability,
-    stage_log_reliability,
-    mapping_log_reliability,
-)
-from repro.core.generate import random_chain, random_platform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TaskChain",
-    "Platform",
-    "Ensemble",
-    "InstanceView",
-    "ensembles_from_instances",
-    "instance_digest",
-    "Interval",
-    "Mapping",
-    "MappingEvaluation",
-    "compositions",
-    "partition_from_cuts",
-    "evaluate_mapping",
-    "expected_cost",
-    "worst_case_cost",
-    "interval_log_reliability",
-    "stage_log_reliability",
-    "mapping_log_reliability",
-    "random_chain",
-    "random_platform",
-]
+_LAZY = {
+    "TaskChain": "repro.core.chain",
+    "Platform": "repro.core.platform",
+    "Ensemble": "repro.core.ensemble",
+    "InstanceView": "repro.core.ensemble",
+    "ensembles_from_instances": "repro.core.ensemble",
+    "instance_digest": "repro.core.ensemble",
+    "Interval": "repro.core.interval",
+    "Mapping": "repro.core.mapping",
+    "MappingEvaluation": "repro.core.evaluation",
+    "compositions": "repro.core.interval",
+    "partition_from_cuts": "repro.core.interval",
+    "evaluate_mapping": "repro.core.evaluation",
+    "expected_cost": "repro.core.evaluation",
+    "worst_case_cost": "repro.core.evaluation",
+    "interval_log_reliability": "repro.core.evaluation",
+    "stage_log_reliability": "repro.core.evaluation",
+    "mapping_log_reliability": "repro.core.evaluation",
+    "random_chain": "repro.core.generate",
+    "random_platform": "repro.core.generate",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

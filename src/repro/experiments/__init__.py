@@ -27,62 +27,37 @@ harness, the cross-check, and the CLI all accept scenario names or
 specs from :mod:`repro.scenarios` (``run_sweep("long-chain", ...)``),
 with the spec's content hash folded into the result-cache keys.
 
-The cross-check pulls in the RBD layer (networkx) and the simulator,
-so its two names load on first access (PEP 562).
+Every name loads its defining module on first access (PEP 562), so
+``from repro.experiments import run_sweep`` costs neither the figures
+nor the cross-check, whose RBD layer pulls in networkx.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.experiments.instances import (
-    HOM_DEFAULTS,
-    HET_DEFAULTS,
-    homogeneous_suite,
-    heterogeneous_suite,
-)
-from repro.experiments.methods import (
-    METHODS,
-    Method,
-    UnknownMethodError,
-    get_method,
-    register_method,
-)
-from repro.experiments.cache import ResultCache
-from repro.experiments.harness import SweepResult, run_sweep
-from repro.experiments.figures import (
-    EXPERIMENTS,
-    FIGURES,
-    FigureResult,
-    run_experiment,
-    run_figure,
-)
-from repro.experiments.report import render_series_table, series_to_json
+_LAZY = {
+    "HOM_DEFAULTS": "repro.experiments.instances",
+    "HET_DEFAULTS": "repro.experiments.instances",
+    "homogeneous_suite": "repro.experiments.instances",
+    "heterogeneous_suite": "repro.experiments.instances",
+    "METHODS": "repro.experiments.methods",
+    "Method": "repro.experiments.methods",
+    "UnknownMethodError": "repro.experiments.methods",
+    "get_method": "repro.experiments.methods",
+    "register_method": "repro.experiments.methods",
+    "ResultCache": "repro.experiments.cache",
+    "CrosscheckReport": "repro.experiments.crosscheck",
+    "run_crosscheck": "repro.experiments.crosscheck",
+    "SweepResult": "repro.experiments.harness",
+    "run_sweep": "repro.experiments.harness",
+    "EXPERIMENTS": "repro.experiments.figures",
+    "FIGURES": "repro.experiments.figures",
+    "FigureResult": "repro.experiments.figures",
+    "run_experiment": "repro.experiments.figures",
+    "run_figure": "repro.experiments.figures",
+    "render_series_table": "repro.experiments.report",
+    "series_to_json": "repro.experiments.report",
+}
 
-__all__ = [
-    "HOM_DEFAULTS",
-    "HET_DEFAULTS",
-    "homogeneous_suite",
-    "heterogeneous_suite",
-    "METHODS",
-    "Method",
-    "UnknownMethodError",
-    "get_method",
-    "register_method",
-    "ResultCache",
-    "CrosscheckReport",
-    "run_crosscheck",
-    "SweepResult",
-    "run_sweep",
-    "EXPERIMENTS",
-    "FIGURES",
-    "FigureResult",
-    "run_experiment",
-    "run_figure",
-    "render_series_table",
-    "series_to_json",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name: str):
-    if name in ("CrosscheckReport", "run_crosscheck"):
-        return getattr(importlib.import_module("repro.experiments.crosscheck"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

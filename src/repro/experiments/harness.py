@@ -95,8 +95,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -825,6 +823,11 @@ class _SweepRun:
             for unit in local:
                 self.run_local(unit)
             return
+        # Imported only when a pool starts: a serial run skips
+        # multiprocessing and its socket/selector machinery.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         shards = self._shards(remote, jobs)
         collect_telemetry = obs.active() is not None
         with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:

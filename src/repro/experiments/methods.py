@@ -76,19 +76,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.algorithms import (
-    brute_force_best,
-    heuristic_best,
-    heuristic_solve_batch,
-    ilp_best,
-    pareto_dp_best,
-)
+from repro.algorithms.batch import heuristic_solve_batch
 from repro.algorithms.batch_dp import (
     batch_minimize_latency,
     batch_minimize_period,
     batch_pareto_dp,
 )
 from repro.algorithms.batch_search import search_solve_batch
+from repro.algorithms.heuristics import heuristic_best
+from repro.algorithms.pareto_dp import pareto_dp_best
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
 from repro.solve.problem import Problem
@@ -374,6 +370,8 @@ def get_method(name: str) -> Method:
 
 @register_method("ilp", exact=True, homogeneous_only=True, cost_hint=10.0)
 def _ilp(problem):
+    from repro.algorithms.ilp_mapping import ilp_best
+
     return ilp_best(
         problem.chain, problem.platform,
         max_period=problem.max_period, max_latency=problem.max_latency,
@@ -384,6 +382,8 @@ def _ilp(problem):
     "ilp-bb", exact=True, homogeneous_only=True, cost_hint=30.0, tags=("manual",)
 )
 def _ilp_bb(problem):
+    from repro.algorithms.ilp_mapping import ilp_best
+
     return ilp_best(
         problem.chain, problem.platform,
         max_period=problem.max_period, max_latency=problem.max_latency,
@@ -391,8 +391,9 @@ def _ilp_bb(problem):
     )
 
 
-# The batched kernel shares one frontier DP per row across every sweep
-# point that admits the same intervals.
+# The batched kernel runs the frontier DP lane-vectorized: one lane per
+# (row, sweep point), each with its own period admission and latency
+# budget, so no sweep point shares another's DP.
 @register_method(
     "pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0,
     solve_batch=batch_pareto_dp,
@@ -469,6 +470,8 @@ register_method(
     objectives=("reliability", "period", "latency", "energy"),
 )
 def _brute_force(problem):
+    from repro.algorithms.brute_force import brute_force_best
+
     return brute_force_best(
         problem.chain, problem.platform,
         max_period=problem.max_period, max_latency=problem.max_latency,

@@ -23,33 +23,24 @@
   (``het-latency-search``), completing ``method="auto"`` coverage over
   every (objective x platform-kind) cell.
 
-The no-routing study evaluates RBDs with networkx, so its two names
-load on first access (PEP 562).
+Every name loads its defining module on first access (PEP 562): the
+no-routing study evaluates RBDs with networkx, so ``import
+repro.extensions`` must not load it.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.extensions.energy import (
-    mapping_energy,
-    energy_aware_alloc_het,
-)
-from repro.extensions.annealing import AnnealingStats, anneal_mapping
-from repro.extensions.latency_search import minimize_latency_search
-from repro.extensions.period_search import minimize_period_search
+_LAZY = {
+    "RoutingComparison": "repro.extensions.norouting",
+    "compare_routing": "repro.extensions.norouting",
+    "mapping_energy": "repro.extensions.energy",
+    "energy_aware_alloc_het": "repro.extensions.energy",
+    "AnnealingStats": "repro.extensions.annealing",
+    "anneal_mapping": "repro.extensions.annealing",
+    "minimize_latency_search": "repro.extensions.latency_search",
+    "minimize_period_search": "repro.extensions.period_search",
+}
 
-__all__ = [
-    "RoutingComparison",
-    "compare_routing",
-    "mapping_energy",
-    "energy_aware_alloc_het",
-    "AnnealingStats",
-    "anneal_mapping",
-    "minimize_latency_search",
-    "minimize_period_search",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name: str):
-    if name in ("RoutingComparison", "compare_routing"):
-        return getattr(importlib.import_module("repro.extensions.norouting"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -10,30 +10,21 @@ The modeling front-end (:mod:`repro.ilp.model`) is deliberately tiny —
 variables, linear expressions, constraints, one objective — just enough
 to express the paper's program readably.
 
-Both solvers import scipy, so they load on first access (PEP 562):
-``import repro.ilp`` costs only the numpy-backed model.
+Every name loads its defining module on first access (PEP 562): both
+solvers import scipy, so ``import repro.ilp`` must not load them.
 """
 
-import importlib
-
-from repro.ilp.model import LinExpr, Model, Solution, Variable
+from repro._lazy import lazy_exports
 
 _LAZY = {
+    "LinExpr": "repro.ilp.model",
+    "Model": "repro.ilp.model",
+    "Solution": "repro.ilp.model",
+    "Variable": "repro.ilp.model",
     "solve_with_scipy": "repro.ilp.scipy_backend",
     "solve_with_branch_bound": "repro.ilp.branch_bound",
 }
 
-__all__ = [
-    "LinExpr",
-    "Model",
-    "Solution",
-    "Variable",
-    "solve_with_scipy",
-    "solve_with_branch_bound",
-]
+__all__ = list(_LAZY)
 
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

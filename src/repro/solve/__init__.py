@@ -30,20 +30,21 @@ True
 True
 """
 
-from repro.solve.problem import OBJECTIVES, Problem, encode_bound
-from repro.solve.facade import auto_method_name, solve
-from repro.solve.planner import MethodSkip, Plan, Planner
-from repro.solve.grid import BoundsGrid, derive_bounds_grid
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OBJECTIVES",
-    "Problem",
-    "encode_bound",
-    "auto_method_name",
-    "solve",
-    "MethodSkip",
-    "Plan",
-    "Planner",
-    "BoundsGrid",
-    "derive_bounds_grid",
-]
+_LAZY = {
+    "OBJECTIVES": "repro.solve.objectives",
+    "Problem": "repro.solve.problem",
+    "encode_bound": "repro.solve.problem",
+    "auto_method_name": "repro.solve.facade",
+    "solve": "repro.solve.facade",
+    "MethodSkip": "repro.solve.planner",
+    "Plan": "repro.solve.planner",
+    "Planner": "repro.solve.planner",
+    "BoundsGrid": "repro.solve.grid",
+    "derive_bounds_grid": "repro.solve.grid",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -34,21 +34,9 @@ from typing import Any
 
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
+from repro.solve.objectives import OBJECTIVES
 
 __all__ = ["OBJECTIVES", "Problem", "check_bound", "encode_bound"]
-
-#: Supported optimization objectives.  ``"reliability"`` is the paper's
-#: Section 3 problem (maximize reliability under period/latency bounds).
-#: The converse criteria optimize one performance bound under a
-#: *reliability floor* (:attr:`Problem.min_reliability`):
-#:
-#: * ``"period"`` — minimize the worst-case period subject to the floor
-#:   and the latency bound (Section 5.2's binary-search converse);
-#: * ``"latency"`` — minimize the worst-case latency subject to the
-#:   floor and the period bound (Section 5.3 scope, via the Pareto DP);
-#: * ``"energy"`` — minimize the Section 9 dynamic-power energy subject
-#:   to the floor and both bounds (:mod:`repro.extensions.energy`).
-OBJECTIVES = ("reliability", "period", "latency", "energy")
 
 
 def encode_bound(value: float) -> "float | str":

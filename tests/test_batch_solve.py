@@ -3,6 +3,7 @@ per-instance heuristics, the harness's batch serving and fallback, the
 registry's solve_batch capability, and the UnitResults contract every
 kernel and worker shard returns."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.algorithms import (
     heuristic_best,
     heuristic_solve_batch,
 )
-from repro.experiments import METHODS, Method, get_method, harness, run_sweep
+from repro.experiments import METHODS, Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import _solve_rows
 from repro.obs import telemetry as obs
@@ -705,7 +706,8 @@ class TestBuiltinPlansStayInProcess:
         def no_pool(*args, **kwargs):
             raise AssertionError("the sweep started a process pool")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        # The harness imports the pool class when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         spec = shrunk_spec(scenario)
         methods = Planner().plan(spec).methods()
         ensembles = generate_ensembles(spec, seed=0)

@@ -1,45 +1,89 @@
-"""The import boundary: scipy and networkx load only on the paths that use them.
+"""The import boundary: a command loads only the modules it runs.
 
-scipy backs only the Section 5.4 ILP solvers (``ilp``, ``ilp-bb``) and
-networkx only the RBD layer behind the cross-check, the no-routing
-study and the simulator.  ``import repro.cli`` and a cold Section 8
-``scenario run`` must load neither; the public names that live in
-heavy modules stay importable through PEP 562 ``__getattr__`` hooks.
-Each process-level check runs in a fresh interpreter, since this test
-process has long since imported everything.
+``import repro.cli`` loads no numpy: every package serves its public
+names lazily (PEP 562, :mod:`repro._lazy`) and each CLI command imports
+its own modules.  scipy backs only the Section 5.4 ILP solvers
+(``ilp``, ``ilp-bb``) and networkx only the RBD layer behind the
+cross-check, the no-routing study and the simulator, so a cold
+Section 8 ``scenario run`` loads neither, and a serial one starts no
+process-pool machinery.  Each process-level check runs in a fresh
+interpreter, since this test process has long since imported
+everything.
 """
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import repro
-from repro.analysis.imports import LAZY_NAMES
+from repro.analysis.imports import LAZY_NAMES, is_heavy
 
 HEAVY = ("scipy", "networkx")
 PKG_ROOT = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
-# Appended to every script: report which heavy packages the process
-# loaded, as the last line of stdout.
+#: Every package whose public names load through repro._lazy.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.algorithms",
+    "repro.core",
+    "repro.experiments",
+    "repro.extensions",
+    "repro.ilp",
+    "repro.solve",
+)
+
+# Appended to every script: report the modules the process loaded, as
+# the last line of stdout.
 _REPORT = (
     "\nimport json as _json, sys as _sys\n"
-    f"print(_json.dumps(sorted(set({HEAVY!r}) & set(_sys.modules))))\n"
+    "print(_json.dumps(sorted(_sys.modules)))\n"
 )
+
+
+def run_fresh(args: list, cwd: "pathlib.Path | None" = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
+def loaded_modules(script: str, cwd: "pathlib.Path | None" = None) -> "set[str]":
+    """Run *script* in a fresh interpreter; every module it loaded."""
+    out = run_fresh(["-c", script + _REPORT], cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
 
 
 def heavy_loaded(script: str, cwd: "pathlib.Path | None" = None) -> list:
     """Run *script* in a fresh interpreter; the heavy packages it loaded."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", script + _REPORT],
-        capture_output=True, text=True, check=True, env=env, cwd=cwd,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return sorted(set(HEAVY) & loaded_modules(script, cwd))
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = loaded_modules("import repro.cli")
+    assert "numpy" not in loaded
+    assert len({m for m in loaded if m.split(".")[0] == "repro"}) <= 3, sorted(loaded)
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_cli_runs_without_numpy(flag):
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None  # any numpy import now raises\n"
+        f"sys.argv = ['repro', {flag!r}]\n"
+        "runpy.run_module('repro', run_name='__main__')\n"
+    )
+    out = run_fresh(["-c", script])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("repro " if flag == "--version" else "usage: repro")
 
 
 def test_cli_import_loads_neither():
@@ -51,17 +95,56 @@ def test_package_imports_load_neither():
     assert heavy_loaded(script) == []
 
 
-def test_cold_section8_scenario_run_loads_neither(tmp_path):
+@pytest.fixture(scope="module")
+def cold_serial_run(tmp_path_factory):
+    """A cold serial Section 8 ``scenario run`` in a fresh interpreter:
+    the modules it loaded and its manifest."""
+    cwd = tmp_path_factory.mktemp("cold-serial")
     script = (
         "from repro.cli import main\n"
         "rc = main(['scenario', 'run', 'section8-hom', '--n-instances', '2',\n"
-        "           '--grid', 'auto', '--cache-dir', 'cache', '--runs-dir', 'runs',\n"
-        "           '--manifest', 'manifest.json'])\n"
+        "           '--grid', 'auto', '--jobs', '1', '--cache-dir', 'cache',\n"
+        "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
         "assert rc == 0, rc\n"
     )
-    assert heavy_loaded(script, cwd=tmp_path) == []
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    loaded = loaded_modules(script, cwd=cwd)
+    return loaded, json.loads((cwd / "manifest.json").read_text())
+
+
+def test_cold_section8_scenario_run_loads_neither(cold_serial_run):
+    loaded, manifest = cold_serial_run
+    assert set(HEAVY) & loaded == set()
     assert manifest["cache"]["hits"] == 0  # cold: every unit was solved
+
+
+def test_serial_scenario_run_starts_no_pool_machinery(cold_serial_run):
+    loaded, _ = cold_serial_run
+    assert "concurrent.futures.process" not in loaded
+    assert "multiprocessing" not in loaded
+
+
+def test_pool_run_matches_serial_run(tmp_path, monkeypatch):
+    """energy-greedy has no kernel, so --jobs 2 solves its units in
+    pool workers; the series must equal the serial run's."""
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    series = {}
+    for jobs in (1, 2):
+        manifest_path = tmp_path / f"manifest{jobs}.json"
+        runs = tmp_path / f"runs{jobs}"
+        rc = main([
+            "scenario", "run", "section8-hom", "--objective", "energy",
+            "--n-instances", "2", "--jobs", str(jobs),
+            "--runs-dir", str(runs), "--manifest", str(manifest_path),
+        ])
+        assert rc == 0
+        manifest = json.loads(manifest_path.read_text())
+        per_unit = (runs / manifest["run_id"] / "per_unit.jsonl").read_text().splitlines()
+        sources = {json.loads(line)["source"] for line in per_unit}
+        assert sources == ({"parent"} if jobs == 1 else {"worker"})
+        series[jobs] = manifest["series"]
+    assert series[1] == series[2]
 
 
 @pytest.mark.parametrize(
@@ -114,28 +197,78 @@ def test_public_names_resolve():
     assert solve_with_scipy is repro.ilp.scipy_backend.solve_with_scipy
 
 
-@pytest.mark.parametrize("pkg", sorted(LAZY_NAMES))
+def test_lazy_packages_list_is_complete():
+    """LAZY_PACKAGES names exactly the packages built on repro._lazy,
+    IMP001's lazy-name catalog among them."""
+    src = pathlib.Path(repro.__file__).parent
+    users = {
+        ".".join(("repro", *init.parent.relative_to(src).parts))
+        for init in src.rglob("__init__.py")
+        if "lazy_exports(globals()" in init.read_text()
+    }
+    assert users == set(LAZY_PACKAGES)
+    assert set(LAZY_NAMES) <= users
+
+
+def test_package_imports_bind_no_lazy_name():
+    """A fresh ``import pkg`` binds none of its served names: each one
+    loads its module only on first access."""
+    script = (
+        f"import importlib\n"
+        f"for pkg in {LAZY_PACKAGES!r}:\n"
+        "    module = importlib.import_module(pkg)\n"
+        "    bound = set(module._LAZY) & set(vars(module))\n"
+        "    assert not bound, (pkg, sorted(bound))\n"
+    )
+    assert "numpy" not in loaded_modules(script)
+
+
+@pytest.mark.parametrize("pkg", LAZY_PACKAGES)
 def test_star_import_binds_all_names(pkg):
     namespace: dict = {}
     exec(f"from {pkg} import *", namespace)
     module = sys.modules[pkg]
     assert set(module.__all__) <= set(namespace)
+    for name in module._LAZY:
+        assert namespace[name] is getattr(module, name)
 
 
-@pytest.mark.parametrize("pkg", sorted(LAZY_NAMES))
+@pytest.mark.parametrize("pkg", LAZY_PACKAGES)
 def test_lint_catalog_matches_lazy_names(pkg):
     """IMP001's lazy-name table lists exactly the names each package
-    serves through ``__getattr__`` rather than binding at import."""
-    module = __import__(pkg, fromlist=["__all__"])
-    assert set(module.__all__) - set(vars(module)) == set(LAZY_NAMES[pkg])
+    serves from a heavy (scipy/networkx) module."""
+    module = importlib.import_module(pkg)
+    heavy = {name for name, target in module._LAZY.items() if is_heavy(target)}
+    assert heavy == set(LAZY_NAMES.get(pkg, ()))
 
 
-@pytest.mark.parametrize("pkg", sorted(LAZY_NAMES))
+@pytest.mark.parametrize("pkg", LAZY_PACKAGES)
 def test_unknown_attribute_raises_attribute_error(pkg):
-    module = __import__(pkg, fromlist=["__all__"])
+    module = importlib.import_module(pkg)
     with pytest.raises(AttributeError, match=rf"^module '{pkg}' has no attribute 'nope'$"):
         _ = module.nope
     assert not hasattr(module, "solve_with_cplex")
+
+
+@pytest.mark.parametrize("pkg", LAZY_PACKAGES)
+def test_dir_lists_every_public_name(pkg):
+    module = importlib.import_module(pkg)
+    listing = dir(module)
+    assert listing == sorted(listing)
+    assert set(module.__all__) | {"__name__", "__getattr__"} <= set(listing)
+
+
+@pytest.mark.parametrize("pkg", LAZY_PACKAGES)
+def test_lazy_names_resolve_to_their_defining_module(pkg):
+    module = importlib.import_module(pkg)
+    assert set(module._LAZY) <= set(module.__all__)
+    assert all(hasattr(module, name) for name in module.__all__)
+    for name, target in module._LAZY.items():
+        assert getattr(module, name) is getattr(importlib.import_module(target), name)
+    # A served name equal to a submodule's would be shadowed by the
+    # submodule once something imports it.
+    submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
+    assert not submodules & set(module._LAZY)
 
 
 @pytest.mark.parametrize("method", ["ilp", "ilp-bb"])
