@@ -30,9 +30,7 @@
   are bit-identical to the per-instance loop;
   :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
   them as the registry's ``solve_batch`` capability.  Every kernel
-  returns a :class:`UnitResults`, and
-  :class:`BatchUnsupported` is the fallback signal (with a
-  machine-readable ``reason``) for shapes the kernels do not cover.
+  returns a :class:`UnitResults`.
 """
 
 from repro._lazy import lazy_exports
@@ -47,7 +45,6 @@ _LAZY = {
     "minimize_latency": "repro.algorithms.pareto_dp",
     "algo_alloc": "repro.algorithms.allocation",
     "algo_alloc_het": "repro.algorithms.allocation",
-    "BatchUnsupported": "repro.algorithms.batch",
     "UnitResults": "repro.algorithms.batch",
     "batch_heuristic_best": "repro.algorithms.batch",
     "batch_minimize_latency": "repro.algorithms.batch_dp",

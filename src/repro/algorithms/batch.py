@@ -58,12 +58,14 @@ floor, for unseeded methods, under both selection rules of
   (:func:`_select`).  The two disagree on homogeneous rows as well:
   a candidate's period and latency depend on its division.
 
-Other objectives raise :class:`BatchUnsupported` (with a
-machine-readable ``reason``), and the harness falls back to the
-per-row path.  Fallback is a contract, not an error.  The converse-objective kernels live in
-:mod:`repro.algorithms.batch_dp` (dp-period / dp-latency) and
-:mod:`repro.algorithms.batch_search` (the bisection searches, built on
-this module's probe tables).
+Each kernel serves every unit the harness can send it: a sweep's
+validation (:meth:`~repro.experiments.methods.Method.check_ensemble`)
+rejects an undeclared objective, or a heterogeneous ensemble for a
+homogeneous-only method, before any kernel runs.  The kernels' own
+guards against those shapes raise ``ValueError``.  The
+converse-objective kernels live in :mod:`repro.algorithms.batch_dp`
+(dp-period / dp-latency) and :mod:`repro.algorithms.batch_search`
+(the bisection searches, built on this module's probe tables).
 
 Result contract
 ---------------
@@ -96,7 +98,6 @@ from repro.algorithms.heuristics import ALLOCATIONS, SELECTIONS
 from repro.util import logrel
 
 __all__ = [
-    "BatchUnsupported",
     "UnitResults",
     "batch_heuristic_best",
     "check_bounds",
@@ -104,22 +105,6 @@ __all__ = [
     "heuristic_probe_tables",
     "heuristic_solve_batch",
 ]
-
-
-class BatchUnsupported(Exception):
-    """The batched kernel does not cover this ensemble/problem shape.
-
-    Raised *before* any work happens; the caller runs the per-row path
-    instead.  ``reason`` is a short machine-readable class
-    (``"objective"``, ``"floor"``, ``"heterogeneous"``,
-    ``"latency-bound"``, ...) that the harness counts per fallback
-    (``sweep.units.fallback``) so shrinking kernel coverage is
-    observable rather than silent; the message stays the human story.
-    """
-
-    def __init__(self, message: str, *, reason: str = "unsupported") -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 @dataclass
@@ -239,10 +224,9 @@ def _check_heuristic(which: str, selection: str, allocation: str) -> None:
 
 def _check_supported(objective: str) -> None:
     if objective != "reliability":
-        raise BatchUnsupported(
+        raise ValueError(
             f"batched heuristics cover objective 'reliability' only, "
-            f"got {objective!r}",
-            reason="objective",
+            f"got {objective!r}"
         )
 
 
@@ -853,7 +837,7 @@ def batch_heuristic_best(
         allocation on every row).
     objective:
         Must be ``"reliability"`` — anything else raises
-        :class:`BatchUnsupported`.
+        ``ValueError``.
     min_reliability:
         Reliability floor in ``[0, 1)``; the selected candidate must
         attain it (``0.0`` = no floor).

@@ -9,21 +9,6 @@ per-row loop (same bit-identity contract as
 :mod:`repro.algorithms.batch` — see that module's docstring for the
 rules the style below follows).
 
-* **dp-period** (:func:`batch_minimize_period`) — the scalar path
-  binary-searches the ``O(n^2)`` candidate periods, probing each with
-  the Algorithm 2 DP.  The kernel keeps one *lane* per (row, sweep
-  point), enumerates candidates per row, and runs every probe round as
-  a single lane-vectorized DP (:class:`_LaneDP`) over the not-yet
-  converged lanes with per-lane period bounds — the bisection happens
-  in lockstep, so a group costs ``O(log n_candidates)`` DP rounds
-  instead of ``rows x points`` full binary searches.  Each lane's
-  ``(lo, hi)`` trajectory and probe count replicate the scalar
-  bisection exactly.  The scalar path's witness is the mapping probed
-  at the final ``candidates[hi]``; the DP is deterministic, so one
-  parent-tracked DP round at that bound reconstructs the identical
-  witness, which is then scored by the real
-  :func:`~repro.core.evaluation.evaluate_mapping`.
-
 * **pareto-dp** (:func:`batch_pareto_dp`) and **dp-latency**
   (:func:`batch_minimize_latency`) — the scalar paths run one frontier
   DP per (row, point) with the *latency budget* as a pruning bound.
@@ -43,11 +28,29 @@ rules the style below follows).
   (most reliable point, or cheapest meeting the floor) over its final
   row.  Lanes run in chunks of :data:`_CHUNK` to bound memory.
 
-Every kernel returns a :class:`~repro.algorithms.batch.UnitResults`.
-dp-period fills its per-row ``infos`` with the ``probes`` counts the
-per-row path would have accumulated, so harness events and cache
-record bytes stay identical; the frontier kernels leave them ``None``
-(their scalar twins report no per-unit info).
+* **dp-period** (:func:`batch_minimize_period`) — the scalar path
+  binary-searches the ``O(n^2)`` candidate periods, probing each with
+  the most reliable mapping within the candidate: the Algorithm 2 DP
+  when the latency is unbounded, the frontier DP otherwise.  The
+  kernel keeps one *lane* per (row, sweep point) and runs every probe
+  round over the not-yet converged lanes at once, each against its
+  own candidate: the unbounded-latency lanes through one
+  lane-vectorized Algorithm 2 DP (:class:`_LaneDP`), the others
+  through :class:`_FrontierLanes` chunks answered by their most
+  reliable final point.  Both probes compare the DP's log-reliability
+  with the floor, as the scalar ones do, so each lane's ``(lo, hi)``
+  trajectory and probe count replicate the scalar bisection exactly.
+  The scalar witness is the mapping probed at the final
+  ``candidates[hi]``; the DPs are deterministic, so one
+  parent-tracked round at that bound reconstructs it.
+
+Every kernel scores its witnesses with the real
+:func:`~repro.core.evaluation.evaluate_mapping` and returns a
+:class:`~repro.algorithms.batch.UnitResults`.  dp-period fills its
+per-row ``infos`` with the ``probes`` counts the per-row path would
+have accumulated, so harness events and cache record bytes stay
+identical; the frontier kernels leave them ``None`` (their scalar
+twins report no per-unit info).
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import (
-    BatchUnsupported,
     UnitResults,
     _resolve_rows,
     check_bounds,
@@ -66,8 +68,6 @@ from repro.algorithms.batch import (
 )
 from repro.algorithms.pareto_dp import _FrontierDP, _mapping
 from repro.core.evaluation import evaluate_mapping
-from repro.core.interval import Interval
-from repro.core.mapping import Mapping
 from repro.util import logrel
 
 __all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
@@ -75,12 +75,24 @@ __all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
 
 def _require_homogeneous_rows(ensemble, rows: np.ndarray, kernel: str) -> None:
     if not ensemble.homogeneous_rows()[rows].all():
-        raise BatchUnsupported(
+        raise ValueError(
             f"the batched {kernel} kernel requires fully homogeneous rows "
             "(the Section 5 DPs are only optimal there; Section 6 proves "
-            "the heterogeneous problem NP-complete)",
-            reason="heterogeneous",
+            "the heterogeneous problem NP-complete)"
         )
+
+
+def _record(out: UnitResults, ensemble, rows, ri: int, pt: int, pieces, score) -> None:
+    """Score the witness of *pieces* for row ``rows[ri]`` at point *pt*
+    with the real :func:`evaluate_mapping`; ``score(ev)`` is the
+    objective value."""
+    row = int(rows[ri])
+    ev = evaluate_mapping(_mapping(ensemble.chain(row), ensemble.platform(row), pieces))
+    out.solved[ri, pt] = True
+    out.failure[ri, pt] = ev.failure_probability
+    out.values[ri, pt] = score(ev)
+    out.period[ri, pt] = ev.worst_case_period
+    out.latency[ri, pt] = ev.worst_case_latency
 
 
 class _LaneDP:
@@ -94,10 +106,7 @@ class _LaneDP:
     recurrence for many lanes at once, each against its own bound.
     """
 
-    __slots__ = (
-        "n", "p", "kmax", "s", "b", "prefix", "in_time", "out_time",
-        "wtime", "stage",
-    )
+    __slots__ = ("n", "p", "kmax", "in_time", "out_time", "wtime", "stage")
 
     def __init__(self, ensemble, rows: np.ndarray) -> None:
         r = len(rows)
@@ -133,7 +142,6 @@ class _LaneDP:
                 self.stage[(j, i)] = logrel.parallel_k_many(branch[:, None], qs)
 
         self.n, self.p, self.kmax = n, p, kmax
-        self.s, self.b, self.prefix = s, b, prefix
 
     def run(self, lanes: np.ndarray, P: np.ndarray, track: bool):
         """One DP round: ``lanes`` index this table's rows, ``P`` is the
@@ -176,8 +184,9 @@ class _LaneDP:
         best = F[n, :, 1:].max(axis=1)
         return F, best, pj, pq
 
-    def reconstruct(self, F, pj, pq, lane: int, ensemble, row: int) -> Mapping:
-        """The scalar parent walk for one lane (processors 0, 1, 2...)."""
+    def reconstruct(self, F, pj, pq, lane: int) -> list:
+        """The scalar parent walk for one lane: the witness's ``(j, i,
+        q)`` pieces in chain order."""
         n = self.n
         best_k = int(np.argmax(F[n, lane, 1:])) + 1
         pieces: list[tuple[int, int, int]] = []
@@ -189,13 +198,23 @@ class _LaneDP:
             pieces.append((j, i, q))
             i, k = j, k - q
         pieces.reverse()
-        assignment = []
-        next_proc = 0
-        for start, stop, q in pieces:
-            procs = tuple(range(next_proc, next_proc + q))
-            next_proc += q
-            assignment.append((Interval(start, stop), procs))
-        return Mapping(ensemble.chain(row), ensemble.platform(row), assignment)
+        return pieces
+
+
+def _candidate_periods(ensemble, rows: np.ndarray) -> list:
+    """Per row, :func:`~repro.algorithms.dp_period.candidate_periods`:
+    every interval time ``W(j, i)/s`` and communication time ``o/b``,
+    positives only, as one sorted ``unique`` per row."""
+    n = ensemble.n_tasks
+    work = np.ascontiguousarray(ensemble.work[rows])
+    prefix = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(work, axis=1)], axis=1)
+    s = np.ascontiguousarray(ensemble.speeds[rows, 0], dtype=float)
+    jj, ii = np.triu_indices(n + 1, k=1)
+    times = np.concatenate(
+        [(prefix[:, ii] - prefix[:, jj]) / s[:, None], ensemble.output[rows] / ensemble.bandwidth],
+        axis=1,
+    )
+    return [np.unique(t[t > 0.0]) for t in times]
 
 
 def batch_minimize_period(
@@ -210,20 +229,16 @@ def batch_minimize_period(
 
     The kernel twin of calling ``minimize_period(chain, platform,
     min_log_reliability=floor, max_period=P, max_latency=L)`` per row
-    per sweep point.  Covers the cell the Algorithm 2 probe covers:
-    every point's latency bound must be infinite (a finite latency
-    switches the scalar probe to the per-row Pareto DP, which is not
-    batched — those points fall back).
+    per sweep point, finite and infinite latency bounds alike.
 
     ``infos[row]`` is ``{"probes": total}`` over the row's feasible
     points (``None`` when every point is infeasible — the scalar
     infeasible result records no probe count).
     """
     if objective != "period":
-        raise BatchUnsupported(
+        raise ValueError(
             f"the batched dp-period kernel covers objective 'period' only, "
-            f"got {objective!r}",
-            reason="objective",
+            f"got {objective!r}"
         )
     rows = _resolve_rows(ensemble, rows)
     n_pts = len(bounds)
@@ -232,85 +247,92 @@ def batch_minimize_period(
     if r == 0:
         return out
     _require_homogeneous_rows(ensemble, rows, "dp-period")
-    if any(not math.isinf(float(L)) for _, L in bounds):
-        raise BatchUnsupported(
-            "the batched dp-period kernel probes with the Algorithm 2 DP, "
-            "which requires an unbounded latency; points with a finite "
-            "max_latency take the per-row Pareto-DP probe instead",
-            reason="latency-bound",
-        )
     check_bounds(bounds)
 
     floor = floor_log_reliability(min_reliability)
-    dp = _LaneDP(ensemble, rows)
-    n = dp.n
-
-    # Per-row sorted candidate periods — the scalar set comprehension
-    # (all W(j, i)/s interval times plus the o/b communication times,
-    # positives only, deduped) as one unique() per row.
-    jj, ii = np.triu_indices(n + 1, k=1)
-    cands: list[np.ndarray] = []
-    for ri in range(r):
-        vals = np.concatenate(
-            [(dp.prefix[ri, ii] - dp.prefix[ri, jj]) / dp.s[ri], dp.out_time[ri]]
-        )
-        cands.append(np.unique(vals[vals > 0.0]))
-
-    # Lane layout: lane = ri * n_pts + pt.
+    cands = _candidate_periods(ensemble, rows)
     P_pts = np.array([float(P) for P, _ in bounds])
-    counts = np.stack(
-        [np.searchsorted(cands[ri], P_pts, side="right") for ri in range(r)]
-    )
-    probes = np.zeros((r, n_pts), dtype=np.int64)
+    counts = np.concatenate([np.searchsorted(c, P_pts, side="right") for c in cands])
+    # Candidate c of lane row ri is period[ri, c] (inf-padded).
+    period = np.full((r, max(c.size for c in cands)), math.inf)
+    for ri, c in enumerate(cands):
+        period[ri, : c.size] = c
+
+    # Lane id = ri * n_pts + pt.  Its probe is the frontier DP when its
+    # latency bound is finite, as in the scalar minimize_period.
     lane_row = np.repeat(np.arange(r), n_pts)
+    L_lane = np.tile([float(L) for _, L in bounds], r)
+    finite = ~np.isinf(L_lane)
+    hom = _LaneDP(ensemble, rows) if not finite.all() else None
+    front = _FrontierLanes(ensemble, rows) if finite.any() else None
+    budget = np.full(L_lane.size, math.inf)
+    if front is not None:
+        budget[finite] = (L_lane - front.total_compute[lane_row])[finite]
 
-    # Initial probe at each lane's loosest admissible candidate; lanes
-    # with no candidate within max_period are infeasible with no probe.
-    alive = np.flatnonzero(counts.ravel() > 0)
-    if alive.size == 0:
-        return out
-    hi = counts.ravel()[alive].astype(np.int64) - 1
-    lr = lane_row[alive]
-    Pa = np.array([float(cands[lr[a]][h]) for a, h in enumerate(hi)])
-    _, best, _, _ = dp.run(lr, Pa, track=False)
-    ok = np.isfinite(best) & (best >= floor)
-    probes.ravel()[alive] = 1
-    # Scalar infeasible results carry no "probes" key; drop their count.
-    probes.ravel()[alive[~ok]] = 0
+    def chunks(ids):
+        """The finite-latency lanes of *ids*, as positions in *ids*, in
+        frontier-DP chunks."""
+        sel = np.flatnonzero(finite[ids])
+        return [sel[start:start + _CHUNK] for start in range(0, sel.size, _CHUNK)]
 
-    ids = alive[ok]  # admissible lanes: candidates[hi] meets the floor
-    if ids.size:
-        lr = lane_row[ids]
-        hi = hi[ok]
-        lo = np.zeros(ids.size, dtype=np.int64)
-        while True:
-            act = np.flatnonzero(lo < hi)
-            if act.size == 0:
-                break
-            mid = (lo[act] + hi[act]) // 2
-            probes.ravel()[ids[act]] += 1
-            Pm = np.array([float(cands[lr[a]][m]) for a, m in zip(act, mid)])
-            _, bm, _, _ = dp.run(lr[act], Pm, track=False)
-            okm = np.isfinite(bm) & (bm >= floor)
-            hi[act[okm]] = mid[okm]
-            lo[act[~okm]] = mid[~okm] + 1
-        # One parent-tracked round at candidates[hi] reproduces the
-        # scalar witness (the DP is deterministic and the scalar keeps
-        # the mapping probed at its final hi).
-        Pf = np.array([float(cands[lr[a]][h]) for a, h in enumerate(hi)])
-        F, _, pj, pq = dp.run(lr, Pf, track=True)
-        for a, lane_id in enumerate(ids):
-            ri, pt = int(lane_id) // n_pts, int(lane_id) % n_pts
-            mapping = dp.reconstruct(F, pj, pq, a, ensemble, int(rows[ri]))
-            ev = evaluate_mapping(mapping)
-            out.solved[ri, pt] = True
-            out.failure[ri, pt] = ev.failure_probability
-            out.values[ri, pt] = ev.worst_case_period
-            out.period[ri, pt] = ev.worst_case_period
-            out.latency[ri, pt] = ev.worst_case_latency
+    def probe(ids, idx):
+        """Whether lane ``ids[x]``'s most reliable mapping within its
+        candidate ``idx[x]`` meets the floor."""
+        P = period[lane_row[ids], idx]
+        ok = np.zeros(ids.size, dtype=bool)
+        sel = np.flatnonzero(~finite[ids])
+        if sel.size:
+            _, best, _, _ = hom.run(lane_row[ids[sel]], P[sel], track=False)
+            ok[sel] = np.isfinite(best) & (best >= floor)
+        for part in chunks(ids):
+            lane, _, _, _, _, _, value, picks = front.answers(
+                lane_row[ids[part]], P[part], budget[ids[part]], _most_reliable_lanes, floor
+            )
+            ok[part[lane[picks]]] = value[picks] >= floor
+        return ok
 
-    for ri in range(r):
-        total = int(probes[ri].sum())
+    # The loosest admissible candidate first: lanes with none within
+    # max_period, or with a latency bound below the compute bound, are
+    # infeasible before any probe, and so are lanes it refuses (scalar
+    # infeasible results record no probe count).
+    probes = np.zeros(r * n_pts, dtype=np.int64)
+    ids = np.flatnonzero((counts > 0) & ~(budget < 0))
+    hi = counts[ids] - 1
+    ok = probe(ids, hi)
+    ids, hi = ids[ok], hi[ok]
+    probes[ids] = 1
+    lo = np.zeros_like(hi)
+    while True:
+        act = np.flatnonzero(lo < hi)
+        if act.size == 0:
+            break
+        mid = (lo[act] + hi[act]) // 2
+        probes[ids[act]] += 1
+        okm = probe(ids[act], mid)
+        hi[act[okm]] = mid[okm]
+        lo[act[~okm]] = mid[~okm] + 1
+
+    # One parent-tracked round at candidates[hi] reproduces the scalar
+    # witness (the DPs are deterministic and the scalar keeps the
+    # mapping probed at its final hi).
+    P = period[lane_row[ids], hi]
+    found = []
+    sel = np.flatnonzero(~finite[ids])
+    if sel.size:
+        F, _, pj, pq = hom.run(lane_row[ids[sel]], P[sel], track=True)
+        found += [(ids[x], hom.reconstruct(F, pj, pq, a)) for a, x in enumerate(sel)]
+    for part in chunks(ids):
+        found += [
+            (ids[part[lane]], pieces)
+            for lane, pieces in front.witnesses(
+                lane_row[ids[part]], P[part], budget[ids[part]], _most_reliable_lanes, floor
+            )
+        ]
+    for lane_id, pieces in found:
+        ri, pt = divmod(int(lane_id), n_pts)
+        _record(out, ensemble, rows, ri, pt, pieces, lambda ev: ev.worst_case_period)
+
+    for ri, total in enumerate(probes.reshape(r, n_pts).sum(axis=1).tolist()):
         out.infos[ri] = {"probes": total} if total > 0 else None
     return out
 
@@ -418,16 +440,23 @@ class _FrontierLanes:
         lane, k = np.divmod(cols[0], p + 1)
         return [lane, cols[1], k, *cols[2:]]
 
+    def answers(self, lane_row: np.ndarray, P: np.ndarray, budget: np.ndarray, select,
+                floor: float):
+        """:meth:`run`'s columns, followed by the indices of the points
+        ``select`` picks as the lanes' answers (the scalar selection
+        over each lane's final row; a lane without one has none)."""
+        cols = self.run(lane_row, P, budget)
+        lane, t, k, _, _, cost, value = cols
+        final = np.flatnonzero(t == self.n)
+        return (*cols, final[select(lane[final], k[final], cost[final], value[final], floor)])
+
     def witnesses(
         self, lane_row: np.ndarray, P: np.ndarray, budget: np.ndarray, select, floor: float
     ) -> list:
-        """:meth:`run`, then ``(lane, pieces)`` for every lane with an
-        answer: ``select`` picks the lane's final point (the scalar
-        selection over the final row) and its parent walk gives the
-        ``(j, i, q)`` pieces of the witness, in chain order."""
-        lane, t, k, q, parent, cost, value = self.run(lane_row, P, budget)
-        final = np.flatnonzero(t == self.n)
-        picks = final[select(lane[final], k[final], cost[final], value[final], floor)]
+        """``(lane, pieces)`` for every lane :meth:`answers`: the parent
+        walk from its answer gives the ``(j, i, q)`` pieces of the
+        witness, in chain order."""
+        lane, t, _, q, parent, _, _, picks = self.answers(lane_row, P, budget, select, floor)
         found = []
         for x in picks.tolist():
             pieces = []
@@ -513,9 +542,8 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
     infeasible before any DP runs, as in the scalar early return — and
     one :meth:`_FrontierLanes.run` per chunk of lanes.  ``select`` picks
     each lane's answer among its final points, the scalar selection
-    over the final row; the answer is reconstructed and scored by the
-    real :func:`~repro.core.evaluation.evaluate_mapping`, ``score(ev)``
-    being its *objective* value.
+    over the final row; the answer is reconstructed and scored by
+    :func:`_record`, ``score(ev)`` being its *objective* value.
     """
     rows = _resolve_rows(ensemble, rows)
     n_pts = len(bounds)
@@ -534,16 +562,7 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
         ids = lanes[start:start + _CHUNK]
         ris, pts = np.divmod(ids, n_pts)
         for lane, pieces in dp.witnesses(ris, P_pts[pts], budgets[ids], select, floor):
-            ri, pt = int(ris[lane]), int(pts[lane])
-            row = int(rows[ri])
-            ev = evaluate_mapping(
-                _mapping(ensemble.chain(row), ensemble.platform(row), pieces)
-            )
-            out.solved[ri, pt] = True
-            out.failure[ri, pt] = ev.failure_probability
-            out.values[ri, pt] = score(ev)
-            out.period[ri, pt] = ev.worst_case_period
-            out.latency[ri, pt] = ev.worst_case_latency
+            _record(out, ensemble, rows, int(ris[lane]), int(pts[lane]), pieces, score)
     return out
 
 
@@ -563,10 +582,9 @@ def batch_pareto_dp(
     the reliability objective carries no floor.
     """
     if objective != "reliability":
-        raise BatchUnsupported(
+        raise ValueError(
             f"the batched pareto-dp kernel covers objective 'reliability' "
-            f"only, got {objective!r}",
-            reason="objective",
+            f"only, got {objective!r}"
         )
     return _frontier_kernel(
         ensemble, bounds, rows, "pareto-dp", objective,
@@ -589,10 +607,9 @@ def batch_minimize_latency(
     each lane answered by its cheapest final point meeting the floor.
     """
     if objective != "latency":
-        raise BatchUnsupported(
+        raise ValueError(
             f"the batched dp-latency kernel covers objective 'latency' only, "
-            f"got {objective!r}",
-            reason="objective",
+            f"got {objective!r}"
         )
     return _frontier_kernel(
         ensemble, bounds, rows, "dp-latency", objective,

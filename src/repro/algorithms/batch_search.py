@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import (
-    BatchUnsupported,
     UnitResults,
     _failure_map,
     _pyfloat,
@@ -177,10 +176,9 @@ def search_solve_batch(criterion: str):
         min_reliability=0.0,
     ):
         if objective is not None and objective != criterion:
-            raise BatchUnsupported(
+            raise ValueError(
                 f"the batched {criterion}-search kernel covers objective "
-                f"{criterion!r} only, got {objective!r}",
-                reason="objective",
+                f"{criterion!r} only, got {objective!r}"
             )
         return batch_bisection_search(
             ensemble,

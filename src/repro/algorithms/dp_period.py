@@ -104,6 +104,11 @@ def minimize_period(
     latency is unbounded and the exact Pareto DP
     (:func:`~repro.algorithms.pareto_dp.pareto_dp_best`) otherwise —
     both exact, so the binary search terminates with the exact optimum.
+    Either probe compares its DP log-reliability with the floor, and
+    only the final witness is reconstructed, so the batched twin
+    (:func:`~repro.algorithms.batch_dp.batch_minimize_period`) runs the
+    same bisection in lockstep on both probes and matches it bit for
+    bit.
 
     Parameters
     ----------
@@ -131,11 +136,15 @@ def minimize_period(
     if not max_period > 0 or not max_latency > 0:
         raise ValueError("bounds must be > 0")
 
+    # A probe answers whether the most reliable mapping within the
+    # candidate period meets the floor, judged on the DP's own
+    # log-reliability, and returns a thunk that builds that mapping:
+    # only the final witness is reconstructed and evaluated.
     if math.isinf(max_latency):
         def meets(period_bound: float) -> "tuple[bool, object]":
             dp = hom_reliability_dp(chain, platform, max_period=period_bound)
             ok = dp.mapping is not None and dp.log_reliability >= min_log_reliability
-            return ok, dp.mapping
+            return ok, lambda: dp.mapping
     else:
         # The pareto_dp_best probe, with the row's DP tables built once
         # for every bisection step.
@@ -151,9 +160,8 @@ def minimize_period(
             best = _most_reliable(front[frontier.n], comm_budget)
             if best is None:
                 return False, None
-            mapping = frontier.reconstruct(front, *best)
-            ell = evaluate_mapping(mapping).log_reliability
-            return ell >= min_log_reliability, mapping
+            ok = best[0] >= min_log_reliability
+            return ok, lambda: frontier.reconstruct(front, *best)
 
     candidates = candidate_periods(chain, platform)
     candidates = candidates[candidates <= max_period]
@@ -163,8 +171,8 @@ def minimize_period(
         )
 
     # Feasibility check at the loosest admissible bound.  The witness
-    # mapping of the last successful probe is kept throughout: at loop
-    # exit it belongs to candidates[hi], so no final re-solve is needed.
+    # of the last successful probe is kept throughout: at loop exit it
+    # belongs to candidates[hi], so no final re-solve is needed.
     ok, witness = meets(float(candidates[-1]))
     if not ok:
         return SolveResult.infeasible(
@@ -179,15 +187,14 @@ def minimize_period(
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        ok, mapping = meets(float(candidates[mid]))
+        ok, found = meets(float(candidates[mid]))
         if ok:
             hi = mid
-            witness = mapping
+            witness = found
         else:
             lo = mid + 1
     best_period = float(candidates[hi])
-    mapping = witness
-    assert mapping is not None
+    mapping = witness()
     return SolveResult(
         feasible=True,
         mapping=mapping,

@@ -1077,9 +1077,23 @@ COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro scenario list | head
+    -1``) ends the command with exit code 1 and no traceback.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointing the
+        # descriptor at devnull keeps that flush from raising anew
+        # (the recipe in the ``signal`` module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)  # repro-lint: disable=IO001 null device
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

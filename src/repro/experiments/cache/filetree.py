@@ -5,9 +5,10 @@ Layout::
     <root>/<key[:2]>/<key>.json
 
 Each entry is the canonical text ``json.dumps(payload, sort_keys=True)``
-(:func:`encode_payload`).  Writes are atomic (``tempfile.mkstemp`` in
-the destination directory + ``os.replace``), so concurrent runs sharing
-a cache directory never observe a partial entry.  Zero shared state
+(:func:`encode_payload`).  Writes are atomic
+(:func:`repro.obs.ledger.write_atomic`: a temp file in the destination
+directory + ``os.replace``), so concurrent runs sharing a cache
+directory never observe a partial entry.  Zero shared state
 beyond the filesystem: no handles, nothing to pickle, works on any
 shared POSIX mount.
 
@@ -25,8 +26,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 from typing import Iterator
+
+from repro.obs.ledger import write_atomic
 
 __all__ = ["FileTreeBackend", "decode_payload", "encode_payload"]
 
@@ -73,19 +75,7 @@ class FileTreeBackend:
 
     def store_text(self, key: str, text: str) -> None:
         """Atomic write: temp file in the destination dir + ``os.replace``."""
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path(key), text)
 
     def discard(self, key: str) -> None:
         """Drop *key* if present (corrupt-entry recovery); absent is fine."""

@@ -40,15 +40,11 @@ bounds list.  Units are
   per ``(method, ensemble)`` group — bit-identical to the per-row
   path (same arrays, same cache entries), just without the Python
   loop.  Kernels cover reliability floors, the converse objectives
-  (``dp-period``/``dp-latency``), and the heterogeneous searches; one
-  that does not cover a shape (say, a finite latency bound on
-  ``dp-period``) raises
-  :class:`~repro.algorithms.batch.BatchUnsupported` with a
-  machine-readable ``reason`` — under ``batch="auto"`` those units
-  fall back to per-row solves (counted per reason in telemetry and
-  attributed in the ledger), under forced ``batch=True`` the sweep
-  raises instead of silently degrading.  Kernel groups are served or
-  refused in the parent, before any worker fan-out;
+  (``dp-period``/``dp-latency``), and the heterogeneous searches, and
+  each serves every unit the sweep's validation lets through, so a
+  unit's path depends on its method alone: cache, then the kernel if
+  the method has one, then a per-row solve.  Kernel groups run in the
+  parent, before any worker fan-out;
 * **cached**: each unit's ``(solved, failure, objective_values,
   period, latency)`` arrays are stored under a content hash derived
   from the method name, the instance's raw-array *row digest*
@@ -100,7 +96,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import BatchUnsupported, UnitResults
+from repro.algorithms.batch import UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import (
     ResultCache,
@@ -145,9 +141,9 @@ class SweepResult:
         The :data:`repro.solve.OBJECTIVES` entry the sweep carried.
     batch_units:
         How many work units the batched kernels served (0 when no
-        method carries one, the shapes were unsupported, batching was
-        disabled, or every unit came from cache) — diagnostics only,
-        the arrays are bit-identical either way.
+        method carries one, batching was disabled, or every unit came
+        from cache) — diagnostics only, the arrays are bit-identical
+        either way.
     timings:
         Phase wall-clock breakdown of the sweep (``total``,
         ``cache_lookup``, ``batch``, ``solve`` seconds) — structured
@@ -159,12 +155,8 @@ class SweepResult:
         ``"worker"`` / ``"recovered"``), ``solved`` count, ``seconds``
         where measured (batch-served units carry the kernel group's
         amortized share and ``batch_group``; cache hits carry
-        ``None``), a
-        ``batch_fallback`` reason string
-        (:attr:`~repro.algorithms.batch.BatchUnsupported.reason`) for
-        units whose kernel refused the shape, and — for search methods
-        that report them — per-unit ``probes`` totals and a
-        ``converged`` flag.
+        ``None``), and — for search methods that report them —
+        per-unit ``probes`` totals and a ``converged`` flag.
         This is the ledger's ``per_unit.jsonl``, derived from data
         rather than log scraping.
     period, latency:
@@ -381,7 +373,7 @@ def _solve_shard_payload(
     re-registered method), raise UnknownMethodError so the parent
     recomputes the shard itself instead of silently using the wrong
     solver.  Workers only run per-row solves: the parent has already
-    served or refused every kernel-eligible unit.
+    served every kernel-eligible unit.
 
     Returns ``(_solve_rows(...), telemetry_snapshot)``.  When
     *collect_telemetry* is set (the parent has a collector installed),
@@ -492,7 +484,7 @@ def run_sweep(
     scenario_key: "str | None" = None,
     objective: str = "reliability",
     min_reliability: float = 0.0,
-    batch: "bool | str" = "auto",
+    batch: bool = True,
 ) -> SweepResult:
     """Run every method on every instance at every bound point.
 
@@ -543,25 +535,21 @@ def run_sweep(
         homogeneous-only method on a heterogeneous platform — plan
         with :meth:`repro.solve.Planner.plan` to pre-filter.
     batch:
-        ``"auto"`` (default) serves uncached, unseeded units of
+        ``True`` (default) serves uncached, unseeded units of
         :attr:`~repro.experiments.methods.Method.solve_batch` methods
         through one columnar kernel call per ``(method, ensemble)``
-        group, falling back to per-row solves for shapes a kernel
-        refuses; ``True`` demands the kernels — any refusal raises
-        ``ValueError`` naming each refused cell and its
-        :attr:`~repro.algorithms.batch.BatchUnsupported.reason`
-        (methods without a kernel still run per-row either way);
-        ``False`` forces the per-row path.  Results are bit-identical
-        in every mode (cache entries included) — the knob exists for
-        diagnostics and the equivalence tests.
+        group (methods without a kernel run per row);
+        ``False`` forces the per-row path, the reference the
+        equivalence tests compare the kernels with.  Results are
+        bit-identical either way, cache entries included.
         :attr:`SweepResult.batch_units` reports how many units the
         kernels served.
     """
     ensembles, scenario_key = _resolve_instances(instances, seed, n_instances, scenario_key)
     bounds, min_reliability = _validate(ensembles, methods, bounds, objective, min_reliability)
     xs_arr = _sweep_xs(bounds, xs)
-    if batch not in (True, False, "auto"):
-        raise ValueError(f"batch must be True, False, or 'auto', got {batch!r}")
+    if not isinstance(batch, bool):
+        raise ValueError(f"batch must be True or False, got {batch!r}")
     jobs = resolve_jobs(jobs)
 
     store = resolve_cache(cache)
@@ -573,8 +561,8 @@ def run_sweep(
     pending = run.lookup()
     timings["cache_lookup"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if batch in (True, "auto"):
-        pending = run.run_kernels(pending, forced=batch is True)
+    if batch:
+        pending = run.run_kernels(pending)
     timings["batch"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     run.run_rows(pending, jobs)
@@ -676,10 +664,6 @@ class _SweepRun:
             len(self.methods) * len(self.views), len(bounds), objective
         )
         self.unit_events: list[dict] = []
-        # The units whose kernel refused the shape: their per-row
-        # recomputation is a *fallback*, and the ledger says why (the
-        # BatchUnsupported reason class).
-        self.fallback: dict[tuple[int, int], str] = {}
         self.batch_units = 0
 
     @staticmethod
@@ -711,9 +695,6 @@ class _SweepRun:
         }
         if batch_group is not None:
             event["batch_group"] = batch_group
-        reason = self.fallback.get((unit.mi, unit.ii))
-        if reason is not None:
-            event["batch_fallback"] = reason
         if info:
             event.update(info)
         self.unit_events.append(event)
@@ -750,54 +731,35 @@ class _SweepRun:
                     pending.append(unit)
         return pending
 
-    def run_kernels(self, pending: "list[_Unit]", forced: bool) -> "list[_Unit]":
+    def run_kernels(self, pending: "list[_Unit]") -> "list[_Unit]":
         """Serve whole ``(method, ensemble)`` groups in one kernel call.
 
         Only unseeded units qualify (per-unit seeds are a per-row
-        concept).  A kernel that rejects the shape leaves its group
-        pending for the per-row stage, attributed; when *forced*, any
-        refusal raises instead.  Returns the units still pending.
+        concept).  Returns the units left for per-row solves.
         """
         groups: dict[tuple[int, int], list[_Unit]] = {}
+        rest: list[_Unit] = []
         for unit in pending:
             if unit.seed is None and self.methods[unit.mi].solve_batch is not None:
                 groups.setdefault((unit.mi, self.ensemble_of[unit.ii]), []).append(unit)
-        served: set[_Unit] = set()
-        refused: list[tuple[str, str, int]] = []
+            else:
+                rest.append(unit)
         for (mi, ei), units in groups.items():
             method = self.methods[mi]
             t0 = time.perf_counter()
-            try:
-                with obs.span("sweep.batch", label=method.name):
-                    results = method.solve_batch(
-                        self.ensembles[ei],
-                        self.bounds,
-                        rows=[self.row_of[u.ii] for u in units],
-                        objective=self.objective,
-                        min_reliability=self.min_reliability,
-                    )
-            except BatchUnsupported as exc:
-                for u in units:
-                    self.fallback[(u.mi, u.ii)] = exc.reason
-                refused.append((method.name, exc.reason, len(units)))
-                obs.counter("sweep.batch_unsupported", len(units), label=method.name)
-                obs.counter("sweep.units.fallback", len(units), label=exc.reason)
-                continue
+            with obs.span("sweep.batch", label=method.name):
+                results = method.solve_batch(
+                    self.ensembles[ei],
+                    self.bounds,
+                    rows=[self.row_of[u.ii] for u in units],
+                    objective=self.objective,
+                    min_reliability=self.min_reliability,
+                )
             share = (time.perf_counter() - t0) / len(units)
             for r, unit in enumerate(units):
                 self.finish(unit, results, r, "batch", share, batch_group=len(units))
-            served.update(units)
             self.batch_units += len(units)
-        if refused and forced:
-            cells = "; ".join(
-                f"{name} ({n} units): {reason}" for name, reason, n in refused
-            )
-            raise ValueError(
-                "batch=True demands the kernels, but some refused their "
-                f"shapes — {cells}. Use batch='auto' to let uncovered "
-                "units fall back to per-row solves."
-            )
-        return [u for u in pending if u not in served]
+        return rest
 
     def run_local(self, unit: _Unit, source: str = "parent") -> None:
         results, seconds = _solve_rows(

@@ -155,12 +155,11 @@ class Method:
         solve details (probe counts, convergence flags) exactly as the
         harness would have accumulated them from the per-row results,
         or ``None`` for methods that report none.  The sweep harness calls
-        it per ``(method, ensemble)`` group; a kernel that does not
-        cover the shape raises
-        :class:`repro.algorithms.batch.BatchUnsupported` (whose
-        ``reason`` the harness counts per fallback class) and every
-        row falls back to the per-instance path.  ``None`` (default)
-        means "no batched path".
+        it per ``(method, ensemble)`` group, after
+        :meth:`check_ensemble` has accepted the ensemble and the
+        objective, and the kernel must serve every such group: there
+        is no per-row fallback.  ``None`` (default) means "no batched
+        path".
     """
 
     name: str
@@ -420,10 +419,9 @@ def _heur(which, selection, allocation="auto"):
     return solve
 
 
-# The Section 7 heuristics carry the columnar kernel: on the
-# reliability objective the harness solves whole row groups in one
-# call, bit-identical to the per-row path; other objectives raise
-# BatchUnsupported and fall back.
+# The Section 7 heuristics carry the columnar kernel: the harness
+# solves whole row groups in one call, bit-identical to the per-row
+# path.
 register_method("heur-l", solve_batch=heuristic_solve_batch("heur-l"))(
     _heur("heur-l", "feasible-best")
 )
@@ -487,8 +485,9 @@ def _brute_force(problem):
 
 # Binary search re-running an exact reliability DP per probe: O(log n^2)
 # probes of Algorithm 2 (or the Pareto DP when a latency bound is set).
-# The batched kernel covers the Algorithm 2 cell (all latency bounds
-# infinite); finite-latency points fall back to the per-row Pareto probe.
+# The batched kernel bisects every (row, sweep point) lane in lockstep,
+# each round probing the unbounded-latency lanes with the lane-vectorized
+# Algorithm 2 DP and the others with the lane-vectorized Pareto DP.
 @register_method(
     "dp-period", exact=True, homogeneous_only=True, cost_hint=8.0,
     objectives=("period",), solve_batch=batch_minimize_period,
@@ -504,8 +503,8 @@ def _dp_period(problem):
 
 
 # One Pareto-DP run plus a final-frontier scan — the same DP as
-# pareto-dp, so the same worst case.  Its kernel shares one run per row
-# across the latency points of a sweep.
+# pareto-dp, so the same worst case.  Its kernel runs that DP
+# lane-vectorized, one lane per (row, sweep point), as pareto-dp's does.
 @register_method(
     "dp-latency", exact=True, homogeneous_only=True, cost_hint=5.0,
     objectives=("latency",), solve_batch=batch_minimize_latency,

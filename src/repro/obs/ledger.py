@@ -514,15 +514,10 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
             converged["not_converged"] += 1
         record = coverage.setdefault(
             str(row.get("method", "?")),
-            {"batch": 0, "per_row": 0, "cache": 0, "fallback": {}},
+            {"batch": 0, "per_row": 0, "cache": 0},
         )
         bucket = source if source in ("batch", "cache") else "per_row"
         record[bucket] += 1
-        reason = row.get("batch_fallback")
-        if reason:
-            # Ledgers written before reasons existed carry a bare True.
-            label = reason if isinstance(reason, str) else "unsupported"
-            record["fallback"][label] = record["fallback"].get(label, 0) + 1
     if sources:
         lines += ["", "## Unit attribution", ""]
         for source in sorted(sources):
@@ -533,17 +528,13 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
                 f"{converged['not_converged']} budget-exhausted"
             )
         lines += ["", "## Batch coverage", ""]
-        lines.append("| method | batch | fallback | per-row | cache |")
-        lines.append("|---|---|---|---|---|")
+        lines.append("| method | batch | per-row | cache |")
+        lines.append("|---|---|---|---|")
         for method in sorted(coverage):
             record = coverage[method]
-            fallback = ", ".join(
-                f"{label}: {count}"
-                for label, count in sorted(record["fallback"].items())
-            ) or "-"
             lines.append(
-                f"| {method} | {record['batch']} | {fallback} "
-                f"| {record['per_row']} | {record['cache']} |"
+                f"| {method} | {record['batch']} | {record['per_row']} "
+                f"| {record['cache']} |"
             )
 
     telemetry = manifest.get("telemetry")

@@ -1,7 +1,7 @@
 """The batched solving layer: kernel-level bit-identity with the
-per-instance heuristics, the harness's batch serving and fallback, the
-registry's solve_batch capability, and the UnitResults contract every
-kernel and worker shard returns."""
+per-instance heuristics, the harness's batch serving, the registry's
+solve_batch capability, and the UnitResults contract every kernel and
+worker shard returns."""
 
 import concurrent.futures
 import math
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    BatchUnsupported,
     UnitResults,
     batch_bisection_search,
     batch_heuristic_best,
@@ -29,8 +28,9 @@ from repro.solve import Planner
 
 BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
 
-#: Unbounded-latency sweep points: the shape the batched dp-period
-#: kernel covers (its probe is the Algorithm 2 DP).
+#: Unbounded-latency sweep points: dp-period probes them with the
+#: Algorithm 2 DP (BOUNDS' finite-latency points take its frontier-DP
+#: probe).
 PERIOD_BOUNDS = [(math.inf, math.inf), (600.0, math.inf), (150.0, math.inf)]
 
 #: Frontier-DP grids on section8-hom's scale (compute bound ~850-900):
@@ -68,13 +68,12 @@ OBJECTIVE_METHOD = {
     ("energy", False): "energy-greedy",
 }
 
-#: Cells whose kernel serves every unit of a BOUNDS sweep.  dp-period
-#: is absent: BOUNDS carries finite latency bounds, which its kernel
-#: refuses (reason "latency-bound") — see TestForcedAndFallback.
-#: energy has no kernel at all.
+#: Cells whose kernel serves every unit of a BOUNDS sweep (energy has
+#: no kernel at all).
 FULLY_BATCHED = {
     ("reliability", True),
     ("reliability", False),
+    ("period", True),
     ("period", False),
     ("latency", True),
     ("latency", False),
@@ -104,7 +103,7 @@ def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
     """The same sweep (of a spec or an ensemble) through the batched
     and the per-row path, each into its own cold cache."""
     sweeps, caches = [], []
-    for batch in ("auto", False):
+    for batch in (True, False):
         cache = ResultCache(tmp_path / f"cache-{batch}")
         sweeps.append(run_sweep(
             spec, [method], bounds,
@@ -152,7 +151,7 @@ def per_row(method, ensemble, bounds, objective, floor):
 
 
 class TestSweepEquivalenceMatrix:
-    """run_sweep(batch="auto") is bit-identical to the per-row path for
+    """run_sweep(batch=True) is bit-identical to the per-row path for
     every builtin scenario x objective, cache entries included."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -178,10 +177,6 @@ class TestSweepEquivalenceMatrix:
             assert batched.batch_units == n_units(batched)
         else:
             assert batched.batch_units == 0
-        if method_name == "dp-period":
-            # The refused cell is attributed, not silent.
-            reasons = {e.get("batch_fallback") for e in batched.unit_events}
-            assert reasons == {"latency-bound"}
 
     def test_batch_warmed_cache_serves_per_row_sweep(self, tmp_path):
         spec = shrunk_spec("section8-hom")
@@ -203,29 +198,30 @@ class TestSweepEquivalenceMatrix:
         assert np.array_equal(serial.failure, forked.failure)
         assert np.array_equal(serial.objective_values, forked.objective_values)
 
-    def test_parallel_refused_cell_runs_in_workers(self):
-        """A kernel refusal happens once, in the parent: the refused
-        units run per row in workers and are counted exactly once."""
+    def test_parallel_kernel_less_units_run_in_workers(self):
+        """A method without a kernel runs every unit per row in the
+        pool's workers, each counted exactly once."""
         with obs.collect() as telemetry:
             sweep = run_sweep(
-                shrunk_spec("section8-hom"), [get_method("dp-period")],
-                BOUNDS, objective="period", jobs=2,
+                shrunk_spec("section8-hom"), [get_method("energy-greedy")],
+                BOUNDS, objective="energy", jobs=2,
             )
         units = n_units(sweep)
         assert sweep.batch_units == 0
         assert len(sweep.unit_events) == units
-        for event in sweep.unit_events:
-            assert event["source"] == "worker"
-            assert event["batch_fallback"] == "latency-bound"
-        counters = telemetry.counters
-        assert counters["sweep.batch_unsupported[dp-period]"] == units
-        assert counters["sweep.units.fallback[latency-bound]"] == units
+        assert {e["instance"] for e in sweep.unit_events} == set(range(units))
+        assert {e["source"] for e in sweep.unit_events} == {"worker"}
+        assert {
+            key: count for key, count in telemetry.counters.items()
+            if key.startswith("sweep.units.")
+        } == {"sweep.units.worker[energy-greedy]": units}
 
-    def test_batch_flag_validated(self):
-        with pytest.raises(ValueError, match="batch"):
+    @pytest.mark.parametrize("batch", ["auto", "yes", 1, None])
+    def test_batch_flag_validated(self, batch):
+        with pytest.raises(ValueError, match="batch must be True or False"):
             run_sweep(
                 shrunk_spec("section8-hom"), [get_method("heur-l")],
-                BOUNDS, batch="yes",
+                BOUNDS, batch=batch,
             )
 
 
@@ -291,7 +287,7 @@ class TestKernelBitIdentity:
         # now; only a mismatched objective remains unsupported here.
         solved = batch_heuristic_best(het, BOUNDS, min_reliability=0.5).solved
         assert solved.shape == (len(het), len(BOUNDS))
-        with pytest.raises(BatchUnsupported, match="objective"):
+        with pytest.raises(ValueError, match="objective"):
             batch_heuristic_best(hom, BOUNDS, objective="period")
         with pytest.raises(ValueError, match="unknown heuristic"):
             batch_heuristic_best(hom, BOUNDS, which="heur-x")
@@ -302,56 +298,43 @@ class TestKernelBitIdentity:
         with pytest.raises(ValueError, match="unknown allocation mode 'hom'"):
             heuristic_solve_batch("heur-l", allocation="hom")
 
-    def test_unsupported_reasons_and_messages(self):
-        """Snapshot of each kernel's refusal: the machine-readable
-        reason class the telemetry counts, and the message text."""
+    def test_unsupported_shape_messages(self):
+        """Snapshot of each kernel's guard against a shape the sweep's
+        validation rejects before any kernel runs: a ValueError with
+        its message text."""
         het = generate_ensemble(shrunk_spec("high-heterogeneity"), seed=5)
         hom = generate_ensemble(shrunk_spec("section8-hom"), seed=5)
         cases = [
             (
                 lambda: batch_heuristic_best(hom, BOUNDS, objective="period"),
-                "objective",
                 "batched heuristics cover objective 'reliability' only, "
                 "got 'period'",
             ),
             (
-                lambda: batch_minimize_period(hom, BOUNDS),
-                "latency-bound",
-                "the batched dp-period kernel probes with the Algorithm 2 "
-                "DP, which requires an unbounded latency; points with a "
-                "finite max_latency take the per-row Pareto-DP probe "
-                "instead",
-            ),
-            (
                 lambda: batch_minimize_period(het, PERIOD_BOUNDS),
-                "heterogeneous",
                 "the batched dp-period kernel requires fully homogeneous "
                 "rows (the Section 5 DPs are only optimal there; Section 6 "
                 "proves the heterogeneous problem NP-complete)",
             ),
             (
                 lambda: batch_minimize_latency(het, BOUNDS),
-                "heterogeneous",
                 "the batched dp-latency kernel requires fully homogeneous "
                 "rows (the Section 5 DPs are only optimal there; Section 6 "
                 "proves the heterogeneous problem NP-complete)",
             ),
             (
                 lambda: batch_minimize_latency(hom, BOUNDS, objective="period"),
-                "objective",
                 "the batched dp-latency kernel covers objective 'latency' "
                 "only, got 'period'",
             ),
             (
                 lambda: batch_pareto_dp(het, BOUNDS),
-                "heterogeneous",
                 "the batched pareto-dp kernel requires fully homogeneous "
                 "rows (the Section 5 DPs are only optimal there; Section 6 "
                 "proves the heterogeneous problem NP-complete)",
             ),
             (
                 lambda: batch_pareto_dp(hom, BOUNDS, objective="latency"),
-                "objective",
                 "the batched pareto-dp kernel covers objective "
                 "'reliability' only, got 'latency'",
             ),
@@ -359,7 +342,6 @@ class TestKernelBitIdentity:
                 lambda: get_method("het-period-search").solve_batch(
                     het, BOUNDS, objective="latency"
                 ),
-                "objective",
                 "the batched period-search kernel covers objective "
                 "'period' only, got 'latency'",
             ),
@@ -367,15 +349,13 @@ class TestKernelBitIdentity:
                 lambda: get_method("het-latency-search").solve_batch(
                     het, BOUNDS, objective="period"
                 ),
-                "objective",
                 "the batched latency-search kernel covers objective "
                 "'latency' only, got 'period'",
             ),
         ]
-        for call, reason, message in cases:
-            with pytest.raises(BatchUnsupported) as exc:
+        for call, message in cases:
+            with pytest.raises(ValueError) as exc:
                 call()
-            assert exc.value.reason == reason
             assert str(exc.value) == message
 
     def test_scaling_stress_variants(self):
@@ -432,8 +412,7 @@ BATCHED_METHODS = sorted(
     name for name, method in METHODS.items() if method.solve_batch is not None
 )
 
-#: Sweep points no mapping meets (latency unbounded, which every
-#: kernel covers).
+#: Sweep points no mapping meets.
 INFEASIBLE_BOUNDS = [(1e-9, math.inf), (1e-6, math.inf)]
 
 
@@ -485,6 +464,7 @@ class TestUnitResultsContract:
 #: cell; the search methods run on both platform kinds.
 CONVERSE_CELLS = [
     ("dp-period", "period", PERIOD_BOUNDS, "section8-hom"),
+    ("dp-period", "period", BOUNDS, "section8-hom"),
     ("dp-latency", "latency", BOUNDS, "section8-hom"),
     ("het-period-search", "period", BOUNDS, "section8-het"),
     ("het-period-search", "period", BOUNDS, "long-chain"),
@@ -564,7 +544,7 @@ class TestParetoDPKernel:
         spec = shrunk_spec("section8-hom")
         method = get_method("pareto-dp")
         sweeps, caches = [], []
-        for batch in ("auto", False):
+        for batch in (True, False):
             cache = ResultCache(tmp_path / f"cache-{batch}")
             sweeps.append(run_sweep(spec, [method], bounds, cache=cache,
                                     batch=batch, jobs=jobs))
@@ -581,7 +561,7 @@ class TestNaNBounds:
     """A NaN bound fails at the sweep boundary with Problem's message,
     whichever path would have solved it."""
 
-    @pytest.mark.parametrize("batch", ["auto", False])
+    @pytest.mark.parametrize("batch", [True, False])
     @pytest.mark.parametrize("method_name,objective,bound", [
         ("heur-l", "reliability", (math.nan, math.inf)),
         ("dp-latency", "latency", (100.0, math.nan)),
@@ -658,43 +638,29 @@ class TestFloorSweeps:
                     assert (period[i, pt], latency[i, pt]) == witness(res)
 
 
-class TestForcedAndFallback:
-    """batch=True demands the kernels; batch="auto" falls back with an
-    attributed reason."""
+class TestDpPeriodServesEveryUnit:
+    """The dp-period kernel serves finite and infinite latency bounds
+    alike: every unit of a sweep, bit-identical to the per-row path."""
 
-    def test_forced_batch_raises_on_refused_cell(self):
-        with pytest.raises(ValueError, match="latency-bound") as exc:
-            run_sweep(
-                shrunk_spec("section8-hom"), [get_method("dp-period")],
-                BOUNDS, objective="period", batch=True,
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bounds", [BOUNDS, PERIOD_BOUNDS],
+                             ids=["mixed-latency", "unbounded-latency"])
+    def test_kernel_serves_every_unit(self, tmp_path, bounds, jobs):
+        with obs.collect() as telemetry:
+            (batched, looped), (bcache, lcache) = sweep_pair(
+                tmp_path, shrunk_spec("section8-hom"), get_method("dp-period"),
+                "period", bounds=bounds, min_reliability=0.9, jobs=jobs,
             )
-        assert "dp-period" in str(exc.value)
-        assert "batch='auto'" in str(exc.value)
-
-    def test_forced_batch_passes_on_covered_cell(self):
-        sweep = run_sweep(
-            shrunk_spec("section8-hom"), [get_method("dp-period")],
-            PERIOD_BOUNDS, objective="period", batch=True,
-        )
-        assert sweep.batch_units == n_units(sweep)
-
-    def test_forced_batch_leaves_kernel_free_methods_alone(self):
-        sweep = run_sweep(
-            shrunk_spec("section8-hom"), [get_method("energy-greedy")],
-            BOUNDS, objective="energy", batch=True,
-        )
-        assert sweep.batch_units == 0
-        assert all("batch_fallback" not in e for e in sweep.unit_events)
-
-    def test_auto_fallback_attributes_reason(self):
-        sweep = run_sweep(
-            shrunk_spec("section8-hom"), [get_method("dp-period")],
-            BOUNDS, objective="period", batch="auto",
-        )
-        assert sweep.batch_units == 0
-        for event in sweep.unit_events:
-            assert event["batch_fallback"] == "latency-bound"
-            assert event["source"] == "parent"
+        assert_same_sweeps(batched, looped)
+        assert cache_entries(bcache) == cache_entries(lcache) != {}
+        units = n_units(batched)
+        assert batched.batch_units == units
+        assert {e["source"] for e in batched.unit_events} == {"batch"}
+        assert [e.get("probes") for e in batched.unit_events] == [
+            e.get("probes") for e in looped.unit_events
+        ]
+        assert telemetry.counters["sweep.units.batch[dp-period]"] == units
+        assert batched.solved.any()
 
 
 class TestBuiltinPlansStayInProcess:

@@ -1,8 +1,9 @@
 """Differential tests of the shared frontier-DP core on adversarial inputs.
 
 The pareto-dp and dp-latency kernels run the frontier DP lane-vectorized,
-one lane per (row, sweep point) in chunks of lanes, and dp-period's
-finite-latency probe reuses one row's tables across its bisection.
+one lane per (row, sweep point) in chunks of lanes; dp-period's
+finite-latency probe reuses one row's tables across its bisection, and
+its kernel bisects all lanes in lockstep on both of its probes.
 Here each is checked against the per-point path on small homogeneous
 ensembles built to hit the edge cases: integer work and outputs (exact
 frontier ties), K = 1, fewer processors than tasks, bounds exactly on
@@ -18,15 +19,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import minimize_period, pareto_dp_best
 from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes
 from repro.algorithms.dp_period import candidate_periods
-from repro.algorithms.pareto_dp import _FrontierDP
+from repro.algorithms._hom_dp import hom_reliability_dp
+from repro.algorithms.pareto_dp import _FrontierDP, _most_reliable
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
+from repro.experiments.cache import unit_record
+from repro.experiments.cache.filetree import encode_payload
 from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
@@ -41,8 +45,10 @@ FRONTIER_CELLS = [
 
 
 @st.composite
-def hom_cases(draw):
-    """A small homogeneous ensemble and a sweep over its edge bounds."""
+def hom_cases(draw, mixed_latency=False, failure_rates=(1e-8, 1e-3, 5e-2)):
+    """A small homogeneous ensemble and a sweep over its edge bounds;
+    *mixed_latency* adds one unbounded-latency point and one whose
+    finite latency bound is at or above that row's compute bound."""
     n = draw(st.integers(2, 6))
     m = draw(st.integers(1, 3))
     p = draw(st.integers(1, n + 1))
@@ -57,7 +63,7 @@ def hom_cases(draw):
         work=work,
         output=output,
         speeds=np.full((1, p), speed),
-        failure_rates=np.full((1, p), draw(st.sampled_from([1e-8, 1e-3, 5e-2]))),
+        failure_rates=np.full((1, p), draw(st.sampled_from(failure_rates))),
         bandwidth=draw(st.sampled_from([1.0, 2.0])),
         link_failure_rate=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
         max_replication=draw(st.integers(1, 3)),
@@ -73,6 +79,11 @@ def hom_cases(draw):
         st.tuples(st.sampled_from(periods), st.sampled_from(latencies)),
         min_size=1, max_size=6,
     ))
+    if mixed_latency:
+        bounds += [
+            (draw(st.sampled_from(periods)), math.inf),
+            (draw(st.sampled_from(periods)), draw(st.sampled_from(latencies[1:-1]))),
+        ]
     return ensemble, bounds
 
 
@@ -113,6 +124,70 @@ def test_pareto_dp_kernel_matches_per_point(case):
 def test_dp_latency_kernel_matches_per_point(case, floor):
     ensemble, bounds = case
     assert_kernel_matches_per_point("dp-latency", ensemble, bounds, "latency", floor)
+
+
+def first_probe_floor(ensemble, bound):
+    """A reliability floor whose log is exactly the DP log-reliability
+    that some row's first dp-period probe at *bound* (the probe at its
+    loosest candidate period) compares with the floor, or ``None``: a
+    floor on which that probe's ``>=`` decides."""
+    P, L = bound
+    for chain, platform in ensemble:
+        cands = candidate_periods(chain, platform)
+        cands = cands[cands <= P]
+        if cands.size == 0:
+            continue
+        if math.isinf(L):
+            dp = hom_reliability_dp(chain, platform, max_period=float(cands[-1]))
+            ell = dp.log_reliability
+        else:
+            dp = _FrontierDP(chain, platform)
+            budget = L - dp.total_compute
+            best = None
+            if budget >= 0:
+                front = dp.run(dp.admitted(float(cands[-1])), budget)
+                best = _most_reliable(front[dp.n], budget)
+            ell = -math.inf if best is None else best[0]
+        if not -math.inf < ell < 0.0:
+            continue
+        # exp and log round, so look a few ulps around exp(ell).
+        up = down = math.exp(ell)
+        for _ in range(8):
+            for r in (up, down):
+                if 0.0 < r < 1.0 and math.log(r) == ell:
+                    return r
+            up, down = math.nextafter(up, 1.0), math.nextafter(down, 0.0)
+    return None
+
+
+@given(
+    hom_cases(mixed_latency=True, failure_rates=(1e-8, 1e-3, 5e-2, 0.3)),
+    st.sampled_from([0.0, 0.9, "inf", "finite"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_dp_period_kernel_matches_per_row(case, floor):
+    """The dp-period kernel on one sweep mixing its two probes (the
+    Algorithm 2 DP for unbounded latency, the frontier DP otherwise):
+    arrays, probe-count infos and cache record bytes equal the per-row
+    minimize_period's.  Besides floors 0 and 0.9, a floor may sit
+    exactly on the value the first probe of the sweep's unbounded
+    ("inf") or finite-latency ("finite") point compares with it."""
+    ensemble, bounds = case
+    if isinstance(floor, str):
+        floor = first_probe_floor(ensemble, bounds[-2 if floor == "inf" else -1])
+        assume(floor is not None)
+    method = get_method("dp-period")
+    out = method.solve_batch(ensemble, bounds, objective="period", min_reliability=floor)
+    rows, _seconds = _solve_rows(
+        method, list(ensemble), bounds, [None] * len(ensemble), "period", floor
+    )
+    for name in out.ARRAYS:
+        assert np.array_equal(getattr(out, name), getattr(rows, name)), name
+    assert out.infos == rows.infos
+    for r in range(len(ensemble)):
+        assert encode_payload(unit_record(out, r, method.name)) == encode_payload(
+            unit_record(rows, r, method.name)
+        )
 
 
 @given(hom_cases(), FLOORS)

@@ -1,12 +1,20 @@
 """Tests for JSON serialization (repro.io) and the CLI (repro.cli)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core import Interval, Mapping, Platform, TaskChain
 from repro.io import FORMAT_VERSION, dumps, from_dict, loads, to_dict
 from repro.cli import build_parser, main
+
+#: The directory that holds this checkout's ``repro`` package.
+PKG_ROOT = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -217,6 +225,22 @@ class TestScenarioCLI:
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
         assert "section8-hom" in out and "scaling-stress" in out
+
+    def test_scenario_list_into_closed_pipe(self):
+        """A reader that closes stdout after one line (``| head -1``)
+        ends the command with no BrokenPipeError traceback."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "scenario", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"name")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert stderr == b""
 
     def test_scenario_show_roundtrips(self, capsys):
         assert main(["scenario", "show", "section8-hom"]) == 0

@@ -183,6 +183,9 @@ class TestLedgerWriter:
         assert "- batch: 1 units" in report
         assert "- worker: 1 units" in report
         assert "0 converged, 1 budget-exhausted" in report
+        # Batch coverage: one column per path a unit can take.
+        assert "| method | batch | per-row | cache |" in report
+        assert "| heur-l | 1 | 1 | 0 |" in report
         # render_report is a pure function of its inputs.
         loaded = load_run(run_id, tmp_path)
         assert render_report(loaded.manifest, loaded.units) == report
