@@ -35,9 +35,12 @@ rules the style below follows).
   kernel keeps one *lane* per (row, sweep point) and runs every probe
   round over the not-yet converged lanes at once, each against its
   own candidate: the unbounded-latency lanes through one
-  lane-vectorized Algorithm 2 DP (:class:`_LaneDP`), the others
+  lane-vectorized Algorithm 2 DP (:func:`_lane_dp`), the others
   through :class:`_FrontierLanes` chunks answered by their most
-  reliable final point.  Both probes compare the DP's log-reliability
+  reliable final point.  Both probes read the one
+  :class:`_FrontierLanes` table build of the call (the Algorithm 2
+  recurrence needs exactly its communication times, interval compute
+  times and stage tables).  Both compare the DP's log-reliability
   with the floor, as the scalar ones do, so each lane's ``(lo, hi)``
   trajectory and probe count replicate the scalar bisection exactly.
   The scalar witness is the mapping probed at the final
@@ -95,110 +98,72 @@ def _record(out: UnitResults, ensemble, rows, ri: int, pt: int, pieces, score) -
     out.latency[ri, pt] = ev.worst_case_latency
 
 
-class _LaneDP:
+def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: bool):
     """Lane-vectorized Algorithm 1/2 core over homogeneous rows.
 
-    Precomputes, per row, everything the scalar
-    :func:`~repro.algorithms._hom_dp.hom_reliability_dp` derives before
-    its ``F`` recurrence — the branch log-reliability/stage tables are
-    bound-independent, so they are shared by every probe round.  A
-    *lane* is one (row, period bound) pair; :meth:`run` executes the
-    recurrence for many lanes at once, each against its own bound.
+    Runs the ``F`` recurrence of the scalar
+    :func:`~repro.algorithms._hom_dp.hom_reliability_dp` on the
+    bounds-independent tables a :class:`_FrontierLanes` stacks (its
+    ``comm_time``, ``wtime`` and ``stage`` hold exactly the scalar
+    loop's communication times, interval compute times and branch
+    stage tables), so one table build serves both probes.  A *lane*
+    is one (row, period bound) pair: lane ``l`` solves table row
+    ``lanes[l]`` under period bound ``P[l]``, all at once.  Returns
+    ``(F, best, parent_j, parent_q)`` (parents ``None`` unless
+    *track*).
     """
-
-    __slots__ = ("n", "p", "kmax", "in_time", "out_time", "wtime", "stage")
-
-    def __init__(self, ensemble, rows: np.ndarray) -> None:
-        r = len(rows)
-        n, p = ensemble.n_tasks, ensemble.p
-        kmax = min(ensemble.max_replication, p)
-        b, link = ensemble.bandwidth, ensemble.link_failure_rate
-        work = np.ascontiguousarray(ensemble.work[rows])
-        output = np.ascontiguousarray(ensemble.output[rows])
-        # Homogeneous rows: column 0 is every processor.
-        s = np.ascontiguousarray(ensemble.speeds[rows, 0], dtype=float)
-        lam = np.ascontiguousarray(ensemble.failure_rates[rows, 0], dtype=float)
-
-        prefix = np.concatenate([np.zeros((r, 1)), np.cumsum(work, axis=1)], axis=1)
-        # ell_comm[:, j] = log rcomm of the boundary before task j
-        # (input_of(0) = 0, input_of(j) = output[j-1], output_of(n) =
-        # output[n-1] — so the boundary sizes are [0, output...]).
-        ell_comm = -link * (np.concatenate([np.zeros((r, 1)), output], axis=1) / b)
-        self.in_time = np.concatenate([np.zeros((r, 1)), output[:, : n - 1]], axis=1) / b
-        self.out_time = output / b
-
-        qs = np.arange(1, kmax + 1)
-        # Per candidate interval [j, i): compute time and replica-count
-        # stage table for every row (the scalar loop's ell_branch /
-        # parallel_k_many, broadcast across rows — elementwise ops and
-        # the masked log1mexp agree across shapes).
-        self.wtime = {}
-        self.stage = {}
-        for i in range(1, n + 1):
-            for j in range(i):
-                work_ij = prefix[:, i] - prefix[:, j]
-                self.wtime[(j, i)] = work_ij / s
-                branch = (ell_comm[:, j] - lam * work_ij / s) + ell_comm[:, i]
-                self.stage[(j, i)] = logrel.parallel_k_many(branch[:, None], qs)
-
-        self.n, self.p, self.kmax = n, p, kmax
-
-    def run(self, lanes: np.ndarray, P: np.ndarray, track: bool):
-        """One DP round: ``lanes`` index this table's rows, ``P`` is the
-        per-lane period bound.  Returns ``(F, best, parent_j, parent_q)``
-        (parents ``None`` unless *track*)."""
-        n, p, kmax = self.n, self.p, self.kmax
-        L = lanes.size
-        NEG = -math.inf
-        F = np.full((n + 1, L, p + 1), NEG)
-        F[0, :, 0] = 0.0
-        pj = pq = None
-        if track:
-            pj = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
-            pq = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
-        out_t = self.out_time[lanes]
-        in_t = self.in_time[lanes]
-        for i in range(1, n + 1):
-            ok_i = out_t[:, i - 1] <= P
-            if not ok_i.any():
+    n, p, kmax = tables.n, tables.p, tables.kmax
+    L = lanes.size
+    NEG = -math.inf
+    F = np.full((n + 1, L, p + 1), NEG)
+    F[0, :, 0] = 0.0
+    pj = pq = None
+    if track:
+        pj = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
+        pq = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
+    ct = tables.comm_time[lanes]
+    for i in range(1, n + 1):
+        ok_i = ct[:, i] <= P
+        if not ok_i.any():
+            continue
+        row_i = F[i]
+        for j in range(i):
+            ok = ok_i & (tables.wtime[lanes, j, i] <= P) & (ct[:, j] <= P)
+            if not ok.any():
                 continue
-            row_i = F[i]
-            for j in range(i):
-                ok = ok_i & (self.wtime[(j, i)][lanes] <= P) & (in_t[:, j] <= P)
-                if not ok.any():
-                    continue
-                # Lanes whose interval [j, i) violates their bound take a
-                # -inf stage — the masked twin of the scalar `continue`.
-                stg = np.where(ok[:, None], self.stage[(j, i)][lanes], NEG)
-                row_j = F[j]
-                for q in range(1, kmax + 1):
-                    cand = row_j[:, : p + 1 - q] + stg[:, q - 1 : q]
-                    dest = row_i[:, q:]
-                    better = cand > dest
-                    if better.any():
-                        dest[better] = cand[better]
-                        if track:
-                            li, ki = np.nonzero(better)
-                            pj[i, li, ki + q] = j
-                            pq[i, li, ki + q] = q
-        best = F[n, :, 1:].max(axis=1)
-        return F, best, pj, pq
+            # Lanes whose interval [j, i) violates their bound take a
+            # -inf stage — the masked twin of the scalar `continue`.
+            stg = np.where(ok[:, None], tables.stage[lanes, j, i], NEG)
+            row_j = F[j]
+            for q in range(1, kmax + 1):
+                cand = row_j[:, : p + 1 - q] + stg[:, q - 1 : q]
+                dest = row_i[:, q:]
+                better = cand > dest
+                if better.any():
+                    dest[better] = cand[better]
+                    if track:
+                        li, ki = np.nonzero(better)
+                        pj[i, li, ki + q] = j
+                        pq[i, li, ki + q] = q
+    best = F[n, :, 1:].max(axis=1)
+    return F, best, pj, pq
 
-    def reconstruct(self, F, pj, pq, lane: int) -> list:
-        """The scalar parent walk for one lane: the witness's ``(j, i,
-        q)`` pieces in chain order."""
-        n = self.n
-        best_k = int(np.argmax(F[n, lane, 1:])) + 1
-        pieces: list[tuple[int, int, int]] = []
-        i, k = n, best_k
-        while i > 0:
-            j, q = int(pj[i, lane, k]), int(pq[i, lane, k])
-            if j < 0:
-                raise AssertionError("broken parent chain in lane DP")
-            pieces.append((j, i, q))
-            i, k = j, k - q
-        pieces.reverse()
-        return pieces
+
+def _lane_dp_witness(F, pj, pq, lane: int) -> list:
+    """The scalar parent walk for one lane of a tracked :func:`_lane_dp`
+    round: the witness's ``(j, i, q)`` pieces in chain order."""
+    n = F.shape[0] - 1
+    best_k = int(np.argmax(F[n, lane, 1:])) + 1
+    pieces: list[tuple[int, int, int]] = []
+    i, k = n, best_k
+    while i > 0:
+        j, q = int(pj[i, lane, k]), int(pq[i, lane, k])
+        if j < 0:
+            raise AssertionError("broken parent chain in lane DP")
+        pieces.append((j, i, q))
+        i, k = j, k - q
+    pieces.reverse()
+    return pieces
 
 
 def _candidate_periods(ensemble, rows: np.ndarray) -> list:
@@ -263,11 +228,10 @@ def batch_minimize_period(
     lane_row = np.repeat(np.arange(r), n_pts)
     L_lane = np.tile([float(L) for _, L in bounds], r)
     finite = ~np.isinf(L_lane)
-    hom = _LaneDP(ensemble, rows) if not finite.all() else None
-    front = _FrontierLanes(ensemble, rows) if finite.any() else None
-    budget = np.full(L_lane.size, math.inf)
-    if front is not None:
-        budget[finite] = (L_lane - front.total_compute[lane_row])[finite]
+    # One table build serves both probes (inf - x keeps the unbounded
+    # lanes' budgets infinite).
+    front = _FrontierLanes(ensemble, rows)
+    budget = L_lane - front.total_compute[lane_row]
 
     def chunks(ids):
         """The finite-latency lanes of *ids*, as positions in *ids*, in
@@ -282,7 +246,7 @@ def batch_minimize_period(
         ok = np.zeros(ids.size, dtype=bool)
         sel = np.flatnonzero(~finite[ids])
         if sel.size:
-            _, best, _, _ = hom.run(lane_row[ids[sel]], P[sel], track=False)
+            _, best, _, _ = _lane_dp(front, lane_row[ids[sel]], P[sel], track=False)
             ok[sel] = np.isfinite(best) & (best >= floor)
         for part in chunks(ids):
             lane, _, _, _, _, _, value, picks = front.answers(
@@ -319,8 +283,8 @@ def batch_minimize_period(
     found = []
     sel = np.flatnonzero(~finite[ids])
     if sel.size:
-        F, _, pj, pq = hom.run(lane_row[ids[sel]], P[sel], track=True)
-        found += [(ids[x], hom.reconstruct(F, pj, pq, a)) for a, x in enumerate(sel)]
+        F, _, pj, pq = _lane_dp(front, lane_row[ids[sel]], P[sel], track=True)
+        found += [(ids[x], _lane_dp_witness(F, pj, pq, a)) for a, x in enumerate(sel)]
     for part in chunks(ids):
         found += [
             (ids[part[lane]], pieces)

@@ -53,12 +53,12 @@ Commands
     two runs.  Run ids accept unique prefixes.  The ledger directory
     defaults to ``$REPRO_RUNS_DIR``, then ``./runs``.
 ``cache``
-    The result cache's file-tree store
+    The result cache's flat directory of ``<key>.json`` entries
     (:mod:`repro.experiments.cache`): ``cache stats`` prints its
     persistent on-disk totals (entry count, bytes), and ``cache
-    vacuum`` sweeps the orphaned temp files and empty fan-out
-    directories an interrupted writer leaves behind.  The directory
-    defaults to ``$REPRO_CACHE_DIR``.
+    vacuum`` removes the orphaned ``*.tmp`` files an interrupted
+    writer leaves behind.  The directory defaults to
+    ``$REPRO_CACHE_DIR``.
 ``lint``
     The repo's own invariant checkers (:mod:`repro.analysis`): an
     AST-level pass enforcing the determinism, cache-key-completeness,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="persistent on-disk totals of the cache store"
     )
     cvacuum = csub.add_parser(
-        "vacuum", help="remove stale temp files and empty fan-out directories"
+        "vacuum", help="remove orphaned temp files left by interrupted writes"
     )
     for sp in (cstats, cvacuum):
         sp.add_argument("--cache-dir", type=pathlib.Path, default=None,
@@ -981,16 +981,16 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.experiments.cache import FileTreeBackend
+    from repro.experiments.cache import ResultCache
 
     root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     if not root:
         raise SystemExit(
             "no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR"
         )
-    store = FileTreeBackend(root)
-    report = store.storage_stats() if args.cache_cmd == "stats" else store.vacuum()
-    report["root"] = str(store.root)
+    cache = ResultCache(root)
+    report = cache.storage_stats() if args.cache_cmd == "stats" else cache.vacuum()
+    report["root"] = str(cache.root)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -2,18 +2,25 @@
 
 The paper's evaluation recomputes the same ``method x instance x
 bounds`` solves for every figure, bench, and cross-check run.  This
-package gives them a shared, content-addressed store so a sweep
+module gives them a shared, content-addressed store so a sweep
 computed once is free forever after.
 
-Architecture
-------------
-:class:`ResultCache` owns the *meaning* of the cache — key derivation,
-record validation, corrupt-entry recovery, hit/miss counters — and
-stores bytes through
-:class:`~repro.experiments.cache.filetree.FileTreeBackend`, which owns
-the on-disk layout: one sorted-keys JSON file per key under
-``<root>/<key[:2]>/<key>.json``, written atomically via mkstemp +
-``os.replace``.
+Layout
+------
+:class:`ResultCache` owns key derivation, record validation,
+corrupt-entry recovery, the hit/miss counters and the files
+themselves: one flat directory holding one file per key,
+``<root>/<key>.json``, whose text is the canonical
+``json.dumps(record, sort_keys=True)``.  Writes go through
+:func:`repro.obs.ledger.write_atomic` (a temp file in *root* +
+``os.replace``), so concurrent runs sharing a directory never observe
+a partial entry; the only leftover an interrupted writer can leave is
+an orphaned ``*.tmp`` file, which :meth:`ResultCache.vacuum` removes.
+No state is shared beyond the filesystem: no handles, nothing to
+pickle, any shared POSIX mount works.  Directories written by releases
+before 5.0 kept entries in two-character fan-out subdirectories; those
+are never read or counted (their keys could not match anyway, since
+the package version is a key ingredient).
 
 Keys
 ----
@@ -67,21 +74,22 @@ experiment``; persistent on-disk totals come from
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from typing import Sequence
+import pathlib
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.algorithms.batch import UnitResults
-from repro.experiments.cache.filetree import FileTreeBackend
 from repro.io import content_hash
 from repro.obs import telemetry as obs
+from repro.obs.ledger import write_atomic
 from repro.solve.problem import encode_bound
 
 __all__ = [
     "CACHE_FORMAT",
-    "FileTreeBackend",
     "ResultCache",
     "resolve_cache",
     "unit_arrays",
@@ -108,7 +116,8 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created on first write).
+        Cache directory (created on first write); entry *key* lives at
+        :meth:`path` ``(key)``.
 
     Attributes
     ----------
@@ -124,12 +133,15 @@ class ResultCache:
     """
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
-        self.backend = FileTreeBackend(root)
-        self.root = self.backend.root
+        self.root = pathlib.Path(root)
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.corrupt = 0
+
+    def path(self, key: str) -> pathlib.Path:
+        """Where *key*'s entry lives: ``<root>/<key>.json``."""
+        return self.root / f"{key}.json"
 
     # -- keys ------------------------------------------------------------
 
@@ -209,7 +221,7 @@ class ResultCache:
         the per-method cache breakdown run manifests report.
         """
         try:
-            payload = self.backend.load(key)
+            payload = self._load(key)
             if payload is not None:
                 if payload.get("repro_cache") != CACHE_FORMAT:
                     raise ValueError("cache format mismatch")
@@ -220,7 +232,7 @@ class ResultCache:
             self.misses += 1
             self.corrupt += 1
             obs.counter("cache.corrupt", label=method_name)
-            self.backend.discard(key)
+            self.discard(key)
             return None
         if payload is None:
             self.misses += 1
@@ -238,8 +250,29 @@ class ResultCache:
         The write is a temp file + rename, so a concurrent reader never
         observes a torn entry.
         """
-        self.backend.store(key, {"repro_cache": CACHE_FORMAT, **record})
+        payload = {"repro_cache": CACHE_FORMAT, **record}
+        write_atomic(self.path(key), json.dumps(payload, sort_keys=True))
         self.puts += 1
+
+    def _load(self, key: str) -> "dict | None":
+        """The entry stored under *key*, ``None`` if absent; raises
+        ``ValueError`` (or ``OSError``) when it exists but is not a
+        JSON object (torn write, disk damage)."""
+        try:
+            text = self.path(key).read_text()
+        except FileNotFoundError:
+            return None
+        payload = json.loads(text)  # JSONDecodeError is a ValueError
+        if not isinstance(payload, dict):
+            raise ValueError("cache entry is not a JSON object")
+        return payload
+
+    def discard(self, key: str) -> None:
+        """Drop *key*'s entry if present (corrupt-entry recovery)."""
+        try:
+            self.path(key).unlink()
+        except OSError:
+            pass
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -259,10 +292,34 @@ class ResultCache:
             "hit_rate": self.hits / lookups if lookups else None,
         }
 
+    def _entries(self) -> "list[pathlib.Path]":
+        """The entry files, in key order (none when *root* is absent)."""
+        return sorted(self.root.glob("*.json")) if self.root.is_dir() else []
+
+    def scan(self) -> "Iterator[tuple[str, str]]":
+        """Yield every ``(key, entry_text)`` in sorted key order."""
+        for entry in self._entries():
+            yield entry.stem, entry.read_text()
+
     def storage_stats(self) -> dict:
         """Persistent on-disk totals (entry count, bytes) — meaningful
-        without a live sweep, unlike the process-local :meth:`stats`."""
-        return self.backend.storage_stats()
+        without a live sweep, unlike the process-local :meth:`stats`;
+        what ``repro cache stats`` reports."""
+        entries = self._entries()
+        return {"entries": len(entries), "bytes": sum(e.stat().st_size for e in entries)}
+
+    def vacuum(self) -> dict:
+        """Remove the orphaned ``*.tmp`` files interrupted writers left
+        in *root* (``repro cache vacuum``); entries are untouched."""
+        removed = 0
+        if self.root.is_dir():
+            for tmp in self.root.glob("*.tmp"):
+                try:
+                    tmp.unlink()
+                    removed += 1
+                except OSError:  # a concurrent vacuum got there first
+                    pass
+        return {"removed_tmp": removed}
 
     def reset(self) -> None:
         """Zero the counters (entries on disk are untouched).

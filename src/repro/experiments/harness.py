@@ -137,6 +137,9 @@ class SweepResult:
         :meth:`~repro.algorithms.result.SolveResult.objective_value`
         returned per solve (0.0 / ``inf`` fill where unsolved,
         matching its conventions).
+    period, latency:
+        The witness mapping's worst-case period and latency, same
+        layout as :attr:`solved` (``inf`` where unsolved).
     objective:
         The :data:`repro.solve.OBJECTIVES` entry the sweep carried.
     batch_units:
@@ -159,22 +162,19 @@ class SweepResult:
         per-unit ``probes`` totals and a ``converged`` flag.
         This is the ledger's ``per_unit.jsonl``, derived from data
         rather than log scraping.
-    period, latency:
-        The witness mapping's worst-case period and latency, same
-        layout as :attr:`solved` (``inf`` where unsolved).
     """
 
     xs: np.ndarray
     method_names: list[str]
     solved: np.ndarray
     failure: np.ndarray
-    objective_values: "np.ndarray | None" = None
+    objective_values: np.ndarray
+    period: np.ndarray
+    latency: np.ndarray
     objective: str = "reliability"
     batch_units: int = 0
     timings: dict = field(default_factory=dict)
     unit_events: list = field(default_factory=list)
-    period: "np.ndarray | None" = None
-    latency: "np.ndarray | None" = None
 
     def method_seconds(self) -> dict[str, float]:
         """Measured per-method solve wall-clock, summed over units.
@@ -232,11 +232,6 @@ class SweepResult:
         default, the spread the converse-objective curves plot
         alongside solved counts.
         """
-        if self.objective_values is None:
-            raise ValueError(
-                "this sweep recorded no objective values (constructed "
-                "without them)"
-            )
         i = self._idx(method)
         qs = [float(q) for q in quantiles]
         if any(not 0.0 <= q <= 1.0 for q in qs):

@@ -102,11 +102,11 @@ def test_deleting_cache_ingredient_is_caught(tmp_path):
     from the real ``experiments/cache.py`` and the completeness checker
     must light up every now-uncovered read on the solve path."""
     shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "repro")
-    cache = tmp_path / "repro" / "experiments" / "cache" / "__init__.py"
+    cache = tmp_path / "repro" / "experiments" / "cache.py"
     text = cache.read_text()
     lines = [l for l in text.splitlines() if '"objective": objective' not in l]
     assert len(lines) == len(text.splitlines()) - 1, (
-        "expected exactly one objective-ingredient line in the cache package"
+        "expected exactly one objective-ingredient line in the cache module"
     )
     cache.write_text("\n".join(lines) + "\n")
     findings = run_lint([tmp_path], root=tmp_path)

@@ -121,7 +121,7 @@ def assert_same_sweeps(batched, looped):
 
 
 def cache_entries(cache):
-    return dict(cache.backend.scan())
+    return dict(cache.scan())
 
 
 def n_units(sweep):

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.experiments import (
     ResultCache,
+    SweepResult,
     get_method,
     heterogeneous_suite,
     homogeneous_suite,
@@ -358,6 +359,13 @@ class TestObjectiveQuantiles:
         assert sweep.objective == "period"
         q = sweep.objective_quantiles("dp-period", quantiles=(0.5,))
         assert q.shape == (1, 1) and np.isfinite(q[0, 0]) and q[0, 0] > 0
+
+    def test_result_arrays_are_required(self):
+        """Every sweep records objective values, periods and latencies,
+        so a ``SweepResult`` cannot be built without them."""
+        arrays = {name: np.zeros((1, 1, 1)) for name in ("solved", "failure")}
+        with pytest.raises(TypeError, match="objective_values"):
+            SweepResult(xs=np.zeros(1), method_names=["heur-l"], **arrays)
 
     def test_bad_quantiles_rejected(self):
         ensemble = generate_ensemble("section8-hom", n_instances=2, seed=6)

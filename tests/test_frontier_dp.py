@@ -15,6 +15,7 @@ compared with the scalar DP's state by state, parents included, which
 pins the tie rule itself.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,14 +24,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import minimize_period, pareto_dp_best
-from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes
+from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes, _lane_dp
 from repro.algorithms.dp_period import candidate_periods
 from repro.algorithms._hom_dp import hom_reliability_dp
 from repro.algorithms.pareto_dp import _FrontierDP, _most_reliable
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
-from repro.experiments.cache.filetree import encode_payload
 from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
@@ -185,8 +185,8 @@ def test_dp_period_kernel_matches_per_row(case, floor):
         assert np.array_equal(getattr(out, name), getattr(rows, name)), name
     assert out.infos == rows.infos
     for r in range(len(ensemble)):
-        assert encode_payload(unit_record(out, r, method.name)) == encode_payload(
-            unit_record(rows, r, method.name)
+        assert json.dumps(unit_record(out, r, method.name), sort_keys=True) == json.dumps(
+            unit_record(rows, r, method.name), sort_keys=True
         )
 
 
@@ -356,6 +356,24 @@ def lane_frontiers_match_scalar(ensemble, bounds):
 def test_lane_frontiers_match_scalar_dp(case):
     ensemble, bounds = case
     lane_frontiers_match_scalar(ensemble, bounds)
+
+
+@given(hom_cases())
+@settings(max_examples=40, deadline=None)
+def test_lane_dp_on_frontier_tables_matches_scalar_dp(case):
+    """The unbounded-latency dp-period probe runs Algorithm 2 on the
+    frontier engine's stacked tables: every lane's ``F`` table equals
+    the scalar ``hom_reliability_dp`` table bit for bit."""
+    ensemble, bounds = case
+    tables = _FrontierLanes(ensemble, np.arange(len(ensemble)))
+    lane_row = np.repeat(np.arange(len(ensemble)), len(bounds))
+    P = np.tile([max_period for max_period, _ in bounds], len(ensemble))
+    F, best, _, _ = _lane_dp(tables, lane_row, P, track=False)
+    for lane, (r, max_period) in enumerate(zip(lane_row.tolist(), P.tolist())):
+        chain, platform = ensemble[r]
+        scalar = hom_reliability_dp(chain, platform, max_period=max_period)
+        assert np.array_equal(F[:, lane, :], scalar.table)
+        assert best[lane] == scalar.log_reliability
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

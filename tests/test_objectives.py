@@ -388,7 +388,7 @@ class TestGridProbeCache:
         )
         cache = ResultCache(tmp_path / "cache")
         grid = derive_bounds_grid(ensembles, cache=cache)
-        entries = dict(cache.backend.scan())
+        entries = dict(cache.scan())
         assert len(entries) == 3
         cache.reset()
         sweep = run_sweep(
@@ -396,7 +396,7 @@ class TestGridProbeCache:
         )
         # The explicit sweep is served entirely by the probe entries.
         assert cache.hits == 3 and cache.misses == 0 and cache.puts == 0
-        assert dict(cache.backend.scan()) == entries
+        assert dict(cache.scan()) == entries
         assert grid.max_period == float(sweep.period.max()) * DEFAULT_MARGIN
         assert grid.max_latency == float(sweep.latency.max()) * DEFAULT_MARGIN
 
@@ -407,11 +407,11 @@ class TestGridProbeCache:
         cold = derive_bounds_grid(
             "section8-hom", n_points=4, n_instances=2, cache=cache
         )
-        entries = dict(cache.backend.scan())
+        entries = dict(cache.scan())
         for key, payload in entries.items():
             record = json.loads(payload)
             del record["period"], record["latency"]
-            cache.backend.store_text(key, json.dumps(record))
+            cache.path(key).write_text(json.dumps(record))
         cache.reset()
         again = derive_bounds_grid(
             "section8-hom", n_points=4, n_instances=2, cache=cache
@@ -419,7 +419,7 @@ class TestGridProbeCache:
         assert again == cold
         assert cache.stats()["corrupt"] == 2
         assert cache.hits == 0 and cache.puts == 2
-        assert dict(cache.backend.scan()) == entries
+        assert dict(cache.scan()) == entries
 
 
 class TestObjectiveValue:

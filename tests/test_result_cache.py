@@ -1,6 +1,7 @@
-"""The on-disk result cache: round-trips, stable keys, invalidation,
-corruption recovery, the zero-solve warm-run guarantee, concurrent
-writers, and the ``repro cache`` CLI."""
+"""The on-disk result cache: round-trips, the flat ``<key>.json``
+layout and its canonical encoding, atomic writes, stable keys,
+invalidation, corruption recovery, the zero-solve warm-run guarantee,
+concurrent writers, and the ``repro cache`` CLI."""
 
 import json
 import os
@@ -26,12 +27,10 @@ from repro.experiments import (
 )
 from repro.experiments.cache import (
     CACHE_FORMAT,
-    FileTreeBackend,
     resolve_cache,
     unit_arrays,
     unit_record,
 )
-from repro.experiments.cache.filetree import encode_payload
 from repro.io import content_hash
 from repro.obs import collect
 
@@ -88,20 +87,24 @@ def get_unit(cache, key, n_points):
 
 
 def entry_keys(cache):
-    return [key for key, _ in cache.backend.scan()]
+    return [key for key, _ in cache.scan()]
 
 
 def entry_text(cache, key):
-    for k, text in cache.backend.scan():
-        if k == key:
-            return text
-    return None
+    path = cache.path(key)
+    return path.read_text() if path.exists() else None
 
 
 def plant_entry(cache, key, text):
     """Put raw entry text on disk (damage injection, stale formats) —
-    ``store_text`` writes bytes the record API would refuse."""
-    cache.backend.store_text(key, text)
+    bytes the record API would refuse."""
+    cache.root.mkdir(parents=True, exist_ok=True)
+    cache.path(key).write_text(text)
+
+
+def canonical(record):
+    """The entry text :meth:`ResultCache.put_record` writes for *record*."""
+    return json.dumps({"repro_cache": CACHE_FORMAT, **record}, sort_keys=True)
 
 
 class TestRoundTrip:
@@ -167,6 +170,171 @@ class TestRoundTrip:
         # root — they describe the store, not this process's lookups.
         fresh = ResultCache(cache.root)
         assert fresh.storage_stats()["entries"] == 2
+
+
+#: Keys out of sorted order, two sharing their first two characters.
+KEYS = ("cd" * 32, "ab" * 32, "ef" * 32, "ab" + "01" * 31)
+
+
+class TestFlatLayout:
+    """One directory, one ``<key>.json`` file per entry."""
+
+    def test_path_is_the_key_file_in_root(self, cache):
+        key = "3f" + "00" * 31
+        assert cache.path(key) == cache.root / f"{key}.json"
+
+    def test_cold_sweep_creates_no_subdirectory(self, cache, instance):
+        methods = [get_method("heur-l"), get_method("heur-p")]
+        run_sweep([instance], methods, BOUNDS, cache=cache)
+        files = sorted(cache.root.iterdir())
+        assert not any(f.is_dir() for f in files)
+        assert [f.name for f in files] == [f"{key}.json" for key in entry_keys(cache)]
+        assert len(files) == cache.puts == 2
+
+    def test_root_accepts_strings_and_paths(self, tmp_path):
+        assert ResultCache(str(tmp_path)).root == ResultCache(tmp_path).root
+
+    def test_put_writes_canonical_sorted_json(self, cache):
+        record = {"zeta": [1, 2], "alpha": {"b": 1, "a": 2}, "mid": "inf"}
+        cache.put_record("ab" * 32, record)
+        assert cache.path("ab" * 32).read_text() == canonical(record)
+
+    def test_scan_is_key_sorted(self, cache):
+        for key in KEYS:
+            cache.put_record(key, {"k": key})
+        assert entry_keys(cache) == sorted(KEYS)
+
+    def test_scan_yields_entry_texts(self, cache):
+        cache.put_record("ab" * 32, {"v": 1})
+        assert list(cache.scan()) == [("ab" * 32, canonical({"v": 1}))]
+
+    def test_scan_ignores_temp_files_and_a_stray_database(self, cache):
+        cache.put_record("ab" * 32, {"v": 1})
+        (cache.root / "leftover.tmp").write_text("{half")
+        (cache.root / "cache.db").write_bytes(b"from an older release")
+        assert entry_keys(cache) == ["ab" * 32]
+        assert cache.storage_stats()["entries"] == 1
+
+    def test_fan_out_entries_are_never_read_or_counted(self, cache):
+        """A pre-5.0 directory's ``<key[0:2]>/<key>.json`` entries sit
+        inert: not served, not scanned, not counted."""
+        key = "ab" * 32
+        (cache.root / "ab").mkdir(parents=True)
+        (cache.root / "ab" / f"{key}.json").write_text(canonical({"v": 1}))
+        assert cache.get_record(key) is None
+        assert cache.stats()["corrupt"] == 0
+        assert list(cache.scan()) == []
+        assert cache.storage_stats() == {"entries": 0, "bytes": 0}
+
+
+class TestEntryFiles:
+    def test_absent_key_is_a_plain_miss(self, cache):
+        assert cache.get_record("ab" * 32) is None
+        cache.put_record("cd" * 32, {"v": 1})
+        assert cache.get_record("ab" * 32) is None
+        assert cache.misses == 2 and cache.corrupt == 0
+
+    def test_round_trip(self, cache):
+        record = {"solved": [True, False], "failure": [0.125, 1.0], "v": "inf"}
+        cache.put_record("ab" * 32, record)
+        assert cache.get_record("ab" * 32) == {"repro_cache": CACHE_FORMAT, **record}
+
+    def test_put_overwrites_in_place(self, cache):
+        cache.put_record("ab" * 32, {"v": 1})
+        cache.put_record("ab" * 32, {"v": 2})
+        assert cache.get_record("ab" * 32)["v"] == 2
+        assert cache.storage_stats()["entries"] == 1
+        assert not list(cache.root.glob("*.tmp"))
+
+    def test_failed_write_keeps_old_entry_and_leaves_no_temp_file(self, cache, monkeypatch):
+        cache.put_record("ab" * 32, {"v": 1})
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put_record("ab" * 32, {"v": 2})
+        monkeypatch.undo()
+        assert cache.puts == 1  # the failed write is not counted
+        assert cache.get_record("ab" * 32)["v"] == 1
+        assert not list(cache.root.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "garbage",
+        ["", "not json {", "[1, 2]", '"text"', "null", "42"],
+        ids=["empty", "not-json", "list", "string", "null", "number"],
+    )
+    def test_undecodable_entry_reads_as_corrupt(self, cache, garbage):
+        plant_entry(cache, "ab" * 32, garbage)
+        assert cache.get_record("ab" * 32) is None
+        assert cache.misses == 1 and cache.corrupt == 1
+        assert not cache.path("ab" * 32).exists()  # discarded for rewrite
+
+    def test_discard_removes_and_tolerates_absent(self, cache):
+        cache.put_record("ab" * 32, {"v": 1})
+        cache.discard("ab" * 32)
+        assert not cache.path("ab" * 32).exists()
+        cache.discard("ab" * 32)  # already gone
+        cache.discard("cd" * 32)  # never written
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {},
+            {"nested": {"b": [1.5, "inf", None], "a": True}},
+            {"text": "périodes ≤ 10"},
+            {"tiny": 1.25e-300, "big": 1.0e300, "neg": -0.0},
+        ],
+        ids=["empty", "nested", "unicode", "floats"],
+    )
+    def test_encoding_round_trips(self, cache, record):
+        cache.put_record("ab" * 32, record)
+        text = cache.path("ab" * 32).read_text()
+        assert text == canonical(record)
+        stored = cache.get_record("ab" * 32)
+        assert stored == {"repro_cache": CACHE_FORMAT, **record}
+        assert json.dumps(stored, sort_keys=True) == text
+
+    def test_encoding_ignores_insertion_order(self, cache):
+        cache.put_record("ab" * 32, {"a": 1, "b": 2})
+        cache.put_record("cd" * 32, {"b": 2, "a": 1})
+        assert entry_text(cache, "ab" * 32) == entry_text(cache, "cd" * 32)
+
+
+class TestMissingRoot:
+    """Read-side operations on a directory that was never written must
+    report an empty store and must not create it."""
+
+    def test_scan_and_totals(self, cache):
+        assert list(cache.scan()) == []
+        assert cache.storage_stats() == {"entries": 0, "bytes": 0}
+        assert not cache.root.exists()
+
+    def test_vacuum(self, cache):
+        assert cache.vacuum() == {"removed_tmp": 0}
+        assert not cache.root.exists()
+
+    def test_lookup_and_discard(self, cache):
+        assert cache.get_record("ab" * 32) is None
+        cache.discard("ab" * 32)
+        assert cache.stats()["corrupt"] == 0
+        assert not cache.root.exists()
+
+
+class TestVacuum:
+    def test_keeps_entries(self, cache):
+        for key in KEYS:
+            cache.put_record(key, {"k": key})
+        assert cache.vacuum() == {"removed_tmp": 0}
+        assert entry_keys(cache) == sorted(KEYS)
+
+    def test_removes_orphans_then_has_nothing_left_to_do(self, cache):
+        cache.put_record("ab" * 32, {"v": 1})
+        (cache.root / "orphan.tmp").write_text("{half")
+        assert cache.vacuum() == {"removed_tmp": 1}
+        assert cache.vacuum() == {"removed_tmp": 0}
+        assert cache.get_record("ab" * 32)["v"] == 1
 
 
 class TestKeyStability:
@@ -427,13 +595,14 @@ class TestCacheWriteSpans:
 
 
 class TestSingleStore:
-    """The file tree is the only store: no backend choice, no migration,
-    and nothing from the removed selection layer is left to reach."""
+    """The flat directory is the only store: no backend object, no
+    backend choice, no migration, and nothing from the removed
+    selection layer is left to reach."""
 
-    def test_store_is_the_file_tree(self, tmp_path):
+    def test_cache_owns_its_files(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        assert isinstance(cache.backend, FileTreeBackend)
-        assert cache.root == cache.backend.root == tmp_path
+        assert cache.root == tmp_path
+        assert not hasattr(cache, "backend")
 
     def test_root_is_the_only_parameter(self, tmp_path):
         with pytest.raises(TypeError):
@@ -445,7 +614,7 @@ class TestSingleStore:
         monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
         cache = ResultCache(tmp_path)
         cache.put_record("ab" * 32, {"v": 1})
-        assert (tmp_path / "ab" / f"{'ab' * 32}.json").is_file()
+        assert (tmp_path / f"{'ab' * 32}.json").is_file()
         assert not (tmp_path / "cache.db").exists()
 
     def test_selection_and_migration_names_are_gone(self):
@@ -453,7 +622,7 @@ class TestSingleStore:
 
         for name in ("SQLiteBackend", "CacheBackend", "make_backend",
                      "detect_backend_kind", "resolve_backend", "migrate_cache",
-                     "payload_digest"):
+                     "payload_digest", "encode_payload", "decode_payload"):
             assert not hasattr(cache_mod, name), name
         assert not hasattr(ResultCache, "unit_key")
 
@@ -485,26 +654,26 @@ class TestStoreBitIdentity:
         second, cache_b = small_sweep(tmp_path / "b")
         for name in SWEEP_ARRAYS:
             assert np.array_equal(getattr(first, name), getattr(second, name)), name
-        entries_a = dict(cache_a.backend.scan())
-        assert entries_a == dict(cache_b.backend.scan())
+        entries_a = dict(cache_a.scan())
+        assert entries_a == dict(cache_b.scan())
         assert len(entries_a) == 3
 
     def test_reopened_store_serves_the_warm_sweep(self, tmp_path):
         cold, cold_cache = small_sweep(tmp_path / "cache")
-        before = dict(cold_cache.backend.scan())
+        before = dict(cold_cache.scan())
         warm, warm_cache = small_sweep(tmp_path / "cache")
         assert warm_cache.stats() == {
             "hits": 3, "misses": 0, "puts": 0, "corrupt": 0, "hit_rate": 1.0,
         }
         assert np.array_equal(cold.failure, warm.failure)
         assert np.array_equal(cold.solved, warm.solved)
-        assert dict(warm_cache.backend.scan()) == before
+        assert dict(warm_cache.scan()) == before
 
     def test_parallel_sweep_writes_the_serial_store(self, tmp_path):
         serial, serial_cache = small_sweep(tmp_path / "serial")
         parallel, parallel_cache = small_sweep(tmp_path / "parallel", jobs=2)
         assert np.array_equal(serial.failure, parallel.failure)
-        assert dict(serial_cache.backend.scan()) == dict(parallel_cache.backend.scan())
+        assert dict(serial_cache.scan()) == dict(parallel_cache.scan())
         warm, warm_cache = small_sweep(tmp_path / "parallel", jobs=2)
         assert warm_cache.stats()["hits"] == 3
         assert np.array_equal(serial.failure, warm.failure)
@@ -539,19 +708,19 @@ class TestEveryMethodThroughTheStore:
     def test_warm_sweep_replays_cold_arrays(self, tmp_path, name):
         cold, cold_cache = method_sweep(tmp_path, name)
         assert cold_cache.stats()["puts"] == 2
-        entries = dict(cold_cache.backend.scan())
+        entries = dict(cold_cache.scan())
         warm, warm_cache = method_sweep(tmp_path, name)
         assert warm_cache.stats() == {
             "hits": 2, "misses": 0, "puts": 0, "corrupt": 0, "hit_rate": 1.0,
         }
         for array in SWEEP_ARRAYS:
             assert np.array_equal(getattr(cold, array), getattr(warm, array)), array
-        assert dict(warm_cache.backend.scan()) == entries
+        assert dict(warm_cache.scan()) == entries
 
     @pytest.mark.parametrize("name", BUILTIN_METHODS)
     def test_damaged_entry_is_recomputed_into_the_same_bytes(self, tmp_path, name):
         cold, cold_cache = method_sweep(tmp_path, name)
-        entries = dict(cold_cache.backend.scan())
+        entries = dict(cold_cache.scan())
         damaged = sorted(entries)[0]
         plant_entry(cold_cache, damaged, entries[damaged][:20])
         again, cache = method_sweep(tmp_path, name)
@@ -560,7 +729,7 @@ class TestEveryMethodThroughTheStore:
         }
         for array in SWEEP_ARRAYS:
             assert np.array_equal(getattr(cold, array), getattr(again, array)), array
-        assert dict(cache.backend.scan()) == entries
+        assert dict(cache.scan()) == entries
 
 
 def _stress_record(index):
@@ -610,11 +779,10 @@ class TestConcurrentWriters:
         # No lost records: every key present, every payload canonical,
         # no temp file left behind.
         cache = ResultCache(root)
-        entries = dict(cache.backend.scan())
+        entries = dict(cache.scan())
         assert len(entries) == n_keys
         for i, key in enumerate(_stress_keys(n_keys)):
-            expected = {"repro_cache": CACHE_FORMAT, **_stress_record(i)}
-            assert entries[key] == encode_payload(expected)
+            assert entries[key] == canonical(_stress_record(i))
         assert cache.storage_stats()["entries"] == n_keys
         assert not list(root.rglob("*.tmp"))
 
@@ -640,17 +808,14 @@ class TestCacheCLI:
     def test_vacuum_removes_leftovers_only(self, capsys, tmp_path, instance):
         root = tmp_path / "cache"
         run_sweep([instance], [get_method("heur-l")], BOUNDS, cache=ResultCache(root))
-        (key,) = [k for k, _ in ResultCache(root).backend.scan()]
-        (root / key[:2] / "orphan.tmp").write_text("{half")
-        (root / "zz").mkdir()
+        (key,) = [k for k, _ in ResultCache(root).scan()]
+        (root / "orphan.tmp").write_text("{half")
         code, out = self.run_cli(
             capsys, "cache", "vacuum", "--cache-dir", str(root), "--json"
         )
         assert code == 0
-        report = json.loads(out)
-        assert report["removed_tmp"] == 1 and report["removed_dirs"] == 1
-        assert not (root / "zz").exists()
-        assert [k for k, _ in ResultCache(root).backend.scan()] == [key]
+        assert json.loads(out) == {"removed_tmp": 1, "root": str(root)}
+        assert sorted(p.name for p in root.iterdir()) == [f"{key}.json"]
 
     def test_env_fallback_and_missing_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -673,10 +838,11 @@ class TestCacheCLI:
 
     def test_vacuum_text_output(self, capsys, tmp_path):
         root = tmp_path / "cache"
-        (root / "zz").mkdir(parents=True)
+        root.mkdir()
+        (root / "a.tmp").write_text("")
         code, out = self.run_cli(capsys, "cache", "vacuum", "--cache-dir", str(root))
         assert code == 0
-        assert "removed_dirs : 1" in out and "removed_tmp  : 0" in out
+        assert "removed_tmp : 1" in out and "removed_dirs" not in out
 
     def test_migrate_subcommand_is_gone(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
