@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +52,18 @@ def _branch_logrel(
         + interval_log_reliability(chain, platform, iv.start, iv.stop, proc)
         + comm_log_reliability(platform, chain.output_of(iv.stop))
     )
+
+
+def _log_gain(log_fail: float, log_fail_new: float) -> float:
+    """Log of the reliability-improvement ratio when a stage's log
+    failure probability drops from *log_fail* to *log_fail_new*.
+
+    Python-float subtraction: a certainly-failing stage scores
+    ``-inf - -inf = NaN`` (never the best gain) without NumPy's
+    invalid-value warning.
+    """
+    pair = logrel.log1mexp(np.array([log_fail, log_fail_new]))
+    return float(pair[1]) - float(pair[0])
 
 
 def algo_alloc(
@@ -99,10 +111,7 @@ def algo_alloc(
 
     def score(j: int, k: int) -> float:
         """log R_{k+1,j} — improvement from replica k to k+1 (>= 0)."""
-        lo = logrel.log1mexp(np.array([k * log_fail[j], (k + 1) * log_fail[j]]))
-        # Python-float subtraction: a certainly-failing branch scores
-        # -inf - -inf = NaN without NumPy's invalid-value warning.
-        return float(lo[1]) - float(lo[0])
+        return _log_gain(k * log_fail[j], (k + 1) * log_fail[j])
 
     heap: list[tuple[float, int]] = []
     for j in range(m):
@@ -121,6 +130,91 @@ def algo_alloc(
         assignment.append((iv, tuple(range(nxt, nxt + q))))
         nxt += q
     return Mapping(chain, platform, assignment)
+
+
+class _Seeding(NamedTuple):
+    """Phase 1 of a Section 7.2 allocation: every interval seeded."""
+
+    #: Work of each interval.
+    works: list
+    #: ``branch(u, j)``: log-reliability of processor *u* replicating
+    #: interval *j* (incoming comm x execution x outgoing comm).
+    branch: Callable[[int, int], float]
+    #: ``fits(u, j)``: *u* may replicate *j* (period bound, *allowed*).
+    fits: Callable[[int, int], bool]
+    #: Replica processors per interval (one each after phase 1).
+    replicas: list
+    #: Log of each stage's failure probability.
+    stage_log_fail: list
+    #: ``(processor, interval)`` seeds in the order they were placed.
+    seeds: list
+    #: Unused processors, most reliable first.
+    leftovers: list
+
+
+def _seed_het(
+    chain: TaskChain,
+    platform: Platform,
+    partition: "list[Interval]",
+    max_period: float,
+    allowed: "Callable[[int, int], bool] | None",
+) -> "_Seeding | None":
+    """Phase 1 of the Section 7.2 allocation, shared by
+    :func:`algo_alloc_het` and
+    :func:`repro.extensions.energy.energy_aware_alloc_het`.
+
+    Processors go most reliable first (increasing ``lambda_u / s_u``,
+    ties by index for determinism); each seeds the longest still-empty
+    interval it can host.  Returns ``None`` when some interval receives
+    no processor.
+    """
+    validate_partition(chain.n, partition)
+    m, p = len(partition), platform.p
+    speeds, rates = platform.speeds, platform.failure_rates
+    if allowed is None:
+        allowed = lambda _u, _j: True  # noqa: E731 - trivial default
+
+    works = [chain.work_between(iv.start, iv.stop) for iv in partition]
+    ell_comm = [
+        comm_log_reliability(platform, chain.input_of(iv.start))
+        + comm_log_reliability(platform, chain.output_of(iv.stop))
+        for iv in partition
+    ]
+
+    def branch(u: int, j: int) -> float:
+        return ell_comm[j] - float(rates[u]) * works[j] / float(speeds[u])
+
+    def fits(u: int, j: int) -> bool:
+        return works[j] / float(speeds[u]) <= max_period and allowed(u, j)
+
+    order = sorted(range(p), key=lambda u: (float(rates[u]) / float(speeds[u]), u))
+
+    replicas: list[list[int]] = [[] for _ in range(m)]
+    # log of the stage *failure* probability: sum over current replicas
+    # of log(1 - r_branch); starts empty (failure probability 1).
+    stage_log_fail = [0.0] * m
+    seeds: list[tuple[int, int]] = []
+    empty = set(range(m))
+    leftovers: list[int] = []
+
+    it = iter(order)
+    for u in it:
+        if not empty:
+            leftovers.append(u)
+            break
+        candidates = [j for j in empty if fits(u, j)]
+        if not candidates:
+            leftovers.append(u)
+            continue
+        j = max(candidates, key=lambda jj: (works[jj], -jj))
+        replicas[j].append(u)
+        stage_log_fail[j] += logrel.log_failure(branch(u, j))
+        seeds.append((u, j))
+        empty.discard(j)
+    leftovers.extend(it)
+    if empty:
+        return None
+    return _Seeding(works, branch, fits, replicas, stage_log_fail, seeds, leftovers)
 
 
 def algo_alloc_het(
@@ -153,63 +247,21 @@ def algo_alloc_het(
         division is infeasible under these constraints).
     """
     partition = list(partition)
-    validate_partition(chain.n, partition)
-    m, p, K = len(partition), platform.p, platform.max_replication
-    speeds, rates, b = platform.speeds, platform.failure_rates, platform.bandwidth
-    if allowed is None:
-        allowed = lambda _u, _j: True  # noqa: E731 - trivial default
-
-    works = [chain.work_between(iv.start, iv.stop) for iv in partition]
-    ell_comm = [
-        comm_log_reliability(platform, chain.input_of(iv.start))
-        + comm_log_reliability(platform, chain.output_of(iv.stop))
-        for iv in partition
-    ]
-
-    def branch(u: int, j: int) -> float:
-        return ell_comm[j] - float(rates[u]) * works[j] / float(speeds[u])
-
-    def fits(u: int, j: int) -> bool:
-        return works[j] / float(speeds[u]) <= max_period and allowed(u, j)
-
-    # Most reliable processors first: increasing lambda_u / s_u, ties by
-    # index for determinism.
-    order = sorted(range(p), key=lambda u: (float(rates[u]) / float(speeds[u]), u))
-
-    replicas: list[list[int]] = [[] for _ in range(m)]
-    # log of the stage *failure* probability: sum over current replicas
-    # of log(1 - r_branch); starts empty (failure probability 1).
-    stage_log_fail = [0.0] * m
-    empty = set(range(m))
-    leftovers: list[int] = []
-
-    # Phase 1 — seed every interval, longest hostable interval first.
-    it = iter(order)
-    for u in it:
-        if not empty:
-            leftovers.append(u)
-            break
-        candidates = [j for j in empty if fits(u, j)]
-        if not candidates:
-            leftovers.append(u)
-            continue
-        j = max(candidates, key=lambda jj: (works[jj], -jj))
-        replicas[j].append(u)
-        stage_log_fail[j] += logrel.log_failure(branch(u, j))
-        empty.discard(j)
-    leftovers.extend(it)
-    if empty:
+    seeding = _seed_het(chain, platform, partition, max_period, allowed)
+    if seeding is None:
         return None
+    branch, fits = seeding.branch, seeding.fits
+    replicas, stage_log_fail = seeding.replicas, seeding.stage_log_fail
+    K = platform.max_replication
 
     # Phase 2 — remaining processors by best reliability-improvement ratio.
-    for u in leftovers:
+    for u in seeding.leftovers:
         best_j, best_gain = -1, 0.0
-        for j in range(m):
+        for j in range(len(partition)):
             if len(replicas[j]) >= K or not fits(u, j):
                 continue
             lf_new = stage_log_fail[j] + logrel.log_failure(branch(u, j))
-            pair = logrel.log1mexp(np.array([stage_log_fail[j], lf_new]))
-            gain = float(pair[1]) - float(pair[0])  # NaN (no warning) when certain to fail
+            gain = _log_gain(stage_log_fail[j], lf_new)
             if gain > best_gain:
                 best_j, best_gain = j, gain
         if best_j >= 0:

@@ -96,12 +96,13 @@ import numpy as np
 
 from repro.algorithms.heuristics import ALLOCATIONS, SELECTIONS
 from repro.util import logrel
+from repro.util.logrel import from_reliability
+from repro.util.validation import check_bound
 
 __all__ = [
     "UnitResults",
     "batch_heuristic_best",
     "check_bounds",
-    "floor_log_reliability",
     "heuristic_probe_tables",
     "heuristic_solve_batch",
 ]
@@ -230,19 +231,6 @@ def _check_supported(objective: str) -> None:
         )
 
 
-def floor_log_reliability(min_reliability: float) -> float:
-    """The reliability floor as a log-probability (``-inf`` = none).
-
-    The kernel-side twin of :attr:`repro.solve.Problem.min_log_reliability`
-    — same special case, same conversion — so a floor travels through
-    the batched path as exactly the number the scalar solvers receive.
-    """
-    v = float(min_reliability)
-    if v == 0.0:
-        return -math.inf
-    return logrel.from_reliability(v)
-
-
 def _resolve_rows(ensemble, rows) -> np.ndarray:
     """A kernel's ``rows`` argument as an index array (default: all)."""
     if rows is None:
@@ -253,8 +241,8 @@ def _resolve_rows(ensemble, rows) -> np.ndarray:
 def check_bounds(bounds: Sequence[tuple[float, float]]) -> None:
     """Reject a sweep point whose bound is not ``> 0`` (NaN included)."""
     for P, L in bounds:
-        if not float(P) > 0 or not float(L) > 0:
-            raise ValueError("bounds must be > 0")
+        check_bound("max_period", P)
+        check_bound("max_latency", L)
 
 
 def _heur_l_boundaries(output: np.ndarray, m: int) -> np.ndarray:
@@ -855,7 +843,7 @@ def batch_heuristic_best(
     if len(rows) == 0 or len(bounds) == 0:
         return out
 
-    floor = floor_log_reliability(min_reliability)
+    floor = from_reliability(min_reliability)
     P_pts = np.array([float(P) for P, _ in bounds])
     L_pts = np.array([float(L) for _, L in bounds])
     tables = heuristic_probe_tables(ensemble, rows, which, selection, allocation)

@@ -67,11 +67,11 @@ from repro.algorithms.batch import (
     UnitResults,
     _resolve_rows,
     check_bounds,
-    floor_log_reliability,
 )
 from repro.algorithms.pareto_dp import _FrontierDP, _mapping
 from repro.core.evaluation import evaluate_mapping
 from repro.util import logrel
+from repro.util.logrel import from_reliability
 
 __all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
 
@@ -214,7 +214,7 @@ def batch_minimize_period(
     _require_homogeneous_rows(ensemble, rows, "dp-period")
     check_bounds(bounds)
 
-    floor = floor_log_reliability(min_reliability)
+    floor = from_reliability(min_reliability)
     cands = _candidate_periods(ensemble, rows)
     P_pts = np.array([float(P) for P, _ in bounds])
     counts = np.concatenate([np.searchsorted(c, P_pts, side="right") for c in cands])
@@ -579,5 +579,5 @@ def batch_minimize_latency(
         ensemble, bounds, rows, "dp-latency", objective,
         select=_cheapest_meeting_lanes,
         score=lambda ev: ev.worst_case_latency,
-        floor=floor_log_reliability(min_reliability),
+        floor=from_reliability(min_reliability),
     )

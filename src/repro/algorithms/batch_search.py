@@ -35,9 +35,9 @@ from repro.algorithms.batch import (
     _pyfloat,
     _resolve_rows,
     check_bounds,
-    floor_log_reliability,
     heuristic_probe_tables,
 )
+from repro.util.logrel import from_reliability
 
 __all__ = ["batch_bisection_search", "search_solve_batch"]
 
@@ -73,7 +73,7 @@ def batch_bisection_search(
         return out
     check_bounds(bounds)
 
-    floor = floor_log_reliability(min_reliability)
+    floor = from_reliability(min_reliability)
     work = np.asarray(ensemble.work[rows], dtype=float)
     speeds = np.asarray(ensemble.speeds[rows], dtype=float)
     # The scalar lower brackets, per row: max_i w_i / max_u s_u for the

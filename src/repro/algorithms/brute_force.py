@@ -18,6 +18,7 @@ from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval, partitions_with_m_intervals
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = [
     "enumerate_mappings_hom",
@@ -161,6 +162,9 @@ def brute_force_best(
         Reliability floor as a log-probability (``-inf`` = no floor);
         only meaningful for the converse objectives.
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
+    min_log_reliability = check_log_floor(min_log_reliability)
     if objective == "energy":
         from repro.extensions.energy import mapping_energy
     elif objective not in ("reliability", "period", "latency"):

@@ -26,6 +26,7 @@ from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
 from repro.core.platform import Platform
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = [
     "optimize_reliability_period",
@@ -53,8 +54,7 @@ def optimize_reliability_period(  # repro-lint: disable=API001 Algorithm 2, §5.
     >>> optimize_reliability_period(chain, plat, max_period=5.0).feasible
     False
     """
-    if max_period <= 0:
-        raise ValueError(f"max_period must be > 0, got {max_period!r}")
+    max_period = check_bound("max_period", max_period)
     dp = hom_reliability_dp(chain, platform, max_period=max_period)
     if dp.mapping is None:
         return SolveResult.infeasible("algorithm-2", max_period=max_period)
@@ -130,11 +130,10 @@ def minimize_period(
     >>> minimize_period(chain, plat).details["optimal_period"]
     6.0
     """
+    min_log_reliability = check_log_floor(min_log_reliability)
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     require_homogeneous(platform, "period minimization")
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if not max_period > 0 or not max_latency > 0:
-        raise ValueError("bounds must be > 0")
 
     # A probe answers whether the most reliable mapping within the
     # candidate period meets the floor, judged on the DP's own

@@ -38,6 +38,7 @@ from repro.core.evaluation import MappingEvaluation, evaluate_mapping
 from repro.core.interval import Interval, partition_from_cuts
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = [
     "heur_l_intervals",
@@ -273,6 +274,9 @@ def heuristic_best(
     >>> heuristic_best(chain, plat, max_period=30.0, max_latency=60.0).feasible
     True
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
+    min_log_reliability = check_log_floor(min_log_reliability)
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}")
     names: Sequence[HeuristicName]

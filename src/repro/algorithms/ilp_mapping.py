@@ -44,6 +44,7 @@ from repro.core.mapping import Mapping
 from repro.core.platform import Platform
 from repro.ilp import Model
 from repro.util import logrel
+from repro.util.validation import check_bound
 
 __all__ = ["build_mapping_ilp", "ilp_best"]
 
@@ -63,9 +64,9 @@ def build_mapping_ilp(
     Returns the model and the variable dictionary keyed by
     ``(start, stop, k)`` with Python half-open task indices.
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     require_homogeneous(platform, "the Section 5.4 ILP")
-    if max_period <= 0 or max_latency <= 0:
-        raise ValueError("bounds must be > 0")
     if latency_terms not in ("full", "paper"):
         raise ValueError(f"latency_terms must be 'full' or 'paper', got {latency_terms!r}")
     n, p = chain.n, platform.p
@@ -170,6 +171,8 @@ def ilp_best(
     >>> ilp_best(chain, plat, max_period=7.0, max_latency=17.0).mapping.m
     2
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     # The solvers import scipy, which only ILP solves need.
     from repro.ilp import solve_with_branch_bound, solve_with_scipy
 

@@ -60,6 +60,7 @@ from repro.core.mapping import Mapping
 from repro.core.platform import Platform
 from repro.util import logrel
 from repro.util.pareto import ParetoFrontier
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = ["pareto_dp_best", "minimize_latency"]
 
@@ -287,9 +288,9 @@ def pareto_dp_best(
     >>> res.mapping.m     # split needed for P, allowed by L
     2
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     require_homogeneous(platform, "the exact Pareto DP")
-    if not max_period > 0 or not max_latency > 0:
-        raise ValueError("bounds must be > 0")
 
     dp = _FrontierDP(chain, platform)
     comm_budget = max_latency - dp.total_compute
@@ -353,11 +354,10 @@ def minimize_latency(
     >>> minimize_latency(chain, plat, max_period=7.0).details["optimal_latency"]
     16.0
     """
+    min_log_reliability = check_log_floor(min_log_reliability)
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     require_homogeneous(platform, "latency minimization")
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if not max_period > 0 or not max_latency > 0:
-        raise ValueError("bounds must be > 0")
 
     dp = _FrontierDP(chain, platform)
     comm_budget = max_latency - dp.total_compute

@@ -13,17 +13,16 @@ Commands
 ``simulate``
     Run the fault-injecting pipeline simulator on a mapping and compare
     against the analytical values.
-``figures``
-    Regenerate paper figures (thin wrapper over
-    :mod:`repro.experiments.figures`).
 ``experiment``
-    Run a registered sweep experiment through the parallel,
-    cache-backed harness: ``--jobs N`` fans work units out over worker
-    processes, ``--cache-dir DIR`` reuses previously solved units, and
-    a JSON **manifest** (``--manifest``, default
-    ``repro-manifest.json``) records the seed, grid, library versions,
-    elapsed time, and cache hit/miss counts of the run.  Environment
-    fallbacks: ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``.
+    Run the paper's Section 8 experiments (:mod:`repro.experiments.figures`)
+    and print both figures of each: name an experiment (``hom-period``)
+    or either of its figures (``fig6`` or ``fig7``), or ``all``.  Runs
+    go through the parallel, cache-backed harness: ``--jobs N`` fans
+    work units out over worker processes, ``--cache-dir DIR`` reuses
+    previously solved units, and a JSON **manifest** (``--manifest``,
+    default ``repro-manifest.json``) records the seed, grid, library
+    versions, elapsed time, and cache hit/miss counts of the run.
+    Environment fallbacks: ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``.
 ``scenario``
     The declarative workload layer (:mod:`repro.scenarios`):
     ``scenario list`` enumerates registered scenarios with their
@@ -45,8 +44,9 @@ Commands
     workload, in execution order, and why it skipped the rest.
 ``runs``
     The run ledger (:mod:`repro.obs`): every ``scenario run`` /
-    ``experiment`` invocation writes ``runs/<run_id>/{manifest.json,
-    per_unit.jsonl, report.md}``; ``runs list`` tabulates them,
+    ``experiment`` invocation records itself through one recorder,
+    which writes ``runs/<run_id>/{manifest.json, per_unit.jsonl,
+    report.md}`` and the ``--manifest`` copy; ``runs list`` tabulates them,
     ``runs show RUN`` prints one run's report (or manifest with
     ``--json``), and ``runs diff A B`` reports per-method objective
     deltas, timing deltas, and cache/batch behavior changes between
@@ -135,27 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--datasets", type=int, default=2000)
     simulate.add_argument("--seed", type=int, default=0)
 
-    figures = sub.add_parser("figures", help="regenerate paper figures")
-    figures.add_argument("names", nargs="+", help="fig6..fig15 or 'all'")
-    figures.add_argument("--instances", type=int, default=20)
-    figures.add_argument("--grid", choices=("reduced", "full"), default="reduced")
-    figures.add_argument("--exact", choices=("ilp", "pareto-dp"), default="ilp")
-    figures.add_argument("--seed", type=int, default=0)
-    figures.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default $REPRO_JOBS or 1)")
-    figures.add_argument("--cache-dir", type=pathlib.Path, default=None,
-                         help="result cache directory (default $REPRO_CACHE_DIR)")
-
     experiment = sub.add_parser(
         "experiment",
-        help="run a registered sweep through the parallel, cache-backed harness",
+        help="run the paper's Section 8 experiments (by experiment or figure id) "
+        "through the parallel, cache-backed harness",
     )
     experiment.add_argument(
         "experiments",
         nargs="*",
         default=["hom-period"],
-        help="experiment ids (e.g. hom-period het-latency) or 'all'; "
-        "default hom-period",
+        help="experiment ids (e.g. hom-period het-latency), figure ids "
+        "(fig6..fig15, each naming its experiment) or 'all'; default hom-period",
     )
     experiment.add_argument("--instances", type=int, default=None,
                             help="instances per experiment (default $REPRO_INSTANCES or 20)")
@@ -404,41 +394,6 @@ def _cmd_simulate(args) -> int:
     return 0 if report["all_ok"] else 1
 
 
-def _cmd_figures(args) -> int:
-    from repro.experiments.figures import FIGURES, run_experiment, run_figure
-    from repro.experiments.report import render_figure
-
-    wanted = list(FIGURES) if "all" in args.names else args.names
-    for name in wanted:
-        if name not in FIGURES:
-            raise SystemExit(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
-    by_exp: dict[str, list[str]] = {}
-    for name in wanted:
-        by_exp.setdefault(FIGURES[name][0], []).append(name)
-    for exp_id, figs in by_exp.items():
-        exp = run_experiment(
-            exp_id,
-            n_instances=args.instances,
-            grid=args.grid,
-            seed=args.seed,
-            exact_method=args.exact,
-            jobs=args.jobs,
-            cache=args.cache_dir,
-        )
-        for name in figs:
-            print(render_figure(run_figure(name, experiment_result=exp)))
-            print()
-    return 0
-
-
-def _run_timestamp(args) -> str:
-    """The run_id timestamp tag: ``--timestamp`` or the current UTC time."""
-    import time
-
-    tag = getattr(args, "timestamp", None)
-    return tag if tag else time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-
-
 def _series_record(sweep, prefix: str = "") -> dict:
     """Per-method manifest series of one sweep (counts, failures,
     objective quantiles per grid point) — the record ``runs diff``
@@ -464,46 +419,74 @@ def _series_record(sweep, prefix: str = "") -> dict:
     }
 
 
-def _cmd_experiment(args) -> int:
-    import platform as _platform
+def _record_run(args, identity: dict, manifest: dict, per_unit) -> None:
+    """Record one ``experiment`` / ``scenario run`` invocation.
+
+    The run_id hashes *identity* with the ``--timestamp`` tag (default:
+    the current UTC time).  The manifest gains the command, the tag,
+    the library versions and the run_id; it lands in the ledger
+    (``--runs-dir``) next to *per_unit* and is copied to
+    ``--manifest``.
+    """
+    import platform
     import time
 
     import numpy as np
 
-    from repro.experiments.cache import resolve_cache
-    from repro.experiments.figures import EXPERIMENTS, run_experiment, run_figure
-    from repro.experiments.harness import resolve_jobs
-    from repro.experiments.report import render_figure
     from repro.obs import run_id_for, write_run
-    from repro.obs import telemetry as obs
     from repro.obs.ledger import write_atomic
 
-    wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    for exp_id in wanted:
+    timestamp = args.timestamp or time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    run_id = run_id_for(identity, timestamp)
+    manifest = {
+        "command": identity["command"],
+        "timestamp": timestamp,
+        **manifest,
+        "versions": {
+            "repro": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "run_id": run_id,
+    }
+    run_dir = write_run(args.runs_dir, run_id, manifest, per_unit=per_unit)
+    write_atomic(args.manifest, json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote manifest {args.manifest}")
+    print(f"ledger run {run_id} -> {run_dir}")
+
+
+def _cmd_experiment(args) -> int:
+    import time
+
+    from repro.experiments.cache import resolve_cache
+    from repro.experiments.figures import EXPERIMENTS, FIGURES, run_experiment, run_figure
+    from repro.experiments.harness import resolve_jobs
+    from repro.experiments.report import render_figure
+    from repro.obs import telemetry as obs
+
+    # A figure id names its experiment; each experiment runs once.
+    wanted: list[str] = []
+    for name in list(EXPERIMENTS) if "all" in args.experiments else args.experiments:
+        exp_id = FIGURES[name][0] if name in FIGURES else name
         if exp_id not in EXPERIMENTS:
             raise SystemExit(
-                f"unknown experiment {exp_id!r}; choose from {sorted(EXPERIMENTS)}"
+                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)} "
+                f"or a figure id {sorted(FIGURES)}"
             )
+        if exp_id not in wanted:
+            wanted.append(exp_id)
     try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         raise SystemExit(str(exc))
     cache = resolve_cache(args.cache_dir)
-    timestamp = _run_timestamp(args)
 
     manifest: dict = {
-        "command": "experiment",
-        "timestamp": timestamp,
         "experiments": wanted,
         "seed": args.seed,
         "jobs": jobs,
         "exact_method": args.exact,
         "cache_dir": str(cache.root) if cache is not None else None,
-        "versions": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": _platform.python_version(),
-        },
         "runs": [],
     }
     series: dict = {}
@@ -573,22 +556,15 @@ def _cmd_experiment(args) -> int:
     manifest["batch_units"] = batch_units
     manifest["cache"] = cache.stats() if cache is not None else None
     manifest["telemetry"] = tele.snapshot()
-    run_id = run_id_for(
-        {
-            "command": "experiment",
-            "experiments": wanted,
-            "seed": args.seed,
-            "instances": args.instances,
-            "grid": args.grid,
-            "exact_method": args.exact,
-        },
-        timestamp,
-    )
-    manifest["run_id"] = run_id
-    run_dir = write_run(args.runs_dir, run_id, manifest, per_unit=unit_events)
-    write_atomic(args.manifest, json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote manifest {args.manifest}")
-    print(f"ledger run {run_id} -> {run_dir}")
+    identity = {
+        "command": "experiment",
+        "experiments": wanted,
+        "seed": args.seed,
+        "instances": args.instances,
+        "grid": args.grid,
+        "exact_method": args.exact,
+    }
+    _record_run(args, identity, manifest, unit_events)
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses, {cache.puts} writes")
     return 0
@@ -598,18 +574,14 @@ def _scenario_record(spec, spec_hash: "str | None", entry=None) -> "dict | None"
     """Self-describing manifest record for a scenario spec (or None).
 
     *entry* (the registry :class:`~repro.scenarios.registry.Scenario`,
-    when the spec came from one) contributes its capability metadata
-    and tags; bare specs fall back to the derived homogeneity check.
+    when the spec came from one) contributes its tags; the capability
+    metadata derives from the spec either way.
     """
     if spec is None:
         return None
-    from repro.scenarios import Scenario, spec_is_homogeneous
+    from repro.scenarios import Scenario
 
-    scenario = Scenario(
-        spec=spec,
-        homogeneous=entry.homogeneous if entry is not None else spec_is_homogeneous(spec),
-        tags=entry.tags if entry is not None else (),
-    )
+    scenario = Scenario(spec=spec, tags=entry.tags if entry is not None else ())
     return {
         "name": spec.name,
         "spec_hash": spec_hash,
@@ -646,8 +618,9 @@ def _resolve_scenario_token(token: str):
 
 
 def _cmd_scenario(args) -> int:
-    from repro.experiments.harness import check_min_reliability, resolve_jobs, run_sweep
+    from repro.experiments.harness import resolve_jobs, run_sweep
     from repro.scenarios import SCENARIOS, generate_ensembles, scenario_hash
+    from repro.util.validation import check_min_reliability
 
     if args.scenario_cmd == "list":
         header = f"{'name':20s} {'inst':>5s} {'tasks':>9s} {'procs':>7s} {'mode':>12s}  hom pair  tags"
@@ -679,15 +652,12 @@ def _cmd_scenario(args) -> int:
         return 0
 
     # scenario run
-    import platform as _platform
     import time
 
     import numpy as np
 
     from repro.experiments.cache import resolve_cache
-    from repro.obs import run_id_for, write_run
     from repro.obs import telemetry as obs
-    from repro.obs.ledger import write_atomic
     from repro.solve import Planner, derive_bounds_grid, encode_bound
     from repro.solve.grid import check_grid_points
 
@@ -703,7 +673,6 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     spec_hash = scenario_hash(spec)
-    timestamp = _run_timestamp(args)
     t_run = time.perf_counter()
     collector = obs.Telemetry()
 
@@ -860,8 +829,6 @@ def _cmd_scenario(args) -> int:
         seconds[f"solve[{name}]"] = round(value, 6)
 
     manifest = {
-        "command": "scenario-run",
-        "timestamp": timestamp,
         "scenario": _scenario_record(spec, spec_hash, entry),
         "seed": args.seed,
         "n_instances": n,
@@ -876,34 +843,23 @@ def _cmd_scenario(args) -> int:
         "timings": {k: round(v, 6) for k, v in sweep.timings.items()},
         "cache": cache.stats() if cache is not None else None,
         "telemetry": collector.snapshot(),
-        "versions": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": _platform.python_version(),
+    }
+    identity = {
+        "command": "scenario-run",
+        "scenario": spec_hash,
+        "seed": args.seed,
+        "n_instances": n,
+        "methods": list(plan.selected),
+        "objective": args.objective,
+        "min_reliability": args.min_reliability,
+        "grid": {
+            "mode": args.grid,
+            "axis": args.grid_axis,
+            "points": args.grid_points,
         },
     }
-    run_id = run_id_for(
-        {
-            "command": "scenario-run",
-            "scenario": spec_hash,
-            "seed": args.seed,
-            "n_instances": n,
-            "methods": list(plan.selected),
-            "objective": args.objective,
-            "min_reliability": args.min_reliability,
-            "grid": {
-                "mode": args.grid,
-                "axis": args.grid_axis,
-                "points": args.grid_points,
-            },
-        },
-        timestamp,
-    )
-    manifest["run_id"] = run_id
-    run_dir = write_run(args.runs_dir, run_id, manifest, per_unit=sweep.unit_events)
-    write_atomic(args.manifest, json.dumps(manifest, indent=2) + "\n")
-    print(f"\nwrote manifest {args.manifest}")
-    print(f"ledger run {run_id} -> {run_dir}")
+    print()
+    _record_run(args, identity, manifest, sweep.unit_events)
     return 0
 
 
@@ -1065,7 +1021,6 @@ COMMANDS = {
     "solve": _cmd_solve,
     "evaluate": _cmd_evaluate,
     "simulate": _cmd_simulate,
-    "figures": _cmd_figures,
     "experiment": _cmd_experiment,
     "scenario": _cmd_scenario,
     "plan": _cmd_plan,

@@ -207,14 +207,17 @@ class ResultCache:
         key: str,
         method_name: "str | None" = None,
         n_points: "int | None" = None,
-    ) -> "dict | None":
+    ) -> "dict | UnitResults | None":
         """Return the record stored under *key*, or None on a miss.
 
-        With *n_points* the record must additionally decode as a sweep
-        unit of that many points (:func:`unit_arrays`) before it counts
-        as a hit.  A malformed entry — undecodable bytes, wrong format
-        stamp, wrong shape — counts as a miss *and* a :attr:`corrupt`
-        lookup and is discarded, so the recomputed unit overwrites it.
+        With *n_points* the record must decode as a sweep unit of that
+        many points (:func:`unit_arrays`) to count as a hit, and the
+        hit comes back decoded: the one-row
+        :class:`~repro.algorithms.batch.UnitResults` the sweep records,
+        so no hit is decoded twice.  A malformed entry — undecodable
+        bytes, wrong format stamp, wrong shape — counts as a miss *and*
+        a :attr:`corrupt` lookup and is discarded, so the recomputed
+        unit overwrites it.
 
         *method_name* labels the telemetry counters
         (``cache.hit[heur-l]``, ...) when a collector is installed —
@@ -226,7 +229,7 @@ class ResultCache:
                 if payload.get("repro_cache") != CACHE_FORMAT:
                     raise ValueError("cache format mismatch")
                 if n_points is not None:
-                    unit_arrays(payload, n_points)
+                    payload = unit_arrays(payload, n_points)
         except (ValueError, KeyError, TypeError, OSError):
             # Corrupted entry: recover by dropping it and recomputing.
             self.misses += 1

@@ -284,8 +284,6 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
     jobs: "int | None" = None,
     scenario: "str | ScenarioSpec | Scenario | None" = None,
     objectives: bool = True,
-    runs_dir: "str | None" = None,
-    run_timestamp: "str | None" = None,
 ) -> CrosscheckReport:
     """Run the full validation chain over a random instance population.
 
@@ -321,18 +319,10 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
         derived from an unbounded heuristic solve, so they land in the
         feasibility transition region regardless of the scenario's
         cost scales.  The scenario must generate homogeneous platforms
-        (the registry's ``homogeneous`` capability gate, or
-        :func:`~repro.scenarios.spec.spec_is_homogeneous` for bare
-        specs): the chain's exact solvers are Section 5 algorithms,
-        and running them out of scope would report false
-        disagreements — heterogeneous scenarios raise ``ValueError``
-        up front.
-    runs_dir:
-        When given, write the report to the run ledger
-        (:mod:`repro.obs.ledger`) under this directory: a manifest with
-        the aggregate counts plus one ``per_unit.jsonl`` line per
-        checked instance.  ``run_timestamp`` pins the run_id's
-        timestamp tag (defaults to the current UTC time).
+        (:func:`~repro.scenarios.spec.spec_is_homogeneous`): the
+        chain's exact solvers are Section 5 algorithms, and running
+        them out of scope would report false disagreements —
+        heterogeneous scenarios raise ``ValueError`` up front.
     """
     from repro.experiments.harness import resolve_jobs
 
@@ -345,9 +335,8 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
             spec_is_homogeneous,
         )
 
-        spec, entry = resolve_scenario(scenario)
-        homogeneous = entry.homogeneous if entry is not None else spec_is_homogeneous(spec)
-        if not homogeneous:
+        spec, _ = resolve_scenario(scenario)
+        if not spec_is_homogeneous(spec):
             raise ValueError(
                 f"cross-check needs a homogeneous scenario (the exact solvers "
                 f"implement Section 5 algorithms); scenario {spec.name!r} "
@@ -395,59 +384,4 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
         report.objective_disagreements += record["objective_disagreement"]
         report.details.extend(record["details"])
 
-    if runs_dir is not None:
-        import time
-
-        from repro.obs import run_id_for, write_run
-
-        scenario_name = None
-        if scenario is not None:
-            from repro.scenarios import resolve_scenario
-
-            scenario_name = resolve_scenario(scenario)[0].name
-        identity = {
-            "command": "crosscheck",
-            "seed": seed,
-            "n_instances": n_instances,
-            "n_tasks": n_tasks,
-            "p": p,
-            "simulate": simulate,
-            "objectives": objectives,
-            "scenario": scenario_name,
-        }
-        timestamp = run_timestamp or time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        manifest = {
-            **identity,
-            "timestamp": timestamp,
-            "scenario": scenario_name,
-            "clean": report.clean,
-            "summary": report.summary(),
-            "counts": {
-                "solver_disagreements": report.solver_disagreements,
-                "heuristic_violations": report.heuristic_violations,
-                "rbd_disagreements": report.rbd_disagreements,
-                "simulation_outliers": report.simulation_outliers,
-                "objective_disagreements": report.objective_disagreements,
-            },
-        }
-        per_unit = [
-            {
-                "instance": index,
-                "source": "check",
-                "clean": not any(
-                    record[flag]
-                    for flag in (
-                        "solver_disagreement",
-                        "heuristic_violation",
-                        "rbd_disagreement",
-                        "objective_disagreement",
-                    )
-                ),
-                **{key: value for key, value in record.items() if key != "details"},
-            }
-            for index, record in enumerate(records)
-        ]
-        write_run(
-            runs_dir, run_id_for(identity, timestamp), manifest, per_unit=per_unit
-        )
     return report

@@ -270,35 +270,17 @@ def run_experiment(
     )
 
 
-def run_figure(
-    figure: str,
-    n_instances: int | None = None,
-    grid: str | None = None,
-    seed: int = 0,
-    exact_method: str = "ilp",
-    experiment_result: ExperimentResult | None = None,
-    jobs: int | None = None,
-    cache=None,
-) -> FigureResult:
-    """Produce one figure's series (running its experiment if needed).
+def run_figure(figure: str, experiment_result: ExperimentResult) -> FigureResult:
+    """One figure's series, read off its experiment's sweeps.
 
-    Pass ``experiment_result`` to reuse the sweep already computed for
-    the figure's sibling (e.g. Fig. 7 reusing Fig. 6's run).
+    *experiment_result* is :func:`run_experiment`'s result for the
+    figure's experiment (``FIGURES[figure][0]``); both figures of a
+    pair read the same run.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; available: {sorted(FIGURES)}")
     exp_id, metric = FIGURES[figure]
-    if experiment_result is None:
-        experiment_result = run_experiment(
-            exp_id,
-            n_instances=n_instances,
-            grid=grid,
-            seed=seed,
-            exact_method=exact_method,
-            jobs=jobs,
-            cache=cache,
-        )
-    elif experiment_result.spec.id != exp_id:
+    if experiment_result.spec.id != exp_id:
         raise ValueError(
             f"experiment result is for {experiment_result.spec.id!r}, "
             f"figure {figure} needs {exp_id!r}"

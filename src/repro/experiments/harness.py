@@ -88,7 +88,6 @@ Environment
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -98,18 +97,14 @@ import numpy as np
 
 from repro.algorithms.batch import UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
-from repro.experiments.cache import (
-    ResultCache,
-    resolve_cache,
-    unit_arrays,
-    unit_record,
-)
+from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
 from repro.obs import telemetry as obs
-from repro.solve.problem import Problem, check_bound
+from repro.solve.problem import Problem
 from repro.util.rng import stable_seed
+from repro.util.validation import check_bound, check_min_reliability
 
-__all__ = ["SweepResult", "run_sweep", "resolve_jobs", "check_min_reliability"]
+__all__ = ["SweepResult", "run_sweep", "resolve_jobs"]
 
 #: Shard sizing: aim for this many shards per worker (load balancing
 #: headroom) without exceeding _SHARD_MAX units per payload.
@@ -193,20 +188,19 @@ class SweepResult:
         """Solutions found per sweep point (the Fig. 6-style series)."""
         return self.solved[self._idx(method)].sum(axis=1)
 
-    def average_failure(
-        self, method: str, rule: str = "common", heuristics: Sequence[str] = ("heur-l", "heur-p")
-    ) -> np.ndarray:
+    def average_failure(self, method: str, rule: str = "common") -> np.ndarray:
         """Average failure probability per sweep point (Fig. 7 style).
 
-        ``rule="common"`` averages over instances solved by *all* of
-        *heuristics* (the paper's hom rule); ``rule="per-method"`` over
+        ``rule="common"`` averages over instances solved by both
+        Section 7 heuristics, ``heur-l`` and ``heur-p``, when the sweep
+        ran them (the paper's hom rule); ``rule="per-method"`` over
         instances solved by *method* itself (the het rule).  Points with
         an empty averaging set yield NaN (plotted as gaps).
         """
         i = self._idx(method)
         if rule == "common":
             mask = np.ones(self.solved.shape[1:], dtype=bool)
-            for h in heuristics:
+            for h in ("heur-l", "heur-p"):
                 if h in self.method_names:
                     mask &= self.solved[self._idx(h)]
             # The method itself must also have solved the instance for
@@ -221,28 +215,22 @@ class SweepResult:
         with np.errstate(invalid="ignore"):
             return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
-    def objective_quantiles(
-        self, method: str, quantiles: Sequence[float] = (0.1, 0.5, 0.9)
-    ) -> np.ndarray:
-        """Per-point quantiles of the achieved objective value.
+    def objective_quantiles(self, method: str) -> np.ndarray:
+        """Per-point p10/p50/p90 of the achieved objective value.
 
-        Returns a ``(len(quantiles), n_points)`` array of quantiles of
+        Returns a ``(3, n_points)`` array of quantiles of
         :attr:`objective_values` over the instances *method* solved at
-        each point (NaN where it solved none) — p10/p50/p90 by
-        default, the spread the converse-objective curves plot
-        alongside solved counts.
+        each point (NaN where it solved none) — the spread the
+        converse-objective curves plot alongside solved counts.
         """
         i = self._idx(method)
-        qs = [float(q) for q in quantiles]
-        if any(not 0.0 <= q <= 1.0 for q in qs):
-            raise ValueError(f"quantiles must lie in [0, 1], got {quantiles!r}")
         mask = self.solved[i]
         values = self.objective_values[i]
-        out = np.full((len(qs), mask.shape[0]), np.nan)
+        out = np.full((3, mask.shape[0]), np.nan)
         for pt in range(mask.shape[0]):
             picked = values[pt, mask[pt]]
             if picked.size:
-                out[:, pt] = np.quantile(picked, qs)
+                out[:, pt] = np.quantile(picked, [0.1, 0.5, 0.9])
         return out
 
     def _idx(self, method: str) -> int:
@@ -265,24 +253,6 @@ def resolve_jobs(jobs: "int | None") -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def check_min_reliability(min_reliability: float, objective: str) -> float:
-    """Validate a sweep's reliability floor for *objective*; returns it
-    as a float.  A floor lies in ``[0, 1)`` (0 = none) and constrains
-    the converse objectives only."""
-    min_reliability = float(min_reliability)
-    if math.isnan(min_reliability) or not 0.0 <= min_reliability < 1.0:
-        raise ValueError(
-            f"min_reliability must lie in [0, 1) (0 = no floor), got {min_reliability!r}"
-        )
-    if objective == "reliability" and min_reliability != 0.0:
-        raise ValueError(
-            "min_reliability is a constraint for the converse objectives "
-            "('period', 'latency', 'energy'); with objective='reliability' "
-            "the criterion itself is maximized — leave the floor at 0.0"
-        )
-    return min_reliability
 
 
 def _unit_problems(
@@ -721,7 +691,7 @@ class _SweepRun:
                             unit.key, method_name=method.name, n_points=n_pts
                         )
                         if hit is not None:
-                            self.finish(unit, unit_arrays(hit, n_pts), 0, "cache")
+                            self.finish(unit, hit, 0, "cache")
                             continue
                     pending.append(unit)
         return pending

@@ -42,6 +42,7 @@ from repro.core.interval import partition_from_cuts
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
 from repro.util.rng import ensure_rng
+from repro.util.validation import check_bound
 
 __all__ = ["anneal_mapping", "AnnealingStats"]
 
@@ -238,6 +239,8 @@ def anneal_mapping(
         was ever visited.  ``details["stats"]`` carries an
         :class:`AnnealingStats`.
     """
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not 0 < cooling <= 1:

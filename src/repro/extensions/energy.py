@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
+from repro.algorithms.allocation import _log_gain, _seed_het
 from repro.core.chain import TaskChain
-from repro.core.evaluation import comm_log_reliability, evaluate_mapping
-from repro.core.interval import Interval, validate_partition
+from repro.core.evaluation import evaluate_mapping
+from repro.core.interval import Interval
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
 from repro.util import logrel
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = ["mapping_energy", "energy_aware_alloc_het", "minimize_energy"]
 
@@ -91,25 +91,14 @@ def energy_aware_alloc_het(  # repro-lint: disable=API001 used by examples/
     budget.
     """
     partition = list(partition)
-    validate_partition(chain.n, partition)
-    m, p, K = len(partition), platform.p, platform.max_replication
-    speeds, rates, b = platform.speeds, platform.failure_rates, platform.bandwidth
-    if allowed is None:
-        allowed = lambda _u, _j: True  # noqa: E731
-
-    works = [chain.work_between(iv.start, iv.stop) for iv in partition]
+    seeding = _seed_het(chain, platform, partition, max_period, allowed)
+    if seeding is None:
+        return None
+    works, branch, fits = seeding.works, seeding.branch, seeding.fits
+    replicas, stage_log_fail = seeding.replicas, seeding.stage_log_fail
+    m, K, b = len(partition), platform.max_replication, platform.bandwidth
+    speeds = platform.speeds
     outs = [chain.output_of(iv.stop) for iv in partition]
-    ell_comm = [
-        comm_log_reliability(platform, chain.input_of(iv.start))
-        + comm_log_reliability(platform, chain.output_of(iv.stop))
-        for iv in partition
-    ]
-
-    def branch(u: int, j: int) -> float:
-        return ell_comm[j] - float(rates[u]) * works[j] / float(speeds[u])
-
-    def fits(u: int, j: int) -> bool:
-        return works[j] / float(speeds[u]) <= max_period and allowed(u, j)
 
     def added_energy(u: int, j: int) -> float:
         energy = works[j] * float(speeds[u]) ** (alpha - 1.0)
@@ -117,32 +106,13 @@ def energy_aware_alloc_het(  # repro-lint: disable=API001 used by examples/
             energy += outs[j] / b * link_power
         return energy
 
-    order = sorted(range(p), key=lambda u: (float(rates[u]) / float(speeds[u]), u))
-    replicas: list[list[int]] = [[] for _ in range(m)]
-    stage_log_fail = [0.0] * m
     energy_used = 0.0
-    empty = set(range(m))
-    leftovers: list[int] = []
-
-    it = iter(order)
-    for u in it:
-        if not empty:
-            leftovers.append(u)
-            break
-        candidates = [j for j in empty if fits(u, j)]
-        if not candidates:
-            leftovers.append(u)
-            continue
-        j = max(candidates, key=lambda jj: (works[jj], -jj))
-        replicas[j].append(u)
-        stage_log_fail[j] += logrel.log_failure(branch(u, j))
+    for u, j in seeding.seeds:
         energy_used += added_energy(u, j)
-        empty.discard(j)
-    leftovers.extend(it)
-    if empty or energy_used > max_energy:
+    if energy_used > max_energy:
         return None
 
-    for u in leftovers:
+    for u in seeding.leftovers:
         best_j, best_score = -1, 0.0
         for j in range(m):
             if len(replicas[j]) >= K or not fits(u, j):
@@ -151,8 +121,7 @@ def energy_aware_alloc_het(  # repro-lint: disable=API001 used by examples/
             if energy_used + cost > max_energy:
                 continue
             lf_new = stage_log_fail[j] + logrel.log_failure(branch(u, j))
-            pair = logrel.log1mexp(np.array([stage_log_fail[j], lf_new]))
-            gain = float(pair[1] - pair[0])
+            gain = _log_gain(stage_log_fail[j], lf_new)
             score = gain / max(cost, 1e-300)
             if score > best_score:
                 best_j, best_score = j, score
@@ -250,10 +219,11 @@ def minimize_energy(
     from repro.algorithms.heuristics import heuristic_best
     from repro.algorithms.result import SolveResult
 
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
+    min_log_reliability = check_log_floor(min_log_reliability)
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha!r}")
-    if max_period <= 0 or max_latency <= 0:
-        raise ValueError("bounds must be > 0")
 
     best: "tuple[float, float, Mapping] | None" = None  # (energy, -logrel, mapping)
     explored = 0

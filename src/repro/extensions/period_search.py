@@ -35,6 +35,7 @@ from repro.algorithms import heuristic_best
 from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
+from repro.util.validation import check_bound, check_log_floor
 
 __all__ = ["minimize_period_search"]
 
@@ -105,10 +106,9 @@ def _bisect(
     ``het-<axis>-search`` and the optimum is reported as
     ``details["optimal_<axis>"]``.
     """
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    if max_period <= 0 or max_latency <= 0:
-        raise ValueError("bounds must be > 0")
+    min_log_reliability = check_log_floor(min_log_reliability)
+    max_period = check_bound("max_period", max_period)
+    max_latency = check_bound("max_latency", max_latency)
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol!r}")
 

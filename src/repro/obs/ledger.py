@@ -1,7 +1,8 @@
 """Run-addressed artifact ledger: every run leaves a diffable record.
 
-Every ``repro scenario run`` / ``repro experiment`` / cross-check
-invocation writes one run directory::
+Every ``repro scenario run`` / ``repro experiment`` invocation
+records itself through the CLI's one run recorder, which writes one run
+directory (and copies the manifest to ``--manifest``)::
 
     <runs_dir>/<run_id>/
         manifest.json     # the run's self-describing record
@@ -145,22 +146,20 @@ def write_run(
     run_id: str,
     manifest: dict,
     per_unit: "Sequence[dict]" = (),
-    report: "str | None" = None,
 ) -> pathlib.Path:
     """Write one complete run directory; return its path.
 
     The manifest gains a ``run_id`` field (callers need not thread it
-    through themselves).  Serialization is deterministic — sorted
+    through themselves), and ``report.md`` is its
+    :func:`render_report`.  Serialization is deterministic — sorted
     keys, one JSON object per ``per_unit.jsonl`` line, trailing
     newlines — so identical inputs yield byte-identical artifacts.
     ``manifest.json`` lands last: its presence marks the run complete.
     """
     root = resolve_runs_dir(runs_dir) / run_id
     manifest = {**manifest, "run_id": run_id}
-    if report is None:
-        report = render_report(manifest, per_unit)
     write_atomic(root / "per_unit.jsonl", _per_unit_bytes(per_unit))
-    write_atomic(root / "report.md", report)
+    write_atomic(root / "report.md", render_report(manifest, per_unit))
     write_atomic(root / "manifest.json", _manifest_bytes(manifest))
     return root
 

@@ -160,10 +160,10 @@ HOT_SPARE = ScenarioSpec(
 )
 
 
-register_scenario(SECTION8_HOM, homogeneous=True, tags=("section8", "paper"))
+register_scenario(SECTION8_HOM, tags=("section8", "paper"))
 register_scenario(SECTION8_HET, tags=("section8", "paper", "paired"))
-register_scenario(SCALING_STRESS, homogeneous=True, tags=("scaling",))
-register_scenario(LONG_CHAIN, homogeneous=True, tags=("scaling", "long-chain"))
+register_scenario(SCALING_STRESS, tags=("scaling",))
+register_scenario(LONG_CHAIN, tags=("scaling", "long-chain"))
 register_scenario(HIGH_HETEROGENEITY, tags=("heterogeneity",))
-register_scenario(UNRELIABLE_LINKS, homogeneous=True, tags=("links", "correlated"))
+register_scenario(UNRELIABLE_LINKS, tags=("links", "correlated"))
 register_scenario(HOT_SPARE, tags=("reliability", "heterogeneity"))

@@ -10,9 +10,9 @@ with capability metadata:
 
 * ``homogeneous`` — every generated platform is homogeneous, so the
   Section 5 exact methods (``Method.homogeneous_only``) apply to the
-  whole ensemble.  Enforced against the spec at registration time: a
-  scenario cannot *claim* homogeneity its distributions do not deliver,
-  which is what keeps the harness's exact-method gating trustworthy.
+  whole ensemble.  Derived from the spec
+  (:func:`~repro.scenarios.spec.spec_is_homogeneous`), never declared,
+  so the harness's exact-method gating cannot be told otherwise.
 * ``tags`` — free-form labels (``"section8"``, ``"scaling"``, ...) for
   discovery in ``repro scenario list``.
 
@@ -22,7 +22,6 @@ Extending the registry::
 
     register_scenario(
         ScenarioSpec(name="my-workload", n_tasks=30, ...),
-        homogeneous=True,
         tags=("custom",),
     )
 """
@@ -61,12 +60,15 @@ class Scenario:
     """A registered workload: spec plus capability metadata."""
 
     spec: ScenarioSpec
-    homogeneous: bool = False
     tags: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def homogeneous(self) -> bool:
+        return spec_is_homogeneous(self.spec)
 
     @property
     def paired(self) -> bool:
@@ -116,7 +118,6 @@ SCENARIOS: dict[str, Scenario] = {}
 def register_scenario(
     spec: ScenarioSpec,
     *,
-    homogeneous: bool = False,
     tags: "tuple[str, ...] | list[str]" = (),
     replace: bool = False,
 ) -> Scenario:
@@ -124,9 +125,7 @@ def register_scenario(
 
     Duplicate names are rejected (``ValueError``) unless
     ``replace=True``, exactly like :func:`repro.experiments.methods.
-    register_method`.  A ``homogeneous=True`` claim is checked against
-    the spec (constant speeds and failure rates, unpaired) so exact
-    ``homogeneous_only`` methods can trust the flag.
+    register_method`.
     """
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(f"register_scenario needs a ScenarioSpec, got {type(spec).__name__}")
@@ -134,14 +133,7 @@ def register_scenario(
         raise ValueError(
             f"scenario {spec.name!r} is already registered (pass replace=True to override)"
         )
-    if homogeneous and not spec_is_homogeneous(spec):
-        raise ValueError(
-            f"scenario {spec.name!r} claims homogeneous=True but its spec draws "
-            f"heterogeneous platforms (speed={spec.speed.kind!r}, "
-            f"proc_failure={spec.proc_failure.kind!r}, paired={spec.paired}); "
-            f"exact-method gating would run Section 5 algorithms out of scope"
-        )
-    scenario = Scenario(spec=spec, homogeneous=homogeneous, tags=tuple(tags))
+    scenario = Scenario(spec=spec, tags=tuple(tags))
     SCENARIOS[spec.name] = scenario
     return scenario
 

@@ -212,10 +212,8 @@ class Planner:
                 f"unknown objective {objective!r}; supported: {OBJECTIVES}"
             )
 
-        spec, entry = resolve_scenario(scenario)
-        homogeneous = (
-            entry.homogeneous if entry is not None else spec_is_homogeneous(spec)
-        )
+        spec, _ = resolve_scenario(scenario)
+        homogeneous = spec_is_homogeneous(spec)
         explicit = methods is not None
         if explicit:
             candidates = [

@@ -35,8 +35,10 @@ from typing import Any
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
 from repro.solve.objectives import OBJECTIVES
+from repro.util.logrel import from_reliability
+from repro.util.validation import check_bound, check_min_reliability
 
-__all__ = ["OBJECTIVES", "Problem", "check_bound", "encode_bound"]
+__all__ = ["OBJECTIVES", "Problem", "encode_bound"]
 
 
 def encode_bound(value: float) -> "float | str":
@@ -47,16 +49,6 @@ def encode_bound(value: float) -> "float | str":
     cache's key tokens, and the CLI manifests."""
     value = float(value)
     return value if math.isfinite(value) else repr(value)
-
-
-def check_bound(name: str, value: float) -> float:
-    """A period/latency bound as a float, rejected unless ``> 0``
-    (``inf`` = unbounded, NaN is an error) — the check every
-    :class:`Problem` runs, shared by the sweep harness."""
-    value = float(value)
-    if math.isnan(value) or value <= 0:
-        raise ValueError(f"{name} must be > 0 (inf = unbounded), got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -109,18 +101,9 @@ class Problem:
         floor = self.min_reliability
         if isinstance(floor, bool) or not isinstance(floor, (int, float)):
             raise ValueError(f"min_reliability must be a number, got {floor!r}")
-        floor = float(floor)
-        if math.isnan(floor) or not 0.0 <= floor < 1.0:
-            raise ValueError(
-                f"min_reliability must lie in [0, 1) (0 = no floor), got {floor!r}"
-            )
-        object.__setattr__(self, "min_reliability", floor)
-        if self.objective == "reliability" and floor != 0.0:
-            raise ValueError(
-                "min_reliability is a constraint for the converse objectives "
-                "('period', 'latency', 'energy'); with objective='reliability' "
-                "the criterion itself is maximized — leave the floor at 0.0"
-            )
+        object.__setattr__(
+            self, "min_reliability", check_min_reliability(floor, self.objective)
+        )
 
     # -- structure -------------------------------------------------------
 
@@ -151,10 +134,6 @@ class Problem:
         probability at the API boundary because that is what users
         state floors in.
         """
-        from repro.util.logrel import from_reliability
-
-        if self.min_reliability == 0.0:
-            return -math.inf
         return from_reliability(self.min_reliability)
 
     def replace(self, **changes: Any) -> "Problem":

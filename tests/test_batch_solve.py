@@ -579,7 +579,7 @@ class TestNaNBounds:
     ])
     def test_kernels_reject_nan(self, kernel):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
-        with pytest.raises(ValueError, match="bounds must be > 0"):
+        with pytest.raises(ValueError, match="max_period must be > 0"):
             kernel(ensemble, [(math.nan, math.inf)])
 
 

@@ -189,8 +189,9 @@ class TestFiguresRegistry:
     def test_unknown_ids(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment("hom-everything", **SMALL)
+        exp = run_experiment("hom-linked", exact_method="pareto-dp", **SMALL)
         with pytest.raises(ValueError, match="unknown figure"):
-            run_figure("fig99", **SMALL)
+            run_figure("fig99", exp)
 
 
 class TestRunFigure:
@@ -241,7 +242,8 @@ class TestRunFigure:
         assert "ilp" in fig.series and "pareto-dp" not in fig.series
 
     def test_standalone_run_figure(self):
-        fig = run_figure("fig10", exact_method="pareto-dp", **SMALL)
+        exp = run_experiment("hom-linked", exact_method="pareto-dp", **SMALL)
+        fig = run_figure("fig10", experiment_result=exp)
         assert fig.metric == "count"
         assert fig.experiment == "hom-linked"
 

@@ -154,6 +154,21 @@ class TestEnergyAwareAllocation:
         assert mapping_energy(tight, alpha=1.0) <= budget
         assert tight.processors_used < unlimited.processors_used
 
+    @pytest.mark.filterwarnings("error")
+    def test_certainly_failing_stage_scores_without_warning(self):
+        """At failure rate 1e3 every stage is certain to fail, so each
+        phase-2 gain is ``-inf - -inf``: NaN, never the best, and no
+        NumPy invalid-value warning (errors under this filter)."""
+        chain = TaskChain([5.0, 7.0, 3.0], [1.0, 2.0, 0.0])
+        plat = Platform.homogeneous_platform(4, failure_rate=1e3, max_replication=3)
+        partition = [Interval(0, 2), Interval(2, 3)]
+        base = algo_alloc_het(chain, plat, partition)
+        energy = energy_aware_alloc_het(chain, plat, partition)
+        assert base is not None and energy is not None
+        # No gain beats 0, so both keep phase 1's seeds alone.
+        assert [procs for _, procs in energy] == [procs for _, procs in base]
+        assert energy.processors_used == 2
+
     def test_budget_below_seed_cost_infeasible(self, instance):
         chain, plat, partition = instance
         assert (

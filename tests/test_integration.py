@@ -167,11 +167,14 @@ class TestDeterminism:
         )
 
     def test_experiment_suites_deterministic(self):
-        from repro.experiments import run_figure
+        from repro.experiments import run_experiment, run_figure
 
-        fa = run_figure("fig10", n_instances=3, grid="reduced", seed=1,
-                        exact_method="pareto-dp")
-        fb = run_figure("fig10", n_instances=3, grid="reduced", seed=1,
-                        exact_method="pareto-dp")
+        fa, fb = (
+            run_figure("fig10", experiment_result=run_experiment(
+                "hom-linked", n_instances=3, grid="reduced", seed=1,
+                exact_method="pareto-dp",
+            ))
+            for _ in range(2)
+        )
         for key in fa.series:
             assert np.array_equal(fa.series[key], fb.series[key])

@@ -12,6 +12,7 @@ import repro
 from repro.core import Interval, Mapping, Platform, TaskChain
 from repro.io import FORMAT_VERSION, dumps, from_dict, loads, to_dict
 from repro.cli import build_parser, main
+from repro.obs import list_runs
 
 #: The directory that holds this checkout's ``repro`` package.
 PKG_ROOT = str(pathlib.Path(repro.__file__).resolve().parent.parent)
@@ -82,7 +83,6 @@ HELP_PATHS = [
     ["solve"],
     ["evaluate"],
     ["simulate"],
-    ["figures"],
     ["experiment"],
     ["scenario"],
     ["scenario", "list"],
@@ -97,11 +97,11 @@ HELP_PATHS = [
 class TestCLI:
     def test_parser_commands(self):
         parser = build_parser()
-        for cmd in ("solve", "evaluate", "simulate", "figures", "demo"):
+        for cmd in ("solve", "evaluate", "simulate", "experiment", "demo"):
             args = parser.parse_args(
                 [cmd, "x", "y"] if cmd == "solve" else
                 ([cmd, "x"] if cmd in ("evaluate", "simulate") else
-                 ([cmd, "fig6"] if cmd == "figures" else [cmd]))
+                 ([cmd, "fig6"] if cmd == "experiment" else [cmd]))
             )
             assert args.command == cmd
 
@@ -197,16 +197,41 @@ class TestCLI:
         assert "reliability_ok" in payload
         assert code in (0, 1)
 
-    def test_figures_small(self, capsys):
+    def test_experiment_figure_id(self, tmp_path, capsys):
+        manifest_path = tmp_path / "m.json"
         code = main(
-            ["figures", "fig10", "--instances", "2", "--exact", "pareto-dp"]
+            ["experiment", "fig10", "--instances", "2", "--exact", "pareto-dp",
+             "--manifest", str(manifest_path)]
         )
         assert code == 0
-        assert "fig10 [hom-linked]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "fig10 [hom-linked]" in out and "fig11 [hom-linked]" in out
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["experiments"] == ["hom-linked"]
+        assert set(manifest["versions"]) == {"repro", "numpy", "python"}
+        assert [row["run_id"] for row in list_runs()] == [manifest["run_id"]]
 
-    def test_figures_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["figures", "fig99"])
+    def test_experiment_figure_ids_dedup(self, tmp_path, capsys):
+        manifest_path = tmp_path / "m.json"
+        code = main(
+            ["experiment", "fig10", "fig11", "hom-linked", "--instances", "2",
+             "--quiet", "--manifest", str(manifest_path)]
+        )
+        assert code == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["experiments"] == ["hom-linked"]
+        assert [run["experiment"] for run in manifest["runs"]] == ["hom-linked"]
+
+    def test_experiment_unknown(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown experiment 'fig99'"):
+            main(["experiment", "fig99", "--manifest", str(tmp_path / "m.json")])
+        assert not (tmp_path / "m.json").exists()
+
+    def test_figures_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "fig6"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'figures'" in capsys.readouterr().err
 
     def test_demo_homogeneous(self, capsys):
         assert main(["demo", "--tasks", "5", "--processors", "4"]) == 0

@@ -99,7 +99,7 @@ class TestScalarSearch:
         chain, platform = het_instance
         with pytest.raises(ValueError, match="log-probability"):
             minimize_latency_search(chain, platform, min_log_reliability=0.5)
-        with pytest.raises(ValueError, match="bounds"):
+        with pytest.raises(ValueError, match="max_latency"):
             minimize_latency_search(chain, platform, max_latency=0.0)
         with pytest.raises(ValueError, match="rel_tol"):
             minimize_latency_search(chain, platform, rel_tol=0.0)

@@ -28,7 +28,6 @@ from repro.experiments import (
 from repro.experiments.cache import (
     CACHE_FORMAT,
     resolve_cache,
-    unit_arrays,
     unit_record,
 )
 from repro.io import content_hash
@@ -79,10 +78,9 @@ def put_unit(cache, key, solved, failure, objective_values=None, info=None):
 def get_unit(cache, key, n_points):
     """Look a unit up through the canonical record API: its
     ``(solved, failure, objective_values, info)``."""
-    record = cache.get_record(key, n_points=n_points)
-    if record is None:
+    row = cache.get_record(key, n_points=n_points)
+    if row is None:
         return None
-    row = unit_arrays(record, n_points)
     return row.solved[0], row.failure[0], row.values[0], row.infos[0]
 
 
@@ -116,7 +114,8 @@ class TestRoundTrip:
         latency = np.array([40.125, float("inf")])
         written = one_row(solved, failure, values, period, latency)
         cache.put_record("ab" * 32, unit_record(written, 0, method_name="heur-l"))
-        got = unit_arrays(cache.get_record("ab" * 32, n_points=2), 2)
+        got = cache.get_record("ab" * 32, n_points=2)
+        assert isinstance(got, UnitResults)
         # Floats survive JSON exactly (shortest-round-trip repr), and
         # infinite values round-trip through their token.
         for name in UnitResults.ARRAYS:
@@ -516,6 +515,31 @@ class TestWarmRunDoesNoWork:
         second = run_sweep(suite, [get_method("heur-l")], inf_bounds, cache=cache)
         assert cache.hits == 1 and cache.puts == 1
         assert np.array_equal(first.failure, second.failure)
+
+
+    def test_warm_sweep_decodes_each_hit_once(self, cache, monkeypatch):
+        """A hit comes back from the lookup already decoded: one
+        ``unit_arrays`` call per cached unit, none in the harness."""
+        import repro.experiments.cache as cache_module
+        import repro.experiments.harness as harness_module
+
+        suite = homogeneous_suite(n_instances=3, seed=21)
+        methods = [get_method("heur-l"), get_method("heur-p")]
+        cold = run_sweep(suite, methods, BOUNDS, cache=cache)
+        decodes = []
+        real = cache_module.unit_arrays
+
+        def counting(record, n_points):
+            decodes.append(1)
+            return real(record, n_points)
+
+        # Wherever a decode would be looked up from, it is counted.
+        monkeypatch.setattr(cache_module, "unit_arrays", counting)
+        monkeypatch.setattr(harness_module, "unit_arrays", counting, raising=False)
+        cache.reset()
+        warm = run_sweep(suite, methods, BOUNDS, cache=cache)
+        assert cache.hits == len(decodes) == len(methods) * len(suite)
+        assert np.array_equal(cold.failure, warm.failure)
 
 
 class TestResolveCache:

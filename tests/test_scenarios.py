@@ -232,11 +232,14 @@ class TestRegistry:
         finally:
             SCENARIOS.pop("dup-test", None)
 
-    def test_false_homogeneity_claim_rejected(self):
-        spec = ScenarioSpec(name="bogus-hom", speed=Uniform(1.0, 9.0))
-        with pytest.raises(ValueError, match="claims homogeneous"):
-            register_scenario(spec, homogeneous=True)
-        assert "bogus-hom" not in SCENARIOS
+    def test_homogeneity_derived_from_spec(self):
+        for scenario in SCENARIOS.values():
+            assert scenario.homogeneous == spec_is_homogeneous(scenario.spec)
+        spec = ScenarioSpec(name="het-test", speed=Uniform(1.0, 9.0))
+        try:
+            assert not register_scenario(spec).homogeneous
+        finally:
+            SCENARIOS.pop("het-test", None)
 
     def test_spec_is_homogeneous(self):
         assert spec_is_homogeneous(get_scenario("section8-hom").spec)
