@@ -1,8 +1,9 @@
 """Ablation — the Section 5.4 latency constraint: "paper" vs "full".
 
 The printed integer program bounds only the computation part of the
-latency; Eq. (5)/(7) also charge one communication per interval (typo
-fix #3 in DESIGN.md).  This bench measures how many additional
+latency; Eq. (5)/(7) also charge one communication per interval (a
+typo of the preprint; see the ``repro.algorithms.ilp_mapping`` module
+docstring).  This bench measures how many additional
 instances the looser printed constraint accepts — i.e. how much the
 typo would distort Figure 8 — and times one full-form solve.
 """

@@ -7,7 +7,7 @@ the sibling *failure* bench reuses the cache and times only its
 aggregation — every figure keeps its own bench target without paying
 for the sweep twice.
 
-Scale knobs (also documented in DESIGN.md):
+Scale knobs:
 
 * ``REPRO_INSTANCES`` — instances per experiment (default 20; the
   paper uses 100);

@@ -15,8 +15,8 @@ rules the style below follows).
   The kernels run that DP lane-vectorized (:class:`_FrontierLanes`):
   one lane per (row, sweep point), each with its own period admission
   mask and its exact budget, so no point shares or widens another's
-  run.  Every row's bounds-independent tables are built once from the
-  scalar :class:`~repro.algorithms.pareto_dp._FrontierDP` quantities.
+  run.  Every row's :class:`~repro.algorithms._hom_dp.HomTable`, the
+  table the scalar DPs read, is built once and stacked over rows.
   A DP row's frontier points of all lanes live in flat columns; each
   row is filled by extending all earlier points through their lanes'
   admitted intervals at once, and a stable sort reduces every
@@ -37,17 +37,22 @@ rules the style below follows).
   own candidate: the unbounded-latency lanes through one
   lane-vectorized Algorithm 2 DP (:func:`_lane_dp`), the others
   through :class:`_FrontierLanes` chunks answered by their most
-  reliable final point.  Both probes read the one
-  :class:`_FrontierLanes` table build of the call (the Algorithm 2
-  recurrence needs exactly its communication times, interval compute
-  times and stage tables).  Both compare the DP's log-reliability
-  with the floor, as the scalar ones do, so each lane's ``(lo, hi)``
-  trajectory and probe count replicate the scalar bisection exactly.
+  reliable final point.  The candidate periods and both probes read
+  the one :class:`_FrontierLanes` table build of the call, and both
+  probes admit intervals through its one lane admission mask
+  (:meth:`_FrontierLanes.admitted`).  Both compare the DP's
+  log-reliability with the floor, as the scalar ones do, so each
+  lane's ``(lo, hi)`` trajectory and probe count replicate the scalar
+  bisection exactly.
   The scalar witness is the mapping probed at the final
   ``candidates[hi]``; the DPs are deterministic, so one
   parent-tracked round at that bound reconstructs it.
 
-Every kernel scores its witnesses with the real
+Every witness is walked back by the scalar DPs' one walk,
+:func:`~repro.algorithms._hom_dp.walk`, into ``(j, i, q)`` pieces, and
+becomes a mapping through
+:meth:`~repro.algorithms._hom_dp.HomTable.mapping`.  Every kernel
+scores its witnesses with the real
 :func:`~repro.core.evaluation.evaluate_mapping` and returns a
 :class:`~repro.algorithms.batch.UnitResults`.  dp-period fills its
 per-row ``infos`` with the ``probes`` counts the per-row path would
@@ -68,7 +73,7 @@ from repro.algorithms.batch import (
     _resolve_rows,
     check_bounds,
 )
-from repro.algorithms.pareto_dp import _FrontierDP, _mapping
+from repro.algorithms._hom_dp import HomTable, table_witness, walk
 from repro.core.evaluation import evaluate_mapping
 from repro.util import logrel
 from repro.util.logrel import from_reliability
@@ -85,12 +90,11 @@ def _require_homogeneous_rows(ensemble, rows: np.ndarray, kernel: str) -> None:
         )
 
 
-def _record(out: UnitResults, ensemble, rows, ri: int, pt: int, pieces, score) -> None:
-    """Score the witness of *pieces* for row ``rows[ri]`` at point *pt*
-    with the real :func:`evaluate_mapping`; ``score(ev)`` is the
-    objective value."""
-    row = int(rows[ri])
-    ev = evaluate_mapping(_mapping(ensemble.chain(row), ensemble.platform(row), pieces))
+def _record(out: UnitResults, table: HomTable, ri: int, pt: int, pieces, score) -> None:
+    """Score the witness of *pieces* for row ``ri`` (whose table is
+    *table*) at point *pt* with the real :func:`evaluate_mapping`;
+    ``score(ev)`` is the objective value."""
+    ev = evaluate_mapping(table.mapping(pieces))
     out.solved[ri, pt] = True
     out.failure[ri, pt] = ev.failure_probability
     out.values[ri, pt] = score(ev)
@@ -102,15 +106,13 @@ def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: 
     """Lane-vectorized Algorithm 1/2 core over homogeneous rows.
 
     Runs the ``F`` recurrence of the scalar
-    :func:`~repro.algorithms._hom_dp.hom_reliability_dp` on the
-    bounds-independent tables a :class:`_FrontierLanes` stacks (its
-    ``comm_time``, ``wtime`` and ``stage`` hold exactly the scalar
-    loop's communication times, interval compute times and branch
-    stage tables), so one table build serves both probes.  A *lane*
-    is one (row, period bound) pair: lane ``l`` solves table row
-    ``lanes[l]`` under period bound ``P[l]``, all at once.  Returns
-    ``(F, best, parent_j, parent_q)`` (parents ``None`` unless
-    *track*).
+    :func:`~repro.algorithms._hom_dp.hom_reliability_dp` on the stacked
+    row tables of a :class:`_FrontierLanes`, so one table build serves
+    both probes.  A *lane* is one (row, period bound) pair: lane ``l``
+    solves table row ``lanes[l]`` under period bound ``P[l]``, all at
+    once.  Returns ``(F, best, parent_j, parent_q)`` (parents ``None``
+    unless *track*); :func:`~repro.algorithms._hom_dp.table_witness`
+    walks back one lane's witness from ``F[:, l]`` and its parents.
     """
     n, p, kmax = tables.n, tables.p, tables.kmax
     L = lanes.size
@@ -121,18 +123,15 @@ def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: 
     if track:
         pj = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
         pq = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
-    ct = tables.comm_time[lanes]
+    adm = tables.admitted(lanes, P)
     for i in range(1, n + 1):
-        ok_i = ct[:, i] <= P
-        if not ok_i.any():
-            continue
         row_i = F[i]
         for j in range(i):
-            ok = ok_i & (tables.wtime[lanes, j, i] <= P) & (ct[:, j] <= P)
+            ok = adm[:, j, i]
             if not ok.any():
                 continue
             # Lanes whose interval [j, i) violates their bound take a
-            # -inf stage — the masked twin of the scalar `continue`.
+            # -inf stage — the masked twin of the scalar admission.
             stg = np.where(ok[:, None], tables.stage[lanes, j, i], NEG)
             row_j = F[j]
             for q in range(1, kmax + 1):
@@ -147,39 +146,6 @@ def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: 
                         pq[i, li, ki + q] = q
     best = F[n, :, 1:].max(axis=1)
     return F, best, pj, pq
-
-
-def _lane_dp_witness(F, pj, pq, lane: int) -> list:
-    """The scalar parent walk for one lane of a tracked :func:`_lane_dp`
-    round: the witness's ``(j, i, q)`` pieces in chain order."""
-    n = F.shape[0] - 1
-    best_k = int(np.argmax(F[n, lane, 1:])) + 1
-    pieces: list[tuple[int, int, int]] = []
-    i, k = n, best_k
-    while i > 0:
-        j, q = int(pj[i, lane, k]), int(pq[i, lane, k])
-        if j < 0:
-            raise AssertionError("broken parent chain in lane DP")
-        pieces.append((j, i, q))
-        i, k = j, k - q
-    pieces.reverse()
-    return pieces
-
-
-def _candidate_periods(ensemble, rows: np.ndarray) -> list:
-    """Per row, :func:`~repro.algorithms.dp_period.candidate_periods`:
-    every interval time ``W(j, i)/s`` and communication time ``o/b``,
-    positives only, as one sorted ``unique`` per row."""
-    n = ensemble.n_tasks
-    work = np.ascontiguousarray(ensemble.work[rows])
-    prefix = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(work, axis=1)], axis=1)
-    s = np.ascontiguousarray(ensemble.speeds[rows, 0], dtype=float)
-    jj, ii = np.triu_indices(n + 1, k=1)
-    times = np.concatenate(
-        [(prefix[:, ii] - prefix[:, jj]) / s[:, None], ensemble.output[rows] / ensemble.bandwidth],
-        axis=1,
-    )
-    return [np.unique(t[t > 0.0]) for t in times]
 
 
 def batch_minimize_period(
@@ -215,7 +181,9 @@ def batch_minimize_period(
     check_bounds(bounds)
 
     floor = from_reliability(min_reliability)
-    cands = _candidate_periods(ensemble, rows)
+    # One table build serves the candidates and both probes.
+    front = _FrontierLanes(ensemble, rows)
+    cands = [table.candidate_periods() for table in front.tables]
     P_pts = np.array([float(P) for P, _ in bounds])
     counts = np.concatenate([np.searchsorted(c, P_pts, side="right") for c in cands])
     # Candidate c of lane row ri is period[ri, c] (inf-padded).
@@ -228,9 +196,7 @@ def batch_minimize_period(
     lane_row = np.repeat(np.arange(r), n_pts)
     L_lane = np.tile([float(L) for _, L in bounds], r)
     finite = ~np.isinf(L_lane)
-    # One table build serves both probes (inf - x keeps the unbounded
-    # lanes' budgets infinite).
-    front = _FrontierLanes(ensemble, rows)
+    # inf - x keeps the unbounded lanes' budgets infinite.
     budget = L_lane - front.total_compute[lane_row]
 
     def chunks(ids):
@@ -284,7 +250,9 @@ def batch_minimize_period(
     sel = np.flatnonzero(~finite[ids])
     if sel.size:
         F, _, pj, pq = _lane_dp(front, lane_row[ids[sel]], P[sel], track=True)
-        found += [(ids[x], _lane_dp_witness(F, pj, pq, a)) for a, x in enumerate(sel)]
+        found += [
+            (ids[x], table_witness(F[:, a], pj[:, a], pq[:, a])) for a, x in enumerate(sel)
+        ]
     for part in chunks(ids):
         found += [
             (ids[part[lane]], pieces)
@@ -294,7 +262,7 @@ def batch_minimize_period(
         ]
     for lane_id, pieces in found:
         ri, pt = divmod(int(lane_id), n_pts)
-        _record(out, ensemble, rows, ri, pt, pieces, lambda ev: ev.worst_case_period)
+        _record(out, front.tables[ri], ri, pt, pieces, lambda ev: ev.worst_case_period)
 
     for ri, total in enumerate(probes.reshape(r, n_pts).sum(axis=1).tolist()):
         out.infos[ri] = {"probes": total} if total > 0 else None
@@ -311,30 +279,29 @@ _CHUNK = 48
 class _FrontierLanes:
     """Lane-vectorized frontier DP over homogeneous rows.
 
-    The tables are the scalar :class:`~repro.algorithms.pareto_dp._FrontierDP`
-    quantities of every row, stacked: ``comm_time[r, i]``, and per
-    interval ``[j, i)`` its compute time ``wtime[r, j, i]`` and
-    replica-count stage table ``stage[r, j, i, q - 1]`` (one broadcast
-    ``parallel_k_many`` over all intervals; ``j >= i`` entries are
-    never read).  A *lane* is one (row, sweep point) with its own
-    period bound and communication budget; :meth:`run` executes the DP
-    for many lanes at once.
+    ``tables[r]`` is row ``r``'s :class:`~repro.algorithms._hom_dp.HomTable`
+    (its candidate periods and witness mappings come from there), and
+    the engine stacks the quantities the lanes read:
+    ``comm_time[r, i]``, and per interval ``[j, i)`` its compute time
+    ``wtime[r, j, i]`` and replica-count stage table
+    ``stage[r, j, i, q - 1]`` (one broadcast ``parallel_k_many`` over
+    all intervals; ``j >= i`` entries are never read).  A *lane* is one
+    (row, sweep point) with its own period bound and communication
+    budget; :meth:`run` executes the DP for many lanes at once.
     """
 
-    __slots__ = ("n", "p", "kmax", "total_compute", "comm_time", "wtime", "stage")
+    __slots__ = ("tables", "n", "p", "kmax", "total_compute", "comm_time", "wtime", "stage")
 
     def __init__(self, ensemble, rows: np.ndarray) -> None:
-        quantities = []
-        for r in rows:
-            dp = _FrontierDP(ensemble.chain(int(r)), ensemble.platform(int(r)))
-            quantities.append(
-                (dp.prefix, dp.s, dp.lam, dp.ell_comm, dp.comm_time, dp.total_compute)
-            )
-        n, p, kmax = dp.n, dp.p, dp.kmax
-        prefix, s, lam, ell_comm, comm_time, total_compute = map(np.array, zip(*quantities))
+        self.tables = [HomTable(ensemble.chain(int(r)), ensemble.platform(int(r))) for r in rows]
+        n, p, kmax = self.tables[0].n, self.tables[0].p, self.tables[0].kmax
+        prefix, s, lam, ell_comm, comm_time, total_compute = map(np.array, zip(*(
+            (t.prefix, t.s, t.lam, t.ell_comm, t.comm_time, t.total_compute)
+            for t in self.tables
+        )))
         s, lam = s[:, None, None], lam[:, None, None]
         # work[r, j, i] = W(j, i); the elementwise twins of the scalar
-        # wtime and _ell_branch expressions, operation for operation.
+        # wtime and stage_of expressions, operation for operation.
         work = prefix[:, None, :] - prefix[:, :, None]
         upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), k=1)
         ell = np.where(
@@ -347,6 +314,14 @@ class _FrontierLanes:
         self.stage = np.empty(ell.shape + (kmax,))
         for stage_r, ell_r in zip(self.stage, ell):
             stage_r[...] = logrel.parallel_k_many(ell_r[..., None], qs)
+
+    def admitted(self, lane_row: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """``adm[l, j, i]``: whether interval ``[j, i)`` — its compute
+        time and both communications — fits lane ``l``'s period bound
+        ``P[l]``; the lanes' twin of
+        :meth:`~repro.algorithms._hom_dp.HomTable.admitted`."""
+        fits = ~(self.comm_time[lane_row] > P[:, None])
+        return fits[:, :, None] & ~(self.wtime[lane_row] > P[:, None, None]) & fits[:, None, :]
 
     def run(self, lane_row: np.ndarray, P: np.ndarray, budget: np.ndarray):
         """The DP of every lane at once; lane ``l`` solves table row
@@ -372,9 +347,7 @@ class _FrontierLanes:
         n, p, kmax = self.n, self.p, self.kmax
         n_lanes = lane_row.size
         ct = self.comm_time[lane_row]
-        fits = ~(ct > P[:, None])
-        # adm[l, j, i]: interval [j, i) fits lane l's period bound.
-        adm = fits[:, :, None] & ~(self.wtime[lane_row] > P[:, None, None]) & fits[:, None, :]
+        adm = self.admitted(lane_row, P)
         qs = np.arange(1, kmax + 1, dtype=np.int32)
 
         # A point's state packs (lane, k) as lane * (p + 1) + k.
@@ -421,17 +394,12 @@ class _FrontierLanes:
         walk from its answer gives the ``(j, i, q)`` pieces of the
         witness, in chain order."""
         lane, t, _, q, parent, _, _, picks = self.answers(lane_row, P, budget, select, floor)
-        found = []
-        for x in picks.tolist():
-            pieces = []
-            lane_x = int(lane[x])
-            while t[x] > 0:
-                up = int(parent[x])
-                pieces.append((int(t[up]), int(t[x]), int(q[x])))
-                x = up
-            pieces.reverse()
-            found.append((lane_x, pieces))
-        return found
+
+        def step(i: int, x: int):
+            up = int(parent[x])
+            return int(t[up]), int(q[x]), up
+
+        return [(int(lane[x]), walk(self.n, x, step)) for x in picks.tolist()]
 
 
 def _dense_rank(x: np.ndarray) -> np.ndarray:
@@ -526,7 +494,8 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
         ids = lanes[start:start + _CHUNK]
         ris, pts = np.divmod(ids, n_pts)
         for lane, pieces in dp.witnesses(ris, P_pts[pts], budgets[ids], select, floor):
-            _record(out, ensemble, rows, int(ris[lane]), int(pts[lane]), pieces, score)
+            ri = int(ris[lane])
+            _record(out, dp.tables[ri], ri, int(pts[lane]), pieces, score)
     return out
 
 

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from repro.algorithms._hom_dp import hom_reliability_dp, require_homogeneous
+from repro.algorithms._hom_dp import HomTable, hom_reliability_dp, require_homogeneous
+from repro.algorithms.pareto_dp import _frontier_dp, _frontier_witness, _most_reliable
 from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
@@ -55,13 +56,16 @@ def optimize_reliability_period(  # repro-lint: disable=API001 Algorithm 2, §5.
     False
     """
     max_period = check_bound("max_period", max_period)
-    dp = hom_reliability_dp(chain, platform, max_period=max_period)
-    if dp.mapping is None:
+    require_homogeneous(platform, "the homogeneous reliability DP")
+    table = HomTable(chain, platform)
+    dp = hom_reliability_dp(table, max_period)
+    if dp.pieces is None:
         return SolveResult.infeasible("algorithm-2", max_period=max_period)
+    mapping = table.mapping(dp.pieces)
     return SolveResult(
         feasible=True,
-        mapping=dp.mapping,
-        evaluation=evaluate_mapping(dp.mapping),
+        mapping=mapping,
+        evaluation=evaluate_mapping(mapping),
         method="algorithm-2",
         details={"dp_log_reliability": dp.log_reliability, "max_period": max_period},
     )
@@ -74,17 +78,7 @@ def candidate_periods(chain: TaskChain, platform: Platform) -> np.ndarray:
     computation times ``W(i,j)/s`` and communication times ``o_i/b``, so
     it always equals one of these ``O(n^2)`` numbers.
     """
-    n = chain.n
-    s = float(platform.speeds[0])
-    b = platform.bandwidth
-    prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-    values = {
-        float(prefix[i] - prefix[j]) / s for j in range(n) for i in range(j + 1, n + 1)
-    }
-    values.update(float(o) / b for o in chain.output)
-    # A period of 0 is meaningless (every interval computes for > 0 time);
-    # drop non-positive candidates such as the o_n = 0 convention's 0.
-    return np.array(sorted(v for v in values if v > 0.0))
+    return HomTable(chain, platform).candidate_periods()
 
 
 def minimize_period(
@@ -101,11 +95,14 @@ def minimize_period(
     the most reliable mapping that satisfies both the candidate period
     and the latency bound.  The probe is Algorithm 2
     (:func:`~repro.algorithms._hom_dp.hom_reliability_dp`) when the
-    latency is unbounded and the exact Pareto DP
-    (:func:`~repro.algorithms.pareto_dp.pareto_dp_best`) otherwise —
+    latency is unbounded and the exact frontier DP of
+    :func:`~repro.algorithms.pareto_dp.pareto_dp_best` otherwise —
     both exact, so the binary search terminates with the exact optimum.
-    Either probe compares its DP log-reliability with the floor, and
-    only the final witness is reconstructed, so the batched twin
+    One :class:`~repro.algorithms._hom_dp.HomTable` serves every probe
+    of the call.  At an unbounded latency the two DPs agree on the best
+    log-reliability bit for bit, so either probe compares that value
+    with the floor in one place; only the final witness becomes a
+    mapping.  The batched twin
     (:func:`~repro.algorithms.batch_dp.batch_minimize_period`) runs the
     same bisection in lockstep on both probes and matches it bit for
     bit.
@@ -135,34 +132,31 @@ def minimize_period(
     max_latency = check_bound("max_latency", max_latency)
     require_homogeneous(platform, "period minimization")
 
-    # A probe answers whether the most reliable mapping within the
-    # candidate period meets the floor, judged on the DP's own
-    # log-reliability, and returns a thunk that builds that mapping:
-    # only the final witness is reconstructed and evaluated.
-    if math.isinf(max_latency):
-        def meets(period_bound: float) -> "tuple[bool, object]":
-            dp = hom_reliability_dp(chain, platform, max_period=period_bound)
-            ok = dp.mapping is not None and dp.log_reliability >= min_log_reliability
-            return ok, lambda: dp.mapping
-    else:
-        # The pareto_dp_best probe, with the row's DP tables built once
-        # for every bisection step.
-        from repro.algorithms.pareto_dp import _FrontierDP, _most_reliable
+    # A probe judges the most reliable mapping within the candidate
+    # period by its DP log-reliability.  Both probes read one table, and
+    # only the final witness becomes a Mapping and is evaluated.
+    table = HomTable(chain, platform)
+    comm_budget = max_latency - table.total_compute
 
-        frontier = _FrontierDP(chain, platform)
-        comm_budget = max_latency - frontier.total_compute
-
-        def meets(period_bound: float) -> "tuple[bool, object]":
-            if comm_budget < 0:
-                return False, None
-            front = frontier.run(frontier.admitted(period_bound), comm_budget)
-            best = _most_reliable(front[frontier.n], comm_budget)
+    def meets(period_bound: float) -> "list | None":
+        """The pieces of the most reliable mapping within *period_bound*
+        and the latency bound, or ``None`` when there is none or it
+        misses the floor."""
+        if math.isinf(max_latency):
+            dp = hom_reliability_dp(table, period_bound)
+            value, pieces = dp.log_reliability, dp.pieces
+        elif comm_budget < 0:
+            return None
+        else:
+            front = _frontier_dp(table, period_bound, comm_budget)
+            best = _most_reliable(front[table.n])
             if best is None:
-                return False, None
-            ok = best[0] >= min_log_reliability
-            return ok, lambda: frontier.reconstruct(front, *best)
+                return None
+            value, k, cost = best
+            pieces = _frontier_witness(table.n, front, k, cost)
+        return pieces if pieces is not None and value >= min_log_reliability else None
 
-    candidates = candidate_periods(chain, platform)
+    candidates = table.candidate_periods()
     candidates = candidates[candidates <= max_period]
     if len(candidates) == 0:
         return SolveResult.infeasible(
@@ -172,8 +166,8 @@ def minimize_period(
     # Feasibility check at the loosest admissible bound.  The witness
     # of the last successful probe is kept throughout: at loop exit it
     # belongs to candidates[hi], so no final re-solve is needed.
-    ok, witness = meets(float(candidates[-1]))
-    if not ok:
+    witness = meets(float(candidates[-1]))
+    if witness is None:
         return SolveResult.infeasible(
             "dp-period",
             min_log_reliability=min_log_reliability,
@@ -186,14 +180,14 @@ def minimize_period(
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        ok, found = meets(float(candidates[mid]))
-        if ok:
+        found = meets(float(candidates[mid]))
+        if found is not None:
             hi = mid
             witness = found
         else:
             lo = mid + 1
     best_period = float(candidates[hi])
-    mapping = witness()
+    mapping = table.mapping(witness)
     return SolveResult(
         feasible=True,
         mapping=mapping,

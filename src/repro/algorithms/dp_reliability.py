@@ -7,7 +7,7 @@ fully homogeneous processors with at most ``K`` replicas per interval.
 
 from __future__ import annotations
 
-from repro.algorithms._hom_dp import hom_reliability_dp
+from repro.algorithms._hom_dp import HomTable, hom_reliability_dp, require_homogeneous
 from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
@@ -50,13 +50,16 @@ def optimize_reliability(  # repro-lint: disable=API001 Algorithm 1, §5.1
     >>> res.mapping.processors_used
     4
     """
-    dp = hom_reliability_dp(chain, platform)
-    if dp.mapping is None:  # pragma: no cover - cannot happen without a bound
+    require_homogeneous(platform, "the homogeneous reliability DP")
+    table = HomTable(chain, platform)
+    dp = hom_reliability_dp(table)
+    if dp.pieces is None:  # pragma: no cover - cannot happen without a bound
         return SolveResult.infeasible("algorithm-1")
+    mapping = table.mapping(dp.pieces)
     return SolveResult(
         feasible=True,
-        mapping=dp.mapping,
-        evaluation=evaluate_mapping(dp.mapping),
+        mapping=mapping,
+        evaluation=evaluate_mapping(mapping),
         method="algorithm-1",
         details={"dp_log_reliability": dp.log_reliability},
     )

@@ -16,8 +16,8 @@ Constraints (quoting Section 5.4, 0-based indices in code):
   much smaller).
 
 The objective maximizes ``log r = sum log(1 - (1 - r_branch)^k) * a``,
-which is linear in ``a``.  Two points of fidelity worth noting (see
-DESIGN.md "known typos"):
+which is linear in ``a``.  In two places the printed program is
+inconsistent with the paper's own model (typos in the preprint):
 
 * the printed latency constraint sums only computation terms; Eq. (5)/(7)
   also charge one ``o_{l_j}/b`` per interval.  ``latency_terms`` selects

@@ -1,7 +1,7 @@
 """The validation-chain experiment: every representation of reliability
 must tell one story.
 
-DESIGN.md commits to a validation chain —
+The reproduction commits to a validation chain (README, "Tests") —
 
     brute force  ⊇  Pareto-DP  ⊇  ILP(HiGHS)  ⊇  ILP(branch-and-bound)
     Eq. (9)  ==  routed RBD (series-parallel  ==  factoring  ==  enumeration)

@@ -2,7 +2,8 @@
 
 SciPy's ``milp`` wraps the HiGHS branch-and-cut solver — an exact MILP
 engine, standing in for the CPLEX dependency of the paper's experimental
-section (see DESIGN.md, substitutions table).
+section: CPLEX is proprietary, and any exact MILP solver reaches the
+same optima.
 """
 
 from __future__ import annotations

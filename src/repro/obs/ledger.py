@@ -209,16 +209,17 @@ def list_runs(
         if isinstance(seconds, dict):
             seconds = seconds.get("total")
         cache = manifest.get("cache") or {}
+        scenarios, n_instances = _workload(manifest)
+        names = [s.get("name") if isinstance(s, dict) else s for s in scenarios]
+        names = list(dict.fromkeys(name for name in names if name))
         summaries.append(
             {
                 "run_id": manifest.get("run_id", entry.name),
                 "command": manifest.get("command"),
-                "scenario": (manifest.get("scenario") or {}).get("name")
-                if isinstance(manifest.get("scenario"), dict)
-                else manifest.get("scenario"),
+                "scenario": ", ".join(map(str, names)) or None,
                 "objective": manifest.get("objective"),
                 "methods": sorted(manifest.get("series") or {}),
-                "n_instances": manifest.get("n_instances"),
+                "n_instances": n_instances,
                 "seconds": seconds,
                 "cache_hits": cache.get("hits"),
                 "cache_misses": cache.get("misses"),
@@ -226,6 +227,28 @@ def list_runs(
             }
         )
     return summaries
+
+
+def _workload(manifest: dict) -> "tuple[list, Any]":
+    """A run's scenario records and instance count.
+
+    ``scenario run`` manifests carry both at the top level.
+    ``experiment`` manifests nest them per experiment under
+    ``runs[*]``: their distinct scenarios, in run order, and their
+    instance count stand in (a list when the experiments differ).
+    """
+    if manifest.get("scenario") is not None:
+        return [manifest["scenario"]], manifest.get("n_instances")
+    runs = [run for run in manifest.get("runs") or () if isinstance(run, dict)]
+    scenarios = {
+        (s.get("name"), s.get("spec_hash")): s
+        for s in (run.get("scenario") for run in runs)
+        if isinstance(s, dict) and s.get("name")
+    }
+    counts = list(dict.fromkeys(
+        run["n_instances"] for run in runs if run.get("n_instances") is not None
+    ))
+    return list(scenarios.values()), counts[0] if len(counts) == 1 else counts or None
 
 
 def find_run(
@@ -453,15 +476,17 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
     """
     lines = [f"# repro run `{manifest.get('run_id', '?')}`", ""]
     lines.append(f"- command: `{manifest.get('command', '?')}`")
-    scenario = manifest.get("scenario")
-    if isinstance(scenario, dict) and scenario.get("name"):
-        lines.append(
-            f"- scenario: `{scenario['name']}` "
-            f"(spec `{(scenario.get('spec_hash') or '?')[:12]}`)"
-        )
+    scenarios, n_instances = _workload(manifest)
+    for scenario in scenarios:
+        if isinstance(scenario, dict) and scenario.get("name"):
+            lines.append(
+                f"- scenario: `{scenario['name']}` "
+                f"(spec `{(scenario.get('spec_hash') or '?')[:12]}`)"
+            )
+    fields = dict(manifest, n_instances=n_instances)
     for field in ("objective", "seed", "n_instances", "batch_units"):
-        if manifest.get(field) is not None:
-            lines.append(f"- {field}: {manifest[field]}")
+        if fields.get(field) is not None:
+            lines.append(f"- {field}: {fields[field]}")
     seconds = manifest.get("seconds")
     if isinstance(seconds, dict):
         phases = ", ".join(

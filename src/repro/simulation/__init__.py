@@ -8,7 +8,8 @@ on fail-silent processors and links whose transient faults follow the
 Shatz-Wang model, with replica fan-out and routing-operation semantics
 (Figure 5).  Monte Carlo aggregation then validates the closed forms —
 the closest executable stand-in for the real failure-prone platforms
-the model abstracts (see DESIGN.md, substitutions).
+the model abstracts, which a reproduction without the paper's hardware
+cannot run on.
 
 Layers:
 

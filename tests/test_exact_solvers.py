@@ -1,7 +1,7 @@
 """Cross-validation of the exact tri-criteria solvers: brute force,
 Pareto DP, and the Section 5.4 ILP on both backends.
 
-The validation chain of DESIGN.md: all four must agree on feasibility
+The exact links of the validation chain (README, "Tests"): all four must agree on feasibility
 and optimal reliability on common instances."""
 
 

@@ -1,9 +1,9 @@
 """Differential tests of the shared frontier-DP core on adversarial inputs.
 
 The pareto-dp and dp-latency kernels run the frontier DP lane-vectorized,
-one lane per (row, sweep point) in chunks of lanes; dp-period's
-finite-latency probe reuses one row's tables across its bisection, and
-its kernel bisects all lanes in lockstep on both of its probes.
+one lane per (row, sweep point) in chunks of lanes; dp-period's two
+probes read one row table across its bisection, and its kernel bisects
+all lanes in lockstep on both of its probes.
 Here each is checked against the per-point path on small homogeneous
 ensembles built to hit the edge cases: integer work and outputs (exact
 frontier ties), K = 1, fewer processors than tasks, bounds exactly on
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from repro.algorithms import minimize_period, pareto_dp_best
 from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes, _lane_dp
 from repro.algorithms.dp_period import candidate_periods
-from repro.algorithms._hom_dp import hom_reliability_dp
-from repro.algorithms.pareto_dp import _FrontierDP, _most_reliable
+from repro.algorithms._hom_dp import HomTable, hom_reliability_dp
+from repro.algorithms.pareto_dp import _frontier_dp, _most_reliable
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
@@ -137,16 +137,15 @@ def first_probe_floor(ensemble, bound):
         cands = cands[cands <= P]
         if cands.size == 0:
             continue
+        table = HomTable(chain, platform)
         if math.isinf(L):
-            dp = hom_reliability_dp(chain, platform, max_period=float(cands[-1]))
-            ell = dp.log_reliability
+            ell = hom_reliability_dp(table, float(cands[-1])).log_reliability
         else:
-            dp = _FrontierDP(chain, platform)
-            budget = L - dp.total_compute
+            budget = L - table.total_compute
             best = None
             if budget >= 0:
-                front = dp.run(dp.admitted(float(cands[-1])), budget)
-                best = _most_reliable(front[dp.n], budget)
+                front = _frontier_dp(table, float(cands[-1]), budget)
+                best = _most_reliable(front[table.n])
             ell = -math.inf if best is None else best[0]
         if not -math.inf < ell < 0.0:
             continue
@@ -322,14 +321,14 @@ def lane_frontiers_match_scalar(ensemble, bounds):
     n, p = tables.n, tables.p
     lane_row, P, budget, fronts = [], [], [], []
     for r, (chain, platform) in enumerate(ensemble):
-        dp = _FrontierDP(chain, platform)
+        table = HomTable(chain, platform)
         for max_period, max_latency in bounds:
-            comm_budget = max_latency - dp.total_compute
+            comm_budget = max_latency - table.total_compute
             if comm_budget >= 0:
                 lane_row.append(r)
                 P.append(max_period)
                 budget.append(comm_budget)
-                fronts.append(dp.run(dp.admitted(max_period), comm_budget))
+                fronts.append(_frontier_dp(table, max_period, comm_budget))
     if not fronts:
         return
     lane, t, k, q, parent, cost, value = tables.run(
@@ -371,9 +370,29 @@ def test_lane_dp_on_frontier_tables_matches_scalar_dp(case):
     F, best, _, _ = _lane_dp(tables, lane_row, P, track=False)
     for lane, (r, max_period) in enumerate(zip(lane_row.tolist(), P.tolist())):
         chain, platform = ensemble[r]
-        scalar = hom_reliability_dp(chain, platform, max_period=max_period)
+        scalar = hom_reliability_dp(HomTable(chain, platform), max_period)
         assert np.array_equal(F[:, lane, :], scalar.table)
         assert best[lane] == scalar.log_reliability
+
+
+@given(hom_cases())
+@settings(max_examples=60, deadline=None)
+def test_algorithm_2_equals_frontier_dp_at_infinite_budget(case):
+    """At every candidate period, Algorithm 2's best log-reliability is
+    the frontier DP's most reliable final value at an infinite budget,
+    bit for bit, both computed on one shared table (the invariant that
+    lets minimize_period's two probes share a table and one floor
+    comparison); a period no mapping fits is infeasible in both."""
+    ensemble, _bounds = case
+    for chain, platform in ensemble:
+        table = HomTable(chain, platform)
+        for period in [float(c) for c in table.candidate_periods()] + [math.inf]:
+            dp = hom_reliability_dp(table, period)
+            best = _most_reliable(_frontier_dp(table, period, math.inf)[table.n])
+            if best is None:
+                assert dp.pieces is None and dp.log_reliability == -math.inf
+            else:
+                assert dp.log_reliability == best[0]
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

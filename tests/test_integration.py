@@ -1,5 +1,5 @@
-"""Cross-module integration tests: the full validation chain of DESIGN.md
-exercised end to end on shared instances."""
+"""Cross-module integration tests: the full validation chain (README,
+"Tests") exercised end to end on shared instances."""
 
 
 import numpy as np

@@ -209,7 +209,15 @@ class TestCLI:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["experiments"] == ["hom-linked"]
         assert set(manifest["versions"]) == {"repro", "numpy", "python"}
-        assert [row["run_id"] for row in list_runs()] == [manifest["run_id"]]
+        [row] = list_runs()
+        assert row["run_id"] == manifest["run_id"]
+        # An experiment manifest nests its workload under runs[*].
+        assert row["scenario"] == "section8-hom"
+        assert row["n_instances"] == 2
+        spec_hash = manifest["runs"][0]["scenario"]["spec_hash"]
+        report = (tmp_path / "runs" / row["run_id"] / "report.md").read_text()
+        assert f"- scenario: `section8-hom` (spec `{spec_hash[:12]}`)" in report
+        assert "- n_instances: 2" in report
 
     def test_experiment_figure_ids_dedup(self, tmp_path, capsys):
         manifest_path = tmp_path / "m.json"
