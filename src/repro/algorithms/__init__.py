@@ -27,10 +27,9 @@
   :func:`batch_pareto_dp` do the same for the exact DPs on homogeneous
   rows, and
   :func:`batch_bisection_search` for the heterogeneous searches.  All
-  are bit-identical to the per-instance loop;
-  :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
-  them as the registry's ``solve_batch`` capability.  Every kernel
-  returns a :class:`UnitResults`.
+  are bit-identical to the per-instance loop, and every kernel returns
+  a :class:`UnitResults` (:mod:`repro.algorithms.result`, next to
+  :class:`SolveResult`).
 """
 
 from repro._lazy import lazy_exports
@@ -45,14 +44,12 @@ _LAZY = {
     "minimize_latency": "repro.algorithms.pareto_dp",
     "algo_alloc": "repro.algorithms.allocation",
     "algo_alloc_het": "repro.algorithms.allocation",
-    "UnitResults": "repro.algorithms.batch",
+    "UnitResults": "repro.algorithms.result",
     "batch_heuristic_best": "repro.algorithms.batch",
     "batch_minimize_latency": "repro.algorithms.batch_dp",
     "batch_minimize_period": "repro.algorithms.batch_dp",
     "batch_pareto_dp": "repro.algorithms.batch_dp",
     "batch_bisection_search": "repro.algorithms.batch_search",
-    "heuristic_solve_batch": "repro.algorithms.batch",
-    "search_solve_batch": "repro.algorithms.batch_search",
     "heur_l_intervals": "repro.algorithms.heuristics",
     "heur_p_intervals": "repro.algorithms.heuristics",
     "heuristic_best": "repro.algorithms.heuristics",

@@ -69,19 +69,19 @@ converse-objective kernels live in :mod:`repro.algorithms.batch_dp`
 
 Result contract
 ---------------
-Every kernel returns a :class:`UnitResults` — ``(rows, points)``
-arrays of solved flags, failure probabilities, achieved objective
-values and the witness's worst-case period and latency, plus one info
-dict (or ``None``) per row — and so does the harness's per-row loop.
-:meth:`UnitResults.empty` owns the fill of infeasible cells.
+Every kernel returns a :class:`~repro.algorithms.result.UnitResults`
+— ``(rows, points)`` arrays of solved flags, failure probabilities,
+achieved objective values and the witness's worst-case period and
+latency, plus one info dict (or ``None``) per row — and so does the
+harness's per-row loop.  :meth:`UnitResults.empty` owns the fill of
+infeasible cells.
 
 Entry points
 ------------
-:func:`batch_heuristic_best` is the kernel;
-:func:`heuristic_solve_batch` packages it as the ``solve_batch``
-capability the method registry attaches to ``heur-l`` / ``heur-p`` /
-``heuristic`` and to the paper variants ``heur-l-paper`` /
-``heur-p-paper`` (see :mod:`repro.experiments.methods`);
+:func:`batch_heuristic_best` is the kernel the method registry calls
+for ``heur-l`` / ``heur-p`` / ``heuristic`` and the paper variants
+``heur-l-paper`` / ``heur-p-paper`` (see
+:mod:`repro.experiments.methods`);
 :func:`heuristic_probe_tables` exposes the per-platform-kind probe
 tables the search kernels bisect over.
 """
@@ -89,72 +89,21 @@ tables the search kernels bisect over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.algorithms.heuristics import ALLOCATIONS, SELECTIONS
+from repro.algorithms.result import UnitResults
 from repro.util import logrel
 from repro.util.logrel import from_reliability
 from repro.util.validation import check_bound
 
 __all__ = [
-    "UnitResults",
     "batch_heuristic_best",
     "check_bounds",
     "heuristic_probe_tables",
-    "heuristic_solve_batch",
 ]
-
-
-@dataclass
-class UnitResults:
-    """Per-(row, sweep point) results: the one solve-result contract.
-
-    Kernels, the harness's per-row loop and worker shards all return
-    this.  ``solved``, ``failure``, ``values``, ``period`` and
-    ``latency`` have shape ``(rows, points)``; ``values`` holds each
-    point's achieved objective value
-    (:meth:`~repro.algorithms.result.SolveResult.objective_value`), and
-    ``period`` / ``latency`` the witness mapping's worst-case period
-    and latency.  ``infos`` has one entry per row: the solve details a
-    search method aggregates over the row's points (``probes`` totals,
-    a ``converged`` flag), or ``None`` for methods that report none.
-    """
-
-    #: The per-(row, point) arrays, in record order.
-    ARRAYS = ("solved", "failure", "values", "period", "latency")
-
-    solved: np.ndarray
-    failure: np.ndarray
-    values: np.ndarray
-    period: np.ndarray
-    latency: np.ndarray
-    infos: list
-
-    @classmethod
-    def empty(cls, n_rows: int, n_points: int, objective: str) -> "UnitResults":
-        """All-infeasible results: failure 1.0, period and latency
-        ``inf``, and value 0.0 for ``"reliability"`` or ``inf`` for the
-        minimized objectives (the
-        :meth:`~repro.algorithms.result.SolveResult.objective_value`
-        convention for an infeasible solve)."""
-        shape = (n_rows, n_points)
-        return cls(
-            solved=np.zeros(shape, dtype=bool),
-            failure=np.ones(shape, dtype=float),
-            values=np.full(shape, 0.0 if objective == "reliability" else math.inf),
-            period=np.full(shape, math.inf),
-            latency=np.full(shape, math.inf),
-            infos=[None] * n_rows,
-        )
-
-    def set_row(self, row: int, other: "UnitResults", r: int) -> None:
-        """Copy row *r* of *other* (arrays and info) into row *row*."""
-        for name in self.ARRAYS:
-            getattr(self, name)[row] = getattr(other, name)[r]
-        self.infos[row] = other.infos[r]
 
 
 # Element-wise maps over the exact scalar functions the per-instance
@@ -861,37 +810,3 @@ def batch_heuristic_best(
         out.period[hit] = wp[feasible]
         out.latency[hit] = wl[feasible]
     return out
-
-
-def heuristic_solve_batch(
-    which: str, selection: str = "feasible-best", allocation: str = "auto"
-):
-    """Package :func:`batch_heuristic_best` as a ``solve_batch`` entry.
-
-    The returned callable has the registry's batched-solve signature —
-    ``(ensemble, bounds, *, rows, objective, min_reliability)`` — and
-    is what :func:`repro.experiments.methods.register_method` attaches
-    to the built-in heuristics and their paper variants.
-    """
-    _check_heuristic(which, selection, allocation)
-
-    def solve_batch(
-        ensemble,
-        bounds,
-        *,
-        rows=None,
-        objective="reliability",
-        min_reliability=0.0,
-    ):
-        return batch_heuristic_best(
-            ensemble,
-            bounds,
-            rows=rows,
-            which=which,
-            selection=selection,
-            allocation=allocation,
-            objective=objective,
-            min_reliability=min_reliability,
-        )
-
-    return solve_batch

@@ -54,7 +54,7 @@ becomes a mapping through
 :meth:`~repro.algorithms._hom_dp.HomTable.mapping`.  Every kernel
 scores its witnesses with the real
 :func:`~repro.core.evaluation.evaluate_mapping` and returns a
-:class:`~repro.algorithms.batch.UnitResults`.  dp-period fills its
+:class:`~repro.algorithms.result.UnitResults`.  dp-period fills its
 per-row ``infos`` with the ``probes`` counts the per-row path would
 have accumulated, so harness events and cache record bytes stay
 identical; the frontier kernels leave them ``None`` (their scalar
@@ -68,12 +68,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import (
-    UnitResults,
-    _resolve_rows,
-    check_bounds,
-)
 from repro.algorithms._hom_dp import HomTable, table_witness, walk
+from repro.algorithms.batch import _resolve_rows, check_bounds
+from repro.algorithms.result import UnitResults
 from repro.core.evaluation import evaluate_mapping
 from repro.util import logrel
 from repro.util.logrel import from_reliability

@@ -15,7 +15,7 @@ probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
 carries over unchanged.
 
-The kernels return a :class:`~repro.algorithms.batch.UnitResults`
+The kernels return a :class:`~repro.algorithms.result.UnitResults`
 whose per-row ``infos`` carry ``probes`` summed over the row's sweep
 points — infeasible points count their single refused probe, as the
 scalar details do — and ``converged`` ANDed over feasible points,
@@ -30,16 +30,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import (
-    UnitResults,
     _failure_map,
     _pyfloat,
     _resolve_rows,
     check_bounds,
     heuristic_probe_tables,
 )
+from repro.algorithms.result import UnitResults
 from repro.util.logrel import from_reliability
 
-__all__ = ["batch_bisection_search", "search_solve_batch"]
+__all__ = ["batch_bisection_search"]
 
 
 def batch_bisection_search(
@@ -158,34 +158,3 @@ def batch_bisection_search(
             info["converged"] = bool(conv_all[ri][solved[ri]].all())
         out.infos[ri] = info
     return out
-
-
-def search_solve_batch(criterion: str):
-    """Package :func:`batch_bisection_search` as a ``solve_batch`` entry
-    for ``het-period-search`` (``criterion="period"``) or
-    ``het-latency-search`` (``criterion="latency"``)."""
-    if criterion not in ("period", "latency"):
-        raise ValueError(f"unknown search criterion {criterion!r}")
-
-    def solve_batch(
-        ensemble,
-        bounds,
-        *,
-        rows=None,
-        objective=None,
-        min_reliability=0.0,
-    ):
-        if objective is not None and objective != criterion:
-            raise ValueError(
-                f"the batched {criterion}-search kernel covers objective "
-                f"{criterion!r} only, got {objective!r}"
-            )
-        return batch_bisection_search(
-            ensemble,
-            bounds,
-            rows=rows,
-            criterion=criterion,
-            min_reliability=min_reliability,
-        )
-
-    return solve_batch

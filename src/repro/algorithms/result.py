@@ -1,14 +1,23 @@
-"""The uniform result record returned by every solver and heuristic."""
+"""The result contract: one record per solve, one array set per batch.
+
+:class:`SolveResult` is what every solver and heuristic returns for one
+problem; :class:`UnitResults` is what every batched kernel, the sweep
+harness's per-row loop, worker shards and cache hits return for a
+group of work units.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.core.evaluation import MappingEvaluation
 from repro.core.mapping import Mapping
 
-__all__ = ["SolveResult"]
+__all__ = ["SolveResult", "UnitResults"]
 
 
 @dataclass(frozen=True)
@@ -92,3 +101,52 @@ class SolveResult:
     def infeasible(method: str, **details: Any) -> "SolveResult":
         """Shorthand for a no-solution outcome."""
         return SolveResult(feasible=False, method=method, details=dict(details))
+
+
+@dataclass
+class UnitResults:
+    """Per-(row, sweep point) results: the one solve-result contract.
+
+    Kernels, the harness's per-row loop and worker shards all return
+    this.  ``solved``, ``failure``, ``values``, ``period`` and
+    ``latency`` have shape ``(rows, points)``; ``values`` holds each
+    point's achieved objective value
+    (:meth:`~repro.algorithms.result.SolveResult.objective_value`), and
+    ``period`` / ``latency`` the witness mapping's worst-case period
+    and latency.  ``infos`` has one entry per row: the solve details a
+    search method aggregates over the row's points (``probes`` totals,
+    a ``converged`` flag), or ``None`` for methods that report none.
+    """
+
+    #: The per-(row, point) arrays, in record order.
+    ARRAYS = ("solved", "failure", "values", "period", "latency")
+
+    solved: np.ndarray
+    failure: np.ndarray
+    values: np.ndarray
+    period: np.ndarray
+    latency: np.ndarray
+    infos: list
+
+    @classmethod
+    def empty(cls, n_rows: int, n_points: int, objective: str) -> "UnitResults":
+        """All-infeasible results: failure 1.0, period and latency
+        ``inf``, and value 0.0 for ``"reliability"`` or ``inf`` for the
+        minimized objectives (the
+        :meth:`~repro.algorithms.result.SolveResult.objective_value`
+        convention for an infeasible solve)."""
+        shape = (n_rows, n_points)
+        return cls(
+            solved=np.zeros(shape, dtype=bool),
+            failure=np.ones(shape, dtype=float),
+            values=np.full(shape, 0.0 if objective == "reliability" else math.inf),
+            period=np.full(shape, math.inf),
+            latency=np.full(shape, math.inf),
+            infos=[None] * n_rows,
+        )
+
+    def set_row(self, row: int, other: "UnitResults", r: int) -> None:
+        """Copy row *r* of *other* (arrays and info) into row *row*."""
+        for name in self.ARRAYS:
+            getattr(self, name)[row] = getattr(other, name)[r]
+        self.infos[row] = other.infos[r]

@@ -23,9 +23,9 @@ checker cross-references them statically:
 ``KEY002``
     A fingerprint ingredient went missing: ``unit_key_for`` no longer
     hashes the method ``fingerprint``, or
-    :meth:`Method.fingerprint` no longer visits ``solve_batch`` (the
-    batched kernel is part of the implementation a key vouches for —
-    PR 6's contract).
+    :meth:`Method.fingerprint` no longer reads ``solve_batch`` (the
+    batched kernel's source is part of the implementation a key
+    vouches for).
 ``KEY003``
     The ingredient model could not be extracted (the ``ingredients``
     dict or ``unit_key_for`` vanished or changed shape) — the checker
@@ -267,13 +267,13 @@ def _check_method_fingerprint(files: "list[SourceFile]") -> Iterable[Finding]:
         fingerprint = _find_method(src.tree, "Method", "fingerprint")
         if fingerprint is None:
             continue
-        visits_batch = any(
+        hashes_batch = any(
             isinstance(node, ast.Attribute) and node.attr == "solve_batch"
             for node in ast.walk(fingerprint)
         )
-        if not visits_batch:
+        if not hashes_batch:
             yield src.finding(
                 fingerprint.lineno, "KEY002",
-                "Method.fingerprint does not visit solve_batch; editing a "
+                "Method.fingerprint does not hash solve_batch; editing a "
                 "batched kernel would leave cache keys unchanged",
             )

@@ -82,7 +82,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import UnitResults
+from repro.algorithms.result import UnitResults
 from repro.io import content_hash
 from repro.obs import telemetry as obs
 from repro.obs.ledger import write_atomic
@@ -213,7 +213,7 @@ class ResultCache:
         With *n_points* the record must decode as a sweep unit of that
         many points (:func:`unit_arrays`) to count as a hit, and the
         hit comes back decoded: the one-row
-        :class:`~repro.algorithms.batch.UnitResults` the sweep records,
+        :class:`~repro.algorithms.result.UnitResults` the sweep records,
         so no hit is decoded twice.  A malformed entry — undecodable
         bytes, wrong format stamp, wrong shape — counts as a miss *and*
         a :attr:`corrupt` lookup and is discarded, so the recomputed

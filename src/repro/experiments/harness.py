@@ -67,7 +67,7 @@ bounds list.  Units are
   every shard left without a result and records those units as
   ``"recovered"``;
 * **recorded**: kernels, per-row solves, worker shards and cache hits
-  all yield :class:`~repro.algorithms.batch.UnitResults` rows, and one
+  all yield :class:`~repro.algorithms.result.UnitResults` rows, and one
   ``finish`` step writes each into the sweep arrays, the cache and
   the ledger's unit events;
 * **seeded**: stochastic methods (``Method.seeded``) get a
@@ -95,7 +95,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import UnitResults
+from repro.algorithms.result import UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
@@ -277,7 +277,7 @@ def _solve_rows(
     for bit.  Materializes each view's chain/platform here (and only
     here): cached units never reach this function.
 
-    Returns the units' :class:`~repro.algorithms.batch.UnitResults`
+    Returns the units' :class:`~repro.algorithms.result.UnitResults`
     and each unit's wall-clock seconds.  A row's info aggregates the
     solve details search methods report — total ``probes`` across the
     unit's points and a ``converged`` flag (False when any point's
@@ -622,7 +622,7 @@ class _SweepRun:
             self.ensemble_of.extend([ei] * len(ensemble))
             self.row_of.extend(range(len(ensemble)))
         self.fingerprints = {
-            m.name: m.fingerprint() for m in self.methods if self.registered(m)
+            m.name: m.fingerprint() for m in self.methods if METHODS.get(m.name) is m
         }
         # Row mi * n_instances + ii holds unit (mi, ii).
         self.results = UnitResults.empty(
@@ -631,13 +631,13 @@ class _SweepRun:
         self.unit_events: list[dict] = []
         self.batch_units = 0
 
-    @staticmethod
-    def registered(method: Method) -> bool:
-        """Registry-resolved methods are the ones addressable by name:
-        they may be cached (keyed by name + implementation fingerprint)
-        and shipped to worker processes.  Ad-hoc Method objects run in
-        the parent, uncached."""
-        return METHODS.get(method.name) is method
+    def registered(self, method: Method) -> bool:
+        """Registry-resolved methods with a fingerprint are the ones
+        addressable by name: they may be cached (keyed by name +
+        implementation fingerprint) and shipped to worker processes.
+        Ad-hoc Method objects, and methods whose code has no source
+        file, run in the parent, uncached."""
+        return METHODS.get(method.name) is method and self.fingerprints[method.name] is not None
 
     def finish(self, unit: _Unit, results: UnitResults, r: int, source: str,
                seconds: "float | None" = None,

@@ -65,26 +65,24 @@ scenario-aware :class:`repro.solve.Planner` reads ``homogeneous_only``,
 ``exact``, ``cost_hint`` and ``tags`` to select and order the methods
 applicable to a workload, recording a skip reason for every method it
 drops.
+
+Cache keys and the worker handshake carry :meth:`Method.fingerprint`, a
+digest of the source a method runs, read from disk and never imported.
+The built-ins import each kernel and per-row solver inside the function
+that calls it, so a run served entirely from cache loads none of them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import types
+import os
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.algorithms.batch import heuristic_solve_batch
-from repro.algorithms.batch_dp import (
-    batch_minimize_latency,
-    batch_minimize_period,
-    batch_pareto_dp,
-)
-from repro.algorithms.batch_search import search_solve_batch
-from repro.algorithms.heuristics import heuristic_best
-from repro.algorithms.pareto_dp import pareto_dp_best
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
 from repro.solve.problem import Problem
@@ -149,7 +147,7 @@ class Method:
     solve_batch:
         Optional batched entry point — ``(ensemble, bounds, *, rows,
         objective, min_reliability) ->``
-        :class:`~repro.algorithms.batch.UnitResults` of shape
+        :class:`~repro.algorithms.result.UnitResults` of shape
         ``(len(rows), len(bounds))``, bit-identical to looping
         :attr:`solve` over the rows.  Its per-row ``infos`` carry the
         solve details (probe counts, convergence flags) exactly as the
@@ -235,60 +233,111 @@ class Method:
                 f"for objective-native methods"
             )
 
-    def fingerprint(self) -> str:
-        """Implementation fingerprint of the solve callable.
+    def fingerprint(self) -> "str | None":
+        """Implementation fingerprint: a digest of the source this method runs.
 
-        A registry *name* does not identify an implementation: a user
-        can re-register a name, or edit a registered function between
-        runs.  The harness therefore pairs the name with this digest —
-        bytecode plus constants plus closure-cell values — in cache
-        keys (so edited code never replays stale arrays) and in the
-        worker handshake (so a spawn-started worker that resolves the
-        name to *different* code refuses the unit instead of silently
-        running the wrong solver).
-
-        Only stable values are hashed: bytecode, nested functions, and
-        captured primitives.  Mutable captured objects (a stats dict, a
-        logger) reduce to their type name — their runtime *state* is
-        not part of the implementation, and hashing it would churn the
-        key on every call.
+        A registry *name* does not identify an implementation, so the
+        harness pairs it with this digest in cache keys (edited code
+        never replays stale arrays) and in the worker handshake (a
+        worker whose registry binds the name to other code refuses the
+        unit).  :attr:`solve` and :attr:`solve_batch` each contribute
+        their ``__qualname__``, first line and primitive closure cells
+        (``_heur``'s ``which``), plus the source bytes of their defining
+        module and every ``repro`` module it reaches
+        (:func:`_source_closure`).  A callable with no source file has
+        no fingerprint: the harness runs it uncached, in the parent.
         """
-        digest = hashlib.sha256()
-        _PRIMITIVES = (str, bytes, int, float, complex, bool, type(None))
-
-        def visit(obj) -> None:
-            if isinstance(obj, types.CodeType):
-                digest.update(obj.co_code)
-                for const in obj.co_consts:
-                    visit(const)
-            elif isinstance(obj, types.FunctionType):
-                visit(obj.__code__)
-                for cell in obj.__closure__ or ():
-                    try:
-                        visit(cell.cell_contents)
-                    except ValueError:  # empty cell
-                        pass
-            elif isinstance(obj, _PRIMITIVES):
-                digest.update(repr(obj).encode())
-            elif isinstance(obj, (tuple, frozenset)):
-                for item in obj:
-                    visit(item)
-            else:
-                digest.update(f"<{type(obj).__qualname__}>".encode())
-            digest.update(b"\x1f")
-
-        visit(self.solve)
-        if self.solve_batch is not None:
-            # The batched path must agree with solve bit for bit, but
-            # its code is still part of the implementation a cache key
-            # vouches for — edits to the kernel invalidate entries.
-            digest.update(b"batch\x1e")
-            visit(self.solve_batch)
-        return digest.hexdigest()
+        return _fingerprint(self.solve, self.solve_batch)
 
     def __call__(self, *args, **kwargs) -> SolveResult:
         """Alias of :attr:`solve`: ``method(problem)``."""
         return self.solve(*args, **kwargs)
+
+
+_PRIMITIVES = (str, bytes, int, float, complex, bool, type(None))
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: ``import <module>``, or ``from <package> import <names>`` with the
+#: names possibly parenthesized over several lines.
+_IMPORT = re.compile(
+    r"^[ \t]*(?:import[ \t]+(repro[\w.]*)"
+    r"|from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+(\([^)]*\)|[^#\n]*))",
+    re.MULTILINE,
+)
+_LAZY_ENTRY = re.compile(r'^[ \t]*"(\w+)": "(repro[\w.]*)",', re.MULTILINE)
+
+
+@functools.lru_cache(maxsize=None)
+def _fingerprint(*callables: "Callable | None") -> "str | None":
+    parts = []
+    for fn in filter(None, callables):
+        code = getattr(fn, "__code__", None)
+        if code is None or not os.path.isfile(code.co_filename):
+            return None
+        cells = []
+        for cell in fn.__closure__ or ():
+            try:
+                cells.append(cell.cell_contents)
+            except ValueError:  # an empty cell
+                pass
+        parts.append((
+            fn.__qualname__, code.co_firstlineno,
+            [c for c in cells if isinstance(c, _PRIMITIVES)],
+            _source_closure(fn.__module__, code.co_filename),
+        ))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _source_closure(module: str, filename: str) -> "tuple[tuple[str, str], ...]":
+    """Sorted ``(module, source digest)`` pairs for *filename* (the
+    source of *module*) and every ``repro`` module it reaches: through
+    import statements at any indentation, parent packages, and the
+    :mod:`repro._lazy` table serving ``from <package> import <name>``.
+    Files are scanned line by line, never imported or parsed."""
+    sources = {}
+    todo = [(module, filename)]
+    while todo:
+        name, path = todo.pop()
+        if name in sources:
+            continue
+        path = path or _module_path(name)
+        if path is None:
+            continue
+        with open(path, "rb") as f:
+            sources[name] = f.read()
+        parts = name.split(".")
+        reached = [".".join(parts[:i]) for i in range(1, len(parts))]
+        for imported, package, names in _IMPORT.findall(sources[name].decode()):
+            reached.append(imported or package)
+            for attr in re.sub("#.*", "", names).strip("()").split(","):
+                attr = attr.split(" as ")[0].strip()
+                if attr:
+                    # A submodule, or a name the package serves lazily.
+                    reached += [f"{package}.{attr}", _lazy_targets(package).get(attr, "")]
+        todo += [(n, None) for n in reached]
+    return tuple(sorted((n, hashlib.sha256(s).hexdigest()) for n, s in sources.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _module_path(module: str) -> "str | None":
+    """The source file of *module*, if it is a ``repro`` module."""
+    if module.split(".")[0] != "repro":
+        return None
+    base = os.path.join(_PACKAGE_ROOT, *module.split(".")[1:])
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _lazy_targets(package: str) -> "dict[str, str]":
+    """*package*'s :mod:`repro._lazy` table: served name -> module."""
+    path = _module_path(package)
+    if path is None or not path.endswith("__init__.py"):
+        return {}
+    with open(path, encoding="utf-8") as f:
+        return dict(_LAZY_ENTRY.findall(f.read()))
 
 
 #: The process-wide registry (name -> Method).  Mutate only through
@@ -393,11 +442,19 @@ def _ilp_bb(problem):
 # The batched kernel runs the frontier DP lane-vectorized: one lane per
 # (row, sweep point), each with its own period admission and latency
 # budget, so no sweep point shares another's DP.
+def _pareto_batch(ensemble, bounds, **options):
+    from repro.algorithms.batch_dp import batch_pareto_dp
+
+    return batch_pareto_dp(ensemble, bounds, **options)
+
+
 @register_method(
     "pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0,
-    solve_batch=batch_pareto_dp,
+    solve_batch=_pareto_batch,
 )
 def _pareto(problem):
+    from repro.algorithms.pareto_dp import pareto_dp_best
+
     return pareto_dp_best(
         problem.chain, problem.platform,
         max_period=problem.max_period, max_latency=problem.max_latency,
@@ -406,6 +463,8 @@ def _pareto(problem):
 
 def _heur(which, selection, allocation="auto"):
     def solve(problem):
+        from repro.algorithms.heuristics import heuristic_best
+
         return heuristic_best(
             problem.chain,
             problem.platform,
@@ -419,13 +478,25 @@ def _heur(which, selection, allocation="auto"):
     return solve
 
 
+def _heur_batch(which, selection="feasible-best", allocation="auto"):
+    def solve_batch(ensemble, bounds, **options):
+        from repro.algorithms.batch import batch_heuristic_best
+
+        return batch_heuristic_best(
+            ensemble, bounds,
+            which=which, selection=selection, allocation=allocation, **options,
+        )
+
+    return solve_batch
+
+
 # The Section 7 heuristics carry the columnar kernel: the harness
 # solves whole row groups in one call, bit-identical to the per-row
 # path.
-register_method("heur-l", solve_batch=heuristic_solve_batch("heur-l"))(
+register_method("heur-l", solve_batch=_heur_batch("heur-l"))(
     _heur("heur-l", "feasible-best")
 )
-register_method("heur-p", solve_batch=heuristic_solve_batch("heur-p"))(
+register_method("heur-p", solve_batch=_heur_batch("heur-p"))(
     _heur("heur-p", "feasible-best")
 )
 
@@ -434,7 +505,7 @@ register_method("heur-p", solve_batch=heuristic_solve_batch("heur-p"))(
 # auto-selecting it next to its own components heur-l / heur-p.
 register_method(
     "heuristic", cost_hint=1.5, tags=("manual",),
-    solve_batch=heuristic_solve_batch("both"),
+    solve_batch=_heur_batch("both"),
 )(
     _heur("both", "feasible-best")
 )
@@ -448,13 +519,13 @@ register_method(
 # only for paired (Section 8.2) scenarios.
 register_method(
     "heur-l-paper", tags=("paired",),
-    solve_batch=heuristic_solve_batch("heur-l", "best-then-check", "het"),
+    solve_batch=_heur_batch("heur-l", "best-then-check", "het"),
 )(
     _heur("heur-l", "best-then-check", allocation="het")
 )
 register_method(
     "heur-p-paper", tags=("paired",),
-    solve_batch=heuristic_solve_batch("heur-p", "best-then-check", "het"),
+    solve_batch=_heur_batch("heur-p", "best-then-check", "het"),
 )(
     _heur("heur-p", "best-then-check", allocation="het")
 )
@@ -488,9 +559,15 @@ def _brute_force(problem):
 # The batched kernel bisects every (row, sweep point) lane in lockstep,
 # each round probing the unbounded-latency lanes with the lane-vectorized
 # Algorithm 2 DP and the others with the lane-vectorized Pareto DP.
+def _dp_period_batch(ensemble, bounds, **options):
+    from repro.algorithms.batch_dp import batch_minimize_period
+
+    return batch_minimize_period(ensemble, bounds, **options)
+
+
 @register_method(
     "dp-period", exact=True, homogeneous_only=True, cost_hint=8.0,
-    objectives=("period",), solve_batch=batch_minimize_period,
+    objectives=("period",), solve_batch=_dp_period_batch,
 )
 def _dp_period(problem):
     from repro.algorithms.dp_period import minimize_period
@@ -505,9 +582,15 @@ def _dp_period(problem):
 # One Pareto-DP run plus a final-frontier scan — the same DP as
 # pareto-dp, so the same worst case.  Its kernel runs that DP
 # lane-vectorized, one lane per (row, sweep point), as pareto-dp's does.
+def _dp_latency_batch(ensemble, bounds, **options):
+    from repro.algorithms.batch_dp import batch_minimize_latency
+
+    return batch_minimize_latency(ensemble, bounds, **options)
+
+
 @register_method(
     "dp-latency", exact=True, homogeneous_only=True, cost_hint=5.0,
-    objectives=("latency",), solve_batch=batch_minimize_latency,
+    objectives=("latency",), solve_batch=_dp_latency_batch,
 )
 def _dp_latency(problem):
     from repro.algorithms.pareto_dp import minimize_latency
@@ -519,6 +602,22 @@ def _dp_latency(problem):
     )
 
 
+def _search_batch(criterion):
+    """The lockstep bisection kernel for the *criterion* search."""
+
+    def solve_batch(ensemble, bounds, *, objective=criterion, **options):
+        from repro.algorithms.batch_search import batch_bisection_search
+
+        if objective != criterion:
+            raise ValueError(
+                f"the batched {criterion}-search kernel covers objective "
+                f"{criterion!r} only, got {objective!r}"
+            )
+        return batch_bisection_search(ensemble, bounds, criterion=criterion, **options)
+
+    return solve_batch
+
+
 # Binary search over Section 7 heuristic solves — the heterogeneous
 # converse-objective gap-closer: period minimization where the Section 5
 # dp-period theory does not apply.  Heuristic (the probes are), any
@@ -526,7 +625,7 @@ def _dp_latency(problem):
 # cheaper dp-period.
 @register_method(
     "het-period-search", cost_hint=12.0, objectives=("period",),
-    solve_batch=search_solve_batch("period"),
+    solve_batch=_search_batch("period"),
 )
 def _het_period_search(problem):
     from repro.extensions.period_search import minimize_period_search
@@ -543,7 +642,7 @@ def _het_period_search(problem):
 # still prefers the exact, cheaper dp-latency.
 @register_method(
     "het-latency-search", cost_hint=12.0, objectives=("latency",),
-    solve_batch=search_solve_batch("latency"),
+    solve_batch=_search_batch("latency"),
 )
 def _het_latency_search(problem):
     from repro.extensions.latency_search import minimize_latency_search

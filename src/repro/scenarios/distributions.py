@@ -89,6 +89,11 @@ class Distribution:
         raise NotImplementedError
 
     @property
+    def lowest(self) -> float:
+        """The smallest value :meth:`draw` can return."""
+        return float(self.low)
+
+    @property
     def stochastic(self) -> bool:
         """False when :meth:`draw` never consumes the stream."""
         return True
@@ -113,6 +118,10 @@ class Constant(Distribution):
         return np.full(size, float(self.value))
 
     @property
+    def lowest(self) -> float:
+        return float(self.value)
+
+    @property
     def stochastic(self) -> bool:
         return False
 
@@ -129,6 +138,11 @@ class Uniform(Distribution):
 
     def draw(self, rng: np.random.Generator, size: Size) -> np.ndarray:
         return draw_uniform(rng, self.low, self.high, size, self.integral)
+
+    @property
+    def lowest(self) -> float:
+        # draw_uniform truncates an integral draw's bounds toward zero.
+        return float(int(self.low)) if self.integral else float(self.low)
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,12 @@ class LogNormal(Distribution):
             values = np.clip(values, self.low, self.high)
         return values
 
+    @property
+    def lowest(self) -> float:
+        # An unclipped draw is positive: at least the smallest positive float.
+        lowest = max(self.low or 0.0, math.nextafter(0.0, 1.0))
+        return lowest if self.high is None else min(lowest, self.high)
+
 
 @dataclass(frozen=True)
 class Bimodal(Distribution):
@@ -193,6 +213,11 @@ class Bimodal(Distribution):
         first = draw_uniform(rng, self.low1, self.high1, size, self.integral)
         second = draw_uniform(rng, self.low2, self.high2, size, self.integral)
         return np.where(pick, second, first)
+
+    @property
+    def lowest(self) -> float:
+        low = min(self.low1, self.low2)
+        return float(int(low)) if self.integral else float(low)
 
 
 @dataclass(frozen=True)
@@ -250,6 +275,10 @@ class HotSpare(Distribution):
             )
         values[..., p - self.n_spares :] = float(self.spare)
         return values
+
+    @property
+    def lowest(self) -> float:
+        return float(min(self.base, self.spare))
 
     @property
     def stochastic(self) -> bool:

@@ -77,8 +77,14 @@ _AXIS_FIELDS = ("n_tasks", "p", "bandwidth")
 _DIST_FIELDS = ("work", "output", "speed", "proc_failure")
 
 
-def _as_axis(value: Any, name: str, *, integral: bool, minimum: float) -> Any:
-    """Validate a scalar-or-tuple sweepable field, normalizing to tuple."""
+#: Distribution fields whose every draw must be > 0; the others' must
+#: be >= 0.
+_POSITIVE_FIELDS = ("work", "speed")
+
+
+def _as_axis(value: Any, name: str, *, integral: bool) -> Any:
+    """Validate a scalar-or-tuple sweepable field (every value > 0),
+    normalizing a list to a tuple."""
 
     def one(v: Any) -> Any:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -86,8 +92,8 @@ def _as_axis(value: Any, name: str, *, integral: bool, minimum: float) -> Any:
         if integral and int(v) != v:
             raise ValueError(f"{name} must be an integer, got {v!r}")
         v = int(v) if integral else float(v)
-        if not v >= minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {v!r}")
+        if not v > 0:
+            raise ValueError(f"{name} must be > 0, got {v!r}")
         return v
 
     if isinstance(value, (list, tuple)):
@@ -150,15 +156,9 @@ class ScenarioSpec:
             raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.n_instances, int) or self.n_instances < 1:
             raise ValueError(f"n_instances must be an integer >= 1, got {self.n_instances!r}")
-        object.__setattr__(self, "n_tasks", _as_axis(self.n_tasks, "n_tasks", integral=True, minimum=1))
-        object.__setattr__(self, "p", _as_axis(self.p, "p", integral=True, minimum=1))
-        object.__setattr__(
-            self, "bandwidth", _as_axis(self.bandwidth, "bandwidth", integral=False, minimum=0.0)
-        )
-        if isinstance(self.bandwidth, float) and self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
-        if isinstance(self.bandwidth, tuple) and any(b <= 0 for b in self.bandwidth):
-            raise ValueError(f"bandwidth values must be > 0, got {self.bandwidth!r}")
+        for name in _AXIS_FIELDS:
+            value = _as_axis(getattr(self, name), name, integral=name != "bandwidth")
+            object.__setattr__(self, name, value)
         if not isinstance(self.K, int) or self.K < 1:
             raise ValueError(f"K must be an integer >= 1, got {self.K!r}")
         for name in _DIST_FIELDS:
@@ -172,6 +172,12 @@ class ScenarioSpec:
                 raise ValueError(
                     f"'correlated' is only valid for the output field "
                     f"(correlated with work), not {name!r}"
+                )
+            positive = name in _POSITIVE_FIELDS
+            if not (value.lowest > 0 if positive else value.lowest >= 0):
+                raise ValueError(
+                    f"{name} values must be {'> 0' if positive else '>= 0'}, but its "
+                    f"{value.kind} distribution can draw {value.lowest!r}"
                 )
         if not (
             isinstance(self.link_failure_rate, (int, float))

@@ -1,5 +1,5 @@
 # repro-lint-fixture: module=repro.experiments.methods
-"""Bad: Method.fingerprint no longer visits solve_batch (KEY002).
+"""Bad: Method.fingerprint no longer hashes solve_batch (KEY002).
 
 Editing a batched kernel would then leave every cache key unchanged and
 replay stale entries — PR 6's fingerprint contract.

@@ -17,7 +17,6 @@ from repro.algorithms import (
     batch_minimize_period,
     batch_pareto_dp,
     heuristic_best,
-    heuristic_solve_batch,
 )
 from repro.experiments import METHODS, Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
@@ -291,12 +290,10 @@ class TestKernelBitIdentity:
             batch_heuristic_best(hom, BOUNDS, objective="period")
         with pytest.raises(ValueError, match="unknown heuristic"):
             batch_heuristic_best(hom, BOUNDS, which="heur-x")
-        with pytest.raises(ValueError, match="unknown heuristic"):
-            heuristic_solve_batch("heur-x")
         with pytest.raises(ValueError, match="unknown selection rule 'best'"):
             batch_heuristic_best(hom, BOUNDS, selection="best")
         with pytest.raises(ValueError, match="unknown allocation mode 'hom'"):
-            heuristic_solve_batch("heur-l", allocation="hom")
+            batch_heuristic_best(hom, BOUNDS, allocation="hom")
 
     def test_unsupported_shape_messages(self):
         """Snapshot of each kernel's guard against a shape the sweep's

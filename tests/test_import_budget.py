@@ -123,6 +123,34 @@ def test_serial_scenario_run_starts_no_pool_machinery(cold_serial_run):
     assert "multiprocessing" not in loaded
 
 
+#: The batched kernels and the per-row solvers a Section 8 plan runs.
+KERNELS = tuple(
+    f"repro.algorithms.{name}"
+    for name in (
+        "batch", "batch_dp", "batch_search", "_hom_dp", "pareto_dp", "heuristics",
+        "allocation",
+    )
+)
+
+
+def test_warm_scenario_run_loads_no_kernel(tmp_path):
+    """A ``scenario run`` served entirely from cache loads no solver:
+    cache keys fingerprint the solvers' source without importing it."""
+    script = (
+        "from repro.cli import main\n"
+        "rc = main(['scenario', 'run', 'section8-hom', '--n-instances', '3',\n"
+        "           '--grid', 'auto', '--cache-dir', 'cache',\n"
+        "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
+        "assert rc == 0, rc\n"
+    )
+    cold = loaded_modules(script, cwd=tmp_path)
+    assert {"repro.algorithms.batch", "repro.algorithms.batch_dp"} <= cold  # it solved
+    warm = loaded_modules(script, cwd=tmp_path)
+    cache = json.loads((tmp_path / "manifest.json").read_text())["cache"]
+    assert cache["misses"] == 0 and cache["hits"] > 0, cache
+    assert sorted(set(KERNELS) & warm) == []
+
+
 def test_pool_run_matches_serial_run(tmp_path, monkeypatch):
     """energy-greedy has no kernel, so --jobs 2 solves its units in
     pool workers; the series must equal the serial run's."""

@@ -1,6 +1,7 @@
 """Out-of-contract bounds and floors fail at every public solver's
 boundary with a ``ValueError`` that names the argument."""
 
+import json
 import math
 
 import pytest
@@ -55,3 +56,48 @@ def test_out_of_contract_argument_rejected(instance, solver, arg, value):
     with pytest.raises(ValueError, match=arg):
         solver(chain, platform, **{arg: value})
 
+
+
+#: Out-of-contract scenario-spec fields: (field, JSON value, message).
+SPEC_CASES = [
+    ("proc_failure", {"kind": "constant", "value": -1}, "proc_failure values must be >= 0"),
+    ("work", {"kind": "uniform", "low": -5, "high": 1}, "work values must be > 0"),
+    ("work", {"kind": "uniform", "low": 0.5, "high": 9, "integral": True},
+     "work values must be > 0"),
+    ("speed", {"kind": "lognormal", "mean": 1.0, "sigma": 1.0, "high": 0.0},
+     "speed values must be > 0"),
+    ("output", {"kind": "correlated", "low": -1.0, "high": 10.0}, "output values must be >= 0"),
+    ("bandwidth", 0, "bandwidth must be > 0"),
+    ("bandwidth", -1, "bandwidth must be > 0"),
+    ("bandwidth", [1.0, 0.0], "bandwidth must be > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,message", SPEC_CASES, ids=[f"{f}={v}" for f, v, _ in SPEC_CASES]
+)
+def test_out_of_domain_spec_fails_at_load(tmp_path, field, value, message):
+    """A spec whose fields can draw out-of-contract values (a negative
+    failure rate, non-positive work or speed, a zero bandwidth) is
+    refused when it loads, with one message per rule, instead of
+    failing later in generation."""
+    from repro.cli import main
+    from repro.scenarios import get_scenario
+
+    payload = get_scenario("section8-hom").spec.to_dict()
+    payload[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "run", str(path), "--n-instances", "2"])
+    assert exc.value.code.startswith(f"cannot load scenario spec {path}: ")
+    assert message in exc.value.code
+
+
+def test_in_domain_specs_load():
+    """Every registered scenario's distributions stay inside their
+    fields' domains, so each still loads."""
+    from repro.scenarios import SCENARIOS, spec_from_dict
+
+    for entry in SCENARIOS.values():
+        assert spec_from_dict(entry.spec.to_dict()) == entry.spec

@@ -1,7 +1,18 @@
 """The pluggable method registry: registration rules, capability
-metadata, lookup errors, and the SweepResult unknown-method regression."""
+metadata, lookup errors, implementation fingerprints, and the
+SweepResult unknown-method regression."""
+
+import functools
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.algorithms.result import SolveResult
 from repro.experiments import (
@@ -120,6 +131,118 @@ class TestFingerprints:
         before = m.fingerprint()
         state["n"] = 99  # runtime state must not churn the key
         assert m.fingerprint() == before
+
+    def test_no_source_file_no_fingerprint(self, scratch_registry, tmp_path):
+        """A callable without a source file (here a functools.partial)
+        gets no fingerprint, so its method runs uncached in the parent."""
+        from repro.experiments.cache import ResultCache
+
+        heur_l = get_method("heur-l").solve
+        m = register_method("partial-heur-l")(functools.partial(heur_l))
+        assert m.fingerprint() is None
+        cache = ResultCache(tmp_path / "cache")
+        suite = homogeneous_suite(n_instances=2, seed=3)
+        sweep = run_sweep(suite, [m], [(200.0, 750.0)], cache=cache, jobs=2)
+        assert cache.stats()["puts"] == cache.stats()["misses"] == 0
+        assert {e["source"] for e in sweep.unit_events} == {"parent"}
+
+
+#: The package source tree this test process imports.
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+
+# Prints every registered method's fingerprint as JSON, after checking
+# that the package came from the interpreter's PYTHONPATH.
+_FINGERPRINTS = (
+    "import json, os, repro\n"
+    "assert repro.__file__.startswith(os.environ['PYTHONPATH']), repro.__file__\n"
+    "from repro.experiments.methods import METHODS\n"
+    "print(json.dumps({n: m.fingerprint() for n, m in METHODS.items()}))\n"
+)
+
+
+def run_fresh(script: str, pythonpath, cwd) -> str:
+    """Run *script* in a fresh interpreter importing ``repro`` from
+    *pythonpath*; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=cwd,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.fixture(scope="module")
+def package_copy(tmp_path_factory):
+    """A scratch copy of the package and its builtin fingerprints."""
+    root = tmp_path_factory.mktemp("src")
+    shutil.copytree(PACKAGE, root / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    return root, json.loads(run_fresh(_FINGERPRINTS, root, root))
+
+
+class TestFingerprintFollowsSource:
+    """A method's fingerprint hashes the source of its defining module
+    and every repro module that module reaches: editing a solver the
+    method calls moves it, editing code no solver reaches does not."""
+
+    def test_copy_matches_this_checkout(self, package_copy):
+        # Fingerprints name modules, not paths: a copy keys alike.
+        _, baseline = package_copy
+        assert len(baseline) == 15
+        assert baseline == {name: METHODS[name].fingerprint() for name in baseline}
+
+    @pytest.mark.parametrize("edited, moved", [
+        ("algorithms/_hom_dp.py", {"pareto-dp", "dp-latency", "dp-period"}),
+        ("algorithms/batch.py", {"heur-l"}),
+        ("cli.py", set()),
+        ("obs/ledger.py", set()),
+    ])
+    def test_edit_moves_exactly_the_callers(self, package_copy, edited, moved):
+        root, baseline = package_copy
+        path = root / "repro" / edited
+        source = path.read_bytes()
+        try:
+            path.write_bytes(source + b"\n# a no-op edit\n")
+            after = json.loads(run_fresh(_FINGERPRINTS, root, root))
+        finally:
+            path.write_bytes(source)
+        changed = {name for name in baseline if after[name] != baseline[name]}
+        if moved:
+            assert moved <= changed
+        else:
+            assert changed == set()
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_solve_loads_only_hashed_modules(self, name, tmp_path):
+        """Solving through ``solve`` (and ``solve_batch``) loads no repro
+        module the fingerprint left out — a missed import form would."""
+        script = f"""
+import json, sys
+from repro.core.chain import TaskChain
+from repro.core.ensemble import ensembles_from_instances
+from repro.core.platform import Platform
+from repro.experiments.methods import _source_closure, get_method
+from repro.solve.problem import Problem
+
+method = get_method({name!r})
+objective = method.objectives[0]
+floor = 0.0 if objective == "reliability" else 0.5
+chain = TaskChain([6.0, 6.0, 4.0], [1.0, 2.0, 0.0])
+platform = Platform.homogeneous_platform(4, failure_rate=1e-4, max_replication=2)
+problem = Problem(chain, platform, max_period=20.0, max_latency=60.0,
+                  objective=objective, min_reliability=floor)
+method.solve_problem(problem, seed=0)
+if method.solve_batch is not None:
+    [ensemble] = ensembles_from_instances([(chain, platform)])
+    method.solve_batch(ensemble, [(20.0, 60.0)], objective=objective, min_reliability=floor)
+hashed = set()
+for fn in (method.solve, method.solve_batch):
+    if fn is not None:
+        hashed |= {{m for m, _ in _source_closure(fn.__module__, fn.__code__.co_filename)}}
+loaded = {{m for m in sys.modules if m == "repro" or m.startswith("repro.")}}
+print(json.dumps(sorted(loaded - hashed)))
+"""
+        unhashed = json.loads(run_fresh(script, PACKAGE.parent, tmp_path))
+        assert unhashed == []
 
 
 class TestSweepResultErrors:
