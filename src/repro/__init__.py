@@ -26,7 +26,7 @@ True
 
 from repro._lazy import lazy_exports
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 # Each public name loads its defining module on first access (PEP 562),
 # so `import repro` costs no numpy.  Problem is re-exported at top

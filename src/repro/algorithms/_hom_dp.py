@@ -26,7 +26,9 @@ which runs the recurrence
 in the log domain over the intervals the period bound admits:
 ``max(o_j / b, W(j+1..i) / s, o_i / b) <= P`` (Algorithm 2 line 13).
 States are (number of tasks mapped, processors used); parent pointers
-reconstruct the optimal mapping.
+reconstruct the optimal mapping.  Reachability is kept apart from the
+value: a mapping whose reliability underflows to 0 (log-reliability
+``-inf``) is still a mapping, as brute force counts it.
 
 Note the index correction relative to the preprint's Algorithm 1 line 10
 (``rcomm,j-1`` / ``prod_{j<=l<=i}``): the interval appended after a prefix
@@ -177,15 +179,19 @@ def walk(n: int, state, parent) -> list:
     return pieces
 
 
-def table_witness(F: np.ndarray, parent_j: np.ndarray, parent_q: np.ndarray) -> list:
-    """:func:`walk` from the best final state of an ``F`` table (the
-    lowest processor count on ties) through its parent arrays."""
+def table_witness(F: np.ndarray, reach: np.ndarray, parent_j, parent_q) -> "list | None":
+    """:func:`walk` from the best reachable final state of an ``F``
+    table (the lowest processor count on ties) through its parent
+    arrays; ``None`` when no final state is reachable."""
     def parent(i: int, k: int):
         j, q = int(parent_j[i, k]), int(parent_q[i, k])
         return j, q, k - q
 
     n = F.shape[0] - 1
-    return walk(n, int(np.argmax(F[n, 1:])) + 1, parent)
+    ks = np.flatnonzero(reach[n, 1:])
+    if ks.size == 0:
+        return None
+    return walk(n, int(ks[np.argmax(F[n, 1:][ks])]) + 1, parent)
 
 
 class HomDPResult(NamedTuple):
@@ -195,10 +201,11 @@ class HomDPResult(NamedTuple):
     ----------
     log_reliability:
         Best achievable log-reliability (``-inf`` if no feasible mapping,
-        which can only happen under a period bound).
+        or if the best one's reliability underflows to 0).
     pieces:
         The optimal mapping's ``(j, i, q)`` pieces (see
-        :meth:`HomTable.mapping`), or ``None``.
+        :meth:`HomTable.mapping`), or ``None`` when no mapping meets
+        the period bound (never without one).
     table:
         The full ``F`` table (``(n+1) x (p+1)``), exposed for tests.
     """
@@ -222,6 +229,8 @@ def hom_reliability_dp(table: HomTable, max_period: float = math.inf) -> HomDPRe
     n, p, kmax = table.n, table.p, table.kmax
     F = np.full((n + 1, p + 1), -math.inf)
     F[0, 0] = 0.0
+    reach = np.zeros((n + 1, p + 1), dtype=bool)
+    reach[0, 0] = True
     parent_j = np.full((n + 1, p + 1), -1, dtype=np.int64)
     parent_q = np.full((n + 1, p + 1), -1, dtype=np.int64)
 
@@ -231,14 +240,16 @@ def hom_reliability_dp(table: HomTable, max_period: float = math.inf) -> HomDPRe
         for q in range(1, kmax + 1):
             cand = row_j[: p + 1 - q] + stage[q - 1]
             dest = row_i[q:]
-            better = cand > dest
+            # An unreached destination takes any reachable source, even
+            # one whose value is -inf; a reached one only a larger value.
+            better = reach[j, : p + 1 - q] & ((cand > dest) | ~reach[i, q:])
             if np.any(better):
                 dest[better] = cand[better]
                 idx = np.nonzero(better)[0] + q
+                reach[i, idx] = True
                 parent_j[i, idx] = j
                 parent_q[i, idx] = q
 
-    best = float(F[n, 1:].max())
-    if not np.isfinite(best):
-        return HomDPResult(-math.inf, None, F)
-    return HomDPResult(best, table_witness(F, parent_j, parent_q), F)
+    # Unreachable states keep -inf, so the row maximum is the best
+    # reachable value (-inf when none is).
+    return HomDPResult(float(F[n, 1:].max()), table_witness(F, reach, parent_j, parent_q), F)

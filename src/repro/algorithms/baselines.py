@@ -53,7 +53,6 @@ def one_to_one_best(  # repro-lint: disable=API001 §1 baseline
     platform: Platform,
     max_period: float = math.inf,
     max_latency: float = math.inf,
-    worst_case: bool = True,
 ) -> SolveResult:
     """Best *one-to-one* mapping: one task per interval, replicated.
 
@@ -69,7 +68,7 @@ def one_to_one_best(  # repro-lint: disable=API001 §1 baseline
     if mapping is None:
         return SolveResult.infeasible("one-to-one")
     ev = evaluate_mapping(mapping)
-    if not ev.meets(max_period=max_period, max_latency=max_latency, worst_case=worst_case):
+    if not ev.meets(max_period=max_period, max_latency=max_latency):
         return SolveResult.infeasible("one-to-one", bound_violated=True)
     return SolveResult(feasible=True, mapping=mapping, evaluation=ev, method="one-to-one")
 
@@ -79,7 +78,6 @@ def single_interval_best(  # repro-lint: disable=API001 §1 baseline
     platform: Platform,
     max_period: float = math.inf,
     max_latency: float = math.inf,
-    worst_case: bool = True,
 ) -> SolveResult:
     """Best *monolithic* mapping: the whole chain as one interval."""
     partition = [Interval(0, chain.n)]
@@ -87,7 +85,7 @@ def single_interval_best(  # repro-lint: disable=API001 §1 baseline
     if mapping is None:
         return SolveResult.infeasible("single-interval")
     ev = evaluate_mapping(mapping)
-    if not ev.meets(max_period=max_period, max_latency=max_latency, worst_case=worst_case):
+    if not ev.meets(max_period=max_period, max_latency=max_latency):
         return SolveResult.infeasible("single-interval", bound_violated=True)
     return SolveResult(
         feasible=True, mapping=mapping, evaluation=ev, method="single-interval"

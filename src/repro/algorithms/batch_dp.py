@@ -107,42 +107,46 @@ def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: 
     row tables of a :class:`_FrontierLanes`, so one table build serves
     both probes.  A *lane* is one (row, period bound) pair: lane ``l``
     solves table row ``lanes[l]`` under period bound ``P[l]``, all at
-    once.  Returns ``(F, best, parent_j, parent_q)`` (parents ``None``
-    unless *track*); :func:`~repro.algorithms._hom_dp.table_witness`
-    walks back one lane's witness from ``F[:, l]`` and its parents.
+    once.  Returns ``(F, reach, parent_j, parent_q)``: the values, which
+    states are reachable (kept apart from the values, as in the scalar
+    DP) and the parents (``None`` unless *track*);
+    :func:`~repro.algorithms._hom_dp.table_witness` walks back one
+    lane's witness from ``F[:, l]``, ``reach[:, l]`` and its parents.
     """
     n, p, kmax = tables.n, tables.p, tables.kmax
     L = lanes.size
-    NEG = -math.inf
-    F = np.full((n + 1, L, p + 1), NEG)
+    F = np.full((n + 1, L, p + 1), -math.inf)
     F[0, :, 0] = 0.0
+    reach = np.zeros((n + 1, L, p + 1), dtype=bool)
+    reach[0, :, 0] = True
     pj = pq = None
     if track:
         pj = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
         pq = np.full((n + 1, L, p + 1), -1, dtype=np.int64)
     adm = tables.admitted(lanes, P)
     for i in range(1, n + 1):
-        row_i = F[i]
+        row_i, reach_i = F[i], reach[i]
         for j in range(i):
             ok = adm[:, j, i]
             if not ok.any():
                 continue
-            # Lanes whose interval [j, i) violates their bound take a
-            # -inf stage — the masked twin of the scalar admission.
-            stg = np.where(ok[:, None], tables.stage[lanes, j, i], NEG)
+            # Only lanes whose bound admits [j, i) extend their reachable
+            # states of row j — the masked twin of the scalar admission.
+            src = reach[j] & ok[:, None]
+            stg = tables.stage[lanes, j, i]
             row_j = F[j]
             for q in range(1, kmax + 1):
                 cand = row_j[:, : p + 1 - q] + stg[:, q - 1 : q]
                 dest = row_i[:, q:]
-                better = cand > dest
+                better = src[:, : p + 1 - q] & ((cand > dest) | ~reach_i[:, q:])
                 if better.any():
                     dest[better] = cand[better]
+                    reach_i[:, q:][better] = True
                     if track:
                         li, ki = np.nonzero(better)
                         pj[i, li, ki + q] = j
                         pq[i, li, ki + q] = q
-    best = F[n, :, 1:].max(axis=1)
-    return F, best, pj, pq
+    return F, reach, pj, pq
 
 
 def batch_minimize_period(
@@ -209,8 +213,8 @@ def batch_minimize_period(
         ok = np.zeros(ids.size, dtype=bool)
         sel = np.flatnonzero(~finite[ids])
         if sel.size:
-            _, best, _, _ = _lane_dp(front, lane_row[ids[sel]], P[sel], track=False)
-            ok[sel] = np.isfinite(best) & (best >= floor)
+            F, reach, _, _ = _lane_dp(front, lane_row[ids[sel]], P[sel], track=False)
+            ok[sel] = reach[-1, :, 1:].any(axis=1) & (F[-1, :, 1:].max(axis=1) >= floor)
         for part in chunks(ids):
             lane, _, _, _, _, _, value, picks = front.answers(
                 lane_row[ids[part]], P[part], budget[ids[part]], _most_reliable_lanes, floor
@@ -246,9 +250,10 @@ def batch_minimize_period(
     found = []
     sel = np.flatnonzero(~finite[ids])
     if sel.size:
-        F, _, pj, pq = _lane_dp(front, lane_row[ids[sel]], P[sel], track=True)
+        F, reach, pj, pq = _lane_dp(front, lane_row[ids[sel]], P[sel], track=True)
         found += [
-            (ids[x], table_witness(F[:, a], pj[:, a], pq[:, a])) for a, x in enumerate(sel)
+            (ids[x], table_witness(F[:, a], reach[:, a], pj[:, a], pq[:, a]))
+            for a, x in enumerate(sel)
         ]
     for part in chunks(ids):
         found += [

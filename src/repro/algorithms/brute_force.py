@@ -132,7 +132,6 @@ def brute_force_best(
     platform: Platform,
     max_period: float = math.inf,
     max_latency: float = math.inf,
-    worst_case: bool = True,
     budget: int = DEFAULT_BUDGET,
     objective: str = "reliability",
     min_log_reliability: float = -math.inf,
@@ -142,17 +141,17 @@ def brute_force_best(
     ``objective="reliability"`` (the default) maximizes reliability.
     The converse objectives minimize their criterion over the mappings
     that satisfy the bounds *and* the ``min_log_reliability`` floor:
-    ``"period"`` / ``"latency"`` minimize the worst-case (or expected,
-    per *worst_case*) bound values, ``"energy"`` minimizes
+    ``"period"`` / ``"latency"`` minimize the worst-case period /
+    latency (Eqs. (7)-(8)), ``"energy"`` minimizes
     :func:`repro.extensions.energy.mapping_energy` at its default
     power-model parameters.  Ties break toward higher reliability, so
     the oracle is deterministic for the cross-check.
 
+    The bounds, like the converse objectives, use the worst-case period
+    and latency: they are real-time guarantees.
+
     Parameters
     ----------
-    worst_case:
-        Compare worst-case (default) or expected period/latency against
-        the bounds; irrelevant on homogeneous platforms.
     budget:
         Guard on the estimated search-space size; :class:`ValueError`
         when exceeded (use the polynomial algorithms instead).
@@ -187,15 +186,14 @@ def brute_force_best(
             max_period=max_period,
             max_latency=max_latency,
             min_log_reliability=min_log_reliability,
-            worst_case=worst_case,
         ):
             continue
         if objective == "reliability":
             score = -ev.log_reliability
         elif objective == "period":
-            score = ev.worst_case_period if worst_case else ev.expected_period
+            score = ev.worst_case_period
         elif objective == "latency":
-            score = ev.worst_case_latency if worst_case else ev.expected_latency
+            score = ev.worst_case_latency
         else:
             score = mapping_energy(mapping)
         # Minimize the score; ties go to the more reliable mapping.

@@ -53,8 +53,6 @@ def optimize_reliability(  # repro-lint: disable=API001 Algorithm 1, §5.1
     require_homogeneous(platform, "the homogeneous reliability DP")
     table = HomTable(chain, platform)
     dp = hom_reliability_dp(table)
-    if dp.pieces is None:  # pragma: no cover - cannot happen without a bound
-        return SolveResult.infeasible("algorithm-1")
     mapping = table.mapping(dp.pieces)
     return SolveResult(
         feasible=True,

@@ -169,7 +169,6 @@ def heuristic_candidates(
     which: HeuristicName,
     max_period: float = math.inf,
     max_latency: float = math.inf,
-    worst_case: bool = True,
     allowed: Callable[[int, int], bool] | None = None,
     allocation: Literal["auto", "het"] = "auto",
 ) -> list[HeuristicCandidate]:
@@ -185,10 +184,9 @@ def heuristic_candidates(
     homogeneous platforms (the Section 8.2 experiments run the same
     allocation code on the homogeneous counterpart platform, where the
     period filter prunes divisions Algo-Alloc would happily allocate).
-    ``worst_case`` selects which latency/period the bounds are compared
-    against (they coincide on homogeneous platforms); the heterogeneous
-    experiments of Section 8.2 use worst-case values, consistent with
-    the allocation's per-replica ``W_j / s_u <= P`` filter.
+    The bounds are checked against the worst-case period and latency
+    (Eqs. (7)-(8)), consistent with the allocation's per-replica
+    ``W_j / s_u <= P`` filter.
     """
     if which not in ("heur-l", "heur-p"):
         raise ValueError(f"unknown heuristic {which!r}")
@@ -213,9 +211,7 @@ def heuristic_candidates(
             out.append(HeuristicCandidate(m, tuple(partition), None, None, False))
             continue
         ev = evaluate_mapping(mapping)
-        ok = ev.meets(
-            max_period=max_period, max_latency=max_latency, worst_case=worst_case
-        )
+        ok = ev.meets(max_period=max_period, max_latency=max_latency)
         out.append(HeuristicCandidate(m, tuple(partition), mapping, ev, ok))
     return out
 
@@ -226,7 +222,6 @@ def heuristic_best(
     max_period: float = math.inf,
     max_latency: float = math.inf,
     which: "HeuristicName | Literal['both']" = "both",
-    worst_case: bool = True,
     allowed: Callable[[int, int], bool] | None = None,
     selection: Literal["feasible-best", "best-then-check"] = "feasible-best",
     allocation: Literal["auto", "het"] = "auto",
@@ -234,12 +229,14 @@ def heuristic_best(
 ) -> SolveResult:
     """Best heuristic schedule meeting the period and latency bounds.
 
-    Runs Heur-L, Heur-P, or both (default), and selects among the
-    computed candidates per Section 7's opening paragraph.  Two readings
-    of that selection exist, and they can differ on any platform: a
-    candidate's period and latency depend on its division, so the most
-    reliable candidate need not meet the bounds even on a homogeneous
-    platform, where the allocation step cannot change them.
+    The bounds are real-time guarantees on the worst-case period and
+    latency (Eqs. (7)-(8)).  Runs Heur-L, Heur-P, or both (default), and
+    selects among the computed candidates per Section 7's opening
+    paragraph.  Two readings of that selection exist, and they can differ
+    on any platform: a candidate's period and latency depend on its
+    division, so the most reliable candidate need not meet the bounds
+    even on a homogeneous platform, where the allocation step cannot
+    change them.
 
     * ``"feasible-best"`` (default): among the candidates meeting both
       bounds, return the most reliable — never misses a feasible
@@ -293,7 +290,6 @@ def heuristic_best(
             name,
             max_period=max_period,
             max_latency=max_latency,
-            worst_case=worst_case,
             allowed=allowed,
             allocation=allocation,
         ):

@@ -113,14 +113,17 @@ def build_mapping_ilp(
 
     # Log-reliability coefficients are tiny (|coeff| down to 1e-19 with the
     # paper's failure rates), far below MILP solver tolerances; maximizing
-    # is invariant under positive scaling, so normalize the largest
-    # magnitude to ~1e4 and record the scale for reporting.
+    # is invariant under positive scaling, so normalize the largest finite
+    # magnitude to ~1e4 and record the scale for reporting.  A -inf
+    # coefficient (reliability underflowing to 0) takes a penalty below any
+    # sum of n scaled finite ones: still a mapping, never a better one.
     objective = None
-    max_abs = max((abs(c) for c in coeffs.values()), default=0.0)
+    max_abs = max((abs(c) for c in coeffs.values() if c != -math.inf), default=0.0)
     scale = 1.0 if max_abs == 0.0 else 1e4 / max_abs
+    penalty = -1e4 * (n + 1)
     model.objective_scale = scale  # type: ignore[attr-defined]
     for key, coeff in coeffs.items():
-        term = (coeff * scale) * variables[key]
+        term = (coeff * scale if coeff != -math.inf else penalty) * variables[key]
         objective = term if objective is None else objective + term
 
     if objective is None:
@@ -200,14 +203,16 @@ def ilp_best(
         assignment.append((Interval(start, stop), tuple(range(nxt, nxt + k))))
         nxt += k
     mapping = Mapping(chain, platform, assignment)
+    ev = evaluate_mapping(mapping)
     scale = getattr(model, "objective_scale", 1.0)
     return SolveResult(
         feasible=True,
         mapping=mapping,
-        evaluation=evaluate_mapping(mapping),
+        evaluation=ev,
         method=f"ilp:{backend}",
         details={
-            "objective": sol.objective / scale,
+            # A penalized stage underflows: the objective is -inf.
+            "objective": sol.objective / scale if ev.log_reliability > -math.inf else -math.inf,
             "variables": len(variables),
             "nodes": sol.nodes,
         },

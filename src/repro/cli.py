@@ -22,7 +22,9 @@ Commands
     previously solved units, and a JSON **manifest** (``--manifest``,
     default ``repro-manifest.json``) records the seed, grid, library
     versions, elapsed time, and cache hit/miss counts of the run.
-    Environment fallbacks: ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``.
+    ``--instances`` (default 20) and ``--grid`` (default ``reduced``)
+    are read from the command line only.  Environment fallbacks:
+    ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``.
 ``scenario``
     The declarative workload layer (:mod:`repro.scenarios`):
     ``scenario list`` enumerates registered scenarios with their
@@ -41,7 +43,9 @@ Commands
 ``plan``
     The scenario-aware solver planner: ``plan show NAME_OR_FILE``
     prints which registered methods the planner selects for a
-    workload, in execution order, and why it skipped the rest.
+    workload, in execution order, and why it skipped the rest — the
+    same plan ``scenario run`` runs for the same ``--objective`` and
+    ``--methods``.
 ``runs``
     The run ledger (:mod:`repro.obs`): every ``scenario run`` /
     ``experiment`` invocation records itself through one recorder,
@@ -147,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment ids (e.g. hom-period het-latency), figure ids "
         "(fig6..fig15, each naming its experiment) or 'all'; default hom-period",
     )
-    experiment.add_argument("--instances", type=int, default=None,
-                            help="instances per experiment (default $REPRO_INSTANCES or 20)")
-    experiment.add_argument("--grid", choices=("reduced", "full"), default=None,
-                            help="sweep resolution (default $REPRO_GRID or reduced)")
+    experiment.add_argument("--instances", type=int, default=20,
+                            help="instances per experiment (default 20)")
+    experiment.add_argument("--grid", choices=("reduced", "full"), default="reduced",
+                            help="sweep resolution (default reduced)")
     experiment.add_argument("--exact", choices=("ilp", "pareto-dp"), default="pareto-dp",
                             help="exact method for hom experiments (default pareto-dp)")
     experiment.add_argument("--seed", type=int, default=0)
@@ -240,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="reliability",
                        help="plan for this objective (methods that do not "
                        "support it are skipped with a reason)")
-    pshow.add_argument("--max-exact-tasks", type=int, default=None,
-                       help="size threshold past which exact methods are skipped")
-    pshow.add_argument("--max-exact-procs", type=int, default=None,
-                       help="processor threshold past which exact methods are skipped")
-    pshow.add_argument("--include-stochastic", action="store_true",
-                       help="auto-select stochastic (seeded) methods too")
     pshow.add_argument("--json", action="store_true",
                        help="print the plan as JSON instead of a table")
 
@@ -783,7 +781,6 @@ def _cmd_scenario(args) -> int:
                 f"{fmt_value(q10)} / {fmt_value(q50)} / {fmt_value(q90)}"
             )
     else:
-        from repro.experiments.figures import FigureResult
         from repro.experiments.report import render_series_table
 
         print(f"sweep: {len(bounds)} points x {len(methods)} methods ({sweep_seconds:.3f}s)")
@@ -795,26 +792,19 @@ def _cmd_scenario(args) -> int:
             }),
         ):
             what = "solutions" if metric == "count" else "avg failure (per-method)"
-            fig = FigureResult(
-                figure=what, experiment=spec.name, metric=metric,
-                xs=sweep.xs, series=series, n_instances=n, grid="auto",
-            )
             print(f"\n{what} vs {args.grid_axis} bound:")
-            print(render_series_table(fig, x_label=args.grid_axis))
+            print(render_series_table(sweep.xs, series, metric, x_label=args.grid_axis))
         # Per-point quantiles of the *achieved* objective (ROADMAP
         # "objective-aware sweep aggregations"): how good the optimum
         # is across the ensemble, not just how often one exists.
         for name in sweep.method_names:
             q = sweep.objective_quantiles(name)
-            fig = FigureResult(
-                figure="objective", experiment=spec.name, metric="objective",
-                xs=sweep.xs,
-                series={"p10": q[0], "p50": q[1], "p90": q[2]},
-                n_instances=n, grid="auto",
-            )
             print(f"\nachieved {args.objective} quantiles for {name} "
                   f"vs {args.grid_axis} bound:")
-            print(render_series_table(fig, x_label=args.grid_axis))
+            print(render_series_table(
+                sweep.xs, {"p10": q[0], "p50": q[1], "p90": q[2]}, "objective",
+                x_label=args.grid_axis,
+            ))
 
     # Per-phase wall-clock (satellite of the run ledger): generation,
     # grid derivation, the sweep, the whole command, and each method's
@@ -867,15 +857,8 @@ def _cmd_plan(args) -> int:
     from repro.solve import Planner
 
     spec, entry = _resolve_scenario_token(args.scenario)
-    config = {}
-    if args.max_exact_tasks is not None:
-        config["max_exact_tasks"] = args.max_exact_tasks
-    if args.max_exact_procs is not None:
-        config["max_exact_procs"] = args.max_exact_procs
-    if args.include_stochastic:
-        config["include_stochastic"] = True
     try:
-        plan = Planner(**config).plan(
+        plan = Planner().plan(
             entry if entry is not None else spec,
             methods=args.methods,
             objective=args.objective,

@@ -306,7 +306,7 @@ class Ensemble:
                     f"hom_counterpart_speed must be > 0 (or None), "
                     f"got {hom_counterpart_speed!r}"
                 )
-            if np.unique(lam).size != 1:
+            if np.any(lam != lam.flat[0]):
                 raise ValueError(
                     "a paired ensemble needs one common processor failure rate "
                     "for the homogeneous counterpart (Section 8.2 keeps "

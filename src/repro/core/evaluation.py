@@ -233,20 +233,16 @@ class MappingEvaluation:
         max_period: float = math.inf,
         max_latency: float = math.inf,
         min_log_reliability: float = -math.inf,
-        worst_case: bool = True,
     ) -> bool:
         """Check the real-time and dependability constraints (Section 2.6).
 
-        With ``worst_case=True`` (default, the real-time guarantee) the
-        worst-case period/latency are compared against the bounds;
-        otherwise the expected values are used.  On homogeneous platforms
-        the two coincide.
+        The bounds are real-time guarantees, so they are checked against
+        the worst-case period and latency (Eqs. (7)-(8)); the expected
+        values (Eqs. (5)-(6)) are reported but never bound.
         """
-        period = self.worst_case_period if worst_case else self.expected_period
-        latency = self.worst_case_latency if worst_case else self.expected_latency
         return (
-            period <= max_period
-            and latency <= max_latency
+            self.worst_case_period <= max_period
+            and self.worst_case_latency <= max_latency
             and self.log_reliability >= min_log_reliability
         )
 

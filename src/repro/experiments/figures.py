@@ -15,11 +15,11 @@ het-latency    het vs hom5, P = 50, L in [50, 250]    14 (count), 15 (fail)
 =============  =====================================  ==================
 
 Grid sizes: ``grid="reduced"`` (default; minutes on a laptop) or
-``grid="full"`` (the paper's resolution).  Instance counts default to 20
-(reduced) / 100 (full = the paper's count).  Environment overrides
-``REPRO_INSTANCES`` and ``REPRO_GRID`` apply when parameters are left
-``None`` — convenient for the benchmark suite.  The sweep execution
-knobs are inherited from :mod:`repro.experiments.harness`:
+``grid="full"`` (the paper's resolution).  The instance count defaults
+to 20 (the paper used 100).  Both are plain parameters: no environment
+variable changes them, so a run's recorded identity holds the values it
+ran with.  The sweep execution knobs are inherited from
+:mod:`repro.experiments.harness`:
 ``jobs``/``$REPRO_JOBS`` fans units out over worker processes and
 ``cache``/``$REPRO_CACHE_DIR`` makes repeated runs (sibling figures,
 benches, the CLI) reuse solved units instead of recomputing them.
@@ -27,7 +27,6 @@ benches, the CLI) reuse solved units instead of recomputing them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,17 +169,10 @@ class FigureResult:
     grid: str
 
 
-def _env_default(value, env: str, fallback, cast):
-    if value is not None:
-        return value
-    raw = os.environ.get(env)
-    return cast(raw) if raw else fallback
-
-
 def run_experiment(
     experiment: str,
-    n_instances: int | None = None,
-    grid: str | None = None,
+    n_instances: int = 20,
+    grid: str = "reduced",
     seed: int = 0,
     exact_method: str = "ilp",
     jobs: int | None = None,
@@ -205,8 +197,6 @@ def run_experiment(
             f"unknown experiment {experiment!r}; available: {sorted(EXPERIMENTS)}"
         )
     spec = EXPERIMENTS[experiment]
-    n_instances = _env_default(n_instances, "REPRO_INSTANCES", 20, int)
-    grid = _env_default(grid, "REPRO_GRID", "reduced", str)
     xs = spec.sweep(grid)
     bounds = [spec.bounds(float(x)) for x in xs]
 

@@ -100,6 +100,7 @@ from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
 from repro.obs import telemetry as obs
+from repro.solve.grid import linear_quantiles
 from repro.solve.problem import Problem
 from repro.util.rng import stable_seed
 from repro.util.validation import check_bound, check_min_reliability
@@ -230,7 +231,7 @@ class SweepResult:
         for pt in range(mask.shape[0]):
             picked = values[pt, mask[pt]]
             if picked.size:
-                out[:, pt] = np.quantile(picked, [0.1, 0.5, 0.9])
+                out[:, pt] = linear_quantiles(picked, (0.1, 0.5, 0.9))
         return out
 
     def _idx(self, method: str) -> int:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.experiments.figures import FigureResult
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.figures import FigureResult
 
 __all__ = [
     "render_series_table",
@@ -31,16 +32,17 @@ def _fmt(value: float, metric: str) -> str:
     return f"{value:.3e}"
 
 
-def render_series_table(result: FigureResult, x_label: str | None = None) -> str:
-    """Tabulate one figure's series as aligned ASCII columns."""
-    labels = list(result.series)
-    x_label = x_label or ("bound")
-    header = [x_label, *labels]
+def render_series_table(xs, series: dict, metric: str, x_label: str | None = None) -> str:
+    """Tabulate *series* (one column per curve) against *xs* as aligned
+    ASCII columns; ``metric="count"`` prints integers, anything else
+    ``%.3e``."""
+    labels = list(series)
+    header = [x_label or "bound", *labels]
     rows = [header]
-    for i, x in enumerate(result.xs):
+    for i, x in enumerate(xs):
         row = [f"{x:g}"]
         for label in labels:
-            row.append(_fmt(float(result.series[label][i]), result.metric))
+            row.append(_fmt(float(series[label][i]), metric))
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = []
@@ -58,7 +60,7 @@ def render_figure(result: FigureResult) -> str:
         f"{result.figure} [{result.experiment}]: {what} "
         f"({result.n_instances} instances, grid={result.grid})"
     )
-    return f"{title}\n{render_series_table(result)}"
+    return f"{title}\n{render_series_table(result.xs, result.series, result.metric)}"
 
 
 def ascii_chart(  # repro-lint: disable=API001 used by examples/

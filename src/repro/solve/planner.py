@@ -25,15 +25,15 @@ list):
   plan;
 * ``homogeneous_only`` methods are dropped for scenarios that generate
   heterogeneous platforms;
-* ``exact`` methods are dropped past the planner's size thresholds
-  (``max_exact_tasks`` × ``max_exact_procs``) — exact solvers on
-  ``scaling-stress``-sized chains would dominate the run.
+* ``exact`` methods are dropped past the size thresholds
+  (:data:`MAX_EXACT_TASKS` × :data:`MAX_EXACT_PROCS`) — exact solvers
+  on ``scaling-stress``-sized chains would dominate the run.
 
 Auto-discovery rules (applied only when no explicit method list is
 given):
 
-* stochastic (``seeded``) methods are excluded unless
-  ``include_stochastic=True``;
+* stochastic (``seeded``) methods are never auto-selected: their
+  curves are seed-dependent and their cost_hints dominate a run;
 * methods tagged ``"manual"`` are never auto-selected;
 * methods tagged ``"paired"`` (the paper's het-experiment heuristics)
   are auto-selected only for paired Section 8.2-style scenarios;
@@ -53,6 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.methods import Method
 
 __all__ = ["MethodSkip", "Plan", "Planner"]
+
+#: Size thresholds past which ``exact`` methods are dropped.  They admit
+#: the paper's dimensions (15 tasks x 10 processors) with headroom and
+#: reject ``scaling-stress``-sized workloads.
+MAX_EXACT_TASKS = 18
+MAX_EXACT_PROCS = 12
 
 
 @dataclass(frozen=True)
@@ -145,26 +151,12 @@ def _axis_max(value: "int | tuple[int, ...]") -> int:
     return max(value) if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
 class Planner:
     """Selects and orders registry methods for a workload.
 
-    Parameters
-    ----------
-    max_exact_tasks, max_exact_procs:
-        Size thresholds past which ``exact`` methods are dropped.  The
-        defaults admit the paper's dimensions (15 tasks × 10
-        processors) with headroom and reject ``scaling-stress``-sized
-        workloads.
-    include_stochastic:
-        Auto-select stochastic (``seeded``) methods too.  Off by
-        default: their curves are seed-dependent and their cost_hints
-        dominate a default run.
+    It has no settings: ``repro plan show`` and ``repro scenario run``
+    build the same plan for the same scenario, objective and methods.
     """
-
-    max_exact_tasks: int = 18
-    max_exact_procs: int = 12
-    include_stochastic: bool = False
 
     def plan(
         self,
@@ -229,7 +221,7 @@ class Planner:
         skipped: list[MethodSkip] = []
         with obs.span("planner.plan", label=spec.name):
             for method in candidates:
-                reason = self._skip_reason(
+                reason = _skip_reason(
                     method, homogeneous=homogeneous, paired=spec.paired,
                     n_tasks=n_tasks, n_procs=n_procs, explicit=explicit,
                     objective=objective,
@@ -269,45 +261,43 @@ class Planner:
             objective=objective,
         )
 
-    def _skip_reason(
-        self,
-        method: Method,
-        *,
-        homogeneous: bool,
-        paired: bool,
-        n_tasks: int,
-        n_procs: int,
-        explicit: bool,
-        objective: str = "reliability",
-    ) -> "str | None":
-        """The reason to drop *method*, or None to keep it."""
-        if objective not in method.objectives:
-            return (
-                f"objective {objective!r} unsupported (method optimizes: "
-                f"{', '.join(method.objectives)})"
-            )
-        if method.homogeneous_only and not homogeneous:
-            return (
-                "requires homogeneous platforms (Section 5 algorithm); "
-                "scenario generates heterogeneous ones"
-            )
-        if method.exact and (
-            n_tasks > self.max_exact_tasks or n_procs > self.max_exact_procs
-        ):
-            return (
-                f"scenario size {n_tasks} tasks x {n_procs} procs exceeds the "
-                f"exact-method threshold ({self.max_exact_tasks} x "
-                f"{self.max_exact_procs}); use heuristics at this scale"
-            )
-        if explicit:
-            return None
-        if "manual" in method.tags:
-            return "manual-only method (request it explicitly with --methods)"
-        if "paired" in method.tags and not paired:
-            return (
-                "paper-variant heuristic reserved for paired "
-                "(Section 8.2-style) scenarios"
-            )
-        if method.seeded and not self.include_stochastic:
-            return "stochastic (seeded) method; pass include_stochastic=True"
+
+def _skip_reason(
+    method: Method,
+    *,
+    homogeneous: bool,
+    paired: bool,
+    n_tasks: int,
+    n_procs: int,
+    explicit: bool,
+    objective: str,
+) -> "str | None":
+    """The reason to drop *method*, or None to keep it."""
+    if objective not in method.objectives:
+        return (
+            f"objective {objective!r} unsupported (method optimizes: "
+            f"{', '.join(method.objectives)})"
+        )
+    if method.homogeneous_only and not homogeneous:
+        return (
+            "requires homogeneous platforms (Section 5 algorithm); "
+            "scenario generates heterogeneous ones"
+        )
+    if method.exact and (n_tasks > MAX_EXACT_TASKS or n_procs > MAX_EXACT_PROCS):
+        return (
+            f"scenario size {n_tasks} tasks x {n_procs} procs exceeds the "
+            f"exact-method threshold ({MAX_EXACT_TASKS} x "
+            f"{MAX_EXACT_PROCS}); use heuristics at this scale"
+        )
+    if explicit:
         return None
+    if "manual" in method.tags:
+        return "manual-only method (request it explicitly with --methods)"
+    if "paired" in method.tags and not paired:
+        return (
+            "paper-variant heuristic reserved for paired "
+            "(Section 8.2-style) scenarios"
+        )
+    if method.seeded:
+        return "stochastic (seeded) method (request it explicitly with --methods)"
+    return None

@@ -216,7 +216,9 @@ def parallel_k(ell: float, k: int) -> float:
     if k < 1:
         raise ValueError(f"replica count must be >= 1, got {k!r}")
     if k == 1:
-        return ell
+        # The replica is the stage; as in parallel(), it certainly fails
+        # once its reliability underflows to 0.
+        return ell if math.exp(ell) > 0.0 else -math.inf
     lf = log_failure(ell)  # log(1 - r0)
     log_prod_f = k * lf
     if log_prod_f == -math.inf:

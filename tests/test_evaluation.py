@@ -193,7 +193,6 @@ class TestMappingEvaluation:
         assert ev.meets(max_period=10.0, max_latency=10.0)
         assert not ev.meets(max_period=3.0)
         assert not ev.meets(max_latency=6.0)
-        assert ev.meets(max_period=3.0, worst_case=False)  # EP < 3 < WP
         assert not ev.meets(min_log_reliability=0.0)
         assert ev.meets(min_log_reliability=ev.log_reliability)
 

@@ -255,7 +255,7 @@ class TestReport:
         return run_figure("fig10", experiment_result=exp)
 
     def test_table_renders_all_rows(self, fig):
-        table = render_series_table(fig)
+        table = render_series_table(fig.xs, fig.series, fig.metric)
         lines = table.splitlines()
         assert len(lines) == len(fig.xs) + 2  # header + rule + rows
         assert "ilp" in lines[0]

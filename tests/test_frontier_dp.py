@@ -23,11 +23,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import minimize_period, pareto_dp_best
+from repro.algorithms import (
+    brute_force_best,
+    ilp_best,
+    minimize_latency,
+    minimize_period,
+    optimize_reliability,
+    optimize_reliability_period,
+    pareto_dp_best,
+)
 from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes, _lane_dp
 from repro.algorithms.dp_period import candidate_periods
 from repro.algorithms._hom_dp import HomTable, hom_reliability_dp
 from repro.algorithms.pareto_dp import _frontier_dp, _most_reliable
+from repro.core import Platform, TaskChain
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
@@ -35,6 +44,11 @@ from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
 FLOORS = st.sampled_from([0.0, 0.9])
+
+#: A failure rate at which ``exp(-rate * work / speed)`` underflows to 0
+#: for interval work of 3 or more at speed 1 (``work * rate / speed``
+#: past about 745) but not for a single light task.
+UNDERFLOW = 300.0
 
 #: (method, objective, reliability floor) of each frontier kernel cell.
 FRONTIER_CELLS = [
@@ -45,11 +59,15 @@ FRONTIER_CELLS = [
 
 
 @st.composite
-def hom_cases(draw, mixed_latency=False, failure_rates=(1e-8, 1e-3, 5e-2)):
+def hom_cases(
+    draw, mixed_latency=False, failure_rates=(1e-8, 1e-3, 5e-2, UNDERFLOW), max_tasks=6
+):
     """A small homogeneous ensemble and a sweep over its edge bounds;
     *mixed_latency* adds one unbounded-latency point and one whose
-    finite latency bound is at or above that row's compute bound."""
-    n = draw(st.integers(2, 6))
+    finite latency bound is at or above that row's compute bound.
+    At the :data:`UNDERFLOW` rate, some intervals' reliability
+    underflows to 0 (log-reliability -inf) and others' does not."""
+    n = draw(st.integers(2, max_tasks))
     m = draw(st.integers(1, 3))
     p = draw(st.integers(1, n + 1))
 
@@ -160,7 +178,7 @@ def first_probe_floor(ensemble, bound):
 
 
 @given(
-    hom_cases(mixed_latency=True, failure_rates=(1e-8, 1e-3, 5e-2, 0.3)),
+    hom_cases(mixed_latency=True, failure_rates=(1e-8, 1e-3, 5e-2, 0.3, UNDERFLOW)),
     st.sampled_from([0.0, 0.9, "inf", "finite"]),
 )
 @settings(max_examples=80, deadline=None)
@@ -367,12 +385,12 @@ def test_lane_dp_on_frontier_tables_matches_scalar_dp(case):
     tables = _FrontierLanes(ensemble, np.arange(len(ensemble)))
     lane_row = np.repeat(np.arange(len(ensemble)), len(bounds))
     P = np.tile([max_period for max_period, _ in bounds], len(ensemble))
-    F, best, _, _ = _lane_dp(tables, lane_row, P, track=False)
+    F, reach, _, _ = _lane_dp(tables, lane_row, P, track=False)
     for lane, (r, max_period) in enumerate(zip(lane_row.tolist(), P.tolist())):
         chain, platform = ensemble[r]
         scalar = hom_reliability_dp(HomTable(chain, platform), max_period)
         assert np.array_equal(F[:, lane, :], scalar.table)
-        assert best[lane] == scalar.log_reliability
+        assert reach[-1, lane, 1:].any() == (scalar.pieces is not None)
 
 
 @given(hom_cases())
@@ -407,3 +425,77 @@ def test_lane_frontiers_match_scalar_dp_all_ties(seed):
         ensemble,
         [(math.inf, math.inf), (periods[len(periods) // 2], math.inf), (8.0, 35.0)],
     )
+
+
+def assert_agrees_with_brute_force(res, oracle, objective="reliability", rel=1e-9):
+    """Same feasibility as the oracle and, when feasible, the same
+    optimum (log-reliability, or the minimized criterion)."""
+    assert res.feasible == oracle.feasible
+    if oracle.feasible:
+        if objective == "reliability":
+            assert res.log_reliability == pytest.approx(oracle.log_reliability, rel=rel)
+        else:
+            assert res.objective_value(objective) == pytest.approx(
+                oracle.objective_value(objective), rel=rel
+            )
+
+
+def exact_methods_agree_with_brute_force(chain, platform, bounds):
+    """Algorithms 1/2, pareto-dp, dp-latency, dp-period (at the bound's
+    latency, finite or not), ilp and ilp-bb against brute force."""
+    assert_agrees_with_brute_force(
+        optimize_reliability(chain, platform), brute_force_best(chain, platform)
+    )
+    for P, L in bounds:
+        assert_agrees_with_brute_force(
+            optimize_reliability_period(chain, platform, max_period=P),
+            brute_force_best(chain, platform, max_period=P),
+        )
+        oracle = brute_force_best(chain, platform, max_period=P, max_latency=L)
+        assert_agrees_with_brute_force(
+            pareto_dp_best(chain, platform, max_period=P, max_latency=L), oracle
+        )
+        for backend in ("scipy", "branch-bound"):
+            assert_agrees_with_brute_force(
+                ilp_best(chain, platform, max_period=P, max_latency=L, backend=backend),
+                oracle, rel=1e-6,
+            )
+        assert_agrees_with_brute_force(
+            minimize_latency(chain, platform, max_period=P),
+            brute_force_best(chain, platform, max_period=P, objective="latency"),
+            "latency",
+        )
+        assert_agrees_with_brute_force(
+            minimize_period(chain, platform, max_latency=L),
+            brute_force_best(chain, platform, max_latency=L, objective="period"),
+            "period",
+        )
+
+
+def test_certainly_failing_mapping_is_a_mapping():
+    """Both tasks' reliability underflows to 0 on every replica set, so
+    every mapping has log-reliability -inf; each exact method, and every
+    kernel, still returns one, at every latency bound."""
+    chain = TaskChain([1e6, 1e6], [1.0, 0.0])
+    platform = Platform.homogeneous_platform(3, failure_rate=1e-2, max_replication=2)
+    bounds = [(math.inf, math.inf), (math.inf, 1e9)]
+    exact_methods_agree_with_brute_force(chain, platform, bounds)
+    assert optimize_reliability(chain, platform).log_reliability == -math.inf
+    ensemble = Ensemble.from_instances([(chain, platform)])
+    for name, objective in [
+        ("pareto-dp", "reliability"), ("dp-latency", "latency"),
+        ("dp-period", "period"), ("heuristic", "reliability"),
+    ]:
+        out = get_method(name).solve_batch(ensemble, bounds, objective=objective)
+        assert out.solved.all(), name
+        assert (out.failure == 1.0).all(), name
+
+
+@given(hom_cases(failure_rates=(UNDERFLOW,), max_tasks=4))
+@settings(max_examples=25, deadline=None)
+def test_exact_methods_agree_with_brute_force_on_underflow_rows(case):
+    """Rows where some intervals' reliability underflows to 0 and others'
+    does not: every exact method matches the brute-force oracle."""
+    ensemble, bounds = case
+    for chain, platform in ensemble:
+        exact_methods_agree_with_brute_force(chain, platform, bounds[:3])

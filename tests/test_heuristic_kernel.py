@@ -32,7 +32,7 @@ from repro.experiments import get_method
 from repro.experiments.harness import _solve_rows
 from repro.util.logrel import from_reliability
 
-RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 1e3]
+RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 200.0, 1e3]
 PERIODS = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, math.inf]
 LATENCIES = [1.0, 3.0, 5.0, 8.0, 12.0, 15.0, 20.0, 30.0, math.inf]
 

@@ -193,14 +193,3 @@ class TestHeuristicPipeline:
         plat = Platform([1.0, 1.0], [1e-8, 1e-8], max_replication=1)
         res = heuristic_best(chain, plat, max_period=10.0)
         assert not res.feasible
-
-    def test_expected_case_bounds_mode(self):
-        rng = np.random.default_rng(9)
-        chain = random_chain(8, rng)
-        plat = random_platform(6, rng)
-        # Expected-case bounds are never harder to meet than worst-case.
-        wc = heuristic_best(chain, plat, max_period=60.0, max_latency=300.0)
-        ec = heuristic_best(
-            chain, plat, max_period=60.0, max_latency=300.0, worst_case=False
-        )
-        assert (not wc.feasible) or ec.feasible

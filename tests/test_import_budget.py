@@ -149,6 +149,29 @@ def test_warm_scenario_run_loads_no_kernel(tmp_path):
     cache = json.loads((tmp_path / "manifest.json").read_text())["cache"]
     assert cache["misses"] == 0 and cache["hits"] > 0, cache
     assert sorted(set(KERNELS) & warm) == []
+    assert sorted(set(UNUSED_BY_SCENARIO_RUNS) & warm) == []
+
+
+#: Modules no ``scenario run`` needs: ``numpy.ma`` (which ``np.quantile``
+#: and ``np.unique`` on floats import on first call) and the paper-figure
+#: runner.
+UNUSED_BY_SCENARIO_RUNS = ("numpy.ma", "repro.experiments.figures")
+
+
+def test_cold_het_grid_run_loads_no_masked_arrays_or_figures(tmp_path):
+    """A cold paired (Section 8.2) run with a derived grid: the grid's
+    quantiles, the achieved-objective quantiles, the paired ensemble's
+    common-rate check and the curve tables load neither module."""
+    script = (
+        "from repro.cli import main\n"
+        "rc = main(['scenario', 'run', 'section8-het', '--n-instances', '3',\n"
+        "           '--grid', 'auto', '--cache-dir', 'cache',\n"
+        "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
+        "assert rc == 0, rc\n"
+    )
+    loaded = loaded_modules(script, cwd=tmp_path)
+    assert "repro.algorithms.batch" in loaded  # it solved
+    assert sorted(set(UNUSED_BY_SCENARIO_RUNS) & loaded) == []
 
 
 def test_pool_run_matches_serial_run(tmp_path, monkeypatch):

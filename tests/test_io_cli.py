@@ -219,6 +219,19 @@ class TestCLI:
         assert f"- scenario: `section8-hom` (spec `{spec_hash[:12]}`)" in report
         assert "- n_instances: 2" in report
 
+    def test_experiment_reads_its_settings_from_the_command_line(self, monkeypatch):
+        """--instances and --grid default to 20 and reduced, so the run
+        identity hashes the values the run used; no environment
+        variable moves them."""
+        from repro.experiments.figures import run_experiment
+
+        monkeypatch.setenv("REPRO_INSTANCES", "3")
+        monkeypatch.setenv("REPRO_GRID", "full")
+        args = build_parser().parse_args(["experiment"])
+        assert (args.instances, args.grid) == (20, "reduced")
+        exp = run_experiment("hom-linked", n_instances=2, exact_method="pareto-dp")
+        assert exp.grid == "reduced" and len(exp.xs) == 11
+
     def test_experiment_figure_ids_dedup(self, tmp_path, capsys):
         manifest_path = tmp_path / "m.json"
         code = main(
@@ -410,11 +423,35 @@ class TestPlanCLI:
             for s in payload["skipped"]
         )
 
-    def test_plan_show_threshold_flags(self, capsys):
-        assert main(["plan", "show", "scaling-stress", "--json",
-                     "--max-exact-tasks", "100", "--max-exact-procs", "64"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "pareto-dp" in payload["selected"]
+    @pytest.mark.parametrize("flag", [
+        ["--max-exact-tasks", "100"], ["--max-exact-procs", "64"], ["--include-stochastic"],
+    ])
+    def test_plan_show_has_no_planner_settings(self, flag, capsys):
+        """The planner has no settings, so plan show takes none: it
+        prints the plan scenario run runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", "show", "scaling-stress", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, objective", [
+        ("section8-hom", "reliability"), ("section8-hom", "period"),
+        ("section8-het", "reliability"),
+    ])
+    def test_plan_show_is_the_plan_scenario_run_runs(
+        self, scenario, objective, tmp_path, capsys
+    ):
+        assert main(["plan", "show", scenario, "--objective", objective, "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        manifest = tmp_path / "m.json"
+        assert main(["scenario", "run", scenario, "--objective", objective,
+                     "--n-instances", "2", "--runs-dir", str(tmp_path / "runs"),
+                     "--manifest", str(manifest)]) == 0
+        ran = json.loads(manifest.read_text())["plan"]
+        assert shown["selected"] == ran["selected"]
+        assert [s["method"] for s in shown["skipped"]] == [
+            s["method"] for s in ran["skipped"]
+        ]
 
     def test_plan_show_unknown_scenario(self):
         with pytest.raises(SystemExit, match="unknown scenario"):

@@ -48,9 +48,9 @@ class TestCapabilityGating:
         plan = Planner().plan("scaling-stress")
         assert plan.selected == ("heur-l", "heur-p")
         assert "exceeds the exact-method threshold" in skip_reasons(plan)["pareto-dp"]
-        # A raised threshold admits them again.
-        roomy = Planner(max_exact_tasks=100, max_exact_procs=64).plan("scaling-stress")
-        assert "pareto-dp" in roomy.selected
+        # The threshold is a hard gate: an explicit request is skipped too.
+        explicit = Planner().plan("scaling-stress", methods=["pareto-dp"])
+        assert explicit.selected == ()
 
     def test_paired_tag_gating(self):
         hom = Planner().plan("section8-hom")
@@ -62,8 +62,10 @@ class TestCapabilityGating:
         default = Planner().plan("section8-hom")
         assert "anneal" not in default.selected
         assert "stochastic" in skip_reasons(default)["anneal"]
-        opted = Planner(include_stochastic=True).plan("section8-hom")
-        assert "anneal" in opted.selected
+        assert "--methods" in skip_reasons(default)["anneal"]
+        # Requesting it is the one way in.
+        opted = Planner().plan("section8-hom", methods=["anneal"])
+        assert opted.selected == ("anneal",)
 
     def test_manual_methods_need_explicit_request(self):
         auto = Planner().plan("section8-hom")
