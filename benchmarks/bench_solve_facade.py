@@ -75,7 +75,7 @@ def run_facade_bench() -> dict:
             chain, platform, max_period=P, max_latency=L,
             which="heur-l", selection="feasible-best",
         ),
-        "method": lambda: method.solve_problem(problem),
+        "method": lambda: method.solve(problem),
         "facade": lambda: solve(problem, method="heur-l"),
     })
     direct, via_method, via_facade = timed["direct"], timed["method"], timed["facade"]
@@ -107,7 +107,7 @@ def run_facade_bench() -> dict:
     emit("path                         per call")
     for label, secs in (
         ("direct heuristic_best", direct),
-        ("Method.solve_problem", via_method),
+        ("Method.solve", via_method),
         ("solve(problem, method=...)", via_facade),
         ("Problem construction", construct),
         ("Planner().plan (per sweep)", plan),

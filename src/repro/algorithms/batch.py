@@ -37,7 +37,7 @@ Scope
 -----
 The heuristic kernels cover homogeneous *and* heterogeneous rows of
 the paper's ``"reliability"`` objective, with or without a reliability
-floor, for unseeded methods, under both selection rules of
+floor, under both selection rules of
 :func:`~repro.algorithms.heuristic_best`:
 
 * **Homogeneous rows** with ``allocation="auto"`` — divisions and

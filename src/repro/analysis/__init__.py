@@ -21,8 +21,9 @@ Checkers and their rules
 * :mod:`~repro.analysis.atomicwrite` — ``IO001``: artifact layers
   write files only through the mkstemp + ``os.replace`` idiom;
 * :mod:`~repro.analysis.registry` — ``REG001``-``REG003``:
-  ``register_method`` call sites declare valid objectives, consistent
-  seeding, and no silent name collisions;
+  ``register_method`` call sites declare valid objectives, register
+  callables that take the Problem alone, and no silent name
+  collisions;
 * :mod:`~repro.analysis.telemetry` — ``TEL001``-``TEL002``: no
   telemetry in kernel inner loops, no I/O in kernels at all;
 * :mod:`~repro.analysis.imports` — ``IMP001``: no module-level import

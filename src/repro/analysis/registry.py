@@ -3,10 +3,10 @@ contract statically.
 
 :func:`repro.experiments.methods.register_method` validates some of
 its contract at import time, but several failure modes only surface
-when the method is actually *run* — or never surface at all (a seeded
-flag nobody passes a seed to, a silently re-registered name in code
-that never executes in CI).  These rules move that validation to lint
-time:
+when the method is actually *run* — or never surface at all (a
+``seed`` parameter nobody passes, a silently re-registered name in
+code that never executes in CI).  These rules move that validation to
+lint time:
 
 ``REG001``
     Declared ``objectives`` must be a non-empty subset of
@@ -14,12 +14,12 @@ time:
     ``solve/objectives.py`` in the linted file set, falling back to the
     published default).
 ``REG002``
-    The ``seeded`` capability and the callable's signature must agree:
-    ``seeded=True`` requires a ``seed`` parameter (the harness passes
-    one), and a decorated callable with a ``seed`` parameter must
-    declare ``seeded=True`` (otherwise the harness never seeds it and
-    its default — usually ``None`` — silently yields fresh entropy
-    per run).
+    A decorated callable takes exactly one parameter, the
+    :class:`~repro.solve.Problem`: the harness passes nothing else, so
+    a ``seed`` (or any other extra) parameter always takes its default,
+    and that default — for a seed, usually ``None`` — would decide
+    determinism silently.  A stochastic method seeds itself from
+    :meth:`Problem.content_hash`.
 ``REG003``
     A method name registered twice without ``replace=True`` on the
     later site: at import time the second registration raises, but
@@ -37,7 +37,7 @@ __all__ = ["DEFAULT_OBJECTIVES", "RULES", "check"]
 
 RULES = {
     "REG001": "register_method declares objectives outside repro.solve.OBJECTIVES",
-    "REG002": "register_method seeded capability contradicts the callable's signature",
+    "REG002": "register_method callable does not take exactly one parameter (the Problem)",
     "REG003": "duplicate method name registered without replace=True",
 }
 register_rules(RULES)
@@ -60,7 +60,7 @@ def check(files: "list[SourceFile]") -> Iterable[Finding]:
                     if isinstance(dec, ast.Call) and _is_register(dec, src):
                         decorator_ids.add(id(dec))
                         registrations.append((src, dec, True))
-                        yield from _check_seeded(src, dec, fn)
+                        yield from _check_signature(src, dec, fn)
         for node in ast.walk(src.tree):
             if (
                 isinstance(node, ast.Call)
@@ -136,32 +136,28 @@ def _check_objectives(
         )
 
 
-def _check_seeded(
+def _check_signature(
     src: SourceFile, call: ast.Call, fn: "ast.FunctionDef | ast.AsyncFunctionDef"
 ) -> Iterable[Finding]:
-    value = _kwarg(call, "seeded")
-    seeded = (
-        value.value if isinstance(value, ast.Constant)
-        and isinstance(value.value, bool) else None
-    )
-    if value is not None and seeded is None:
-        return  # dynamic flag — nothing to check statically
-    params = {
-        a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
-    }
-    has_seed = "seed" in params or fn.args.kwarg is not None
-    if seeded and not has_seed:
+    args = fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args)]
+    extra = params[1:] + [a.arg for a in args.kwonlyargs]
+    if args.vararg is not None:
+        extra.append(f"*{args.vararg.arg}")
+    if args.kwarg is not None:
+        extra.append(f"**{args.kwarg.arg}")
+    if not params:
         yield src.finding(
             call, "REG002",
-            f"seeded=True but {fn.name}() takes no seed parameter; the "
-            f"harness's per-unit seed would raise TypeError",
+            f"{fn.name}() takes no named Problem parameter; the harness "
+            f"calls it with exactly one",
         )
-    elif not seeded and "seed" in params:
+    elif extra:
         yield src.finding(
             call, "REG002",
-            f"{fn.name}() takes a seed parameter but is not registered "
-            f"seeded=True; the harness would never pass one and the "
-            f"default would decide determinism silently",
+            f"{fn.name}() takes {', '.join(extra)} beside the Problem; "
+            f"the harness never passes it, so its default would decide "
+            f"the result (and determinism) silently",
         )
 
 

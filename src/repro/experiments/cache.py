@@ -25,7 +25,7 @@ the package version is a key ingredient).
 Keys
 ----
 ``key = sha256(method name, instance digest, objective fields,
-per-point bound tokens, seed, package version)`` via
+per-point bound tokens, method fingerprint, package version)`` via
 :func:`repro.io.content_hash`.  The *instance digest*
 (:func:`repro.core.ensemble.instance_digest`) is a raw-array-bytes
 hash shared by the columnar :class:`~repro.core.ensemble.Ensemble`
@@ -34,9 +34,8 @@ it means a warm sweep over an ensemble never builds a model object or
 a JSON payload, and an ensemble sweep and its materialized twin hit
 the exact same entries.  Keys are stable across process restarts, and
 automatically invalidated when any ingredient (chain, platform,
-bounds, objective, method identity, per-unit seed, repro release)
-changes, because a different key simply never matches.  Each entry
-holds::
+bounds, objective, method identity, repro release) changes, because a
+different key simply never matches.  Each entry holds::
 
     {"repro_cache": CACHE_FORMAT, "method": ..., "n_points": ...,
      "solved": [...bools...], "failure": [...floats...],
@@ -150,7 +149,6 @@ class ResultCache:
         method_name: str,
         base_digest: str,
         bounds: Sequence[tuple[float, float]],
-        seed: "int | None" = None,
         fingerprint: "str | None" = None,
         scenario: "str | None" = None,
         objective: str = "reliability",
@@ -188,7 +186,6 @@ class ResultCache:
             "repro_version": __version__,
             "method": method_name,
             "fingerprint": fingerprint,
-            "seed": seed,
             "objective": objective,
             "min_reliability": float(min_reliability),
         }

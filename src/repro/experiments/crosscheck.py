@@ -21,10 +21,8 @@ target (`benchmarks/bench_crosscheck.py`) and as the recommended smoke
 test after modifying any numerical code.
 
 Each instance's check is independent and fully determined by one
-integer seed (drawn via :func:`repro.util.rng.spawn_seeds`), so the
-population fans out over a process pool: ``jobs > 1`` (or
-``$REPRO_JOBS``) runs instances concurrently and merges per-instance
-records in instance order — the report is identical to the serial one.
+integer seed (drawn via :func:`repro.util.rng.spawn_seeds`); instances
+run in order, in the calling process.
 
 The population defaults to this module's own brute-force-friendly
 random instances, but any *homogeneous* declarative scenario
@@ -40,7 +38,6 @@ disagreements.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,7 +46,6 @@ import numpy as np
 from repro.core import random_chain
 from repro.core.evaluation import mapping_log_reliability
 from repro.core.platform import Platform
-from repro.io import from_dict, to_dict
 from repro.rbd import (
     exact_log_reliability_enumeration,
     exact_log_reliability_factoring,
@@ -61,6 +57,7 @@ from repro.solve import Problem, solve
 from repro.util.rng import ensure_rng, spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.chain import TaskChain
     from repro.scenarios.registry import Scenario
     from repro.scenarios.spec import ScenarioSpec
 
@@ -117,19 +114,17 @@ def _check_instance(
     n_tasks: int,
     p: int,
     simulate: bool,
-    instance: "tuple[dict, dict] | None" = None,
-    objectives: bool = True,
+    instance: "tuple[TaskChain, Platform] | None" = None,
 ) -> dict:
     """Run the full validation chain on one seeded instance.
 
-    Module-level and driven by a plain integer seed so it can run in a
-    worker process; returns a flat record the parent merges into the
-    :class:`CrosscheckReport` in instance order.  When *instance*
-    carries ``(chain, platform)`` JSON payloads (the scenario-driven
-    population), those are used instead of this function's own random
-    instance, and the (P, L) bounds are derived from an unbounded
-    heuristic solve so they land in the feasibility transition region
-    regardless of the scenario's cost scales.
+    Returns a flat record :func:`run_crosscheck` merges into the
+    :class:`CrosscheckReport` in instance order.  When *instance* is a
+    ``(chain, platform)`` pair (the scenario-driven population), it is
+    used instead of this function's own random instance, and the
+    (P, L) bounds are derived from an unbounded heuristic solve so they
+    land in the feasibility transition region regardless of the
+    scenario's cost scales.
     """
     rng = np.random.default_rng(seed)
     record = {
@@ -141,8 +136,7 @@ def _check_instance(
         "details": [],
     }
     if instance is not None:
-        chain = from_dict(instance[0])
-        platform = from_dict(instance[1])
+        chain, platform = instance
         reference = solve(Problem(chain, platform), method="heuristic")
         if not reference.feasible:  # pragma: no cover - unbounded heur always maps
             record["details"].append("unbounded heuristic found no mapping")
@@ -198,61 +192,60 @@ def _check_instance(
     # A floor strictly below the bounded optimum keeps every converse
     # problem feasible (the bf mapping itself witnesses it), so the
     # exact methods must agree with the objective-aware oracle.
-    if objectives:
-        floor_ell = bf.log_reliability * float(rng.uniform(1.0, 2.0))
-        floor = float(math.exp(floor_ell))
-        if floor >= 1.0:  # pragma: no cover - positive failure rates
-            floor = 0.0
-        for objective, exact_name, bound_kw in (
-            ("period", "dp-period", {"max_latency": L}),
-            ("latency", "dp-latency", {"max_period": P}),
-        ):
-            converse = Problem(
-                chain, platform,
-                objective=objective, min_reliability=floor, **bound_kw,
-            )
-            oracle = solve(converse, method="brute-force")
-            exact = solve(converse, method=exact_name)
-            if exact.feasible != oracle.feasible or (
-                oracle.feasible
-                and not _close(
-                    exact.objective_value(objective),
-                    oracle.objective_value(objective),
-                )
-            ):
-                record["objective_disagreement"] = True
-                record["details"].append(
-                    f"{exact_name} disagrees with brute force: "
-                    f"{exact.objective_value(objective)} vs "
-                    f"{oracle.objective_value(objective)}"
-                )
-        energy_problem = Problem(
+    floor_ell = bf.log_reliability * float(rng.uniform(1.0, 2.0))
+    floor = float(math.exp(floor_ell))
+    if floor >= 1.0:  # pragma: no cover - positive failure rates
+        floor = 0.0
+    for objective, exact_name, bound_kw in (
+        ("period", "dp-period", {"max_latency": L}),
+        ("latency", "dp-latency", {"max_period": P}),
+    ):
+        converse = Problem(
             chain, platform,
-            max_period=P, max_latency=L,
-            objective="energy", min_reliability=floor,
+            objective=objective, min_reliability=floor, **bound_kw,
         )
-        oracle = solve(energy_problem, method="brute-force")
-        greedy = solve(energy_problem, method="energy-greedy")
-        if greedy.feasible:
-            ev = greedy.evaluation
-            assert ev is not None
-            # The greedy may miss a feasible mapping (it is a Section 7
-            # heuristic at heart) but must never undercut the exact
-            # optimum or violate the bounds/floor it was given.
-            if (
-                not ev.meets(
-                    max_period=P, max_latency=L,
-                    min_log_reliability=energy_problem.min_log_reliability,
-                )
-                or greedy.objective_value("energy")
-                < oracle.objective_value("energy") * (1.0 - EXACT_RTOL)
-            ):
-                record["objective_disagreement"] = True
-                record["details"].append(
-                    f"energy-greedy beat the oracle or broke its bounds: "
-                    f"{greedy.objective_value('energy')} vs "
-                    f"{oracle.objective_value('energy')}"
-                )
+        oracle = solve(converse, method="brute-force")
+        exact = solve(converse, method=exact_name)
+        if exact.feasible != oracle.feasible or (
+            oracle.feasible
+            and not _close(
+                exact.objective_value(objective),
+                oracle.objective_value(objective),
+            )
+        ):
+            record["objective_disagreement"] = True
+            record["details"].append(
+                f"{exact_name} disagrees with brute force: "
+                f"{exact.objective_value(objective)} vs "
+                f"{oracle.objective_value(objective)}"
+            )
+    energy_problem = Problem(
+        chain, platform,
+        max_period=P, max_latency=L,
+        objective="energy", min_reliability=floor,
+    )
+    oracle = solve(energy_problem, method="brute-force")
+    greedy = solve(energy_problem, method="energy-greedy")
+    if greedy.feasible:
+        ev = greedy.evaluation
+        assert ev is not None
+        # The greedy may miss a feasible mapping (it is a Section 7
+        # heuristic at heart) but must never undercut the exact
+        # optimum or violate the bounds/floor it was given.
+        if (
+            not ev.meets(
+                max_period=P, max_latency=L,
+                min_log_reliability=energy_problem.min_log_reliability,
+            )
+            or greedy.objective_value("energy")
+            < oracle.objective_value("energy") * (1.0 - EXACT_RTOL)
+        ):
+            record["objective_disagreement"] = True
+            record["details"].append(
+                f"energy-greedy beat the oracle or broke its bounds: "
+                f"{greedy.objective_value('energy')} vs "
+                f"{oracle.objective_value('energy')}"
+            )
 
     # --- RBD representations -------------------------------------
     want = mapping_log_reliability(mapping)
@@ -281,27 +274,21 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
     n_tasks: int = 5,
     p: int = 4,
     simulate: bool = True,
-    jobs: "int | None" = None,
     scenario: "str | ScenarioSpec | Scenario | None" = None,
-    objectives: bool = True,
 ) -> CrosscheckReport:
     """Run the full validation chain over a random instance population.
 
     Instance sizes default to brute-force-friendly values; every exact
     method solves the same :class:`~repro.solve.Problem` per instance,
     at randomized (P, L) bounds, through the
-    :func:`repro.solve.solve` facade.  With ``jobs > 1`` (or
-    ``$REPRO_JOBS``) instances run in worker processes; the report is
-    identical to a serial run.
+    :func:`repro.solve.solve` facade, and the converse-objective links
+    (period-/latency-minimizing DPs against the objective-aware brute
+    force, the energy greedy's bounds and optimality invariants) are
+    checked at a randomized reliability floor below each instance's
+    bounded optimum.
 
     Parameters
     ----------
-    objectives:
-        Also validate the converse-objective links (period-/latency-
-        minimizing DPs against the objective-aware brute force, and the
-        energy greedy's bounds/optimality invariants) at a randomized
-        reliability floor below each instance's bounded optimum.  On
-        by default; switch off to time the reliability chain alone.
     scenario:
         Optional scenario-driven population: a registered scenario
         name, a bare :class:`~repro.scenarios.spec.ScenarioSpec` (e.g.
@@ -324,10 +311,7 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
         them out of scope would report false disagreements —
         heterogeneous scenarios raise ``ValueError`` up front.
     """
-    from repro.experiments.harness import resolve_jobs
-
-    jobs = resolve_jobs(jobs)
-    payloads: "list[tuple[dict, dict] | None]" = [None] * n_instances
+    pairs: "list[tuple[TaskChain, Platform] | None]" = [None] * n_instances
     if scenario is not None:
         from repro.scenarios import (
             generate_ensembles,
@@ -353,29 +337,11 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
             views = [views[i] for i in chosen]
         # The chosen rows materialize here (and only here) — the
         # cross-check genuinely solves every instance.
-        payloads = [(to_dict(v.chain), to_dict(v.platform)) for v in views]
-    master = ensure_rng(seed)
-    seeds = spawn_seeds(master, n_instances)
-    if jobs == 1 or n_instances <= 1:
-        records = [
-            _check_instance(s, n_tasks, p, simulate, inst, objectives)
-            for s, inst in zip(seeds, payloads)
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_instances)) as pool:
-            records = list(
-                pool.map(
-                    _check_instance,
-                    seeds,
-                    [n_tasks] * n_instances,
-                    [p] * n_instances,
-                    [simulate] * n_instances,
-                    payloads,
-                    [objectives] * n_instances,
-                )
-            )
+        pairs = [(v.chain, v.platform) for v in views]
+    seeds = spawn_seeds(ensure_rng(seed), n_instances)
     report = CrosscheckReport()
-    for record in records:
+    for s, pair in zip(seeds, pairs):
+        record = _check_instance(s, n_tasks, p, simulate, pair)
         report.instances += 1
         report.solver_disagreements += record["solver_disagreement"]
         report.heuristic_violations += record["heuristic_violation"]

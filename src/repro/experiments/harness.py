@@ -36,7 +36,7 @@ bounds list.  Units are
 
 * **batched**: methods that carry a
   :attr:`~repro.experiments.methods.Method.solve_batch` kernel solve
-  all of an ensemble's uncached, unseeded units in one columnar call
+  all of an ensemble's uncached units in one columnar call
   per ``(method, ensemble)`` group — bit-identical to the per-row
   path (same arrays, same cache entries), just without the Python
   loop.  Kernels cover reliability floors, the converse objectives
@@ -49,7 +49,7 @@ bounds list.  Units are
   period, latency)`` arrays are stored under a content hash derived
   from the method name, the instance's raw-array *row digest*
   (:meth:`~repro.core.ensemble.Ensemble.row_hash`), the objective
-  fields, the per-unit seed, and — for sweeps materialized from a
+  fields, and — for sweeps materialized from a
   declarative scenario (:mod:`repro.scenarios`) — the scenario spec's
   content hash (:mod:`repro.experiments.cache`).  A warm sweep
   therefore touches only array bytes: no objects, no JSON;
@@ -69,11 +69,7 @@ bounds list.  Units are
 * **recorded**: kernels, per-row solves, worker shards and cache hits
   all yield :class:`~repro.algorithms.result.UnitResults` rows, and one
   ``finish`` step writes each into the sweep arrays, the cache and
-  the ledger's unit events;
-* **seeded**: stochastic methods (``Method.seeded``) get a
-  deterministic per-unit seed via :func:`repro.util.rng.stable_seed`,
-  derived from the unit's content — identical whether the unit runs
-  serially, in a worker, or is replayed from cache.
+  the ledger's unit events.
 
 Environment
 -----------
@@ -102,7 +98,6 @@ from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_m
 from repro.obs import telemetry as obs
 from repro.solve.grid import linear_quantiles
 from repro.solve.problem import Problem
-from repro.util.rng import stable_seed
 from repro.util.validation import check_bound, check_min_reliability
 
 __all__ = ["SweepResult", "run_sweep", "resolve_jobs"]
@@ -267,7 +262,6 @@ def _solve_rows(
     method: Method,
     views: Sequence[InstanceView],
     bounds: Sequence[tuple[float, float]],
-    seeds: Sequence["int | None"],
     objective: str,
     min_reliability: float,
 ) -> "tuple[UnitResults, list[float]]":
@@ -287,16 +281,14 @@ def _solve_rows(
     """
     out = UnitResults.empty(len(views), len(bounds), objective)
     seconds = []
-    for r, (view, seed) in enumerate(zip(views, seeds)):
+    for r, view in enumerate(views):
         t0 = time.perf_counter()
         with obs.span("sweep.unit", label=method.name):
             base = view.problem(objective=objective, min_reliability=min_reliability)
             probes = 0
             converged: "bool | None" = None
             for pi, problem in enumerate(_unit_problems(base, bounds)):
-                res = method.solve_problem(
-                    problem, seed=stable_seed(seed, pi) if method.seeded else None
-                )
+                res = method.solve(problem)
                 out.solved[r, pi] = res.feasible
                 if res.feasible:
                     ev = res.evaluation
@@ -322,7 +314,6 @@ def _solve_shard_payload(
     fingerprint: str,
     shard: dict,
     bounds: Sequence[tuple[float, float]],
-    seeds: Sequence["int | None"],
     objective: str,
     min_reliability: float,
     collect_telemetry: bool = False,
@@ -355,9 +346,9 @@ def _solve_shard_payload(
         )
     views = list(Ensemble(**shard))
     if not collect_telemetry:
-        return _solve_rows(method, views, bounds, seeds, objective, min_reliability), None
+        return _solve_rows(method, views, bounds, objective, min_reliability), None
     with obs.collect() as telemetry:
-        results = _solve_rows(method, views, bounds, seeds, objective, min_reliability)
+        results = _solve_rows(method, views, bounds, objective, min_reliability)
     return results, telemetry.snapshot()
 
 
@@ -380,26 +371,6 @@ def _shard_payload(ensemble: Ensemble, rows: Sequence[int]) -> dict:
         "link_failure_rate": ensemble.link_failure_rate,
         "max_replication": ensemble.max_replication,
     }
-
-
-def _unit_seed(
-    method: Method,
-    view: InstanceView,
-    bounds: Sequence[tuple[float, float]],
-    objective: str,
-    min_reliability: float,
-) -> "int | None":
-    """Deterministic per-unit seed for stochastic methods (else None)."""
-    if not method.seeded:
-        return None
-    return stable_seed(
-        "sweep-unit",
-        method.name,
-        view.row_hash,
-        objective,
-        float(min_reliability),
-        tuple((float(P), float(L)) for P, L in bounds),
-    )
 
 
 def _resolve_instances(
@@ -501,7 +472,7 @@ def run_sweep(
         homogeneous-only method on a heterogeneous platform — plan
         with :meth:`repro.solve.Planner.plan` to pre-filter.
     batch:
-        ``True`` (default) serves uncached, unseeded units of
+        ``True`` (default) serves uncached units of
         :attr:`~repro.experiments.methods.Method.solve_batch` methods
         through one columnar kernel call per ``(method, ensemble)``
         group (methods without a kernel run per row);
@@ -593,7 +564,6 @@ class _Unit(NamedTuple):
 
     mi: int
     ii: int
-    seed: "int | None"
     key: "str | None"
 
 
@@ -674,15 +644,12 @@ class _SweepRun:
         with obs.span("sweep.cache_lookup"):
             for mi, method in enumerate(self.methods):
                 for ii, view in enumerate(self.views):
-                    unit = _Unit(mi, ii, _unit_seed(
-                        method, view, self.bounds, self.objective, self.min_reliability
-                    ), None)
+                    unit = _Unit(mi, ii, None)
                     if self.store is not None and self.registered(method):
                         unit = unit._replace(key=self.store.unit_key_for(
                             method.name,
                             view.row_hash,
                             self.bounds,
-                            seed=unit.seed,
                             fingerprint=self.fingerprints[method.name],
                             scenario=self.scenario_key,
                             objective=self.objective,
@@ -700,13 +667,12 @@ class _SweepRun:
     def run_kernels(self, pending: "list[_Unit]") -> "list[_Unit]":
         """Serve whole ``(method, ensemble)`` groups in one kernel call.
 
-        Only unseeded units qualify (per-unit seeds are a per-row
-        concept).  Returns the units left for per-row solves.
+        Returns the units left for per-row solves.
         """
         groups: dict[tuple[int, int], list[_Unit]] = {}
         rest: list[_Unit] = []
         for unit in pending:
-            if unit.seed is None and self.methods[unit.mi].solve_batch is not None:
+            if self.methods[unit.mi].solve_batch is not None:
                 groups.setdefault((unit.mi, self.ensemble_of[unit.ii]), []).append(unit)
             else:
                 rest.append(unit)
@@ -729,7 +695,7 @@ class _SweepRun:
 
     def run_local(self, unit: _Unit, source: str = "parent") -> None:
         results, seconds = _solve_rows(
-            self.methods[unit.mi], [self.views[unit.ii]], self.bounds, [unit.seed],
+            self.methods[unit.mi], [self.views[unit.ii]], self.bounds,
             self.objective, self.min_reliability,
         )
         self.finish(unit, results, 0, source, seconds[0])
@@ -769,7 +735,6 @@ class _SweepRun:
                     self.fingerprints[name],
                     _shard_payload(ensemble, [self.row_of[u.ii] for u in shard]),
                     self.bounds,
-                    [u.seed for u in shard],
                     self.objective,
                     self.min_reliability,
                     collect_telemetry,

@@ -33,9 +33,11 @@ Built-in methods:
   Objective-aware: it answers *any* :data:`repro.solve.OBJECTIVES`
   entry exactly, which is what the converse-objective cross-checks
   compare against.
-* ``"anneal"`` — the simulated-annealing extension; *stochastic*, so the
-  harness hands it a deterministic per-unit seed (see
-  :func:`repro.util.rng.stable_seed`).
+* ``"anneal"`` — the simulated-annealing extension (manual only).  It
+  is stochastic, but seeds its generator from
+  :meth:`Problem.content_hash` (see :func:`repro.util.rng.stable_seed`),
+  so, like every registered method, it is a pure function of its
+  problem.
 
 Objective-native methods (the tri-criteria facade; every method above
 supports only the paper's ``"reliability"`` objective unless noted):
@@ -117,8 +119,9 @@ class Method:
     name:
         Registry key and curve label.
     solve:
-        The registered solve callable: ``(problem) -> SolveResult``
-        (stochastic methods additionally accept a ``seed`` keyword).
+        The registered solve callable: ``(problem) -> SolveResult``,
+        a pure function of the problem (a stochastic method seeds
+        itself from :meth:`Problem.content_hash`).
     exact:
         True for provably optimal solvers, False for heuristics.
     homogeneous_only:
@@ -129,10 +132,6 @@ class Method:
         Relative cost of one solve (heuristics ~1).  The parallel
         harness schedules expensive units first to balance the pool,
         and the planner orders selected methods expensive-first.
-    seeded:
-        True when ``solve`` is stochastic and takes a ``seed`` keyword;
-        the harness derives a deterministic per-unit seed so parallel
-        and serial runs stay bit-identical.
     tags:
         Free-form capability labels.  The planner understands
         ``"manual"`` (never auto-selected; must be requested
@@ -165,7 +164,6 @@ class Method:
     exact: bool
     homogeneous_only: bool
     cost_hint: float = 1.0
-    seeded: bool = False
     tags: tuple[str, ...] = ()
     objectives: tuple[str, ...] = ("reliability",)
     solve_batch: "Callable | None" = None
@@ -184,16 +182,6 @@ class Method:
                 f"supported: {OBJECTIVES}"
             )
         object.__setattr__(self, "objectives", objectives)
-
-    def solve_problem(self, problem: Problem, *, seed: "int | None" = None) -> SolveResult:
-        """Solve one :class:`~repro.solve.Problem` (the canonical path).
-
-        *seed* is forwarded only to stochastic (:attr:`seeded`)
-        methods; deterministic methods ignore it.
-        """
-        if self.seeded:
-            return self.solve(problem, seed=seed)
-        return self.solve(problem)
 
     def check_platform(self, platform: Platform) -> None:
         """Raise a descriptive error if *platform* is out of scope."""
@@ -249,10 +237,6 @@ class Method:
         """
         return _fingerprint(self.solve, self.solve_batch)
 
-    def __call__(self, *args, **kwargs) -> SolveResult:
-        """Alias of :attr:`solve`: ``method(problem)``."""
-        return self.solve(*args, **kwargs)
-
 
 _PRIMITIVES = (str, bytes, int, float, complex, bool, type(None))
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -264,6 +248,9 @@ _IMPORT = re.compile(
     re.MULTILINE,
 )
 _LAZY_ENTRY = re.compile(r'^[ \t]*"(\w+)": "(repro[\w.]*)",', re.MULTILINE)
+#: The opening quotes of a module's leading docstring (after any
+#: comment lines).
+_DOCSTRING = re.compile(r'\A(?:[ \t]*(?:#[^\n]*)?\n)*[ \t]*[rRuU]?("""|\'\'\')')
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,7 +280,8 @@ def _source_closure(module: str, filename: str) -> "tuple[tuple[str, str], ...]"
     source of *module*) and every ``repro`` module it reaches: through
     import statements at any indentation, parent packages, and the
     :mod:`repro._lazy` table serving ``from <package> import <name>``.
-    Files are scanned line by line, never imported or parsed."""
+    Files are scanned line by line past their leading docstring, never
+    imported or parsed; the digest covers the whole file."""
     sources = {}
     todo = [(module, filename)]
     while todo:
@@ -307,7 +295,7 @@ def _source_closure(module: str, filename: str) -> "tuple[tuple[str, str], ...]"
             sources[name] = f.read()
         parts = name.split(".")
         reached = [".".join(parts[:i]) for i in range(1, len(parts))]
-        for imported, package, names in _IMPORT.findall(sources[name].decode()):
+        for imported, package, names in _IMPORT.findall(_past_docstring(sources[name])):
             reached.append(imported or package)
             for attr in re.sub("#.*", "", names).strip("()").split(","):
                 attr = attr.split(" as ")[0].strip()
@@ -316,6 +304,16 @@ def _source_closure(module: str, filename: str) -> "tuple[tuple[str, str], ...]"
                     reached += [f"{package}.{attr}", _lazy_targets(package).get(attr, "")]
         todo += [(n, None) for n in reached]
     return tuple(sorted((n, hashlib.sha256(s).hexdigest()) for n, s in sources.items()))
+
+
+def _past_docstring(source: bytes) -> str:
+    """*source* past its leading docstring, which the import scan skips:
+    an example import there is not an import, and no real import can
+    live inside it."""
+    text = source.decode()
+    opening = _DOCSTRING.match(text)
+    end = text.find(opening.group(1), opening.end()) if opening else -1
+    return text if end < 0 else text[end + 3:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,7 +349,6 @@ def register_method(
     exact: bool = False,
     homogeneous_only: bool = False,
     cost_hint: float = 1.0,
-    seeded: bool = False,
     tags: "tuple[str, ...] | list[str]" = (),
     objectives: "tuple[str, ...] | list[str]" = ("reliability",),
     solve_batch: "Callable | None" = None,
@@ -359,7 +356,9 @@ def register_method(
 ) -> Callable[[Callable], Method]:
     """Decorator registering a solve callable as a named :class:`Method`.
 
-    The callable takes a :class:`repro.solve.Problem`.
+    The callable takes one parameter, a :class:`repro.solve.Problem`,
+    and is a pure function of it: a stochastic method seeds its own
+    generator from :meth:`Problem.content_hash` (``_anneal`` below).
     ``solve_batch`` optionally attaches a batched kernel (see
     :attr:`Method.solve_batch`) that must reproduce ``fn`` row by row,
     bit for bit.  Duplicate names are rejected (``ValueError``) unless
@@ -383,7 +382,6 @@ def register_method(
             exact=exact,
             homogeneous_only=homogeneous_only,
             cost_hint=cost_hint,
-            seeded=seeded,
             tags=tuple(tags),
             objectives=tuple(objectives),
             solve_batch=solve_batch,
@@ -666,12 +664,16 @@ def _energy_greedy(problem):
     )
 
 
-@register_method("anneal", cost_hint=20.0, seeded=True)
-def _anneal(problem, seed=None):
+# Seeded from the problem's content, so a direct solve, a serial or
+# pool sweep and a cache replay draw the same moves.  "manual": its
+# cost_hint would dominate any auto-selected run.
+@register_method("anneal", cost_hint=20.0, tags=("manual",))
+def _anneal(problem):
     from repro.extensions.annealing import anneal_mapping
+    from repro.util.rng import stable_seed
 
     return anneal_mapping(
         problem.chain, problem.platform,
         max_period=problem.max_period, max_latency=problem.max_latency,
-        iterations=500, rng=seed,
+        iterations=500, rng=stable_seed("anneal", problem.content_hash()),
     )

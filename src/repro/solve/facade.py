@@ -67,7 +67,7 @@ def auto_method_name(problem: Problem) -> str:
     return min(candidates, key=lambda m: (m.cost_hint, m.name)).name
 
 
-def solve(problem: Problem, method="auto", *, seed: "int | None" = None) -> SolveResult:
+def solve(problem: Problem, method="auto") -> SolveResult:
     """Solve one :class:`Problem` with a registered (or ad-hoc) method.
 
     Parameters
@@ -78,9 +78,6 @@ def solve(problem: Problem, method="auto", *, seed: "int | None" = None) -> Solv
         A registry name (see ``repro.experiments.METHODS``), a
         :class:`~repro.experiments.methods.Method` object, or
         ``"auto"`` (default) — :func:`auto_method_name`'s choice.
-    seed:
-        Deterministic seed, forwarded to stochastic (``seeded``)
-        methods only.
 
     Raises
     ------
@@ -105,4 +102,4 @@ def solve(problem: Problem, method="auto", *, seed: "int | None" = None) -> Solv
         name = auto_method_name(problem) if method == "auto" else method
         resolved = get_method(name)
     resolved.check_problem(problem)
-    return resolved.solve_problem(problem, seed=seed)
+    return resolved.solve(problem)

@@ -32,8 +32,6 @@ list):
 Auto-discovery rules (applied only when no explicit method list is
 given):
 
-* stochastic (``seeded``) methods are never auto-selected: their
-  curves are seed-dependent and their cost_hints dominate a run;
 * methods tagged ``"manual"`` are never auto-selected;
 * methods tagged ``"paired"`` (the paper's het-experiment heuristics)
   are auto-selected only for paired Section 8.2-style scenarios;
@@ -176,7 +174,7 @@ class Planner:
             Explicit candidates (names or :class:`Method` objects).
             When given, only the hard capability gates apply — the
             caller asked for these methods, so redundancy and
-            stochasticity are their call.  ``None`` (default)
+            manual-only methods are their call.  ``None`` (default)
             auto-discovers candidates from the whole registry.
         objective:
             The :data:`repro.solve.OBJECTIVES` entry the plan's solves
@@ -298,6 +296,4 @@ def _skip_reason(
             "paper-variant heuristic reserved for paired "
             "(Section 8.2-style) scenarios"
         )
-    if method.seeded:
-        return "stochastic (seeded) method (request it explicitly with --methods)"
     return None

@@ -33,10 +33,9 @@ def ensure_rng(seed: "int | None | np.random.Generator | np.random.SeedSequence"
 def spawn_seeds(rng: np.random.Generator, n: int) -> list[int]:
     """Draw *n* integer seeds for independent child streams from *rng*.
 
-    Exposed separately from :func:`spawn` so parallel runners (e.g. the
-    cross-check's process fan-out) can ship plain integers to worker
-    processes and rebuild *exactly* the generators the serial path would
-    have used — bit-identical results either way.
+    Exposed separately from :func:`spawn` for callers that key work by
+    a plain integer: the cross-check gives each instance one seed, so
+    an instance's draws depend on its seed alone.
     """
     if n < 0:
         raise ValueError(f"cannot spawn {n!r} generators")
@@ -57,10 +56,11 @@ def stable_seed(*parts: object) -> int:
 
     Unlike Python's ``hash`` (salted per process) this is stable across
     process restarts and machines: parts are rendered with ``repr`` and
-    digested with SHA-256.  The experiment harness uses it to give every
-    ``(method, instance, bounds)`` work unit its own seed, so stochastic
-    methods produce identical draws whether a unit runs serially, in a
-    worker process, or in a re-run resumed from the cache.
+    digested with SHA-256.  A stochastic registered method seeds itself
+    with it from its problem's content (the ``anneal`` method:
+    ``stable_seed("anneal", problem.content_hash())``), so it draws the
+    same moves whether solved directly, in a serial or pool sweep, or
+    in a re-run resumed from the cache.
     """
     digest = hashlib.sha256("\x1f".join(repr(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -144,7 +144,7 @@ def witness(res):
 def per_row(method, ensemble, bounds, objective, floor):
     """The harness's per-row solves over every ensemble row."""
     results, _seconds = _solve_rows(
-        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+        method, list(ensemble), bounds, objective, floor
     )
     return results
 

@@ -1,7 +1,5 @@
 """Tests for the cross-check experiment module itself."""
 
-import pytest
-
 from repro.experiments.crosscheck import CrosscheckReport, run_crosscheck
 
 
@@ -26,12 +24,3 @@ class TestCrosscheck:
         a = run_crosscheck(n_instances=4, seed=9, simulate=False)
         b = run_crosscheck(n_instances=4, seed=9, simulate=False)
         assert a.summary() == b.summary()
-
-    def test_parallel_identical_to_serial(self):
-        serial = run_crosscheck(n_instances=4, seed=9, simulate=False, jobs=1)
-        fanout = run_crosscheck(n_instances=4, seed=9, simulate=False, jobs=4)
-        assert serial == fanout
-
-    def test_invalid_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_crosscheck(n_instances=1, simulate=False, jobs=0)

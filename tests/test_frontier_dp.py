@@ -112,7 +112,7 @@ def assert_kernel_matches_per_point(method_name, ensemble, bounds, objective, fl
     )
     solved, failure, values = out.solved, out.failure, out.values
     rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+        method, list(ensemble), bounds, objective, floor
     )
     for i in range(len(ensemble)):
         u_solved, u_failure, u_values, u_info = (
@@ -196,7 +196,7 @@ def test_dp_period_kernel_matches_per_row(case, floor):
     method = get_method("dp-period")
     out = method.solve_batch(ensemble, bounds, objective="period", min_reliability=floor)
     rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, [None] * len(ensemble), "period", floor
+        method, list(ensemble), bounds, "period", floor
     )
     for name in out.ARRAYS:
         assert np.array_equal(getattr(out, name), getattr(rows, name)), name
@@ -264,7 +264,7 @@ def assert_unit_results_match(method_name, ensemble, bounds, objective, floor):
         ensemble, bounds, objective=objective, min_reliability=floor
     )
     rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, [None] * len(ensemble), objective, floor
+        method, list(ensemble), bounds, objective, floor
     )
     for name in out.ARRAYS:
         assert np.array_equal(getattr(out, name), getattr(rows, name)), name

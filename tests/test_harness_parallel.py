@@ -3,9 +3,10 @@
 Acceptance gate for the fan-out: on a seeded 10-instance suite,
 ``jobs=1`` and ``jobs=4`` reproduce the serial ``SweepResult.solved``
 and ``.failure`` arrays *exactly* (not approximately), including for
-stochastic (seeded) methods and for ad-hoc methods that cannot cross
-the process boundary.  A worker that dies mid-sweep costs time, not
-results: the parent recomputes what the broken pool lost.
+the stochastic ``anneal`` (seeded from each Problem's content) and for
+ad-hoc methods that cannot cross the process boundary.  A worker that
+dies mid-sweep costs time, not results: the parent recomputes what the
+broken pool lost.
 """
 
 import multiprocessing
@@ -19,6 +20,7 @@ from repro.algorithms import heuristic_best
 from repro.experiments import (
     METHODS,
     Method,
+    ResultCache,
     get_method,
     homogeneous_suite,
     register_method,
@@ -26,6 +28,7 @@ from repro.experiments import (
 )
 from repro.experiments.harness import resolve_jobs
 from repro.obs import collect
+from repro.solve import Problem, solve
 
 BOUNDS = [(100.0, 750.0), (250.0, 750.0), (400.0, 750.0)]
 
@@ -61,19 +64,33 @@ class TestBitIdentical:
         assert counts[-1] >= counts[0]
 
 
-class TestSeededMethods:
-    """Stochastic methods get deterministic per-unit seeds."""
+class TestStochasticMethods:
+    """anneal seeds itself from its Problem, so every path agrees."""
 
-    def test_anneal_parallel_matches_serial(self):
+    def test_anneal_serial_pool_and_warm_replay_agree(self, tmp_path):
         suite = homogeneous_suite(n_instances=3, seed=5)
         methods = [get_method("anneal")]
-        bounds = [(200.0, 750.0), (400.0, 750.0)]
-        a = run_sweep(suite, methods, bounds, jobs=1)
-        b = run_sweep(suite, methods, bounds, jobs=3)
-        c = run_sweep(suite, methods, bounds, jobs=1)
-        assert np.array_equal(a.solved, b.solved)
-        assert np.array_equal(a.failure, b.failure)
-        assert np.array_equal(a.failure, c.failure)
+        # Bounds where the annealing result depends on its draws.
+        bounds = [(300.0, 1200.0), (350.0, 1200.0), (400.0, 1500.0)]
+        cache = ResultCache(tmp_path / "cache")
+        serial = run_sweep(suite, methods, bounds, jobs=1, cache=cache)
+        pooled = run_sweep(suite, methods, bounds, jobs=2)
+        warm = run_sweep(suite, methods, bounds, jobs=1, cache=cache)
+        assert {e["source"] for e in pooled.unit_events} == {"worker"}
+        assert cache.misses == len(suite) and cache.hits == len(suite)
+        for name in ("solved", "failure", "objective_values", "period", "latency"):
+            want = getattr(serial, name)
+            assert np.array_equal(getattr(pooled, name), want), name
+            assert np.array_equal(getattr(warm, name), want), name
+        for ii, (chain, platform) in enumerate(suite):
+            for pi, (P, L) in enumerate(bounds):
+                res = solve(
+                    Problem(chain, platform, max_period=P, max_latency=L), method="anneal"
+                )
+                assert serial.solved[0, pi, ii] == res.feasible
+                assert serial.failure[0, pi, ii] == (
+                    res.evaluation.failure_probability if res.feasible else 1.0
+                )
 
 
 class TestAdHocMethods:
@@ -108,7 +125,7 @@ class TestDeadWorker:
         def dies_in_workers(problem):
             if os.getpid() != parent:
                 os._exit(1)
-            return get_method("heur-l").solve_problem(problem)
+            return get_method("heur-l").solve(problem)
 
         method = register_method("dies-in-workers")(dies_in_workers)
         try:

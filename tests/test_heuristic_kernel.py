@@ -183,7 +183,7 @@ def test_search_kernels_match_per_row(case, criterion, floor):
         ensemble, bounds, objective=criterion, min_reliability=floor
     )
     rows, _ = _solve_rows(
-        method, list(ensemble), bounds, [None] * len(ensemble), criterion, floor
+        method, list(ensemble), bounds, criterion, floor
     )
     for name in UnitResults.ARRAYS:
         assert _bits(getattr(out, name)) == _bits(getattr(rows, name)), name

@@ -58,10 +58,10 @@ class TestCapabilityGating:
         assert "heur-l-paper" not in hom.selected
         assert "heur-l-paper" in het_paired.selected and "heur-p-paper" in het_paired.selected
 
-    def test_stochastic_opt_in(self):
+    def test_anneal_is_manual_opt_in(self):
         default = Planner().plan("section8-hom")
         assert "anneal" not in default.selected
-        assert "stochastic" in skip_reasons(default)["anneal"]
+        assert "manual-only" in skip_reasons(default)["anneal"]
         assert "--methods" in skip_reasons(default)["anneal"]
         # Requesting it is the one way in.
         opted = Planner().plan("section8-hom", methods=["anneal"])

@@ -376,7 +376,6 @@ class TestKeyStability:
             "chain": key_for(cache, "heur-l", other_chain, platform),
             "platform": key_for(cache, "heur-l", chain, other_platform),
             "bounds": key_for(cache, "heur-l", chain, platform, BOUNDS[:1]),
-            "seed": key_for(cache, "heur-l", chain, platform, seed=7),
         }
         for what, key in variants.items():
             assert key != base, f"changing the {what} must change the key"
@@ -472,7 +471,7 @@ class TestWarmRunDoesNoWork:
 
         def counting_solve(problem):
             solve_calls["n"] += 1
-            return get_method("heur-l").solve_problem(problem)
+            return get_method("heur-l").solve(problem)
 
         counted = register_method("counted-heur-l")(counting_solve)
         try:
@@ -498,7 +497,7 @@ class TestWarmRunDoesNoWork:
         outside the registry bypass the cache entirely."""
         local = Method(
             name="heur-l",  # same name as a builtin, different object
-            solve=lambda problem: get_method("heur-l").solve_problem(problem),
+            solve=lambda problem: get_method("heur-l").solve(problem),
             exact=False, homogeneous_only=False,
         )
         suite = homogeneous_suite(n_instances=2, seed=21)

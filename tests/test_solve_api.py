@@ -2,9 +2,13 @@
 error parity with the registry, and registry re-registration."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core import Platform, TaskChain
 from repro.experiments import (
     METHODS,
@@ -14,6 +18,9 @@ from repro.experiments import (
 )
 from repro.io import content_hash, dumps, loads
 from repro.solve import Problem, auto_method_name, solve
+
+#: The directory holding this checkout's ``repro`` package.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture
@@ -152,10 +159,39 @@ class TestFacade:
         with pytest.raises(TypeError, match="repro.solve.Problem"):
             solve((chain, hom, 50.0, 100.0))
 
-    def test_seed_forwarded_to_stochastic(self, problem):
-        a = solve(problem, method="anneal", seed=7)
-        b = solve(problem, method="anneal", seed=7)
-        assert a.log_reliability == b.log_reliability
+    def test_anneal_is_a_function_of_the_problem(self, tmp_path):
+        """anneal seeds itself from Problem.content_hash(): interpreters
+        with different hash salts return the same mapping and
+        evaluation, and solve() takes no seed."""
+        script = (
+            "from repro.core import Platform, TaskChain\n"
+            "from repro.io import dumps\n"
+            "from repro.solve import Problem, solve\n"
+            "chain = TaskChain([14.0, 6.0, 12.0, 5.0, 9.0, 11.0, 3.0, 8.0, 13.0, 7.0],\n"
+            "                  [2.0, 1.0, 3.0, 1.0, 2.0, 4.0, 1.0, 2.0, 3.0, 0.0])\n"
+            "platform = Platform.homogeneous_platform(\n"
+            "    8, failure_rate=1e-3, link_failure_rate=1e-4, max_replication=3)\n"
+            "problem = Problem(chain, platform, max_period=40.0, max_latency=150.0)\n"
+            "res = solve(problem, method='anneal')\n"
+            "ev = res.evaluation\n"
+            "print(dumps(res.mapping), repr(ev.failure_probability),\n"
+            "      repr(ev.worst_case_period), repr(ev.worst_case_latency))\n"
+        )
+        outputs = []
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
+        assert '"type": "Mapping"' in outputs[0]
+
+    def test_solve_takes_no_seed(self, problem):
+        with pytest.raises(TypeError, match="seed"):
+            solve(problem, method="anneal", seed=7)
 
     def test_crosscheck_methods_agree(self, problem):
         """The facade reaches every exact backend (ilp, ilp-bb,
