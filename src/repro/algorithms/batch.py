@@ -74,7 +74,23 @@ Every kernel returns a :class:`~repro.algorithms.result.UnitResults`
 achieved objective values and the witness's worst-case period and
 latency, plus one info dict (or ``None``) per row — and so does the
 harness's per-row loop.  :meth:`UnitResults.empty` owns the fill of
-infeasible cells.
+infeasible cells, and :func:`record_solved` the fill of solved ones
+from their witnesses' log-reliability, worst-case period and latency.
+
+Homogeneous scorer
+------------------
+One columnar scorer evaluates homogeneous mappings, one per row of
+boundaries and replica counts: :func:`_interval_terms` computes each
+interval's compute time, communication time and branch
+log-reliability, the two ``math.*`` maps (branch log-failure, then
+the stage tail after the replica sum) run through
+:func:`_map_blocks`, and :func:`_compose` adds up the stages.  The
+heuristic kernel runs Algo-Alloc on the branch log-failures of every
+candidate division, and maps all its candidates at once because they
+share most intervals; the exact DP kernels of
+:mod:`repro.algorithms.batch_dp` score their witnesses through
+:func:`score_hom_divisions`.  No kernel builds a
+:class:`~repro.core.mapping.Mapping` or calls ``evaluate_mapping``.
 
 Entry points
 ------------
@@ -93,8 +109,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.heuristics import ALLOCATIONS, SELECTIONS
-from repro.algorithms.result import UnitResults
+from repro.algorithms.result import ALLOCATIONS, SELECTIONS, UnitResults
 from repro.util import logrel
 from repro.util.logrel import from_reliability
 from repro.util.validation import check_bound
@@ -103,6 +118,8 @@ __all__ = [
     "batch_heuristic_best",
     "check_bounds",
     "heuristic_probe_tables",
+    "record_solved",
+    "score_hom_divisions",
 ]
 
 
@@ -308,7 +325,7 @@ def _stage_log_fail(lf: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return slf
 
 
-def _candidate_metrics(
+def _interval_terms(
     bnd: np.ndarray,
     prefix: np.ndarray,
     output: np.ndarray,
@@ -316,14 +333,14 @@ def _candidate_metrics(
     rates: np.ndarray,
     bandwidth: float,
     link_rate: float,
-    p: int,
-    K: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one candidate division for every row.
+    """Per-interval terms of one division per row, on homogeneous rows.
 
-    Returns ``(log_reliability, worst_period, worst_latency)`` vectors
-    of shape ``(r,)`` — the three numbers ``heuristic_best`` reads off
-    a candidate's :class:`~repro.core.evaluation.MappingEvaluation`.
+    *bnd* is ``(r, m + 1)`` boundaries; *prefix*, *output*, *speeds*
+    and *rates* are the rows' work prefix sums, output sizes, speed and
+    failure rate.  Returns ``(wc, comm, branch)``, each ``(r, m)``: the
+    worst-case compute time ``W / s``, the outgoing communication time
+    and the log-reliability of one replica branch of the Fig. 5 RBD.
     """
     r = bnd.shape[0]
     ridx = np.arange(r)[:, None]
@@ -333,30 +350,88 @@ def _candidate_metrics(
     out_sizes = output[ridx, stops - 1]                     # o_{l_j}
     in_sizes = np.where(starts == 0, 0.0, output[ridx, np.maximum(starts - 1, 0)])
 
-    # One replica branch of the Fig. 5 RBD, composed exactly as
-    # _branch_logrel does: (comm_in + interval) + comm_out.
+    # One replica branch, composed exactly as stage_log_reliability
+    # does: (comm_in + interval) + comm_out.
+    comm = out_sizes / bandwidth
+    wc = W / speeds[:, None]
     ell_in = -link_rate * (in_sizes / bandwidth)
-    ell_out = -link_rate * (out_sizes / bandwidth)
-    ell_int = -rates[:, None] * (W / speeds[:, None])
-    branch = (ell_in + ell_int) + ell_out
+    branch = (ell_in + -rates[:, None] * wc) + -link_rate * comm
+    return wc, comm, branch
 
-    lf = _pyfloat(_log_failure_map(branch))                 # log a_j
-    counts = _algo_alloc_counts(lf, p, K)
-    stage_lpf = _stage_log_fail(lf, counts)
-    stage_ell = _pyfloat(_parallel_tail_map(stage_lpf))
 
+def _map_blocks(scalar_map, blocks: list) -> list:
+    """*scalar_map* over a list of ``(r, m_c)`` blocks, one scalar call
+    per distinct value (:func:`_map_distinct`).  The blocks are joined
+    row by row, so the values one row's blocks share fall in one
+    chunk."""
+    joined = np.concatenate(blocks, axis=1)
+    mapped = _map_distinct(scalar_map, joined.ravel()).reshape(joined.shape)
+    return np.split(mapped, np.cumsum([block.shape[1] for block in blocks[:-1]]), axis=1)
+
+
+def _compose(
+    wc: np.ndarray, comm: np.ndarray, stage_ell: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compose one division per row from its :func:`_interval_terms`
+    and its stages' log-reliabilities *stage_ell*.
+
+    Returns ``(log_reliability, worst_period, worst_latency)`` vectors
+    of shape ``(r,)`` — the three numbers of the division's
+    :class:`~repro.core.evaluation.MappingEvaluation`, bit for bit.
+    """
     # Serial composition and the latency sum are sequential in the
     # scalar path; replicate the addition order.
+    r, m = wc.shape
     log_rel = np.zeros(r)
-    wc = W / speeds[:, None]
-    comm = out_sizes / bandwidth
     wl = np.zeros(r)
-    m = bnd.shape[1] - 1
     for j in range(m):
         log_rel = log_rel + stage_ell[:, j]
         wl = wl + (wc[:, j] + comm[:, j])
     wp = np.maximum(comm.max(axis=1), wc.max(axis=1))
     return log_rel, wp, wl
+
+
+def score_hom_divisions(
+    ensemble, rows: np.ndarray, bnd: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score the mappings of homogeneous ensemble rows, one per entry.
+
+    Entry ``x`` maps row ``rows[x]`` (rows may repeat) with boundaries
+    ``bnd[x]`` (``(g, m + 1)``, one interval count per call) and
+    ``counts[x, j]`` replicas on interval ``j``.  Returns
+    ``(log_reliability, worst_period, worst_latency)``, bit-identical
+    to :func:`~repro.core.evaluation.evaluate_mapping` of that mapping
+    (processor identity is irrelevant on a homogeneous row); the exact
+    DP kernels of :mod:`repro.algorithms.batch_dp` score their
+    witnesses through it.
+    """
+    work = ensemble.work[rows]
+    prefix = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(work, axis=1)], axis=1)
+    wc, comm, branch = _interval_terms(
+        bnd, prefix, ensemble.output[rows],
+        ensemble.speeds[rows, 0].astype(float),
+        ensemble.failure_rates[rows, 0].astype(float),
+        ensemble.bandwidth, ensemble.link_failure_rate,
+    )
+    [lf] = _map_blocks(_log_failure_map, [branch])
+    [stage_ell] = _map_blocks(_parallel_tail_map, [_stage_log_fail(lf, counts)])
+    return _compose(wc, comm, stage_ell)
+
+
+def record_solved(out: UnitResults, hit, ell, wp, wl, objective: str) -> None:
+    """Fill the solved cells *hit* of *out* from their witnesses'
+    log-reliability *ell*, worst-case period *wp* and latency *wl*; the
+    value is the *objective*'s, as
+    :meth:`~repro.algorithms.result.SolveResult.objective_value` reads
+    it."""
+    out.solved[hit] = True
+    out.failure[hit] = _pyfloat(_failure_map(ell))
+    if objective == "reliability":
+        out.values[hit] = _pyfloat(_reliability_map(ell))
+    else:
+        out.values[hit] = {"period": wp, "latency": wl}[objective]
+    out.period[hit] = wp
+    out.latency[hit] = wl
 
 
 def _select(
@@ -429,18 +504,22 @@ class _HomTable:
         rates = np.ascontiguousarray(ensemble.failure_rates[rows, 0], dtype=float)
         prefix = np.concatenate([np.zeros((r, 1)), np.cumsum(work, axis=1)], axis=1)
 
-        cand_ell, cand_wp, cand_wl = [], [], []
-        for bnd in _divisions(work, output, b, names, min(n, p)):
-            ell, wp, wl = _candidate_metrics(
-                bnd, prefix, output, speeds, rates, b, link, p, K
-            )
-            cand_ell.append(ell)
-            cand_wp.append(wp)
-            cand_wl.append(wl)
+        terms = [
+            _interval_terms(bnd, prefix, output, speeds, rates, b, link)
+            for bnd in _divisions(work, output, b, names, min(n, p))
+        ]
+        # The divisions share most of their intervals, so the scalar
+        # maps run over all candidates at once.
+        lfs = _map_blocks(_log_failure_map, [branch for _, _, branch in terms])
+        stage_ells = _map_blocks(_parallel_tail_map, [
+            _stage_log_fail(lf, _algo_alloc_counts(lf, p, K)) for lf in lfs
+        ])
+        scored = [
+            _compose(wc, comm, stage_ell)
+            for (wc, comm, _), stage_ell in zip(terms, stage_ells)
+        ]
         # (C, r, 1): the point axis broadcasts in _select.
-        self.ell = np.stack(cand_ell)[:, :, None]
-        self.wp = np.stack(cand_wp)[:, :, None]
-        self.wl = np.stack(cand_wl)[:, :, None]
+        self.ell, self.wp, self.wl = (np.stack(column)[:, :, None] for column in zip(*scored))
 
     def probe(
         self, P: np.ndarray, L: np.ndarray, floor: float
@@ -802,11 +881,8 @@ def batch_heuristic_best(
             np.broadcast_to(P_pts, shape), np.broadcast_to(L_pts, shape), floor
         )
         hit_row, hit_pt = np.nonzero(feasible)
-        hit = (idx[hit_row], hit_pt)
-        ell = ell[feasible]
-        out.solved[hit] = True
-        out.failure[hit] = _pyfloat(_failure_map(ell))
-        out.values[hit] = _pyfloat(_reliability_map(ell))
-        out.period[hit] = wp[feasible]
-        out.latency[hit] = wl[feasible]
+        record_solved(
+            out, (idx[hit_row], hit_pt), ell[feasible], wp[feasible], wl[feasible],
+            objective,
+        )
     return out

@@ -19,7 +19,8 @@ rules the style below follows).
   table the scalar DPs read, is built once and stacked over rows.
   A DP row's frontier points of all lanes live in flat columns; each
   row is filled by extending all earlier points through their lanes'
-  admitted intervals at once, and a stable sort reduces every
+  admitted intervals at once; the candidates that their state's best
+  candidate dominates are dropped, and a stable sort reduces every
   ``(lane, k)`` state to its Pareto set.  The tie rule is
   :meth:`~repro.util.pareto.ParetoFrontier.insert`'s: of two points
   equal in cost and value, the first inserted (scalar loop order:
@@ -49,11 +50,16 @@ rules the style below follows).
   parent-tracked round at that bound reconstructs it.
 
 Every witness is walked back by the scalar DPs' one walk,
-:func:`~repro.algorithms._hom_dp.walk`, into ``(j, i, q)`` pieces, and
-becomes a mapping through
-:meth:`~repro.algorithms._hom_dp.HomTable.mapping`.  Every kernel
-scores its witnesses with the real
-:func:`~repro.core.evaluation.evaluate_mapping` and returns a
+:func:`~repro.algorithms._hom_dp.walk`, into ``(j, i, q)`` pieces: the
+per-row path turns them into a mapping
+(:meth:`~repro.algorithms._hom_dp.HomTable.mapping`) and scores it with
+:func:`~repro.core.evaluation.evaluate_mapping`.  The kernels score
+all their witnesses in columns instead, one
+:func:`~repro.algorithms.batch.score_hom_divisions` call per interval
+count: the scorer the heuristic kernel runs on its candidates, which
+replicates ``evaluate_mapping``'s reliability, worst-case period and
+worst-case latency bit for bit and skips its Eq. (3) expected costs,
+which no result records.  Every kernel returns a
 :class:`~repro.algorithms.result.UnitResults`.  dp-period fills its
 per-row ``infos`` with the ``probes`` counts the per-row path would
 have accumulated, so harness events and cache record bytes stay
@@ -69,9 +75,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms._hom_dp import HomTable, table_witness, walk
-from repro.algorithms.batch import _resolve_rows, check_bounds
+from repro.algorithms.batch import (
+    _resolve_rows, check_bounds, record_solved, score_hom_divisions,
+)
 from repro.algorithms.result import UnitResults
-from repro.core.evaluation import evaluate_mapping
 from repro.util import logrel
 from repro.util.logrel import from_reliability
 
@@ -87,16 +94,21 @@ def _require_homogeneous_rows(ensemble, rows: np.ndarray, kernel: str) -> None:
         )
 
 
-def _record(out: UnitResults, table: HomTable, ri: int, pt: int, pieces, score) -> None:
-    """Score the witness of *pieces* for row ``ri`` (whose table is
-    *table*) at point *pt* with the real :func:`evaluate_mapping`;
-    ``score(ev)`` is the objective value."""
-    ev = evaluate_mapping(table.mapping(pieces))
-    out.solved[ri, pt] = True
-    out.failure[ri, pt] = ev.failure_probability
-    out.values[ri, pt] = score(ev)
-    out.period[ri, pt] = ev.worst_case_period
-    out.latency[ri, pt] = ev.worst_case_latency
+def _record_witnesses(out: UnitResults, ensemble, rows: np.ndarray, found: list,
+                      objective: str) -> None:
+    """Score every ``(ri, pt, pieces)`` witness of *found* — row
+    ``rows[ri]`` at point ``pt`` — into *out*, in columns: one
+    :func:`~repro.algorithms.batch.score_hom_divisions` call per
+    interval count."""
+    groups: dict = {}
+    for ri, pt, pieces in found:
+        groups.setdefault(len(pieces), []).append((ri, pt, pieces))
+    for group in groups.values():
+        ri, pt = np.array([(ri, pt) for ri, pt, _ in group], dtype=np.int64).T
+        pieces = np.array([pieces for _, _, pieces in group], dtype=np.int64)
+        bnd = np.concatenate([pieces[:, :1, 0], pieces[:, :, 1]], axis=1)
+        ell, wp, wl = score_hom_divisions(ensemble, rows[ri], bnd, pieces[:, :, 2])
+        record_solved(out, (ri, pt), ell, wp, wl, objective)
 
 
 def _lane_dp(tables: "_FrontierLanes", lanes: np.ndarray, P: np.ndarray, track: bool):
@@ -262,9 +274,11 @@ def batch_minimize_period(
                 lane_row[ids[part]], P[part], budget[ids[part]], _most_reliable_lanes, floor
             )
         ]
-    for lane_id, pieces in found:
-        ri, pt = divmod(int(lane_id), n_pts)
-        _record(out, front.tables[ri], ri, pt, pieces, lambda ev: ev.worst_case_period)
+    _record_witnesses(
+        out, ensemble, rows,
+        [(*divmod(int(lane_id), n_pts), pieces) for lane_id, pieces in found],
+        objective,
+    )
 
     for ri, total in enumerate(probes.reshape(r, n_pts).sum(axis=1).tolist()):
         out.infos[ri] = {"probes": total} if total > 0 else None
@@ -345,6 +359,14 @@ class _FrontierLanes:
         then keeps, per state, each point whose value beats every point
         before it: the Pareto set, with exact ties won by the first
         inserted point, as :meth:`ParetoFrontier.insert` keeps it.
+
+        Most candidates (about nine in ten on section8-hom) are beaten
+        by their state's best candidate, and :func:`_undominated` drops
+        them before the sort.  That is exact: each dropped candidate
+        has a lower value than a kept one of its state that costs no
+        more, so the sort puts the kept one first, and the running max
+        rejects the dropped one and would not have risen at it.  The
+        Pareto set, its order and its tie winners stay as they are.
         """
         n, p, kmax = self.n, self.p, self.kmax
         n_lanes = lane_row.size
@@ -357,21 +379,31 @@ class _FrontierLanes:
         zeros = np.zeros(n_lanes, dtype=np.int32)
         cols = [state, zeros, zeros, np.full(n_lanes, -1, dtype=np.int32),
                 np.zeros(n_lanes), np.zeros(n_lanes)]
+        # Candidates past p processors go to one spare state, after
+        # every lane's, and are dropped with it.
+        spare = n_lanes * (p + 1)
         for i in range(1, n + 1):
             state, t, _, _, cost, value = cols
             lane, k = np.divmod(state, p + 1)
-            new_cost = cost + ct[lane, i]
+            new_cost = cost + ct[:, i].take(lane)
             src = np.flatnonzero(
-                adm[lane, t, i] & (new_cost <= budget[lane]) & (k < p)
+                adm[:, :, i].ravel().take(lane * (n + 1) + t)
+                & (new_cost <= budget.take(lane)) & (k < p)
             ).astype(np.int32)
             if src.size == 0:
                 continue
-            ok = k[src, None] + qs <= p
-            c_src = np.broadcast_to(src[:, None], ok.shape)[ok]
-            c_state = (state[src, None] + qs)[ok]
-            c_value = (value[src, None] + self.stage[lane_row[lane[src]], t[src], i])[ok]
-            cost_rank = np.broadcast_to(_dense_rank(new_cost[src])[:, None], ok.shape)[ok]
-            order = _pareto_order(c_state, cost_rank, c_value)
+            # Candidate x * kmax + q - 1 extends point src[x] on q replicas.
+            c_state = state.take(src)[:, None] + qs
+            c_state[k.take(src)[:, None] + qs > p] = spare
+            c_state = c_state.ravel()
+            stage_i = self.stage[lane_row, :, i].reshape(-1, kmax)
+            c_value = (value.take(src)[:, None] + stage_i.take(
+                lane.take(src) * (n + 1) + t.take(src), axis=0
+            )).ravel()
+            kept = _undominated(c_state, np.repeat(new_cost.take(src), kmax), c_value)
+            kept = kept[c_state.take(kept) != spare]
+            c_src, c_state, c_value = src.take(kept // kmax), c_state.take(kept), c_value.take(kept)
+            order = _pareto_order(c_state, _dense_rank(new_cost.take(c_src)), c_value)
             up, s_new = c_src[order], c_state[order]
             block = [s_new, np.full(up.size, i, dtype=np.int32), s_new - state[up],
                      up, new_cost[up], c_value[order]]
@@ -408,9 +440,26 @@ def _dense_rank(x: np.ndarray) -> np.ndarray:
     """Order-preserving ranks ``0, 1, ...`` of *x*; equal values share one."""
     o = np.argsort(x)
     xs = x[o]
-    rank = np.empty(x.size, dtype=np.int32)
-    rank[o] = np.cumsum(np.r_[False, xs[1:] != xs[:-1]], dtype=np.int32)
+    step = np.zeros(x.size, dtype=np.int32)
+    np.not_equal(xs[1:], xs[:-1], out=step[1:])
+    rank = np.empty_like(step)
+    rank[o] = np.cumsum(step, out=step)
     return rank
+
+
+def _undominated(seg: np.ndarray, cost: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The indices of the points not beaten by their segment's best: a
+    point stays iff it attains its segment's largest value or costs
+    strictly less than the cheapest point that does.
+    :func:`_pareto_order` over the kept points equals it over all of
+    them (see :meth:`_FrontierLanes.run`)."""
+    n_seg = int(seg.max()) + 1
+    top = np.full(n_seg, -math.inf)
+    np.maximum.at(top, seg, value)
+    at_top = value == top.take(seg)
+    cheapest = np.full(n_seg, math.inf)
+    np.minimum.at(cheapest, seg[at_top], cost[at_top])
+    return np.flatnonzero(at_top | (cost < cheapest.take(seg)))
 
 
 def _pareto_order(seg: np.ndarray, cost_rank: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -468,7 +517,7 @@ def _cheapest_meeting_lanes(lane, k, cost, value, floor) -> np.ndarray:
 
 
 def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select,
-                     score, floor: float = -math.inf):
+                     floor: float = -math.inf):
     """The shared body of the frontier-DP kernels.
 
     One lane per (row, sweep point) with a non-negative communication
@@ -476,8 +525,8 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
     infeasible before any DP runs, as in the scalar early return — and
     one :meth:`_FrontierLanes.run` per chunk of lanes.  ``select`` picks
     each lane's answer among its final points, the scalar selection
-    over the final row; the answer is reconstructed and scored by
-    :func:`_record`, ``score(ev)`` being its *objective* value.
+    over the final row; the answers are reconstructed and scored by
+    :func:`_record_witnesses`.
     """
     rows = _resolve_rows(ensemble, rows)
     n_pts = len(bounds)
@@ -492,12 +541,15 @@ def _frontier_kernel(ensemble, bounds, rows, kernel: str, objective: str, select
     L_pts = np.array([float(L) for _, L in bounds])
     budgets = (L_pts[None, :] - dp.total_compute[:, None]).ravel()
     lanes = np.flatnonzero(budgets >= 0)  # lane id = ri * n_pts + pt
+    found = []
     for start in range(0, lanes.size, _CHUNK):
         ids = lanes[start:start + _CHUNK]
         ris, pts = np.divmod(ids, n_pts)
-        for lane, pieces in dp.witnesses(ris, P_pts[pts], budgets[ids], select, floor):
-            ri = int(ris[lane])
-            _record(out, dp.tables[ri], ri, int(pts[lane]), pieces, score)
+        found += [
+            (ris[lane], pts[lane], pieces)
+            for lane, pieces in dp.witnesses(ris, P_pts[pts], budgets[ids], select, floor)
+        ]
+    _record_witnesses(out, ensemble, rows, found, objective)
     return out
 
 
@@ -524,7 +576,6 @@ def batch_pareto_dp(
     return _frontier_kernel(
         ensemble, bounds, rows, "pareto-dp", objective,
         select=_most_reliable_lanes,
-        score=lambda ev: ev.reliability,
     )
 
 
@@ -549,6 +600,5 @@ def batch_minimize_latency(
     return _frontier_kernel(
         ensemble, bounds, rows, "dp-latency", objective,
         select=_cheapest_meeting_lanes,
-        score=lambda ev: ev.worst_case_latency,
         floor=from_reliability(min_reliability),
     )

@@ -30,11 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import (
-    _failure_map,
-    _pyfloat,
     _resolve_rows,
     check_bounds,
     heuristic_probe_tables,
+    record_solved,
 )
 from repro.algorithms.result import UnitResults
 from repro.util.logrel import from_reliability
@@ -94,7 +93,6 @@ def batch_bisection_search(
     L_pts = np.array([float(L) for _, L in bounds])
     probes_all = np.zeros((r, n_pts), dtype=np.int64)
     conv_all = np.zeros((r, n_pts), dtype=bool)
-    ell_all = np.full((r, n_pts), -math.inf)
 
     for idx, table in heuristic_probe_tables(ensemble, rows, "heur-l"):
         sub = (idx.size, n_pts)
@@ -140,18 +138,13 @@ def batch_bisection_search(
         conv = (hi - lo) <= DEFAULT_REL_TOL * np.maximum(hi, 1.0)
         probes_all[idx] = probes
         conv_all[idx] = conv
-        ell_all[idx] = b_ell
-        out.solved[idx] = ok
-        out.period[idx] = b_wp
-        out.latency[idx] = b_wl
+        # The searched criterion is the objective.
+        hit_row, hit_pt = np.nonzero(ok)
+        record_solved(
+            out, (idx[hit_row], hit_pt), b_ell[ok], b_wp[ok], b_wl[ok], criterion
+        )
 
     solved = out.solved
-    # The probe table's ell replicates evaluate_mapping's
-    # log-reliability bit for bit, so failure = -expm1(ell) matches the
-    # scalar result's failure_probability.
-    out.failure[solved] = _pyfloat(_failure_map(ell_all[solved]))
-    # The searched criterion is the objective (both fill with inf).
-    out.values[:] = out.period if criterion == "period" else out.latency
     for ri in range(r):
         info = {"probes": int(probes_all[ri].sum())}
         if solved[ri].any():

@@ -32,7 +32,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from repro.algorithms.allocation import algo_alloc, algo_alloc_het
-from repro.algorithms.result import SolveResult
+from repro.algorithms.result import ALLOCATIONS, SELECTIONS, SolveResult
 from repro.core.chain import TaskChain
 from repro.core.evaluation import MappingEvaluation, evaluate_mapping
 from repro.core.interval import Interval, partition_from_cuts
@@ -49,13 +49,6 @@ __all__ = [
 ]
 
 HeuristicName = Literal["heur-l", "heur-p"]
-
-#: The selection rules of :func:`heuristic_best` and the allocation
-#: modes of :func:`heuristic_candidates` (the batched kernels in
-#: :mod:`repro.algorithms.batch` mirror both).
-SELECTIONS = ("feasible-best", "best-then-check")
-ALLOCATIONS = ("auto", "het")
-
 
 def heur_l_intervals(chain: TaskChain, m: int) -> list[Interval]:
     """Algorithm 3: division into *m* intervals with minimal latency.

@@ -19,6 +19,14 @@ from repro.core.mapping import Mapping
 
 __all__ = ["SolveResult", "UnitResults"]
 
+#: The selection rules of :func:`~repro.algorithms.heuristic_best` and
+#: the allocation modes of :func:`~repro.algorithms.heuristic_candidates`
+#: (the batched kernels in :mod:`repro.algorithms.batch` take both).
+#: They live here, in a module the kernels load anyway, so a kernel run
+#: does not load the scalar heuristics.
+SELECTIONS = ("feasible-best", "best-then-check")
+ALLOCATIONS = ("auto", "het")
+
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -54,17 +54,18 @@ SHRINK = {
     "hot-spare": {"n_instances": 2},
 }
 
-#: The method exercised per (objective, homogeneous-platform) cell.
-#: None marks a genuinely uncovered cell (no registered method).
-OBJECTIVE_METHOD = {
-    ("reliability", True): "heuristic",
-    ("reliability", False): "heur-l",
-    ("period", True): "dp-period",
-    ("period", False): "het-period-search",
-    ("latency", True): "dp-latency",
-    ("latency", False): "het-latency-search",
-    ("energy", True): "energy-greedy",
-    ("energy", False): "energy-greedy",
+#: The methods exercised per (objective, homogeneous-platform) cell:
+#: the homogeneous reliability cell runs the heuristic kernel and the
+#: pareto-dp frontier kernel (the Section 8.1 plan's exact method).
+OBJECTIVE_METHODS = {
+    ("reliability", True): ("heuristic", "pareto-dp"),
+    ("reliability", False): ("heur-l",),
+    ("period", True): ("dp-period",),
+    ("period", False): ("het-period-search",),
+    ("latency", True): ("dp-latency",),
+    ("latency", False): ("het-latency-search",),
+    ("energy", True): ("energy-greedy",),
+    ("energy", False): ("energy-greedy",),
 }
 
 #: Cells whose kernel serves every unit of a BOUNDS sweep (energy has
@@ -160,22 +161,20 @@ class TestSweepEquivalenceMatrix:
     )
     def test_batched_sweep_matches_per_row(self, tmp_path, scenario, objective, jobs):
         entry = get_scenario(scenario)
-        method_name = OBJECTIVE_METHOD[objective, entry.homogeneous]
-        if method_name is None:
-            pytest.skip(f"no {objective!r} method for heterogeneous platforms")
-        method = get_method(method_name)
-        (batched, looped), (bcache, lcache) = sweep_pair(
-            tmp_path, shrunk_spec(scenario), method, objective, jobs=jobs
-        )
-        assert_same_sweeps(batched, looped)
-        # Both paths write entries under identical keys with identical
-        # payloads — a sweep warmed by one path serves the other.
-        assert cache_entries(bcache) == cache_entries(lcache) != {}
-        assert looped.batch_units == 0
-        if (objective, entry.homogeneous) in FULLY_BATCHED:
-            assert batched.batch_units == n_units(batched)
-        else:
-            assert batched.batch_units == 0
+        for method_name in OBJECTIVE_METHODS[objective, entry.homogeneous]:
+            (batched, looped), (bcache, lcache) = sweep_pair(
+                tmp_path / method_name, shrunk_spec(scenario), get_method(method_name),
+                objective, jobs=jobs,
+            )
+            assert_same_sweeps(batched, looped)
+            # Both paths write entries under identical keys with identical
+            # payloads — a sweep warmed by one path serves the other.
+            assert cache_entries(bcache) == cache_entries(lcache) != {}
+            assert looped.batch_units == 0
+            if (objective, entry.homogeneous) in FULLY_BATCHED:
+                assert batched.batch_units == n_units(batched)
+            else:
+                assert batched.batch_units == 0
 
     def test_batch_warmed_cache_serves_per_row_sweep(self, tmp_path):
         spec = shrunk_spec("section8-hom")

@@ -12,7 +12,9 @@ at or below the compute bound, lanes spanning several chunks, finite
 and infinite budgets side by side in one chunk, and failure-free
 platforms where every value ties.  The lane DP's frontiers are also
 compared with the scalar DP's state by state, parents included, which
-pins the tie rule itself.
+pins the tie rule itself.  The engine's dominated-candidate filter is
+checked against the unfiltered Pareto sort on drawn candidate sets, and
+the kernels' columnar witness scorer against ``evaluate_mapping``.
 """
 
 import json
@@ -24,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
+    UnitResults,
     brute_force_best,
     ilp_best,
     minimize_latency,
@@ -32,12 +35,16 @@ from repro.algorithms import (
     optimize_reliability_period,
     pareto_dp_best,
 )
-from repro.algorithms.batch_dp import _CHUNK, _FrontierLanes, _lane_dp
+from repro.algorithms.batch import record_solved, score_hom_divisions
+from repro.algorithms.batch_dp import (
+    _CHUNK, _FrontierLanes, _dense_rank, _lane_dp, _pareto_order, _undominated,
+)
 from repro.algorithms.dp_period import candidate_periods
 from repro.algorithms._hom_dp import HomTable, hom_reliability_dp
 from repro.algorithms.pareto_dp import _frontier_dp, _most_reliable
 from repro.core import Platform, TaskChain
 from repro.core.ensemble import Ensemble
+from repro.core.evaluation import evaluate_mapping
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
 from repro.experiments.harness import _solve_rows
@@ -499,3 +506,114 @@ def test_exact_methods_agree_with_brute_force_on_underflow_rows(case):
     ensemble, bounds = case
     for chain, platform in ensemble:
         exact_methods_agree_with_brute_force(chain, platform, bounds[:3])
+
+
+@st.composite
+def candidate_sets(draw):
+    """One row's frontier candidates: segments (states), costs and
+    values with exact ties on both axes, ``-inf`` values included."""
+    size = draw(st.integers(1, 80))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    seg = np.array(column(st.integers(0, 5)), dtype=np.int32)
+    cost = np.array(column(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])))
+    value = np.array(column(st.one_of(
+        st.sampled_from([-math.inf, -3.0, -1.0, -0.5, 0.0]),
+        st.floats(-4.0, 0.0),
+    )))
+    return seg, cost, value
+
+
+@given(candidate_sets())
+@settings(max_examples=300, deadline=None)
+def test_undominated_filter_keeps_the_pareto_order(case):
+    """The frontier engine drops dominated candidates before the Pareto
+    sort: the sort over what is left (cost ranks re-drawn over the kept
+    costs, as the engine does) gives the same points in the same order
+    as the sort over every candidate."""
+    seg, cost, value = case
+    everything = _pareto_order(seg, _dense_rank(cost), value)
+    kept = _undominated(seg, cost, value)
+    filtered = kept[_pareto_order(seg[kept], _dense_rank(cost[kept]), value[kept])]
+    assert np.array_equal(filtered, everything)
+
+
+@st.composite
+def hom_witnesses(draw):
+    """A homogeneous ensemble with fractional work, outputs, speed and
+    bandwidth (so operand order shows in the bits), and a few mappings
+    of its rows, all with one interval count: ``(row, boundaries,
+    replica counts)``, the counts reaching ``kmax`` (up to 5) and every
+    processor where they can.  At the :data:`UNDERFLOW` rate some
+    stages' reliability underflows to 0."""
+    n, p, r = draw(st.integers(2, 8)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    size = st.floats(0.05, 50.0)
+
+    def rows(elements):
+        row = st.lists(elements, min_size=n, max_size=n)
+        return np.array(draw(st.lists(row, min_size=r, max_size=r)), dtype=float)
+
+    ensemble = Ensemble(
+        work=rows(size),
+        output=rows(st.one_of(st.just(0.0), size)),
+        speeds=np.full((1, p), draw(st.floats(0.5, 4.0))),
+        failure_rates=np.full((1, p), draw(st.sampled_from([0.0, 1e-8, 1e-3, 5e-2, UNDERFLOW]))),
+        bandwidth=draw(st.floats(0.5, 4.0)),
+        link_failure_rate=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        max_replication=draw(st.integers(1, 5)),
+    )
+    kmax = min(ensemble.max_replication, p)
+    m = draw(st.integers(1, min(n, p)))
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, r - 1))
+        cuts = draw(st.sets(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1))
+        counts, spare = [1] * m, p - m
+        for j in draw(st.permutations(range(m))):
+            most = min(kmax - 1, spare)
+            extra = draw(st.one_of(st.just(most), st.integers(0, most)))
+            counts[j] += extra
+            spare -= extra
+        entries.append((row, [0, *sorted(cuts), n], counts))
+    return ensemble, entries
+
+
+@given(hom_witnesses())
+@settings(max_examples=200, deadline=None)
+def test_columnar_scorer_matches_evaluate_mapping(case):
+    """The frontier kernels score their witnesses in columns; every
+    recorded number equals ``evaluate_mapping`` of the witness mapping,
+    bit for bit, on underflowing rows and at ``q = kmax`` too."""
+    ensemble, entries = case
+    rows = np.array([row for row, _, _ in entries])
+    bnd = np.array([b for _, b, _ in entries])
+    counts = np.array([c for _, _, c in entries])
+    ell, wp, wl = score_hom_divisions(ensemble, rows, bnd, counts)
+    hit = (np.arange(len(entries)), np.zeros(len(entries), dtype=np.int64))
+    scored = {}
+    for objective in ("reliability", "period", "latency"):
+        out = scored[objective] = UnitResults.empty(len(entries), 1, objective)
+        record_solved(out, hit, ell, wp, wl, objective)
+    for x, (row, b, c) in enumerate(entries):
+        table = HomTable(*ensemble[row])
+        ev = evaluate_mapping(table.mapping(list(zip(b[:-1], b[1:], c))))
+        want = {
+            "failure": ev.failure_probability,
+            "reliability": ev.reliability,
+            "period": ev.worst_case_period,
+            "latency": ev.worst_case_latency,
+        }
+        got = {
+            "failure": scored["reliability"].failure[x, 0],
+            "reliability": scored["reliability"].values[x, 0],
+            "period": scored["period"].values[x, 0],
+            "latency": scored["latency"].values[x, 0],
+        }
+        for out in scored.values():
+            assert out.period[x, 0] == ev.worst_case_period
+            assert out.latency[x, 0] == ev.worst_case_latency
+        assert {k: float(v).hex() for k, v in got.items()} == {
+            k: float(v).hex() for k, v in want.items()
+        }

@@ -158,10 +158,10 @@ def test_warm_scenario_run_loads_no_kernel(tmp_path):
 UNUSED_BY_SCENARIO_RUNS = ("numpy.ma", "repro.experiments.figures")
 
 
-def test_cold_het_grid_run_loads_no_masked_arrays_or_figures(tmp_path):
-    """A cold paired (Section 8.2) run with a derived grid: the grid's
-    quantiles, the achieved-objective quantiles, the paired ensemble's
-    common-rate check and the curve tables load neither module."""
+@pytest.fixture(scope="module")
+def cold_het_run(tmp_path_factory):
+    """A cold paired (Section 8.2) ``scenario run`` with a derived grid
+    in a fresh interpreter: the modules it loaded."""
     script = (
         "from repro.cli import main\n"
         "rc = main(['scenario', 'run', 'section8-het', '--n-instances', '3',\n"
@@ -169,9 +169,28 @@ def test_cold_het_grid_run_loads_no_masked_arrays_or_figures(tmp_path):
         "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
         "assert rc == 0, rc\n"
     )
-    loaded = loaded_modules(script, cwd=tmp_path)
+    loaded = loaded_modules(script, cwd=tmp_path_factory.mktemp("cold-het"))
     assert "repro.algorithms.batch" in loaded  # it solved
-    assert sorted(set(UNUSED_BY_SCENARIO_RUNS) & loaded) == []
+    return loaded
+
+
+def test_cold_het_grid_run_loads_no_masked_arrays_or_figures(cold_het_run):
+    """The grid's quantiles, the achieved-objective quantiles, the
+    paired ensemble's common-rate check and the curve tables load
+    neither module."""
+    assert sorted(set(UNUSED_BY_SCENARIO_RUNS) & cold_het_run) == []
+
+
+#: The scalar Section 7 heuristics and their allocations: the kernels
+#: serve every Section 8 unit, so no cold run needs them.
+SCALAR_HEURISTICS = ("repro.algorithms.heuristics", "repro.algorithms.allocation")
+
+
+def test_cold_section8_runs_load_no_scalar_heuristics(cold_serial_run, cold_het_run):
+    hom_loaded, _ = cold_serial_run
+    assert "repro.algorithms.batch_dp" in hom_loaded  # pareto-dp's kernel ran
+    assert sorted(set(SCALAR_HEURISTICS) & hom_loaded) == []
+    assert sorted(set(SCALAR_HEURISTICS) & cold_het_run) == []
 
 
 def test_pool_run_matches_serial_run(tmp_path, monkeypatch):

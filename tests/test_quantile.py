@@ -34,10 +34,21 @@ def same_bits(a, b) -> bool:
 @given(samples, levels)
 @settings(max_examples=500, deadline=None)
 def test_matches_np_quantile(values, qs):
+    """Bit for bit against ``np.quantile`` of the canonical sample, each
+    ``-0.0`` read as ``+0.0``: numpy's partition may leave either zero
+    at an index where the two tie."""
     with np.errstate(invalid="ignore", over="ignore"):
-        want = np.quantile(np.array(values), qs)
+        want = np.quantile(np.array(values) + 0.0, qs)
         got = linear_quantiles(values, qs)
     assert same_bits(got, want)
+
+
+def test_signed_zeros_read_as_positive_zero():
+    """A sample mixing ``0.0`` and ``-0.0``: the median is ``+0.0``,
+    wherever the sort leaves the negative zeros."""
+    got = linear_quantiles([0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 0.0], (0.5,))
+    assert same_bits(got, np.array([0.0]))
+    assert same_bits(linear_quantiles([-0.0, -0.0], (0.0, 0.5, 1.0)), np.zeros(3))
 
 
 def test_nan_sample_has_nan_quantiles():
