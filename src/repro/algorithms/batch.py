@@ -19,16 +19,20 @@ That contract dictates the implementation style:
   ``math.log`` by an occasional ulp.  Every step the scalar path
   computes through ``math.*`` (``logrel.log_failure``, the
   ``logrel.parallel`` tail, ``-expm1`` / ``exp`` conversions) is
-  therefore mapped element-wise over the *very same* scalar functions
-  (:func:`numpy.frompyfunc`), while steps the scalar path already runs
-  through NumPy (``logrel.log1mexp`` on allocation-score pairs, prefix
-  sums, stable argsorts) stay vectorized.
+  therefore mapped element-wise over the *very same* libm builtins:
+  :func:`numpy.frompyfunc` over ``math.expm1`` / ``math.exp`` /
+  ``math.log`` / ``math.log1p``, one masked pass per scalar branch
+  with the scalar's exact negations in between (±0.0, ``-inf``, NaN
+  and the ``-log 2`` split included; a positive log-reliability raises
+  as the scalar does).  Each element costs a C call, not a Python
+  frame.  Steps the scalar path already runs through NumPy
+  (``logrel.log1mexp`` on allocation-score pairs, prefix sums, stable
+  argsorts) stay vectorized.
 * Sequential accumulations (``sum()`` starting at ``0``) are
   replicated as sequential masked adds — ``k`` rounded additions are
   not ``k * x``.
-* A scalar map over many equal arguments calls its function once per
-  distinct bit pattern (:func:`_map_distinct`): same bits in, same
-  bits out.
+* An exact map over many equal arguments evaluates each distinct bit
+  pattern once (:func:`_map_distinct`): same bits in, same bits out.
 * Tie-breaks (the allocation heap's smallest-index pop, the DP's
   strict ``<``, the selection's strict ``>``) map onto
   first-occurrence ``argmax`` / ``argmin``.
@@ -67,6 +71,23 @@ converse-objective kernels live in :mod:`repro.algorithms.batch_dp`
 (dp-period / dp-latency) and :mod:`repro.algorithms.batch_search`
 (the bisection searches, built on this module's probe tables).
 
+Sharing
+-------
+Every heuristic kernel call on an ensemble — the grid probe's
+``heuristic``, ``heur-l`` / ``heur-p``, the paper variants and the
+bisection searches — reads the same probe tables: one per (table
+kind, heuristic), covering every row of that kind.  A table is built
+when a call first asks for its heuristic and is kept with the frozen
+ensemble (:meth:`~repro.core.ensemble.Ensemble.derived`), its arrays
+read-only; ``which="both"`` joins the Heur-P and Heur-L tables, and
+the rows, the selection rule, the bounds and the floor are arguments
+of each probe, not table state.  A heterogeneous table also keeps its
+last allocation lanes, keyed by the probed rows and the bytes of the
+period matrix: the lanes depend on nothing else, so ``heur-l-paper``
+after ``heur-l`` (or a latency bisection's every round) only
+re-selects, and a period bisection, whose every round moves the
+periods, holds one lane set per table at a time.
+
 Result contract
 ---------------
 Every kernel returns a :class:`~repro.algorithms.result.UnitResults`
@@ -98,12 +119,13 @@ Entry points
 for ``heur-l`` / ``heur-p`` / ``heuristic`` and the paper variants
 ``heur-l-paper`` / ``heur-p-paper`` (see
 :mod:`repro.experiments.methods`);
-:func:`heuristic_probe_tables` exposes the per-platform-kind probe
-tables the search kernels bisect over.
+:func:`heuristic_probe_tables` binds the shared per-platform-kind probe
+tables the sweep and search kernels probe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -123,20 +145,14 @@ __all__ = [
 ]
 
 
-# Element-wise maps over the exact scalar functions the per-instance
-# path calls — the ulp-level contract (see the module docstring).
-_log_failure_map = np.frompyfunc(logrel.log_failure, 1, 1)
-_failure_map = np.frompyfunc(logrel.failure, 1, 1)
-_reliability_map = np.frompyfunc(logrel.reliability, 1, 1)
-
-
 def _parallel_tail(log_prod_f: float) -> float:
     """The tail of :func:`logrel.parallel` after the failure-log sum.
 
     Replicates its branch structure exactly: a ``-inf`` product means
     some branch is perfect (stage reliability 1), a ``0.0`` product
     means every branch certainly fails, and otherwise the two-branch
-    log1mexp evaluates ``log(1 - prod f)``.
+    log1mexp evaluates ``log(1 - prod f)``.  The scalar reference of
+    :func:`_parallel_tail_map`.
     """
     if log_prod_f == -math.inf:
         return logrel.PERFECT
@@ -147,12 +163,56 @@ def _parallel_tail(log_prod_f: float) -> float:
     return math.log1p(-math.exp(log_prod_f))
 
 
-_parallel_tail_map = np.frompyfunc(_parallel_tail, 1, 1)
+# The libm builtins the scalar functions call, mapped element-wise: a
+# C call per element and no Python frame (see the module docstring).
+_expm1, _exp, _log, _log1p = (
+    np.frompyfunc(fn, 1, 1) for fn in (math.expm1, math.exp, math.log, math.log1p)
+)
+_NEG_LOG2 = -math.log(2.0)
 
 
-def _pyfloat(mapped: np.ndarray) -> np.ndarray:
-    """Cast a ``frompyfunc`` object-array result back to float64."""
-    return mapped.astype(float)
+def _call(builtin, x: np.ndarray) -> np.ndarray:
+    """*builtin* over the float array *x*, back as float64."""
+    return builtin(x).astype(float)
+
+
+def _log_failure_map(x) -> np.ndarray:
+    """:func:`logrel.log_failure` over a float array, bit for bit.
+
+    The scalar branches as masks: ``-inf`` at either zero,
+    ``log(-expm1(x))`` above ``-log 2`` and ``log1p(-exp(x))`` elsewhere
+    (NaN included), with the same exact negations in between.  A
+    positive element raises what the scalar path raises (a math domain
+    ``ValueError``, or ``OverflowError`` past ``expm1``'s range).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -math.inf)
+    near = x > _NEG_LOG2
+    far = ~near
+    near &= x != 0.0
+    out[near] = _call(_log, -_call(_expm1, x[near]))
+    out[far] = _call(_log1p, -_call(_exp, x[far]))
+    return out
+
+
+def _parallel_tail_map(x) -> np.ndarray:
+    """:func:`_parallel_tail` over a float array, bit for bit: the
+    :func:`_log_failure_map` branches, except that ``-inf`` maps to
+    :data:`logrel.PERFECT` (``+0.0``; ``log_failure`` gives ``-0.0``)."""
+    x = np.asarray(x, dtype=float)
+    out = _log_failure_map(x)
+    out[x == -math.inf] = logrel.PERFECT
+    return out
+
+
+def _failure_map(x) -> np.ndarray:
+    """:func:`logrel.failure` (``-expm1``) over a float array, bit for bit."""
+    return -_call(_expm1, np.asarray(x, dtype=float))
+
+
+def _reliability_map(x) -> np.ndarray:
+    """:func:`logrel.reliability` (``exp``) over a float array, bit for bit."""
+    return _call(_exp, np.asarray(x, dtype=float))
 
 
 #: Lanes per Section 7.2 allocation chunk (and values per
@@ -163,15 +223,15 @@ def _pyfloat(mapped: np.ndarray) -> np.ndarray:
 _CHUNK = 512
 
 
-def _map_distinct(scalar_map, x: np.ndarray) -> np.ndarray:
-    """*scalar_map* over the 1-D float array *x*, one scalar call per
-    distinct bit pattern of each :data:`_CHUNK` values (exact: equal
-    bits, equal result).  The chunks bound the temporaries."""
+def _map_distinct(exact_map, x: np.ndarray) -> np.ndarray:
+    """*exact_map* over the 1-D float array *x*, on each distinct bit
+    pattern of each :data:`_CHUNK` values once (exact: equal bits,
+    equal result).  The chunks bound the temporaries."""
     out = np.empty_like(x)
     for start in range(0, x.size, _CHUNK):
         part = x[start:start + _CHUNK]
         bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
-        out[start:start + _CHUNK] = _pyfloat(scalar_map(bits.view(float)))[inverse]
+        out[start:start + _CHUNK] = exact_map(bits.view(float))[inverse]
     return out
 
 
@@ -359,13 +419,13 @@ def _interval_terms(
     return wc, comm, branch
 
 
-def _map_blocks(scalar_map, blocks: list) -> list:
-    """*scalar_map* over a list of ``(r, m_c)`` blocks, one scalar call
-    per distinct value (:func:`_map_distinct`).  The blocks are joined
+def _map_blocks(exact_map, blocks: list) -> list:
+    """*exact_map* over a list of ``(r, m_c)`` blocks, once per
+    distinct value (:func:`_map_distinct`).  The blocks are joined
     row by row, so the values one row's blocks share fall in one
     chunk."""
     joined = np.concatenate(blocks, axis=1)
-    mapped = _map_distinct(scalar_map, joined.ravel()).reshape(joined.shape)
+    mapped = _map_distinct(exact_map, joined.ravel()).reshape(joined.shape)
     return np.split(mapped, np.cumsum([block.shape[1] for block in blocks[:-1]]), axis=1)
 
 
@@ -425,9 +485,9 @@ def record_solved(out: UnitResults, hit, ell, wp, wl, objective: str) -> None:
     :meth:`~repro.algorithms.result.SolveResult.objective_value` reads
     it."""
     out.solved[hit] = True
-    out.failure[hit] = _pyfloat(_failure_map(ell))
+    out.failure[hit] = _failure_map(ell)
     if objective == "reliability":
-        out.values[hit] = _pyfloat(_reliability_map(ell))
+        out.values[hit] = _reliability_map(ell)
     else:
         out.values[hit] = {"period": wp, "latency": wl}[objective]
     out.period[hit] = wp
@@ -478,6 +538,21 @@ def _select(
     return feasible, pick(ell), pick(wp), pick(wl)
 
 
+#: The candidate blocks in the scalar loop order of ``which="both"``:
+#: the Heur-P candidates, then the Heur-L ones, each interval count
+#: ``1 .. M``.  Each probe table holds one block.
+_NAMES = ("heur-p", "heur-l")
+
+
+def _freeze(table) -> None:
+    """Make a shared table's arrays read-only: every method probing it
+    reads them, none may write."""
+    for name in table.__slots__:
+        value = getattr(table, name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 class _HomTable:
     """Bounds-independent candidate metrics for homogeneous rows.
 
@@ -485,14 +560,13 @@ class _HomTable:
     bounds-independent, so the whole candidate table — one
     ``(log_reliability, WP, WL)`` triple per (heuristic, interval
     count) per row — is computed once; probing any ``(P, L)`` point is
-    a mask + argmax.  Stacking order is the scalar loop order:
-    name-major, interval count ascending.
+    a mask + argmax.  One table holds heuristic *name*'s candidates,
+    interval count ascending.
     """
 
-    __slots__ = ("ell", "wp", "wl", "selection")
+    __slots__ = ("ell", "wp", "wl")
 
-    def __init__(self, ensemble, rows: np.ndarray, names, selection: str) -> None:
-        self.selection = selection
+    def __init__(self, ensemble, rows: np.ndarray, name: str) -> None:
         r = len(rows)
         n, p, K = ensemble.n_tasks, ensemble.p, ensemble.max_replication
         b, link = ensemble.bandwidth, ensemble.link_failure_rate
@@ -506,10 +580,10 @@ class _HomTable:
 
         terms = [
             _interval_terms(bnd, prefix, output, speeds, rates, b, link)
-            for bnd in _divisions(work, output, b, names, min(n, p))
+            for bnd in _divisions(work, output, b, name, min(n, p))
         ]
-        # The divisions share most of their intervals, so the scalar
-        # maps run over all candidates at once.
+        # The divisions share most of their intervals, so the maps run
+        # over all candidates at once.
         lfs = _map_blocks(_log_failure_map, [branch for _, _, branch in terms])
         stage_ells = _map_blocks(_parallel_tail_map, [
             _stage_log_fail(lf, _algo_alloc_counts(lf, p, K)) for lf in lfs
@@ -520,40 +594,38 @@ class _HomTable:
         ]
         # (C, r, 1): the point axis broadcasts in _select.
         self.ell, self.wp, self.wl = (np.stack(column)[:, :, None] for column in zip(*scored))
+        _freeze(self)
 
-    def probe(
-        self, P: np.ndarray, L: np.ndarray, floor: float
+    def candidates(
+        self, pos: np.ndarray, P: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Select at ``(rows, points)`` bounds (see :func:`_select`).
-
-        The sweep kernel passes its grid broadcast over the rows; the
-        search kernels pass per-lane bisection midpoints.  Algo-Alloc
-        always produces a mapping, so every candidate is valid.
-        """
-        return _select(
-            True, self.ell, self.wp, self.wl, P, L, floor, self.selection
-        )
+        """``(valid, ell, wp, wl)`` of every candidate of table rows
+        *pos*, ``(candidates, rows, 1)`` each (see :func:`_probe`).
+        Algo-Alloc always produces a mapping, so every candidate is
+        valid, whatever the periods *P*."""
+        ell, wp, wl = self.ell[:, pos], self.wp[:, pos], self.wl[:, pos]
+        return np.ones(ell.shape, dtype=bool), ell, wp, wl
 
 
-def _divisions(work, output, bandwidth, names, M):
-    """Every candidate division's ``(r, m + 1)`` boundaries, in the
-    scalar loop order: name-major, interval count ``1 .. M``."""
-    n = work.shape[1]
-    arg = _heur_p_tables(work, output, bandwidth, M) if "heur-p" in names else None
-    for name in names:
+def _divisions(work, output, bandwidth, name, M):
+    """Heuristic *name*'s candidate divisions, ``(r, m + 1)``
+    boundaries each, interval count ``1 .. M``."""
+    if name == "heur-l":
         for m in range(1, M + 1):
-            if name == "heur-l":
-                yield _heur_l_boundaries(output, m)
-            else:
-                yield _heur_p_boundaries(arg, n, m)
+            yield _heur_l_boundaries(output, m)
+    else:
+        arg = _heur_p_tables(work, output, bandwidth, M)
+        for m in range(1, M + 1):
+            yield _heur_p_boundaries(arg, work.shape[1], m)
 
 
 class _HetTable:
     """Padded candidate tables for the Section 7.2 allocation.
 
     Divisions are chain-only, so the per-candidate quantities are built
-    once: table row ``c * r + i`` holds candidate ``c`` (the scalar
-    loop order) of row ``i``, its ``m`` intervals padded to
+    once: table row ``c * R + i`` holds heuristic *name*'s candidate
+    ``c`` (interval count ``c + 1``) of row ``i`` of ``R``, its ``m``
+    intervals padded to
     ``M = min(n, p)`` columns (padded columns repeat column 0; the
     probe never seeds them, gives them no replica and masks them out
     of the sums).  ``iv`` maps each column to one of the rows'
@@ -561,17 +633,17 @@ class _HetTable:
     log-failures ``lf_alloc[iv, u]`` and ``lf_eval[iv, u]`` on
     processor ``u`` follow the allocation's and the evaluation's
     operand orders.  The allocation is
-    *bounds-dependent*, so :meth:`probe` re-runs it on lanes — one per
-    (candidate, row, sweep point) — in chunks of :data:`_CHUNK`.
+    *bounds-dependent*, so :meth:`candidates` runs it on lanes — one
+    per (candidate, row, sweep point) — in chunks of :data:`_CHUNK`,
+    and keeps the last lanes it ran.
     """
 
     __slots__ = (
-        "K", "order", "speeds", "n_iv", "iv", "W", "comm", "tcomp", "lf_alloc",
-        "lf_eval", "selection",
+        "K", "R", "order", "speeds", "n_iv", "iv", "W", "comm", "tcomp", "lf_alloc",
+        "lf_eval", "lanes",
     )
 
-    def __init__(self, ensemble, rows: np.ndarray, names, selection: str) -> None:
-        self.selection = selection
+    def __init__(self, ensemble, rows: np.ndarray, name: str) -> None:
         r = len(rows)
         n, p, K = ensemble.n_tasks, ensemble.p, ensemble.max_replication
         b, link = ensemble.bandwidth, ensemble.link_failure_rate
@@ -581,7 +653,7 @@ class _HetTable:
         rates = np.ascontiguousarray(ensemble.failure_rates[rows], dtype=float)
         prefix = np.concatenate([np.zeros((r, 1)), np.cumsum(work, axis=1)], axis=1)
 
-        self.K, self.speeds = K, speeds
+        self.K, self.R, self.speeds = K, r, speeds
         # Most reliable processors first — increasing lambda_u / s_u,
         # ties by index (stable argsort = the scalar sort key tuple).
         self.order = np.argsort(rates / speeds, axis=1, kind="stable")
@@ -590,7 +662,7 @@ class _HetTable:
         # divisions share most of them.
         M = min(n, p)
         span = n + 1
-        bnds = list(_divisions(work, output, b, names, M))
+        bnds = list(_divisions(work, output, b, name, M))
         key = np.empty((len(bnds), r, M), dtype=np.int64)
         for c, bnd in enumerate(bnds):
             m = bnd.shape[1] - 1
@@ -626,35 +698,51 @@ class _HetTable:
         self.lf_eval = self.lf_alloc.copy()
         differ = branch_eval != branch_alloc
         self.lf_eval[differ] = _map_distinct(_log_failure_map, branch_eval[differ])
+        self.lanes: "tuple | None" = None
+        _freeze(self)
 
-    def probe(
-        self, P: np.ndarray, L: np.ndarray, floor: float
+    def candidates(
+        self, pos: np.ndarray, P: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Allocate + evaluate + select at ``(rows, points)`` bounds.
+        """``(valid, ell, wp, wl)`` of every lane, ``(candidates, rows,
+        points)`` each, for table rows *pos* under the period bounds
+        *P* (see :func:`_probe`).
 
-        Same contract as :meth:`_HomTable.probe`.  Every lane's
-        allocation runs because the Section 7.2 period filter
-        ``W_j / s_u <= P`` depends on the bound, and a candidate whose
-        allocation leaves an interval unseeded is not valid.
+        Every lane's allocation runs because the Section 7.2 period
+        filter ``W_j / s_u <= P`` depends on the bound, and a candidate
+        whose allocation leaves an interval unseeded is not valid.  A
+        lane depends on nothing else — not on the latency bound, the
+        floor or the selection rule — so the last result is kept, keyed
+        by *pos* and the bytes of *P*: a method probing the same rows at
+        the same periods as the one before it (``heur-l-paper`` after
+        ``heur-l``, every round of a latency bisection) only re-selects.
+        The single slot bounds the memory of a period bisection, whose
+        every round moves *P*.
         """
-        r, n_pts = P.shape
-        C = self.n_iv.size // r
-        n_lanes = C * r * n_pts                 # lane = (c * r + i) * n_pts + pt
+        key = (pos.tobytes(), P.shape, P.tobytes())
+        if self.lanes is not None and self.lanes[0] == key:
+            return self.lanes[1]
+        k, n_pts = P.shape
+        C = self.n_iv.size // self.R
+        n_lanes = C * k * n_pts                 # lane = (c * k + i) * n_pts + pt
         valid = np.empty(n_lanes, dtype=bool)
         ell, wp, wl = np.empty((3, n_lanes))
         for start in range(0, n_lanes, _CHUNK):
             chunk = slice(start, min(start + _CHUNK, n_lanes))
-            cr, pt = np.divmod(np.arange(chunk.start, chunk.stop), n_pts)
-            row = cr % r
-            assign, min_speed, valid[chunk] = self._allocate(cr, row, P[row, pt])
+            ci, pt = np.divmod(np.arange(chunk.start, chunk.stop), n_pts)
+            c, i = np.divmod(ci, k)
+            row = pos[i]
+            cr = c * self.R + row
+            assign, min_speed, valid[chunk] = self._allocate(cr, row, P[i, pt])
             ell[chunk], wp[chunk], wl[chunk] = self._evaluate(
                 cr, assign, min_speed, valid[chunk]
             )
-        shape = (C, r, n_pts)
-        return _select(
-            valid.reshape(shape), ell.reshape(shape), wp.reshape(shape),
-            wl.reshape(shape), P, L, floor, self.selection,
-        )
+        shape = (C, k, n_pts)
+        result = tuple(a.reshape(shape) for a in (valid, ell, wp, wl))
+        for a in result:
+            a.setflags(write=False)
+        self.lanes = (key, result)
+        return result
 
     def _allocate(
         self, cr: np.ndarray, row: np.ndarray, P: np.ndarray
@@ -777,38 +865,62 @@ class _HetTable:
         return log_rel, wp, wl
 
 
-def heuristic_probe_tables(
-    ensemble,
-    rows: np.ndarray,
-    which: str,
+def _probe(
+    tables, pos: np.ndarray, P: np.ndarray, L: np.ndarray, floor: float,
     selection: str = "feasible-best",
-    allocation: str = "auto",
-):
-    """Split *rows* by table kind and build each side's probe table.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Select among the candidates of *tables* (in :data:`_NAMES`
+    order) for table rows *pos* at ``(rows, points)`` bounds *P*, *L*
+    (see :func:`_select`).  The sweep kernel passes its grid broadcast
+    over the rows; the search kernels pass per-lane bisection
+    midpoints.  Two tables (``which="both"``) join along the candidate
+    axis: each candidate's metrics depend on its own division only."""
+    parts = [table.candidates(pos, P) for table in tables]
+    valid, ell, wp, wl = (
+        column[0] if len(column) == 1 else np.concatenate(column) for column in zip(*parts)
+    )
+    return _select(valid, ell, wp, wl, P, L, floor, selection)
+
+
+def heuristic_probe_tables(ensemble, rows: np.ndarray, which: str, allocation: str = "auto"):
+    """Split *rows* by table kind and bind each side's probe.
 
     With ``allocation="auto"`` homogeneous rows take :class:`_HomTable`
     and heterogeneous rows :class:`_HetTable`; ``allocation="het"``
-    sends every row to :class:`_HetTable`.  Returns
-    ``[(subset_positions, table), ...]`` where positions index into
-    *rows*; the shared machinery behind :func:`batch_heuristic_best`
-    and the bisection-search kernels
-    (:mod:`repro.algorithms.batch_search`).  Each table is built once
-    per row and probed with ``(rows, points)`` bound matrices:
-    ``table.probe(P, L, floor)`` returns ``(feasible, ell, wp, wl)``
-    of that shape.  The public entry points validate *which*,
-    *selection* and *allocation*.
+    sends every row to :class:`_HetTable`.  Returns ``[(subset_positions,
+    probe), ...]`` where positions index into *rows*; the shared
+    machinery behind :func:`batch_heuristic_best` and the
+    bisection-search kernels (:mod:`repro.algorithms.batch_search`).
+    ``probe(P, L, floor, selection="feasible-best")`` takes ``(rows,
+    points)`` bound matrices and returns ``(feasible, ell, wp, wl)`` of
+    that shape, for heuristic *which*.  The public entry points validate
+    *which*, *selection* and *allocation*.
+
+    Each table holds one heuristic's candidates for every row of its
+    kind in the ensemble, is built when a call first asks for that
+    heuristic and is kept with the ensemble
+    (:meth:`~repro.core.ensemble.Ensemble.derived`): every kernel call
+    on the ensemble, whatever its rows, selection rule or floor, reads
+    the same tables, and ``which="both"`` joins the two.
     """
-    names = ("heur-p", "heur-l") if which == "both" else (which,)
-    hom = ensemble.homogeneous_rows()[rows]
+    hom = ensemble.homogeneous_rows()
     if allocation == "het":
         hom = np.zeros_like(hom)
+    names = _NAMES if which == "both" else (which,)
     parts = []
-    for idx, table_cls in (
-        (np.flatnonzero(hom), _HomTable),
-        (np.flatnonzero(~hom), _HetTable),
-    ):
+    for side, table_cls in ((hom, _HomTable), (~hom, _HetTable)):
+        idx = np.flatnonzero(side[rows])
         if idx.size:
-            parts.append((idx, table_cls(ensemble, rows[idx], names, selection)))
+            covered = np.flatnonzero(side)
+            tables = [
+                ensemble.derived(
+                    (table_cls.__name__, covered.tobytes(), name),
+                    functools.partial(table_cls, ensemble, covered, name),
+                )
+                for name in names
+            ]
+            pos = np.searchsorted(covered, rows[idx])
+            parts.append((idx, functools.partial(_probe, tables, pos)))
     return parts
 
 
@@ -874,11 +986,10 @@ def batch_heuristic_best(
     floor = from_reliability(min_reliability)
     P_pts = np.array([float(P) for P, _ in bounds])
     L_pts = np.array([float(L) for _, L in bounds])
-    tables = heuristic_probe_tables(ensemble, rows, which, selection, allocation)
-    for idx, table in tables:
+    for idx, probe in heuristic_probe_tables(ensemble, rows, which, allocation):
         shape = (idx.size, len(bounds))
-        feasible, ell, wp, wl = table.probe(
-            np.broadcast_to(P_pts, shape), np.broadcast_to(L_pts, shape), floor
+        feasible, ell, wp, wl = probe(
+            np.broadcast_to(P_pts, shape), np.broadcast_to(L_pts, shape), floor, selection
         )
         hit_row, hit_pt = np.nonzero(feasible)
         record_solved(

@@ -374,16 +374,17 @@ class _FrontierLanes:
         adm = self.admitted(lane_row, P)
         qs = np.arange(1, kmax + 1, dtype=np.int32)
 
-        # A point's state packs (lane, k) as lane * (p + 1) + k.
+        # A point's state packs (lane, k) as lane * (p + 1) + k.  The
+        # columns grow by doubling; the points so far are cols[:, :size].
         state = np.arange(n_lanes, dtype=np.int32) * (p + 1)
-        zeros = np.zeros(n_lanes, dtype=np.int32)
-        cols = [state, zeros, zeros, np.full(n_lanes, -1, dtype=np.int32),
-                np.zeros(n_lanes), np.zeros(n_lanes)]
+        cols = [state, np.zeros(n_lanes, dtype=np.int32), np.zeros(n_lanes, dtype=np.int32),
+                np.full(n_lanes, -1, dtype=np.int32), np.zeros(n_lanes), np.zeros(n_lanes)]
+        size = n_lanes
         # Candidates past p processors go to one spare state, after
         # every lane's, and are dropped with it.
         spare = n_lanes * (p + 1)
         for i in range(1, n + 1):
-            state, t, _, _, cost, value = cols
+            state, t, _, _, cost, value = (col[:size] for col in cols)
             lane, k = np.divmod(state, p + 1)
             new_cost = cost + ct[:, i].take(lane)
             src = np.flatnonzero(
@@ -407,7 +408,15 @@ class _FrontierLanes:
             up, s_new = c_src[order], c_state[order]
             block = [s_new, np.full(up.size, i, dtype=np.int32), s_new - state[up],
                      up, new_cost[up], c_value[order]]
-            cols = [np.concatenate((a, b)) for a, b in zip(cols, block)]
+            end = size + up.size
+            if end > cols[0].size:
+                cap = max(end, 2 * cols[0].size)
+                cols = [np.concatenate((col[:size], np.empty(cap - size, col.dtype)))
+                        for col in cols]
+            for col, b in zip(cols, block):
+                col[size:end] = b
+            size = end
+        cols = [col[:size] for col in cols]
         lane, k = np.divmod(cols[0], p + 1)
         return [lane, cols[1], k, *cols[2:]]
 

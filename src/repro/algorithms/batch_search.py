@@ -5,11 +5,12 @@ The extension searches (:mod:`repro.extensions.period_search`,
 one Heur-L solve per probe.  Their batched twins run every probe round
 as a single vectorized Heur-L call over *all* not-yet-converged lanes
 — one lane per (row, sweep point), each with its own bracket — on the
-probe tables :func:`~repro.algorithms.batch.heuristic_probe_tables`
-exposes, built once per row and probed with ``(rows, points)`` bound
-matrices (homogeneous rows reuse the bounds-independent candidate
-table; heterogeneous rows re-run the Section 7.2 allocation lanes per
-round).  Because a lane's ``(lo, hi)`` trajectory depends only on
+ensemble's shared probe tables
+(:func:`~repro.algorithms.batch.heuristic_probe_tables`), probed with
+``(rows, points)`` bound matrices (homogeneous rows reuse the
+bounds-independent candidate table; heterogeneous rows re-run the
+Section 7.2 allocation lanes whenever a round moves the periods, so a
+latency search allocates once).  Because a lane's ``(lo, hi)`` trajectory depends only on
 its own probe outcomes, lockstep rounds replicate each scalar search's
 probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
@@ -94,14 +95,14 @@ def batch_bisection_search(
     probes_all = np.zeros((r, n_pts), dtype=np.int64)
     conv_all = np.zeros((r, n_pts), dtype=bool)
 
-    for idx, table in heuristic_probe_tables(ensemble, rows, "heur-l"):
+    for idx, probe in heuristic_probe_tables(ensemble, rows, "heur-l"):
         sub = (idx.size, n_pts)
         P_p, L_p = np.broadcast_to(P_pts, sub), np.broadcast_to(L_pts, sub)
         probes = np.ones(sub, dtype=np.int64)
         # Loosest probe first, at the sweep point's own bounds.  The
         # scalar probe runs without the floor and checks it after —
         # same thing as masking here, since the probe maximizes ell.
-        feas, ell, wp, wl = table.probe(P_p, L_p, -math.inf)
+        feas, ell, wp, wl = probe(P_p, L_p, -math.inf)
         ok = feas & (ell >= floor)
         # The best witness so far: its log-reliability, period, latency.
         b_ell = np.where(ok, ell, -math.inf)
@@ -116,11 +117,11 @@ def batch_bisection_search(
             mid = 0.5 * (lo + hi)
             probes = np.where(active, probes + 1, probes)
             if criterion == "period":
-                feas_m, ell_m, wp_m, wl_m = table.probe(
+                feas_m, ell_m, wp_m, wl_m = probe(
                     np.where(active, mid, P_p), L_p, -math.inf
                 )
             else:
-                feas_m, ell_m, wp_m, wl_m = table.probe(
+                feas_m, ell_m, wp_m, wl_m = probe(
                     P_p, np.where(active, mid, L_p), -math.inf
                 )
             ok_m = feas_m & (ell_m >= floor)

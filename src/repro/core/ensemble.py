@@ -248,6 +248,7 @@ class Ensemble:
         "_content_hash",
         "_row_hashes",
         "_hom_rows",
+        "_derived",
     )
 
     def __init__(
@@ -331,6 +332,7 @@ class Ensemble:
         self._content_hash: "str | None" = None
         self._row_hashes: "list[str | None]" = [None] * m
         self._hom_rows: "np.ndarray | None" = None
+        self._derived: dict = {}
 
     # -- dimensions ------------------------------------------------------
 
@@ -412,6 +414,31 @@ class Ensemble:
             hom.setflags(write=False)
             self._hom_rows = hom
         return self._hom_rows
+
+    def derived(self, key, build):
+        """The value ``build()`` returns, built on the first call with
+        *key* and kept with the ensemble (the heuristic kernels'
+        candidate tables, :func:`repro.algorithms.batch.heuristic_probe_tables`).
+
+        A derived value is a function of the frozen columns only, so
+        it is not part of equality, the hashes or a pickle: a copy
+        starts without it and rebuilds on demand.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def __getstate__(self):
+        return None, {
+            name: getattr(self, name) for name in self.__slots__ if name != "_derived"
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._derived = {}
 
     @property
     def all_homogeneous(self) -> bool:

@@ -115,15 +115,25 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
     """Write *text* via a sibling temp file + ``os.replace``.
 
     Readers never observe a partial file: either the old content (or
-    absence) or the complete new content.  This is the one sanctioned
-    file-write primitive of the artifact layers — the ``IO001`` lint
-    rule (:mod:`repro.analysis.atomicwrite`) flags raw writes there.
+    absence) or the complete new content.  The temp file is opened
+    ``O_CREAT | O_EXCL`` (``tempfile.mkstemp``) and written as UTF-8
+    bytes; the parent directory is created only when it is missing.
+    This is the one sanctioned file-write primitive of the artifact
+    layers — the ``IO001`` lint rule (:mod:`repro.analysis.atomicwrite`)
+    flags raw writes there.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

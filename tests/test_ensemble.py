@@ -242,6 +242,26 @@ class TestContentIdentity:
         assert again.content_hash() == hom_ensemble.content_hash()
         assert hash(again) == hash(hom_ensemble)
 
+    def test_derived_values_stay_out_of_identity_and_pickles(self, het_ensemble):
+        """A derived value (the heuristic kernels' shared tables) is built
+        once per key, and is not part of equality, the hashes or a
+        pickle: a copy starts without it."""
+        import copy
+        import pickle
+
+        digest = het_ensemble.content_hash()
+        built = []
+        value = het_ensemble.derived("k", lambda: built.append(1) or np.arange(3))
+        assert het_ensemble.derived("k", lambda: built.append(1)) is value
+        assert built == [1]
+        fresh = generate_ensemble("section8-het", n_instances=4, seed=3)
+        assert fresh == het_ensemble and fresh.content_hash() == digest
+        for twin in (pickle.loads(pickle.dumps(het_ensemble)), copy.copy(het_ensemble)):
+            assert twin == het_ensemble and twin.content_hash() == digest
+            assert twin.derived("k", lambda: "rebuilt") == "rebuilt"
+            assert twin.row_hash(1) == het_ensemble.row_hash(1)
+        assert het_ensemble.derived("k", lambda: None) is value
+
 
 class TestModelHashCaching:
     """Platform/TaskChain digests are computed once per object."""

@@ -30,6 +30,7 @@ from repro.algorithms import UnitResults, batch, batch_heuristic_best, heuristic
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.harness import _solve_rows
+from repro.util import logrel
 from repro.util.logrel import from_reliability
 
 RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 200.0, 1e3]
@@ -188,3 +189,122 @@ def test_search_kernels_match_per_row(case, criterion, floor):
     for name in UnitResults.ARRAYS:
         assert _bits(getattr(out, name)) == _bits(getattr(rows, name)), name
     assert out.infos == rows.infos
+
+
+#: Log-reliabilities at the exact maps' branch points: both zeros,
+#: -inf, NaN, subnormals, either side of the -log 2 split, and the exp
+#: underflow near -745.
+_NEG_LOG2 = -math.log(2.0)
+EDGES = [
+    0.0, -0.0, -math.inf, math.nan, -5e-324, -1e-310, -2.2250738585072014e-308,
+    _NEG_LOG2, math.nextafter(_NEG_LOG2, 0.0), math.nextafter(_NEG_LOG2, -math.inf),
+    -744.44, -745.13, -745.14, -746.0, -1e4, -1e308,
+]
+log_rels = st.lists(
+    st.one_of(
+        st.sampled_from(EDGES),
+        st.floats(max_value=0.0),
+        st.floats(_NEG_LOG2 - 1e-9, _NEG_LOG2 + 1e-9),
+        st.floats(-800.0, -700.0),
+        st.floats(-1e-300, 0.0),
+    ),
+    max_size=40,
+)
+
+
+def _float_bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_rels)
+def test_builtin_maps_match_scalar_functions(values):
+    """The kernels' maps over libm builtins equal the scalar functions
+    element for element, bit for bit (sign of zero and NaN included)."""
+    x = np.array(values, dtype=float)
+    for exact_map, scalar in (
+        (batch._log_failure_map, logrel.log_failure),
+        (batch._parallel_tail_map, batch._parallel_tail),
+        (batch._failure_map, logrel.failure),
+        (batch._reliability_map, logrel.reliability),
+    ):
+        want = [scalar(v) for v in values]
+        assert _float_bits(exact_map(x)) == _float_bits(want), scalar.__name__
+        # _map_distinct's dedupe keeps the bits.
+        assert _float_bits(batch._map_distinct(exact_map, x)) == _float_bits(want)
+
+
+@given(log_rels, st.floats(min_value=5e-324), st.integers(0, 40))
+def test_builtin_maps_reject_positive_log_reliability(values, positive, at):
+    """A positive element raises the scalar path's error: ValueError
+    (a math domain error), or OverflowError past ``expm1``'s range."""
+    x = np.array(values[:at] + [positive] + values[at:], dtype=float)
+    error = ValueError if positive < 709.0 else (ValueError, OverflowError)
+    for exact_map, scalar in (
+        (batch._log_failure_map, logrel.log_failure),
+        (batch._parallel_tail_map, batch._parallel_tail),
+    ):
+        with pytest.raises(error) as want:
+            scalar(positive)
+        with pytest.raises(want.type):
+            exact_map(x)
+
+
+#: Sweep grids with one period axis and two latency axes, so the second
+#: grid re-selects the first one's lanes under other latency bounds.
+GRID_A = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
+GRID_B = [(math.inf, 800.0), (600.0, math.inf), (150.0, 1000.0)]
+GRID_C = [(200.0, 900.0), (400.0, math.inf), (1000.0, 1000.0)]
+
+#: (method, grid, rows, floor) in the order they run on one shared
+#: ensemble: the grid probe's heuristic, the Section 8 heuristics under
+#: both allocation modes and selection rules, row subsets, floors, and
+#: both bisection searches.
+SHARED_CALLS = [
+    ("heuristic", [(math.inf, math.inf)], None, 0.0),
+    ("heur-l", GRID_A, None, 0.0),
+    ("heur-l-paper", GRID_A, None, 0.0),
+    ("heur-p", GRID_A, [3, 1], 0.9),
+    ("heur-p-paper", GRID_A, [3, 1], 0.0),
+    ("heur-p-paper", GRID_B, [3, 1], 0.9),
+    ("heur-p-paper", GRID_A, [0, 2], 0.0),
+    ("heur-p-paper", GRID_C, [0, 2], 0.0),
+    ("heur-l-paper", GRID_B, [0, 2, 4], 0.9),
+    ("het-period-search", GRID_A, None, 0.9),
+    ("heur-l", GRID_B, [4, 0], 0.0),
+    ("het-latency-search", GRID_B, [1, 2], 0.0),
+    ("heur-l-paper", GRID_A, None, 0.0),
+    ("heuristic", GRID_B, None, 0.9),
+]
+
+
+@pytest.mark.parametrize("scenario", ["section8-het", "section8-hom"])
+def test_shared_tables_leak_nothing(scenario):
+    """Every heuristic kernel call on one ensemble reads the shared
+    candidate tables of its heuristics and, on heterogeneous tables,
+    their last lanes.  Each call must still equal the same call on a
+    fresh ensemble, in all five arrays and the infos."""
+    from repro.scenarios import generate_ensembles, get_scenario
+
+    def fresh():
+        [ensemble] = generate_ensembles(get_scenario(scenario).spec, n_instances=5, seed=3)
+        return ensemble
+
+    shared = fresh()
+    for name, grid, rows, floor in SHARED_CALLS:
+        method = get_method(name)
+        options = {"rows": rows, "objective": method.objectives[0], "min_reliability": floor}
+        got = method.solve_batch(shared, grid, **options)
+        want = method.solve_batch(fresh(), grid, **options)
+        for array in UnitResults.ARRAYS:
+            assert _bits(getattr(got, array)) == _bits(getattr(want, array)), (name, array)
+        assert got.infos == want.infos, name
+        # One table per (kind, heuristic); a heterogeneous table keeps
+        # one lane slot, bisections included.
+        assert len(shared._derived) <= 4
+        assert {heur for _, _, heur in shared._derived} <= set(batch._NAMES)
+        for table in shared._derived.values():
+            if isinstance(table, batch._HetTable) and table.lanes is not None:
+                _, lanes = table.lanes
+                assert len(lanes) == 4 and all(not a.flags.writeable for a in lanes)
+    assert any(isinstance(t, batch._HetTable) for t in shared._derived.values())

@@ -151,17 +151,25 @@ class TestLedgerWriter:
         target = tmp_path / "manifest.json"
         ledger_mod.write_atomic(target, "old content")
 
-        def exploding_fdopen(fd, mode):
-            import os
-
-            os.close(fd)
+        def exploding_write(fd, data):
             raise OSError("interrupted")
 
-        monkeypatch.setattr(ledger_mod.os, "fdopen", exploding_fdopen)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(ledger_mod.os, "write", exploding_write)
+        with pytest.raises(OSError, match="interrupted"):
             ledger_mod.write_atomic(target, "new content")
+        monkeypatch.undo()
         assert target.read_text() == "old content"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_atomic_write_creates_missing_parents(self, tmp_path):
+        """The parent directories are made on the first write into them;
+        the bytes are the text's UTF-8 encoding, large texts included."""
+        target = tmp_path / "a" / "b" / "entry.json"
+        text = "λ-" * 100_000
+        ledger_mod.write_atomic(target, text)
+        ledger_mod.write_atomic(target.with_name("next.json"), "x")
+        assert target.read_bytes() == text.encode()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["entry.json", "next.json"]
 
     def test_find_run_prefix_matching(self, tmp_path):
         id_a = run_id_for({"x": 1}, "20260808T120000Z")

@@ -1,6 +1,8 @@
 """The scenario-aware planner: capability gating, skip reasons,
 ordering, error parity with the registry, and plan records."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import METHODS, UnknownMethodError, get_method, register_method
@@ -48,9 +50,34 @@ class TestCapabilityGating:
         plan = Planner().plan("scaling-stress")
         assert plan.selected == ("heur-l", "heur-p")
         assert "exceeds the exact-method threshold" in skip_reasons(plan)["pareto-dp"]
-        # The threshold is a hard gate: an explicit request is skipped too.
-        explicit = Planner().plan("scaling-stress", methods=["pareto-dp"])
-        assert explicit.selected == ()
+
+    def test_explicit_batched_exact_method_passes_size_threshold(self):
+        """An exact method with a lane kernel runs past the threshold
+        when it is named; the default plan still drops it."""
+        for scenario in ("scaling-stress", "long-chain"):
+            explicit = Planner().plan(scenario, methods=["pareto-dp", "heur-l"])
+            assert explicit.selected == ("pareto-dp", "heur-l")
+            converse = Planner().plan(scenario, methods=["dp-latency"], objective="latency")
+            assert converse.selected == ("dp-latency",)
+            default = Planner().plan(scenario)
+            assert "exceeds the exact-method threshold" in skip_reasons(default)["pareto-dp"]
+
+    def test_explicit_batched_exact_method_keeps_larger_threshold(self):
+        """Past the measured kernel size the explicit request is skipped."""
+        base = get_scenario("long-chain").spec
+        for size in ({"n_tasks": 121}, {"p": 33}):
+            plan = Planner().plan(replace(base, **size), methods=["pareto-dp", "heur-l"])
+            assert plan.selected == ("heur-l",)
+            assert "threshold (120 x 32)" in skip_reasons(plan)["pareto-dp"]
+
+    def test_explicit_unbatched_exact_methods_keep_size_threshold(self):
+        """brute-force and ilp have no kernel: an explicit request past
+        the threshold is still skipped, with the threshold reason."""
+        explicit = Planner().plan("scaling-stress", methods=["brute-force", "ilp", "heur-l"])
+        assert explicit.selected == ("heur-l",)
+        reasons = skip_reasons(explicit)
+        for name in ("brute-force", "ilp"):
+            assert "exceeds the exact-method threshold" in reasons[name]
 
     def test_paired_tag_gating(self):
         hom = Planner().plan("section8-hom")
