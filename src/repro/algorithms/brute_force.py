@@ -13,6 +13,7 @@ import math
 from typing import Iterator, Sequence
 
 from repro.algorithms.result import SolveResult
+from repro.algorithms.search_space import DEFAULT_BUDGET, refusal
 from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval, partitions_with_m_intervals
@@ -25,9 +26,6 @@ __all__ = [
     "enumerate_mappings_het",
     "brute_force_best",
 ]
-
-#: Refuse search spaces larger than this many candidate mappings.
-DEFAULT_BUDGET = 2_000_000
 
 
 def _replica_count_vectors(m: int, p: int, K: int) -> Iterator[tuple[int, ...]]:
@@ -117,16 +115,6 @@ def enumerate_mappings_het(
         yield from assign(list(partition), 0, all_procs, [])
 
 
-def _search_space_hom(n: int, p: int, K: int) -> float:
-    """Loose upper bound on the homogeneous search-space size."""
-    return (2 ** (n - 1)) * (K ** min(n, p))
-
-
-def _search_space_het(n: int, p: int, K: int) -> float:
-    """Loose upper bound on the heterogeneous search-space size."""
-    return (2 ** (n - 1)) * float(p + 1) ** min(n, p, K * p)
-
-
 def brute_force_best(
     chain: TaskChain,
     platform: Platform,
@@ -170,12 +158,9 @@ def brute_force_best(
         raise ValueError(f"unknown objective {objective!r}")
     n, p, K = chain.n, platform.p, platform.max_replication
     hom = platform.homogeneous
-    estimate = _search_space_hom(n, p, K) if hom else _search_space_het(n, p, K)
-    if estimate > budget:
-        raise ValueError(
-            f"search space ~{estimate:.2e} exceeds budget {budget}; "
-            "brute force is for tiny instances only"
-        )
+    reason = refusal(n, p, K, hom, budget)
+    if reason is not None:
+        raise ValueError(reason)
     enum = enumerate_mappings_hom if hom else enumerate_mappings_het
     best = None
     explored = 0

@@ -39,7 +39,10 @@ Commands
     per-method curves.  Every run writes a self-describing JSON
     manifest (``--manifest``) recording the scenario spec hash and
     ``describe()`` record, the plan (selected methods plus skip
-    reasons), the derived grid, and the per-method series.
+    reasons), the derived grid, and the per-method series.  With a
+    cache directory, a repeated identical run replays the run record
+    the last one left there, without importing numpy
+    (:mod:`repro.experiments.replay`).
 ``plan``
     The scenario-aware solver planner: ``plan show NAME_OR_FILE``
     prints which registered methods the planner selects for a
@@ -59,7 +62,7 @@ Commands
 ``cache``
     The result cache's flat directory of ``<key>.json`` entries
     (:mod:`repro.experiments.cache`): ``cache stats`` prints its
-    persistent on-disk totals (entry count, bytes), and ``cache
+    persistent on-disk totals (entry count, bytes, run records), and ``cache
     vacuum`` removes the orphaned ``*.tmp`` files an interrupted
     writer leaves behind.  The directory defaults to
     ``$REPRO_CACHE_DIR``.
@@ -417,40 +420,47 @@ def _series_record(sweep, prefix: str = "") -> dict:
     }
 
 
-def _record_run(args, identity: dict, manifest: dict, per_unit) -> None:
-    """Record one ``experiment`` / ``scenario run`` invocation.
+def _record_run(args, identity: dict, manifest: dict, per_unit,
+                versions: "dict | None" = None) -> dict:
+    """Record one ``experiment`` / ``scenario run`` invocation and
+    return the recorded manifest.
 
     The run_id hashes *identity* with the ``--timestamp`` tag (default:
     the current UTC time).  The manifest gains the command, the tag,
-    the library versions and the run_id; it lands in the ledger
+    the library *versions* (default: the running ones; a replay passes
+    its record's) and the run_id; it lands in the ledger
     (``--runs-dir``) next to *per_unit* and is copied to
     ``--manifest``.
     """
-    import platform
     import time
-
-    import numpy as np
 
     from repro.obs import run_id_for, write_run
     from repro.obs.ledger import write_atomic
 
+    if versions is None:
+        import platform
+
+        import numpy as np
+
+        versions = {
+            "repro": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
     timestamp = args.timestamp or time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     run_id = run_id_for(identity, timestamp)
     manifest = {
         "command": identity["command"],
         "timestamp": timestamp,
         **manifest,
-        "versions": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": versions,
         "run_id": run_id,
     }
     run_dir = write_run(args.runs_dir, run_id, manifest, per_unit=per_unit)
     write_atomic(args.manifest, json.dumps(manifest, indent=2) + "\n")
     print(f"wrote manifest {args.manifest}")
     print(f"ledger run {run_id} -> {run_dir}")
+    return manifest
 
 
 def _cmd_experiment(args) -> int:
@@ -615,12 +625,98 @@ def _resolve_scenario_token(token: str):
             raise SystemExit(f"cannot load scenario spec {path}: {exc}")
 
 
-def _cmd_scenario(args) -> int:
-    from repro.experiments.harness import resolve_jobs, run_sweep
-    from repro.scenarios import SCENARIOS, generate_ensembles, scenario_hash
-    from repro.util.validation import check_min_reliability
+def _plan_line(selected, n_skipped: int, token: str) -> str:
+    return (f"plan: {', '.join(selected)} "
+            f"({n_skipped} skipped; see 'repro plan show {token}')")
 
+
+def _sweep_text(sweep, bounds, n: int, objective: str, axis: str) -> "tuple[str, str]":
+    """What a ``scenario run`` prints of its sweep: a headline (the
+    caller adds the sweep time) and the result tables.  Both are fixed
+    by the run's inputs, so a run record keeps them for its replays."""
+    import numpy as np
+
+    def fmt_value(value) -> str:
+        return "-" if np.isnan(value) else f"{value:.3e}"
+
+    if len(bounds) == 1:
+        P, L = bounds[0]
+        lines = [
+            f"{'method':14s} {'solved':>8s}  {'avg failure':>12s}  "
+            f"{objective} p10/p50/p90 (solved)"
+        ]
+        for name in sweep.method_names:
+            count = int(sweep.counts(name)[0])
+            avg = sweep.average_failure(name, rule="per-method")[0]
+            avg_text = f"{avg:.3e}" if count else "-"
+            q10, q50, q90 = sweep.objective_quantiles(name)[:, 0]
+            lines.append(
+                f"{name:14s} {count:>4d}/{n:<4d} {avg_text:>12s}  "
+                f"{fmt_value(q10)} / {fmt_value(q50)} / {fmt_value(q90)}"
+            )
+        return f"sweep point: period <= {P:g}, latency <= {L:g}", "\n".join(lines)
+
+    from repro.experiments.report import render_series_table
+
+    lines = []
+    for metric, series in (
+        ("count", {m: sweep.counts(m) for m in sweep.method_names}),
+        ("failure", {
+            m: sweep.average_failure(m, rule="per-method")
+            for m in sweep.method_names
+        }),
+    ):
+        what = "solutions" if metric == "count" else "avg failure (per-method)"
+        lines += ["", f"{what} vs {axis} bound:",
+                  render_series_table(sweep.xs, series, metric, x_label=axis)]
+    # Per-point quantiles of the *achieved* objective: how good the
+    # optimum is across the ensemble, not just how often one exists.
+    for name in sweep.method_names:
+        q = sweep.objective_quantiles(name)
+        lines += [
+            "",
+            f"achieved {objective} quantiles for {name} vs {axis} bound:",
+            render_series_table(
+                sweep.xs, {"p10": q[0], "p50": q[1], "p90": q[2]}, "objective",
+                x_label=axis,
+            ),
+        ]
+    head = f"sweep: {len(bounds)} points x {len(sweep.method_names)} methods"
+    return head, "\n".join(lines)
+
+
+def _replay_scenario(args, record: dict, collector, t_run: float) -> int:
+    """Replay a recorded ``scenario run`` (:mod:`repro.experiments.replay`):
+    print its tables and record a ledger run, with no numpy import."""
+    import time
+
+    from repro.experiments import replay
+
+    recorded = record["manifest"]
+    plan = recorded["plan"]
+    if args.methods:
+        for skip in plan["skipped"]:
+            print(f"note: skipping {skip['method']}: {skip['reason']}", file=sys.stderr)
+    print(
+        f"scenario {recorded['scenario']['name']!r}: {recorded['n_instances']} "
+        f"instances, replaying run {record['run_id']} (nothing generated, "
+        f"planned or solved)"
+    )
+    print(_plan_line(plan["selected"], len(plan["skipped"]), args.scenario))
+    print(record["text"])
+    collector.counter("replay.units", len(record["units"]))
+    seconds = {"total": round(time.perf_counter() - t_run, 3)}
+    manifest = replay.replay_manifest(record, seconds, collector.snapshot())
+    print()
+    _record_run(args, record["identity"], manifest, replay.replay_units(record),
+                versions=recorded["versions"])
+    return 0
+
+
+def _cmd_scenario(args) -> int:
     if args.scenario_cmd == "list":
+        from repro.scenarios import SCENARIOS
+
         header = f"{'name':20s} {'inst':>5s} {'tasks':>9s} {'procs':>7s} {'mode':>12s}  hom pair  tags"
         print(header)
         print("-" * len(header))
@@ -652,17 +748,37 @@ def _cmd_scenario(args) -> int:
     # scenario run
     import time
 
-    import numpy as np
-
-    from repro.experiments.cache import resolve_cache
+    from repro.experiments import replay
     from repro.obs import telemetry as obs
+
+    t_run = time.perf_counter()
+    collector = obs.Telemetry()
+    try:
+        jobs = replay.resolve_jobs(args.jobs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    # The same command line over the same source and numpy replays the
+    # run record its last run left in the cache directory, before
+    # anything below imports numpy.
+    root = replay.cache_root(args.cache_dir)
+    key = None
+    if root is not None:
+        with obs.collect(collector), obs.span("replay.lookup"):
+            key = replay.run_key(args)
+            record = replay.read_record(root, key)
+        if record is not None:
+            return _replay_scenario(args, record, collector, t_run)
+
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.harness import run_sweep
+    from repro.scenarios import generate_ensembles, scenario_hash
     from repro.solve import Planner, derive_bounds_grid, encode_bound
     from repro.solve.grid import check_grid_points
+    from repro.util.validation import check_min_reliability
 
     spec, entry = _resolve_scenario_token(args.scenario)
     # Bad input fails here, before generation, grid probes or cache writes.
     try:
-        jobs = resolve_jobs(args.jobs)
         check_min_reliability(args.min_reliability, args.objective)
         if args.grid == "auto":
             check_grid_points(args.grid_points)
@@ -671,8 +787,6 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     spec_hash = scenario_hash(spec)
-    t_run = time.perf_counter()
-    collector = obs.Telemetry()
 
     # The scenario-aware planner picks and orders the methods —
     # explicitly requested ones still pass through its hard capability
@@ -706,12 +820,11 @@ def _cmd_scenario(args) -> int:
         f"({len(spec.variants())} variant(s)), generated in {gen_seconds:.3f}s"
         f"{paired_note}"
     )
-    print(f"plan: {', '.join(plan.selected)} "
-          f"({len(plan.skipped)} skipped; see 'repro plan show {args.scenario}')")
+    print(_plan_line(plan.selected, len(plan.skipped), args.scenario))
 
     # One cache shared by the grid probes and the sweep units, so the
     # manifest's hit/miss counters cover the whole run.
-    cache = resolve_cache(args.cache_dir)
+    cache = ResultCache(root) if root is not None else None
 
     grid_record = None
     grid_seconds = 0.0
@@ -761,50 +874,9 @@ def _cmd_scenario(args) -> int:
         raise SystemExit(str(exc))
     sweep_seconds = time.perf_counter() - t0
 
-    def fmt_value(value) -> str:
-        return "-" if np.isnan(value) else f"{value:.3e}"
-
-    if len(bounds) == 1:
-        P, L = bounds[0]
-        print(f"sweep point: period <= {P:g}, latency <= {L:g} ({sweep_seconds:.3f}s)")
-        print(
-            f"{'method':14s} {'solved':>8s}  {'avg failure':>12s}  "
-            f"{args.objective} p10/p50/p90 (solved)"
-        )
-        for name in sweep.method_names:
-            count = int(sweep.counts(name)[0])
-            avg = sweep.average_failure(name, rule="per-method")[0]
-            avg_text = f"{avg:.3e}" if count else "-"
-            q10, q50, q90 = sweep.objective_quantiles(name)[:, 0]
-            print(
-                f"{name:14s} {count:>4d}/{n:<4d} {avg_text:>12s}  "
-                f"{fmt_value(q10)} / {fmt_value(q50)} / {fmt_value(q90)}"
-            )
-    else:
-        from repro.experiments.report import render_series_table
-
-        print(f"sweep: {len(bounds)} points x {len(methods)} methods ({sweep_seconds:.3f}s)")
-        for metric, series in (
-            ("count", {m: sweep.counts(m) for m in sweep.method_names}),
-            ("failure", {
-                m: sweep.average_failure(m, rule="per-method")
-                for m in sweep.method_names
-            }),
-        ):
-            what = "solutions" if metric == "count" else "avg failure (per-method)"
-            print(f"\n{what} vs {args.grid_axis} bound:")
-            print(render_series_table(sweep.xs, series, metric, x_label=args.grid_axis))
-        # Per-point quantiles of the *achieved* objective (ROADMAP
-        # "objective-aware sweep aggregations"): how good the optimum
-        # is across the ensemble, not just how often one exists.
-        for name in sweep.method_names:
-            q = sweep.objective_quantiles(name)
-            print(f"\nachieved {args.objective} quantiles for {name} "
-                  f"vs {args.grid_axis} bound:")
-            print(render_series_table(
-                sweep.xs, {"p10": q[0], "p50": q[1], "p90": q[2]}, "objective",
-                x_label=args.grid_axis,
-            ))
+    head, tables = _sweep_text(sweep, bounds, n, args.objective, args.grid_axis)
+    print(f"{head} ({sweep_seconds:.3f}s)")
+    print(tables)
 
     # Per-phase wall-clock (satellite of the run ledger): generation,
     # grid derivation, the sweep, the whole command, and each method's
@@ -849,7 +921,10 @@ def _cmd_scenario(args) -> int:
         },
     }
     print()
-    _record_run(args, identity, manifest, sweep.unit_events)
+    recorded = _record_run(args, identity, manifest, sweep.unit_events)
+    if key is not None:
+        replay.write_record(root, key, identity, recorded, f"{head}\n{tables}",
+                            sweep.unit_events)
     return 0
 
 

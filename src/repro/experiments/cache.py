@@ -20,7 +20,10 @@ No state is shared beyond the filesystem: no handles, nothing to
 pickle, any shared POSIX mount works.  Directories written by releases
 before 5.0 kept entries in two-character fan-out subdirectories; those
 are never read or counted (their keys could not match anyway, since
-the package version is a key ingredient).
+the package version is a key ingredient).  The same directory holds
+the ``<key>.run`` records of whole ``scenario run`` invocations
+(:mod:`repro.experiments.replay`); entry scans never read them, and
+:meth:`ResultCache.storage_stats` counts them apart.
 
 Keys
 ----
@@ -82,10 +85,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.algorithms.result import UnitResults
-from repro.io import content_hash
+from repro.experiments.replay import CACHE_FORMAT, RECORD_SUFFIX, cache_root
 from repro.obs import telemetry as obs
 from repro.obs.ledger import write_atomic
 from repro.solve.problem import encode_bound
+from repro.util.hashing import content_hash
 
 __all__ = [
     "CACHE_FORMAT",
@@ -94,20 +98,6 @@ __all__ = [
     "unit_arrays",
     "unit_record",
 ]
-
-#: Bumped to 2 with the :mod:`repro.solve` redesign (keys derived from
-#: per-point Problem content hashes), to 3 with the tri-criteria facade
-#: (objective/floor fields in every Problem payload, grid probe
-#: records), and to 4 with the columnar ensemble core: keys are now
-#: derived from raw-array *instance digests* instead of JSON Problem
-#: payload hashes, and entries carry per-point achieved objective
-#: values.  The one-release format-3 legacy-read path was removed in
-#: 1.4.0; pre-columnar entries simply miss and recompute.  Bumped to 5
-#: in 2.1.0: entries carry the witness's per-point worst-case
-#: ``period`` and ``latency``, and grid probes are plain sweep units
-#: (the separate probe records are gone).
-CACHE_FORMAT = 5
-
 
 class ResultCache:
     """Content-addressed store of per-unit sweep results.
@@ -302,11 +292,18 @@ class ResultCache:
             yield entry.stem, entry.read_text()
 
     def storage_stats(self) -> dict:
-        """Persistent on-disk totals (entry count, bytes) — meaningful
-        without a live sweep, unlike the process-local :meth:`stats`;
-        what ``repro cache stats`` reports."""
+        """Persistent on-disk totals — meaningful without a live sweep,
+        unlike the process-local :meth:`stats`; what ``repro cache
+        stats`` reports.  ``entries`` and ``bytes`` cover the unit
+        entries; ``run_records`` counts the run records
+        (:mod:`repro.experiments.replay`) beside them."""
         entries = self._entries()
-        return {"entries": len(entries), "bytes": sum(e.stat().st_size for e in entries)}
+        records = list(self.root.glob(f"*{RECORD_SUFFIX}")) if self.root.is_dir() else []
+        return {
+            "entries": len(entries),
+            "bytes": sum(e.stat().st_size for e in entries),
+            "run_records": len(records),
+        }
 
     def vacuum(self) -> dict:
         """Remove the orphaned ``*.tmp`` files interrupted writers left
@@ -403,9 +400,5 @@ def resolve_cache(
     """
     if isinstance(cache, ResultCache):
         return cache
-    if cache is None:
-        env = os.environ.get("REPRO_CACHE_DIR")
-        if not env:
-            return None
-        cache = env
-    return ResultCache(cache)
+    root = cache_root(cache)
+    return None if root is None else ResultCache(root)

@@ -95,6 +95,7 @@ from repro.algorithms.result import UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
+from repro.experiments.replay import resolve_jobs
 from repro.obs import telemetry as obs
 from repro.solve.grid import linear_quantiles
 from repro.solve.problem import Problem
@@ -237,18 +238,6 @@ class SweepResult:
                 f"method {method!r} not in sweep; curves available: "
                 f"{self.method_names}"
             ) from None
-
-
-def resolve_jobs(jobs: "int | None") -> int:
-    """Normalize a ``jobs`` argument: ``None`` -> ``$REPRO_JOBS`` -> 1."""
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "1") or "1"
-        if not (raw.strip().isdecimal() and int(raw) >= 1):
-            raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
-        return int(raw)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _unit_problems(

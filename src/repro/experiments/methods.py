@@ -85,6 +85,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.algorithms import search_space
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
 from repro.solve.problem import Problem
@@ -157,6 +158,13 @@ class Method:
         objective, and the kernel must serve every such group: there
         is no per-row fallback.  ``None`` (default) means "no batched
         path".
+    size_check:
+        Optional ``(n_tasks, n_procs, max_replication, homogeneous) ->
+        reason or None``: the method's own refusal of instances this
+        large.  The planner skips a method whose check gives a reason
+        for a scenario's largest variant, so a run the method would
+        refuse fails before any work.  ``None`` (default) means no
+        limit of its own.
     """
 
     name: str
@@ -167,6 +175,7 @@ class Method:
     tags: tuple[str, ...] = ()
     objectives: tuple[str, ...] = ("reliability",)
     solve_batch: "Callable | None" = None
+    size_check: "Callable[[int, int, int, bool], str | None] | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags", tuple(self.tags))
@@ -352,6 +361,7 @@ def register_method(
     tags: "tuple[str, ...] | list[str]" = (),
     objectives: "tuple[str, ...] | list[str]" = ("reliability",),
     solve_batch: "Callable | None" = None,
+    size_check: "Callable[[int, int, int, bool], str | None] | None" = None,
     replace: bool = False,
 ) -> Callable[[Callable], Method]:
     """Decorator registering a solve callable as a named :class:`Method`.
@@ -361,7 +371,8 @@ def register_method(
     generator from :meth:`Problem.content_hash` (``_anneal`` below).
     ``solve_batch`` optionally attaches a batched kernel (see
     :attr:`Method.solve_batch`) that must reproduce ``fn`` row by row,
-    bit for bit.  Duplicate names are rejected (``ValueError``) unless
+    bit for bit, and ``size_check`` the method's own size limit (see
+    :attr:`Method.size_check`).  Duplicate names are rejected (``ValueError``) unless
     ``replace=True`` — re-registering silently would let one experiment
     corrupt another's curves and cache keys.  Returns the
     :class:`Method` record, so the decorated name is the method object
@@ -385,6 +396,7 @@ def register_method(
             tags=tuple(tags),
             objectives=tuple(objectives),
             solve_batch=solve_batch,
+            size_check=size_check,
         )
         METHODS[name] = method
         return method
@@ -530,11 +542,13 @@ register_method(
 
 
 # Its size limit is brute_force_best's own search-space budget, which
-# depends on p and K as well as the chain length.
+# depends on p and K as well as the chain length; the planner applies it
+# through size_check without importing the solver.
 # Objective-aware: the oracle the converse objectives cross-check against.
 @register_method(
     "brute-force", exact=True, cost_hint=100.0, tags=("manual",),
     objectives=("reliability", "period", "latency", "energy"),
+    size_check=search_space.refusal,
 )
 def _brute_force(problem):
     from repro.algorithms.brute_force import brute_force_best

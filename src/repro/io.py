@@ -25,7 +25,6 @@ True
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -34,6 +33,7 @@ from repro.core.ensemble import Ensemble
 from repro.core.interval import Interval
 from repro.core.mapping import Mapping
 from repro.core.platform import Platform
+from repro.util.hashing import canonical_json, content_hash
 
 __all__ = [
     "FORMAT_VERSION",
@@ -149,36 +149,6 @@ def from_dict(payload: dict[str, Any]) -> "TaskChain | Platform | Mapping | Any"
             min_reliability=float(payload.get("min_reliability", 0.0)),
         )
     raise ValueError(f"unknown object type {kind!r}")
-
-
-def canonical_json(payload: Any) -> str:
-    """Render *payload* as canonical JSON: sorted keys, no whitespace.
-
-    Python's ``repr``-based float serialization is shortest-round-trip,
-    so two equal floats always render identically — the rendering is a
-    stable identity for a JSON-able value across processes and machines.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def content_hash(*payloads: Any) -> str:
-    """SHA-256 hex digest of one or more JSON-able payloads.
-
-    Model objects (:class:`TaskChain`, :class:`Platform`,
-    :class:`Mapping`) are accepted directly and encoded via
-    :func:`to_dict` first.  The experiment result cache keys entries
-    with this: equal content gives equal keys across process restarts
-    (unlike ``hash``, which is salted per process).
-    """
-    digest = hashlib.sha256()
-    for payload in payloads:
-        if isinstance(payload, (TaskChain, Platform, Mapping)) or (
-            not isinstance(payload, dict) and callable(getattr(payload, "to_dict", None))
-        ):
-            payload = to_dict(payload)
-        digest.update(canonical_json(payload).encode())
-        digest.update(b"\x1f")
-    return digest.hexdigest()
 
 
 def dumps(obj: "TaskChain | Platform | Mapping | Any", **json_kwargs: Any) -> str:

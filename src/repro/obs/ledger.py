@@ -43,10 +43,9 @@ import os
 import pathlib
 import re
 import tempfile
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
-from repro.io import content_hash
+from repro.util.hashing import content_hash
 
 __all__ = [
     "DEFAULT_RUNS_DIR",
@@ -95,7 +94,7 @@ def run_id_for(identity: Any, timestamp: str) -> str:
     identity:
         JSON-able payload of the run's identifying (non-volatile)
         fields — command, scenario spec hash, seed, methods, grid,
-        objective.  Hashed via :func:`repro.io.content_hash`, so equal
+        objective.  Hashed via :func:`repro.util.hashing.content_hash`, so equal
         content gives equal ids across processes and machines.
     timestamp:
         Caller-supplied wall-clock tag (e.g. ``20260808T093000Z``).
@@ -174,9 +173,9 @@ def write_run(
     return root
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One loaded ledger run."""
+class RunRecord(NamedTuple):
+    """One loaded ledger run (a named tuple: importing :mod:`dataclasses`
+    would cost a replayed run more than its own work)."""
 
     run_id: str
     path: pathlib.Path
@@ -234,6 +233,7 @@ def list_runs(
                 "cache_hits": cache.get("hits"),
                 "cache_misses": cache.get("misses"),
                 "batch_units": manifest.get("batch_units"),
+                "replayed_from": cache.get("replayed_from"),
             }
         )
     return summaries
@@ -318,10 +318,11 @@ def _series_last(series: dict, key: str) -> "dict[str, float | None]":
     return out
 
 
-def _delta(a: "float | None", b: "float | None") -> "float | None":
-    if a is None or b is None:
-        return None
-    return b - a
+def _delta(a: Any, b: Any) -> "float | None":
+    """``b - a`` for two numbers; ``None`` for anything else (a missing
+    value, or the run_id a replay names)."""
+    numbers = all(isinstance(v, (int, float)) for v in (a, b))
+    return b - a if numbers else None
 
 
 def diff_runs(a: RunRecord, b: RunRecord) -> dict:
@@ -334,7 +335,8 @@ def diff_runs(a: RunRecord, b: RunRecord) -> dict:
       one run;
     * ``seconds`` — phase-timing deltas for every phase both runs
       timed;
-    * ``cache`` — hit/miss/put/corrupt (and hit_rate) deltas;
+    * ``cache`` — hit/miss/put/corrupt (and hit_rate) deltas, and the
+      run a replay replays (``replayed_from``, no delta);
     * ``batch`` — batch-served unit count delta plus the per-unit
       ``source`` attribution histograms and their delta — how serving
       moved between kernels, cache, parent, and workers.
@@ -415,10 +417,10 @@ def diff_runs(a: RunRecord, b: RunRecord) -> dict:
     return out
 
 
-def _fmt(value: "float | int | None", digits: int = 4, sign: bool = False) -> str:
+def _fmt(value: "float | int | str | None", digits: int = 4, sign: bool = False) -> str:
     if value is None:
         return "-"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         return str(value)
     if isinstance(value, int):
         return f"{value:+d}" if sign else str(value)
@@ -514,6 +516,11 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
             f"misses, {cache.get('puts', 0)} puts, "
             f"{cache.get('corrupt', 0)} corrupt{rate_text}"
         )
+        if cache.get("replayed_from"):
+            lines.append(
+                f"- replayed from run `{cache['replayed_from']}` "
+                "(no unit generated, solved or looked up)"
+            )
 
     series = manifest.get("series")
     if isinstance(series, dict) and series:
@@ -546,6 +553,8 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
             converged["converged"] += 1
         elif row.get("converged") is False:
             converged["not_converged"] += 1
+        if source == "replay":  # served by no path of the sweep
+            continue
         record = coverage.setdefault(
             str(row.get("method", "?")),
             {"batch": 0, "per_row": 0, "cache": 0},
@@ -561,6 +570,7 @@ def render_report(manifest: dict, per_unit: "Iterable[dict]" = ()) -> str:
                 f"- search convergence: {converged['converged']} converged, "
                 f"{converged['not_converged']} budget-exhausted"
             )
+    if coverage:
         lines += ["", "## Batch coverage", ""]
         lines.append("| method | batch | per-row | cache |")
         lines.append("|---|---|---|---|")

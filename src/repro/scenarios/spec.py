@@ -58,6 +58,7 @@ from repro.scenarios.distributions import (
     distribution_from_value,
     distribution_to_dict,
 )
+from repro.util.hashing import content_hash
 
 __all__ = [
     "ScenarioSpec",
@@ -310,8 +311,6 @@ def scenario_hash(spec: ScenarioSpec) -> str:
     prefix-stable) still hits the per-unit result cache for the
     instances it shares with earlier runs.
     """
-    from repro.io import content_hash  # lazy: io lazily imports this module
-
     payload = spec.to_dict()
     for key in ("name", "description", "n_instances"):
         payload.pop(key, None)

@@ -31,7 +31,10 @@ Hard capability gates (applied to an explicit method list too):
   ``dp-latency``, ``dp-period``) that the method list names explicitly
   is held to the larger :data:`MAX_BATCHED_EXACT_TASKS` ×
   :data:`MAX_BATCHED_EXACT_PROCS` instead; ``brute-force``, ``ilp``
-  and ``ilp-bb`` have no kernel and keep the first threshold.
+  and ``ilp-bb`` have no kernel and keep the first threshold;
+* a method with its own size limit (``Method.size_check``:
+  ``brute-force``'s search-space budget) is dropped when that limit
+  refuses the scenario's largest variant, with the method's own reason.
 
 Auto-discovery rules (applied only when no explicit method list is
 given):
@@ -234,8 +237,8 @@ class Planner:
             for method in candidates:
                 reason = _skip_reason(
                     method, homogeneous=homogeneous, paired=spec.paired,
-                    n_tasks=n_tasks, n_procs=n_procs, explicit=explicit,
-                    objective=objective,
+                    n_tasks=n_tasks, n_procs=n_procs, max_replication=spec.K,
+                    explicit=explicit, objective=objective,
                 )
                 if reason is None:
                     selected.append(method)
@@ -280,6 +283,7 @@ def _skip_reason(
     paired: bool,
     n_tasks: int,
     n_procs: int,
+    max_replication: int,
     explicit: bool,
     objective: str,
 ) -> "str | None":
@@ -303,6 +307,10 @@ def _skip_reason(
             f"exact-method threshold ({max_tasks} x {max_procs}); use "
             "heuristics at this scale"
         )
+    if method.size_check is not None:
+        reason = method.size_check(n_tasks, n_procs, max_replication, homogeneous)
+        if reason is not None:
+            return reason
     if explicit:
         return None
     if "manual" in method.tags:

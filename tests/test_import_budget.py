@@ -86,6 +86,13 @@ def test_cli_runs_without_numpy(flag):
     assert out.stdout.startswith("repro " if flag == "--version" else "usage: repro")
 
 
+def test_obs_import_loads_no_numpy():
+    """The run ledger and telemetry hash and write plain JSON."""
+    loaded = loaded_modules("import repro.obs")
+    assert "numpy" not in loaded
+    assert {"repro.obs.ledger", "repro.obs.telemetry"} <= loaded
+
+
 def test_cli_import_loads_neither():
     assert heavy_loaded("import repro.cli") == []
 
@@ -133,23 +140,53 @@ KERNELS = tuple(
 )
 
 
+#: A Section 8 ``scenario run`` with a cache directory, in the cwd.
+WARM_SCRIPT = (
+    "from repro.cli import main\n"
+    "rc = main(['scenario', 'run', 'section8-hom', '--n-instances', '3',\n"
+    "           '--grid', 'auto', '--cache-dir', 'cache',\n"
+    "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
+    "assert rc == 0, rc\n"
+)
+
+
+def delete_run_records(cache: pathlib.Path) -> None:
+    """Drop the run records, so the next identical run is a unit-level
+    warm run instead of a replay."""
+    for record in cache.glob("*.run"):
+        record.unlink()
+
+
 def test_warm_scenario_run_loads_no_kernel(tmp_path):
     """A ``scenario run`` served entirely from cache loads no solver:
     cache keys fingerprint the solvers' source without importing it."""
-    script = (
-        "from repro.cli import main\n"
-        "rc = main(['scenario', 'run', 'section8-hom', '--n-instances', '3',\n"
-        "           '--grid', 'auto', '--cache-dir', 'cache',\n"
-        "           '--runs-dir', 'runs', '--manifest', 'manifest.json'])\n"
-        "assert rc == 0, rc\n"
-    )
+    script = WARM_SCRIPT
     cold = loaded_modules(script, cwd=tmp_path)
     assert {"repro.algorithms.batch", "repro.algorithms.batch_dp"} <= cold  # it solved
+    delete_run_records(tmp_path / "cache")
     warm = loaded_modules(script, cwd=tmp_path)
     cache = json.loads((tmp_path / "manifest.json").read_text())["cache"]
     assert cache["misses"] == 0 and cache["hits"] > 0, cache
     assert sorted(set(KERNELS) & warm) == []
     assert sorted(set(UNUSED_BY_SCENARIO_RUNS) & warm) == []
+
+
+def test_replayed_scenario_run_loads_no_numpy(tmp_path):
+    """A repeated ``scenario run`` replays its run record: it loads no
+    numpy and no planner, generator, harness or cache module, and
+    reports the series of the run it replays."""
+    loaded_modules(WARM_SCRIPT, cwd=tmp_path)
+    cold = json.loads((tmp_path / "manifest.json").read_text())
+    replayed = loaded_modules(WARM_SCRIPT, cwd=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "numpy" not in replayed
+    assert not {m for m in replayed if m.startswith("repro.scenarios")}
+    assert not {
+        "repro.solve.planner", "repro.solve.grid",
+        "repro.experiments.harness", "repro.experiments.cache",
+    } & replayed
+    assert manifest["cache"]["replayed_from"] == cold["run_id"]
+    assert manifest["series"] == cold["series"]
 
 
 #: Modules no ``scenario run`` needs: ``numpy.ma`` (which ``np.quantile``

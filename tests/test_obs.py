@@ -98,6 +98,43 @@ UNITS = [
 ]
 
 
+class TestHashPins:
+    """content_hash and run_id_for give the same digests wherever they
+    are defined: no run_id or unit key moves with the module."""
+
+    def test_content_hash_of_plain_payloads(self):
+        from repro.io import content_hash
+        from repro.util.hashing import content_hash as plain
+
+        assert content_hash is plain
+        assert content_hash({"b": [1, 2.5, "inf"], "a": None, "c": True}) == (
+            "1ba3f1f04cd2abd7c7e8ccf1478ff758ccceb22aea3e045ab6fbdddac45a4c54"
+        )
+        assert content_hash(
+            {"repro_cache": 5, "method": "heur-l"}, "ab" * 32, [[1.0, "inf"]]
+        ) == "a15d716a956c3de66819b359aa1bcd1be43f3013103732dc435f26032a2eb229"
+        assert content_hash([]) == (
+            "c124efeb8d5edb82fb87c455298a254564c153997eb3fecc8f231616711c763e"
+        )
+
+    def test_content_hash_of_model_objects(self):
+        from repro.core import Platform, TaskChain
+        from repro.io import content_hash
+
+        assert content_hash(TaskChain([1.0, 2.0], [1.0, 0.0])) == (
+            "ac7380551dafff1ed3ab003dd01bd5e86591014363f175ed6f824d96f1e0baa4"
+        )
+        platform = Platform.homogeneous_platform(3, failure_rate=1e-6, max_replication=2)
+        assert content_hash(platform) == (
+            "cebb8368771fab0f191af090c940847d31b7aa2a4c65d7dfd7aaa7bc48e28839"
+        )
+
+    def test_run_ids(self):
+        identity = {"command": "scenario-run", "seed": 0}
+        assert run_id_for(identity, "20260808T120000Z") == "20260808T120000Z-5564bbb7a9b4"
+        assert run_id_for({"x": 1}, "2026-08-08 12:00") == "2026-08-08-12:00-5134215cc7b8"
+
+
 class TestLedgerWriter:
     def test_run_id_is_deterministic_and_content_addressed(self):
         identity = {"command": "scenario-run", "seed": 0}
@@ -331,6 +368,10 @@ class TestEndToEndLedger:
             "--manifest", str(tmp_path / "m.json"),
         ]
         assert main(argv + ["--timestamp", "20260808T130000Z"]) == 0
+        # Without its run record the rerun is a unit-level warm run,
+        # not a replay.
+        for record in (tmp_path / "cache").glob("*.run"):
+            record.unlink()
         assert main(argv + ["--timestamp", "20260808T130100Z"]) == 0
         capsys.readouterr()
         rows = list_runs(runs_dir)

@@ -79,6 +79,30 @@ class TestCapabilityGating:
         for name in ("brute-force", "ilp"):
             assert "exceeds the exact-method threshold" in reasons[name]
 
+    def test_brute_force_gated_on_its_own_search_space(self):
+        """The planner skips brute-force where brute_force_best always
+        refuses, with the solver's own message, and keeps it where the
+        search space fits the budget."""
+        from repro.algorithms.brute_force import brute_force_best
+        from repro.core import Platform, random_chain
+
+        plan = Planner().plan("section8-hom", methods=["brute-force", "heur-l"])
+        assert plan.selected == ("heur-l",)
+        reason = skip_reasons(plan)["brute-force"]
+        assert reason.startswith("search space ~9.67e+08 exceeds budget 2000000")
+        platform = Platform.homogeneous_platform(10, failure_rate=1e-8, max_replication=3)
+        with pytest.raises(ValueError) as refused:
+            brute_force_best(random_chain(15, rng=0), platform)
+        assert str(refused.value) == reason
+        base = get_scenario("section8-hom").spec
+        for spec in (replace(base, n_tasks=5, p=4),
+                     replace(get_scenario("section8-het").spec, n_tasks=4, p=3)):
+            assert "brute-force" in Planner().plan(spec, methods=["brute-force"]).selected
+        # The largest variant decides.
+        swept = replace(base, n_tasks=(5, 15))
+        assert "search space" in skip_reasons(
+            Planner().plan(swept, methods=["brute-force"]))["brute-force"]
+
     def test_paired_tag_gating(self):
         hom = Planner().plan("section8-hom")
         het_paired = Planner().plan("section8-het")

@@ -160,7 +160,7 @@ class TestRoundTrip:
 
     def test_storage_stats_report_persistent_totals(self, cache):
         empty = cache.storage_stats()
-        assert empty == {"entries": 0, "bytes": 0}
+        assert empty == {"entries": 0, "bytes": 0, "run_records": 0}
         put_unit(cache, "ab" * 32, np.array([True]), np.array([0.5]))
         put_unit(cache, "cd" * 32, np.array([False]), np.array([1.0]))
         totals = cache.storage_stats()
@@ -223,7 +223,7 @@ class TestFlatLayout:
         assert cache.get_record(key) is None
         assert cache.stats()["corrupt"] == 0
         assert list(cache.scan()) == []
-        assert cache.storage_stats() == {"entries": 0, "bytes": 0}
+        assert cache.storage_stats() == {"entries": 0, "bytes": 0, "run_records": 0}
 
 
 class TestEntryFiles:
@@ -307,7 +307,7 @@ class TestMissingRoot:
 
     def test_scan_and_totals(self, cache):
         assert list(cache.scan()) == []
-        assert cache.storage_stats() == {"entries": 0, "bytes": 0}
+        assert cache.storage_stats() == {"entries": 0, "bytes": 0, "run_records": 0}
         assert not cache.root.exists()
 
     def test_vacuum(self, cache):
@@ -856,7 +856,7 @@ class TestCacheCLI:
         )
         assert code == 0
         report = json.loads(out)
-        assert set(report) == {"entries", "bytes", "root"}
+        assert set(report) == {"entries", "bytes", "run_records", "root"}
         assert report["entries"] == 3
 
     def test_vacuum_text_output(self, capsys, tmp_path):
