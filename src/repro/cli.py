@@ -64,7 +64,9 @@ Commands
     (:mod:`repro.experiments.cache`): ``cache stats`` prints its
     persistent on-disk totals (entry count, bytes, run records), and ``cache
     vacuum`` removes the orphaned ``*.tmp`` files an interrupted
-    writer leaves behind.  The directory defaults to
+    writer leaves behind and the run records written under other
+    source (in a directory shared between checkouts, the other
+    checkouts' records too).  The directory defaults to
     ``$REPRO_CACHE_DIR``.
 ``lint``
     The repo's own invariant checkers (:mod:`repro.analysis`): an
@@ -280,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="persistent on-disk totals of the cache store"
     )
     cvacuum = csub.add_parser(
-        "vacuum", help="remove orphaned temp files left by interrupted writes"
+        "vacuum",
+        help="remove orphaned temp files and run records of other source "
+        "(in a shared directory, every other checkout's records too)",
     )
     for sp in (cstats, cvacuum):
         sp.add_argument("--cache-dir", type=pathlib.Path, default=None,
@@ -426,9 +430,10 @@ def _record_run(args, identity: dict, manifest: dict, per_unit,
     return the recorded manifest.
 
     The run_id hashes *identity* with the ``--timestamp`` tag (default:
-    the current UTC time).  The manifest gains the command, the tag,
-    the library *versions* (default: the running ones; a replay passes
-    its record's) and the run_id; it lands in the ledger
+    the current UTC time to the microsecond, so a run and its replay in
+    one second keep separate ledger directories).  The manifest gains
+    the command, the tag, the library *versions* (default: the running
+    ones; a replay passes its record's) and the run_id; it lands in the ledger
     (``--runs-dir``) next to *per_unit* and is copied to
     ``--manifest``.
     """
@@ -447,7 +452,11 @@ def _record_run(args, identity: dict, manifest: dict, per_unit,
             "numpy": np.__version__,
             "python": platform.python_version(),
         }
-    timestamp = args.timestamp or time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    timestamp = args.timestamp
+    if not timestamp:
+        seconds, nanos = divmod(time.time_ns(), 10**9)
+        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime(seconds))
+        timestamp = f"{stamp}.{nanos // 1000:06d}Z"
     run_id = run_id_for(identity, timestamp)
     manifest = {
         "command": identity["command"],
@@ -959,7 +968,7 @@ def _cmd_runs(args) -> int:
             print(f"no runs under {resolve_runs_dir(args.runs_dir)}")
             return 0
         header = (
-            f"{'run_id':32s} {'command':13s} {'scenario':18s} "
+            f"{'run_id':36s} {'command':13s} {'scenario':18s} "
             f"{'inst':>5s} {'seconds':>8s} {'cache h/m':>10s} {'batch':>6s}"
         )
         print(header)
@@ -968,7 +977,7 @@ def _cmd_runs(args) -> int:
             seconds = row["seconds"]
             hits, misses = row["cache_hits"], row["cache_misses"]
             print(
-                f"{row['run_id']:32s} {str(row['command'] or '-'):13s} "
+                f"{row['run_id']:36s} {str(row['command'] or '-'):13s} "
                 f"{str(row['scenario'] or '-'):18s} "
                 f"{str(row['n_instances'] if row['n_instances'] is not None else '-'):>5s} "
                 f"{f'{seconds:.3f}' if isinstance(seconds, (int, float)) else '-':>8s} "

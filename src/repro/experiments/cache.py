@@ -16,29 +16,35 @@ themselves: one flat directory holding one file per key,
 ``os.replace``), so concurrent runs sharing a directory never observe
 a partial entry; the only leftover an interrupted writer can leave is
 an orphaned ``*.tmp`` file, which :meth:`ResultCache.vacuum` removes.
+Files get the mode a plain ``open`` would give them, so a directory
+shared between users stays readable to them all.
 No state is shared beyond the filesystem: no handles, nothing to
 pickle, any shared POSIX mount works.  Directories written by releases
 before 5.0 kept entries in two-character fan-out subdirectories; those
 are never read or counted (their keys could not match anyway, since
-the package version is a key ingredient).  The same directory holds
+the package source is a key ingredient).  The same directory holds
 the ``<key>.run`` records of whole ``scenario run`` invocations
-(:mod:`repro.experiments.replay`); entry scans never read them, and
-:meth:`ResultCache.storage_stats` counts them apart.
+(:mod:`repro.experiments.replay`); entry scans never read them,
+:meth:`ResultCache.storage_stats` counts them apart, and
+:meth:`ResultCache.vacuum` removes those written under other source.
 
 Keys
 ----
-``key = sha256(method name, instance digest, objective fields,
-per-point bound tokens, method fingerprint, package version)`` via
+``key = sha256(CACHE_FORMAT, method name, instance digest, objective
+fields, per-point bound tokens, method fingerprint)`` via
 :func:`repro.io.content_hash`.  The *instance digest*
 (:func:`repro.core.ensemble.instance_digest`) is a raw-array-bytes
 hash shared by the columnar :class:`~repro.core.ensemble.Ensemble`
 rows and materialized ``(chain, platform)`` pairs — deriving keys from
 it means a warm sweep over an ensemble never builds a model object or
 a JSON payload, and an ensemble sweep and its materialized twin hit
-the exact same entries.  Keys are stable across process restarts, and
-automatically invalidated when any ingredient (chain, platform,
-bounds, objective, method identity, repro release) changes, because a
-different key simply never matches.  Each entry holds::
+the exact same entries.  The fingerprint carries
+:func:`repro.util.hashing.source_digest`, which run records are keyed
+by too: one digest of every package ``*.py`` file, ``__version__``
+and this module included.  Keys are stable across process restarts,
+and automatically invalidated when any ingredient (chain, platform,
+bounds, objective, method identity, package source) changes, because
+a different key simply never matches.  Each entry holds::
 
     {"repro_cache": CACHE_FORMAT, "method": ..., "n_points": ...,
      "solved": [...bools...], "failure": [...floats...],
@@ -85,7 +91,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.algorithms.result import UnitResults
-from repro.experiments.replay import CACHE_FORMAT, RECORD_SUFFIX, cache_root
+from repro.experiments.replay import CACHE_FORMAT, RECORD_SUFFIX, cache_root, stale_record
 from repro.obs import telemetry as obs
 from repro.obs.ledger import write_atomic
 from repro.solve.problem import encode_bound
@@ -155,11 +161,11 @@ class ResultCache:
         its (P, L) bound tokens, and the problem-level *objective* and
         *min_reliability* fields are explicit ingredients.
 
-        The package version and the method's implementation
-        *fingerprint* (:meth:`Method.fingerprint`) are part of the
-        key, so neither a solver fix in a new release nor an edited or
-        re-registered method ever replays stale arrays from a shared
-        cache directory.
+        The method's implementation *fingerprint*
+        (:meth:`Method.fingerprint`, which carries the package source
+        digest) is part of the key, so neither an edit to the package
+        nor a re-registered method ever replays stale arrays from a
+        shared cache directory.
 
         When the sweep was materialized from a declarative scenario,
         *scenario* carries the spec's content hash
@@ -169,11 +175,8 @@ class ResultCache:
         generative fields can never replay arrays computed for the old
         workload.
         """
-        from repro import __version__
-
         ingredients = {
             "repro_cache": CACHE_FORMAT,
-            "repro_version": __version__,
             "method": method_name,
             "fingerprint": fingerprint,
             "objective": objective,
@@ -306,17 +309,22 @@ class ResultCache:
         }
 
     def vacuum(self) -> dict:
-        """Remove the orphaned ``*.tmp`` files interrupted writers left
-        in *root* (``repro cache vacuum``); entries are untouched."""
-        removed = 0
+        """Remove what no later run reads (``repro cache vacuum``): the
+        orphaned ``*.tmp`` files interrupted writers left in *root*, and
+        the run records written under other source
+        (:func:`repro.experiments.replay.stale_record`).  Unit entries
+        are untouched."""
+        removed = {"removed_tmp": 0, "removed_runs": 0}
         if self.root.is_dir():
-            for tmp in self.root.glob("*.tmp"):
-                try:
-                    tmp.unlink()
-                    removed += 1
-                except OSError:  # a concurrent vacuum got there first
-                    pass
-        return {"removed_tmp": removed}
+            runs = filter(stale_record, self.root.glob(f"*{RECORD_SUFFIX}"))
+            for field, paths in (("removed_tmp", self.root.glob("*.tmp")), ("removed_runs", runs)):
+                for path in paths:
+                    try:
+                        path.unlink()
+                        removed[field] += 1
+                    except OSError:  # a concurrent vacuum got there first
+                        pass
+        return removed
 
     def reset(self) -> None:
         """Zero the counters (entries on disk are untouched).

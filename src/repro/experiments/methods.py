@@ -68,18 +68,19 @@ scenario-aware :class:`repro.solve.Planner` reads ``homogeneous_only``,
 applicable to a workload, recording a skip reason for every method it
 drops.
 
-Cache keys and the worker handshake carry :meth:`Method.fingerprint`, a
-digest of the source a method runs, read from disk and never imported.
-The built-ins import each kernel and per-row solver inside the function
-that calls it, so a run served entirely from cache loads none of them.
+Cache keys and the worker handshake carry :meth:`Method.fingerprint`:
+one digest of the whole package source
+(:func:`repro.util.hashing.source_digest`) plus the identity and
+defining file of a method's callables, read from disk and never
+imported.  The built-ins import each kernel and per-row
+solver inside the function that calls it, so a run served entirely
+from cache loads none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import os
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,6 +90,7 @@ from repro.algorithms import search_space
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
 from repro.solve.problem import Problem
+from repro.util.hashing import file_digest, source_digest
 
 __all__ = [
     "Method",
@@ -231,43 +233,36 @@ class Method:
             )
 
     def fingerprint(self) -> "str | None":
-        """Implementation fingerprint: a digest of the source this method runs.
+        """Implementation fingerprint: which code this method runs.
 
         A registry *name* does not identify an implementation, so the
         harness pairs it with this digest in cache keys (edited code
         never replays stale arrays) and in the worker handshake (a
         worker whose registry binds the name to other code refuses the
-        unit).  :attr:`solve` and :attr:`solve_batch` each contribute
-        their ``__qualname__``, first line and primitive closure cells
-        (``_heur``'s ``which``), plus the source bytes of their defining
-        module and every ``repro`` module it reaches
-        (:func:`_source_closure`).  A callable with no source file has
-        no fingerprint: the harness runs it uncached, in the parent.
+        unit).  It hashes the package's
+        :func:`~repro.util.hashing.source_digest`, and for each of
+        :attr:`solve` and :attr:`solve_batch` its ``__qualname__``,
+        first line, primitive closure cells (``_heur``'s ``which``) and
+        the digest of its defining file.  So any edit to a package
+        ``*.py`` file (or a release) moves every fingerprint, that of a
+        method registered from outside the package included, and so
+        does an edit to a registering file.  A callable with no source
+        file has no fingerprint: the harness runs it uncached, in the
+        parent.
         """
         return _fingerprint(self.solve, self.solve_batch)
 
 
 _PRIMITIVES = (str, bytes, int, float, complex, bool, type(None))
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: ``import <module>``, or ``from <package> import <names>`` with the
-#: names possibly parenthesized over several lines.
-_IMPORT = re.compile(
-    r"^[ \t]*(?:import[ \t]+(repro[\w.]*)"
-    r"|from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+(\([^)]*\)|[^#\n]*))",
-    re.MULTILINE,
-)
-_LAZY_ENTRY = re.compile(r'^[ \t]*"(\w+)": "(repro[\w.]*)",', re.MULTILINE)
-#: The opening quotes of a module's leading docstring (after any
-#: comment lines).
-_DOCSTRING = re.compile(r'\A(?:[ \t]*(?:#[^\n]*)?\n)*[ \t]*[rRuU]?("""|\'\'\')')
 
 
 @functools.lru_cache(maxsize=None)
 def _fingerprint(*callables: "Callable | None") -> "str | None":
-    parts = []
+    parts: list = [source_digest()]
     for fn in filter(None, callables):
         code = getattr(fn, "__code__", None)
-        if code is None or not os.path.isfile(code.co_filename):
+        digest = code and file_digest(code.co_filename)
+        if digest is None:
             return None
         cells = []
         for cell in fn.__closure__ or ():
@@ -277,74 +272,9 @@ def _fingerprint(*callables: "Callable | None") -> "str | None":
                 pass
         parts.append((
             fn.__qualname__, code.co_firstlineno,
-            [c for c in cells if isinstance(c, _PRIMITIVES)],
-            _source_closure(fn.__module__, code.co_filename),
+            [c for c in cells if isinstance(c, _PRIMITIVES)], digest,
         ))
     return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-@functools.lru_cache(maxsize=None)
-def _source_closure(module: str, filename: str) -> "tuple[tuple[str, str], ...]":
-    """Sorted ``(module, source digest)`` pairs for *filename* (the
-    source of *module*) and every ``repro`` module it reaches: through
-    import statements at any indentation, parent packages, and the
-    :mod:`repro._lazy` table serving ``from <package> import <name>``.
-    Files are scanned line by line past their leading docstring, never
-    imported or parsed; the digest covers the whole file."""
-    sources = {}
-    todo = [(module, filename)]
-    while todo:
-        name, path = todo.pop()
-        if name in sources:
-            continue
-        path = path or _module_path(name)
-        if path is None:
-            continue
-        with open(path, "rb") as f:
-            sources[name] = f.read()
-        parts = name.split(".")
-        reached = [".".join(parts[:i]) for i in range(1, len(parts))]
-        for imported, package, names in _IMPORT.findall(_past_docstring(sources[name])):
-            reached.append(imported or package)
-            for attr in re.sub("#.*", "", names).strip("()").split(","):
-                attr = attr.split(" as ")[0].strip()
-                if attr:
-                    # A submodule, or a name the package serves lazily.
-                    reached += [f"{package}.{attr}", _lazy_targets(package).get(attr, "")]
-        todo += [(n, None) for n in reached]
-    return tuple(sorted((n, hashlib.sha256(s).hexdigest()) for n, s in sources.items()))
-
-
-def _past_docstring(source: bytes) -> str:
-    """*source* past its leading docstring, which the import scan skips:
-    an example import there is not an import, and no real import can
-    live inside it."""
-    text = source.decode()
-    opening = _DOCSTRING.match(text)
-    end = text.find(opening.group(1), opening.end()) if opening else -1
-    return text if end < 0 else text[end + 3:]
-
-
-@functools.lru_cache(maxsize=None)
-def _module_path(module: str) -> "str | None":
-    """The source file of *module*, if it is a ``repro`` module."""
-    if module.split(".")[0] != "repro":
-        return None
-    base = os.path.join(_PACKAGE_ROOT, *module.split(".")[1:])
-    for path in (base + ".py", os.path.join(base, "__init__.py")):
-        if os.path.isfile(path):
-            return path
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _lazy_targets(package: str) -> "dict[str, str]":
-    """*package*'s :mod:`repro._lazy` table: served name -> module."""
-    path = _module_path(package)
-    if path is None or not path.endswith("__init__.py"):
-        return {}
-    with open(path, encoding="utf-8") as f:
-        return dict(_LAZY_ENTRY.findall(f.read()))
 
 
 #: The process-wide registry (name -> Method).  Mutate only through

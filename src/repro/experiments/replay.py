@@ -26,9 +26,11 @@ Key
   mode, axis and point count, and the point bounds.  ``--jobs``,
   ``--cache-dir``, ``--runs-dir``, ``--manifest`` and ``--timestamp``
   do not change results and are not part of it;
-* the package version and :data:`CACHE_FORMAT`;
-* :func:`source_digest`, one digest of every ``*.py`` file of the
-  package, so editing any module makes the next run a unit-level one;
+* :data:`CACHE_FORMAT`;
+* :func:`repro.util.hashing.source_digest`, one digest of every
+  ``*.py`` file of the package (``__version__`` included), the same
+  digest the unit keys carry through each method's fingerprint.
+  Editing any module therefore makes the next run re-solve every unit;
 * the bytes of numpy's ``version.py`` (located with
   :func:`importlib.util.find_spec`, which does not import numpy) and
   the Python version.
@@ -37,19 +39,20 @@ A key that is too coarse costs one unit-level warm run, never a wrong
 answer.  A record that cannot be used (torn, garbage, another format or
 key) is a miss: the run takes the unit-level path, and its completion
 overwrites the record.  Deleting ``<root>/*.run`` forces a unit-level
-warm run.
+warm run.  Each record also stores the source digest it was written
+under, so ``repro cache vacuum`` can drop the records no run of the
+current source can reach (:func:`stale_record`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import json
 import os
 import pathlib
 import sys
 
-from repro.util.hashing import content_hash
+from repro.util.hashing import content_hash, file_digest, source_digest
 
 __all__ = [
     "CACHE_FORMAT",
@@ -60,7 +63,7 @@ __all__ = [
     "replay_units",
     "resolve_jobs",
     "run_key",
-    "source_digest",
+    "stale_record",
     "write_record",
 ]
 
@@ -114,53 +117,23 @@ def cache_root(cache_dir: "str | os.PathLike[str] | None") -> "pathlib.Path | No
     return pathlib.Path(cache_dir)
 
 
-def source_digest() -> str:
-    """SHA-256 over the relative path and bytes of every ``*.py`` file
-    of the :mod:`repro` package, in sorted path order."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    files = []
-    for folder, dirs, names in os.walk(root):
-        dirs[:] = [d for d in dirs if d != "__pycache__"]
-        files.extend(os.path.join(folder, n) for n in names if n.endswith(".py"))
-    digest = hashlib.sha256()
-    for path in sorted(files):
-        with open(path, "rb") as handle:
-            data = handle.read()
-        digest.update(path[len(root):].encode())
-        digest.update(b"\0%d\0" % len(data))
-        digest.update(data)
-    return digest.hexdigest()
-
-
-def _file_digest(path: str) -> "str | None":
-    """SHA-256 of a file's bytes; ``None`` when it cannot be read."""
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError:
-        return None
-
-
 def _numpy_version_digest() -> "str | None":
     spec = importlib.util.find_spec("numpy")
     if spec is None or not spec.submodule_search_locations:
         return None
-    return _file_digest(os.path.join(spec.submodule_search_locations[0], "version.py"))
+    return file_digest(os.path.join(spec.submodule_search_locations[0], "version.py"))
 
 
 def run_key(args) -> str:
     """The run-record key of a parsed ``scenario run`` command line."""
-    from repro import __version__
-
     token = args.scenario
     return content_hash({
         "repro_cache": CACHE_FORMAT,
-        "repro_version": __version__,
         "source": source_digest(),
         "numpy": _numpy_version_digest(),
         "python": sys.version,
         "scenario": token,
-        "spec_file": _file_digest(token) if os.path.isfile(token) else None,
+        "spec_file": file_digest(token) if os.path.isfile(token) else None,
         "seed": args.seed,
         "n_instances": args.n_instances,
         "methods": args.methods,
@@ -234,6 +207,7 @@ def write_record(
     record = {
         "repro_cache": CACHE_FORMAT,
         "key": key,
+        "source": source_digest(),
         "run_id": manifest["run_id"],
         "identity": identity,
         "manifest": {
@@ -247,6 +221,18 @@ def write_record(
         ],
     }
     write_atomic(_record_path(root, key), json.dumps(record, sort_keys=True))
+
+
+def stale_record(path: pathlib.Path) -> bool:
+    """Whether the run record at *path* was written under source other
+    than the running package's, or cannot say which: no run of this
+    source can key to it."""
+    try:
+        with open(path, "rb") as handle:
+            record = json.loads(handle.read())
+    except (OSError, ValueError):
+        return True
+    return not (isinstance(record, dict) and record.get("source") == source_digest())
 
 
 def replay_units(record: dict) -> "list[dict]":

@@ -43,6 +43,7 @@ import os
 import pathlib
 import re
 import tempfile
+import threading
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.util.hashing import content_hash
@@ -115,8 +116,11 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
 
     Readers never observe a partial file: either the old content (or
     absence) or the complete new content.  The temp file is opened
-    ``O_CREAT | O_EXCL`` (``tempfile.mkstemp``) and written as UTF-8
-    bytes; the parent directory is created only when it is missing.
+    ``O_CREAT | O_EXCL`` (``tempfile.mkstemp``), given the mode a plain
+    ``open`` would create (``0o666`` less the umask, not mkstemp's
+    ``0o600``, so a shared cache directory stays readable) and written
+    as UTF-8 bytes; the parent directory is created only when it is
+    missing.
     This is the one sanctioned file-write primitive of the artifact
     layers — the ``IO001`` lint rule (:mod:`repro.analysis.atomicwrite`)
     flags raw writes there.
@@ -128,6 +132,7 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         try:
+            os.fchmod(fd, _new_file_mode())
             data = memoryview(text.encode())
             while data:
                 data = data[os.write(fd, data):]
@@ -140,6 +145,23 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+#: Serializes :func:`_new_file_mode`'s set-and-restore of the umask, so
+#: concurrent writers never restore each other's temporary value.
+_UMASK_LOCK = threading.Lock()
+
+
+def _new_file_mode() -> int:
+    """The mode ``open`` gives a new file: ``0o666`` less the umask.
+
+    The umask can only be read by setting it; the restrictive value in
+    between never widens what a concurrent file creation would get.
+    """
+    with _UMASK_LOCK:
+        umask = os.umask(0o077)
+        os.umask(umask)
+    return 0o666 & ~umask
 
 
 def _manifest_bytes(manifest: dict) -> str:

@@ -180,25 +180,26 @@ def package_copy(tmp_path_factory):
 
 
 class TestFingerprintFollowsSource:
-    """A method's fingerprint hashes the source of its defining module
-    and every repro module that module reaches: editing a solver the
-    method calls moves it, editing code no solver reaches does not."""
+    """A built-in's fingerprint carries one digest of every ``*.py``
+    file of the package: editing any module moves every built-in,
+    whatever the module does; other files in the tree move none."""
 
     def test_copy_matches_this_checkout(self, package_copy):
-        # Fingerprints name modules, not paths: a copy keys alike.
+        # The digest hashes paths relative to the package: a copy keys alike.
         _, baseline = package_copy
         assert len(baseline) == 15
         assert baseline == {name: METHODS[name].fingerprint() for name in baseline}
 
-    @pytest.mark.parametrize("edited, moved", [
-        ("algorithms/_hom_dp.py", {"pareto-dp", "dp-latency", "dp-period"}),
-        ("algorithms/batch.py", {"heur-l"}),
-        ("cli.py", set()),
-        # No solver imports the facade; a docstring example does not count.
-        ("solve/facade.py", set()),
-        ("obs/ledger.py", set()),
+    @pytest.mark.parametrize("edited", [
+        "cli.py",
+        "solve/facade.py",
+        "obs/ledger.py",
+        # The harness fills each unit record and the cache module encodes
+        # and decodes it; neither is reached from any method's code.
+        "experiments/harness.py",
+        "experiments/cache.py",
     ])
-    def test_edit_moves_exactly_the_callers(self, package_copy, edited, moved):
+    def test_module_edit_moves_every_builtin(self, package_copy, edited):
         root, baseline = package_copy
         path = root / "repro" / edited
         source = path.read_bytes()
@@ -207,44 +208,105 @@ class TestFingerprintFollowsSource:
             after = json.loads(run_fresh(_FINGERPRINTS, root, root))
         finally:
             path.write_bytes(source)
-        changed = {name for name in baseline if after[name] != baseline[name]}
-        if moved:
-            assert moved <= changed
-        else:
-            assert changed == set()
+        assert {name for name in baseline if after[name] == baseline[name]} == set()
 
-    @pytest.mark.parametrize("name", sorted(METHODS))
-    def test_solve_loads_only_hashed_modules(self, name, tmp_path):
-        """Solving through ``solve`` (and ``solve_batch``) loads no repro
-        module the fingerprint left out — a missed import form would."""
-        script = f"""
-import json, sys
+    @pytest.mark.parametrize("added", ["solve/notes.txt", "experiments/__pycache__/x.pyc"])
+    def test_other_files_move_nothing(self, package_copy, added):
+        root, baseline = package_copy
+        path = root / "repro" / added
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"# not package source\n")
+        try:
+            after = json.loads(run_fresh(_FINGERPRINTS, root, root))
+        finally:
+            path.unlink()
+        assert after == baseline
+
+    @pytest.mark.parametrize("edited", ["experiments/harness.py", "plugin.py"])
+    def test_plugin_fingerprint_follows_package_and_own_file(self, package_copy, edited):
+        """A method registered from a file outside the package, which
+        calls a built-in solver, moves with any package edit (the code
+        it reaches) and with an edit to its own file."""
+        root, _ = package_copy
+        plugin = root / "plugin.py"
+        plugin.write_text(
+            "from repro.experiments import get_method, register_method\n\n"
+            "@register_method('plugin-heur-l')\n"
+            "def plugin_heur_l(problem):\n"
+            "    return get_method('heur-l').solve(problem)\n"
+        )
+        script = (
+            "import json, plugin\n"
+            "from repro.experiments.methods import METHODS\n"
+            "print(json.dumps(METHODS['plugin-heur-l'].fingerprint()))\n"
+        )
+        path = root / edited if edited == "plugin.py" else root / "repro" / edited
+        try:
+            before = json.loads(run_fresh(script, root, root))
+            source = path.read_bytes()
+            path.write_bytes(source + b"\n# a no-op edit\n")
+            try:
+                after = json.loads(run_fresh(script, root, root))
+            finally:
+                path.write_bytes(source)
+        finally:
+            plugin.unlink()
+        assert before is not None and after is not None
+        assert after != before
+
+    @pytest.fixture(scope="class")
+    def solve_loads(self, tmp_path_factory):
+        """Per method, in one fresh interpreter that solves with each in
+        name order: its fingerprint and the loaded ``repro`` modules,
+        once its ``solve`` (and ``solve_batch``) ran, whose code is no
+        ``*.py`` file under the package — the files
+        :func:`~repro.util.hashing.source_digest` hashes."""
+        script = """
+import json, os, sys
 from repro.core.chain import TaskChain
 from repro.core.ensemble import ensembles_from_instances
 from repro.core.platform import Platform
-from repro.experiments.methods import _source_closure, get_method
+from repro.experiments.methods import METHODS
 from repro.solve.problem import Problem
 
-method = get_method({name!r})
-objective = method.objectives[0]
-floor = 0.0 if objective == "reliability" else 0.5
+PACKAGE_ROOT = os.path.dirname(os.path.abspath(sys.modules["repro"].__file__))
+
+def unhashed():
+    out = []
+    for m, module in list(sys.modules.items()):
+        if m != "repro" and not m.startswith("repro."):
+            continue
+        path = os.path.abspath(getattr(module, "__file__", None) or "")
+        if (not path.endswith(".py") or "__pycache__" in path
+                or os.path.commonpath([path, PACKAGE_ROOT]) != PACKAGE_ROOT):
+            out.append(m)
+    return out
+
 chain = TaskChain([6.0, 6.0, 4.0], [1.0, 2.0, 0.0])
 platform = Platform.homogeneous_platform(4, failure_rate=1e-4, max_replication=2)
-problem = Problem(chain, platform, max_period=20.0, max_latency=60.0,
-                  objective=objective, min_reliability=floor)
-method.solve(problem)
-if method.solve_batch is not None:
-    [ensemble] = ensembles_from_instances([(chain, platform)])
-    method.solve_batch(ensemble, [(20.0, 60.0)], objective=objective, min_reliability=floor)
-hashed = set()
-for fn in (method.solve, method.solve_batch):
-    if fn is not None:
-        hashed |= {{m for m, _ in _source_closure(fn.__module__, fn.__code__.co_filename)}}
-loaded = {{m for m in sys.modules if m == "repro" or m.startswith("repro.")}}
-print(json.dumps(sorted(loaded - hashed)))
+report = {}
+for name, method in sorted(METHODS.items()):
+    objective = method.objectives[0]
+    floor = 0.0 if objective == "reliability" else 0.5
+    problem = Problem(chain, platform, max_period=20.0, max_latency=60.0,
+                      objective=objective, min_reliability=floor)
+    method.solve(problem)
+    if method.solve_batch is not None:
+        [ensemble] = ensembles_from_instances([(chain, platform)])
+        method.solve_batch(ensemble, [(20.0, 60.0)], objective=objective,
+                           min_reliability=floor)
+    report[name] = {"fingerprint": method.fingerprint(), "unhashed": unhashed()}
+print(json.dumps(report))
 """
-        unhashed = json.loads(run_fresh(script, PACKAGE.parent, tmp_path))
-        assert unhashed == []
+        return json.loads(run_fresh(script, PACKAGE.parent, tmp_path_factory.mktemp("loads")))
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_solve_loads_only_hashed_modules(self, solve_loads, name):
+        """Solving through ``solve`` (and ``solve_batch``) loads no repro
+        module the digest leaves out — a compiled or out-of-tree module
+        would escape every key — and the method has a fingerprint."""
+        assert solve_loads[name]["unhashed"] == []
+        assert solve_loads[name]["fingerprint"] == METHODS[name].fingerprint()
 
 
 class TestSweepResultErrors:

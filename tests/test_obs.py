@@ -2,7 +2,11 @@
 (deterministic artifact writer, list/show/diff inspector)."""
 
 import json
+import os
 import pickle
+import stat
+import threading
+import time
 
 import pytest
 
@@ -208,6 +212,45 @@ class TestLedgerWriter:
         assert target.read_bytes() == text.encode()
         assert sorted(p.name for p in target.parent.iterdir()) == ["entry.json", "next.json"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_atomic_write_honours_the_umask(self, tmp_path, umask, mode):
+        """A written file gets the mode ``open`` would give it, not the
+        temp file's 0600, so a shared cache directory stays readable."""
+        previous = os.umask(umask)
+        try:
+            ledger_mod.write_atomic(tmp_path / "entry.json", "{}")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "entry.json").stat().st_mode) == mode
+
+    def test_concurrent_atomic_writes_keep_the_umask(self, tmp_path, monkeypatch):
+        """Reading the umask sets and restores it; writers on several
+        threads must not leave another writer's temporary value behind."""
+        real_umask = os.umask
+
+        def yielding_umask(mask):
+            old = real_umask(mask)
+            time.sleep(0.001)  # let another writer run between set and restore
+            return old
+
+        previous = real_umask(0o022)
+        monkeypatch.setattr(os, "umask", yielding_umask)
+        try:
+            def write(n):
+                for i in range(5):
+                    ledger_mod.write_atomic(tmp_path / f"{n}-{i}.json", "{}")
+
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            monkeypatch.undo()
+            assert real_umask(previous) == 0o022
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {0o644}
+
     def test_find_run_prefix_matching(self, tmp_path):
         id_a = run_id_for({"x": 1}, "20260808T120000Z")
         id_b = run_id_for({"x": 2}, "20260809T120000Z")
@@ -358,6 +401,23 @@ class TestEndToEndLedger:
         # The legacy manifest carries the same run_id.
         legacy = json.loads((tmp_path / "m.json").read_text())
         assert legacy["run_id"] == row["run_id"]
+
+    def test_run_and_replay_in_one_second_keep_two_runs(self, tmp_path, capsys):
+        """The default timestamp tag resolves microseconds: a cold run
+        and its replay back to back land in separate ledger runs."""
+        runs_dir = tmp_path / "runs"
+        argv = [
+            "scenario", "run", "section8-hom", "--n-instances", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--runs-dir", str(runs_dir),
+            "--manifest", str(tmp_path / "m.json"),
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        cold, replayed = list_runs(runs_dir)
+        assert replayed["replayed_from"] == cold["run_id"]
+        assert cold["run_id"] < replayed["run_id"]
 
     def test_warm_rerun_diffs_cleanly(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"

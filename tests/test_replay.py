@@ -243,9 +243,10 @@ def test_replay_reports_what_a_unit_level_warm_run_reports(tmp_path, name, objec
         assert replayed[field] == warm[field], field
 
 
-def test_editing_a_module_makes_the_next_run_unit_level(tmp_path):
-    """In a copy of the package, a comment appended to any module makes
-    the next run a unit-level warm run; the run after it replays."""
+def test_editing_a_module_makes_the_next_run_resolve_every_unit(tmp_path):
+    """In a copy of the package, a comment appended to any module moves
+    the run key and every unit key (one source digest keys both), so
+    the next run re-solves every unit; the run after it replays."""
     import repro
 
     src = tmp_path / "src"
@@ -263,11 +264,12 @@ def test_editing_a_module_makes_the_next_run_unit_level(tmp_path):
         )
         return json.loads((tmp_path / f"m{tag}.json").read_text())["cache"]
 
-    assert cli_run("cold")["misses"] > 0
+    cold = cli_run("cold")
+    assert cold["misses"] > 0
     assert cli_run("replay")["replayed_from"]
     with open(src / "repro" / "obs" / "telemetry.py", "a") as handle:
         handle.write("# a comment\n")
-    warm = cli_run("warm")
-    assert "replayed_from" not in warm
-    assert warm["misses"] == 0 and warm["hits"] > 0
+    edited = cli_run("edited")
+    assert "replayed_from" not in edited
+    assert edited["misses"] == cold["misses"] and edited["hits"] == 0
     assert cli_run("again")["replayed_from"]

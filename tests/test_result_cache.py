@@ -25,6 +25,7 @@ from repro.experiments import (
     homogeneous_suite,
     run_sweep,
 )
+from repro.experiments import replay
 from repro.experiments.cache import (
     CACHE_FORMAT,
     resolve_cache,
@@ -32,6 +33,7 @@ from repro.experiments.cache import (
 )
 from repro.io import content_hash
 from repro.obs import collect
+from repro.util.hashing import source_digest
 
 BOUNDS = [(100.0, 750.0), (300.0, 750.0)]
 SWEEP_ARRAYS = ("solved", "failure", "objective_values", "period", "latency")
@@ -311,7 +313,7 @@ class TestMissingRoot:
         assert not cache.root.exists()
 
     def test_vacuum(self, cache):
-        assert cache.vacuum() == {"removed_tmp": 0}
+        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
         assert not cache.root.exists()
 
     def test_lookup_and_discard(self, cache):
@@ -325,15 +327,34 @@ class TestVacuum:
     def test_keeps_entries(self, cache):
         for key in KEYS:
             cache.put_record(key, {"k": key})
-        assert cache.vacuum() == {"removed_tmp": 0}
+        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
         assert entry_keys(cache) == sorted(KEYS)
 
     def test_removes_orphans_then_has_nothing_left_to_do(self, cache):
         cache.put_record("ab" * 32, {"v": 1})
         (cache.root / "orphan.tmp").write_text("{half")
-        assert cache.vacuum() == {"removed_tmp": 1}
-        assert cache.vacuum() == {"removed_tmp": 0}
+        assert cache.vacuum() == {"removed_tmp": 1, "removed_runs": 0}
+        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
         assert cache.get_record("ab" * 32)["v"] == 1
+
+    def test_removes_run_records_of_other_source(self, cache):
+        """A run record keeps the source digest it was written under;
+        one of other source, or of none, no run can key to again."""
+        manifest = {field: {} for field in replay.REPLAYED_FIELDS}
+        manifest.update(run_id="r", versions={})
+        replay.write_record(cache.root, "current", {}, manifest, "", [])
+        record = json.loads((cache.root / "current.run").read_text())
+        assert record["source"] == source_digest()
+        (cache.root / "edited.run").write_text(json.dumps({**record, "source": "0" * 64}))
+        del record["source"]
+        (cache.root / "unstamped.run").write_text(json.dumps(record))
+        (cache.root / "torn.run").write_text("{half")
+        cache.put_record("ab" * 32, {"v": 1})
+        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 3}
+        assert sorted(p.name for p in cache.root.iterdir()) == [
+            f"{'ab' * 32}.json", "current.run",
+        ]
+        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
 
 
 class TestKeyStability:
@@ -837,7 +858,7 @@ class TestCacheCLI:
             capsys, "cache", "vacuum", "--cache-dir", str(root), "--json"
         )
         assert code == 0
-        assert json.loads(out) == {"removed_tmp": 1, "root": str(root)}
+        assert json.loads(out) == {"removed_tmp": 1, "removed_runs": 0, "root": str(root)}
         assert sorted(p.name for p in root.iterdir()) == [f"{key}.json"]
 
     def test_env_fallback_and_missing_dir(self, capsys, tmp_path, monkeypatch):
@@ -865,7 +886,8 @@ class TestCacheCLI:
         (root / "a.tmp").write_text("")
         code, out = self.run_cli(capsys, "cache", "vacuum", "--cache-dir", str(root))
         assert code == 0
-        assert "removed_tmp : 1" in out and "removed_dirs" not in out
+        assert "removed_tmp  : 1" in out and "removed_runs : 0" in out
+        assert "removed_dirs" not in out
 
     def test_migrate_subcommand_is_gone(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
