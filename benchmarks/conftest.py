@@ -17,17 +17,16 @@ Scale knobs:
   ``ilp`` (default, the paper's reference) or ``pareto-dp`` (same
   optima, faster).
 
-Execution knobs (the harness reads these itself; they change *how
-fast* a bench runs, never its numbers — parallel and cached runs are
-bit-identical to serial ones):
+Execution knob (the harness reads it itself; it changes *how fast* a
+bench runs, never its numbers — cached runs are bit-identical to
+uncached ones):
 
-* ``REPRO_JOBS`` — worker processes for the sweep fan-out (default 1 =
-  serial).  Note that with a warm cache or ``jobs > 1`` a "bench" times
-  the harness plumbing, not the solvers, so leave both off for solver
-  timing runs;
 * ``REPRO_CACHE_DIR`` — on-disk result cache directory shared across
-  runs (unset = no caching; see :mod:`repro.experiments.cache` for the
-  layout and the manifest written by ``python -m repro experiment``).
+  runs (unset = no caching; see :mod:`repro.experiments.replay` for the
+  layout and :mod:`repro.experiments.cache` for the unit entries).
+  With a warm cache a "bench" times the harness plumbing, not the
+  solvers, so leave it unset for solver timing runs.  Benches sweep
+  serially: the worker count has no environment knob.
 
 Every bench prints the series it regenerates — the same rows the paper
 plots — and asserts the qualitative shape findings of Section 8.

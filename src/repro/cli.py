@@ -22,9 +22,9 @@ Commands
     previously solved units, and a JSON **manifest** (``--manifest``,
     default ``repro-manifest.json``) records the seed, grid, library
     versions, elapsed time, and cache hit/miss counts of the run.
-    ``--instances`` (default 20) and ``--grid`` (default ``reduced``)
-    are read from the command line only.  Environment fallbacks:
-    ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR``.
+    ``--instances`` (default 20), ``--grid`` (default ``reduced``) and
+    ``--jobs`` (default 1) are read from the command line only; the
+    cache directory falls back to ``$REPRO_CACHE_DIR``.
 ``scenario``
     The declarative workload layer (:mod:`repro.scenarios`):
     ``scenario list`` enumerates registered scenarios with their
@@ -60,14 +60,14 @@ Commands
     two runs.  Run ids accept unique prefixes.  The ledger directory
     defaults to ``$REPRO_RUNS_DIR``, then ``./runs``.
 ``cache``
-    The result cache's flat directory of ``<key>.json`` entries
-    (:mod:`repro.experiments.cache`): ``cache stats`` prints its
-    persistent on-disk totals (entry count, bytes, run records), and ``cache
-    vacuum`` removes the orphaned ``*.tmp`` files an interrupted
-    writer leaves behind and the run records written under other
-    source (in a directory shared between checkouts, the other
-    checkouts' records too).  The directory defaults to
-    ``$REPRO_CACHE_DIR``.
+    The result cache's flat directory of ``<key>.json`` unit entries
+    and ``<key>.run`` run records (:mod:`repro.experiments.replay`):
+    ``cache stats`` prints its persistent on-disk totals (entry count,
+    bytes, run records), and ``cache vacuum`` removes the orphaned
+    ``*.tmp`` files an interrupted writer leaves behind and the unit
+    entries and run records written under other source (in a directory
+    shared between checkouts, the other checkouts' files too).  The
+    directory defaults to ``$REPRO_CACHE_DIR``.
 ``lint``
     The repo's own invariant checkers (:mod:`repro.analysis`): an
     AST-level pass enforcing the determinism, cache-key-completeness,
@@ -96,6 +96,15 @@ import sys
 from repro import __version__
 
 __all__ = ["main", "build_parser"]
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count of at least 1, checked at parse time
+    so a bad value fails before any work."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.solve.objectives import OBJECTIVES
@@ -163,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--exact", choices=("ilp", "pareto-dp"), default="pareto-dp",
                             help="exact method for hom experiments (default pareto-dp)")
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--jobs", type=int, default=None,
-                            help="worker processes (default $REPRO_JOBS or 1)")
+    experiment.add_argument("--jobs", type=_jobs, default=1,
+                            help="worker processes (default 1)")
     experiment.add_argument("--cache-dir", type=pathlib.Path, default=None,
                             help="result cache directory (default $REPRO_CACHE_DIR)")
     experiment.add_argument("--manifest", type=pathlib.Path,
@@ -217,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "the planner only selects methods that support it")
     run.add_argument("--min-reliability", type=float, default=0.0, metavar="R",
                      help="reliability floor in [0, 1) for the converse objectives")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default $REPRO_JOBS or 1)")
+    run.add_argument("--jobs", type=_jobs, default=1,
+                     help="worker processes (default 1)")
     run.add_argument("--cache-dir", type=pathlib.Path, default=None,
                      help="result cache directory (default $REPRO_CACHE_DIR)")
     run.add_argument("--manifest", type=pathlib.Path,
@@ -283,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cvacuum = csub.add_parser(
         "vacuum",
-        help="remove orphaned temp files and run records of other source "
-        "(in a shared directory, every other checkout's records too)",
+        help="remove orphaned temp files, and unit entries and run records "
+        "of other source (in a shared directory, every other checkout's too)",
     )
     for sp in (cstats, cvacuum):
         sp.add_argument("--cache-dir", type=pathlib.Path, default=None,
@@ -477,7 +486,6 @@ def _cmd_experiment(args) -> int:
 
     from repro.experiments.cache import resolve_cache
     from repro.experiments.figures import EXPERIMENTS, FIGURES, run_experiment, run_figure
-    from repro.experiments.harness import resolve_jobs
     from repro.experiments.report import render_figure
     from repro.obs import telemetry as obs
 
@@ -492,16 +500,12 @@ def _cmd_experiment(args) -> int:
             )
         if exp_id not in wanted:
             wanted.append(exp_id)
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     cache = resolve_cache(args.cache_dir)
 
     manifest: dict = {
         "experiments": wanted,
         "seed": args.seed,
-        "jobs": jobs,
+        "jobs": args.jobs,
         "exact_method": args.exact,
         "cache_dir": str(cache.root) if cache is not None else None,
         "runs": [],
@@ -520,7 +524,7 @@ def _cmd_experiment(args) -> int:
                 grid=args.grid,
                 seed=args.seed,
                 exact_method=args.exact,
-                jobs=jobs,
+                jobs=args.jobs,
                 cache=cache,
             )
             elapsed = time.perf_counter() - start
@@ -762,10 +766,6 @@ def _cmd_scenario(args) -> int:
 
     t_run = time.perf_counter()
     collector = obs.Telemetry()
-    try:
-        jobs = replay.resolve_jobs(args.jobs)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     # The same command line over the same source and numpy replays the
     # run record its last run left in the cache directory, before
     # anything below imports numpy.
@@ -873,7 +873,7 @@ def _cmd_scenario(args) -> int:
                 methods,
                 bounds,
                 xs=xs,
-                jobs=jobs,
+                jobs=args.jobs,
                 cache=cache,
                 scenario_key=spec_hash,
                 objective=args.objective,
@@ -1004,14 +1004,13 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.experiments.cache import ResultCache
+    from repro.experiments.cache import resolve_cache
 
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not root:
+    cache = resolve_cache(args.cache_dir)
+    if cache is None:
         raise SystemExit(
             "no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR"
         )
-    cache = ResultCache(root)
     report = cache.storage_stats() if args.cache_cmd == "stats" else cache.vacuum()
     report["root"] = str(cache.root)
     if args.json:

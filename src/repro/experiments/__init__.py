@@ -14,8 +14,12 @@ Everything needed to regenerate Figures 6-15:
 * :mod:`repro.experiments.harness` — parallel, cache-backed bound
   sweeps, solution counting, and the paper's two failure-probability
   averaging rules;
-* :mod:`repro.experiments.cache` — the content-addressed on-disk
-  result cache shared by figures, benches, and the CLI;
+* :mod:`repro.experiments.cache` — the content-addressed result
+  cache shared by figures, benches, and the CLI: unit keys, entries
+  and lookup counters;
+* :mod:`repro.experiments.replay` — the cache directory's files (unit
+  entries and run records: one stamped envelope, one reader, one
+  vacuum rule) and the replay of a repeated ``scenario run``;
 * :mod:`repro.experiments.figures` — one configuration per figure and
   the runners that produce its series;
 * :mod:`repro.experiments.report` — ASCII rendering and JSON dumps;

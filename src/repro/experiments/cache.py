@@ -1,109 +1,60 @@
-"""On-disk result cache for bound sweeps.
+"""The result cache: unit entries, their keys and their counters.
 
 The paper's evaluation recomputes the same ``method x instance x
 bounds`` solves for every figure, bench, and cross-check run.  This
-module gives them a shared, content-addressed store so a sweep
-computed once is free forever after.
+module gives them a shared, content-addressed store of *unit entries*
+(one method's results on one instance over a sweep's points).  It
+derives the keys, encodes and decodes the entries and counts the
+lookups; the files themselves (``<root>/<key>.json``, in the stamped
+envelope every file of a cache directory shares) are read, written,
+counted and vacuumed by :mod:`repro.experiments.replay`, beside the
+run records a warm ``scenario run`` replays.  It imports no numpy:
+only decoding a unit's arrays (:func:`unit_arrays`) does.
 
-Layout
-------
-:class:`ResultCache` owns key derivation, record validation,
-corrupt-entry recovery, the hit/miss counters and the files
-themselves: one flat directory holding one file per key,
-``<root>/<key>.json``, whose text is the canonical
-``json.dumps(record, sort_keys=True)``.  Writes go through
-:func:`repro.obs.ledger.write_atomic` (a temp file in *root* +
-``os.replace``), so concurrent runs sharing a directory never observe
-a partial entry; the only leftover an interrupted writer can leave is
-an orphaned ``*.tmp`` file, which :meth:`ResultCache.vacuum` removes.
-Files get the mode a plain ``open`` would give them, so a directory
-shared between users stays readable to them all.
-No state is shared beyond the filesystem: no handles, nothing to
-pickle, any shared POSIX mount works.  Directories written by releases
-before 5.0 kept entries in two-character fan-out subdirectories; those
-are never read or counted (their keys could not match anyway, since
-the package source is a key ingredient).  The same directory holds
-the ``<key>.run`` records of whole ``scenario run`` invocations
-(:mod:`repro.experiments.replay`); entry scans never read them,
-:meth:`ResultCache.storage_stats` counts them apart, and
-:meth:`ResultCache.vacuum` removes those written under other source.
+A unit key is ``sha256(CACHE_FORMAT, method name, instance digest,
+objective fields, per-point bound tokens, method fingerprint)``.  The
+instance digest (:func:`repro.core.ensemble.instance_digest`) hashes
+raw array bytes, so a warm sweep over an ensemble builds no model
+object and an ensemble sweep and its materialized twin share entries.
+The fingerprint carries the source digest, so editing any module
+moves every key.  A unit entry holds::
 
-Keys
-----
-``key = sha256(CACHE_FORMAT, method name, instance digest, objective
-fields, per-point bound tokens, method fingerprint)`` via
-:func:`repro.io.content_hash`.  The *instance digest*
-(:func:`repro.core.ensemble.instance_digest`) is a raw-array-bytes
-hash shared by the columnar :class:`~repro.core.ensemble.Ensemble`
-rows and materialized ``(chain, platform)`` pairs — deriving keys from
-it means a warm sweep over an ensemble never builds a model object or
-a JSON payload, and an ensemble sweep and its materialized twin hit
-the exact same entries.  The fingerprint carries
-:func:`repro.util.hashing.source_digest`, which run records are keyed
-by too: one digest of every package ``*.py`` file, ``__version__``
-and this module included.  Keys are stable across process restarts,
-and automatically invalidated when any ingredient (chain, platform,
-bounds, objective, method identity, package source) changes, because
-a different key simply never matches.  Each entry holds::
-
-    {"repro_cache": CACHE_FORMAT, "method": ..., "n_points": ...,
-     "solved": [...bools...], "failure": [...floats...],
+    {"repro_cache": CACHE_FORMAT, "source": ..., "method": ...,
+     "n_points": ..., "solved": [...bools...], "failure": [...floats...],
      "objective_values": [...floats...],
      "period": [...floats...], "latency": [...floats...],
      "info": {...}}                      # only when the method reports one
 
-``objective_values`` records each point's achieved objective value
-(:meth:`repro.algorithms.result.SolveResult.objective_value`) so the
-sweep aggregations can report quantiles of the optimum, not just
-solved counts; ``period`` and ``latency`` record the witness mapping's
-worst-case period and latency (``"inf"`` where unsolved) — what
-:func:`repro.solve.derive_bounds_grid` reads off its unbounded probe
-units, which are ordinary sweep units.
-
-Corrupted or truncated entries (interrupted writes, disk faults) are
-treated as misses and discarded, so recovery is automatic: the unit is
-recomputed and rewritten.  Each such recovery also increments the
-dedicated :attr:`ResultCache.corrupt` counter — a corrupt entry *is* a
-miss for control flow, but a run whose manifest shows nonzero
-``corrupt`` had cache entries damaged on disk, which plain miss counts
-used to hide.
-
-Environment
------------
-``REPRO_CACHE_DIR``
-    Default cache directory for the harness/figures/benches when no
-    explicit ``cache`` argument is given.  Unset means "no cache".
-
-Statistics (:attr:`ResultCache.hits` / ``misses`` / ``puts`` /
-``corrupt``) feed the run manifest written by ``python -m repro
-experiment``; persistent on-disk totals come from
-:meth:`ResultCache.storage_stats` (``repro cache stats``).
+``objective_values`` holds each point's achieved objective value, and
+``period``/``latency`` the witness mapping's worst-case values
+(``"inf"`` where unsolved), which :func:`repro.solve.derive_bounds_grid`
+reads off its probe units.  A damaged entry is a corrupt miss: the
+unit recomputes and its store replaces the file.  ``$REPRO_CACHE_DIR``
+is the default directory when none is given (:func:`resolve_cache`);
+unset means no cache.
 """
 
 from __future__ import annotations
 
-import json
-import math
+import functools
 import os
 import pathlib
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
-from repro.algorithms.result import UnitResults
-from repro.experiments.replay import CACHE_FORMAT, RECORD_SUFFIX, cache_root, stale_record
+from repro.experiments import replay
 from repro.obs import telemetry as obs
-from repro.obs.ledger import write_atomic
-from repro.solve.problem import encode_bound
-from repro.util.hashing import content_hash
+from repro.util.hashing import content_hash, encode_bound
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algorithms.result import UnitResults
 
 __all__ = [
-    "CACHE_FORMAT",
     "ResultCache",
     "resolve_cache",
     "unit_arrays",
     "unit_record",
 ]
+
 
 class ResultCache:
     """Content-addressed store of per-unit sweep results.
@@ -121,7 +72,7 @@ class ResultCache:
         warm cache" acceptance check reads these.
     corrupt:
         How many lookups found an entry on disk but could not use it
-        (bad JSON, wrong format, wrong shape).  Every corrupt lookup
+        (undecodable, another stamp, wrong shape).  Every corrupt lookup
         also counts as a miss — the unit recomputes either way — but a
         nonzero ``corrupt`` means cache entries were damaged, not
         merely absent.
@@ -136,7 +87,7 @@ class ResultCache:
 
     def path(self, key: str) -> pathlib.Path:
         """Where *key*'s entry lives: ``<root>/<key>.json``."""
-        return self.root / f"{key}.json"
+        return self.root / f"{key}{replay.ENTRY_SUFFIX}"
 
     # -- keys ------------------------------------------------------------
 
@@ -176,7 +127,7 @@ class ResultCache:
         workload.
         """
         ingredients = {
-            "repro_cache": CACHE_FORMAT,
+            "repro_cache": replay.CACHE_FORMAT,
             "method": method_name,
             "fingerprint": fingerprint,
             "objective": objective,
@@ -190,7 +141,7 @@ class ResultCache:
             [[encode_bound(float(P)), encode_bound(float(L))] for P, L in bounds],
         )
 
-    # -- lookup / store --------------------------------------------------
+    # -- reading and writing ---------------------------------------------
 
     def get_record(
         self,
@@ -204,68 +155,34 @@ class ResultCache:
         many points (:func:`unit_arrays`) to count as a hit, and the
         hit comes back decoded: the one-row
         :class:`~repro.algorithms.result.UnitResults` the sweep records,
-        so no hit is decoded twice.  A malformed entry — undecodable
-        bytes, wrong format stamp, wrong shape — counts as a miss *and*
-        a :attr:`corrupt` lookup and is discarded, so the recomputed
-        unit overwrites it.
+        so no hit is decoded twice.  Without it the hit is the stored
+        envelope.  A corrupt entry (:func:`repro.experiments.replay.read_file`)
+        counts as a miss *and* a :attr:`corrupt` lookup, and is
+        discarded, so the recomputed unit overwrites it.
 
         *method_name* labels the telemetry counters
         (``cache.hit[heur-l]``, ...) when a collector is installed —
         the per-method cache breakdown run manifests report.
         """
-        try:
-            payload = self._load(key)
-            if payload is not None:
-                if payload.get("repro_cache") != CACHE_FORMAT:
-                    raise ValueError("cache format mismatch")
-                if n_points is not None:
-                    payload = unit_arrays(payload, n_points)
-        except (ValueError, KeyError, TypeError, OSError):
-            # Corrupted entry: recover by dropping it and recomputing.
+        decode = None if n_points is None else functools.partial(unit_arrays, n_points=n_points)
+        payload = replay.read_file(self.path(key), decode)
+        if payload is None or payload is replay.CORRUPT:
             self.misses += 1
-            self.corrupt += 1
-            obs.counter("cache.corrupt", label=method_name)
-            self.discard(key)
-            return None
-        if payload is None:
-            self.misses += 1
-            obs.counter("cache.miss", label=method_name)
+            if payload is None:
+                obs.counter("cache.miss", label=method_name)
+            else:
+                self.corrupt += 1
+                obs.counter("cache.corrupt", label=method_name)
             return None
         self.hits += 1
         obs.counter("cache.hit", label=method_name)
         return payload
 
     def put_record(self, key: str, record: dict) -> None:
-        """Store a JSON-able record atomically.
-
-        The format stamp is added here; everything else is the
-        caller's payload (for sweep units, built by :func:`unit_record`).
-        The write is a temp file + rename, so a concurrent reader never
-        observes a torn entry.
-        """
-        payload = {"repro_cache": CACHE_FORMAT, **record}
-        write_atomic(self.path(key), json.dumps(payload, sort_keys=True))
+        """Store a JSON-able record (for sweep units, built by
+        :func:`unit_record`) in its stamped envelope, atomically."""
+        replay.write_file(self.path(key), record)
         self.puts += 1
-
-    def _load(self, key: str) -> "dict | None":
-        """The entry stored under *key*, ``None`` if absent; raises
-        ``ValueError`` (or ``OSError``) when it exists but is not a
-        JSON object (torn write, disk damage)."""
-        try:
-            text = self.path(key).read_text()
-        except FileNotFoundError:
-            return None
-        payload = json.loads(text)  # JSONDecodeError is a ValueError
-        if not isinstance(payload, dict):
-            raise ValueError("cache entry is not a JSON object")
-        return payload
-
-    def discard(self, key: str) -> None:
-        """Drop *key*'s entry if present (corrupt-entry recovery)."""
-        try:
-            self.path(key).unlink()
-        except OSError:
-            pass
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -285,46 +202,20 @@ class ResultCache:
             "hit_rate": self.hits / lookups if lookups else None,
         }
 
-    def _entries(self) -> "list[pathlib.Path]":
-        """The entry files, in key order (none when *root* is absent)."""
-        return sorted(self.root.glob("*.json")) if self.root.is_dir() else []
-
     def scan(self) -> "Iterator[tuple[str, str]]":
         """Yield every ``(key, entry_text)`` in sorted key order."""
-        for entry in self._entries():
-            yield entry.stem, entry.read_text()
+        return replay.scan(self.root)
 
     def storage_stats(self) -> dict:
         """Persistent on-disk totals — meaningful without a live sweep,
         unlike the process-local :meth:`stats`; what ``repro cache
-        stats`` reports.  ``entries`` and ``bytes`` cover the unit
-        entries; ``run_records`` counts the run records
-        (:mod:`repro.experiments.replay`) beside them."""
-        entries = self._entries()
-        records = list(self.root.glob(f"*{RECORD_SUFFIX}")) if self.root.is_dir() else []
-        return {
-            "entries": len(entries),
-            "bytes": sum(e.stat().st_size for e in entries),
-            "run_records": len(records),
-        }
+        stats`` reports (:func:`repro.experiments.replay.storage_stats`)."""
+        return replay.storage_stats(self.root)
 
     def vacuum(self) -> dict:
-        """Remove what no later run reads (``repro cache vacuum``): the
-        orphaned ``*.tmp`` files interrupted writers left in *root*, and
-        the run records written under other source
-        (:func:`repro.experiments.replay.stale_record`).  Unit entries
-        are untouched."""
-        removed = {"removed_tmp": 0, "removed_runs": 0}
-        if self.root.is_dir():
-            runs = filter(stale_record, self.root.glob(f"*{RECORD_SUFFIX}"))
-            for field, paths in (("removed_tmp", self.root.glob("*.tmp")), ("removed_runs", runs)):
-                for path in paths:
-                    try:
-                        path.unlink()
-                        removed[field] += 1
-                    except OSError:  # a concurrent vacuum got there first
-                        pass
-        return removed
+        """Remove what no run of this package reads (``repro cache
+        vacuum``, :func:`repro.experiments.replay.vacuum`)."""
+        return replay.vacuum(self.root)
 
     def reset(self) -> None:
         """Zero the counters (entries on disk are untouched).
@@ -342,7 +233,7 @@ class ResultCache:
         return f"ResultCache({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
 
 
-def unit_record(results: UnitResults, r: int, method_name: str = "") -> dict:
+def unit_record(results: "UnitResults", r: int, method_name: str = "") -> dict:
     """Build the canonical sweep-unit record from row *r* of *results*.
 
     The row's info carries the unit's solve-detail record (search probe
@@ -357,28 +248,30 @@ def unit_record(results: UnitResults, r: int, method_name: str = "") -> dict:
         "n_points": int(results.solved.shape[1]),
         "solved": [bool(s) for s in results.solved[r]],
         "failure": [float(f) for f in results.failure[r]],
-        "objective_values": [_encode_value(v) for v in results.values[r]],
-        "period": [_encode_value(v) for v in results.period[r]],
-        "latency": [_encode_value(v) for v in results.latency[r]],
+        "objective_values": [encode_bound(v) for v in results.values[r]],
+        "period": [encode_bound(v) for v in results.period[r]],
+        "latency": [encode_bound(v) for v in results.latency[r]],
     }
     if results.infos[r] is not None:
         record["info"] = results.infos[r]
     return record
 
 
-def unit_arrays(record: dict, n_points: int) -> UnitResults:
+def unit_arrays(record: dict, n_points: int) -> "UnitResults":
     """Decode a sweep-unit record into a one-row :class:`UnitResults`.
 
     A record missing any array (or whose arrays do not hold *n_points*
     entries) is malformed.  Raises (``ValueError`` / ``KeyError`` /
     ``TypeError``) on anything malformed — :meth:`ResultCache.get_record`
     uses this as the unit validity check, mapping failures to its
-    ``corrupt`` counter.
+    ``corrupt`` counter.  The only numpy user of this module.
     """
-    if record["repro_cache"] != CACHE_FORMAT:
-        raise ValueError("cache format mismatch")
+    import numpy as np
+
+    from repro.algorithms.result import UnitResults
+
     solved = np.asarray(record["solved"], dtype=bool)
-    # float() also decodes the "inf" tokens _encode_value writes.
+    # float() also decodes the "inf" tokens encode_bound writes.
     floats = [
         np.array([float(v) for v in record[name]], dtype=float)
         for name in ("failure", "objective_values", "period", "latency")
@@ -391,22 +284,17 @@ def unit_arrays(record: dict, n_points: int) -> UnitResults:
     return UnitResults(solved[None], *(a[None] for a in floats), [info])
 
 
-def _encode_value(value: float) -> "float | str":
-    """JSON-safe float encoding for record values (inf -> "inf")."""
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
-
-
 def resolve_cache(
     cache: "ResultCache | str | os.PathLike[str] | None",
 ) -> "ResultCache | None":
-    """Normalize a harness ``cache`` argument.
+    """Normalize a ``cache`` argument.
 
-    ``None`` falls back to ``$REPRO_CACHE_DIR`` (no cache when unset); a
-    path becomes a :class:`ResultCache`; an existing cache passes
-    through (so callers can share one counter across sweeps).
+    ``None`` falls back to ``$REPRO_CACHE_DIR`` (no cache when unset,
+    :func:`repro.experiments.replay.cache_root`); a path becomes a
+    :class:`ResultCache`; an existing cache passes through (so callers
+    can share one counter across sweeps).
     """
     if isinstance(cache, ResultCache):
         return cache
-    root = cache_root(cache)
+    root = replay.cache_root(cache)
     return None if root is None else ResultCache(root)

@@ -20,7 +20,7 @@ to 20 (the paper used 100).  Both are plain parameters: no environment
 variable changes them, so a run's recorded identity holds the values it
 ran with.  The sweep execution knobs are inherited from
 :mod:`repro.experiments.harness`:
-``jobs``/``$REPRO_JOBS`` fans units out over worker processes and
+``jobs`` fans units out over worker processes and
 ``cache``/``$REPRO_CACHE_DIR`` makes repeated runs (sibling figures,
 benches, the CLI) reuse solved units instead of recomputing them.
 """
@@ -186,8 +186,8 @@ def run_experiment(
         ``"ilp"`` (the paper's reference) or ``"pareto-dp"`` (same
         optima, faster) — used only by the homogeneous experiments.
     jobs:
-        Worker processes for the sweep fan-out (``None`` reads
-        ``$REPRO_JOBS``; results are identical for any value).
+        Worker processes for the sweep fan-out (``None`` means 1;
+        results are identical for any value).
     cache:
         Result cache (a :class:`~repro.experiments.cache.ResultCache`
         or directory path; ``None`` reads ``$REPRO_CACHE_DIR``).

@@ -73,13 +73,12 @@ bounds list.  Units are
 
 Environment
 -----------
-``REPRO_JOBS``
-    Default worker count when ``jobs`` is ``None`` (default 1 =
-    serial).
 ``REPRO_CACHE_DIR``
     Default cache directory when ``cache`` is ``None`` (unset = no
-    caching).  Cache lookups and stores happen only in the parent
-    process; worker shards receive columnar payloads, never a cache.
+    caching; :func:`repro.experiments.cache.resolve_cache`).  Cache
+    lookups and stores happen only in the parent process; worker
+    shards receive columnar payloads, never a cache.  ``jobs`` has no
+    environment fallback: ``None`` means 1 (serial).
 """
 
 from __future__ import annotations
@@ -95,13 +94,22 @@ from repro.algorithms.result import UnitResults
 from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
 from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
-from repro.experiments.replay import resolve_jobs
 from repro.obs import telemetry as obs
 from repro.solve.grid import linear_quantiles
 from repro.solve.problem import Problem
 from repro.util.validation import check_bound, check_min_reliability
 
 __all__ = ["SweepResult", "run_sweep", "resolve_jobs"]
+
+
+def resolve_jobs(jobs: "int | None") -> int:
+    """Normalize a ``jobs`` argument: ``None`` means 1 (serial)."""
+    if jobs is None:
+        return 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
 
 #: Shard sizing: aim for this many shards per worker (load balancing
 #: headroom) without exceeding _SHARD_MAX units per payload.
@@ -437,9 +445,8 @@ def run_sweep(
         Plot coordinates for the sweep points (defaults to the varying
         bound, detected automatically; falls back to the point index).
     jobs:
-        Worker processes for the fan-out; ``None`` reads
-        ``$REPRO_JOBS`` (default 1 = serial).  Results are identical
-        for any value.
+        Worker processes for the fan-out; ``None`` means 1 (serial).
+        Results are identical for any value.
     cache:
         A :class:`~repro.experiments.cache.ResultCache`, a cache
         directory path, or ``None`` to read ``$REPRO_CACHE_DIR`` (unset

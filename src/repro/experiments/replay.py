@@ -1,23 +1,49 @@
-"""Run-level replay: a warm ``scenario run`` served from one record.
+"""The cache directory's files, and run-level replay.
 
-A ``scenario run`` with a cache directory ends by writing one *run
-record* into it, ``<root>/<key>.run``, next to the unit entries
-(``<key>.json``, :mod:`repro.experiments.cache`).  The record holds
-what the command line and the source fix: the manifest's scenario,
-plan, grid, points, series and versions, the printed result tables and
-the ledger's per-unit rows.  A later identical command finds the record
-under the same key and replays it.  It imports no numpy, plans,
-generates and solves nothing and looks up no unit; its manifest's
-``cache`` block shows no lookup and names the replayed run
-(``replayed_from``).
+This module reads, writes, counts and vacuums every file of a cache
+directory, and a warm ``scenario run`` replays its run record through
+it before anything imports numpy: it imports only the standard
+library, :mod:`repro.util.hashing` and :mod:`repro.obs`.  Unit keys,
+counters and arrays belong to :mod:`repro.experiments.cache`.
 
-This module is what a ``scenario run`` settles before it imports
-numpy: the ``--jobs`` and cache-directory fallbacks, the key, and
-reading and writing records.  It imports only the standard library and
-:mod:`repro.util.hashing`.
+The directory
+-------------
+One flat directory holds one file per key: ``<root>/<key>.json``, a
+*unit entry* (one method's results on one instance over a sweep's
+points), and ``<root>/<key>.run``, a *run record* (what a whole
+``scenario run`` printed and recorded).  A key is a
+:func:`~repro.util.hashing.content_hash`, 64 lowercase hex digits;
+files of any other name are neither read, counted nor vacuumed, and
+neither are pre-5.0 fan-out subdirectories.  Both kinds are one
+envelope, the canonical ``json.dumps(payload, sort_keys=True)`` of
+``{"repro_cache": CACHE_FORMAT, "source": ..., ...}``, where ``source``
+is :func:`repro.util.hashing.source_digest`, one digest of every
+package ``*.py`` file.  Writes go through
+:func:`~repro.obs.ledger.write_atomic` (a temp file + ``os.replace``),
+so concurrent runs sharing a directory never observe a partial file;
+an interrupted writer can leave only an orphaned ``*.tmp`` file.  No
+state is shared beyond the filesystem, so any shared POSIX mount works.
 
-Key
----
+Every file is read the same way (:func:`read_file`).  An absent file is
+a miss.  A file that cannot be decoded, carries another format or
+source stamp, or has the wrong shape for its kind is a *corrupt* miss:
+it is deleted, and the next write replaces it.  :func:`vacuum` removes
+every ``*.tmp`` file and every file this reading finds corrupt (in a
+directory shared between checkouts, the other checkouts' files too).
+``$REPRO_CACHE_DIR`` is the directory when none is given
+(:func:`cache_root`); unset means no cache.
+
+Run records
+-----------
+A ``scenario run`` with a cache directory ends by writing one run
+record.  It holds what the command line and the source fix: the
+manifest's scenario, plan, grid, points, series and versions, the
+printed result tables and the ledger's per-unit rows.  A later
+identical command finds the record under the same key and replays it.
+It imports no numpy, plans, generates and solves nothing and looks up
+no unit; its manifest's ``cache`` block shows no lookup and names the
+replayed run (``replayed_from``).
+
 :func:`run_key` hashes
 
 * the result-bearing arguments as given: the scenario token (plus the
@@ -27,21 +53,17 @@ Key
   ``--cache-dir``, ``--runs-dir``, ``--manifest`` and ``--timestamp``
   do not change results and are not part of it;
 * :data:`CACHE_FORMAT`;
-* :func:`repro.util.hashing.source_digest`, one digest of every
-  ``*.py`` file of the package (``__version__`` included), the same
-  digest the unit keys carry through each method's fingerprint.
-  Editing any module therefore makes the next run re-solve every unit;
+* :func:`repro.util.hashing.source_digest`, the same digest the unit
+  keys carry through each method's fingerprint.  Editing any module
+  therefore makes the next run re-solve every unit;
 * the bytes of numpy's ``version.py`` (located with
   :func:`importlib.util.find_spec`, which does not import numpy) and
   the Python version.
 
 A key that is too coarse costs one unit-level warm run, never a wrong
-answer.  A record that cannot be used (torn, garbage, another format or
-key) is a miss: the run takes the unit-level path, and its completion
-overwrites the record.  Deleting ``<root>/*.run`` forces a unit-level
-warm run.  Each record also stores the source digest it was written
-under, so ``repro cache vacuum`` can drop the records no run of the
-current source can reach (:func:`stale_record`).
+answer.  A record that cannot be used is a corrupt miss like any other
+file: the run takes the unit-level path, and its completion writes the
+record again.  Deleting ``<root>/*.run`` forces a unit-level warm run.
 """
 
 from __future__ import annotations
@@ -50,20 +72,26 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import sys
+from typing import Callable, Iterator
 
+from repro.obs import write_atomic
 from repro.util.hashing import content_hash, file_digest, source_digest
 
 __all__ = [
     "CACHE_FORMAT",
-    "RECORD_SUFFIX",
+    "CORRUPT",
     "cache_root",
+    "read_file",
     "read_record",
     "replay_manifest",
     "replay_units",
-    "resolve_jobs",
     "run_key",
-    "stale_record",
+    "scan",
+    "storage_stats",
+    "vacuum",
+    "write_file",
     "write_record",
 ]
 
@@ -81,8 +109,17 @@ __all__ = [
 #: records are gone).
 CACHE_FORMAT = 5
 
-#: File suffix of a run record; unit entries end in ``.json``.
+#: File suffix of a unit entry.
+ENTRY_SUFFIX = ".json"
+
+#: File suffix of a run record.
 RECORD_SUFFIX = ".run"
+
+#: The name of every file a key names: a SHA-256 hex digest.
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+#: What :func:`read_file` returns for a corrupt file.
+CORRUPT = object()
 
 #: Manifest fields a run record carries and a replay reproduces.
 REPLAYED_FIELDS = (
@@ -95,16 +132,7 @@ REPLAYED_FIELDS = (
 _SERVING_FIELDS = ("source", "seconds", "batch_group")
 
 
-def resolve_jobs(jobs: "int | None") -> int:
-    """Normalize a ``jobs`` argument: ``None`` -> ``$REPRO_JOBS`` -> 1."""
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "1") or "1"
-        if not (raw.strip().isdecimal() and int(raw) >= 1):
-            raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
-        return int(raw)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+# -- the directory -------------------------------------------------------
 
 
 def cache_root(cache_dir: "str | os.PathLike[str] | None") -> "pathlib.Path | None":
@@ -115,6 +143,95 @@ def cache_root(cache_dir: "str | os.PathLike[str] | None") -> "pathlib.Path | No
         if cache_dir is None:
             return None
     return pathlib.Path(cache_dir)
+
+
+def _current(payload: object) -> bool:
+    """Whether *payload* is an envelope this package wrote: a JSON
+    object stamped with this format and this source digest."""
+    return (
+        isinstance(payload, dict)
+        and payload.get("repro_cache") == CACHE_FORMAT
+        and payload.get("source") == source_digest()
+    )
+
+
+def _remove(path: pathlib.Path) -> bool:
+    """Unlink *path*; ``False`` when it is already gone (a concurrent
+    vacuum or heal got there first) or cannot be removed."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
+
+
+def read_file(path: pathlib.Path, decode: "Callable[[dict], object] | None" = None) -> object:
+    """The envelope stored at *path*, passed through *decode* if given.
+
+    ``None`` when the file is absent.  A file that is not a current
+    envelope, or whose payload *decode* rejects (``ValueError`` /
+    ``KeyError`` / ``TypeError``), is deleted so the next write
+    replaces it, and read as :data:`CORRUPT`.
+    """
+    try:
+        payload = json.loads(path.read_bytes())  # JSONDecodeError is a ValueError
+        if not _current(payload):
+            raise ValueError("cache file of other format or source")
+        return payload if decode is None else decode(payload)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError):
+        _remove(path)
+        return CORRUPT
+
+
+def write_file(path: pathlib.Path, payload: dict) -> None:
+    """Store *payload* at *path* in its stamped envelope, atomically."""
+    envelope = {**payload, "repro_cache": CACHE_FORMAT, "source": source_digest()}
+    write_atomic(path, json.dumps(envelope, sort_keys=True))
+
+
+def _key_files(root: pathlib.Path, suffix: str) -> "list[pathlib.Path]":
+    """The files of *root* named ``<key><suffix>``, in key order (none
+    when *root* is absent)."""
+    if not root.is_dir():
+        return []
+    return sorted(p for p in root.glob(f"*{suffix}") if _KEY.fullmatch(p.stem))
+
+
+def scan(root: pathlib.Path) -> "Iterator[tuple[str, str]]":
+    """Yield every unit entry's ``(key, text)`` in key order."""
+    for entry in _key_files(root, ENTRY_SUFFIX):
+        yield entry.stem, entry.read_text()
+
+
+def storage_stats(root: pathlib.Path) -> dict:
+    """Persistent on-disk totals of the directory (``repro cache
+    stats``): ``entries`` and ``bytes`` cover the unit entries;
+    ``run_records`` counts the run records beside them."""
+    entries = _key_files(root, ENTRY_SUFFIX)
+    return {
+        "entries": len(entries),
+        "bytes": sum(e.stat().st_size for e in entries),
+        "run_records": len(_key_files(root, RECORD_SUFFIX)),
+    }
+
+
+def vacuum(root: pathlib.Path) -> dict:
+    """Remove what no run of this package reads (``repro cache
+    vacuum``): every ``*.tmp`` file, and every unit entry and run
+    record that :func:`read_file` finds corrupt (its envelope is
+    unreadable, unstamped or names other source), which deletes it.
+    Current files are left untouched."""
+    tmp = sorted(root.glob("*.tmp")) if root.is_dir() else []
+    return {
+        "removed_tmp": sum(_remove(p) for p in tmp),
+        "removed_entries": sum(read_file(p) is CORRUPT for p in _key_files(root, ENTRY_SUFFIX)),
+        "removed_runs": sum(read_file(p) is CORRUPT for p in _key_files(root, RECORD_SUFFIX)),
+    }
+
+
+# -- run records ---------------------------------------------------------
 
 
 def _numpy_version_digest() -> "str | None":
@@ -150,41 +267,34 @@ def _record_path(root: pathlib.Path, key: str) -> pathlib.Path:
 
 
 def read_record(root: pathlib.Path, key: str) -> "dict | None":
-    """The run record stored under *key*, or ``None``.
+    """The run record stored under *key*, or ``None``: absent, or
+    corrupt (another stamp or key, or a field a replay reads of the
+    wrong type), which :func:`read_file` deletes."""
 
-    ``None`` covers a missing record and one that cannot be used: not
-    JSON, another format stamp or key, or a field of the wrong type.
-    """
-    try:
-        with open(_record_path(root, key), "rb") as handle:
-            record = json.loads(handle.read())
-    except (OSError, ValueError):  # absent, unreadable or not JSON
-        return None
-    if not (
-        isinstance(record, dict)
-        and record.get("repro_cache") == CACHE_FORMAT
-        and record.get("key") == key
-        and isinstance(record.get("run_id"), str)
-        and isinstance(record.get("identity"), dict)
-        and isinstance(record.get("text"), str)
-        and isinstance(record.get("units"), list)
-        and all(isinstance(row, dict) for row in record["units"])
-        and isinstance(record.get("manifest"), dict)
-    ):
-        return None
-    manifest = record["manifest"]
-    plan = manifest.get("plan")
-    if not (
-        all(field in manifest for field in REPLAYED_FIELDS)
-        and isinstance(manifest.get("versions"), dict)
-        and isinstance(manifest["scenario"], dict)
-        and isinstance(plan, dict)
-        and isinstance(plan.get("selected"), list)
-        and isinstance(plan.get("skipped"), list)
-        and all(isinstance(skip, dict) for skip in plan["skipped"])
-    ):
-        return None
-    return record
+    def checked(record: dict) -> dict:
+        manifest = record.get("manifest")
+        plan = manifest.get("plan") if isinstance(manifest, dict) else None
+        if not (
+            record.get("key") == key
+            and isinstance(record.get("run_id"), str)
+            and isinstance(record.get("identity"), dict)
+            and isinstance(record.get("text"), str)
+            and isinstance(record.get("units"), list)
+            and all(isinstance(row, dict) for row in record["units"])
+            and isinstance(manifest, dict)
+            and all(field in manifest for field in REPLAYED_FIELDS)
+            and isinstance(manifest.get("versions"), dict)
+            and isinstance(manifest["scenario"], dict)
+            and isinstance(plan, dict)
+            and isinstance(plan.get("selected"), list)
+            and isinstance(plan.get("skipped"), list)
+            and all(isinstance(skip, dict) for skip in plan["skipped"])
+        ):
+            raise ValueError(f"not a usable run record of key {key}")
+        return record
+
+    record = read_file(_record_path(root, key), checked)
+    return None if record is CORRUPT else record
 
 
 def write_record(
@@ -202,12 +312,8 @@ def write_record(
     its ledger rows, kept without the fields that say how each unit
     was served.
     """
-    from repro.obs.ledger import write_atomic
-
-    record = {
-        "repro_cache": CACHE_FORMAT,
+    write_file(_record_path(root, key), {
         "key": key,
-        "source": source_digest(),
         "run_id": manifest["run_id"],
         "identity": identity,
         "manifest": {
@@ -219,20 +325,7 @@ def write_record(
             {k: v for k, v in row.items() if k not in _SERVING_FIELDS}
             for row in per_unit
         ],
-    }
-    write_atomic(_record_path(root, key), json.dumps(record, sort_keys=True))
-
-
-def stale_record(path: pathlib.Path) -> bool:
-    """Whether the run record at *path* was written under source other
-    than the running package's, or cannot say which: no run of this
-    source can key to it."""
-    try:
-        with open(path, "rb") as handle:
-            record = json.loads(handle.read())
-    except (OSError, ValueError):
-        return True
-    return not (isinstance(record, dict) and record.get("source") == source_digest())
+    })
 
 
 def replay_units(record: dict) -> "list[dict]":

@@ -35,7 +35,7 @@ from repro._lazy import lazy_exports
 _LAZY = {
     "OBJECTIVES": "repro.solve.objectives",
     "Problem": "repro.solve.problem",
-    "encode_bound": "repro.solve.problem",
+    "encode_bound": "repro.util.hashing",
     "auto_method_name": "repro.solve.facade",
     "solve": "repro.solve.facade",
     "MethodSkip": "repro.solve.planner",

@@ -35,20 +35,11 @@ from typing import Any
 from repro.core.chain import TaskChain
 from repro.core.platform import Platform
 from repro.solve.objectives import OBJECTIVES
+from repro.util.hashing import encode_bound
 from repro.util.logrel import from_reliability
 from repro.util.validation import check_bound, check_min_reliability
 
-__all__ = ["OBJECTIVES", "Problem", "encode_bound"]
-
-
-def encode_bound(value: float) -> "float | str":
-    """JSON-safe encoding of a period/latency bound: finite floats pass
-    through, ``inf`` (an unbounded problem) becomes the string
-    ``"inf"`` so canonical JSON (``allow_nan=False``) accepts it.  The
-    single encoding shared by the :mod:`repro.io` codec, the result
-    cache's key tokens, and the CLI manifests."""
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
+__all__ = ["OBJECTIVES", "Problem"]
 
 
 @dataclass(frozen=True)

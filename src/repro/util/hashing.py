@@ -4,9 +4,10 @@ without numpy.
 The run ledger's run_ids, the result cache's unit keys and the run
 records a warm ``scenario run`` replays all derive from
 :func:`content_hash`; the keys also carry :func:`source_digest` and
-:func:`file_digest`.  All three live here, apart from the model codecs
-of :mod:`repro.io` (which re-exports :func:`content_hash`), so that
-hashing imports nothing beyond the standard library.
+:func:`file_digest`, and their bound tokens :func:`encode_bound`.  All
+four live here, apart from the model codecs of :mod:`repro.io` (which
+re-exports :func:`content_hash`), so that hashing imports nothing
+beyond the standard library.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from typing import Any
 
-__all__ = ["canonical_json", "content_hash", "file_digest", "source_digest"]
+__all__ = ["canonical_json", "content_hash", "encode_bound", "file_digest", "source_digest"]
 
 #: The directory of the :mod:`repro` package.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,6 +36,16 @@ def canonical_json(payload: Any) -> str:
     stable identity for a JSON-able value across processes and machines.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def encode_bound(value: float) -> "float | str":
+    """JSON-safe encoding of a period/latency bound: finite floats pass
+    through, ``inf`` (an unbounded problem) becomes the string
+    ``"inf"`` so canonical JSON (``allow_nan=False``) accepts it.  The
+    single encoding shared by the :mod:`repro.io` codec, the result
+    cache's key tokens and unit entries, and the CLI manifests."""
+    value = float(value)
+    return value if math.isfinite(value) else repr(value)
 
 
 def content_hash(*payloads: Any) -> str:

@@ -86,6 +86,23 @@ def test_cli_runs_without_numpy(flag):
     assert out.stdout.startswith("repro " if flag == "--version" else "usage: repro")
 
 
+def test_cache_module_loads_no_numpy(tmp_path):
+    """The cache module, and counting and vacuuming a cache directory,
+    need no numpy: only decoding a unit's arrays loads it."""
+    assert "numpy" not in loaded_modules("import repro.experiments.cache")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{'ab' * 32}.json").write_text("{half")
+    (cache / "orphan.tmp").write_text("")
+    script = (
+        "from repro.cli import main\n"
+        "assert main(['cache', 'vacuum', '--cache-dir', 'cache']) == 0\n"
+        "assert main(['cache', 'stats', '--cache-dir', 'cache']) == 0\n"
+    )
+    assert "numpy" not in loaded_modules(script, cwd=tmp_path)
+    assert not list(cache.iterdir())
+
+
 def test_obs_import_loads_no_numpy():
     """The run ledger and telemetry hash and write plain JSON."""
     loaded = loaded_modules("import repro.obs")

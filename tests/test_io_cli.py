@@ -372,14 +372,18 @@ class TestScenarioCLI:
         with pytest.raises(SystemExit, match="unknown scenario"):
             main(["scenario", "run", "no-such-workload"])
 
-    def test_scenario_run_bad_env_jobs_fails_before_generation(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_JOBS", "abc")
-        with pytest.raises(SystemExit, match="REPRO_JOBS must be an integer >= 1"):
-            main(["scenario", "run", "section8-hom", "--n-instances", "2",
-                  "--manifest", str(tmp_path / "m.json")])
-        assert "instances" not in capsys.readouterr().out
+    @pytest.mark.parametrize("command", [
+        ["scenario", "run", "section8-hom", "--n-instances", "2"],
+        ["experiment", "hom-period", "--instances", "2"],
+    ], ids=["scenario-run", "experiment"])
+    @pytest.mark.parametrize("jobs", ["0", "abc"])
+    def test_bad_jobs_fails_before_generation(self, tmp_path, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", jobs, "--manifest", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"jobs must be an integer >= 1, got {jobs!r}" in err
+        assert out == "" and not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--objective", "latency", "--min-reliability", "1.5"],

@@ -31,7 +31,6 @@ REPLAYED = ("scenario", "seed", "n_instances", "objective", "min_reliability",
 @pytest.fixture(autouse=True)
 def _no_env_cache(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
 
 
 def run(tmp_path, *extra, name="section8-hom", tag="1", cache="cache") -> dict:
@@ -179,6 +178,8 @@ def test_damaged_record_is_a_miss_that_heals(tmp_path, damage):
     # The unit-level path ran, every unit from the cache ...
     assert "replayed_from" not in warm["cache"]
     assert warm["cache"]["misses"] == 0 and warm["cache"]["hits"] > 0
+    # A run record is not a unit: its damage counts no corrupt lookup.
+    assert warm["cache"]["corrupt"] == 0
     assert warm["series"] == cold["series"]
     # ... and its completion rewrote the record.
     assert replay.read_record(record.parent, record.name[: -len(".run")]) is not None
@@ -243,10 +244,9 @@ def test_replay_reports_what_a_unit_level_warm_run_reports(tmp_path, name, objec
         assert replayed[field] == warm[field], field
 
 
-def test_editing_a_module_makes_the_next_run_resolve_every_unit(tmp_path):
-    """In a copy of the package, a comment appended to any module moves
-    the run key and every unit key (one source digest keys both), so
-    the next run re-solves every unit; the run after it replays."""
+def package_copy(tmp_path):
+    """A copy of the package under *tmp_path*, and a function running
+    ``python -m repro ARGS`` on that copy in *tmp_path* (its stdout)."""
     import repro
 
     src = tmp_path / "src"
@@ -255,21 +255,73 @@ def test_editing_a_module_makes_the_next_run_resolve_every_unit(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(src)
 
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+        ).stdout
+
+    return src / "repro", cli
+
+
+def test_editing_a_module_makes_the_next_run_resolve_every_unit(tmp_path):
+    """In a copy of the package, a comment appended to any module moves
+    the run key and every unit key (one source digest keys both), so
+    the next run re-solves every unit; the run after it replays."""
+    package, cli = package_copy(tmp_path)
+
     def cli_run(tag):
-        subprocess.run(
-            [sys.executable, "-m", "repro", "scenario", "run", "section8-hom",
-             "--n-instances", "2", "--cache-dir", "cache", "--runs-dir", "runs",
-             "--manifest", f"m{tag}.json"],
-            cwd=tmp_path, env=env, check=True, capture_output=True,
-        )
+        cli("scenario", "run", "section8-hom", "--n-instances", "2", "--cache-dir", "cache",
+            "--runs-dir", "runs", "--manifest", f"m{tag}.json")
         return json.loads((tmp_path / f"m{tag}.json").read_text())["cache"]
 
     cold = cli_run("cold")
     assert cold["misses"] > 0
     assert cli_run("replay")["replayed_from"]
-    with open(src / "repro" / "obs" / "telemetry.py", "a") as handle:
+    with open(package / "obs" / "telemetry.py", "a") as handle:
         handle.write("# a comment\n")
     edited = cli_run("edited")
     assert "replayed_from" not in edited
     assert edited["misses"] == cold["misses"] and edited["hits"] == 0
     assert cli_run("again")["replayed_from"]
+
+
+@pytest.mark.parametrize("suffix, field", [
+    (".json", "removed_entries"), (".run", "removed_runs"),
+], ids=["entry", "record"])
+def test_vacuum_after_an_edit_keeps_only_current_source(tmp_path, suffix, field):
+    """Cold run, edit the CLI, rerun, vacuum: only the rerun's unit
+    entries and run record remain, byte for byte and unrewritten.  The
+    cold run's files, and files of either kind that are unstamped, of
+    other source or torn, are removed with every ``*.tmp`` file."""
+    package, cli = package_copy(tmp_path)
+    run = ("scenario", "run", "section8-hom", "--n-instances", "2", "--cache-dir", "cache",
+           "--runs-dir", "runs", "--manifest", "m.json")
+    cache = tmp_path / "cache"
+
+    def files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+
+    cli(*run)
+    cold = files()
+    with open(package / "cli.py", "a") as handle:
+        handle.write("# a comment\n")
+    cli(*run)
+    current = {name: state for name, state in files().items() if name not in cold}
+    assert len(current) == len(cold)
+    sample = next(json.loads(data) for name, (data, _) in current.items() if name.endswith(suffix))
+    other, unstamped, torn = ("0" * 64, "1" * 64, "2" * 64)
+    (cache / f"{other}{suffix}").write_text(json.dumps({**sample, "source": "0" * 64}))
+    del sample["source"]
+    (cache / f"{unstamped}{suffix}").write_text(json.dumps(sample))
+    (cache / f"{torn}{suffix}").write_text("{half")
+    (cache / "orphan.tmp").write_text("{half")
+
+    report = json.loads(cli("cache", "vacuum", "--cache-dir", "cache", "--json"))
+    n_entries = sum(name.endswith(".json") for name in cold)
+    expected = {"removed_tmp": 1, "removed_entries": n_entries, "removed_runs": 1}
+    expected[field] += 3
+    assert report == {**expected, "root": "cache"}
+    assert files() == current
+    stats = json.loads(cli("cache", "stats", "--cache-dir", "cache", "--json"))
+    assert (stats["entries"], stats["run_records"]) == (n_entries, 1)

@@ -26,11 +26,8 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments import replay
-from repro.experiments.cache import (
-    CACHE_FORMAT,
-    resolve_cache,
-    unit_record,
-)
+from repro.experiments.cache import resolve_cache, unit_record
+from repro.experiments.replay import CACHE_FORMAT
 from repro.io import content_hash
 from repro.obs import collect
 from repro.util.hashing import source_digest
@@ -102,9 +99,14 @@ def plant_entry(cache, key, text):
     cache.path(key).write_text(text)
 
 
+def stamped(record):
+    """*record* in the envelope every cache file carries."""
+    return {**record, "repro_cache": CACHE_FORMAT, "source": source_digest()}
+
+
 def canonical(record):
     """The entry text :meth:`ResultCache.put_record` writes for *record*."""
-    return json.dumps({"repro_cache": CACHE_FORMAT, **record}, sort_keys=True)
+    return json.dumps(stamped(record), sort_keys=True)
 
 
 class TestRoundTrip:
@@ -238,7 +240,7 @@ class TestEntryFiles:
     def test_round_trip(self, cache):
         record = {"solved": [True, False], "failure": [0.125, 1.0], "v": "inf"}
         cache.put_record("ab" * 32, record)
-        assert cache.get_record("ab" * 32) == {"repro_cache": CACHE_FORMAT, **record}
+        assert cache.get_record("ab" * 32) == stamped(record)
 
     def test_put_overwrites_in_place(self, cache):
         cache.put_record("ab" * 32, {"v": 1})
@@ -272,13 +274,6 @@ class TestEntryFiles:
         assert cache.misses == 1 and cache.corrupt == 1
         assert not cache.path("ab" * 32).exists()  # discarded for rewrite
 
-    def test_discard_removes_and_tolerates_absent(self, cache):
-        cache.put_record("ab" * 32, {"v": 1})
-        cache.discard("ab" * 32)
-        assert not cache.path("ab" * 32).exists()
-        cache.discard("ab" * 32)  # already gone
-        cache.discard("cd" * 32)  # never written
-
     @pytest.mark.parametrize(
         "record",
         [
@@ -294,13 +289,17 @@ class TestEntryFiles:
         text = cache.path("ab" * 32).read_text()
         assert text == canonical(record)
         stored = cache.get_record("ab" * 32)
-        assert stored == {"repro_cache": CACHE_FORMAT, **record}
+        assert stored == stamped(record)
         assert json.dumps(stored, sort_keys=True) == text
 
     def test_encoding_ignores_insertion_order(self, cache):
         cache.put_record("ab" * 32, {"a": 1, "b": 2})
         cache.put_record("cd" * 32, {"b": 2, "a": 1})
         assert entry_text(cache, "ab" * 32) == entry_text(cache, "cd" * 32)
+
+
+#: What a vacuum with nothing to do reports.
+NOTHING_REMOVED = {"removed_tmp": 0, "removed_entries": 0, "removed_runs": 0}
 
 
 class TestMissingRoot:
@@ -313,12 +312,11 @@ class TestMissingRoot:
         assert not cache.root.exists()
 
     def test_vacuum(self, cache):
-        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
+        assert cache.vacuum() == NOTHING_REMOVED
         assert not cache.root.exists()
 
-    def test_lookup_and_discard(self, cache):
+    def test_lookup(self, cache):
         assert cache.get_record("ab" * 32) is None
-        cache.discard("ab" * 32)
         assert cache.stats()["corrupt"] == 0
         assert not cache.root.exists()
 
@@ -327,34 +325,51 @@ class TestVacuum:
     def test_keeps_entries(self, cache):
         for key in KEYS:
             cache.put_record(key, {"k": key})
-        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
+        assert cache.vacuum() == NOTHING_REMOVED
         assert entry_keys(cache) == sorted(KEYS)
 
     def test_removes_orphans_then_has_nothing_left_to_do(self, cache):
         cache.put_record("ab" * 32, {"v": 1})
         (cache.root / "orphan.tmp").write_text("{half")
-        assert cache.vacuum() == {"removed_tmp": 1, "removed_runs": 0}
-        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
+        assert cache.vacuum() == {**NOTHING_REMOVED, "removed_tmp": 1}
+        assert cache.vacuum() == NOTHING_REMOVED
         assert cache.get_record("ab" * 32)["v"] == 1
 
-    def test_removes_run_records_of_other_source(self, cache):
-        """A run record keeps the source digest it was written under;
-        one of other source, or of none, no run can key to again."""
-        manifest = {field: {} for field in replay.REPLAYED_FIELDS}
+    @pytest.mark.parametrize("suffix, field", [
+        (".json", "removed_entries"), (".run", "removed_runs"),
+    ], ids=["entry", "record"])
+    def test_removes_files_of_other_source(self, cache, suffix, field):
+        """Every file keeps the source digest it was written under; one
+        of other source, or of none, no run of this source can key to
+        again.  Current files are left as they are."""
+        manifest = {name: {} for name in replay.REPLAYED_FIELDS}
         manifest.update(run_id="r", versions={})
-        replay.write_record(cache.root, "current", {}, manifest, "", [])
-        record = json.loads((cache.root / "current.run").read_text())
-        assert record["source"] == source_digest()
-        (cache.root / "edited.run").write_text(json.dumps({**record, "source": "0" * 64}))
-        del record["source"]
-        (cache.root / "unstamped.run").write_text(json.dumps(record))
-        (cache.root / "torn.run").write_text("{half")
+        replay.write_record(cache.root, "cd" * 32, {}, manifest, "", [])
         cache.put_record("ab" * 32, {"v": 1})
-        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 3}
-        assert sorted(p.name for p in cache.root.iterdir()) == [
-            f"{'ab' * 32}.json", "current.run",
-        ]
-        assert cache.vacuum() == {"removed_tmp": 0, "removed_runs": 0}
+        current = {p.name: p.read_bytes() for p in cache.root.iterdir()}
+        payload = json.loads(current[f"{'cd' * 32}.run" if suffix == ".run" else f"{'ab' * 32}.json"])
+        edited, unstamped, torn = ("0" * 64, "1" * 64, "2" * 64)
+        (cache.root / f"{edited}{suffix}").write_text(json.dumps({**payload, "source": "0" * 64}))
+        del payload["source"]
+        (cache.root / f"{unstamped}{suffix}").write_text(json.dumps(payload))
+        (cache.root / f"{torn}{suffix}").write_text("{half")
+        assert cache.vacuum() == {**NOTHING_REMOVED, field: 3}
+        assert {p.name: p.read_bytes() for p in cache.root.iterdir()} == current
+        assert cache.vacuum() == NOTHING_REMOVED
+
+    def test_leaves_files_not_named_by_a_key(self, cache):
+        """A directory may hold other files (a run manifest, notes): a
+        name that is not a key is neither counted nor vacuumed."""
+        cache.put_record("ab" * 32, {"v": 1})
+        others = {"manifest.json": "{}", "notes.run": "{half", ("AB" * 32) + ".json": "{}"}
+        for name, text in others.items():
+            (cache.root / name).write_text(text)
+        assert cache.storage_stats()["entries"] == 1
+        assert cache.storage_stats()["run_records"] == 0
+        assert entry_keys(cache) == ["ab" * 32]
+        assert cache.vacuum() == NOTHING_REMOVED
+        for name, text in others.items():
+            assert (cache.root / name).read_text() == text
 
 
 class TestKeyStability:
@@ -796,7 +811,7 @@ def _stress_worker(root, worker_id, n_rounds, n_keys):
             peek = (i * 7 + worker_id + round_no) % n_keys
             record = cache.get_record(keys[peek])
             if record is not None:
-                expected = {"repro_cache": CACHE_FORMAT, **_stress_record(peek)}
+                expected = stamped(_stress_record(peek))
                 assert record == expected, f"torn record under {keys[peek]}"
     return cache.stats()
 
@@ -858,7 +873,7 @@ class TestCacheCLI:
             capsys, "cache", "vacuum", "--cache-dir", str(root), "--json"
         )
         assert code == 0
-        assert json.loads(out) == {"removed_tmp": 1, "removed_runs": 0, "root": str(root)}
+        assert json.loads(out) == {**NOTHING_REMOVED, "removed_tmp": 1, "root": str(root)}
         assert sorted(p.name for p in root.iterdir()) == [f"{key}.json"]
 
     def test_env_fallback_and_missing_dir(self, capsys, tmp_path, monkeypatch):
@@ -886,7 +901,7 @@ class TestCacheCLI:
         (root / "a.tmp").write_text("")
         code, out = self.run_cli(capsys, "cache", "vacuum", "--cache-dir", str(root))
         assert code == 0
-        assert "removed_tmp  : 1" in out and "removed_runs : 0" in out
+        assert "removed_tmp     : 1" in out and "removed_entries : 0" in out
         assert "removed_dirs" not in out
 
     def test_migrate_subcommand_is_gone(self, capsys, tmp_path):
