@@ -9,13 +9,13 @@ typo would distort Figure 8 — and times one full-form solve.
 """
 
 
-from benchmarks.conftest import bench_config, emit
+from benchmarks.conftest import BENCH_CONFIG, emit
 from repro.algorithms import ilp_best
 from repro.experiments.instances import homogeneous_suite
 
 
 def test_ablation_ilp_latency_terms(benchmark):
-    cfg = bench_config()
+    cfg = BENCH_CONFIG
     n = max(6, cfg["n_instances"] // 2)
     instances = homogeneous_suite(n_instances=n, seed=cfg["seed"])
     sweep = [600.0, 700.0, 800.0, 900.0]

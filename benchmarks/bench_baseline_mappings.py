@@ -10,13 +10,13 @@ baselines, at a moderate (P, L) operating point.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config, emit
+from benchmarks.conftest import BENCH_CONFIG, emit
 from repro.algorithms import one_to_one_best, pareto_dp_best, single_interval_best
 from repro.core import Platform, random_chain
 
 
 def test_baseline_mappings(benchmark):
-    cfg = bench_config()
+    cfg = BENCH_CONFIG
     n_inst = max(8, cfg["n_instances"] // 2)
     rng = np.random.default_rng(cfg["seed"])
     # 8 tasks on 10 processors so one-to-one is *possible* (n <= p).

@@ -6,12 +6,12 @@ population — and asserts zero hard disagreements.  The timing shows what
 a complete cross-validation pass costs.
 """
 
-from benchmarks.conftest import bench_config, emit
+from benchmarks.conftest import BENCH_CONFIG, emit
 from repro.experiments.crosscheck import run_crosscheck
 
 
 def test_crosscheck(benchmark):
-    cfg = bench_config()
+    cfg = BENCH_CONFIG
     n = max(4, cfg["n_instances"] // 4)
     report = benchmark.pedantic(
         lambda: run_crosscheck(n_instances=n, seed=cfg["seed"]),

@@ -1,8 +1,8 @@
 """Throughput of the columnar sweep path — cold solves and warm replays.
 
 ``run_sweep`` now speaks :class:`repro.core.ensemble.Ensemble`
-natively: unit cache keys derive from raw-array row digests, worker
-shards ship columnar payloads, and instances only materialize
+natively: unit cache keys derive from raw-array row digests, and
+instances only materialize
 ``TaskChain``/``Platform`` objects when a solver actually runs.  The
 payoff shows on the *warm* path: a fully cached sweep is pure key
 derivation plus JSON reads — no objects, no solves.  This bench runs a

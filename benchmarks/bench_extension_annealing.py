@@ -7,14 +7,14 @@ over the Heur-L/Heur-P two-step decomposition, and at what cost.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config, emit
+from benchmarks.conftest import BENCH_CONFIG, emit
 from repro.algorithms import heuristic_best
 from repro.core import random_chain, random_platform
 from repro.extensions import anneal_mapping
 
 
 def test_extension_annealing(benchmark):
-    cfg = bench_config()
+    cfg = BENCH_CONFIG
     n_inst = max(6, cfg["n_instances"] // 4)
     rng = np.random.default_rng(cfg["seed"])
     P, L = 40.0, 160.0

@@ -8,7 +8,7 @@ platforms is clearly smaller"), and the hom curves grow with the bound.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config, run_count_bench, emit
+from benchmarks.conftest import BENCH_CONFIG, run_count_bench, emit
 from repro.experiments.figures import run_figure
 from repro.experiments.report import render_figure
 
@@ -19,7 +19,7 @@ def test_fig14_het_solutions_vs_latency(benchmark):
     emit()
     emit(render_figure(fig))
 
-    n = bench_config()["n_instances"]
+    n = BENCH_CONFIG["n_instances"]
     for h in ("heur-l", "heur-p"):
         het = fig.series[f"{h}_het"]
         hom = fig.series[f"{h}_hom"]

@@ -7,15 +7,12 @@ the sibling *failure* bench reuses the cache and times only its
 aggregation — every figure keeps its own bench target without paying
 for the sweep twice.
 
-Scale knobs:
-
-* ``REPRO_INSTANCES`` — instances per experiment (default 20; the
-  paper uses 100);
-* ``REPRO_GRID`` — ``reduced`` (default) or ``full`` (paper
-  resolution);
-* ``REPRO_EXACT`` — exact method for the homogeneous experiments:
-  ``ilp`` (default, the paper's reference) or ``pareto-dp`` (same
-  optima, faster).
+Scale: every bench runs 20 instances per experiment
+(the paper uses 100) on the ``reduced`` grid (``full`` is the paper's
+resolution), with ``ilp`` (the paper's reference) as the exact method
+of the homogeneous experiments, from scenario seed 0.  Edit
+:data:`BENCH_CONFIG` to run at another scale; no environment variable
+changes it.
 
 Execution knob (the harness reads it itself; it changes *how fast* a
 bench runs, never its numbers — cached runs are bit-identical to
@@ -34,57 +31,34 @@ plots — and asserts the qualitative shape findings of Section 8.
 
 from __future__ import annotations
 
-import os
-
-
 from repro.experiments.figures import ExperimentResult, run_experiment
 
 _CACHE: dict[tuple, ExperimentResult] = {}
 
-
-def bench_config() -> dict:
-    """Resolve the scale knobs once per process."""
-    return {
-        "n_instances": int(os.environ.get("REPRO_INSTANCES", "20")),
-        "grid": os.environ.get("REPRO_GRID", "reduced"),
-        "exact_method": os.environ.get("REPRO_EXACT", "ilp"),
-        "seed": int(os.environ.get("REPRO_SEED", "0")),
-    }
+#: The scale every bench runs at.
+BENCH_CONFIG = {
+    "n_instances": 20,
+    "grid": "reduced",
+    "exact_method": "ilp",
+    "seed": 0,
+}
 
 
 def get_experiment(exp_id: str, compute=True) -> ExperimentResult | None:
     """Session-cached experiment runner."""
-    cfg = bench_config()
-    key = (exp_id, cfg["n_instances"], cfg["grid"], cfg["exact_method"], cfg["seed"])
-    if key not in _CACHE:
+    if exp_id not in _CACHE:
         if not compute:
             return None
-        _CACHE[key] = run_experiment(
-            exp_id,
-            n_instances=cfg["n_instances"],
-            grid=cfg["grid"],
-            seed=cfg["seed"],
-            exact_method=cfg["exact_method"],
-        )
-    return _CACHE[key]
+        _CACHE[exp_id] = run_experiment(exp_id, **BENCH_CONFIG)
+    return _CACHE[exp_id]
 
 
 def run_count_bench(benchmark, exp_id: str):
     """Time the full experiment sweep (once) and cache the result."""
-    cfg = bench_config()
-    key = (exp_id, cfg["n_instances"], cfg["grid"], cfg["exact_method"], cfg["seed"])
-
-    def work():
-        return run_experiment(
-            exp_id,
-            n_instances=cfg["n_instances"],
-            grid=cfg["grid"],
-            seed=cfg["seed"],
-            exact_method=cfg["exact_method"],
-        )
-
-    result = benchmark.pedantic(work, rounds=1, iterations=1)
-    _CACHE[key] = result
+    result = benchmark.pedantic(
+        lambda: run_experiment(exp_id, **BENCH_CONFIG), rounds=1, iterations=1
+    )
+    _CACHE[exp_id] = result
     return result
 
 

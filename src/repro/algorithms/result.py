@@ -2,8 +2,8 @@
 
 :class:`SolveResult` is what every solver and heuristic returns for one
 problem; :class:`UnitResults` is what every batched kernel, the sweep
-harness's per-row loop, worker shards and cache hits return for a
-group of work units.
+harness's one-unit solve (in the parent or a pool worker) and cache
+hits return for a group of work units.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class SolveResult:
 class UnitResults:
     """Per-(row, sweep point) results: the one solve-result contract.
 
-    Kernels, the harness's per-row loop and worker shards all return
-    this.  ``solved``, ``failure``, ``values``, ``period`` and
-    ``latency`` have shape ``(rows, points)``; ``values`` holds each
+    Kernels, the harness's one-unit solve (parent and pool workers
+    alike) and cache hits all return this.  ``solved``, ``failure``,
+    ``values``, ``period`` and ``latency`` have shape
+    ``(rows, points)``; ``values`` holds each
     point's achieved objective value
     (:meth:`~repro.algorithms.result.SolveResult.objective_value`), and
     ``period`` / ``latency`` the witness mapping's worst-case period

@@ -98,12 +98,23 @@ from repro import __version__
 __all__ = ["main", "build_parser"]
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: a worker count of at least 1, checked at parse time
-    so a bad value fails before any work."""
-    if not (text.strip().isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(name: str, low: int):
+    """An argparse type for an integer option of at least *low*
+    (``--jobs``, ``--seed``, ``--instances``), checked at parse time so
+    a bad value fails before any work."""
+
+    def parse(text: str) -> int:
+        if not (text.strip().isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {low}, got {text!r}"
+            )
+        return int(text)
+
+    return parse
+
+
+_jobs = _at_least("jobs", 1)
+_seed = _at_least("seed", 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="fault-injection simulation of a mapping")
     simulate.add_argument("mapping", type=pathlib.Path, help="Mapping JSON file")
     simulate.add_argument("--datasets", type=int, default=2000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
 
     experiment = sub.add_parser(
         "experiment",
@@ -165,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment ids (e.g. hom-period het-latency), figure ids "
         "(fig6..fig15, each naming its experiment) or 'all'; default hom-period",
     )
-    experiment.add_argument("--instances", type=int, default=20,
+    experiment.add_argument("--instances", type=_at_least("instances", 1), default=20,
                             help="instances per experiment (default 20)")
     experiment.add_argument("--grid", choices=("reduced", "full"), default="reduced",
                             help="sweep resolution (default reduced)")
     experiment.add_argument("--exact", choices=("ilp", "pareto-dp"), default="pareto-dp",
                             help="exact method for hom experiments (default pareto-dp)")
-    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument("--seed", type=_seed, default=0)
     experiment.add_argument("--jobs", type=_jobs, default=1,
                             help="worker processes (default 1)")
     experiment.add_argument("--cache-dir", type=pathlib.Path, default=None,
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--n-instances", type=int, default=None,
                      help="override the spec's instance count")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--methods", nargs="+", default=None, metavar="METHOD",
                      help="registered methods to sweep (default: the planner's "
                      "scenario-aware selection; see 'repro plan show')")
@@ -323,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="solve a seeded random instance end to end")
     demo.add_argument("--tasks", type=int, default=10)
     demo.add_argument("--processors", type=int, default=8)
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--heterogeneous", action="store_true")
     return parser
 
@@ -500,7 +511,10 @@ def _cmd_experiment(args) -> int:
             )
         if exp_id not in wanted:
             wanted.append(exp_id)
-    cache = resolve_cache(args.cache_dir)
+    try:
+        cache = resolve_cache(args.cache_dir)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
     manifest: dict = {
         "experiments": wanted,
@@ -769,7 +783,10 @@ def _cmd_scenario(args) -> int:
     # The same command line over the same source and numpy replays the
     # run record its last run left in the cache directory, before
     # anything below imports numpy.
-    root = replay.cache_root(args.cache_dir)
+    try:
+        root = replay.cache_root(args.cache_dir)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     key = None
     if root is not None:
         with obs.collect(collector), obs.span("replay.lookup"):
@@ -802,12 +819,15 @@ def _cmd_scenario(args) -> int:
     # gates, so e.g. an exact solver on a heterogeneous scenario (or a
     # reliability heuristic under --objective period) is skipped with a
     # recorded reason instead of crashing the sweep.
-    with obs.collect(collector):
-        plan = Planner().plan(
-            entry if entry is not None and entry.spec == spec else spec,
-            methods=args.methods,
-            objective=args.objective,
-        )
+    try:
+        with obs.collect(collector):
+            plan = Planner().plan(
+                entry if entry is not None and entry.spec == spec else spec,
+                methods=args.methods,
+                objective=args.objective,
+            )
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(str(exc))
     for skip in plan.skipped:
         if args.methods:
             print(f"note: skipping {skip.method}: {skip.reason}", file=sys.stderr)
@@ -1006,7 +1026,10 @@ def _cmd_runs(args) -> int:
 def _cmd_cache(args) -> int:
     from repro.experiments.cache import resolve_cache
 
-    cache = resolve_cache(args.cache_dir)
+    try:
+        cache = resolve_cache(args.cache_dir)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if cache is None:
         raise SystemExit(
             "no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR"

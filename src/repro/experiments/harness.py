@@ -53,20 +53,21 @@ bounds list.  Units are
   declarative scenario (:mod:`repro.scenarios`) — the scenario spec's
   content hash (:mod:`repro.experiments.cache`).  A warm sweep
   therefore touches only array bytes: no objects, no JSON;
-* **parallel**: with ``jobs > 1``, uncached units fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` in **columnar
-  shards**: workers receive the method *name* plus one payload per
-  shard carrying the raw rows of several instances (closures do not
-  pickle; registry names and arrays do), rebuild a small ensemble, and
-  run the same per-row solves as the parent — results land back by
-  unit index, so parallel output is **bit-identical** to the serial
-  path.  Expensive
+* **parallel**: with ``jobs > 1``, uncached per-row units fan out over
+  a :class:`concurrent.futures.ProcessPoolExecutor`, **one unit per
+  task**: the parent builds the unit's base
+  :class:`~repro.solve.problem.Problem` and submits it with the method
+  *name* and fingerprint (closures do not pickle; registry names and
+  Problems do), and the worker runs the same single-unit solve as the
+  parent — results land back by unit, so parallel output is
+  **bit-identical** to the serial path.  Workers return results only:
+  telemetry is collected in the parent, and a worker unit's seconds
+  travel in its unit event.  Expensive
   units (by :attr:`Method.cost_hint`) are submitted first so they do
   not straggle at the tail of the pool queue.  A worker that dies
   (killed, out of memory) breaks the pool; the parent then recomputes
-  every shard left without a result and records those units as
-  ``"recovered"``;
-* **recorded**: kernels, per-row solves, worker shards and cache hits
+  every unit left without a result and records it as ``"recovered"``;
+* **recorded**: kernels, per-row solves, worker units and cache hits
   all yield :class:`~repro.algorithms.result.UnitResults` rows, and one
   ``finish`` step writes each into the sweep arrays, the cache and
   the ledger's unit events.
@@ -76,8 +77,8 @@ Environment
 ``REPRO_CACHE_DIR``
     Default cache directory when ``cache`` is ``None`` (unset = no
     caching; :func:`repro.experiments.cache.resolve_cache`).  Cache
-    lookups and stores happen only in the parent process; worker
-    shards receive columnar payloads, never a cache.  ``jobs`` has no
+    lookups and stores happen only in the parent process; workers
+    receive a unit's Problem, never a cache.  ``jobs`` has no
     environment fallback: ``None`` means 1 (serial).
 """
 
@@ -109,12 +110,6 @@ def resolve_jobs(jobs: "int | None") -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-#: Shard sizing: aim for this many shards per worker (load balancing
-#: headroom) without exceeding _SHARD_MAX units per payload.
-_SHARD_WAVES = 4
-_SHARD_MAX = 32
 
 
 @dataclass
@@ -248,92 +243,67 @@ class SweepResult:
             ) from None
 
 
-def _unit_problems(
-    base: Problem, bounds: Sequence[tuple[float, float]]
-) -> list[Problem]:
-    """The unit's Problem family: one bounded copy of *base* per point."""
-    return [base.with_bounds(max_period=P, max_latency=L) for P, L in bounds]
-
-
-def _solve_rows(
+def _solve_unit(
     method: Method,
-    views: Sequence[InstanceView],
+    base: Problem,
     bounds: Sequence[tuple[float, float]],
     objective: str,
-    min_reliability: float,
-) -> "tuple[UnitResults, list[float]]":
-    """Per-row solves: one work unit per view, each over every bound.
+) -> "tuple[UnitResults, float]":
+    """One work unit: *method* on *base* at every bound point.
 
     The single computation shared verbatim by the parent and the
     worker processes — the reason ``jobs=1`` and ``jobs=N`` agree bit
-    for bit.  Materializes each view's chain/platform here (and only
-    here): cached units never reach this function.
+    for bit.  Cached and kernel-served units never reach it.
 
-    Returns the units' :class:`~repro.algorithms.result.UnitResults`
-    and each unit's wall-clock seconds.  A row's info aggregates the
+    Returns a one-row :class:`~repro.algorithms.result.UnitResults`
+    and the unit's wall-clock seconds.  The row's info aggregates the
     solve details search methods report — total ``probes`` across the
     unit's points and a ``converged`` flag (False when any point's
     search exhausted its budget) — and stays ``None`` for methods that
     report neither.
     """
-    out = UnitResults.empty(len(views), len(bounds), objective)
-    seconds = []
-    for r, view in enumerate(views):
-        t0 = time.perf_counter()
-        with obs.span("sweep.unit", label=method.name):
-            base = view.problem(objective=objective, min_reliability=min_reliability)
-            probes = 0
-            converged: "bool | None" = None
-            for pi, problem in enumerate(_unit_problems(base, bounds)):
-                res = method.solve(problem)
-                out.solved[r, pi] = res.feasible
-                if res.feasible:
-                    ev = res.evaluation
-                    out.failure[r, pi] = ev.failure_probability
-                    out.period[r, pi] = ev.worst_case_period
-                    out.latency[r, pi] = ev.worst_case_latency
-                out.values[r, pi] = res.objective_value(objective)
-                details = res.details
-                if details:
-                    probes += int(details.get("probes", 0) or 0)
-                    if "converged" in details:
-                        converged = bool(details["converged"]) and (converged is not False)
-            if probes or converged is not None:
-                out.infos[r] = {"probes": probes}
-                if converged is not None:
-                    out.infos[r]["converged"] = converged
-        seconds.append(time.perf_counter() - t0)
-    return out, seconds
+    t0 = time.perf_counter()
+    out = UnitResults.empty(1, len(bounds), objective)
+    probes = 0
+    converged: "bool | None" = None
+    for pi, (P, L) in enumerate(bounds):
+        res = method.solve(base.with_bounds(max_period=P, max_latency=L))
+        out.solved[0, pi] = res.feasible
+        if res.feasible:
+            ev = res.evaluation
+            out.failure[0, pi] = ev.failure_probability
+            out.period[0, pi] = ev.worst_case_period
+            out.latency[0, pi] = ev.worst_case_latency
+        out.values[0, pi] = res.objective_value(objective)
+        details = res.details
+        if details:
+            probes += int(details.get("probes", 0) or 0)
+            if "converged" in details:
+                converged = bool(details["converged"]) and (converged is not False)
+    if probes or converged is not None:
+        out.infos[0] = {"probes": probes}
+        if converged is not None:
+            out.infos[0]["converged"] = converged
+    return out, time.perf_counter() - t0
 
 
-def _solve_shard_payload(
+def _solve_remote(
     method_name: str,
     fingerprint: str,
-    shard: dict,
+    base: Problem,
     bounds: Sequence[tuple[float, float]],
     objective: str,
-    min_reliability: float,
-    collect_telemetry: bool = False,
-) -> "tuple[tuple[UnitResults, list[float]], dict | None]":
-    """Worker-side entry point: rebuild a columnar shard and solve its rows.
+) -> "tuple[UnitResults, float]":
+    """Worker-side entry point: :func:`_solve_unit` by method name.
 
     Module-level (picklable) and name-addressed: the worker resolves
-    the method from its own registry and reassembles a small
-    :class:`~repro.core.ensemble.Ensemble` from the shard's raw rows,
-    so no closure — and no per-instance object graph — ever crosses
-    the process boundary.  The fingerprint handshake guards spawn-start
+    the method from its own registry, so no closure crosses the
+    process boundary.  The fingerprint handshake guards spawn-start
     workers: if this process's registry binds *method_name* to
     different code than the parent's (a missing or differently
     re-registered method), raise UnknownMethodError so the parent
-    recomputes the shard itself instead of silently using the wrong
-    solver.  Workers only run per-row solves: the parent has already
-    served every kernel-eligible unit.
-
-    Returns ``(_solve_rows(...), telemetry_snapshot)``.  When
-    *collect_telemetry* is set (the parent has a collector installed),
-    the worker aggregates its own spans/counters into a snapshot the
-    parent merges; otherwise the snapshot is ``None`` and nothing is
-    collected.
+    recomputes the unit itself instead of silently using the wrong
+    solver.
     """
     method = get_method(method_name)
     if method.fingerprint() != fingerprint:
@@ -341,33 +311,7 @@ def _solve_shard_payload(
             f"method {method_name!r} resolves to different code in this "
             f"worker than in the parent process"
         )
-    views = list(Ensemble(**shard))
-    if not collect_telemetry:
-        return _solve_rows(method, views, bounds, objective, min_reliability), None
-    with obs.collect() as telemetry:
-        results = _solve_rows(method, views, bounds, objective, min_reliability)
-    return results, telemetry.snapshot()
-
-
-def _shard_payload(ensemble: Ensemble, rows: Sequence[int]) -> dict:
-    """Columnar payload for a shard: the raw rows the units need."""
-    rows = list(rows)
-    if ensemble.platform_shared:
-        # One stored platform row serves every unit — ship it once.
-        speeds = np.asarray(ensemble.speeds[:1])
-        rates = np.asarray(ensemble.failure_rates[:1])
-    else:
-        speeds = ensemble.speeds[rows]
-        rates = ensemble.failure_rates[rows]
-    return {
-        "work": ensemble.work[rows],
-        "output": ensemble.output[rows],
-        "speeds": speeds,
-        "failure_rates": rates,
-        "bandwidth": ensemble.bandwidth,
-        "link_failure_rate": ensemble.link_failure_rate,
-        "max_replication": ensemble.max_replication,
-    }
+    return _solve_unit(method, base, bounds, objective)
 
 
 def _resolve_instances(
@@ -689,16 +633,21 @@ class _SweepRun:
             self.batch_units += len(units)
         return rest
 
-    def run_local(self, unit: _Unit, source: str = "parent") -> None:
-        results, seconds = _solve_rows(
-            self.methods[unit.mi], [self.views[unit.ii]], self.bounds,
-            self.objective, self.min_reliability,
+    def base(self, unit: _Unit) -> Problem:
+        """The unit's unbounded Problem; materializes its row."""
+        return self.views[unit.ii].problem(
+            objective=self.objective, min_reliability=self.min_reliability
         )
-        self.finish(unit, results, 0, source, seconds[0])
+
+    def run_local(self, unit: _Unit, source: str = "parent") -> None:
+        results, seconds = _solve_unit(
+            self.methods[unit.mi], self.base(unit), self.bounds, self.objective
+        )
+        self.finish(unit, results, 0, source, seconds)
 
     def run_rows(self, pending: "list[_Unit]", jobs: int) -> None:
-        """Solve the pending units per row: in the parent, or fanned out
-        over a process pool in columnar shards."""
+        """Solve the pending units per row: in the parent, or one unit
+        per task in a process pool."""
         # Expensive methods first: with a shared pool, a 10x-cost ILP unit
         # submitted last would serialize the tail of the run.
         pending = sorted(pending, key=lambda u: (-self.methods[u.mi].cost_hint, u.mi, u.ii))
@@ -718,67 +667,34 @@ class _SweepRun:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        shards = self._shards(remote, jobs)
-        collect_telemetry = obs.active() is not None
-        with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(remote))) as pool:
             futures = {}
-            for shard in shards:
-                name = self.methods[shard[0].mi].name
-                ensemble = self.ensembles[self.ensemble_of[shard[0].ii]]
-                fut = pool.submit(
-                    _solve_shard_payload,
-                    name,
-                    self.fingerprints[name],
-                    _shard_payload(ensemble, [self.row_of[u.ii] for u in shard]),
-                    self.bounds,
-                    self.objective,
-                    self.min_reliability,
-                    collect_telemetry,
-                )
-                futures[fut] = shard
+            for unit in remote:
+                name = self.methods[unit.mi].name
+                fut = pool.submit(_solve_remote, name, self.fingerprints[name],
+                                  self.base(unit), self.bounds, self.objective)
+                futures[fut] = unit
             # The parent works through its own (unpicklable) units while
             # the pool churns, then drains the futures.
             for unit in local:
                 self.run_local(unit)
             for fut in as_completed(futures):
-                shard = futures[fut]
+                unit = futures[fut]
                 try:
-                    (results, seconds), worker_telemetry = fut.result()
+                    results, seconds = fut.result()
                 except UnknownMethodError:
                     # Spawn-start workers re-import the registry and may
                     # miss (or re-bind) methods registered at runtime;
-                    # redo the shard here rather than fail the sweep or
+                    # redo the unit here rather than fail the sweep or
                     # run the wrong code.
-                    for unit in shard:
-                        self.run_local(unit)
+                    self.run_local(unit)
                     continue
                 except BrokenProcessPool:
-                    # A worker died and the pool failed every shard
-                    # still without a result; recompute each here.
-                    for unit in shard:
-                        self.run_local(unit, "recovered")
+                    # A worker died and the pool failed every unit still
+                    # without a result; recompute each here.
+                    self.run_local(unit, "recovered")
                     continue
-                active = obs.active()
-                if active is not None:
-                    active.merge(worker_telemetry)
-                for r, unit in enumerate(shard):
-                    self.finish(unit, results, r, "worker", seconds[r])
-
-    def _shards(self, remote: "list[_Unit]", jobs: int) -> "list[list[_Unit]]":
-        """Group remote units into columnar shards: one payload ships
-        several instances' raw rows for one (method, ensemble) pair."""
-        shard_size = max(1, min(_SHARD_MAX, -(-len(remote) // (jobs * _SHARD_WAVES))))
-        shards: list[list[_Unit]] = []
-        open_shards: dict[tuple[int, int], list[_Unit]] = {}
-        for unit in remote:
-            group = (unit.mi, self.ensemble_of[unit.ii])
-            shard = open_shards.get(group)
-            if shard is None or len(shard) >= shard_size:
-                shard = []
-                shards.append(shard)
-                open_shards[group] = shard
-            shard.append(unit)
-        return shards
+                self.finish(unit, results, 0, "worker", seconds)
 
     def result(self, xs: np.ndarray, timings: dict) -> SweepResult:
         """The sweep's arrays in ``(method, point, instance)`` layout."""

@@ -137,12 +137,22 @@ _SERVING_FIELDS = ("source", "seconds", "batch_group")
 
 def cache_root(cache_dir: "str | os.PathLike[str] | None") -> "pathlib.Path | None":
     """The cache directory a command uses: *cache_dir*, else
-    ``$REPRO_CACHE_DIR``, else ``None`` (no cache)."""
+    ``$REPRO_CACHE_DIR``, else ``None`` (no cache).
+
+    Raises ValueError when the path, or the nearest part of it that
+    exists, is not a directory: the first cache write could never
+    succeed, so a run must not solve anything first.
+    """
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         if cache_dir is None:
             return None
-    return pathlib.Path(cache_dir)
+    root = pathlib.Path(cache_dir)
+    existing = next((p for p in (root, *root.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        where = "" if existing == root else f" ({existing} is a file)"
+        raise ValueError(f"cache directory {root} is not a directory{where}")
+    return root
 
 
 def _current(payload: object) -> bool:

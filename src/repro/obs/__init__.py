@@ -5,9 +5,9 @@ Two halves, both deterministic and dependency-free:
 * :mod:`repro.obs.telemetry` — an aggregating span/counter API
   (:func:`span`, :func:`counter`, :func:`collect`) that the sweep
   harness, result cache, bounds-grid derivation, and planner are
-  instrumented with.  Near-zero cost when no collector is installed;
-  worker processes return snapshots the parent merges, so parallel
-  runs aggregate exactly like serial ones.
+  instrumented with.  Near-zero cost when no collector is installed.
+  Collection happens in the parent process only: pool workers return
+  unit results, and a worker unit's seconds travel in its unit event.
 * :mod:`repro.obs.ledger` — the run-addressed artifact ledger: every
   ``repro scenario run`` / ``repro experiment`` / cross-check writes
   ``runs/<run_id>/{manifest.json, per_unit.jsonl, report.md}`` via a

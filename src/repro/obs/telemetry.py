@@ -23,12 +23,10 @@ Design constraints, in order:
   run length and snapshots are trivially JSON-able.  Per-unit detail
   belongs in :attr:`repro.experiments.harness.SweepResult.unit_events`
   (structured data, always collected), not here;
-* **process-safe** — worker shards
-  (:func:`repro.experiments.harness._solve_shard_payload`) collect
-  into their own :class:`Telemetry` and return its :meth:`snapshot`
-  with the shard results; the parent :meth:`merge`\\ s it into the
-  active collector.  Snapshots are plain dicts of floats, so they
-  pickle across any process-start method.
+* **parent-only** — sweeps record every span and counter in the
+  process that owns the run.  Worker processes return unit results
+  only; what a worker spent on a unit travels in that unit's event
+  (``seconds``), not through a collector.
 
 Example
 -------
@@ -71,7 +69,7 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-#: The installed collector (one per process; workers install their own).
+#: The installed collector (one per process).
 _ACTIVE: "Telemetry | None" = None
 
 
@@ -135,37 +133,14 @@ class Telemetry:
         key = _key(name, label)
         self.counters[key] = self.counters.get(key, 0) + value
 
-    # -- aggregation across processes ------------------------------------
+    # -- reporting -------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able (and picklable) copy of the aggregates."""
+        """JSON-able copy of the aggregates."""
         return {
             "spans": {k: dict(v) for k, v in self.spans.items()},
             "counters": dict(self.counters),
         }
-
-    def merge(self, snapshot: "dict[str, Any] | None") -> None:
-        """Fold another collector's :meth:`snapshot` into this one.
-
-        The parent process calls this with each worker shard's
-        snapshot, so a parallel sweep aggregates exactly like a serial
-        one (plus the workers' own span timings).  ``None`` (a worker
-        that collected nothing) is a no-op.
-        """
-        if not snapshot:
-            return
-        for key, agg in snapshot.get("spans", {}).items():
-            mine = self.spans.get(key)
-            if mine is None:
-                self.spans[key] = {
-                    "count": agg.get("count", 0),
-                    "seconds": agg.get("seconds", 0.0),
-                }
-            else:
-                mine["count"] += agg.get("count", 0)
-                mine["seconds"] += agg.get("seconds", 0.0)
-        for key, value in snapshot.get("counters", {}).items():
-            self.counters[key] = self.counters.get(key, 0) + value
 
 
 def active() -> "Telemetry | None":

@@ -1,7 +1,7 @@
 """The batched solving layer: kernel-level bit-identity with the
 per-instance heuristics, the harness's batch serving, the registry's
 solve_batch capability, and the UnitResults contract every kernel and
-worker shard returns."""
+per-row unit returns."""
 
 import concurrent.futures
 import math
@@ -20,7 +20,7 @@ from repro.algorithms import (
 )
 from repro.experiments import METHODS, Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
-from repro.experiments.harness import _solve_rows
+from repro.experiments.harness import _solve_unit
 from repro.obs import telemetry as obs
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
 from repro.solve import Planner
@@ -143,11 +143,12 @@ def witness(res):
 
 
 def per_row(method, ensemble, bounds, objective, floor):
-    """The harness's per-row solves over every ensemble row."""
-    results, _seconds = _solve_rows(
-        method, list(ensemble), bounds, objective, floor
-    )
-    return results
+    """The harness's per-row solves, one unit per ensemble row."""
+    out = UnitResults.empty(len(ensemble), len(bounds), objective)
+    for r, view in enumerate(ensemble):
+        base = view.problem(objective=objective, min_reliability=floor)
+        out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
+    return out
 
 
 class TestSweepEquivalenceMatrix:

@@ -321,13 +321,14 @@ class TestSweepBitIdentity:
         )
 
     def test_parallel_shards_match_serial(self):
+        """Per-row units of an ensemble sweep run one per pool task."""
         ensemble = generate_ensemble("section8-hom", n_instances=6, seed=2)
         methods = [get_method("heur-l"), get_method("heur-p")]
         serial = run_sweep(ensemble, methods, self.BOUNDS, jobs=1)
-        sharded = run_sweep(ensemble, methods, self.BOUNDS, jobs=3)
-        assert np.array_equal(serial.solved, sharded.solved)
-        assert np.array_equal(serial.failure, sharded.failure)
-        assert np.array_equal(serial.objective_values, sharded.objective_values)
+        pooled = run_sweep(ensemble, methods, self.BOUNDS, jobs=3, batch=False)
+        assert {e["source"] for e in pooled.unit_events} == {"worker"}
+        for name in ("solved", "failure", "objective_values", "period", "latency"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
 
     def test_warm_sweep_materializes_nothing(self, tmp_path):
         """The columnar payoff: a fully cached sweep never builds a

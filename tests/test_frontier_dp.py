@@ -47,7 +47,7 @@ from repro.core.ensemble import Ensemble
 from repro.core.evaluation import evaluate_mapping
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
-from repro.experiments.harness import _solve_rows
+from repro.experiments.harness import _solve_unit
 from repro.util.logrel import from_reliability
 
 FLOORS = st.sampled_from([0.0, 0.9])
@@ -63,6 +63,15 @@ FRONTIER_CELLS = [
     ("dp-latency", "latency", 0.0),
     ("dp-latency", "latency", 0.9),
 ]
+
+
+def per_row(method, ensemble, bounds, objective, floor):
+    """The harness's per-row solves, one unit per ensemble row."""
+    out = UnitResults.empty(len(ensemble), len(bounds), objective)
+    for r, view in enumerate(ensemble):
+        base = view.problem(objective=objective, min_reliability=floor)
+        out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
+    return out
 
 
 @st.composite
@@ -118,9 +127,7 @@ def assert_kernel_matches_per_point(method_name, ensemble, bounds, objective, fl
         ensemble, bounds, objective=objective, min_reliability=floor
     )
     solved, failure, values = out.solved, out.failure, out.values
-    rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, objective, floor
-    )
+    rows = per_row(method, ensemble, bounds, objective, floor)
     for i in range(len(ensemble)):
         u_solved, u_failure, u_values, u_info = (
             rows.solved[i], rows.failure[i], rows.values[i], rows.infos[i]
@@ -202,9 +209,7 @@ def test_dp_period_kernel_matches_per_row(case, floor):
         assume(floor is not None)
     method = get_method("dp-period")
     out = method.solve_batch(ensemble, bounds, objective="period", min_reliability=floor)
-    rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, "period", floor
-    )
+    rows = per_row(method, ensemble, bounds, "period", floor)
     for name in out.ARRAYS:
         assert np.array_equal(getattr(out, name), getattr(rows, name)), name
     assert out.infos == rows.infos
@@ -270,9 +275,7 @@ def assert_unit_results_match(method_name, ensemble, bounds, objective, floor):
     out = method.solve_batch(
         ensemble, bounds, objective=objective, min_reliability=floor
     )
-    rows, _seconds = _solve_rows(
-        method, list(ensemble), bounds, objective, floor
-    )
+    rows = per_row(method, ensemble, bounds, objective, floor)
     for name in out.ARRAYS:
         assert np.array_equal(getattr(out, name), getattr(rows, name)), name
     return out

@@ -29,13 +29,22 @@ from hypothesis import strategies as st
 from repro.algorithms import UnitResults, batch, batch_heuristic_best, heuristic_best
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
-from repro.experiments.harness import _solve_rows
+from repro.experiments.harness import _solve_unit
 from repro.util import logrel
 from repro.util.logrel import from_reliability
 
 RATES = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 50.0, 200.0, 1e3]
 PERIODS = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, math.inf]
 LATENCIES = [1.0, 3.0, 5.0, 8.0, 12.0, 15.0, 20.0, 30.0, math.inf]
+
+
+def per_row(method, ensemble, bounds, objective, floor):
+    """The harness's per-row solves, one unit per ensemble row."""
+    out = UnitResults.empty(len(ensemble), len(bounds), objective)
+    for r, view in enumerate(ensemble):
+        base = view.problem(objective=objective, min_reliability=floor)
+        out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
+    return out
 
 
 @st.composite
@@ -183,9 +192,7 @@ def test_search_kernels_match_per_row(case, criterion, floor):
     out = method.solve_batch(
         ensemble, bounds, objective=criterion, min_reliability=floor
     )
-    rows, _ = _solve_rows(
-        method, list(ensemble), bounds, criterion, floor
-    )
+    rows = per_row(method, ensemble, bounds, criterion, floor)
     for name in UnitResults.ARRAYS:
         assert _bits(getattr(out, name)) == _bits(getattr(rows, name)), name
     assert out.infos == rows.infos

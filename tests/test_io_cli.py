@@ -385,6 +385,56 @@ class TestScenarioCLI:
         assert f"jobs must be an integer >= 1, got {jobs!r}" in err
         assert out == "" and not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["scenario", "run", "section8-hom", "--n-instances", "2", "--seed", "-1"],
+         "seed must be an integer >= 0, got '-1'"),
+        (["experiment", "hom-period", "--instances", "2", "--seed", "-1"],
+         "seed must be an integer >= 0, got '-1'"),
+        (["experiment", "hom-period", "--instances", "0"],
+         "instances must be an integer >= 1, got '0'"),
+        (["simulate", "mapping.json", "--seed", "-1"],
+         "seed must be an integer >= 0, got '-1'"),
+        (["demo", "--seed", "-1"], "seed must be an integer >= 0, got '-1'"),
+    ], ids=["scenario-run-seed", "experiment-seed", "experiment-instances",
+            "simulate-seed", "demo-seed"])
+    def test_bad_integer_fails_at_parse_time(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *(["--manifest", str(tmp_path / "m.json")]
+                           if argv[0] in ("scenario", "experiment") else [])])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == "" and not (tmp_path / "m.json").exists()
+
+    def test_scenario_run_unknown_method_fails_before_generation(self, tmp_path, capsys):
+        with pytest.raises(SystemExit, match="unknown method 'nosuch'"):
+            main(["scenario", "run", "section8-hom", "--n-instances", "2",
+                  "--methods", "nosuch", "--manifest", str(tmp_path / "m.json")])
+        assert "instances" not in capsys.readouterr().out
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["scenario", "run", "section8-hom", "--n-instances", "2"],
+        ["experiment", "hom-period", "--instances", "2"],
+        ["cache", "stats"],
+    ], ids=["scenario-run", "experiment", "cache-stats"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_cache_dir_on_a_file_fails_before_any_work(
+        self, tmp_path, capsys, command, below
+    ):
+        """A cache directory that is (or lies under) a regular file is
+        rejected up front, not at the first cache write."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("keep")
+        cache_dir = blocker / "cache" if below else blocker
+        with pytest.raises(SystemExit, match="is not a directory"):
+            main([*command, "--cache-dir", str(cache_dir),
+                  *(["--manifest", str(tmp_path / "m.json")]
+                    if command[0] != "cache" else [])])
+        assert capsys.readouterr().out == ""
+        assert blocker.read_text() == "keep"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--objective", "latency", "--min-reliability", "1.5"],
          r"min_reliability must lie in \[0, 1\) \(0 = no floor\), got 1\.5"),

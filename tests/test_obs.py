@@ -3,7 +3,6 @@
 
 import json
 import os
-import pickle
 import stat
 import threading
 import time
@@ -60,19 +59,18 @@ class TestTelemetry:
         assert outer.counters == {"depth": 1}
         assert inner.counters == {"depth": 1}
 
-    def test_snapshot_merges_and_pickles(self):
-        worker = Telemetry()
-        worker.counter("cache.hit", 4, label="heur-l")
-        with worker.span("sweep.unit", "heur-l"):
+    def test_snapshot_is_a_detached_json_copy(self):
+        tele = Telemetry()
+        tele.counter("cache.hit", 4, label="heur-l")
+        with tele.span("sweep.batch", "heur-l"):
             pass
-        snapshot = pickle.loads(pickle.dumps(worker.snapshot()))
-
-        parent = Telemetry()
-        parent.counter("cache.hit", 1, label="heur-l")
-        parent.merge(snapshot)
-        parent.merge(None)  # a worker that collected nothing
-        assert parent.counters["cache.hit[heur-l]"] == 5
-        assert parent.spans["sweep.unit[heur-l]"]["count"] == 1
+        snapshot = tele.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        tele.counter("cache.hit", label="heur-l")
+        with tele.span("sweep.batch", "heur-l"):
+            pass
+        assert snapshot["counters"] == {"cache.hit[heur-l]": 4}
+        assert snapshot["spans"]["sweep.batch[heur-l]"]["count"] == 1
 
 
 def _manifest(objective_p50: float, sweep_seconds: float) -> dict:
