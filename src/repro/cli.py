@@ -100,8 +100,9 @@ __all__ = ["main", "build_parser"]
 
 def _at_least(name: str, low: int):
     """An argparse type for an integer option of at least *low*
-    (``--jobs``, ``--seed``, ``--instances``), checked at parse time so
-    a bad value fails before any work."""
+    (``--jobs``, ``--seed``, and counts such as ``--instances`` or
+    ``--tasks``), checked at parse time so a bad value fails before any
+    work."""
 
     def parse(text: str) -> int:
         if not (text.strip().isdecimal() and int(text) >= low):
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="fault-injection simulation of a mapping")
     simulate.add_argument("mapping", type=pathlib.Path, help="Mapping JSON file")
-    simulate.add_argument("--datasets", type=int, default=2000)
+    simulate.add_argument("--datasets", type=_at_least("datasets", 1), default=2000)
     simulate.add_argument("--seed", type=_seed, default=0)
 
     experiment = sub.add_parser(
@@ -332,17 +333,26 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the rule catalog and exit")
 
     demo = sub.add_parser("demo", help="solve a seeded random instance end to end")
-    demo.add_argument("--tasks", type=int, default=10)
-    demo.add_argument("--processors", type=int, default=8)
+    demo.add_argument("--tasks", type=_at_least("tasks", 1), default=10)
+    demo.add_argument("--processors", type=_at_least("processors", 1), default=8)
     demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--heterogeneous", action="store_true")
     return parser
 
 
 def _load(path: pathlib.Path, expected: type) -> object:
+    """Decode the *expected* object from the JSON file at *path*; a file
+    that cannot be read or decoded exits with one line naming it."""
     from repro.io import loads
 
-    obj = loads(path.read_text())
+    try:
+        obj = loads(path.read_text())
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}")
+    except KeyError as exc:
+        raise SystemExit(f"cannot load {path}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"cannot load {path}: {exc}")
     if not isinstance(obj, expected):
         raise SystemExit(f"{path} holds a {type(obj).__name__}, expected {expected.__name__}")
     return obj
@@ -369,6 +379,7 @@ def _cmd_solve(args) -> int:
     from repro.obs.ledger import write_atomic
     from repro.solve import Problem, solve
 
+    _check_output(args.output, "output")
     chain = _load(args.chain, TaskChain)
     platform = _load(args.platform, Platform)
     try:
@@ -444,6 +455,34 @@ def _series_record(sweep, prefix: str = "") -> dict:
     }
 
 
+def _check_output(path: "pathlib.Path | None", what: str) -> None:
+    """Exit with one line, before any work, when the *what* file at
+    *path* could never be written: *path* is a directory, or its
+    directory (or the nearest part of that which exists) is not one."""
+    from repro.obs import check_directory
+
+    if path is None:
+        return
+    try:
+        check_directory(path.parent, f"{what} directory")
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    if path.is_dir():
+        raise SystemExit(f"{what} {path} is a directory")
+
+
+def _check_outputs(args) -> None:
+    """:func:`_check_output` for a run's ledger (``--runs-dir``) and
+    its ``--manifest`` copy."""
+    from repro.obs import check_directory, resolve_runs_dir
+
+    try:
+        check_directory(resolve_runs_dir(args.runs_dir), "runs directory")
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    _check_output(args.manifest, "manifest")
+
+
 def _record_run(args, identity: dict, manifest: dict, per_unit,
                 versions: "dict | None" = None) -> dict:
     """Record one ``experiment`` / ``scenario run`` invocation and
@@ -515,6 +554,7 @@ def _cmd_experiment(args) -> int:
         cache = resolve_cache(args.cache_dir)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    _check_outputs(args)
 
     manifest: dict = {
         "experiments": wanted,
@@ -787,6 +827,7 @@ def _cmd_scenario(args) -> int:
         root = replay.cache_root(args.cache_dir)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    _check_outputs(args)
     key = None
     if root is not None:
         with obs.collect(collector), obs.span("replay.lookup"):
@@ -800,12 +841,14 @@ def _cmd_scenario(args) -> int:
     from repro.scenarios import generate_ensembles, scenario_hash
     from repro.solve import Planner, derive_bounds_grid, encode_bound
     from repro.solve.grid import check_grid_points
-    from repro.util.validation import check_min_reliability
+    from repro.util.validation import check_bound, check_min_reliability
 
     spec, entry = _resolve_scenario_token(args.scenario)
     # Bad input fails here, before generation, grid probes or cache writes.
     try:
         check_min_reliability(args.min_reliability, args.objective)
+        check_bound("max_period", args.max_period)
+        check_bound("max_latency", args.max_latency)
         if args.grid == "auto":
             check_grid_points(args.grid_points)
         if args.n_instances is not None:
@@ -839,7 +882,7 @@ def _cmd_scenario(args) -> int:
     t0 = time.perf_counter()
     # Columnar generation: the ensembles' rows materialize lazily, so a
     # fully cached run never builds a TaskChain or Platform object.
-    # Paired ensembles' views expose the heterogeneous side directly.
+    # Paired ensembles' rows hold the heterogeneous side.
     instances = generate_ensembles(spec, seed=args.seed)
     gen_seconds = time.perf_counter() - t0
     n = sum(len(e) for e in instances)
@@ -1063,6 +1106,7 @@ def _cmd_lint(args) -> int:
             paths = [src]
         else:
             paths = [pathlib.Path(__file__).parent]
+    _check_output(args.output, "output")
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]

@@ -9,7 +9,6 @@ _LAZY = {
     "TaskChain": "repro.core.chain",
     "Platform": "repro.core.platform",
     "Ensemble": "repro.core.ensemble",
-    "InstanceView": "repro.core.ensemble",
     "ensembles_from_instances": "repro.core.ensemble",
     "instance_digest": "repro.core.ensemble",
     "Interval": "repro.core.interval",

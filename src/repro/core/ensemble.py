@@ -1,4 +1,4 @@
-"""Columnar instance ensembles: struct-of-arrays storage with lazy views.
+"""Columnar instance ensembles: struct-of-arrays storage with lazy rows.
 
 The paper's experiments (Section 8) and the scenario sweeps evaluate
 thousands of ``(chain, platform)`` instances per curve.  Materializing
@@ -20,17 +20,19 @@ plus one scalar column each for the link bandwidth, the link failure
 rate, and the replication bound K (homogeneous across the ensemble, as
 in every scenario spec).  ``m*`` is 1 when all instances share one
 platform (the Section 8.1 shape) — the single stored row broadcasts,
-and every view then shares one cached :class:`Platform` object.
+and every row then shares one cached :class:`Platform` object.
 
-Rows materialize *lazily*: ``ensemble[i]`` is an :class:`InstanceView`
-that behaves like the familiar ``(chain, platform)`` pair but only
-builds (and caches) the objects when they are actually touched.  A
-sweep served from a warm result cache therefore never constructs a
+A row is addressed by its index.  Rows materialize *lazily*:
+:meth:`Ensemble.chain` and :meth:`Ensemble.platform` build (and cache)
+one row's objects on first access, and ``ensemble[i]`` is the pair
+``(ensemble.chain(i), ensemble.platform(i))``.  Cheap consumers (cache
+keys, column reads, the kernels) take the index and never touch the
+objects, so a sweep served from a warm result cache never constructs a
 single ``TaskChain`` or ``Platform``.
 
 Identity is content-addressed at two grains:
 
-* :func:`instance_digest` / :meth:`InstanceView.row_hash` — a stable
+* :func:`instance_digest` / :meth:`Ensemble.row_hash` — a stable
   SHA-256 over one instance's raw array bytes and scalars, shared by
   the columnar and the materialized representations (the result cache
   derives its per-unit keys from these);
@@ -38,7 +40,7 @@ Identity is content-addressed at two grains:
   raw arrays, computed once.
 
 Paired (Section 8.2-shaped) ensembles carry ``hom_counterpart_speed``;
-their views expose the heterogeneous side, :attr:`Ensemble.hom_platform`
+their rows hold the heterogeneous side, :attr:`Ensemble.hom_platform`
 is the shared homogeneous counterpart, and
 :meth:`Ensemble.hom_counterpart` is the whole counterpart ensemble in
 columnar form.
@@ -57,7 +59,6 @@ from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
     "Ensemble",
-    "InstanceView",
     "instance_digest",
     "ensembles_from_instances",
 ]
@@ -95,120 +96,6 @@ def instance_digest(
         f"{float(bandwidth)!r}|{float(link_failure_rate)!r}|{int(max_replication)}".encode()
     )
     return h.hexdigest()
-
-
-class InstanceView:
-    """One ensemble row, materializing ``(chain, platform)`` on demand.
-
-    Behaves like the 2-tuple the harness historically consumed —
-    ``chain, platform = view`` unpacks — while construction stays lazy
-    and cached in the owning :class:`Ensemble`, so cheap consumers
-    (cache-key derivation, column reads) never pay for objects.
-    """
-
-    __slots__ = ("_ensemble", "_index")
-
-    def __init__(self, ensemble: "Ensemble", index: int) -> None:
-        self._ensemble = ensemble
-        self._index = index
-
-    # -- identity --------------------------------------------------------
-
-    @property
-    def ensemble(self) -> "Ensemble":
-        return self._ensemble
-
-    @property
-    def index(self) -> int:
-        return self._index
-
-    @property
-    def row_hash(self) -> str:
-        """The instance's content digest (see :func:`instance_digest`)."""
-        return self._ensemble.row_hash(self._index)
-
-    # -- raw columns (no materialization) --------------------------------
-
-    @property
-    def work(self) -> np.ndarray:
-        return self._ensemble.work[self._index]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self._ensemble.output[self._index]
-
-    @property
-    def speeds(self) -> np.ndarray:
-        return self._ensemble.speeds[self._index]
-
-    @property
-    def failure_rates(self) -> np.ndarray:
-        return self._ensemble.failure_rates[self._index]
-
-    @property
-    def bandwidth(self) -> float:
-        return self._ensemble.bandwidth
-
-    @property
-    def link_failure_rate(self) -> float:
-        return self._ensemble.link_failure_rate
-
-    @property
-    def max_replication(self) -> int:
-        return self._ensemble.max_replication
-
-    @property
-    def homogeneous(self) -> bool:
-        """True when this row's platform is homogeneous."""
-        return bool(self._ensemble.homogeneous_rows()[self._index])
-
-    # -- materialization -------------------------------------------------
-
-    @property
-    def chain(self) -> TaskChain:
-        return self._ensemble.chain(self._index)
-
-    @property
-    def platform(self) -> Platform:
-        return self._ensemble.platform(self._index)
-
-    def problem(
-        self,
-        max_period: float = float("inf"),
-        max_latency: float = float("inf"),
-        objective: str = "reliability",
-        min_reliability: float = 0.0,
-    ):
-        """Materialize this row as a :class:`repro.solve.Problem`."""
-        from repro.solve.problem import Problem
-
-        return Problem(
-            self.chain,
-            self.platform,
-            max_period=max_period,
-            max_latency=max_latency,
-            objective=objective,
-            min_reliability=min_reliability,
-        )
-
-    # -- tuple compatibility ---------------------------------------------
-
-    def __iter__(self):
-        yield self.chain
-        yield self.platform
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, item: int):
-        return (self.chain, self.platform)[item]
-
-    def __repr__(self) -> str:
-        e = self._ensemble
-        return (
-            f"InstanceView({self._index} of {e.n_instances}, "
-            f"{e.n_tasks} tasks x {e.p} procs)"
-        )
 
 
 class Ensemble:
@@ -525,16 +412,18 @@ class Ensemble:
                 HetInstancePair(self.chain(i), self.platform(i), hom)
                 for i in range(self.n_instances)
             ]
-        return [(self.chain(i), self.platform(i)) for i in range(self.n_instances)]
+        return list(self)
 
-    # -- views -----------------------------------------------------------
+    # -- rows ------------------------------------------------------------
 
-    def __getitem__(self, i: int) -> InstanceView:
-        return InstanceView(self, self._row(i))
+    def __getitem__(self, i: int) -> "tuple[TaskChain, Platform]":
+        """Row *i* as its ``(chain, platform)`` pair (materialized and
+        cached on first access)."""
+        return self.chain(i), self.platform(i)
 
-    def __iter__(self) -> Iterator[InstanceView]:
+    def __iter__(self) -> "Iterator[tuple[TaskChain, Platform]]":
         for i in range(self.n_instances):
-            yield InstanceView(self, i)
+            yield self[i]
 
     def _row(self, i: int) -> int:
         if not isinstance(i, (int, np.integer)):
@@ -600,8 +489,8 @@ class Ensemble:
     def from_instances(cls, instances: Sequence) -> "Ensemble":
         """Build a columnar ensemble from materialized instances.
 
-        Accepts ``(chain, platform)`` pairs (or :class:`InstanceView`
-        objects) and ``HetInstancePair`` records.  All instances must
+        Accepts ``(chain, platform)`` pairs (an ensemble's own rows
+        among them) and ``HetInstancePair`` records.  All instances must
         share the chain length, processor count, and scalar platform
         columns — for mixed collections use
         :func:`ensembles_from_instances`, which groups first.
@@ -699,7 +588,7 @@ def ensembles_from_instances(instances: Sequence) -> "list[Ensemble]":
 
     Consecutive instances sharing a profile (chain length, processor
     count, scalar platform columns) land in one :class:`Ensemble`;
-    iterating the returned ensembles' views in order reproduces the
+    iterating the returned ensembles' rows in order reproduces the
     input order exactly.  Already-columnar inputs pass through.
     """
     if isinstance(instances, Ensemble):

@@ -327,17 +327,17 @@ def run_crosscheck(  # repro-lint: disable=API001 served by repro.experiments.__
                 f"generates heterogeneous platforms"
             )
         sized = spec.with_(n_tasks=n_tasks, p=p, n_instances=n_instances)
-        views = [v for e in generate_ensembles(sized, seed=seed) for v in e]
-        if len(views) > n_instances:
+        rows = [(e, r) for e in generate_ensembles(sized, seed=seed) for r in range(len(e))]
+        if len(rows) > n_instances:
             # Sweep-axis specs expand to len(variants) * n_instances
             # instances; keep the population at n_instances but sample
             # it evenly so every variant regime retains coverage
             # instead of silently checking only the first variant.
-            chosen = np.linspace(0, len(views) - 1, n_instances).round().astype(int)
-            views = [views[i] for i in chosen]
+            chosen = np.linspace(0, len(rows) - 1, n_instances).round().astype(int)
+            rows = [rows[i] for i in chosen]
         # The chosen rows materialize here (and only here) — the
         # cross-check genuinely solves every instance.
-        pairs = [(v.chain, v.platform) for v in views]
+        pairs = [e[r] for e, r in rows]
     seeds = spawn_seeds(ensure_rng(seed), n_instances)
     report = CrosscheckReport()
     for s, pair in zip(seeds, pairs):

@@ -233,7 +233,7 @@ def run_experiment(
             scenario_key=scn_hash,
         )
     else:
-        # A paired ensemble's views expose the heterogeneous side; its
+        # A paired ensemble's rows hold the heterogeneous side; its
         # hom_counterpart() is the columnar speed-5 twin.  One scenario
         # hash for both sides: the unit keys already hash each
         # instance's platform, so het/hom units cannot collide — and a

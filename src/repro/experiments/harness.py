@@ -92,7 +92,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.algorithms.result import UnitResults
-from repro.core.ensemble import Ensemble, InstanceView, ensembles_from_instances
+from repro.core.ensemble import Ensemble, ensembles_from_instances
 from repro.experiments.cache import ResultCache, resolve_cache, unit_record
 from repro.experiments.methods import METHODS, Method, UnknownMethodError, get_method
 from repro.obs import telemetry as obs
@@ -329,7 +329,7 @@ def _resolve_instances(
     count), and the spec's content hash becomes the sweep's cache-key
     scenario component — unless the caller pinned *scenario_key*
     explicitly.  Paired (Section 8.2-shaped) ensembles contribute
-    their heterogeneous side (their views); sweep
+    their heterogeneous side (their rows); sweep
     :meth:`~repro.core.ensemble.Ensemble.hom_counterpart` separately
     (as :func:`repro.experiments.figures.run_experiment` does) to
     compare against the homogeneous counterparts.
@@ -525,7 +525,6 @@ class _SweepRun:
         self.min_reliability = min_reliability
         self.store = store
         self.scenario_key = scenario_key
-        self.views: list[InstanceView] = [v for e in ensembles for v in e]
         # Flat instance index -> (owning ensemble, row within it).
         self.ensemble_of: list[int] = []
         self.row_of: list[int] = []
@@ -537,7 +536,7 @@ class _SweepRun:
         }
         # Row mi * n_instances + ii holds unit (mi, ii).
         self.results = UnitResults.empty(
-            len(self.methods) * len(self.views), len(bounds), objective
+            len(self.methods) * len(self.row_of), len(bounds), objective
         )
         self.unit_events: list[dict] = []
         self.batch_units = 0
@@ -557,7 +556,7 @@ class _SweepRun:
         arrays, a cache entry (unless it came from cache), the ledger
         event and the ``sweep.units.*`` counter."""
         method = self.methods[unit.mi]
-        self.results.set_row(unit.mi * len(self.views) + unit.ii, results, r)
+        self.results.set_row(unit.mi * len(self.row_of) + unit.ii, results, r)
         if source != "cache" and self.store is not None and unit.key is not None:
             with obs.span("sweep.cache_write", label=method.name):
                 self.store.put_record(unit.key, unit_record(results, r, method.name))
@@ -583,12 +582,12 @@ class _SweepRun:
         pending: list[_Unit] = []
         with obs.span("sweep.cache_lookup"):
             for mi, method in enumerate(self.methods):
-                for ii, view in enumerate(self.views):
+                for ii, (ei, row) in enumerate(zip(self.ensemble_of, self.row_of)):
                     unit = _Unit(mi, ii, None)
                     if self.store is not None and self.registered(method):
                         unit = unit._replace(key=self.store.unit_key_for(
                             method.name,
-                            view.row_hash,
+                            self.ensembles[ei].row_hash(row),
                             self.bounds,
                             fingerprint=self.fingerprints[method.name],
                             scenario=self.scenario_key,
@@ -635,8 +634,13 @@ class _SweepRun:
 
     def base(self, unit: _Unit) -> Problem:
         """The unit's unbounded Problem; materializes its row."""
-        return self.views[unit.ii].problem(
-            objective=self.objective, min_reliability=self.min_reliability
+        ensemble = self.ensembles[self.ensemble_of[unit.ii]]
+        row = self.row_of[unit.ii]
+        return Problem(
+            ensemble.chain(row),
+            ensemble.platform(row),
+            objective=self.objective,
+            min_reliability=self.min_reliability,
         )
 
     def run_local(self, unit: _Unit, source: str = "parent") -> None:
@@ -698,7 +702,7 @@ class _SweepRun:
 
     def result(self, xs: np.ndarray, timings: dict) -> SweepResult:
         """The sweep's arrays in ``(method, point, instance)`` layout."""
-        n_m, n_inst, n_pts = len(self.methods), len(self.views), len(self.bounds)
+        n_m, n_inst, n_pts = len(self.methods), len(self.row_of), len(self.bounds)
 
         def layout(a: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(a.reshape(n_m, n_inst, n_pts).transpose(0, 2, 1))

@@ -76,7 +76,7 @@ import re
 import sys
 from typing import Callable, Iterator
 
-from repro.obs import write_atomic
+from repro.obs import check_directory, write_atomic
 from repro.util.hashing import content_hash, file_digest, source_digest
 
 __all__ = [
@@ -147,12 +147,7 @@ def cache_root(cache_dir: "str | os.PathLike[str] | None") -> "pathlib.Path | No
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         if cache_dir is None:
             return None
-    root = pathlib.Path(cache_dir)
-    existing = next((p for p in (root, *root.parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():
-        where = "" if existing == root else f" ({existing} is a file)"
-        raise ValueError(f"cache directory {root} is not a directory{where}")
-    return root
+    return check_directory(cache_dir, "cache directory")
 
 
 def _current(payload: object) -> bool:

@@ -110,9 +110,7 @@ def from_dict(payload: dict[str, Any]) -> "TaskChain | Platform | Mapping | Any"
             max_replication=payload["max_replication"],
         )
     if kind == "Mapping":
-        chain = from_dict(payload["chain"])
-        platform = from_dict(payload["platform"])
-        assert isinstance(chain, TaskChain) and isinstance(platform, Platform)
+        chain, platform = _instance(payload)
         assignment = [
             (Interval(int(a), int(b)), tuple(procs))
             for (a, b), procs in zip(payload["intervals"], payload["replicas"])
@@ -136,9 +134,7 @@ def from_dict(payload: dict[str, Any]) -> "TaskChain | Platform | Mapping | Any"
     if kind == "Problem":
         from repro.solve.problem import Problem
 
-        chain = from_dict(payload["chain"])
-        platform = from_dict(payload["platform"])
-        assert isinstance(chain, TaskChain) and isinstance(platform, Platform)
+        chain, platform = _instance(payload)
         return Problem(
             chain=chain,
             platform=platform,
@@ -149,6 +145,18 @@ def from_dict(payload: dict[str, Any]) -> "TaskChain | Platform | Mapping | Any"
             min_reliability=float(payload.get("min_reliability", 0.0)),
         )
     raise ValueError(f"unknown object type {kind!r}")
+
+
+def _instance(payload: dict[str, Any]) -> "tuple[TaskChain, Platform]":
+    """The nested ``chain``/``platform`` objects of a Mapping or Problem."""
+    chain = from_dict(payload["chain"])
+    platform = from_dict(payload["platform"])
+    if not (isinstance(chain, TaskChain) and isinstance(platform, Platform)):
+        raise ValueError(
+            f"{payload['type']} needs a TaskChain and a Platform, got "
+            f"{type(chain).__name__} and {type(platform).__name__}"
+        )
+    return chain, platform
 
 
 def dumps(obj: "TaskChain | Platform | Mapping | Any", **json_kwargs: Any) -> str:

@@ -18,6 +18,7 @@ Two halves, both deterministic and dependency-free:
 from repro.obs.ledger import (
     DEFAULT_RUNS_DIR,
     RunRecord,
+    check_directory,
     diff_runs,
     find_run,
     list_runs,
@@ -36,6 +37,7 @@ __all__ = [
     "RunRecord",
     "Telemetry",
     "active",
+    "check_directory",
     "collect",
     "counter",
     "diff_runs",

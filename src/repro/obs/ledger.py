@@ -51,6 +51,7 @@ from repro.util.hashing import content_hash
 __all__ = [
     "DEFAULT_RUNS_DIR",
     "RunRecord",
+    "check_directory",
     "diff_runs",
     "find_run",
     "list_runs",
@@ -85,6 +86,22 @@ def resolve_runs_dir(
     if runs_dir is None:
         runs_dir = os.environ.get("REPRO_RUNS_DIR") or DEFAULT_RUNS_DIR
     return pathlib.Path(runs_dir)
+
+
+def check_directory(path: "str | os.PathLike[str]", what: str) -> pathlib.Path:
+    """Return *path* if it is, or could become, a directory.
+
+    Raises ValueError, naming *what* the directory is for, when the
+    path or the nearest part of it that exists is not a directory: a
+    write under it could never succeed, so a command must not do any
+    work first.
+    """
+    root = pathlib.Path(path)
+    existing = next((p for p in (root, *root.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        where = "" if existing == root else f" ({existing} is a file)"
+        raise ValueError(f"{what} {root} is not a directory{where}")
+    return root
 
 
 def run_id_for(identity: Any, timestamp: str) -> str:

@@ -2,9 +2,10 @@
 
 Generation now produces :class:`repro.core.ensemble.Ensemble` objects
 (struct-of-arrays, one row per instance) instead of per-instance
-``TaskChain``/``Platform`` objects; rows materialize lazily through
-:class:`~repro.core.ensemble.InstanceView`, so a sweep served from a
-warm cache never constructs a model object at all.  The two RNG modes
+``TaskChain``/``Platform`` objects; a row is addressed by its index and
+materializes lazily (:meth:`~repro.core.ensemble.Ensemble.chain`,
+:meth:`~repro.core.ensemble.Ensemble.platform`), so a sweep served from
+a warm cache never constructs a model object at all.  The two RNG modes
 keep their contracts exactly — only the storage changed:
 
 ``per-instance`` (default)
@@ -90,7 +91,7 @@ def generate_ensembles(
 
     Returns one :class:`~repro.core.ensemble.Ensemble` per concrete
     variant, in variant order (plain specs yield a single-element
-    list).  Paired specs produce paired ensembles: views expose the
+    list).  Paired specs produce paired ensembles: their rows hold the
     heterogeneous side, ``ensemble.hom_platform`` /
     ``ensemble.hom_counterpart()`` the Section 8.2 counterpart.
     """

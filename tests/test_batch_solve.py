@@ -23,7 +23,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.harness import _solve_unit
 from repro.obs import telemetry as obs
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
-from repro.solve import Planner
+from repro.solve import Planner, Problem
 
 BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
 
@@ -81,7 +81,7 @@ FULLY_BATCHED = {
 
 
 #: The paired (Section 8.2) builtin scenarios, whose sweeps run on the
-#: heterogeneous views and on hom_counterpart().
+#: heterogeneous rows and on hom_counterpart().
 PAIRED = sorted(name for name in SHRINK if get_scenario(name).paired)
 
 #: Sweep points on both sides' scales for the shrunk paired scenarios
@@ -145,8 +145,8 @@ def witness(res):
 def per_row(method, ensemble, bounds, objective, floor):
     """The harness's per-row solves, one unit per ensemble row."""
     out = UnitResults.empty(len(ensemble), len(bounds), objective)
-    for r, view in enumerate(ensemble):
-        base = view.problem(objective=objective, min_reliability=floor)
+    for r in range(len(ensemble)):
+        base = Problem(*ensemble[r], objective=objective, min_reliability=floor)
         out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
     return out
 

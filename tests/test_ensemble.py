@@ -1,4 +1,4 @@
-"""The columnar ensemble core: struct-of-arrays storage, lazy views,
+"""The columnar ensemble core: struct-of-arrays storage, lazy rows,
 round-trips, content identity, and the sweep bit-identity contract."""
 
 import os
@@ -26,6 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.instances import HetInstancePair
 from repro.io import dumps, loads
+from repro.solve import Problem
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
 
 
@@ -89,44 +90,49 @@ class TestConstruction:
         )
         assert list(e.homogeneous_rows()) == [True, False]
         assert not e.all_homogeneous
-        assert e[0].homogeneous and not e[1].homogeneous
 
 
-class TestViews:
-    def test_tuple_compatibility(self, hom_ensemble):
-        view = hom_ensemble[2]
-        chain, platform = view  # unpacks like the historical pair
+class TestRowIndexing:
+    """A row is an index: ``ensemble[i]`` is the row's ``(chain,
+    platform)`` pair, built from the ensemble's own cached objects."""
+
+    def test_tuple_unpacking(self, hom_ensemble):
+        chain, platform = hom_ensemble[2]
         assert isinstance(chain, TaskChain) and isinstance(platform, Platform)
-        assert len(view) == 2
-        assert view[0] is view.chain and view[1] is view.platform
+        assert len(hom_ensemble[2]) == 2
 
-    def test_lazy_and_cached(self, hom_ensemble):
-        view = hom_ensemble[1]
-        assert view.chain is hom_ensemble.chain(1)  # one object per row
-        assert view.chain is hom_ensemble[1].chain
+    def test_pair_is_the_cached_objects(self, hom_ensemble):
+        assert hom_ensemble[1][0] is hom_ensemble.chain(1)  # one object per row
+        assert hom_ensemble[1][1] is hom_ensemble.platform(1)
+        assert hom_ensemble[1][0] is hom_ensemble[1][0]
 
     def test_negative_and_out_of_range(self, hom_ensemble):
-        assert hom_ensemble[-1].index == 4
+        assert hom_ensemble[-1][0] is hom_ensemble.chain(4)
         with pytest.raises(IndexError):
             hom_ensemble[5]
+        with pytest.raises(IndexError):
+            hom_ensemble[-6]
         with pytest.raises(TypeError):
             hom_ensemble["0"]
 
     def test_raw_columns_match_materialized(self, hom_ensemble):
-        view = hom_ensemble[3]
-        assert np.array_equal(view.work, view.chain.work)
-        assert np.array_equal(view.speeds, view.platform.speeds)
-        assert view.bandwidth == view.platform.bandwidth
+        chain, platform = hom_ensemble[3]
+        assert np.array_equal(hom_ensemble.work[3], chain.work)
+        assert np.array_equal(hom_ensemble.speeds[3], platform.speeds)
+        assert hom_ensemble.bandwidth == platform.bandwidth
 
-    def test_problem_materialization(self, hom_ensemble):
-        problem = hom_ensemble[0].problem(
-            max_period=250.0, objective="period", min_reliability=0.5
+    def test_problem_from_row(self, hom_ensemble):
+        problem = Problem(
+            *hom_ensemble[0], max_period=250.0, objective="period", min_reliability=0.5
         )
+        assert problem.chain is hom_ensemble.chain(0)
         assert problem.max_period == 250.0
         assert problem.objective == "period" and problem.min_reliability == 0.5
 
     def test_iteration_order(self, hom_ensemble):
-        assert [v.index for v in hom_ensemble] == list(range(5))
+        assert [chain for chain, _ in hom_ensemble] == [
+            hom_ensemble.chain(i) for i in range(5)
+        ]
 
 
 class TestMaterializeRoundTrips:
@@ -196,9 +202,8 @@ class TestMaterializeRoundTrips:
 
 class TestContentIdentity:
     def test_row_hash_matches_materialized_digest(self, het_ensemble):
-        view = het_ensemble[2]
-        chain, platform = view
-        assert view.row_hash == instance_digest(
+        chain, platform = het_ensemble[2]
+        assert het_ensemble.row_hash(2) == instance_digest(
             chain.work, chain.output, platform.speeds, platform.failure_rates,
             platform.bandwidth, platform.link_failure_rate, platform.max_replication,
         )
@@ -341,6 +346,31 @@ class TestSweepBitIdentity:
         run_sweep(fresh, methods, self.BOUNDS, cache=ResultCache(tmp_path))
         assert fresh._chains == [None] * 3
         assert fresh._platforms == [None]
+
+    def test_cold_kernel_sweep_materializes_nothing(self):
+        """Kernel-served units read the columns: a cold sweep whose every
+        unit a kernel serves builds no TaskChain or Platform."""
+        ensemble = generate_ensemble("section8-hom", n_instances=4, seed=5)
+        sweep = run_sweep(
+            ensemble, [get_method("heur-l"), get_method("heur-p")], self.BOUNDS
+        )
+        assert sweep.batch_units == 2 * len(ensemble)
+        assert ensemble._chains == [None] * 4
+        assert ensemble._platforms == [None]
+
+    def test_per_row_sweep_materializes_only_solved_rows(self, tmp_path):
+        """A per-row unit builds its own row's objects and no other's:
+        with the first two rows cached, only the third materializes."""
+        methods = [get_method("heur-l")]
+        first = generate_ensemble("section8-hom", n_instances=2, seed=4)
+        run_sweep(first, methods, self.BOUNDS, cache=ResultCache(tmp_path))
+
+        ensemble = generate_ensemble("section8-hom", n_instances=3, seed=4)
+        run_sweep(
+            ensemble, methods, self.BOUNDS, cache=ResultCache(tmp_path), batch=False
+        )
+        assert ensemble._chains[:2] == [None, None]
+        assert ensemble._chains[2] is not None
 
     def test_het_only_method_error_matches_problem_path(self, het_ensemble):
         with pytest.raises(ValueError, match="requires homogeneous platforms"):

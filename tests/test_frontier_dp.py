@@ -48,6 +48,7 @@ from repro.core.evaluation import evaluate_mapping
 from repro.experiments import get_method
 from repro.experiments.cache import unit_record
 from repro.experiments.harness import _solve_unit
+from repro.solve.problem import Problem
 from repro.util.logrel import from_reliability
 
 FLOORS = st.sampled_from([0.0, 0.9])
@@ -68,8 +69,8 @@ FRONTIER_CELLS = [
 def per_row(method, ensemble, bounds, objective, floor):
     """The harness's per-row solves, one unit per ensemble row."""
     out = UnitResults.empty(len(ensemble), len(bounds), objective)
-    for r, view in enumerate(ensemble):
-        base = view.problem(objective=objective, min_reliability=floor)
+    for r in range(len(ensemble)):
+        base = Problem(*ensemble[r], objective=objective, min_reliability=floor)
         out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
     return out
 

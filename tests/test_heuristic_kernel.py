@@ -30,6 +30,7 @@ from repro.algorithms import UnitResults, batch, batch_heuristic_best, heuristic
 from repro.core.ensemble import Ensemble
 from repro.experiments import get_method
 from repro.experiments.harness import _solve_unit
+from repro.solve.problem import Problem
 from repro.util import logrel
 from repro.util.logrel import from_reliability
 
@@ -41,8 +42,8 @@ LATENCIES = [1.0, 3.0, 5.0, 8.0, 12.0, 15.0, 20.0, 30.0, math.inf]
 def per_row(method, ensemble, bounds, objective, floor):
     """The harness's per-row solves, one unit per ensemble row."""
     out = UnitResults.empty(len(ensemble), len(bounds), objective)
-    for r, view in enumerate(ensemble):
-        base = view.problem(objective=objective, min_reliability=floor)
+    for r in range(len(ensemble)):
+        base = Problem(*ensemble[r], objective=objective, min_reliability=floor)
         out.set_row(r, _solve_unit(method, base, bounds, objective)[0], 0)
     return out
 

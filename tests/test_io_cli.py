@@ -181,6 +181,63 @@ class TestCLI:
         with pytest.raises(SystemExit, match="expected Platform"):
             main(["solve", str(cpath), str(cpath)])
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read {path}: No such file or directory"),
+        ("", "cannot load {path}: Expecting value"),
+        ("{not json", "cannot load {path}: Expecting property name"),
+        ('{"type": "Platform", "speeds": [-1]}',
+         "cannot load {path}: missing field 'failure_rates'"),
+        ('{"type": "Platform", "speeds": [-1.0], "failure_rates": [0.0], '
+         '"bandwidth": 1.0, "link_failure_rate": 0.0, "max_replication": 1}',
+         "cannot load {path}: "),
+        ('[1, 2]', "cannot load {path}: payload is not a repro object"),
+    ], ids=["missing", "empty", "not-json", "missing-field", "invalid-value",
+            "not-an-object"])
+    def test_bad_input_file_fails_with_one_line(self, tmp_path, chain, content, message):
+        """An unreadable or undecodable input file exits with one line
+        that names it, never a traceback."""
+        cpath = tmp_path / "chain.json"
+        cpath.write_text(dumps(chain))
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(cpath), str(bad)])
+        text = exc.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert text.startswith(message.format(path=bad))
+
+    def test_input_path_that_is_a_directory(self, tmp_path):
+        with pytest.raises(SystemExit, match=f"cannot read {tmp_path}: Is a directory"):
+            main(["simulate", str(tmp_path)])
+
+    @pytest.mark.parametrize("command", ["solve", "lint"])
+    def test_output_under_a_file_fails_before_any_work(
+        self, tmp_path, capsys, chain, platform, command
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("keep")
+        cpath, ppath = tmp_path / "chain.json", tmp_path / "platform.json"
+        cpath.write_text(dumps(chain))
+        ppath.write_text(dumps(platform))
+        argv = ["solve", str(cpath), str(ppath)] if command == "solve" else ["lint", str(cpath)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(blocker / "out.json")])
+        assert exc.value.code == f"output directory {blocker} is not a directory"
+        assert capsys.readouterr().out == ""
+        assert blocker.read_text() == "keep"
+
+    def test_mapping_with_swapped_objects_rejected(self, tmp_path, mapping):
+        payload = to_dict(mapping)
+        payload["chain"], payload["platform"] = payload["platform"], payload["chain"]
+        mpath = tmp_path / "mapping.json"
+        mpath.write_text(json.dumps(payload))
+        with pytest.raises(
+            SystemExit,
+            match="Mapping needs a TaskChain and a Platform, got Platform and TaskChain",
+        ):
+            main(["evaluate", str(mpath)])
+
     def test_evaluate(self, tmp_path, mapping, capsys):
         mpath = tmp_path / "mapping.json"
         mpath.write_text(dumps(mapping))
@@ -395,8 +452,16 @@ class TestScenarioCLI:
         (["simulate", "mapping.json", "--seed", "-1"],
          "seed must be an integer >= 0, got '-1'"),
         (["demo", "--seed", "-1"], "seed must be an integer >= 0, got '-1'"),
+        (["demo", "--tasks", "0"], "tasks must be an integer >= 1, got '0'"),
+        (["demo", "--tasks", "-1"], "tasks must be an integer >= 1, got '-1'"),
+        (["demo", "--processors", "0"], "processors must be an integer >= 1, got '0'"),
+        (["simulate", "mapping.json", "--datasets", "0"],
+         "datasets must be an integer >= 1, got '0'"),
+        (["simulate", "mapping.json", "--datasets", "-5"],
+         "datasets must be an integer >= 1, got '-5'"),
     ], ids=["scenario-run-seed", "experiment-seed", "experiment-instances",
-            "simulate-seed", "demo-seed"])
+            "simulate-seed", "demo-seed", "demo-tasks-0", "demo-tasks-negative",
+            "demo-processors", "simulate-datasets-0", "simulate-datasets-negative"])
     def test_bad_integer_fails_at_parse_time(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *(["--manifest", str(tmp_path / "m.json")]
@@ -435,12 +500,44 @@ class TestScenarioCLI:
         assert blocker.read_text() == "keep"
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["scenario", "run", "section8-hom", "--n-instances", "2"],
+        ["experiment", "hom-period", "--instances", "2"],
+    ], ids=["scenario-run", "experiment"])
+    @pytest.mark.parametrize("target,message", [
+        ("runs", "runs directory {blocker}/runs is not a directory ({blocker} is a file)"),
+        ("manifest", "manifest directory {blocker} is not a directory"),
+        ("manifest-is-dir", "manifest {tmp}/m.json is a directory"),
+    ], ids=["runs-dir", "manifest-parent", "manifest-is-dir"])
+    def test_output_path_fails_before_any_work(
+        self, tmp_path, capsys, command, target, message
+    ):
+        """A ledger or manifest path that could never be written is
+        rejected up front, not after every unit is solved."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("keep")
+        cache_dir = tmp_path / "cache"
+        runs_dir = blocker / "runs" if target == "runs" else tmp_path / "runs"
+        manifest = blocker / "m.json" if target == "manifest" else tmp_path / "m.json"
+        if target == "manifest-is-dir":
+            manifest.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cache-dir", str(cache_dir), "--runs-dir", str(runs_dir),
+                  "--manifest", str(manifest)])
+        assert exc.value.code == message.format(blocker=blocker, tmp=tmp_path)
+        assert capsys.readouterr().out == ""
+        assert blocker.read_text() == "keep"
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--objective", "latency", "--min-reliability", "1.5"],
          r"min_reliability must lie in \[0, 1\) \(0 = no floor\), got 1\.5"),
         (["--objective", "latency", "--min-reliability", "-0.2"],
          r"min_reliability must lie in \[0, 1\) \(0 = no floor\), got -0\.2"),
         (["--grid-points", "1"], "need at least 2 grid points, got 1"),
+        (["--max-period", "-1"], r"max_period must be > 0 \(inf = unbounded\), got -1\.0"),
+        (["--max-latency", "nan"], r"max_latency must be > 0 \(inf = unbounded\), got nan"),
     ])
     def test_scenario_run_bad_input_fails_before_any_work(
         self, tmp_path, capsys, flags, message

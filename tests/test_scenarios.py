@@ -25,6 +25,7 @@ from repro.scenarios import (
     UnknownScenarioError,
     distribution_from_value,
     generate_ensemble,
+    generate_ensembles,
     materialize_instances,
     get_scenario,
     load_spec,
@@ -433,6 +434,35 @@ class TestCrosscheckIntegration:
         assert report.instances == 2
         assert report.solver_disagreements == 0
         assert report.rbd_disagreements == 0
+
+    def test_materializes_only_the_chosen_rows(self, monkeypatch):
+        """The sampled rows of a sweep-axis spec are the only ones built:
+        every other row's chain and platform stay unmaterialized."""
+        import repro.scenarios
+
+        generated = []
+
+        def recording(spec, seed=0):
+            ensembles = generate_ensembles(spec, seed=seed)
+            generated.extend(ensembles)
+            return ensembles
+
+        monkeypatch.setattr(repro.scenarios, "generate_ensembles", recording)
+        spec = ScenarioSpec(
+            name="axis-check", bandwidth=(0.5, 1.0, 2.0), n_instances=1
+        )
+        run_crosscheck(
+            n_instances=2, seed=1, n_tasks=4, p=3, simulate=False, scenario=spec
+        )
+        # Three variants of two rows each; the even sample takes flat
+        # rows 0 and 5: row 0 of the first variant, row 1 of the last.
+        assert [len(e) for e in generated] == [2, 2, 2]
+        assert [[c is not None for c in e._chains] for e in generated] == [
+            [True, False], [False, False], [False, True],
+        ]
+        assert [[p is not None for p in e._platforms] for e in generated] == [
+            [True], [False], [True],
+        ]
 
 
 class TestScenarioObject:
